@@ -13,10 +13,20 @@ The termination quantity
     delta[n] = L[n](x0) * S[n-1](x0) - L[n-1](x0) * S[n](x0)
 
 vanishes at eigenvalues of problems whose ladder terminates, which is what
-:func:`find_eigenvalues` scans and bisects for.  The same ladder can be
-generated column by column from Taylor coefficients alone
-(:func:`aim_matrix_iterate`), using the 2x2 companion-form coefficient
-convolution; both routes must agree, and tests hold them to that.
+:func:`find_eigenvalues` scans and bisects for.
+
+One raw-array kernel, :func:`_ladder`, runs the recursion on Taylor
+coefficients: level n + 1 is an index shift of level n (the derivative)
+plus its convolution with the coefficients of L and S.  Coefficient m of
+level n depends only on coefficients 0..m + n of the inputs, so trimming
+the inputs to depth + 1 coefficients leaves every delta up to that depth
+exact, and bit-identical, since the kernel keeps the accumulation order of
+truncated series arithmetic.  :func:`aim_iterate` (whole series per level)
+and :func:`aim_matrix_iterate` (coefficient table) are views of that
+kernel.  The eigenvalue search evaluates each distinct parameter value
+once, to depth n + 2 on trimmed inputs, and reads the scan and bisection
+values at depth n and the recheck values at depth n + 2 from that one
+pass.
 """
 
 from __future__ import annotations
@@ -123,6 +133,31 @@ class AIMSequences:
         return len(self.lam) - 1
 
 
+def _ladder(
+    l0: np.ndarray, s0: np.ndarray, depth: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Coefficient arrays of ladder levels 0..depth; level i is i entries shorter.
+
+    The accumulation order ``(shift + L-convolution) + S`` and the per-level
+    ``np.convolve`` of equal-length prefixes reproduce truncated Taylor
+    arithmetic bit for bit, so the result does not depend on how many input
+    coefficients the caller passes beyond those a level needs.
+    """
+    k = np.arange(1, l0.size, dtype=float)
+    lam, s = [l0], [s0]
+    for _ in range(depth):
+        l, sl = lam[-1], s[-1]
+        n = l.size - 1
+        lam.append((k[:n] * l[1:] + np.convolve(l0[: n + 1], l)[:n]) + sl[:n])
+        s.append(k[:n] * sl[1:] + np.convolve(s0[: n + 1], l)[:n])
+    return lam, s
+
+
+def _cross(lam_at: np.ndarray, s_at: np.ndarray) -> np.ndarray:
+    """delta[i] = L[i+1] S[i] - L[i] S[i+1] from the at-centre values."""
+    return lam_at[1:] * s_at[:-1] - lam_at[:-1] * s_at[1:]
+
+
 def aim_iterate(spec: ProblemSpec, param_value: float, depth: int | None = None) -> AIMSequences:
     """Run the differentiation ladder to ``depth`` levels.
 
@@ -148,21 +183,17 @@ def aim_iterate(spec: ProblemSpec, param_value: float, depth: int | None = None)
             ConditioningWarning,
             stacklevel=2,
         )
-    lam = [lam0]
-    s = [s0]
-    for _ in range(depth):
-        prev_l, prev_s = lam[-1], s[-1]
-        new_l = (prev_l.diff() + lam0 * prev_l) + prev_s
-        new_s = prev_s.diff() + s0 * prev_l
-        lam.append(new_l)
-        s.append(new_s)
-    lam_at = np.array([t.at_center for t in lam])
-    s_at = np.array([t.at_center for t in s])
-    delta = lam_at[1:] * s_at[:-1] - lam_at[:-1] * s_at[1:]
+    lam, s = _ladder(lam0.coeffs, s0.coeffs, depth)
+    lam_at = np.array([c[0] for c in lam])
+    s_at = np.array([c[0] for c in s])
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = np.where(lam_at != 0.0, s_at / lam_at, np.nan)
     return AIMSequences(
-        lam=tuple(lam), s=tuple(s), delta=delta, alpha=alpha, x0=spec.x0
+        lam=tuple(TaylorSeries(spec.x0, c) for c in lam),
+        s=tuple(TaylorSeries(spec.x0, c) for c in s),
+        delta=_cross(lam_at, s_at),
+        alpha=alpha,
+        x0=spec.x0,
     )
 
 
@@ -195,12 +226,10 @@ class CoeffTable:
     """Taylor-coefficient table of the ladder in companion form.
 
     ``C[m, n]`` is the 2-vector of the m-th Taylor coefficients of
-    (L[n], S[n]).  ``A[k]`` is the 2x2 matrix of the k-th Taylor
-    coefficients of the companion matrix [[L, 1], [S, 0]].
+    (L[n], S[n]).
     """
 
     C: np.ndarray  # shape (m_max + 1, n_max + 1, 2)
-    A: np.ndarray  # shape (order + 1, 2, 2)
     x0: float = field(default=0.0)
 
 
@@ -213,9 +242,10 @@ def aim_matrix_iterate(
     """Fill the coefficient table column by column.
 
     Column n + 1 is built from column n by one index shift (the
-    differentiation part) plus a convolution against the companion-matrix
-    coefficients.  Filling rows 0..m_max at depth n_max consumes initial
-    rows up to m_max + n_max, so that sum must not exceed the problem order.
+    differentiation part) plus a convolution against the coefficients of
+    the companion matrix [[L, 1], [S, 0]].  Filling rows 0..m_max at depth
+    n_max consumes initial rows up to m_max + n_max, so that sum must not
+    exceed the problem order.
     """
     if n_max is None:
         n_max = spec.n_max
@@ -226,31 +256,13 @@ def aim_matrix_iterate(
             f"m_max + n_max = {m_max + n_max} exceeds order {spec.order}"
         )
     lam0, s0 = spec.series_pair(param_value)
-    order = spec.order
-    a = np.zeros((order + 1, 2, 2))
-    a[:, 0, 0] = lam0.coeffs
-    a[0, 0, 1] = 1.0
-    a[:, 1, 0] = s0.coeffs
+    rows = m_max + n_max + 1
+    lam, s = _ladder(lam0.coeffs[:rows], s0.coeffs[:rows], n_max)
     table = np.empty((m_max + 1, n_max + 1, 2))
-    # working column, trimmed by one row per level
-    col0 = lam0.coeffs[: m_max + n_max + 1].copy()
-    col1 = s0.coeffs[: m_max + n_max + 1].copy()
-    table[:, 0, 0] = col0[: m_max + 1]
-    table[:, 0, 1] = col1[: m_max + 1]
-    for n in range(n_max):
-        length = col0.size - 1  # rows of the next column
-        m = np.arange(1, length + 1, dtype=float)
-        # accumulation order mirrors the series route exactly:
-        # (shift + L-convolution) + companion term
-        new0 = (m * col0[1 : length + 1] + np.convolve(a[:length, 0, 0], col0[:length])[:length]) + col1[:length]
-        new1 = m * col1[1 : length + 1] + np.convolve(a[:length, 1, 0], col0[:length])[:length]
-        col0, col1 = new0, new1
-        rows = min(m_max + 1, length)
-        table[:rows, n + 1, 0] = col0[:rows]
-        table[:rows, n + 1, 1] = col1[:rows]
-        if rows < m_max + 1:  # cannot happen under the order precondition
-            table[rows:, n + 1, :] = np.nan
-    return CoeffTable(C=table, A=a, x0=spec.x0)
+    for n in range(n_max + 1):
+        table[:, n, 0] = lam[n][: m_max + 1]
+        table[:, n, 1] = s[n][: m_max + 1]
+    return CoeffTable(C=table, x0=spec.x0)
 
 
 # ----------------------------------------------------------------------
@@ -265,9 +277,22 @@ class Root(NamedTuple):
     n_used: int
 
 
-def _delta_at(spec: ProblemSpec, e: float, depth: int) -> float:
-    seqs = aim_iterate(spec, e, depth=depth)
-    return float(seqs.delta[depth - 1])
+def _delta_vector(spec: ProblemSpec, e: float, depth: int) -> np.ndarray:
+    """delta[1..depth] at parameter ``e``, from inputs of order ``depth``.
+
+    Level i of the ladder needs only depth + 1 - i coefficients for the
+    deltas up to ``depth``, so the values equal those of :func:`aim_iterate`
+    at any larger order.  Every computed coefficient feeds some at-centre
+    value through the index shift, so a non-finite one shows up there.
+    """
+    lam0 = series_from_expr(spec.lambda0, e, spec.x0, depth)
+    s0 = series_from_expr(spec.s0, e, spec.x0, depth)
+    lam, s = _ladder(lam0.coeffs, s0.coeffs, depth)
+    lam_at = np.array([c[0] for c in lam])
+    s_at = np.array([c[0] for c in s])
+    if not (np.isfinite(lam_at).all() and np.isfinite(s_at).all()):
+        raise ValidationError("series coefficients must all be finite")
+    return _cross(lam_at, s_at)
 
 
 def _bisect(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:
@@ -320,13 +345,22 @@ def find_eigenvalues(
 
     grid = np.linspace(e_min, e_max, grid_points)
     vals = np.full(grid_points, np.nan)
+    # each E is evaluated once, to depth n + 2, serving the scan, the
+    # bisection at depth n and the recheck at depth n + 2 alike
+    deltas: dict[float, np.ndarray] = {}
+
+    def delta(e: float, depth: int) -> float:
+        if e not in deltas:
+            deltas[e] = _delta_vector(spec, e, n + 2)
+        return float(deltas[e][depth - 1])
+
     # the per-point conditioning chatter is not useful during a scan; other
     # warning categories still reach the caller's handlers
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
         for i, e in enumerate(grid):
             try:
-                vals[i] = _delta_at(spec, float(e), n)
+                vals[i] = delta(float(e), n)
             except SingularPivot as exc:
                 warnings.warn(
                     f"grid point E = {e:g} skipped: {exc}",
@@ -346,17 +380,15 @@ def find_eigenvalues(
         roots: list[Root] = []
 
         def locate(depth: int, lo: float, hi: float) -> float | None:
-            flo = _delta_at(spec, lo, depth)
+            flo = delta(lo, depth)
             if flo == 0.0:
                 return lo
-            fhi = _delta_at(spec, hi, depth)
+            fhi = delta(hi, depth)
             if fhi == 0.0:
                 return hi
             if (flo < 0.0) == (fhi < 0.0):
                 return None
-            return _bisect(
-                lambda e: _delta_at(spec, e, depth), lo, hi, flo, fhi, tol
-            )
+            return _bisect(lambda e: delta(e, depth), lo, hi, flo, fhi, tol)
 
         def recheck(lo: float, hi: float, e_found: float) -> float:
             deeper = locate(n + 2, lo, hi)
@@ -387,7 +419,7 @@ def find_eigenvalues(
                 continue
             lo, hi = float(grid[i]), float(grid[i + 1])
             e_found = _bisect(
-                lambda e: _delta_at(spec, e, n), lo, hi, vals[i], vals[i + 1], tol
+                lambda e: delta(e, n), lo, hi, vals[i], vals[i + 1], tol
             )
             roots.append(Root(e_found, recheck(lo, hi, e_found), n))
     roots.sort(key=lambda r: r.value)

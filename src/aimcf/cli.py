@@ -34,6 +34,7 @@ from .cf import cf_approximants, cf_determinants, cf_equiv_unit, detect_terminat
 from .errors import (
     AimError,
     CenterMismatch,
+    DeterminantMismatchWarning,
     ParseOrEvalError,
     ValidationError,
 )
@@ -74,12 +75,25 @@ def _jsonable(obj: Any) -> Any:
         return [_jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     return obj
 
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValidationError(message)
+
+
+def _require_number(block: dict, key: str, integer: bool) -> None:
+    """Reject a JSON value of the wrong numeric type; booleans never pass."""
+    value = block[key]
+    _require(
+        isinstance(value, int if integer else (int, float))
+        and not isinstance(value, bool),
+        f"'{key}' must be {'an integer' if integer else 'a real number'}, "
+        f"got {value!r}",
+    )
 
 
 def _load_problem(path: str) -> dict:
@@ -96,11 +110,16 @@ def _load_problem(path: str) -> dict:
     _require(isinstance(raw["lambda0"], str), "'lambda0' must be a string expression")
     _require(isinstance(raw["s0"], str), "'s0' must be a string expression")
     _require(isinstance(raw["parameter"], str), "'parameter' must be a string")
+    for key, integer in (("x0", False), ("order", True), ("n_max", True)):
+        _require_number(raw, key, integer)
     search = raw.get("search")
     if search is not None:
         _require(isinstance(search, dict), "'search' must be an object")
         for key in ("e_min", "e_max"):
             _require(key in search, f"'search' missing '{key}'")
+        for key, integer in (("e_min", False), ("e_max", False), ("grid", True), ("tol", False)):
+            if key in search:
+                _require_number(search, key, integer)
         _require(
             float(search["e_min"]) < float(search["e_max"]),
             "search requires e_min < e_max",
@@ -110,8 +129,8 @@ def _load_problem(path: str) -> dict:
 
 def _build_spec(raw: dict, args: argparse.Namespace) -> ProblemSpec:
     x0 = args.x0 if args.x0 is not None else float(raw["x0"])
-    order = args.order if args.order is not None else int(raw["order"])
-    n_max = args.n if args.n is not None else int(raw["n_max"])
+    order = args.order if args.order is not None else raw["order"]
+    n_max = args.n if args.n is not None else raw["n_max"]
     return ProblemSpec.from_strings(
         raw["lambda0"],
         raw["s0"],
@@ -145,7 +164,7 @@ def _run_solve(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dict:
     _require(search is not None, "solve requires a 'search' block")
     e_min = float(search["e_min"])
     e_max = float(search["e_max"])
-    grid = args.grid if args.grid is not None else int(search.get("grid", 101))
+    grid = args.grid if args.grid is not None else search.get("grid", 101)
     tol = args.tol if args.tol is not None else float(search.get("tol", 1e-10))
     warn_list: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
@@ -220,7 +239,7 @@ def _run_diagnose(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dic
                 "verdict skipped"
             )
     warn_list.extend(_warning_strings(caught))
-    det_ok = not any("DeterminantMismatchWarning" in w for w in warn_list)
+    det_ok = not any(issubclass(w.category, DeterminantMismatchWarning) for w in caught)
     outputs = {
         "bound_violations": bound_violations,
         "convergence": verdict,

@@ -1,13 +1,16 @@
-"""Iteration ladder against a symbolic oracle, spectrum checks, table cross-form."""
+"""Iteration ladder against a symbolic oracle and a reference ladder, spectrum checks."""
 
 import warnings
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aimcf.aim import (
     ProblemSpec,
+    _delta_vector,
     aim_iterate,
     aim_matrix_iterate,
     alpha_at,
@@ -43,6 +46,18 @@ def _sympy_ladder(lam0_expr, s0_expr, depth):
         new_s = sp.expand(sp.diff(s[-1], x) + s0_expr * lam[-1])
         lam.append(new_lam)
         s.append(new_s)
+    return lam, s
+
+
+def reference_ladder(spec, param_value, depth):
+    """Naive ladder in TaylorSeries arithmetic on the full-order input series."""
+    lam0, s0 = spec.series_pair(param_value)
+    lam = [lam0]
+    s = [s0]
+    for _ in range(depth):
+        prev_l, prev_s = lam[-1], s[-1]
+        lam.append((prev_l.diff() + lam0 * prev_l) + prev_s)
+        s.append(prev_s.diff() + s0 * prev_l)
     return lam, s
 
 
@@ -156,19 +171,66 @@ def test_table_budget_precondition():
         aim_matrix_iterate(spec, 2.0, m_max=20, n_max=20)
 
 
-# float-identical agreement between the two ladder representations
+# float-identical agreement between the coefficient table and the reference
 def test_table_matches_series_route_exactly():
     spec = ProblemSpec.from_strings(
         "2*x", "1 - E", "E", x0=0.25, order=64, n_max=30
     )
-    seqs = aim_iterate(spec, 4.7, depth=30)
+    ref_l, ref_s = reference_ladder(spec, 4.7, 30)
     tab = aim_matrix_iterate(spec, 4.7, m_max=30, n_max=30)
     for n in range(31):
-        avail = min(30, seqs.lam[n].order)
+        avail = min(30, ref_l[n].order)
         got_l = tab.C[: avail + 1, n, 0]
         got_s = tab.C[: avail + 1, n, 1]
-        assert np.array_equal(got_l, seqs.lam[n].coeffs[: avail + 1]), n
-        assert np.array_equal(got_s, seqs.s[n].coeffs[: avail + 1]), n
+        assert np.array_equal(got_l, ref_l[n].coeffs[: avail + 1]), n
+        assert np.array_equal(got_s, ref_s[n].coeffs[: avail + 1]), n
+
+
+def _poly_text(coeffs):
+    return " + ".join(f"({c!r})*x^{k}" for k, c in enumerate(coeffs))
+
+
+poly_coeffs = st.lists(
+    st.floats(min_value=-3, max_value=3, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=4,
+)
+
+
+# every view of the ladder kernel reproduces the reference bit for bit,
+# including the solver's deltas from inputs trimmed to depth + 1 coefficients
+@given(
+    poly_coeffs,
+    poly_coeffs,
+    st.floats(min_value=-1, max_value=1),
+    st.floats(min_value=-5, max_value=5),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=0, max_value=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_kernel_views_match_reference_exactly(lam_c, s_c, x0, energy, depth, spare):
+    spec = ProblemSpec.from_strings(
+        _poly_text(lam_c), _poly_text(s_c) + " - E", "E",
+        x0=x0, order=depth + 2 + spare, n_max=depth,
+    )
+    ref_l, ref_s = reference_ladder(spec, energy, depth)
+    lam_at = np.array([t.at_center for t in ref_l])
+    s_at = np.array([t.at_center for t in ref_s])
+    ref_delta = lam_at[1:] * s_at[:-1] - lam_at[:-1] * s_at[1:]
+    with warnings.catch_warnings():
+        # a near-zero L(x0) only affects alpha, which this test does not read
+        warnings.simplefilter("ignore", ConditioningWarning)
+        warnings.simplefilter("ignore", RuntimeWarning)
+        seqs = aim_iterate(spec, energy, depth=depth)
+    m_max = spec.order - depth
+    tab = aim_matrix_iterate(spec, energy, m_max=m_max, n_max=depth)
+    for n in range(depth + 1):
+        assert np.array_equal(seqs.lam[n].coeffs, ref_l[n].coeffs), n
+        assert np.array_equal(seqs.s[n].coeffs, ref_s[n].coeffs), n
+        assert np.array_equal(tab.C[:, n, 0], ref_l[n].coeffs[: m_max + 1]), n
+        assert np.array_equal(tab.C[:, n, 1], ref_s[n].coeffs[: m_max + 1]), n
+    assert np.array_equal(seqs.delta, ref_delta)
+    assert np.array_equal(_delta_vector(spec, energy, depth), ref_delta)
 
 
 # [DERIVED] exact spectrum E = 2k+1 of the transformed oscillator equation

@@ -14,21 +14,20 @@ def _write(tmp_path, name, payload):
     return str(path)
 
 
+HO_PROBLEM = {
+    "lambda0": "2*x",
+    "s0": "1 - E",
+    "parameter": "E",
+    "x0": 0.0,
+    "order": 60,
+    "n_max": 30,
+    "search": {"e_min": 0.0, "e_max": 8.0, "grid": 41, "tol": 1e-10},
+}
+
+
 @pytest.fixture
 def ho_file(tmp_path):
-    return _write(
-        tmp_path,
-        "ho.json",
-        {
-            "lambda0": "2*x",
-            "s0": "1 - E",
-            "parameter": "E",
-            "x0": 0.0,
-            "order": 60,
-            "n_max": 30,
-            "search": {"e_min": 0.0, "e_max": 8.0, "grid": 41, "tol": 1e-10},
-        },
-    )
+    return _write(tmp_path, "ho.json", HO_PROBLEM)
 
 
 @pytest.fixture
@@ -109,6 +108,28 @@ def test_classify_constants_labels_growth_case(const_seq_file, capsys):
     pin = record["outputs"]["pincherle"]
     assert abs(pin["cf_limit"] - 1.0) < 1e-10
     assert pin["agreement"] < 1e-10
+
+
+# [DERIVED] cylinder recurrence x_{n+1} = 2(n+1) x_n - x_{n-1}: its declared
+# power law matches the numeric ratios, so the consistency flag is true
+def test_classify_cylinder_recurrence_reports_consistency(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "cyl.json",
+        dict(
+            HO_PROBLEM,
+            classify={
+                "pvals": [2.0 * (n + 1) for n in range(240)],
+                "qvals": [-1.0] * 240,
+                "declared_power_law": {"a": 2, "sigma": 1, "b": -1, "tau": 0},
+            },
+        ),
+    )
+    code, out, _ = _run(capsys, ["classify", path])
+    assert code == EXIT_OK
+    cls = json.loads(out)["outputs"]["classification"]
+    assert cls["case_label"] == "4a"
+    assert cls["consistency"] is True
 
 
 def test_classify_from_ladder_needs_param_value(const_file, capsys):
@@ -346,6 +367,35 @@ def test_exit_input_on_bad_sweep(ho_file, capsys):
     code, _, err = _run(capsys, ["solve", ho_file, "--sweep-x0", "1:2"])
     assert code == EXIT_INPUT
     assert "sweep" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("x0", "abc"),
+        ("x0", True),
+        ("order", 60.7),
+        ("order", True),
+        ("n_max", "30"),
+        ("n_max", False),
+        ("e_min", "zz"),
+        ("e_min", True),
+        ("e_max", "zz"),
+        ("e_max", False),
+        ("grid", 41.5),
+        ("grid", True),
+        ("tol", "1e-10"),
+        ("tol", True),
+    ],
+)
+def test_exit_input_on_malformed_numeric_field(tmp_path, capsys, field, value):
+    payload = dict(HO_PROBLEM, search=dict(HO_PROBLEM["search"]))
+    block = payload if field in payload else payload["search"]
+    block[field] = value
+    path = _write(tmp_path, "malformed.json", payload)
+    code, _, err = _run(capsys, ["solve", path])
+    assert code == EXIT_INPUT
+    assert f"'{field}'" in err
 
 
 def test_exit_input_on_missing_file(capsys):
