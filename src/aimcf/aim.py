@@ -32,7 +32,7 @@ pass.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -85,6 +85,18 @@ class ProblemSpec:
             raise ValidationError(
                 f"order ({self.order}) must be >= n_max + 2 ({self.n_max + 2})"
             )
+
+    def ladder_depth(self, depth: int | None) -> int:
+        """Resolve ``depth`` (None: ``n_max``); each level costs one Taylor order."""
+        if depth is None:
+            depth = self.n_max
+        if depth < 1:
+            raise ValidationError("depth must be at least 1")
+        if depth > self.order - 2:
+            raise OrderExhausted(
+                f"depth {depth} needs order >= {depth + 2}, have {self.order}"
+            )
+        return depth
 
     @classmethod
     def from_strings(
@@ -166,14 +178,7 @@ def aim_iterate(spec: ProblemSpec, param_value: float, depth: int | None = None)
     ladder itself never divides); a vanishing L(x0) only makes the ratio
     diagnostics at x0 undefined, so it is reported as a warning.
     """
-    if depth is None:
-        depth = spec.n_max
-    if depth < 1:
-        raise ValidationError("depth must be at least 1")
-    if depth > spec.order - 2:
-        raise OrderExhausted(
-            f"depth {depth} needs order >= {depth + 2}, have {spec.order}"
-        )
+    depth = spec.ladder_depth(depth)
     lam0, s0 = spec.series_pair(param_value)
     scale = max(float(np.max(np.abs(lam0.coeffs))), float(np.max(np.abs(s0.coeffs))), 1.0)
     if abs(lam0.at_center) < 1e-12 * scale:
@@ -210,10 +215,7 @@ def alpha_at(seqs: AIMSequences, n: int) -> float:
         raise IndexOutOfRange(f"alpha index {n} outside 0..{seqs.depth}")
     denom = seqs.lam[n].at_center
     if abs(denom) < EPS_PIVOT:
-        raise SingularPivot(
-            f"lam[{n}](x0) = {denom!r} vanishes; ratio undefined",
-            classification="small-pivot",
-        )
+        raise SingularPivot(f"lam[{n}](x0) = {denom!r} vanishes; ratio undefined")
     return seqs.s[n].at_center / denom
 
 
@@ -230,7 +232,7 @@ class CoeffTable:
     """
 
     C: np.ndarray  # shape (m_max + 1, n_max + 1, 2)
-    x0: float = field(default=0.0)
+    x0: float
 
 
 def aim_matrix_iterate(
@@ -336,12 +338,8 @@ def find_eigenvalues(
         raise ValidationError("e_min must be < e_max")
     if grid_points < 2:
         raise ValidationError("grid_points must be >= 2")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValidationError("tol must be positive")
-    if n + 2 > spec.order - 2:
-        raise OrderExhausted(
-            f"depth recheck needs order >= {n + 4}, have {spec.order}"
-        )
 
     grid = np.linspace(e_min, e_max, grid_points)
     vals = np.full(grid_points, np.nan)
@@ -418,9 +416,7 @@ def find_eigenvalues(
             if (vals[i] < 0.0) == (vals[i + 1] < 0.0):
                 continue
             lo, hi = float(grid[i]), float(grid[i + 1])
-            e_found = _bisect(
-                lambda e: delta(e, n), lo, hi, vals[i], vals[i + 1], tol
-            )
+            e_found = locate(n, lo, hi)
             roots.append(Root(e_found, recheck(lo, hi, e_found), n))
     roots.sort(key=lambda r: r.value)
     return roots

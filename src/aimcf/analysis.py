@@ -23,6 +23,7 @@ from .errors import (
     InsufficientData,
     NoConvergence,
     NonPositiveP,
+    Overflow,
     ValidationError,
     ZeroB0,
     ZeroDenominator,
@@ -440,12 +441,13 @@ def classify(
 
     if declared is not None:
         if {"sigma", "tau"} <= set(declared):
-            label, power_law = _classify_power_law(
-                declared, p, num_dom, num_min, probe_at, probe_ratio, notes
-            )
-            consistency = _power_law_consistency(
-                label, power_law, p, num_dom, probe_at, probe_ratio, notes
-            )
+            label, power_law = _classify_power_law(declared, notes)
+            try:
+                consistency = _power_law_consistency(
+                    label, power_law, p, num_dom, probe_at, probe_ratio, notes
+                )
+            except OverflowError as exc:
+                raise Overflow(f"declared power-law prediction overflowed: {exc}") from exc
         elif {"a_coeffs", "b_coeffs"} <= set(declared):
             ba = birkhoff_adams(
                 declared["a_coeffs"],
@@ -551,18 +553,14 @@ def _limit_case_consistency(
 
 
 def _classify_power_law(
-    declared: dict,
-    p: np.ndarray,
-    num_dom: float,
-    num_min: float,
-    probe_at: int,
-    probe_ratio: float,
-    notes: list[str],
+    declared: dict, notes: list[str]
 ) -> tuple[CaseLabel, tuple[float, float, float, float]]:
     sigma = float(declared["sigma"])
     tau = float(declared["tau"])
     a = float(declared.get("a", math.nan))
     b = float(declared.get("b", math.nan))
+    if a == 0.0:
+        raise ValidationError("declared power-law scale a must be nonzero")
     power_law = (a, sigma, b, tau)
     if sigma > tau / 2.0:
         return CaseLabel.CASE_4A, power_law

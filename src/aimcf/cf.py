@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,6 @@ import numpy as np
 from .aim import ProblemSpec
 from .errors import (
     DeterminantMismatchWarning,
-    OrderExhausted,
     ValidationError,
     ZeroDenominator,
     ZeroPartialNumerator,
@@ -87,14 +87,7 @@ def pq_iterate(spec: ProblemSpec, param_value: float, depth: int | None = None) 
     ladder scale) the ladder terminates there, and if only its value at x0
     is tiny the ladder stops flagged as a pole.
     """
-    if depth is None:
-        depth = spec.n_max
-    if depth < 1:
-        raise ValidationError("depth must be at least 1")
-    if depth > spec.order - 2:
-        raise OrderExhausted(
-            f"depth {depth} needs order >= {depth + 2}, have {spec.order}"
-        )
+    depth = spec.ladder_depth(depth)
     p0, q0 = spec.series_pair(param_value)
     p = [p0]
     q = [q0]
@@ -290,6 +283,17 @@ def cf_approximants(
     )
 
 
+def _q_products(qvals: np.ndarray) -> Iterator[tuple[float, int]]:
+    """Running products q[0]..q[n] as (mantissa, base-2 exponent) pairs."""
+    prod_mant, prod_e2 = 1.0, 0
+    for q in qvals:
+        prod_mant *= float(q)
+        if prod_mant != 0.0:
+            mant, ex = math.frexp(prod_mant)
+            prod_mant, prod_e2 = mant, prod_e2 + ex
+        yield prod_mant, prod_e2
+
+
 def cf_determinants(state: CFState, rtol: float = 1e-9) -> np.ndarray:
     """Cross determinants v[n] for n = -1..N, checked against the q product.
 
@@ -302,13 +306,8 @@ def cf_determinants(state: CFState, rtol: float = 1e-9) -> np.ndarray:
     """
     out = state.v_array
     eps = float(np.finfo(float).eps)
-    prod_mant, prod_e2 = 1.0, 0
     worst = 0.0
-    for n in range(state.depth + 1):
-        prod_mant *= float(state.qvals[n])
-        if prod_mant != 0.0:
-            mant, ex = math.frexp(prod_mant)
-            prod_mant, prod_e2 = mant, prod_e2 + ex
+    for n, (prod_mant, prod_e2) in enumerate(_q_products(state.qvals)):
         expected_mant = prod_mant if n % 2 == 0 else -prod_mant
         got_mant, got_e2 = state.v_scaled(n)
         i = n + 2
@@ -337,20 +336,14 @@ def alpha_partial_sums(state: CFState) -> np.ndarray:
     Term k is (-1)^k q[0]..q[k] / (B[k] B[k-1]); every B[k] must be
     nonzero.  Returns sums[i] = sum of terms 0..i, so sums[i] == C[i].
     """
-    n_terms = state.depth + 1
-    sums = np.empty(n_terms)
-    prod_mant, prod_e2 = 1.0, 0
+    sums = np.empty(state.depth + 1)
     acc = 0.0
-    for k in range(n_terms):
+    for k, (prod_mant, prod_e2) in enumerate(_q_products(state.qvals)):
         i = k + 2
         bk = state._mant_b[i]
         bk1 = state._mant_b[i - 1]
         if bk == 0.0 or bk1 == 0.0:
             raise ZeroDenominator(f"B[{k if bk == 0.0 else k - 1}] = 0")
-        prod_mant *= float(state.qvals[k])
-        if prod_mant != 0.0:
-            mant, ex = math.frexp(prod_mant)
-            prod_mant, prod_e2 = mant, prod_e2 + ex
         sign = 1.0 if k % 2 == 0 else -1.0
         denom_e2 = int(state._exp2[i] + state._exp2[i - 1])
         term = sign * _ldexp_safe(prod_mant / (bk * bk1), prod_e2 - denom_e2)

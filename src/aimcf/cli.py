@@ -85,15 +85,43 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _require_number(block: dict, key: str, integer: bool) -> None:
+def _require_number(value: Any, name: str, integer: bool) -> None:
     """Reject a JSON value of the wrong numeric type; booleans never pass."""
-    value = block[key]
     _require(
         isinstance(value, int if integer else (int, float))
         and not isinstance(value, bool),
-        f"'{key}' must be {'an integer' if integer else 'a real number'}, "
+        f"'{name}' must be {'an integer' if integer else 'a real number'}, "
         f"got {value!r}",
     )
+
+
+def _require_reals(values: Any, name: str) -> None:
+    _require(isinstance(values, list), f"'{name}' must be a list, got {values!r}")
+    for i, value in enumerate(values):
+        _require_number(value, f"{name}[{i}]", False)
+
+
+def _check_classify(block: Any) -> None:
+    """Type-check the raw sequences and declared structure of a classify block."""
+    _require(isinstance(block, dict), "'classify' must be an object")
+    _require(
+        ("pvals" in block) == ("qvals" in block),
+        "raw sequences need both 'pvals' and 'qvals'",
+    )
+    for key in ("pvals", "qvals"):
+        if key in block:
+            _require_reals(block[key], key)
+    for name in ("declared_power_law", "declared_ba_coeffs"):
+        if name not in block:
+            continue
+        declared = block[name]
+        _require(isinstance(declared, dict), f"'{name}' must be an object")
+        for key in ("a", "sigma", "b", "tau", "k_max"):
+            if key in declared:
+                _require_number(declared[key], key, key == "k_max")
+        for key in ("a_coeffs", "b_coeffs"):
+            if key in declared:
+                _require_reals(declared[key], key)
 
 
 def _load_problem(path: str) -> dict:
@@ -111,7 +139,7 @@ def _load_problem(path: str) -> dict:
     _require(isinstance(raw["s0"], str), "'s0' must be a string expression")
     _require(isinstance(raw["parameter"], str), "'parameter' must be a string")
     for key, integer in (("x0", False), ("order", True), ("n_max", True)):
-        _require_number(raw, key, integer)
+        _require_number(raw[key], key, integer)
     search = raw.get("search")
     if search is not None:
         _require(isinstance(search, dict), "'search' must be an object")
@@ -119,11 +147,13 @@ def _load_problem(path: str) -> dict:
             _require(key in search, f"'search' missing '{key}'")
         for key, integer in (("e_min", False), ("e_max", False), ("grid", True), ("tol", False)):
             if key in search:
-                _require_number(search, key, integer)
+                _require_number(search[key], key, integer)
         _require(
             float(search["e_min"]) < float(search["e_max"]),
             "search requires e_min < e_max",
         )
+    if raw.get("classify") is not None:
+        _check_classify(raw["classify"])
     return raw
 
 
@@ -198,8 +228,8 @@ def _run_diagnose(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dic
         warnings.simplefilter("always")
         pq = pq_iterate(spec, args.param_value)
         termination = detect_termination(pq)
-        pvals = [float(s.at_center) for s in pq.p]
-        qvals = [float(s.at_center) for s in pq.q]
+        pvals = pq.p_at_center().tolist()
+        qvals = pq.q_at_center().tolist()
         if pq.stop_level is not None:
             warn_list.append(
                 f"ladder stopped at level {pq.stop_level} ({pq.stop_reason}); "
@@ -251,20 +281,15 @@ def _run_diagnose(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dic
 
 
 def _classify_sequences(
-    raw: dict, spec: Optional[ProblemSpec], args: argparse.Namespace
+    raw: dict, spec: ProblemSpec, args: argparse.Namespace
 ) -> tuple[list[float], list[float], Optional[dict]]:
     block = raw.get("classify") or {}
-    _require(isinstance(block, dict), "'classify' must be an object")
     declared = None
     if "declared_power_law" in block:
         declared = dict(block["declared_power_law"])
     elif "declared_ba_coeffs" in block:
         declared = dict(block["declared_ba_coeffs"])
-    if "pvals" in block or "qvals" in block:
-        _require(
-            "pvals" in block and "qvals" in block,
-            "raw sequences need both 'pvals' and 'qvals'",
-        )
+    if "pvals" in block:
         pvals = [float(v) for v in block["pvals"]]
         qvals = [float(v) for v in block["qvals"]]
         return pvals, qvals, declared
@@ -272,11 +297,8 @@ def _classify_sequences(
         args.param_value is not None,
         "classify requires --param-value unless raw sequences are given",
     )
-    assert spec is not None
     pq = pq_iterate(spec, args.param_value)
-    pvals = [float(s.at_center) for s in pq.p]
-    qvals = [float(s.at_center) for s in pq.q]
-    return pvals, qvals, declared
+    return pq.p_at_center().tolist(), pq.q_at_center().tolist(), declared
 
 
 def _run_classify(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dict:
@@ -294,39 +316,31 @@ def _run_classify(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dic
     return {"outputs": outputs, "warnings": warn_list}
 
 
+# command -> (output table, columns); other commands flatten to key/value rows
+_CSV_TABLES = {
+    "solve": ("eigenvalues", ["value", "residual", "n_used"]),
+    "diagnose": ("table", ["n", "p", "q", "C", "dC"]),
+}
+
+
 def _render_csv(record: dict) -> str:
     """Flatten the command's main table; sweep runs gain a leading x0 column."""
     runs = record.get("runs", [record])
     sweeping = "runs" in record
+    table = _CSV_TABLES.get(record["command"])
+    header = table[1] if table else ["key", "value"]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    command = record["command"]
-    if command == "solve":
-        header = ["value", "residual", "n_used"]
-        writer.writerow((["x0"] if sweeping else []) + header)
-        for run in runs:
-            for row in run["outputs"]["eigenvalues"]:
-                base = [row["value"], row["residual"], row["n_used"]]
-                writer.writerow(
-                    ([run["inputs"]["x0"]] if sweeping else []) + base
-                )
-    elif command == "diagnose":
-        header = ["n", "p", "q", "C", "dC"]
-        writer.writerow((["x0"] if sweeping else []) + header)
-        for run in runs:
-            for row in run["outputs"]["table"]:
-                base = [row["n"], row["p"], row["q"], row["C"], row["dC"]]
-                writer.writerow(
-                    ([run["inputs"]["x0"]] if sweeping else []) + base
-                )
-    else:
-        writer.writerow((["x0"] if sweeping else []) + ["key", "value"])
-        for run in runs:
+    writer.writerow((["x0"] if sweeping else []) + header)
+    for run in runs:
+        prefix = [run["inputs"]["x0"]] if sweeping else []
+        if table:
+            rows = [[row[c] for c in header] for row in run["outputs"][table[0]]]
+        else:
             flat = _flatten(run["outputs"], "")
-            for key in sorted(flat):
-                writer.writerow(
-                    ([run["inputs"]["x0"]] if sweeping else []) + [key, flat[key]]
-                )
+            rows = [[key, flat[key]] for key in sorted(flat)]
+        for row in rows:
+            writer.writerow(prefix + row)
     return out.getvalue()
 
 

@@ -16,17 +16,7 @@ class CenterMismatch(AimError):
 
 
 class SingularPivot(AimError):
-    """Division by a series whose constant term is numerically zero.
-
-    ``classification`` distinguishes an identically-zero divisor
-    (``"exact-zero"``, typically a terminating ladder) from a divisor that
-    merely vanishes at the expansion point (``"small-pivot"``, a pole of the
-    logarithmic derivative).
-    """
-
-    def __init__(self, message: str, classification: str | None = None):
-        super().__init__(message)
-        self.classification = classification
+    """Division by a series whose constant term is numerically zero."""
 
 
 class OrderExhausted(AimError):

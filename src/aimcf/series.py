@@ -204,10 +204,7 @@ def series_div(a: TaylorSeries, b: TaylorSeries) -> TaylorSeries:
     _check_centers(a, b)
     pivot = float(b.coeffs[0])
     if abs(pivot) < EPS_PIVOT:
-        raise SingularPivot(
-            f"divisor constant term {pivot!r} below {EPS_PIVOT:g}",
-            classification="small-pivot",
-        )
+        raise SingularPivot(f"divisor constant term {pivot!r} below {EPS_PIVOT:g}")
     a_scale = float(np.max(np.abs(a.coeffs)))
     if a_scale > 0.0 and abs(pivot) < PIVOT_WARN_REL * a_scale:
         warnings.warn(

@@ -260,6 +260,25 @@ def test_find_eigenvalues_depth_validation():
         find_eigenvalues(spec, 0.0, 4.0, 11, n=30, tol=1e-10)
 
 
+def test_find_eigenvalues_rejects_nan_tol():
+    spec = _ho_spec(order=60, n_max=20)
+    with pytest.raises(ValidationError):
+        find_eigenvalues(spec, 0.0, 4.0, 11, tol=float("nan"))
+
+
+# the scan builds its own order n + 2 series, so the smallest order the spec
+# admits (n_max + 2) gives exactly the roots of a much deeper one
+def test_find_eigenvalues_at_minimal_order_matches_deep_order():
+    roots = {
+        order: find_eigenvalues(
+            _ho_spec(order=order, n_max=20), 0.1, 8.1, 21, tol=1e-11
+        )
+        for order in (22, 80)
+    }
+    assert [round(r.value) for r in roots[80]] == [1, 3, 5, 7]
+    assert roots[22] == roots[80]
+
+
 def test_degenerate_delta_emits_warning_and_empty_result():
     # s0 = 0 kills every S_n, so the termination function vanishes identically
     spec = ProblemSpec.from_strings("2*x", "0*E", "E", x0=0.5, order=20, n_max=10)

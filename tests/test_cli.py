@@ -1,9 +1,12 @@
 """End-to-end command runs: JSON/CSV output, exit codes, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from aimcf.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 
@@ -398,6 +401,52 @@ def test_exit_input_on_malformed_numeric_field(tmp_path, capsys, field, value):
     assert f"'{field}'" in err
 
 
+@pytest.mark.parametrize(
+    "argv_tail, search",
+    [
+        (["--tol", "nan"], HO_PROBLEM["search"]),
+        ([], dict(HO_PROBLEM["search"], tol=float("nan"))),
+    ],
+)
+def test_exit_input_on_nan_tol(tmp_path, capsys, argv_tail, search):
+    path = _write(tmp_path, "nan_tol.json", dict(HO_PROBLEM, search=search))
+    code, _, err = _run(capsys, ["solve", path, *argv_tail])
+    assert code == EXIT_INPUT
+    assert "tol" in err
+
+
+# the scan never reads the spec's order, so the smallest order the spec
+# admits solves, with the roots of the deeper file
+def test_solve_at_minimal_order(ho_file, tmp_path, capsys):
+    minimal = dict(HO_PROBLEM, order=HO_PROBLEM["n_max"] + 2)
+    path = _write(tmp_path, "min_order.json", minimal)
+    code, out, _ = _run(capsys, ["solve", path])
+    assert code == EXIT_OK
+    _, deep, _ = _run(capsys, ["solve", ho_file])
+    assert json.loads(out)["outputs"] == json.loads(deep)["outputs"]
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        {"declared_power_law": 5},
+        {"declared_power_law": {"sigma": "a", "tau": 0}},
+        {"declared_power_law": {"a": True, "sigma": 1, "b": -1, "tau": 0}},
+        {"pvals": ["abc"] + [1.0] * 39, "qvals": [1.0] * 40},
+        {"pvals": 3, "qvals": [1.0] * 40},
+        {"qvals": [1.0] * 40},
+        {"declared_ba_coeffs": {"a_coeffs": "xy", "b_coeffs": [1.0]}},
+        {"declared_ba_coeffs": {"a_coeffs": [0.0], "b_coeffs": [1.0], "k_max": 2.5}},
+        [],
+    ],
+)
+def test_exit_input_on_malformed_classify_block(tmp_path, capsys, block):
+    path = _write(tmp_path, "classify.json", dict(HO_PROBLEM, classify=block))
+    code, _, err = _run(capsys, ["classify", path, "--param-value", "3"])
+    assert code == EXIT_INPUT
+    assert err.startswith("error:")
+
+
 def test_exit_input_on_missing_file(capsys):
     code, _, err = _run(capsys, ["solve", "/nonexistent/problem.json"])
     assert code == EXIT_INPUT
@@ -440,3 +489,105 @@ def test_flag_overrides_problem_file(tmp_path, capsys):
     assert record["inputs"]["x0"] == 2.0
     # q0 at the overridden center: 1 - 3 = -2, p0 = 2*2 = 4
     assert record["outputs"]["table"][0]["p"] == 4.0
+
+
+# small valid problem files, one per declared-structure kind, so every mutated
+# example stays cheap: short ladders, short grids, 40-level sequences
+_SMALL = dict(
+    HO_PROBLEM,
+    order=14,
+    n_max=8,
+    search={"e_min": 0.1, "e_max": 8.1, "grid": 11, "tol": 1e-8},
+)
+_SEQUENCES = {
+    "pvals": [2.0 * (n + 1) for n in range(40)],
+    "qvals": [-1.0] * 40,
+}
+_BASES = (
+    dict(
+        _SMALL,
+        classify=dict(
+            _SEQUENCES,
+            declared_power_law={"a": 2.0, "sigma": 1, "b": -1, "tau": 0},
+        ),
+    ),
+    dict(
+        _SMALL,
+        classify=dict(
+            _SEQUENCES,
+            declared_ba_coeffs={"a_coeffs": [-2.0], "b_coeffs": [1.0], "k_max": 3},
+        ),
+    ),
+)
+_DELETE = object()
+
+
+def _paths(node, prefix=()):
+    """Every key path of a problem file, list elements represented by index 0."""
+    items = node.items() if isinstance(node, dict) else [(0, node[0])] if node else []
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+_MUTATIONS = [(base, path) for base in _BASES for path in _paths(base)]
+# integers stay small, so no order, n_max, grid or k_max asks for a huge
+# series or a long loop; other numbers arrive as floats, which those reject
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308, -1e308, 5e-324]),
+    st.text(alphabet="xE0123456789.+-*/^() ", max_size=6),
+)
+_VALUES = st.one_of(
+    _SCALARS,
+    st.just(_DELETE),
+    st.lists(_SCALARS, max_size=60),
+    st.dictionaries(st.sampled_from(["a", "sigma", "tau", "x"]), _SCALARS, max_size=3),
+)
+
+
+@st.composite
+def _mutated_problem(draw):
+    base, path = draw(st.sampled_from(_MUTATIONS))
+    problem = json.loads(json.dumps(base))
+    parent = problem
+    for key in path[:-1]:
+        parent = parent[key]
+    value = draw(_VALUES)
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return problem
+
+
+def _power_law(**changes):
+    base = _BASES[0]
+    block = dict(base["classify"])
+    block["declared_power_law"] = dict(block["declared_power_law"], **changes)
+    return dict(base, classify=block)
+
+
+# the exit codes 0 (ok), 2 (input) and 3 (numeric) hold for every problem
+# file, and no exception escapes main; the examples once escaped as a
+# ZeroDivisionError (a = 0) or an OverflowError (huge exponents)
+@example(problem=_power_law(a=0.0), command="classify")
+@example(problem=_power_law(sigma=1e308), command="classify")
+@example(problem=_power_law(tau=-1e36), command="classify")
+@given(
+    problem=_mutated_problem(),
+    command=st.sampled_from(["solve", "diagnose", "classify"]),
+)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_exit_code_for_any_single_field_mutation(tmp_path, capsys, problem, command):
+    path = _write(tmp_path, "mutated.json", problem)
+    code, _, _ = _run(capsys, [command, path, "--param-value", "3"])
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC)
