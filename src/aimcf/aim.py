@@ -27,6 +27,10 @@ kernel.  The eigenvalue search evaluates each distinct parameter value
 once, to depth n + 2 on trimmed inputs, and reads the scan and bisection
 values at depth n and the recheck values at depth n + 2 from that one
 pass.
+
+Every ladder runs to the one depth of its problem, ``ProblemSpec.n_max``
+(the n of delta[n]); a caller that wants another depth builds another
+spec, for example with ``dataclasses.replace(spec, n_max=d)``.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .errors import (
     GridPointSkippedWarning,
     IndexOutOfRange,
     OrderExhausted,
+    Overflow,
     SingularPivot,
     ValidationError,
 )
@@ -68,7 +73,7 @@ class ProblemSpec:
         x0: expansion/evaluation point for the ladder.
         order: Taylor order carried by the ladder; must be >= n_max + 2 so
             that the deepest ladder entries keep usable coefficients.
-        n_max: default ladder depth.
+        n_max: depth n of every ladder run on this problem, at least 1.
     """
 
     lambda0: Expression
@@ -85,18 +90,6 @@ class ProblemSpec:
             raise ValidationError(
                 f"order ({self.order}) must be >= n_max + 2 ({self.n_max + 2})"
             )
-
-    def ladder_depth(self, depth: int | None) -> int:
-        """Resolve ``depth`` (None: ``n_max``); each level costs one Taylor order."""
-        if depth is None:
-            depth = self.n_max
-        if depth < 1:
-            raise ValidationError("depth must be at least 1")
-        if depth > self.order - 2:
-            raise OrderExhausted(
-                f"depth {depth} needs order >= {depth + 2}, have {self.order}"
-            )
-        return depth
 
     @classmethod
     def from_strings(
@@ -138,7 +131,6 @@ class AIMSequences:
     s: tuple[TaylorSeries, ...]
     delta: np.ndarray
     alpha: np.ndarray
-    x0: float
 
     @property
     def depth(self) -> int:
@@ -170,15 +162,13 @@ def _cross(lam_at: np.ndarray, s_at: np.ndarray) -> np.ndarray:
     return lam_at[1:] * s_at[:-1] - lam_at[:-1] * s_at[1:]
 
 
-def aim_iterate(spec: ProblemSpec, param_value: float, depth: int | None = None) -> AIMSequences:
-    """Run the differentiation ladder to ``depth`` levels.
+def aim_iterate(spec: ProblemSpec, param_value: float) -> AIMSequences:
+    """Run the differentiation ladder to ``spec.n_max`` levels.
 
-    Each level costs one Taylor order, so ``depth`` may not exceed
-    ``spec.order - 2``.  The coefficient L need not be nonzero at x0 (the
-    ladder itself never divides); a vanishing L(x0) only makes the ratio
-    diagnostics at x0 undefined, so it is reported as a warning.
+    The coefficient L need not be nonzero at x0 (the ladder itself never
+    divides); a vanishing L(x0) only makes the ratio diagnostics at x0
+    undefined, so it is reported as a warning.
     """
-    depth = spec.ladder_depth(depth)
     lam0, s0 = spec.series_pair(param_value)
     scale = max(float(np.max(np.abs(lam0.coeffs))), float(np.max(np.abs(s0.coeffs))), 1.0)
     if abs(lam0.at_center) < 1e-12 * scale:
@@ -188,7 +178,7 @@ def aim_iterate(spec: ProblemSpec, param_value: float, depth: int | None = None)
             ConditioningWarning,
             stacklevel=2,
         )
-    lam, s = _ladder(lam0.coeffs, s0.coeffs, depth)
+    lam, s = _ladder(lam0.coeffs, s0.coeffs, spec.n_max)
     lam_at = np.array([c[0] for c in lam])
     s_at = np.array([c[0] for c in s])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -198,7 +188,6 @@ def aim_iterate(spec: ProblemSpec, param_value: float, depth: int | None = None)
         s=tuple(TaylorSeries(spec.x0, c) for c in s),
         delta=_cross(lam_at, s_at),
         alpha=alpha,
-        x0=spec.x0,
     )
 
 
@@ -223,36 +212,20 @@ def alpha_at(seqs: AIMSequences, n: int) -> float:
 # coefficient-table route
 
 
-@dataclass(frozen=True)
-class CoeffTable:
+def aim_matrix_iterate(spec: ProblemSpec, param_value: float, m_max: int) -> np.ndarray:
     """Taylor-coefficient table of the ladder in companion form.
 
-    ``C[m, n]`` is the 2-vector of the m-th Taylor coefficients of
-    (L[n], S[n]).
+    Entry ``[m, n]`` of the returned ``(m_max + 1, n_max + 1, 2)`` array is
+    the 2-vector of the m-th Taylor coefficients of (L[n], S[n]).  Column
+    n + 1 is built from column n by one index shift (the differentiation
+    part) plus a convolution against the coefficients of the companion
+    matrix [[L, 1], [S, 0]].  Filling rows 0..m_max at depth n_max consumes
+    initial rows up to m_max + n_max, so that sum must not exceed the
+    problem order.
     """
-
-    C: np.ndarray  # shape (m_max + 1, n_max + 1, 2)
-    x0: float
-
-
-def aim_matrix_iterate(
-    spec: ProblemSpec,
-    param_value: float,
-    m_max: int,
-    n_max: int | None = None,
-) -> CoeffTable:
-    """Fill the coefficient table column by column.
-
-    Column n + 1 is built from column n by one index shift (the
-    differentiation part) plus a convolution against the coefficients of
-    the companion matrix [[L, 1], [S, 0]].  Filling rows 0..m_max at depth
-    n_max consumes initial rows up to m_max + n_max, so that sum must not
-    exceed the problem order.
-    """
-    if n_max is None:
-        n_max = spec.n_max
-    if m_max < 0 or n_max < 0:
-        raise ValidationError("m_max and n_max must be non-negative")
+    n_max = spec.n_max
+    if m_max < 0:
+        raise ValidationError("m_max must be non-negative")
     if m_max + n_max > spec.order:
         raise OrderExhausted(
             f"m_max + n_max = {m_max + n_max} exceeds order {spec.order}"
@@ -264,7 +237,7 @@ def aim_matrix_iterate(
     for n in range(n_max + 1):
         table[:, n, 0] = lam[n][: m_max + 1]
         table[:, n, 1] = s[n][: m_max + 1]
-    return CoeffTable(C=table, x0=spec.x0)
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +258,8 @@ def _delta_vector(spec: ProblemSpec, e: float, depth: int) -> np.ndarray:
     Level i of the ladder needs only depth + 1 - i coefficients for the
     deltas up to ``depth``, so the values equal those of :func:`aim_iterate`
     at any larger order.  Every computed coefficient feeds some at-centre
-    value through the index shift, so a non-finite one shows up there.
+    value through the index shift, so a non-finite one shows up there; the
+    inputs are finite series, so only overflow in the ladder can cause it.
     """
     lam0 = series_from_expr(spec.lambda0, e, spec.x0, depth)
     s0 = series_from_expr(spec.s0, e, spec.x0, depth)
@@ -293,7 +267,10 @@ def _delta_vector(spec: ProblemSpec, e: float, depth: int) -> np.ndarray:
     lam_at = np.array([c[0] for c in lam])
     s_at = np.array([c[0] for c in s])
     if not (np.isfinite(lam_at).all() and np.isfinite(s_at).all()):
-        raise ValidationError("series coefficients must all be finite")
+        raise Overflow(
+            f"ladder at {spec.param_name} = {e:g} overflows double range "
+            f"by depth {depth}"
+        )
     return _cross(lam_at, s_at)
 
 
@@ -318,22 +295,19 @@ def find_eigenvalues(
     e_min: float,
     e_max: float,
     grid_points: int,
-    n: int | None = None,
     tol: float = 1e-10,
 ) -> list[Root]:
     """Scan delta[n] over a parameter grid and bisect its sign changes.
 
-    Every root found at depth n is re-located at depth n + 2 inside the
-    same grid cell; the reported residual is the movement between the two
-    depths (infinite, with a warning, if the deeper level cannot be
-    re-bracketed).  Grid points where the ladder cannot be evaluated are
-    skipped with a warning.  An identically vanishing delta (for example
-    S = 0) yields no brackets and an empty result.
+    The depth n is ``spec.n_max``.  Every root found at depth n is
+    re-located at depth n + 2 inside the same grid cell; the reported
+    residual is the movement between the two depths (infinite, with a
+    warning, if the deeper level cannot be re-bracketed).  Grid points
+    where the ladder cannot be evaluated are skipped with a warning.  An
+    identically vanishing delta (for example S = 0) yields no brackets and
+    an empty result.
     """
-    if n is None:
-        n = spec.n_max
-    if not 1 <= n <= spec.n_max:
-        raise ValidationError(f"depth n = {n} outside 1..n_max = {spec.n_max}")
+    n = spec.n_max
     if e_min >= e_max:
         raise ValidationError("e_min must be < e_max")
     if grid_points < 2:

@@ -415,6 +415,8 @@ def classify(
     q = np.asarray(qvals, dtype=float)
     if p.shape != q.shape:
         raise ValidationError("pvals and qvals must have equal length")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     if p.size < 31:
         raise InsufficientData(f"need at least 31 levels, got {p.size}")
 

@@ -47,6 +47,10 @@ _RESCALE_LO = 2.0**-300
 # below this fraction of the largest coefficient magnitude seen so far
 TERMINATION_REL = 1e-12
 
+# relative tolerance of the determinant product identity, on top of the
+# rounding floor of the cross difference
+DETERMINANT_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class PQSequences:
@@ -63,7 +67,6 @@ class PQSequences:
 
     p: tuple[TaylorSeries, ...]
     q: tuple[TaylorSeries, ...]
-    x0: float
     scale: float
     stop_level: int | None = None
     stop_reason: str | None = None
@@ -79,15 +82,14 @@ class PQSequences:
         return np.array([t.at_center for t in self.q])
 
 
-def pq_iterate(spec: ProblemSpec, param_value: float, depth: int | None = None) -> PQSequences:
-    """Run the logarithmic-derivative ladder up to ``depth`` levels.
+def pq_iterate(spec: ProblemSpec, param_value: float) -> PQSequences:
+    """Run the logarithmic-derivative ladder up to ``spec.n_max`` levels.
 
     Each level consumes one Taylor order.  Extension past level n - 1
     divides by q[n-1]; if that series is identically zero (relative to the
     ladder scale) the ladder terminates there, and if only its value at x0
     is tiny the ladder stops flagged as a pole.
     """
-    depth = spec.ladder_depth(depth)
     p0, q0 = spec.series_pair(param_value)
     p = [p0]
     q = [q0]
@@ -96,7 +98,7 @@ def pq_iterate(spec: ProblemSpec, param_value: float, depth: int | None = None) 
     )
     stop_level: int | None = None
     stop_reason: str | None = None
-    for n in range(1, depth + 1):
+    for n in range(1, spec.n_max + 1):
         q_prev = q[n - 1]
         p_prev = p[n - 1]
         if float(np.max(np.abs(q_prev.coeffs))) <= TERMINATION_REL * scale:
@@ -118,7 +120,6 @@ def pq_iterate(spec: ProblemSpec, param_value: float, depth: int | None = None) 
     return PQSequences(
         p=tuple(p),
         q=tuple(q),
-        x0=spec.x0,
         scale=scale,
         stop_level=stop_level,
         stop_reason=stop_reason,
@@ -176,7 +177,6 @@ class CFState:
     initial conditions.
     """
 
-    x: float
     pvals: np.ndarray
     qvals: np.ndarray
     C: np.ndarray
@@ -229,9 +229,7 @@ def _ldexp_safe(mant: float, e2: int) -> float:
         return math.inf if mant > 0 else -math.inf
 
 
-def cf_approximants(
-    pvals, qvals, N: int | None = None, x: float = math.nan
-) -> CFState:
+def cf_approximants(pvals, qvals, N: int | None = None) -> CFState:
     """Run the three-term approximant recurrence to level N.
 
     Initial conditions A[-2] = 1, A[-1] = 0, B[-2] = 0, B[-1] = 1; then
@@ -273,7 +271,6 @@ def cf_approximants(
     for arr in (mant_a, mant_b, exp2, c, pvals, qvals):
         arr.setflags(write=False)
     return CFState(
-        x=x,
         pvals=pvals[: N + 1],
         qvals=qvals[: N + 1],
         C=c,
@@ -294,15 +291,16 @@ def _q_products(qvals: np.ndarray) -> Iterator[tuple[float, int]]:
         yield prod_mant, prod_e2
 
 
-def cf_determinants(state: CFState, rtol: float = 1e-9) -> np.ndarray:
+def cf_determinants(state: CFState) -> np.ndarray:
     """Cross determinants v[n] for n = -1..N, checked against the q product.
 
     The recurrence forces v[n] = (-1)^n * prod(q[0..n]) exactly, but the
     cross difference A[n]B[n-1] - A[n-1]B[n] subtracts two products that
     dwarf the result, so rounding alone costs about eps times the product
     magnitude.  The check therefore allows a noise floor of that size on
-    top of ``rtol`` and warns (:class:`DeterminantMismatchWarning`) only
-    for discrepancies rounding cannot explain.
+    top of ``DETERMINANT_RTOL`` and warns
+    (:class:`DeterminantMismatchWarning`) only for discrepancies rounding
+    cannot explain.
     """
     out = state.v_array
     eps = float(np.finfo(float).eps)
@@ -319,7 +317,7 @@ def cf_determinants(state: CFState, rtol: float = 1e-9) -> np.ndarray:
         noise = 64.0 * (n + 2) * eps * _ldexp_safe(cross_mant, got_e2 - prod_e2)
         denom = max(abs(expected_mant), 1e-300)
         err = abs(got_in_prod_scale - expected_mant)
-        if err > rtol * denom + noise:
+        if err > DETERMINANT_RTOL * denom + noise:
             worst = max(worst, err / denom)
     if worst > 0.0:
         warnings.warn(

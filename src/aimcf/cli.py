@@ -199,9 +199,7 @@ def _run_solve(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dict:
     warn_list: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        roots = find_eigenvalues(
-            spec, e_min, e_max, grid, n=spec.n_max, tol=tol
-        )
+        roots = find_eigenvalues(spec, e_min, e_max, grid, tol=tol)
     warn_list.extend(_warning_strings(caught))
     if not roots:
         warn_list.append(

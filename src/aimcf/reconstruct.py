@@ -7,53 +7,21 @@ Taylor series whose coefficients certify the identity locally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from typing import Optional
-
 from .aim import ProblemSpec
-from .errors import OrderExhausted, ValidationError
+from .errors import OrderExhausted
 from .series import TaylorSeries
 
 
-class AlphaSource(Enum):
-    TERMINATED_CF = "TerminatedCF"
-    APPROXIMANT_DEPTH_N = "ApproximantDepthN"
-    EXTERNAL = "External"
-
-
-@dataclass(frozen=True)
-class AlphaSeries:
-    """Candidate logarithmic-derivative series with its provenance."""
-
-    series: TaylorSeries
-    source: AlphaSource
-    depth: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.source is AlphaSource.APPROXIMANT_DEPTH_N:
-            if self.depth is None or self.depth < 0:
-                raise ValidationError(
-                    "approximant-derived alpha must carry its depth"
-                )
-        elif self.depth is not None:
-            raise ValidationError(
-                f"depth is only meaningful for approximant-derived alpha, "
-                f"got depth={self.depth} with source={self.source.value}"
-            )
-
-
-def riccati_residual(alpha: AlphaSeries, spec: ProblemSpec, E: float) -> TaylorSeries:
+def riccati_residual(alpha: TaylorSeries, spec: ProblemSpec, E: float) -> TaylorSeries:
     """alpha' - alpha^2 - L alpha + S; identically small coefficients certify alpha."""
-    a = alpha.series
-    if a.order < 1:
+    if alpha.order < 1:
         raise OrderExhausted("alpha must have order >= 1 to differentiate")
     lam0, s0 = spec.series_pair(E)
-    return ((a.diff() - a * a) - lam0 * a) + s0
+    return ((alpha.diff() - alpha * alpha) - lam0 * alpha) + s0
 
 
 def factorization_residual(
-    alpha: AlphaSeries, spec: ProblemSpec, E: float
+    alpha: TaylorSeries, spec: ProblemSpec, E: float
 ) -> TaylorSeries:
     """Residual of the first-order factor pair (alpha, beta = -L - alpha).
 
@@ -61,16 +29,15 @@ def factorization_residual(
     second-order operator splits into the two first-order factors; it agrees
     with -riccati_residual coefficientwise up to rounding.
     """
-    a = alpha.series
-    if a.order < 1:
+    if alpha.order < 1:
         raise OrderExhausted("alpha must have order >= 1 to differentiate")
     lam0, s0 = spec.series_pair(E)
-    beta = -(lam0 + a)
-    return -((a.diff() + a * beta) + s0)
+    beta = -(lam0 + alpha)
+    return -((alpha.diff() + alpha * beta) + s0)
 
 
 def build_solution(
-    alpha: AlphaSeries,
+    alpha: TaylorSeries,
     spec: ProblemSpec,
     E: float,
     C1: float,
@@ -85,16 +52,15 @@ def build_solution(
     which fixes the (C1, C2) basis; any other lower limit only rescales
     the constants.
     """
-    a = alpha.series
-    work_order = min(a.order, spec.order)
+    work_order = min(alpha.order, spec.order)
     if work_order < 4:
         raise OrderExhausted(
             f"order budget {work_order} too small; antiderivatives and the "
             "exponential need at least 4"
         )
     lam0, _ = spec.series_pair(E)
-    outer = (-(a.antideriv(0.0))).exp()
-    inner = ((lam0 + a * 2.0).antideriv(0.0)).exp().antideriv(0.0)
+    outer = (-(alpha.antideriv(0.0))).exp()
+    inner = ((lam0 + alpha * 2.0).antideriv(0.0)).exp().antideriv(0.0)
     return outer * (inner * C1 + C2)
 
 

@@ -332,10 +332,20 @@ def series_from_expr(
 
     ``x`` becomes the identity series, the parameter becomes a constant.
     Division inside the tree requires the denominator series to have a
-    usable constant term (else :class:`SingularPivot` propagates).
+    usable constant term (else :class:`SingularPivot` propagates).  A tree
+    too deep to walk recursively raises :class:`ParseOrEvalError`.
     """
     if order < 0:
         raise ValidationError("series order must be >= 0")
+    try:
+        return _eval_series(e, param_value, center, order)
+    except RecursionError as exc:
+        raise ParseOrEvalError("expression is nested too deeply to evaluate") from exc
+
+
+def _eval_series(
+    e: Expression, param_value: float, center: float, order: int
+) -> TaylorSeries:
     if isinstance(e, Const):
         return TaylorSeries.constant(e.value, center, order)
     if isinstance(e, VarX):
@@ -343,10 +353,10 @@ def series_from_expr(
     if isinstance(e, Param):
         return TaylorSeries.constant(param_value, center, order)
     if isinstance(e, Neg):
-        return -series_from_expr(e.operand, param_value, center, order)
+        return -_eval_series(e.operand, param_value, center, order)
     if isinstance(e, (Add, Sub, Mul, Div)):
-        left = series_from_expr(e.left, param_value, center, order)
-        right = series_from_expr(e.right, param_value, center, order)
+        left = _eval_series(e.left, param_value, center, order)
+        right = _eval_series(e.right, param_value, center, order)
         op = {
             Add: series_add,
             Sub: series_sub,
@@ -355,7 +365,7 @@ def series_from_expr(
         }[type(e)]
         return op(left, right)
     if isinstance(e, IntPow):
-        base = series_from_expr(e.base, param_value, center, order)
+        base = _eval_series(e.base, param_value, center, order)
         result = TaylorSeries.constant(1.0, center, order)
         # exponentiation by squaring keeps the operation count low
         k = e.exponent
@@ -500,4 +510,7 @@ class _Parser:
 
 def parse_expression(text: str, param_name: str = "E") -> Expression:
     """Parse expression text over ``x`` and one named parameter into an AST."""
-    return _Parser(text, param_name).parse()
+    try:
+        return _Parser(text, param_name).parse()
+    except RecursionError as exc:
+        raise ParseOrEvalError("expression is nested too deeply to parse") from exc

@@ -6,6 +6,7 @@ every criterion it reached.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import time
@@ -42,8 +43,6 @@ from aimcf.cf import (
     terminated_alpha,
 )
 from aimcf.reconstruct import (
-    AlphaSeries,
-    AlphaSource,
     build_solution,
     factorization_residual,
     ode_residual,
@@ -109,11 +108,11 @@ def test_criterion_02_termination_levels_and_deltas():
         warnings.simplefilter("ignore", ConditioningWarning)
         spec = ProblemSpec.from_strings(*OSCILLATOR, x0=0.0, order=40, n_max=20)
         for energy, level in ((1.0, 0), (3.0, 1), (5.0, 2)):
-            seqs = aim_iterate(spec, energy, depth=level + 8)
+            seqs = aim_iterate(dataclasses.replace(spec, n_max=level + 8), energy)
             worst = max(
                 abs(delta_n(seqs, n)) for n in range(level + 1, level + 8)
             )
-            pq = pq_iterate(spec, energy, depth=level + 6)
+            pq = pq_iterate(dataclasses.replace(spec, n_max=level + 6), energy)
             found = detect_termination(pq)
             ok = ok and worst < 1e-12 and found == level
             details.append(f"E={energy:g} level {found} max|delta| {worst:.1e}")
@@ -248,13 +247,11 @@ def test_criterion_08_pincherle_agreement():
 def test_criterion_09_terminating_reconstruction():
     worst_ricc = worst_fact = worst_ode = 0.0
     for energy, x0 in ((1.0, 0.5), (3.0, 1.0), (5.0, 2.0)):
-        spec = ProblemSpec.from_strings(*OSCILLATOR, x0=x0, order=30, n_max=20)
-        pq = pq_iterate(spec, energy, depth=10)
+        spec = ProblemSpec.from_strings(*OSCILLATOR, x0=x0, order=30, n_max=10)
+        pq = pq_iterate(spec, energy)
         level = detect_termination(pq)
         assert level is not None
-        alpha = AlphaSeries(
-            series=terminated_alpha(pq, level), source=AlphaSource.TERMINATED_CF
-        )
+        alpha = terminated_alpha(pq, level)
         ricc = riccati_residual(alpha, spec, energy)
         fact = factorization_residual(alpha, spec, energy)
         worst_ricc = max(worst_ricc, float(np.max(np.abs(ricc.coeffs[:21]))))
@@ -275,13 +272,13 @@ def test_criterion_09_terminating_reconstruction():
 def test_criterion_10_coefficient_table_matches_series_ladder():
     spec = ProblemSpec.from_strings(*OSCILLATOR, x0=0.0, order=122, n_max=60)
     ref_l, ref_s = reference_ladder(spec, 4.7, 60)
-    table = aim_matrix_iterate(spec, 4.7, m_max=61, n_max=60)
+    table = aim_matrix_iterate(spec, 4.7, m_max=61)
     worst = 0.0
     for n in range(61):
         for m in range(61 - n):
             for slot, series in ((0, ref_l[n]), (1, ref_s[n])):
                 ref = series.coeffs[m]
-                rel = abs(table.C[m, n, slot] - ref) / max(1.0, abs(ref))
+                rel = abs(table[m, n, slot] - ref) / max(1.0, abs(ref))
                 worst = max(worst, rel)
     ok = worst < 1e-13
     _verdict(10, f"table vs reference ladder over m+n<=60, max rel dev {worst:.1e}", ok)

@@ -1,5 +1,6 @@
 """Iteration ladder against a symbolic oracle and a reference ladder, spectrum checks."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from aimcf.errors import (
     DegenerateDeltaWarning,
     IndexOutOfRange,
     OrderExhausted,
+    Overflow,
     SingularPivot,
     ValidationError,
 )
@@ -79,9 +81,9 @@ def test_ladder_matches_symbolic_oracle():
     s0 = 3 * x + x**2
     center = sp.Rational(3, 10)
     spec = ProblemSpec.from_strings(
-        "1 + 2*x - x^2", "3*x + x^2 + 0*E", "E", x0=0.3, order=30, n_max=10
+        "1 + 2*x - x^2", "3*x + x^2 + 0*E", "E", x0=0.3, order=30, n_max=3
     )
-    seqs = aim_iterate(spec, 0.0, depth=3)
+    seqs = aim_iterate(spec, 0.0)
     sym_lam, sym_s = _sympy_ladder(lam0, s0, 3)
     for n in range(4):
         avail = seqs.lam[n].order + 1
@@ -93,18 +95,18 @@ def test_ladder_matches_symbolic_oracle():
 
 # [DERIVED] hand values: at E=2, x0=0: L1(0)=1, S0(0)=-1, L0(0)=0 -> delta_1 = -1
 def test_ho_delta_hand_value():
-    spec = _ho_spec()
+    spec = _ho_spec(n_max=4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
-        seqs = aim_iterate(spec, 2.0, depth=4)
+        seqs = aim_iterate(spec, 2.0)
     assert delta_n(seqs, 1) == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_delta_index_bounds():
-    spec = _ho_spec()
+    spec = _ho_spec(n_max=4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
-        seqs = aim_iterate(spec, 2.0, depth=4)
+        seqs = aim_iterate(spec, 2.0)
     with pytest.raises(IndexOutOfRange):
         delta_n(seqs, 0)
     with pytest.raises(IndexOutOfRange):
@@ -116,37 +118,29 @@ def test_delta_index_bounds():
 def test_termination_deltas_vanish_at_eigenvalues():
     spec = _ho_spec(x0=0.7, order=40, n_max=20)
     for k, energy in ((0, 1.0), (1, 3.0), (2, 5.0)):
-        seqs = aim_iterate(spec, energy, depth=k + 6)
+        seqs = aim_iterate(dataclasses.replace(spec, n_max=k + 6), energy)
         for n in range(max(1, k), k + 6):
             scale = max(1.0, abs(seqs.lam[n].at_center * seqs.s[n - 1].at_center))
             assert abs(delta_n(seqs, n)) <= 1e-10 * scale, (energy, n)
     # below the terminating level the determinant is honestly nonzero
-    seqs5 = aim_iterate(spec, 5.0, depth=8)
+    seqs5 = aim_iterate(dataclasses.replace(spec, n_max=8), 5.0)
     assert abs(delta_n(seqs5, 1)) > 1e-6
 
 
 def test_alpha_singular_pivot_at_vanishing_lambda():
     # at x0 = 0 and E = 3 the first iterate L1 = 4x^2 vanishes at the center
-    spec = _ho_spec()
+    spec = _ho_spec(n_max=4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
-        seqs = aim_iterate(spec, 3.0, depth=4)
+        seqs = aim_iterate(spec, 3.0)
     with pytest.raises(SingularPivot):
         alpha_at(seqs, 1)
 
 
-def test_depth_cap_order_exhausted():
-    spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=0.0, order=10, n_max=8)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConditioningWarning)
-        with pytest.raises(OrderExhausted):
-            aim_iterate(spec, 1.0, depth=9)
-
-
 def test_vanishing_leading_coefficient_warns():
-    spec = _ho_spec()
+    spec = _ho_spec(n_max=2)
     with pytest.warns(ConditioningWarning):
-        aim_iterate(spec, 1.0, depth=2)
+        aim_iterate(spec, 1.0)
 
 
 def test_problem_spec_validation():
@@ -158,17 +152,17 @@ def test_problem_spec_validation():
 
 # [TRIVIAL] first table column holds the input coefficient pair
 def test_table_first_column_is_input_pair():
-    spec = _ho_spec(x0=0.5, order=30, n_max=20)
-    tab = aim_matrix_iterate(spec, 2.0, m_max=10, n_max=10)
+    spec = _ho_spec(x0=0.5, order=30, n_max=10)
+    tab = aim_matrix_iterate(spec, 2.0, m_max=10)
     lam0, s0 = spec.series_pair(2.0)
-    np.testing.assert_allclose(tab.C[:, 0, 0], lam0.coeffs[:11])
-    np.testing.assert_allclose(tab.C[:, 0, 1], s0.coeffs[:11])
+    np.testing.assert_allclose(tab[:, 0, 0], lam0.coeffs[:11])
+    np.testing.assert_allclose(tab[:, 0, 1], s0.coeffs[:11])
 
 
 def test_table_budget_precondition():
     spec = _ho_spec(x0=0.5, order=30, n_max=20)
     with pytest.raises(OrderExhausted):
-        aim_matrix_iterate(spec, 2.0, m_max=20, n_max=20)
+        aim_matrix_iterate(spec, 2.0, m_max=20)
 
 
 # float-identical agreement between the coefficient table and the reference
@@ -177,11 +171,11 @@ def test_table_matches_series_route_exactly():
         "2*x", "1 - E", "E", x0=0.25, order=64, n_max=30
     )
     ref_l, ref_s = reference_ladder(spec, 4.7, 30)
-    tab = aim_matrix_iterate(spec, 4.7, m_max=30, n_max=30)
+    tab = aim_matrix_iterate(spec, 4.7, m_max=30)
     for n in range(31):
         avail = min(30, ref_l[n].order)
-        got_l = tab.C[: avail + 1, n, 0]
-        got_s = tab.C[: avail + 1, n, 1]
+        got_l = tab[: avail + 1, n, 0]
+        got_s = tab[: avail + 1, n, 1]
         assert np.array_equal(got_l, ref_l[n].coeffs[: avail + 1]), n
         assert np.array_equal(got_s, ref_s[n].coeffs[: avail + 1]), n
 
@@ -221,14 +215,14 @@ def test_kernel_views_match_reference_exactly(lam_c, s_c, x0, energy, depth, spa
         # a near-zero L(x0) only affects alpha, which this test does not read
         warnings.simplefilter("ignore", ConditioningWarning)
         warnings.simplefilter("ignore", RuntimeWarning)
-        seqs = aim_iterate(spec, energy, depth=depth)
+        seqs = aim_iterate(spec, energy)
     m_max = spec.order - depth
-    tab = aim_matrix_iterate(spec, energy, m_max=m_max, n_max=depth)
+    tab = aim_matrix_iterate(spec, energy, m_max=m_max)
     for n in range(depth + 1):
         assert np.array_equal(seqs.lam[n].coeffs, ref_l[n].coeffs), n
         assert np.array_equal(seqs.s[n].coeffs, ref_s[n].coeffs), n
-        assert np.array_equal(tab.C[:, n, 0], ref_l[n].coeffs[: m_max + 1]), n
-        assert np.array_equal(tab.C[:, n, 1], ref_s[n].coeffs[: m_max + 1]), n
+        assert np.array_equal(tab[:, n, 0], ref_l[n].coeffs[: m_max + 1]), n
+        assert np.array_equal(tab[:, n, 1], ref_s[n].coeffs[: m_max + 1]), n
     assert np.array_equal(seqs.delta, ref_delta)
     assert np.array_equal(_delta_vector(spec, energy, depth), ref_delta)
 
@@ -238,7 +232,7 @@ def test_ho_spectrum_depth_stability():
     found = {}
     for depth in (40, 44):
         spec = _ho_spec(order=60, n_max=depth)
-        roots = find_eigenvalues(spec, 0.0, 9.5, 39, n=depth, tol=1e-11)
+        roots = find_eigenvalues(spec, 0.0, 9.5, 39, tol=1e-11)
         found[depth] = [r.value for r in roots]
     assert len(found[40]) == len(found[44]) == 5
     np.testing.assert_allclose(found[40], [1, 3, 5, 7, 9], atol=1e-8)
@@ -247,17 +241,11 @@ def test_ho_spectrum_depth_stability():
 
 def test_find_eigenvalues_reports_recheck_residuals():
     spec = _ho_spec(order=60, n_max=30)
-    roots = find_eigenvalues(spec, 0.0, 4.0, 21, n=30, tol=1e-11)
+    roots = find_eigenvalues(spec, 0.0, 4.0, 21, tol=1e-11)
     assert [round(r.value) for r in roots] == [1, 3]
     for r in roots:
         assert r.n_used == 30
         assert r.residual <= 1e-8
-
-
-def test_find_eigenvalues_depth_validation():
-    spec = _ho_spec(order=60, n_max=20)
-    with pytest.raises(ValidationError):
-        find_eigenvalues(spec, 0.0, 4.0, 11, n=30, tol=1e-10)
 
 
 def test_find_eigenvalues_rejects_nan_tol():
@@ -283,5 +271,13 @@ def test_degenerate_delta_emits_warning_and_empty_result():
     # s0 = 0 kills every S_n, so the termination function vanishes identically
     spec = ProblemSpec.from_strings("2*x", "0*E", "E", x0=0.5, order=20, n_max=10)
     with pytest.warns(DegenerateDeltaWarning):
-        roots = find_eigenvalues(spec, 0.0, 2.0, 11, n=10, tol=1e-10)
+        roots = find_eigenvalues(spec, 0.0, 2.0, 11, tol=1e-10)
     assert roots == []
+
+
+# the inputs are finite series, so a non-finite ladder value at x0 can only
+# be arithmetic overflow, a numeric failure rather than an input error
+def test_find_eigenvalues_raises_overflow_when_ladder_overflows():
+    spec = ProblemSpec.from_strings("1e200*x", "1 - E", "E", x0=0.5, order=20, n_max=10)
+    with pytest.raises(Overflow):
+        find_eigenvalues(spec, 0.0, 4.0, 11, tol=1e-10)

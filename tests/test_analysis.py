@@ -315,6 +315,8 @@ def test_classify_input_guards():
         classify([3.0] * 40, [4.0] * 40, declared={"nonsense": 1})
     with pytest.raises(ValidationError):
         classify([3.0] * 40, [4.0] * 39)
+    with pytest.raises(ValidationError):
+        classify([3.0] * 40, [4.0] * 40, seed=-1)
 
 
 # ----------------------------------------------------------------------
@@ -384,8 +386,8 @@ def test_expansion_input_guards():
 
 
 def test_ratio_growth_fit_constant_coefficients():
-    spec = ProblemSpec.from_strings("3", "4 + 0*E", "E", x0=0.0, order=70, n_max=60)
-    seqs = aim_iterate(spec, 0.0, depth=40)
+    spec = ProblemSpec.from_strings("3", "4 + 0*E", "E", x0=0.0, order=70, n_max=40)
+    seqs = aim_iterate(spec, 0.0)
     a0, a1, rho = ratio_growth_fit(seqs)
     assert a0 == pytest.approx(4.0, rel=1e-6)
     assert abs(a1) < 1e-9
@@ -393,19 +395,19 @@ def test_ratio_growth_fit_constant_coefficients():
 
 
 def test_ratio_growth_fit_needs_nonvanishing_center_values():
-    spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=0.0, order=60, n_max=40)
+    spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=0.0, order=60, n_max=30)
     import warnings as _w
 
     with _w.catch_warnings():
         _w.simplefilter("ignore")
-        seqs = aim_iterate(spec, 3.0, depth=30)
+        seqs = aim_iterate(spec, 3.0)
     with pytest.raises(InsufficientData):
         ratio_growth_fit(seqs)
 
 
 def test_ratio_growth_fit_off_axis_is_finite():
-    spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=0.5, order=60, n_max=40)
-    seqs = aim_iterate(spec, 3.0, depth=30)
+    spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=0.5, order=60, n_max=30)
+    seqs = aim_iterate(spec, 3.0)
     a0, a1, rho = ratio_growth_fit(seqs)
     assert math.isfinite(rho) and rho > 0.0
     assert a1 > 0.0

@@ -193,7 +193,6 @@ def test_determinant_warning_on_forced_mismatch():
     state = cf_approximants([3.0, 3.0, 3.0], [4.0, 4.0, 4.0])
     # sabotage: rebuild with inconsistent stored q so the check must trip
     bad = type(state)(
-        x=state.x,
         pvals=state.pvals,
         qvals=np.array([4.0, 4.0, 7.0]),
         C=state.C,
@@ -212,8 +211,8 @@ HO = ("2*x", "1 - E", "E")
 
 
 def _ho_pq(energy, x0=1.0, order=40, depth=12):
-    spec = ProblemSpec.from_strings(*HO, x0=x0, order=order, n_max=20)
-    return pq_iterate(spec, energy, depth=depth)
+    spec = ProblemSpec.from_strings(*HO, x0=x0, order=order, n_max=depth)
+    return pq_iterate(spec, energy)
 
 
 # [DERIVED] closed ladder: at E = 2k+1 the level-k numerator dies identically
@@ -262,17 +261,7 @@ def test_detect_termination_custom_tolerance():
 
 def test_pole_stop_reason():
     # numerator vanishes at the center without vanishing identically
-    spec = ProblemSpec.from_strings("2 + x", "x - E", "E", x0=0.5, order=20, n_max=10)
-    pq = pq_iterate(spec, 0.5, depth=6)
+    spec = ProblemSpec.from_strings("2 + x", "x - E", "E", x0=0.5, order=20, n_max=6)
+    pq = pq_iterate(spec, 0.5)
     assert pq.stop_reason == "pole"
     assert pq.stop_level == 0
-
-
-def test_pq_depth_guards():
-    spec = ProblemSpec.from_strings(*HO, x0=1.0, order=10, n_max=8)
-    with pytest.raises(ValidationError):
-        pq_iterate(spec, 2.0, depth=0)
-    from aimcf.errors import OrderExhausted
-
-    with pytest.raises(OrderExhausted):
-        pq_iterate(spec, 2.0, depth=9)

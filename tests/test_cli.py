@@ -342,6 +342,38 @@ def test_exit_input_on_malformed_expression(tmp_path, capsys):
     assert "position" in err
 
 
+# expressions too long or too deeply nested for the recursive parser and
+# evaluator are input errors, not RecursionError tracebacks
+@pytest.mark.parametrize(
+    "lambda0",
+    ["+".join(["x"] * 2001), "(" * 400 + "x" + ")" * 400, "-" * 3000 + "x"],
+    ids=["flat-sum", "nested-parens", "unary-minuses"],
+)
+def test_exit_input_on_deeply_nested_expression(tmp_path, capsys, lambda0):
+    path = _write(tmp_path, "deep.json", dict(HO_PROBLEM, lambda0=lambda0))
+    code, _, err = _run(capsys, ["solve", path])
+    assert code == EXIT_INPUT
+    assert "nested too deeply" in err
+
+
+# a valid file whose ladder overflows double range is a numeric failure
+def test_exit_numeric_on_ladder_overflow(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "overflow.json",
+        dict(HO_PROBLEM, lambda0="1e200*x", x0=0.5, order=20, n_max=10),
+    )
+    code, _, err = _run(capsys, ["solve", path])
+    assert code == EXIT_NUMERIC
+    assert "Overflow" in err
+
+
+def test_exit_input_on_negative_seed(const_seq_file, capsys):
+    code, _, err = _run(capsys, ["classify", const_seq_file, "--seed=-1"])
+    assert code == EXIT_INPUT
+    assert "seed" in err
+
+
 def test_exit_input_on_bad_order_budget(tmp_path, capsys):
     path = _write(
         tmp_path,
@@ -573,21 +605,24 @@ def _power_law(**changes):
 
 
 # the exit codes 0 (ok), 2 (input) and 3 (numeric) hold for every problem
-# file, and no exception escapes main; the examples once escaped as a
-# ZeroDivisionError (a = 0) or an OverflowError (huge exponents)
-@example(problem=_power_law(a=0.0), command="classify")
-@example(problem=_power_law(sigma=1e308), command="classify")
-@example(problem=_power_law(tau=-1e36), command="classify")
+# file and seed, and no exception escapes main; the examples once escaped as
+# a ZeroDivisionError (a = 0) or an OverflowError (huge exponents)
+@example(problem=_power_law(a=0.0), command="classify", seed=0)
+@example(problem=_power_law(sigma=1e308), command="classify", seed=0)
+@example(problem=_power_law(tau=-1e36), command="classify", seed=0)
 @given(
     problem=_mutated_problem(),
     command=st.sampled_from(["solve", "diagnose", "classify"]),
+    seed=st.integers(-3, 3),
 )
 @settings(
     max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-def test_exit_code_for_any_single_field_mutation(tmp_path, capsys, problem, command):
+def test_exit_code_for_any_single_field_mutation(
+    tmp_path, capsys, problem, command, seed
+):
     path = _write(tmp_path, "mutated.json", problem)
-    code, _, _ = _run(capsys, [command, path, "--param-value", "3"])
+    code, _, _ = _run(capsys, [command, path, "--param-value", "3", f"--seed={seed}"])
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC)

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from aimcf.aim import ProblemSpec
 from aimcf.cf import pq_iterate, terminated_alpha
-from aimcf.errors import OrderExhausted, ValidationError
+from aimcf.errors import OrderExhausted
 from aimcf.reconstruct import (
-    AlphaSeries,
-    AlphaSource,
     build_solution,
     factorization_residual,
     ode_residual,
@@ -22,10 +20,7 @@ from aimcf.series import TaylorSeries
 
 
 def _alpha(coeffs, center=0.0):
-    return AlphaSeries(
-        series=TaylorSeries(center, np.asarray(coeffs, dtype=float)),
-        source=AlphaSource.EXTERNAL,
-    )
+    return TaylorSeries(center, np.asarray(coeffs, dtype=float))
 
 
 def _const_spec(order=20):
@@ -50,11 +45,9 @@ def test_riccati_zero_alpha_zero_potential():
 
 # [DERIVED] terminated ladder at the first excited level solves the equation
 def test_terminated_alpha_is_exact_riccati_solution():
-    spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=1.0, order=40, n_max=20)
-    pq = pq_iterate(spec, 3.0, depth=10)
-    alpha = AlphaSeries(
-        series=terminated_alpha(pq, pq.stop_level), source=AlphaSource.TERMINATED_CF
-    )
+    spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=1.0, order=40, n_max=10)
+    pq = pq_iterate(spec, 3.0)
+    alpha = terminated_alpha(pq, pq.stop_level)
     res = riccati_residual(alpha, spec, 3.0)
     assert float(np.max(np.abs(res.coeffs))) <= 1e-13
     fact = factorization_residual(alpha, spec, 3.0)
@@ -93,11 +86,9 @@ def test_factorization_is_negated_riccati(acoef, lcoef, scoef):
 
 # [DERIVED] alpha = -1/x about 1 with C1 = 0 reproduces y = x
 def test_build_solution_first_excited_state():
-    spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=1.0, order=30, n_max=20)
-    pq = pq_iterate(spec, 3.0, depth=10)
-    alpha = AlphaSeries(
-        series=terminated_alpha(pq, 1), source=AlphaSource.TERMINATED_CF
-    )
+    spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=1.0, order=30, n_max=10)
+    pq = pq_iterate(spec, 3.0)
+    alpha = terminated_alpha(pq, 1)
     y = build_solution(alpha, spec, 3.0, C1=0.0, C2=1.0)
     want = np.zeros(y.order + 1)
     want[0], want[1] = 1.0, 1.0
@@ -121,11 +112,9 @@ def test_build_solution_free_particle_basis():
 
 
 def test_build_solution_ground_state_is_constant():
-    spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=0.5, order=30, n_max=20)
-    pq = pq_iterate(spec, 1.0, depth=10)
-    alpha = AlphaSeries(
-        series=terminated_alpha(pq, 0), source=AlphaSource.TERMINATED_CF
-    )
+    spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=0.5, order=30, n_max=10)
+    pq = pq_iterate(spec, 1.0)
+    alpha = terminated_alpha(pq, 0)
     y = build_solution(alpha, spec, 1.0, C1=0.0, C2=1.0)
     want = np.zeros(y.order + 1)
     want[0] = 1.0
@@ -172,15 +161,3 @@ def test_order_exhausted_paths():
     flat = TaylorSeries(0.0, np.array([1.0, 2.0]))
     with pytest.raises(OrderExhausted):
         ode_residual(flat, spec, 0.0)
-
-
-def test_alpha_series_depth_validation():
-    ser = TaylorSeries(0.0, np.zeros(5))
-    with pytest.raises(ValidationError):
-        AlphaSeries(series=ser, source=AlphaSource.APPROXIMANT_DEPTH_N)
-    with pytest.raises(ValidationError):
-        AlphaSeries(series=ser, source=AlphaSource.APPROXIMANT_DEPTH_N, depth=-1)
-    with pytest.raises(ValidationError):
-        AlphaSeries(series=ser, source=AlphaSource.TERMINATED_CF, depth=3)
-    ok = AlphaSeries(series=ser, source=AlphaSource.APPROXIMANT_DEPTH_N, depth=7)
-    assert ok.depth == 7
