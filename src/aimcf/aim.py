@@ -23,7 +23,9 @@ the inputs to depth + 1 coefficients leaves every delta up to that depth
 exact, and bit-identical, since the kernel keeps the accumulation order of
 truncated series arithmetic.  :func:`aim_iterate` (whole series per level)
 and :func:`aim_matrix_iterate` (coefficient table) are views of that
-kernel.  The eigenvalue search evaluates each distinct parameter value
+kernel, and the kernel raises :class:`~aimcf.errors.Overflow` when a
+coefficient leaves double range, so every view reports overflow alike.
+The eigenvalue search evaluates each distinct parameter value
 once, to depth n + 2 on trimmed inputs, and reads the scan and bisection
 values at depth n and the recheck values at depth n + 2 from that one
 pass.
@@ -119,18 +121,16 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class AIMSequences:
-    """Ladder output: series lists plus scalar diagnostics at x0.
+    """Ladder output: series lists plus the termination quantity at x0.
 
     ``lam[n]`` and ``s[n]`` hold the depth-n series (order decreasing by
     one per level).  ``delta[i]`` is the termination quantity at depth
-    ``i + 1``.  ``alpha[n]`` is ``s[n](x0) / lam[n](x0)`` where the
-    denominator is nonzero and NaN elsewhere.
+    ``i + 1``.  The ratio ``s[n](x0) / lam[n](x0)`` is :func:`alpha_at`.
     """
 
     lam: tuple[TaylorSeries, ...]
     s: tuple[TaylorSeries, ...]
     delta: np.ndarray
-    alpha: np.ndarray
 
     @property
     def depth(self) -> int:
@@ -139,13 +139,21 @@ class AIMSequences:
 
 def _ladder(
     l0: np.ndarray, s0: np.ndarray, depth: int
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Coefficient arrays of ladder levels 0..depth; level i is i entries shorter.
 
-    The accumulation order ``(shift + L-convolution) + S`` and the per-level
-    ``np.convolve`` of equal-length prefixes reproduce truncated Taylor
-    arithmetic bit for bit, so the result does not depend on how many input
-    coefficients the caller passes beyond those a level needs.
+    Also returns the at-centre values as a ``(2, depth + 1)`` array of rows
+    L[i](x0) and S[i](x0).  The accumulation order ``(shift +
+    L-convolution) + S`` and the per-level ``np.convolve`` of equal-length
+    prefixes reproduce truncated Taylor arithmetic bit for bit, so the
+    result does not depend on how many input coefficients the caller passes
+    beyond those a level needs.
+
+    Raises :class:`Overflow` if any coefficient leaves double range.  Each
+    coefficient m of level i reaches coefficient m - 1 of level i + 1
+    through the index shift, and a non-finite operand keeps the sum
+    non-finite, so checking the at-centre values and the last level finds
+    every non-finite coefficient.
     """
     k = np.arange(1, l0.size, dtype=float)
     lam, s = [l0], [s0]
@@ -154,7 +162,12 @@ def _ladder(
         n = l.size - 1
         lam.append((k[:n] * l[1:] + np.convolve(l0[: n + 1], l)[:n]) + sl[:n])
         s.append(k[:n] * sl[1:] + np.convolve(s0[: n + 1], l)[:n])
-    return lam, s
+    at = np.array([[c[0] for c in lam], [c[0] for c in s]])
+    if not (
+        np.isfinite(at).all() and np.isfinite(lam[-1]).all() and np.isfinite(s[-1]).all()
+    ):
+        raise Overflow(f"ladder overflows double range by depth {depth}")
+    return lam, s, at
 
 
 def _cross(lam_at: np.ndarray, s_at: np.ndarray) -> np.ndarray:
@@ -178,16 +191,11 @@ def aim_iterate(spec: ProblemSpec, param_value: float) -> AIMSequences:
             ConditioningWarning,
             stacklevel=2,
         )
-    lam, s = _ladder(lam0.coeffs, s0.coeffs, spec.n_max)
-    lam_at = np.array([c[0] for c in lam])
-    s_at = np.array([c[0] for c in s])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = np.where(lam_at != 0.0, s_at / lam_at, np.nan)
+    lam, s, at = _ladder(lam0.coeffs, s0.coeffs, spec.n_max)
     return AIMSequences(
         lam=tuple(TaylorSeries(spec.x0, c) for c in lam),
         s=tuple(TaylorSeries(spec.x0, c) for c in s),
-        delta=_cross(lam_at, s_at),
-        alpha=alpha,
+        delta=_cross(*at),
     )
 
 
@@ -232,7 +240,7 @@ def aim_matrix_iterate(spec: ProblemSpec, param_value: float, m_max: int) -> np.
         )
     lam0, s0 = spec.series_pair(param_value)
     rows = m_max + n_max + 1
-    lam, s = _ladder(lam0.coeffs[:rows], s0.coeffs[:rows], n_max)
+    lam, s, _ = _ladder(lam0.coeffs[:rows], s0.coeffs[:rows], n_max)
     table = np.empty((m_max + 1, n_max + 1, 2))
     for n in range(n_max + 1):
         table[:, n, 0] = lam[n][: m_max + 1]
@@ -257,37 +265,11 @@ def _delta_vector(spec: ProblemSpec, e: float, depth: int) -> np.ndarray:
 
     Level i of the ladder needs only depth + 1 - i coefficients for the
     deltas up to ``depth``, so the values equal those of :func:`aim_iterate`
-    at any larger order.  Every computed coefficient feeds some at-centre
-    value through the index shift, so a non-finite one shows up there; the
-    inputs are finite series, so only overflow in the ladder can cause it.
+    at any larger order.
     """
     lam0 = series_from_expr(spec.lambda0, e, spec.x0, depth)
     s0 = series_from_expr(spec.s0, e, spec.x0, depth)
-    lam, s = _ladder(lam0.coeffs, s0.coeffs, depth)
-    lam_at = np.array([c[0] for c in lam])
-    s_at = np.array([c[0] for c in s])
-    if not (np.isfinite(lam_at).all() and np.isfinite(s_at).all()):
-        raise Overflow(
-            f"ladder at {spec.param_name} = {e:g} overflows double range "
-            f"by depth {depth}"
-        )
-    return _cross(lam_at, s_at)
-
-
-def _bisect(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:
-    """Plain bisection on a sign change; returns the midpoint estimate."""
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) != (fmid < 0.0):
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+    return _cross(*_ladder(lam0.coeffs, s0.coeffs, depth)[2])
 
 
 def find_eigenvalues(
@@ -299,13 +281,15 @@ def find_eigenvalues(
 ) -> list[Root]:
     """Scan delta[n] over a parameter grid and bisect its sign changes.
 
-    The depth n is ``spec.n_max``.  Every root found at depth n is
-    re-located at depth n + 2 inside the same grid cell; the reported
-    residual is the movement between the two depths (infinite, with a
-    warning, if the deeper level cannot be re-bracketed).  Grid points
-    where the ladder cannot be evaluated are skipped with a warning.  An
-    identically vanishing delta (for example S = 0) yields no brackets and
-    an empty result.
+    The depth n is ``spec.n_max``.  One pass in grid order reports each
+    grid point where delta[n] is exactly zero and bisects each cell whose
+    ends change sign, so the roots come out in ascending order.  Every root
+    found at depth n is re-located at depth n + 2 inside the same grid
+    cell; the reported residual is the movement between the two depths
+    (infinite, with a warning, if the deeper level cannot be
+    re-bracketed).  Grid points where the ladder cannot be evaluated are
+    skipped with a warning.  An identically vanishing delta (for example
+    S = 0) yields no brackets and an empty result.
     """
     n = spec.n_max
     if e_min >= e_max:
@@ -325,6 +309,29 @@ def find_eigenvalues(
         if e not in deltas:
             deltas[e] = _delta_vector(spec, e, n + 2)
         return float(deltas[e][depth - 1])
+
+    def locate(depth: int, lo: float, hi: float) -> float | None:
+        """Bisect delta[depth] on [lo, hi]; None if the ends share a sign."""
+        flo = delta(lo, depth)
+        if flo == 0.0:
+            return lo
+        fhi = delta(hi, depth)
+        if fhi == 0.0:
+            return hi
+        if (flo < 0.0) == (fhi < 0.0):
+            return None
+        for _ in range(200):
+            if hi - lo <= tol:
+                break
+            mid = 0.5 * (lo + hi)
+            fmid = delta(mid, depth)
+            if fmid == 0.0:
+                return mid
+            if (flo < 0.0) != (fmid < 0.0):
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        return 0.5 * (lo + hi)
 
     # the per-point conditioning chatter is not useful during a scan; other
     # warning categories still reach the caller's handlers
@@ -350,19 +357,23 @@ def find_eigenvalues(
             return []
 
         roots: list[Root] = []
-
-        def locate(depth: int, lo: float, hi: float) -> float | None:
-            flo = delta(lo, depth)
-            if flo == 0.0:
-                return lo
-            fhi = delta(hi, depth)
-            if fhi == 0.0:
-                return hi
-            if (flo < 0.0) == (fhi < 0.0):
-                return None
-            return _bisect(lambda e: delta(e, depth), lo, hi, flo, fhi, tol)
-
-        def recheck(lo: float, hi: float, e_found: float) -> float:
+        for i in range(grid_points):
+            if not finite[i]:
+                continue
+            if vals[i] == 0.0:
+                e_found = float(grid[i])
+                lo = float(grid[max(i - 1, 0)])
+                hi = float(grid[min(i + 1, grid_points - 1)])
+            elif (
+                i + 1 < grid_points
+                and finite[i + 1]
+                and vals[i + 1] != 0.0
+                and (vals[i] < 0.0) != (vals[i + 1] < 0.0)
+            ):
+                lo, hi = float(grid[i]), float(grid[i + 1])
+                e_found = locate(n, lo, hi)
+            else:
+                continue
             deeper = locate(n + 2, lo, hi)
             if deeper is None:
                 warnings.warn(
@@ -371,26 +382,6 @@ def find_eigenvalues(
                     DepthRecheckWarning,
                     stacklevel=2,
                 )
-                return float("inf")
-            return abs(deeper - e_found)
-
-        for i in range(grid_points):
-            if not finite[i]:
-                continue
-            if vals[i] == 0.0:
-                e_found = float(grid[i])
-                lo = float(grid[max(i - 1, 0)])
-                hi = float(grid[min(i + 1, grid_points - 1)])
-                roots.append(Root(e_found, recheck(lo, hi, e_found), n))
-        for i in range(grid_points - 1):
-            if not (finite[i] and finite[i + 1]):
-                continue
-            if vals[i] == 0.0 or vals[i + 1] == 0.0:
-                continue
-            if (vals[i] < 0.0) == (vals[i + 1] < 0.0):
-                continue
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            e_found = locate(n, lo, hi)
-            roots.append(Root(e_found, recheck(lo, hi, e_found), n))
-    roots.sort(key=lambda r: r.value)
+            residual = float("inf") if deeper is None else abs(deeper - e_found)
+            roots.append(Root(e_found, residual, n))
     return roots

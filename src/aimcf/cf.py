@@ -15,9 +15,9 @@ determinant collapses to a signed product of the q's, successive
 approximant differences telescope into an alternating series, and an
 equivalence transform rescales any fraction to unit partial numerators
 (:func:`cf_equiv_unit`).  A level with q identically zero terminates the
-fraction exactly; :func:`detect_termination` finds it and
-:func:`terminated_alpha` folds the resulting finite fraction back into a
-series.
+fraction exactly; :func:`pq_iterate` stops there, :func:`detect_termination`
+reads that stop, and :func:`terminated_alpha` folds the resulting finite
+fraction back into a series.
 """
 
 from __future__ import annotations
@@ -57,17 +57,17 @@ class PQSequences:
     """Ladder of partial denominators/numerators as series.
 
     ``p[n]`` and ``q[n]`` are series about the problem's x0.  The ladder
-    stops early when some q level becomes unusable as a divisor:
-    ``stop_reason`` is ``"termination"`` when that level is identically
-    zero (the fraction ends exactly there) and ``"pole"`` when the series
-    merely vanishes at x0 (a pole of the logarithmic derivative; no
-    analytic continuation is attempted).  ``scale`` is the largest
-    coefficient magnitude seen, the reference for zero tests.
+    stops early at the first level whose q series is identically zero,
+    relative to the largest coefficient magnitude seen so far:
+    ``stop_reason`` is then ``"termination"`` (the fraction ends exactly
+    there), a test that also covers the last level.  It stops with
+    ``"pole"`` when q, below the last level, merely vanishes at x0, since
+    the next level would divide by it (a pole of the logarithmic
+    derivative; no analytic continuation is attempted).
     """
 
     p: tuple[TaylorSeries, ...]
     q: tuple[TaylorSeries, ...]
-    scale: float
     stop_level: int | None = None
     stop_reason: str | None = None
 
@@ -85,10 +85,10 @@ class PQSequences:
 def pq_iterate(spec: ProblemSpec, param_value: float) -> PQSequences:
     """Run the logarithmic-derivative ladder up to ``spec.n_max`` levels.
 
-    Each level consumes one Taylor order.  Extension past level n - 1
-    divides by q[n-1]; if that series is identically zero (relative to the
-    ladder scale) the ladder terminates there, and if only its value at x0
-    is tiny the ladder stops flagged as a pole.
+    Each level consumes one Taylor order.  A level whose q series is
+    identically zero (relative to the ladder scale) terminates the ladder.
+    Extension past level n divides by q[n], so the ladder also stops,
+    flagged as a pole, if only the value of q[n] at x0 is tiny.
     """
     p0, q0 = spec.series_pair(param_value)
     p = [p0]
@@ -96,17 +96,15 @@ def pq_iterate(spec: ProblemSpec, param_value: float) -> PQSequences:
     scale = max(
         float(np.max(np.abs(p0.coeffs))), float(np.max(np.abs(q0.coeffs))), 1e-300
     )
-    stop_level: int | None = None
-    stop_reason: str | None = None
-    for n in range(1, spec.n_max + 1):
-        q_prev = q[n - 1]
-        p_prev = p[n - 1]
+    for level in range(spec.n_max + 1):
+        q_prev = q[level]
+        p_prev = p[level]
         if float(np.max(np.abs(q_prev.coeffs))) <= TERMINATION_REL * scale:
-            stop_level, stop_reason = n - 1, "termination"
+            return PQSequences(tuple(p), tuple(q), level, "termination")
+        if level == spec.n_max:
             break
         if abs(q_prev.at_center) <= TERMINATION_REL * scale:
-            stop_level, stop_reason = n - 1, "pole"
-            break
+            return PQSequences(tuple(p), tuple(q), level, "pole")
         ratio = series_div(q_prev.diff(), q_prev)
         p_new = p_prev + ratio
         q_new = (q_prev + p_prev.diff()) - p_prev * ratio
@@ -117,29 +115,16 @@ def pq_iterate(spec: ProblemSpec, param_value: float) -> PQSequences:
             float(np.max(np.abs(p_new.coeffs))),
             float(np.max(np.abs(q_new.coeffs))),
         )
-    return PQSequences(
-        p=tuple(p),
-        q=tuple(q),
-        scale=scale,
-        stop_level=stop_level,
-        stop_reason=stop_reason,
-    )
+    return PQSequences(tuple(p), tuple(q))
 
 
-def detect_termination(pq: PQSequences, tol: float | None = None) -> int | None:
-    """Smallest level N with q[N] identically zero, or None.
+def detect_termination(pq: PQSequences) -> int | None:
+    """Level N at which :func:`pq_iterate` found q[N] identically zero, or None.
 
-    ``tol`` is the absolute coefficient threshold; by default it is
-    ``TERMINATION_REL`` times the ladder's largest coefficient magnitude.
     A terminating level means alpha equals the finite fraction that stops
     just above it.
     """
-    if tol is None:
-        tol = TERMINATION_REL * pq.scale
-    for level, q_series in enumerate(pq.q):
-        if float(np.max(np.abs(q_series.coeffs))) <= tol:
-            return level
-    return None
+    return pq.stop_level if pq.stop_reason == "termination" else None
 
 
 def terminated_alpha(pq: PQSequences, level: int) -> TaylorSeries:
@@ -229,21 +214,19 @@ def _ldexp_safe(mant: float, e2: int) -> float:
         return math.inf if mant > 0 else -math.inf
 
 
-def cf_approximants(pvals, qvals, N: int | None = None) -> CFState:
-    """Run the three-term approximant recurrence to level N.
+def cf_approximants(pvals, qvals) -> CFState:
+    """Run the three-term approximant recurrence over every given level.
 
     Initial conditions A[-2] = 1, A[-1] = 0, B[-2] = 0, B[-1] = 1; then
-    A[n] = p[n] A[n-1] + q[n] A[n-2] and likewise for B.  A zero B[n]
-    leaves C[n] undefined (NaN) and the recurrence keeps going.
+    A[n] = p[n] A[n-1] + q[n] A[n-2] and likewise for B, for n = 0..N with
+    N + 1 the length of the inputs.  A zero B[n] leaves C[n] undefined
+    (NaN) and the recurrence keeps going.
     """
     pvals = np.array(pvals, dtype=float)
     qvals = np.array(qvals, dtype=float)
     if pvals.shape != qvals.shape or pvals.ndim != 1 or pvals.size == 0:
         raise ValidationError("pvals and qvals must be equal-length 1-d sequences")
-    if N is None:
-        N = pvals.size - 1
-    if not 0 <= N <= pvals.size - 1:
-        raise ValidationError(f"level N = {N} outside 0..{pvals.size - 1}")
+    N = pvals.size - 1
     mant_a = np.empty(N + 3)
     mant_b = np.empty(N + 3)
     exp2 = np.zeros(N + 3, dtype=np.int64)
@@ -271,8 +254,8 @@ def cf_approximants(pvals, qvals, N: int | None = None) -> CFState:
     for arr in (mant_a, mant_b, exp2, c, pvals, qvals):
         arr.setflags(write=False)
     return CFState(
-        pvals=pvals[: N + 1],
-        qvals=qvals[: N + 1],
+        pvals=pvals,
+        qvals=qvals,
         C=c,
         _mant_a=mant_a,
         _mant_b=mant_b,

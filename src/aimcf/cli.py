@@ -228,7 +228,7 @@ def _run_diagnose(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dic
         termination = detect_termination(pq)
         pvals = pq.p_at_center().tolist()
         qvals = pq.q_at_center().tolist()
-        if pq.stop_level is not None:
+        if pq.depth < spec.n_max:
             warn_list.append(
                 f"ladder stopped at level {pq.stop_level} ({pq.stop_reason}); "
                 "table is partial"

@@ -169,8 +169,6 @@ def test_inputs_are_copied_and_validated():
     with pytest.raises(ValidationError):
         cf_approximants([1.0, 2.0], [1.0])
     with pytest.raises(ValidationError):
-        cf_approximants([1.0], [1.0], N=3)
-    with pytest.raises(ValidationError):
         state.A(5)
     with pytest.raises(ValidationError):
         state.v(-2)
@@ -253,10 +251,10 @@ def test_no_termination_off_eigenvalue():
     assert pq.p_at_center().shape == (9,)
 
 
-def test_detect_termination_custom_tolerance():
+# q[1] is of order 1e-9 there, far above the relative zero test
+def test_detect_termination_near_eigenvalue_is_none():
     pq = _ho_pq(3.0 + 1e-9, depth=6)
     assert detect_termination(pq) is None
-    assert detect_termination(pq, tol=1e-6) == 1
 
 
 def test_pole_stop_reason():
@@ -265,3 +263,14 @@ def test_pole_stop_reason():
     pq = pq_iterate(spec, 0.5)
     assert pq.stop_reason == "pole"
     assert pq.stop_level == 0
+
+
+# on the quartic the ladder stops on a vanishing q[3](x0), not on
+# an identically zero q, so the fraction does not terminate
+def test_quartic_pole_is_not_termination():
+    spec = ProblemSpec.from_strings(
+        "6*x", "x^4 - 9*x^2 + 3 - E", "E", x0=-1.5, order=80, n_max=40
+    )
+    pq = pq_iterate(spec, 1.0)
+    assert (pq.stop_level, pq.stop_reason) == (3, "pole")
+    assert detect_termination(pq) is None

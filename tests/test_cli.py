@@ -368,6 +368,34 @@ def test_exit_numeric_on_ladder_overflow(tmp_path, capsys):
     assert "Overflow" in err
 
 
+# a ladder that stops on a pole has not terminated, whatever the size of
+# its coefficients
+def test_diagnose_quartic_pole_has_no_termination_level(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "quartic.json",
+        dict(HO_PROBLEM, lambda0="6*x", s0="x^4 - 9*x^2 + 3 - E", order=80, n_max=40),
+    )
+    code, out, _ = _run(capsys, ["diagnose", path, "--param-value=1.0", "--x0=-1.5"])
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert record["outputs"]["termination_level"] is None
+    assert "ladder stopped at level 3 (pole)" in " ".join(record["warnings"])
+
+
+# [DERIVED] at E = 2k+1 the level-k q vanishes identically; with n_max = k
+# that is the last level, and the full table is not partial
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_diagnose_termination_on_last_level(tmp_path, capsys, k):
+    path = _write(tmp_path, "ho.json", dict(HO_PROBLEM, x0=1.0, n_max=k))
+    code, out, _ = _run(capsys, ["diagnose", path, f"--param-value={2 * k + 1}"])
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert record["outputs"]["termination_level"] == k
+    assert len(record["outputs"]["table"]) == k + 1
+    assert not any("table is partial" in w for w in record["warnings"])
+
+
 def test_exit_input_on_negative_seed(const_seq_file, capsys):
     code, _, err = _run(capsys, ["classify", const_seq_file, "--seed=-1"])
     assert code == EXIT_INPUT
