@@ -25,10 +25,21 @@ truncated series arithmetic.  :func:`aim_iterate` (whole series per level)
 and :func:`aim_matrix_iterate` (coefficient table) are views of that
 kernel, and the kernel raises :class:`~aimcf.errors.Overflow` when a
 coefficient leaves double range, so every view reports overflow alike.
-The eigenvalue search evaluates each distinct parameter value
-once, to depth n + 2 on trimmed inputs, and reads the scan and bisection
-values at depth n and the recheck values at depth n + 2 from that one
-pass.
+
+The eigenvalue search binds both expressions once per search
+(:func:`~aimcf.series.bind_series` at order n + 2) and evaluates each
+distinct parameter value once, to depth n + 2, reading the scan and
+bisection values at depth n and the recheck values at depth n + 2 from
+that one evaluation.  Which kernel evaluates a value follows from what is
+evaluated: the whole grid goes through :func:`_scan_deltas` in one batched
+pass, one row per grid point, and each bisection or recheck point goes
+through :func:`_ladder` alone, which is faster for a single point and is
+the kernel the tests pin bit for bit.  The batched kernel sums its
+convolutions in another order, so its deltas agree with the per-point
+ones to rounding: within 1e-12 of the cross terms ``|L|[i+1] |S|[i] +
+|L|[i] |S|[i+1]`` of the ladder run on absolute input coefficients,
+which scale the rounding error of both orders.  No parameter value is
+evaluated by both kernels.
 
 Every ladder runs to the one depth of its problem, ``ProblemSpec.n_max``
 (the n of delta[n]); a caller that wants another depth builds another
@@ -38,6 +49,7 @@ spec, for example with ``dataclasses.replace(spec, n_max=d)``.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,6 +70,7 @@ from .series import (
     EPS_PIVOT,
     Expression,
     TaylorSeries,
+    bind_series,
     parse_expression,
     series_from_expr,
 )
@@ -260,16 +273,60 @@ class Root(NamedTuple):
     n_used: int
 
 
-def _delta_vector(spec: ProblemSpec, e: float, depth: int) -> np.ndarray:
-    """delta[1..depth] at parameter ``e``, from inputs of order ``depth``.
+def _bind_inputs(
+    spec: ProblemSpec, order: int
+) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
+    """Coefficients 0..order of (L, S) at x0 as a function of the parameter."""
+    lam = bind_series(spec.lambda0, spec.x0, order)
+    s = bind_series(spec.s0, spec.x0, order)
+    return lambda e: (lam(e).coeffs, s(e).coeffs)
+
+
+def _delta_vector(l0: np.ndarray, s0: np.ndarray) -> np.ndarray:
+    """delta[1..depth] from input coefficients 0..depth, through :func:`_ladder`.
 
     Level i of the ladder needs only depth + 1 - i coefficients for the
-    deltas up to ``depth``, so the values equal those of :func:`aim_iterate`
+    deltas up to depth, so the values equal those of :func:`aim_iterate`
     at any larger order.
     """
-    lam0 = series_from_expr(spec.lambda0, e, spec.x0, depth)
-    s0 = series_from_expr(spec.s0, e, spec.x0, depth)
-    return _cross(*_ladder(lam0.coeffs, s0.coeffs, depth)[2])
+    return _cross(*_ladder(l0, s0, l0.size - 1)[2])
+
+
+def _scan_deltas(l0: np.ndarray, s0: np.ndarray) -> np.ndarray:
+    """delta[1..depth] for each row of ``(points, depth + 1)`` input coefficients.
+
+    The batched twin of :func:`_delta_vector`, for a whole grid in one pass.
+    Each convolution is a sum of shifted elementwise products, one per input
+    column that is nonzero in some row, so every row gets the same
+    operations whatever the other rows hold (a column that is zero in this
+    row adds only zeros) and a row's values do not depend on which points
+    share the pass.  It sums in another order than ``np.convolve``, so its
+    values agree with :func:`_delta_vector` to rounding, not bit for bit.
+    Raises :class:`Overflow` if any value leaves double range, without
+    numpy's floating-point warnings; as in :func:`_ladder`, every
+    coefficient reaches an at-centre value through the index shift.
+    """
+    points, width = l0.shape
+    k = np.arange(1, width, dtype=float)
+    cols_l = np.flatnonzero(l0.any(axis=0))
+    cols_s = np.flatnonzero(s0.any(axis=0))
+    l, s = l0, s0
+    lam_at, s_at = [l[:, 0]], [s[:, 0]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(width - 1, 0, -1):
+            conv_l = np.zeros((points, n))
+            conv_s = np.zeros((points, n))
+            for t in cols_l[cols_l < n]:
+                conv_l[:, t:] += l0[:, t, None] * l[:, : n - t]
+            for t in cols_s[cols_s < n]:
+                conv_s[:, t:] += s0[:, t, None] * l[:, : n - t]
+            l, s = (k[:n] * l[:, 1:] + conv_l) + s[:, :n], k[:n] * s[:, 1:] + conv_s
+            lam_at.append(l[:, 0])
+            s_at.append(s[:, 0])
+    at = np.array([lam_at, s_at])
+    if not np.isfinite(at).all():
+        raise Overflow(f"ladder overflows double range by depth {width - 1}")
+    return _cross(*at).T
 
 
 def find_eigenvalues(
@@ -287,9 +344,14 @@ def find_eigenvalues(
     found at depth n is re-located at depth n + 2 inside the same grid
     cell; the reported residual is the movement between the two depths
     (infinite, with a warning, if the deeper level cannot be
-    re-bracketed).  Grid points where the ladder cannot be evaluated are
-    skipped with a warning.  An identically vanishing delta (for example
-    S = 0) yields no brackets and an empty result.
+    re-bracketed).  Both expressions are bound once; the grid is
+    evaluated in one batched pass (:func:`_scan_deltas`) and every other
+    parameter value alone (:func:`_ladder`), so grid values agree with a
+    per-point evaluation to the tolerance the module docstring states.
+    Grid points whose inputs cannot be evaluated (a singular pivot) are
+    skipped with a warning and drop out of the batch.  An identically
+    vanishing delta (for example S = 0) yields no brackets and an empty
+    result.
     """
     n = spec.n_max
     if e_min >= e_max:
@@ -299,15 +361,16 @@ def find_eigenvalues(
     if not tol > 0.0:
         raise ValidationError("tol must be positive")
 
-    grid = np.linspace(e_min, e_max, grid_points)
-    vals = np.full(grid_points, np.nan)
+    grid = [float(e) for e in np.linspace(e_min, e_max, grid_points)]
     # each E is evaluated once, to depth n + 2, serving the scan, the
-    # bisection at depth n and the recheck at depth n + 2 alike
+    # bisection at depth n and the recheck at depth n + 2 alike; the grid
+    # fills this in one batched pass, ``delta`` adds every other E alone
+    # (``inputs`` is bound below, inside the warning filter)
     deltas: dict[float, np.ndarray] = {}
 
     def delta(e: float, depth: int) -> float:
         if e not in deltas:
-            deltas[e] = _delta_vector(spec, e, n + 2)
+            deltas[e] = _delta_vector(*inputs(e))
         return float(deltas[e][depth - 1])
 
     def locate(depth: int, lo: float, hi: float) -> float | None:
@@ -337,15 +400,21 @@ def find_eigenvalues(
     # warning categories still reach the caller's handlers
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
-        for i, e in enumerate(grid):
+        inputs = _bind_inputs(spec, n + 2)
+        rows: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        for e in grid:
             try:
-                vals[i] = delta(float(e), n)
+                rows[e] = inputs(e)
             except SingularPivot as exc:
                 warnings.warn(
                     f"grid point E = {e:g} skipped: {exc}",
                     GridPointSkippedWarning,
                     stacklevel=2,
                 )
+        if rows:
+            l0, s0 = (np.array(c) for c in zip(*rows.values()))
+            deltas.update(zip(rows, _scan_deltas(l0, s0)))
+        vals = np.array([deltas[e][n - 1] if e in deltas else np.nan for e in grid])
         finite = np.isfinite(vals)
         if not finite.any() or np.max(np.abs(vals[finite])) < EPS_PIVOT:
             warnings.warn(
@@ -361,16 +430,16 @@ def find_eigenvalues(
             if not finite[i]:
                 continue
             if vals[i] == 0.0:
-                e_found = float(grid[i])
-                lo = float(grid[max(i - 1, 0)])
-                hi = float(grid[min(i + 1, grid_points - 1)])
+                e_found = grid[i]
+                lo = grid[max(i - 1, 0)]
+                hi = grid[min(i + 1, grid_points - 1)]
             elif (
                 i + 1 < grid_points
                 and finite[i + 1]
                 and vals[i + 1] != 0.0
                 and (vals[i] < 0.0) != (vals[i + 1] < 0.0)
             ):
-                lo, hi = float(grid[i]), float(grid[i + 1])
+                lo, hi = grid[i], grid[i + 1]
                 e_found = locate(n, lo, hi)
             else:
                 continue

@@ -15,20 +15,26 @@ The module also ships a small rational expression language used to
 describe the coefficient functions of an ODE: an AST (``Const``, ``VarX``,
 ``Param``, ``Neg``, ``Add``, ``Sub``, ``Mul``, ``Div``, ``IntPow``), a
 recursive-descent parser over ``x``, one declared parameter name, decimal
-literals, ``+ - * / ^`` and parentheses, and :func:`series_from_expr`
-which evaluates an AST to a series at a given center and order.
+literals, ``+ - * / ^`` and parentheses, and :func:`bind_series`, which
+binds an AST at a given center and order to a function from the parameter
+value to the series, evaluating every parameter-free subtree once.
+:func:`series_from_expr` binds and calls once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    AimError,
     CenterMismatch,
     ConditioningWarning,
     OrderExhausted,
@@ -333,50 +339,96 @@ def series_from_expr(
     ``x`` becomes the identity series, the parameter becomes a constant.
     Division inside the tree requires the denominator series to have a
     usable constant term (else :class:`SingularPivot` propagates).  A tree
-    too deep to walk recursively raises :class:`ParseOrEvalError`.
+    too deep to walk recursively raises :class:`ParseOrEvalError`.  This is
+    :func:`bind_series` called once.
+    """
+    return bind_series(e, center, order)(param_value)
+
+
+def bind_series(
+    e: Expression, center: float, order: int
+) -> Callable[[float], TaylorSeries]:
+    """Bind an expression AST at ``center`` and ``order`` to a function of the parameter.
+
+    Every parameter-free subtree is evaluated here, once.  The returned
+    function maps a parameter value to the series of ``e`` and recomputes
+    only the nodes on the paths to the parameter, with the operations and
+    operands of a walk that evaluates every node at every call, so its
+    series are bit-identical to that walk's.  An operation that fails on
+    parameter-free operands (a singular pivot, a non-finite coefficient)
+    stays unbound, so every call raises it again, in the order the walk
+    meets it.  A tree too deep to walk recursively raises
+    :class:`ParseOrEvalError`, when bound or when called.
     """
     if order < 0:
         raise ValidationError("series order must be >= 0")
     try:
-        return _eval_series(e, param_value, center, order)
+        bound = _bind(e, center, order)
     except RecursionError as exc:
         raise ParseOrEvalError("expression is nested too deeply to evaluate") from exc
+    if isinstance(bound, TaylorSeries):
+        return lambda param_value: bound
+
+    def call(param_value: float) -> TaylorSeries:
+        try:
+            return bound(param_value)
+        except RecursionError as exc:
+            raise ParseOrEvalError("expression is nested too deeply to evaluate") from exc
+
+    return call
 
 
-def _eval_series(
-    e: Expression, param_value: float, center: float, order: int
-) -> TaylorSeries:
+def _bind(e: Expression, center: float, order: int):
+    """``e`` as a series if it is parameter-free, else as a function of the parameter."""
     if isinstance(e, Const):
         return TaylorSeries.constant(e.value, center, order)
     if isinstance(e, VarX):
         return TaylorSeries.identity(center, order)
     if isinstance(e, Param):
-        return TaylorSeries.constant(param_value, center, order)
+        return lambda param_value: TaylorSeries.constant(param_value, center, order)
     if isinstance(e, Neg):
-        return -_eval_series(e.operand, param_value, center, order)
+        return _lift(operator.neg, _bind(e.operand, center, order))
     if isinstance(e, (Add, Sub, Mul, Div)):
-        left = _eval_series(e.left, param_value, center, order)
-        right = _eval_series(e.right, param_value, center, order)
         op = {
             Add: series_add,
             Sub: series_sub,
             Mul: series_mul,
             Div: series_div,
         }[type(e)]
-        return op(left, right)
+        return _lift(op, _bind(e.left, center, order), _bind(e.right, center, order))
     if isinstance(e, IntPow):
-        base = _eval_series(e.base, param_value, center, order)
-        result = TaylorSeries.constant(1.0, center, order)
-        # exponentiation by squaring keeps the operation count low
-        k = e.exponent
-        while k:
-            if k & 1:
-                result = series_mul(result, base)
-            k >>= 1
-            if k:
-                base = series_mul(base, base)
-        return result
+        power = functools.partial(_power, exponent=e.exponent)
+        return _lift(power, _bind(e.base, center, order))
     raise ParseOrEvalError(f"unknown expression node {type(e).__name__}")
+
+
+def _lift(op, *operands):
+    """``op`` on bound operands: applied now if all are series, else on every call."""
+    if all(isinstance(a, TaylorSeries) for a in operands):
+        try:
+            return op(*operands)
+        except AimError:
+            pass  # left unbound: every call raises it again, in tree order
+    # one frame per tree level when called, as in a whole-tree walk
+    fns = [(lambda _, a=a: a) if isinstance(a, TaylorSeries) else a for a in operands]
+    if len(fns) == 1:
+        (f,) = fns
+        return lambda param_value: op(f(param_value))
+    f, g = fns
+    return lambda param_value: op(f(param_value), g(param_value))
+
+
+def _power(base: TaylorSeries, exponent: int) -> TaylorSeries:
+    result = TaylorSeries.constant(1.0, base.center, base.order)
+    # exponentiation by squaring keeps the operation count low
+    k = exponent
+    while k:
+        if k & 1:
+            result = series_mul(result, base)
+        k >>= 1
+        if k:
+            base = series_mul(base, base)
+    return result
 
 
 # ----------------------------------------------------------------------

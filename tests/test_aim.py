@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 from aimcf.aim import (
     ProblemSpec,
+    _bind_inputs,
     _delta_vector,
+    _ladder,
+    _scan_deltas,
     aim_iterate,
     aim_matrix_iterate,
     alpha_at,
@@ -22,6 +25,7 @@ from aimcf.errors import (
     ConditioningWarning,
     DegenerateDeltaWarning,
     DepthRecheckWarning,
+    GridPointSkippedWarning,
     IndexOutOfRange,
     OrderExhausted,
     Overflow,
@@ -225,7 +229,52 @@ def test_kernel_views_match_reference_exactly(lam_c, s_c, x0, energy, depth, spa
         assert np.array_equal(tab[:, n, 0], ref_l[n].coeffs[: m_max + 1]), n
         assert np.array_equal(tab[:, n, 1], ref_s[n].coeffs[: m_max + 1]), n
     assert np.array_equal(seqs.delta, ref_delta)
-    assert np.array_equal(_delta_vector(spec, energy, depth), ref_delta)
+    assert np.array_equal(_delta_vector(*_bind_inputs(spec, depth)(energy)), ref_delta)
+
+
+# the batched scan kernel: a row's values do not depend on the points that
+# share its pass; they agree with the per-point kernel to rounding, within
+# 1e-12 of the cross terms of the ladder run on absolute input coefficients,
+# which scale the rounding error of both summation orders (Higham 2002,
+# section 3.1); and delta stays exactly 0 when S vanishes identically
+@example(lam_c=[0.0, 2.0], s_c=[1.0], x0=0.0, energies=[1.0, 3.0, 1.0], depth=30)
+@given(
+    poly_coeffs,
+    poly_coeffs,
+    st.floats(min_value=-1, max_value=1),
+    st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=30),
+)
+@settings(max_examples=40, deadline=None)
+def test_scan_kernel_matches_per_point_kernel(lam_c, s_c, x0, energies, depth):
+    spec = ProblemSpec.from_strings(
+        _poly_text(lam_c), _poly_text(s_c) + " - E", "E",
+        x0=x0, order=depth + 2, n_max=depth,
+    )
+    inputs = _bind_inputs(spec, depth)
+    l0, s0 = (np.array(c) for c in zip(*map(inputs, energies)))
+    batch = _scan_deltas(l0, s0)
+    assert batch.shape == (len(energies), depth)
+    for i in range(len(energies)):
+        assert np.array_equal(batch[i], _scan_deltas(l0[i : i + 1], s0[i : i + 1])[0]), i
+        lam_abs, s_abs = _ladder(np.abs(l0[i]), np.abs(s0[i]), depth)[2]
+        bound = 1e-12 * (lam_abs[1:] * s_abs[:-1] + lam_abs[:-1] * s_abs[1:])
+        assert np.all(np.abs(batch[i] - _delta_vector(l0[i], s0[i])) <= bound), i
+    assert np.array_equal(_scan_deltas(l0, np.zeros_like(s0)), np.zeros_like(batch))
+
+
+# a grid point whose inputs cannot be evaluated drops out of the batched
+# scan with one warning, and the rest of the grid is still searched
+def test_singular_grid_point_is_skipped_with_warning():
+    spec = ProblemSpec.from_strings(
+        "2*x", "(1 - E)*(E - 2)/(E - 2)", "E", x0=0.0, order=60, n_max=30
+    )
+    with pytest.warns(GridPointSkippedWarning) as record:
+        roots = find_eigenvalues(spec, 0.5, 5.5, 21, tol=1e-11)
+    skipped = [w for w in record if issubclass(w.category, GridPointSkippedWarning)]
+    assert len(skipped) == 1
+    assert "E = 2 " in str(skipped[0].message)
+    np.testing.assert_allclose([r.value for r in roots], [1, 3, 5], rtol=0, atol=1e-8)
 
 
 # [DERIVED] exact spectrum E = 2k+1 of the transformed oscillator equation;

@@ -343,14 +343,21 @@ def test_exit_input_on_malformed_expression(tmp_path, capsys):
 
 
 # expressions too long or too deeply nested for the recursive parser and
-# evaluator are input errors, not RecursionError tracebacks
+# evaluator are input errors, not RecursionError tracebacks, whether the
+# deep path is parameter-free (evaluated when bound) or leads to the
+# parameter (evaluated again at every grid point)
 @pytest.mark.parametrize(
-    "lambda0",
-    ["+".join(["x"] * 2001), "(" * 400 + "x" + ")" * 400, "-" * 3000 + "x"],
-    ids=["flat-sum", "nested-parens", "unary-minuses"],
+    "field, text",
+    [
+        ("lambda0", "+".join(["x"] * 2001)),
+        ("lambda0", "(" * 400 + "x" + ")" * 400),
+        ("lambda0", "-" * 3000 + "x"),
+        ("s0", "+".join(["E"] * 2001)),
+    ],
+    ids=["flat-sum", "nested-parens", "unary-minuses", "param-sum"],
 )
-def test_exit_input_on_deeply_nested_expression(tmp_path, capsys, lambda0):
-    path = _write(tmp_path, "deep.json", dict(HO_PROBLEM, lambda0=lambda0))
+def test_exit_input_on_deeply_nested_expression(tmp_path, capsys, field, text):
+    path = _write(tmp_path, "deep.json", dict(HO_PROBLEM, **{field: text}))
     code, _, err = _run(capsys, ["solve", path])
     assert code == EXIT_INPUT
     assert "nested too deeply" in err

@@ -1,6 +1,7 @@
 """Series arithmetic against closed forms, numpy.polynomial, and ring axioms."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -19,14 +20,26 @@ from aimcf.errors import (
     ValidationError,
 )
 from aimcf.series import (
+    Add,
+    Const,
+    Div,
+    IntPow,
+    Mul,
+    Neg,
+    Param,
+    Sub,
     TaylorSeries,
+    VarX,
+    bind_series,
     parse_expression,
+    series_add,
     series_antideriv,
     series_diff,
     series_div,
     series_exp,
     series_from_expr,
     series_mul,
+    series_sub,
 )
 
 
@@ -83,6 +96,83 @@ def test_parameter_substitution():
         parse_expression("k*x", param_name="k"), param_value=3.0, center=0.0, order=2
     )
     np.testing.assert_allclose(got2.coeffs, [0.0, 3.0, 0.0])
+
+
+def _walk(e, value, center, order):
+    """Whole-tree evaluation of an AST, every node at every call: the reference
+    the binder must reproduce bit for bit."""
+    if isinstance(e, Const):
+        return TaylorSeries.constant(e.value, center, order)
+    if isinstance(e, VarX):
+        return TaylorSeries.identity(center, order)
+    if isinstance(e, Param):
+        return TaylorSeries.constant(value, center, order)
+    if isinstance(e, Neg):
+        return -_walk(e.operand, value, center, order)
+    if isinstance(e, IntPow):
+        base = _walk(e.base, value, center, order)
+        result = TaylorSeries.constant(1.0, center, order)
+        k = e.exponent
+        while k:
+            if k & 1:
+                result = series_mul(result, base)
+            k >>= 1
+            if k:
+                base = series_mul(base, base)
+        return result
+    op = {Add: series_add, Sub: series_sub, Mul: series_mul, Div: series_div}[type(e)]
+    return op(_walk(e.left, value, center, order), _walk(e.right, value, center, order))
+
+
+# the parameter under each kind of node, beside parameter-free subtrees that
+# the binder evaluates once
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3*x - -(E*x^2)",
+        "(1 + x)^2 * (E - x) * 0.5",
+        "(E*x + 1 - x^3)/(2 + x)",
+        "(1 + x^3)/(x - 2*E)",
+        "(E*x - 1)^5 + x^7",
+        "x^4 - 9*x^2 + 3 - E",
+        "E - (x + 1)^3",
+    ],
+    ids=["neg", "mul", "div-numerator", "div-denominator", "intpow", "sub-right", "sub-left"],
+)
+def test_bound_series_match_whole_tree_walk(text):
+    expr = parse_expression(text)
+    bound = bind_series(expr, center=0.3, order=14)
+    for value in (-1.7, 0.0, 2.5, 1e-3):
+        want = _walk(expr, value, 0.3, 14).coeffs
+        assert np.array_equal(bound(value).coeffs, want), value
+        assert np.array_equal(series_from_expr(expr, value, 0.3, 14).coeffs, want), value
+
+
+def test_bound_parameter_free_expression_is_evaluated_once():
+    bound = bind_series(parse_expression("(1 + x)^3/(2 - x)"), center=0.1, order=6)
+    assert bound(1.0) is bound(-4.0)
+
+
+# a parameter-free operation that fails is raised by every call, not by the
+# binding, so a caller that skips failing parameter values can still bind
+def test_bound_failure_is_raised_on_each_call():
+    bound = bind_series(parse_expression("E + 1/x"), center=0.0, order=4)
+    for value in (1.0, 2.0):
+        with pytest.raises(SingularPivot):
+            bound(value)
+
+
+# the bound functions recurse when called, so a call too deep for the stack
+# is an evaluation error as well as a binding too deep for it
+def test_bound_call_nested_too_deeply_is_parse_or_eval_error():
+    bound = bind_series(parse_expression("+".join(["E"] * 400)), center=0.0, order=2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        with pytest.raises(ParseOrEvalError):
+            bound(1.0)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_evaluation_horner_matches_polyval():
