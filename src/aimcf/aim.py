@@ -13,7 +13,8 @@ The termination quantity
     delta[n] = L[n](x0) * S[n-1](x0) - L[n-1](x0) * S[n](x0)
 
 vanishes at eigenvalues of problems whose ladder terminates, which is what
-:func:`find_eigenvalues` scans and bisects for.
+:func:`find_eigenvalues` scans for and then refines by safeguarded Illinois
+(modified regula falsi) steps.
 
 One raw-array kernel, :func:`_ladder`, runs the recursion on Taylor
 coefficients: level n + 1 is an index shift of level n (the derivative)
@@ -29,10 +30,10 @@ coefficient leaves double range, so every view reports overflow alike.
 The eigenvalue search binds both expressions once per search
 (:func:`~aimcf.series.bind_series` at order n + 2) and evaluates each
 distinct parameter value once, to depth n + 2, reading the scan and
-bisection values at depth n and the recheck values at depth n + 2 from
+refinement values at depth n and the recheck values at depth n + 2 from
 that one evaluation.  Which kernel evaluates a value follows from what is
 evaluated: the whole grid goes through :func:`_scan_deltas` in one batched
-pass, one row per grid point, and each bisection or recheck point goes
+pass, one row per grid point, and each refinement or recheck point goes
 through :func:`_ladder` alone, which is faster for a single point and is
 the kernel the tests pin bit for bit.  The batched kernel sums its
 convolutions in another order, so its deltas agree with the per-point
@@ -336,18 +337,19 @@ def find_eigenvalues(
     grid_points: int,
     tol: float = 1e-10,
 ) -> list[Root]:
-    """Scan delta[n] over a parameter grid and bisect its sign changes.
+    """Scan delta[n] over a parameter grid and refine its sign changes.
 
     The depth n is ``spec.n_max``.  One pass in grid order reports each
-    grid point where delta[n] is exactly zero and bisects each cell whose
-    ends change sign, so the roots come out in ascending order.  Every root
-    found at depth n is re-located at depth n + 2 inside the same grid
-    cell; the reported residual is the movement between the two depths
-    (infinite, with a warning, if the deeper level cannot be
-    re-bracketed).  Both expressions are bound once; the grid is
-    evaluated in one batched pass (:func:`_scan_deltas`) and every other
-    parameter value alone (:func:`_ladder`), so grid values agree with a
-    per-point evaluation to the tolerance the module docstring states.
+    grid point where delta[n] is exactly zero and refines each cell whose
+    ends change sign to within ``tol`` of a sign change, so the roots come
+    out in ascending order.  Every root found at depth n is re-located at
+    depth n + 2 inside the same grid cell, starting from it; the reported
+    residual is the distance between the two roots, each located to within
+    ``tol`` (infinite, with a warning, if the deeper level cannot be
+    re-bracketed).  Both expressions are bound once; the grid is evaluated
+    in one batched pass (:func:`_scan_deltas`) and every other parameter
+    value alone (:func:`_ladder`), so grid values agree with a per-point
+    evaluation to the tolerance the module docstring states.
     Grid points whose inputs cannot be evaluated (a singular pivot) are
     skipped with a warning and drop out of the batch.  An identically
     vanishing delta (for example S = 0) yields no brackets and an empty
@@ -358,12 +360,12 @@ def find_eigenvalues(
         raise ValidationError("e_min must be < e_max")
     if grid_points < 2:
         raise ValidationError("grid_points must be >= 2")
-    if not tol > 0.0:
-        raise ValidationError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValidationError("tol must be positive and finite")
 
     grid = [float(e) for e in np.linspace(e_min, e_max, grid_points)]
     # each E is evaluated once, to depth n + 2, serving the scan, the
-    # bisection at depth n and the recheck at depth n + 2 alike; the grid
+    # refinement at depth n and the recheck at depth n + 2 alike; the grid
     # fills this in one batched pass, ``delta`` adds every other E alone
     # (``inputs`` is bound below, inside the warning filter)
     deltas: dict[float, np.ndarray] = {}
@@ -373,8 +375,16 @@ def find_eigenvalues(
             deltas[e] = _delta_vector(*inputs(e))
         return float(deltas[e][depth - 1])
 
-    def locate(depth: int, lo: float, hi: float) -> float | None:
-        """Bisect delta[depth] on [lo, hi]; None if the ends share a sign."""
+    def locate(depth: int, lo: float, hi: float, trial: float | None = None) -> float | None:
+        """Zero of delta[depth] in [lo, hi] by safeguarded Illinois steps.
+
+        None if the ends share a sign.  A step tries ``trial`` if given, else
+        the regula falsi point of the ends, halving the value at an end kept
+        twice in a row; the midpoint when that point is not strictly inside
+        (``flo - fhi`` may overflow) or the bracket has not halved over the
+        last two steps; clamped tol / 2 inside, so the bracket closes.
+        Stops at width ``tol`` or when no double lies inside.
+        """
         flo = delta(lo, depth)
         if flo == 0.0:
             return lo
@@ -383,17 +393,31 @@ def find_eigenvalues(
             return hi
         if (flo < 0.0) == (fhi < 0.0):
             return None
+        widths = (np.inf, np.inf)  # before each of the last two steps
+        kept = ""  # the end the last step kept
         for _ in range(200):
-            if hi - lo <= tol:
-                break
             mid = 0.5 * (lo + hi)
-            fmid = delta(mid, depth)
-            if fmid == 0.0:
-                return mid
-            if (flo < 0.0) != (fmid < 0.0):
-                hi = mid
+            if hi - lo <= tol or not lo < mid < hi:
+                break
+            if trial is None:
+                halved = hi - lo <= 0.5 * widths[0]
+                trial = lo + (hi - lo) * (flo / (flo - fhi)) if halved else mid
+            if not lo < trial < hi:
+                trial = mid
+            trial = min(max(trial, lo + 0.5 * tol), hi - 0.5 * tol)
+            widths = (widths[1], hi - lo)
+            f = delta(trial, depth)
+            if f == 0.0:
+                return trial
+            if (f < 0.0) == (flo < 0.0):
+                lo, flo = trial, f
+                fhi *= 0.5 if kept == "hi" else 1.0
+                kept = "hi"
             else:
-                lo, flo = mid, fmid
+                hi, fhi = trial, f
+                flo *= 0.5 if kept == "lo" else 1.0
+                kept = "lo"
+            trial = None
         return 0.5 * (lo + hi)
 
     # the per-point conditioning chatter is not useful during a scan; other
@@ -443,7 +467,7 @@ def find_eigenvalues(
                 e_found = locate(n, lo, hi)
             else:
                 continue
-            deeper = locate(n + 2, lo, hi)
+            deeper = locate(n + 2, lo, hi, e_found)
             if deeper is None:
                 warnings.warn(
                     f"root near E = {e_found:.12g}: no sign change at depth "

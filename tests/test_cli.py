@@ -468,11 +468,15 @@ def test_exit_input_on_malformed_numeric_field(tmp_path, capsys, field, value):
     assert f"'{field}'" in err
 
 
+# a non-finite tol, from the command line or from the problem file ("tol":
+# NaN or Infinity in the JSON), is an input error
 @pytest.mark.parametrize(
     "argv_tail, search",
     [
         (["--tol", "nan"], HO_PROBLEM["search"]),
         ([], dict(HO_PROBLEM["search"], tol=float("nan"))),
+        (["--tol", "inf"], HO_PROBLEM["search"]),
+        ([], dict(HO_PROBLEM["search"], tol=float("inf"))),
     ],
 )
 def test_exit_input_on_nan_tol(tmp_path, capsys, argv_tail, search):
