@@ -185,8 +185,16 @@ def _ladder(
 
 
 def _cross(lam_at: np.ndarray, s_at: np.ndarray) -> np.ndarray:
-    """delta[i] = L[i+1] S[i] - L[i] S[i+1] from the at-centre values."""
-    return lam_at[1:] * s_at[:-1] - lam_at[:-1] * s_at[1:]
+    """delta[i] = L[i+1] S[i] - L[i] S[i+1] from the at-centre values.
+
+    Raises :class:`Overflow` if a product leaves double range, which finite
+    L and S values do not rule out.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = lam_at[1:] * s_at[:-1] - lam_at[:-1] * s_at[1:]
+    if not np.isfinite(delta).all():
+        raise Overflow("termination quantity overflows double range")
+    return delta
 
 
 def aim_iterate(spec: ProblemSpec, param_value: float) -> AIMSequences:
@@ -303,9 +311,9 @@ def _scan_deltas(l0: np.ndarray, s0: np.ndarray) -> np.ndarray:
     row adds only zeros) and a row's values do not depend on which points
     share the pass.  It sums in another order than ``np.convolve``, so its
     values agree with :func:`_delta_vector` to rounding, not bit for bit.
-    Raises :class:`Overflow` if any value leaves double range, without
-    numpy's floating-point warnings; as in :func:`_ladder`, every
-    coefficient reaches an at-centre value through the index shift.
+    Raises :class:`Overflow` (from :func:`_cross`) if any value leaves double
+    range, without numpy's floating-point warnings: every coefficient reaches
+    an at-centre value, and so a delta, through the index shift.
     """
     points, width = l0.shape
     k = np.arange(1, width, dtype=float)
@@ -324,10 +332,7 @@ def _scan_deltas(l0: np.ndarray, s0: np.ndarray) -> np.ndarray:
             l, s = (k[:n] * l[:, 1:] + conv_l) + s[:, :n], k[:n] * s[:, 1:] + conv_s
             lam_at.append(l[:, 0])
             s_at.append(s[:, 0])
-    at = np.array([lam_at, s_at])
-    if not np.isfinite(at).all():
-        raise Overflow(f"ladder overflows double range by depth {width - 1}")
-    return _cross(*at).T
+    return _cross(np.array(lam_at), np.array(s_at)).T
 
 
 def find_eigenvalues(
@@ -343,7 +348,8 @@ def find_eigenvalues(
     grid point where delta[n] is exactly zero and refines each cell whose
     ends change sign to within ``tol`` of a sign change, so the roots come
     out in ascending order.  Every root found at depth n is re-located at
-    depth n + 2 inside the same grid cell, starting from it; the reported
+    depth n + 2 inside the same grid cell, or inside both cells at a grid
+    point it lies within ``tol`` of, starting from it; the reported
     residual is the distance between the two roots, each located to within
     ``tol`` (infinite, with a warning, if the deeper level cannot be
     re-bracketed).  Both expressions are bound once; the grid is evaluated
@@ -465,6 +471,12 @@ def find_eigenvalues(
             ):
                 lo, hi = grid[i], grid[i + 1]
                 e_found = locate(n, lo, hi)
+                # a root on a grid point, where delta is rounding noise, may
+                # change cell with depth: recheck over both cells at that point
+                if e_found - lo <= tol:
+                    lo = grid[max(i - 1, 0)]
+                if hi - e_found <= tol:
+                    hi = grid[min(i + 2, grid_points - 1)]
             else:
                 continue
             deeper = locate(n + 2, lo, hi, e_found)

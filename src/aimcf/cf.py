@@ -8,16 +8,16 @@ derivative ladder
     p[n] = p[n-1] + q[n-1]'/q[n-1]
     q[n] = q[n-1] + p[n-1]' - p[n-1] * q[n-1]'/q[n-1]
 
-(:func:`pq_iterate`, in series arithmetic).  Evaluated at the expansion
-point these feed the classical approximant machinery: numerators A[n] and
+(:func:`pq_iterate`, in series arithmetic).  Its values at the expansion
+point feed the classical approximant machinery: numerators A[n] and
 denominators B[n] obey the same three-term recurrence, their cross
 determinant collapses to a signed product of the q's, successive
 approximant differences telescope into an alternating series, and an
 equivalence transform rescales any fraction to unit partial numerators
 (:func:`cf_equiv_unit`).  A level with q identically zero terminates the
 fraction exactly; :func:`pq_iterate` stops there, :func:`detect_termination`
-reads that stop, and :func:`terminated_alpha` folds the resulting finite
-fraction back into a series.
+reads that stop, and :func:`terminated_alpha` reads alpha off the iteration
+ladder, whose ratios S[n](x0) / L[n](x0) are the approximants A[n] / B[n].
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aim import ProblemSpec
+from .aim import AIMSequences, ProblemSpec
 from .errors import (
     DeterminantMismatchWarning,
     ValidationError,
@@ -54,68 +54,56 @@ DETERMINANT_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class PQSequences:
-    """Ladder of partial denominators/numerators as series.
+    """Values at x0 of the ladder's partial denominators p[n] and numerators q[n].
 
-    ``p[n]`` and ``q[n]`` are series about the problem's x0.  The ladder
-    stops early at the first level whose q series is identically zero,
-    relative to the largest coefficient magnitude seen so far:
-    ``stop_reason`` is then ``"termination"`` (the fraction ends exactly
-    there), a test that also covers the last level.  It stops with
-    ``"pole"`` when q, below the last level, merely vanishes at x0, since
-    the next level would divide by it (a pole of the logarithmic
-    derivative; no analytic continuation is attempted).
+    Read-only float arrays, one entry per level run.  ``stop_level`` and
+    ``stop_reason`` (``"termination"`` or ``"pole"``) tell where and why
+    :func:`pq_iterate` stopped early; both are None when it ran to n_max.
     """
 
-    p: tuple[TaylorSeries, ...]
-    q: tuple[TaylorSeries, ...]
+    p: np.ndarray
+    q: np.ndarray
     stop_level: int | None = None
     stop_reason: str | None = None
 
     @property
     def depth(self) -> int:
-        return len(self.p) - 1
-
-    def p_at_center(self) -> np.ndarray:
-        return np.array([t.at_center for t in self.p])
-
-    def q_at_center(self) -> np.ndarray:
-        return np.array([t.at_center for t in self.q])
+        return self.p.size - 1
 
 
 def pq_iterate(spec: ProblemSpec, param_value: float) -> PQSequences:
     """Run the logarithmic-derivative ladder up to ``spec.n_max`` levels.
 
-    Each level consumes one Taylor order.  A level whose q series is
-    identically zero (relative to the ladder scale) terminates the ladder.
-    Extension past level n divides by q[n], so the ladder also stops,
-    flagged as a pole, if only the value of q[n] at x0 is tiny.
+    Each level consumes one Taylor order; only the current level's series
+    are kept.  The ladder stops at the first level, the last one included,
+    whose q series is identically zero relative to the largest coefficient
+    magnitude seen so far (``"termination"``: the fraction ends exactly
+    there).  Extension past level n divides by q[n], so below the last level
+    it also stops, as a ``"pole"``, where only the value of q[n] at x0 is
+    tiny (no analytic continuation is attempted).
     """
-    p0, q0 = spec.series_pair(param_value)
-    p = [p0]
-    q = [q0]
-    scale = max(
-        float(np.max(np.abs(p0.coeffs))), float(np.max(np.abs(q0.coeffs))), 1e-300
-    )
+    p_ser, q_ser = spec.series_pair(param_value)
+    p, q = [p_ser.at_center], [q_ser.at_center]
+    scale = 1e-300
+    stop: tuple[int | None, str | None] = (None, None)
     for level in range(spec.n_max + 1):
-        q_prev = q[level]
-        p_prev = p[level]
-        if float(np.max(np.abs(q_prev.coeffs))) <= TERMINATION_REL * scale:
-            return PQSequences(tuple(p), tuple(q), level, "termination")
+        q_max = float(np.max(np.abs(q_ser.coeffs)))
+        scale = max(scale, float(np.max(np.abs(p_ser.coeffs))), q_max)
+        if q_max <= TERMINATION_REL * scale:
+            stop = (level, "termination")
+            break
         if level == spec.n_max:
             break
-        if abs(q_prev.at_center) <= TERMINATION_REL * scale:
-            return PQSequences(tuple(p), tuple(q), level, "pole")
-        ratio = series_div(q_prev.diff(), q_prev)
-        p_new = p_prev + ratio
-        q_new = (q_prev + p_prev.diff()) - p_prev * ratio
-        p.append(p_new)
-        q.append(q_new)
-        scale = max(
-            scale,
-            float(np.max(np.abs(p_new.coeffs))),
-            float(np.max(np.abs(q_new.coeffs))),
-        )
-    return PQSequences(tuple(p), tuple(q))
+        if abs(q_ser.at_center) <= TERMINATION_REL * scale:
+            stop = (level, "pole")
+            break
+        ratio = series_div(q_ser.diff(), q_ser)
+        p_ser, q_ser = p_ser + ratio, (q_ser + p_ser.diff()) - p_ser * ratio
+        p.append(p_ser.at_center)
+        q.append(q_ser.at_center)
+    values = np.array([p, q])
+    values.setflags(write=False)
+    return PQSequences(values[0], values[1], *stop)
 
 
 def detect_termination(pq: PQSequences) -> int | None:
@@ -127,22 +115,19 @@ def detect_termination(pq: PQSequences) -> int | None:
     return pq.stop_level if pq.stop_reason == "termination" else None
 
 
-def terminated_alpha(pq: PQSequences, level: int) -> TaylorSeries:
-    """Fold the finite fraction ending just above ``level`` into a series.
+def terminated_alpha(seqs: AIMSequences, level: int) -> TaylorSeries:
+    """Series of alpha for a fraction that terminates at ``level``.
 
-    With q[level] identically zero, alpha reduces to the finite fraction
-    with last term q[level-1]/p[level-1]; ``level == 0`` gives the zero
-    series (S is identically zero and so is alpha).
+    ``seqs`` is :func:`~aimcf.aim.aim_iterate` at the parameter value where
+    q[level] is identically zero.  The approximants are the ladder ratios,
+    so the finite fraction is S[level-1] / L[level-1], one series division;
+    ``level == 0`` gives the zero series (S is identically zero, as is alpha).
     """
-    if not 0 <= level <= pq.depth:
-        raise ValidationError(f"termination level {level} outside 0..{pq.depth}")
+    if not 0 <= level <= seqs.depth + 1:
+        raise ValidationError(f"termination level {level} outside 0..{seqs.depth + 1}")
     if level == 0:
-        ref = pq.q[0]
-        return TaylorSeries(ref.center, np.zeros(ref.order + 1))
-    tail = series_div(pq.q[level - 1], pq.p[level - 1])
-    for k in range(level - 2, -1, -1):
-        tail = series_div(pq.q[k], pq.p[k] + tail)
-    return tail
+        return TaylorSeries(seqs.s[0].center, np.zeros(seqs.s[0].order + 1))
+    return series_div(seqs.s[level - 1], seqs.lam[level - 1])
 
 
 # ----------------------------------------------------------------------
@@ -219,8 +204,8 @@ def cf_approximants(pvals, qvals) -> CFState:
 
     Initial conditions A[-2] = 1, A[-1] = 0, B[-2] = 0, B[-1] = 1; then
     A[n] = p[n] A[n-1] + q[n] A[n-2] and likewise for B, for n = 0..N with
-    N + 1 the length of the inputs.  A zero B[n] leaves C[n] undefined
-    (NaN) and the recurrence keeps going.
+    N + 1 the length of the inputs.  C[n] is NaN where B[n] = 0 and +-inf
+    beyond double range, as A(n) and B(n) are; the recurrence keeps going.
     """
     pvals = np.array(pvals, dtype=float)
     qvals = np.array(qvals, dtype=float)
@@ -232,7 +217,6 @@ def cf_approximants(pvals, qvals) -> CFState:
     exp2 = np.zeros(N + 3, dtype=np.int64)
     mant_a[0], mant_a[1] = 1.0, 0.0  # n = -2, -1
     mant_b[0], mant_b[1] = 0.0, 1.0
-    c = np.empty(N + 1)
     for n in range(N + 1):
         i = n + 2
         shift = int(exp2[i - 2] - exp2[i - 1])
@@ -250,7 +234,8 @@ def cf_approximants(pvals, qvals) -> CFState:
             b_new = math.ldexp(b_new, _RESCALE_SHIFT)
             e_new -= _RESCALE_SHIFT
         mant_a[i], mant_b[i], exp2[i] = a_new, b_new, e_new
-        c[n] = a_new / b_new if b_new != 0.0 else math.nan
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c = np.where(mant_b[2:] != 0.0, mant_a[2:] / mant_b[2:], math.nan)
     for arr in (mant_a, mant_b, exp2, c, pvals, qvals):
         arr.setflags(write=False)
     return CFState(

@@ -226,8 +226,8 @@ def _run_diagnose(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dic
         warnings.simplefilter("always")
         pq = pq_iterate(spec, args.param_value)
         termination = detect_termination(pq)
-        pvals = pq.p_at_center().tolist()
-        qvals = pq.q_at_center().tolist()
+        pvals = pq.p.tolist()
+        qvals = pq.q.tolist()
         if pq.depth < spec.n_max:
             warn_list.append(
                 f"ladder stopped at level {pq.stop_level} ({pq.stop_reason}); "
@@ -296,7 +296,7 @@ def _classify_sequences(
         "classify requires --param-value unless raw sequences are given",
     )
     pq = pq_iterate(spec, args.param_value)
-    return pq.p_at_center().tolist(), pq.q_at_center().tolist(), declared
+    return pq.p.tolist(), pq.q.tolist(), declared
 
 
 def _run_classify(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dict:

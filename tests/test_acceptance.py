@@ -248,10 +248,9 @@ def test_criterion_09_terminating_reconstruction():
     worst_ricc = worst_fact = worst_ode = 0.0
     for energy, x0 in ((1.0, 0.5), (3.0, 1.0), (5.0, 2.0)):
         spec = ProblemSpec.from_strings(*OSCILLATOR, x0=x0, order=30, n_max=10)
-        pq = pq_iterate(spec, energy)
-        level = detect_termination(pq)
+        level = detect_termination(pq_iterate(spec, energy))
         assert level is not None
-        alpha = terminated_alpha(pq, level)
+        alpha = terminated_alpha(aim_iterate(spec, energy), level)
         ricc = riccati_residual(alpha, spec, energy)
         fact = factorization_residual(alpha, spec, energy)
         worst_ricc = max(worst_ricc, float(np.max(np.abs(ricc.coeffs[:21]))))

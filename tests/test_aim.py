@@ -280,9 +280,7 @@ def test_singular_grid_point_is_skipped_with_warning():
 
 
 # [DERIVED] exact spectrum E = 2k+1 of the transformed oscillator equation;
-# the root E = 7 on the grid is the known recheck defect (ROADMAP item 3),
-# whose warnings stay visible
-@pytest.mark.filterwarnings("default::aimcf.errors.DepthRecheckWarning")
+# the roots E = 1, 3, 5, 7, 9 are grid points
 def test_ho_spectrum_depth_stability():
     found = {}
     for depth in (40, 44):
@@ -346,6 +344,16 @@ def test_find_eigenvalues_raises_overflow_when_ladder_overflows():
         find_eigenvalues(spec, 0.0, 4.0, 11, tol=1e-10)
 
 
+# L and S stay finite to depth 10, but delta_8 = inf - inf: a product of
+# finite ladder values can overflow too
+def test_delta_overflow_raises_overflow():
+    spec = ProblemSpec.from_strings("1e20", "1 - E", "E", x0=0.0, order=12, n_max=8)
+    with pytest.raises(Overflow):
+        aim_iterate(spec, 0.5)
+    with pytest.raises(Overflow):
+        find_eigenvalues(spec, 0.0, 4.0, 11, tol=1e-10)
+
+
 # the ladder kernel owns the overflow check, so no view reports an overflow
 # as an input error or returns non-finite coefficients; the second spec
 # overflows only in coefficient 29 of level 1, which no at-centre value of
@@ -374,18 +382,20 @@ def test_every_ladder_view_raises_overflow(view, spec):
 
 
 # a failed recheck is reported against the caller, like the other search
-# warnings, not against the library
+# warnings, not against the library; the quartic's depth-20 truncation root
+# 7.450369 moves into the next grid cell at depth 22
 def test_depth_recheck_warning_points_at_caller():
-    spec = _ho_spec(order=60, n_max=40)
+    spec = ProblemSpec.from_strings(
+        "6*x", "x^4 - 9*x^2 + 3 - E", "E", x0=0.0, order=22, n_max=20
+    )
     with pytest.warns(DepthRecheckWarning) as record:
-        find_eigenvalues(spec, 0.0, 9.5, 39, tol=1e-11)
+        find_eigenvalues(spec, 0.552, 12.552, 41, tol=1e-9)
     assert [w.filename for w in record] == [__file__] * len(record)
 
 
 # [DERIVED] shifting a 0.25-step grid by part of a cell keeps the spectrum;
-# at shift 0 the root E = 1 is a grid point where delta is exactly 0, and
-# E = 7 trips the known recheck defect (ROADMAP item 3)
-@pytest.mark.filterwarnings("default::aimcf.errors.DepthRecheckWarning")
+# at shift 0 every root is a grid point, where delta is exactly 0 or
+# rounding noise of either sign
 @example(shift=0.0)
 @given(shift=st.floats(min_value=0.0, max_value=0.25, exclude_max=True))
 @settings(max_examples=8, deadline=None)

@@ -1,5 +1,6 @@
 """Approximant recurrence, determinant identity, termination, unit rescaling."""
 
+import contextlib
 import math
 import warnings
 from fractions import Fraction
@@ -7,8 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from aimcf.aim import ProblemSpec
+from aimcf.aim import ProblemSpec, _ladder, aim_iterate
 from aimcf.cf import (
     aim_limit_terms,
     alpha_partial_sums,
@@ -20,6 +23,7 @@ from aimcf.cf import (
     terminated_alpha,
 )
 from aimcf.errors import (
+    ConditioningWarning,
     DeterminantMismatchWarning,
     ValidationError,
     ZeroDenominator,
@@ -213,6 +217,10 @@ def _ho_pq(energy, x0=1.0, order=40, depth=12):
     return pq_iterate(spec, energy)
 
 
+def _ho_aim(energy):
+    return aim_iterate(ProblemSpec.from_strings(*HO, x0=1.0, order=40, n_max=12), energy)
+
+
 # [DERIVED] closed ladder: at E = 2k+1 the level-k numerator dies identically
 def test_ho_termination_levels():
     for k, energy in ((0, 1.0), (1, 3.0), (2, 5.0)):
@@ -222,25 +230,98 @@ def test_ho_termination_levels():
         assert pq.stop_reason == "termination"
 
 
-# [DERIVED] E=3 fold gives q0/p0 = -2/(2x) = -1/x, alternating about x0 = 1
+# [DERIVED] E=3 ratio gives S0/L0 = -2/(2x) = -1/x, alternating about x0 = 1
 def test_terminated_alpha_first_excited():
-    pq = _ho_pq(3.0)
-    alpha = terminated_alpha(pq, 1)
+    alpha = terminated_alpha(_ho_aim(3.0), 1)
     want = [(-1.0) ** (k + 1) for k in range(alpha.order + 1)]
     np.testing.assert_allclose(alpha.coeffs, want, rtol=1e-13)
 
 
+def _hermite_log_derivative(k, x0, order):
+    """Exact Taylor coefficients 0..order of -H_k'/H_k about x0 (physicists' H_k)."""
+    h_prev, h = [Fraction(0)], [Fraction(1)]
+    for n in range(k):  # H[n+1] = 2x H[n] - 2n H[n-1]
+        h_next = [Fraction(0)] + [2 * c for c in h]
+        for j, c in enumerate(h_prev):
+            h_next[j] -= 2 * n * c
+        h_prev, h = h, h_next
+    t = Fraction(x0)
+    shifted = [
+        sum(c * math.comb(i, j) * t ** (i - j) for i, c in enumerate(h) if i >= j)
+        for j in range(k + 1)
+    ]
+    num = [-(j + 1) * shifted[j + 1] for j in range(k)] + [Fraction(0)] * (order + 1)
+    den = shifted + [Fraction(0)] * (order + 1)
+    out = []
+    for m in range(order + 1):
+        out.append((num[m] - sum(den[j] * out[m - j] for j in range(1, m + 1))) / den[0])
+    return out
+
+
+# [DERIVED] at E = 2k+1 the oscillator's alpha = -y'/y is -H_k'/H_k; the
+# ladder ratio divides only by L[k-1](x0), which does not vanish at the
+# symmetric centre x0 = 0 for even k
+@pytest.mark.parametrize(
+    "energy, x0", [(7, 0.5), (9, 1.3), (11, -1.2), (11, 0.3), (5, 0.0), (9, 0.0)]
+)
+def test_terminated_alpha_matches_hermite_log_derivative(energy, x0):
+    spec = ProblemSpec.from_strings(*HO, x0=x0, order=40, n_max=12)
+    k = (energy - 1) // 2
+    assert detect_termination(pq_iterate(spec, energy)) == k
+    # L(x0) = 2 x0 vanishes at the symmetric centre
+    centre = pytest.warns(ConditioningWarning) if x0 == 0.0 else contextlib.nullcontext()
+    with centre:
+        seqs = aim_iterate(spec, energy)
+    alpha = terminated_alpha(seqs, k)
+    want = [float(c) for c in _hermite_log_derivative(k, x0, 30)]
+    np.testing.assert_allclose(alpha.coeffs[:31], want, rtol=1e-13, atol=0)
+
+
+# [DERIVED] the fraction's approximants are the iteration ladder's values:
+# B[n] = L[n](x0) and A[n] = S[n](x0).  Each gap is measured against the
+# larger rounding scale of the two routes: the iteration ladder run on
+# absolute input coefficients, and the recurrence step |p[n] B[n-1]| +
+# |q[n] B[n-2]| (likewise for A); 1500 random draws stayed below 6e-15 of
+# that scale and below 1.5e-12 of the value itself.  Subnormal values carry
+# only absolute precision, hence the floor at the smallest normal double.
+# At a subnormal x0, B[n] is subnormal for even n and A[n] / B[n] leaves
+# double range; at E = 3 and x0 = 6.6e-118, L[1](x0) = 4 x0^2 cancels to 0
+# in the ladder, not in the recurrence
+@pytest.mark.filterwarnings("ignore::aimcf.errors.ConditioningWarning")
+@example(problem=HO[:2], x0=2.2250738585e-313, energy=2.0)
+@example(problem=HO[:2], x0=5e-324, energy=1.5)
+@example(problem=HO[:2], x0=6.560974342087148e-118, energy=3.0)
+@given(
+    problem=st.sampled_from([HO[:2], ("6*x", "x^4 - 9*x^2 + 3 - E"), ("2 + x", "x - E")]),
+    x0=st.floats(min_value=-1.5, max_value=1.5),
+    energy=st.floats(min_value=0.5, max_value=11.5),
+)
+@settings(max_examples=40, deadline=None)
+def test_approximants_are_ladder_values(problem, x0, energy):
+    spec = ProblemSpec.from_strings(*problem, "E", x0=x0, order=40, n_max=12)
+    pq = pq_iterate(spec, energy)
+    seqs = aim_iterate(spec, energy)
+    state = cf_approximants(pq.p, pq.q)
+    lam0, s0 = spec.series_pair(energy)
+    magnitude = _ladder(np.abs(lam0.coeffs), np.abs(s0.coeffs), spec.n_max)[2]
+    tiny = np.finfo(float).tiny
+    for n in range(min(pq.depth, 12) + 1):
+        for row, value, ladder in ((0, state.B, seqs.lam[n]), (1, state.A, seqs.s[n])):
+            step = abs(pq.p[n] * value(n - 1)) + abs(pq.q[n] * value(n - 2))
+            scale = max(magnitude[row, n], step)
+            assert abs(value(n) - ladder.at_center) <= 1e-12 * scale + tiny
+
+
 def test_terminated_alpha_level_zero_is_zero_series():
-    pq = _ho_pq(1.0)
-    assert detect_termination(pq) == 0
-    alpha = terminated_alpha(pq, 0)
+    assert detect_termination(_ho_pq(1.0)) == 0
+    alpha = terminated_alpha(_ho_aim(1.0), 0)
     assert np.all(alpha.coeffs == 0.0)
 
 
 def test_terminated_alpha_level_validation():
-    pq = _ho_pq(3.0)
+    seqs = _ho_aim(3.0)
     with pytest.raises(ValidationError):
-        terminated_alpha(pq, pq.depth + 1)
+        terminated_alpha(seqs, seqs.depth + 2)
 
 
 def test_no_termination_off_eigenvalue():
@@ -248,7 +329,7 @@ def test_no_termination_off_eigenvalue():
     assert detect_termination(pq) is None
     assert pq.stop_level is None
     assert pq.depth == 8
-    assert pq.p_at_center().shape == (9,)
+    assert pq.p.shape == (9,)
 
 
 # q[1] is of order 1e-9 there, far above the relative zero test

@@ -375,6 +375,19 @@ def test_exit_numeric_on_ladder_overflow(tmp_path, capsys):
     assert "Overflow" in err
 
 
+# finite ladder values whose termination quantity overflows: exit 3, not a
+# degenerate grid with numpy warnings
+def test_exit_numeric_on_delta_overflow(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "delta_overflow.json",
+        dict(HO_PROBLEM, lambda0="1e20", order=12, n_max=8),
+    )
+    code, out, err = _run(capsys, ["solve", path, "--grid", "11"])
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert "Overflow" in err
+
+
 # a ladder that stops on a pole has not terminated, whatever the size of
 # its coefficients
 def test_diagnose_quartic_pole_has_no_termination_level(tmp_path, capsys):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aimcf.aim import ProblemSpec
-from aimcf.cf import pq_iterate, terminated_alpha
+from aimcf.aim import ProblemSpec, aim_iterate
+from aimcf.cf import detect_termination, pq_iterate, terminated_alpha
 from aimcf.errors import OrderExhausted
 from aimcf.reconstruct import (
     build_solution,
@@ -46,8 +46,8 @@ def test_riccati_zero_alpha_zero_potential():
 # [DERIVED] terminated ladder at the first excited level solves the equation
 def test_terminated_alpha_is_exact_riccati_solution():
     spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=1.0, order=40, n_max=10)
-    pq = pq_iterate(spec, 3.0)
-    alpha = terminated_alpha(pq, pq.stop_level)
+    level = detect_termination(pq_iterate(spec, 3.0))
+    alpha = terminated_alpha(aim_iterate(spec, 3.0), level)
     res = riccati_residual(alpha, spec, 3.0)
     assert float(np.max(np.abs(res.coeffs))) <= 1e-13
     fact = factorization_residual(alpha, spec, 3.0)
@@ -87,8 +87,7 @@ def test_factorization_is_negated_riccati(acoef, lcoef, scoef):
 # [DERIVED] alpha = -1/x about 1 with C1 = 0 reproduces y = x
 def test_build_solution_first_excited_state():
     spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=1.0, order=30, n_max=10)
-    pq = pq_iterate(spec, 3.0)
-    alpha = terminated_alpha(pq, 1)
+    alpha = terminated_alpha(aim_iterate(spec, 3.0), 1)
     y = build_solution(alpha, spec, 3.0, C1=0.0, C2=1.0)
     want = np.zeros(y.order + 1)
     want[0], want[1] = 1.0, 1.0
@@ -113,8 +112,7 @@ def test_build_solution_free_particle_basis():
 
 def test_build_solution_ground_state_is_constant():
     spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=0.5, order=30, n_max=10)
-    pq = pq_iterate(spec, 1.0)
-    alpha = terminated_alpha(pq, 0)
+    alpha = terminated_alpha(aim_iterate(spec, 1.0), 0)
     y = build_solution(alpha, spec, 1.0, C1=0.0, C2=1.0)
     want = np.zeros(y.order + 1)
     want[0] = 1.0
