@@ -12,7 +12,8 @@ derivative ladder
 point feed the classical approximant machinery: numerators A[n] and
 denominators B[n] obey the same three-term recurrence, their cross
 determinant collapses to a signed product of the q's, successive
-approximant differences telescope into an alternating series, and an
+approximant differences telescope into an alternating series whose partial
+sums are the approximants (:func:`alpha_partial_sums`), and an
 equivalence transform rescales any fraction to unit partial numerators
 (:func:`cf_equiv_unit`).  A level with q identically zero terminates the
 fraction exactly; :func:`pq_iterate` stops there, :func:`detect_termination`
@@ -80,7 +81,8 @@ def pq_iterate(spec: ProblemSpec, param_value: float) -> PQSequences:
     magnitude seen so far (``"termination"``: the fraction ends exactly
     there).  Extension past level n divides by q[n], so below the last level
     it also stops, as a ``"pole"``, where only the value of q[n] at x0 is
-    tiny (no analytic continuation is attempted).
+    tiny (no analytic continuation is attempted).  Level 0, the input S, is
+    zero only when all its coefficients are, and its pole test uses its own.
     """
     p_ser, q_ser = spec.series_pair(param_value)
     p, q = [p_ser.at_center], [q_ser.at_center]
@@ -89,12 +91,13 @@ def pq_iterate(spec: ProblemSpec, param_value: float) -> PQSequences:
     for level in range(spec.n_max + 1):
         q_max = float(np.max(np.abs(q_ser.coeffs)))
         scale = max(scale, float(np.max(np.abs(p_ser.coeffs))), q_max)
-        if q_max <= TERMINATION_REL * scale:
+        tiny = TERMINATION_REL * (scale if level else q_max)
+        if q_max <= (tiny if level else 0.0):
             stop = (level, "termination")
             break
         if level == spec.n_max:
             break
-        if abs(q_ser.at_center) <= TERMINATION_REL * scale:
+        if abs(q_ser.at_center) <= tiny:
             stop = (level, "pole")
             break
         ratio = series_div(q_ser.diff(), q_ser)
@@ -186,11 +189,6 @@ class CFState:
         mant, e2 = self.v_scaled(n)
         return _ldexp_safe(mant, e2)
 
-    @property
-    def v_array(self) -> np.ndarray:
-        """Determinants for n = -1..depth (index i holds n = i - 1)."""
-        return np.array([self.v(n) for n in range(-1, self.depth + 1)])
-
 
 def _ldexp_safe(mant: float, e2: int) -> float:
     try:
@@ -270,7 +268,7 @@ def cf_determinants(state: CFState) -> np.ndarray:
     (:class:`DeterminantMismatchWarning`) only for discrepancies rounding
     cannot explain.
     """
-    out = state.v_array
+    out = np.array([state.v(n) for n in range(-1, state.depth + 1)])
     eps = float(np.finfo(float).eps)
     worst = 0.0
     for n, (prod_mant, prod_e2) in enumerate(_q_products(state.qvals)):
@@ -297,10 +295,11 @@ def cf_determinants(state: CFState) -> np.ndarray:
 
 
 def alpha_partial_sums(state: CFState) -> np.ndarray:
-    """Alternating-series partial sums; the n-th sum equals C[n-1].
+    """Partial sums of the alternating series for alpha; sums[i] == C[i].
 
-    Term k is (-1)^k q[0]..q[k] / (B[k] B[k-1]); every B[k] must be
-    nonzero.  Returns sums[i] = sum of terms 0..i, so sums[i] == C[i].
+    Term k is (-1)^k q[0]..q[k] / (B[k] B[k-1]) = C[k] - C[k-1]; every B[k]
+    must be nonzero.  The terms are
+    ``np.diff(alpha_partial_sums(state), prepend=0.0)``.
     """
     sums = np.empty(state.depth + 1)
     acc = 0.0
@@ -316,21 +315,6 @@ def alpha_partial_sums(state: CFState) -> np.ndarray:
         acc += term
         sums[k] = acc
     return sums
-
-
-def aim_limit_terms(state: CFState) -> np.ndarray:
-    """Telescoping terms v[n] / (B[n] B[n-1]) = C[n] - C[n-1] for n = 0..N."""
-    n_terms = state.depth + 1
-    out = np.empty(n_terms)
-    for n in range(n_terms):
-        i = n + 2
-        bn = state._mant_b[i]
-        bn1 = state._mant_b[i - 1]
-        if bn == 0.0 or bn1 == 0.0:
-            raise ZeroDenominator(f"B[{n if bn == 0.0 else n - 1}] = 0")
-        mant, _ = state.v_scaled(n)  # exponent cancels against B[n]B[n-1]
-        out[n] = mant / (bn * bn1)
-    return out
 
 
 def cf_equiv_unit(pvals, qvals) -> np.ndarray:

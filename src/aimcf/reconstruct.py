@@ -2,7 +2,8 @@
 
 Given alpha with y'/y = -alpha, the ODE y'' = L y' + S y factors through the
 Riccati equation alpha' = alpha^2 + L alpha - S; every residual here is a
-Taylor series whose coefficients certify the identity locally.
+Taylor series whose coefficients certify the identity locally.  The
+operator-split residual of the factor pair (alpha, -L - alpha) is -riccati_residual.
 """
 
 from __future__ import annotations
@@ -18,22 +19,6 @@ def riccati_residual(alpha: TaylorSeries, spec: ProblemSpec, E: float) -> Taylor
         raise OrderExhausted("alpha must have order >= 1 to differentiate")
     lam0, s0 = spec.series_pair(E)
     return ((alpha.diff() - alpha * alpha) - lam0 * alpha) + s0
-
-
-def factorization_residual(
-    alpha: TaylorSeries, spec: ProblemSpec, E: float
-) -> TaylorSeries:
-    """Residual of the first-order factor pair (alpha, beta = -L - alpha).
-
-    Returns -(alpha' + alpha beta + S), which vanishes exactly when the
-    second-order operator splits into the two first-order factors; it agrees
-    with -riccati_residual coefficientwise up to rounding.
-    """
-    if alpha.order < 1:
-        raise OrderExhausted("alpha must have order >= 1 to differentiate")
-    lam0, s0 = spec.series_pair(E)
-    beta = -(lam0 + alpha)
-    return -((alpha.diff() + alpha * beta) + s0)
 
 
 def build_solution(

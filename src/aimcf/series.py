@@ -205,7 +205,8 @@ def series_div(a: TaylorSeries, b: TaylorSeries) -> TaylorSeries:
     Requires a usable pivot ``b.coeffs[0]``: magnitudes below ``EPS_PIVOT``
     raise :class:`SingularPivot`; pivots smaller than ``PIVOT_WARN_REL``
     times the numerator's largest coefficient emit a
-    :class:`ConditioningWarning` but proceed.
+    :class:`ConditioningWarning` but proceed.  A quotient past double range
+    raises :class:`Overflow`.
     """
     _check_centers(a, b)
     pivot = float(b.coeffs[0])
@@ -221,13 +222,16 @@ def series_div(a: TaylorSeries, b: TaylorSeries) -> TaylorSeries:
         )
     n = min(a.order, b.order) + 1
     out = np.empty(n)
-    for k in range(n):
-        acc = a.coeffs[k]
-        # subtract sum_{j=1..k} b[j] * out[k-j]
-        hi = min(k, b.order)
-        for j in range(1, hi + 1):
-            acc -= b.coeffs[j] * out[k - j]
-        out[k] = acc / pivot
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            acc = a.coeffs[k]
+            # subtract sum_{j=1..k} b[j] * out[k-j]
+            hi = min(k, b.order)
+            for j in range(1, hi + 1):
+                acc -= b.coeffs[j] * out[k - j]
+            out[k] = acc / pivot
+    if not np.all(np.isfinite(out)):
+        raise Overflow("series quotient overflowed double precision")
     return TaylorSeries(a.center, out)
 
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from aimcf.aim import ProblemSpec, _ladder, aim_iterate
 from aimcf.cf import (
-    aim_limit_terms,
     alpha_partial_sums,
     cf_approximants,
     cf_determinants,
@@ -124,7 +123,7 @@ def test_limit_terms_telescope():
     p = rng.uniform(0.5, 2.0, 30)
     q = rng.uniform(0.5, 2.0, 30)
     state = cf_approximants(p, q)
-    terms = aim_limit_terms(state)
+    terms = np.array([state.v(n) / (state.B(n) * state.B(n - 1)) for n in range(30)])
     np.testing.assert_allclose(np.cumsum(terms), state.C, rtol=1e-12)
     # each term is the approximant increment
     np.testing.assert_allclose(terms[1:], np.diff(state.C), rtol=1e-9, atol=1e-15)
@@ -160,8 +159,6 @@ def test_zero_denominator_paths():
     assert math.isnan(state.C[0])
     with pytest.raises(ZeroDenominator):
         alpha_partial_sums(state)
-    with pytest.raises(ZeroDenominator):
-        aim_limit_terms(state)
 
 
 def test_inputs_are_copied_and_validated():
@@ -344,6 +341,15 @@ def test_pole_stop_reason():
     pq = pq_iterate(spec, 0.5)
     assert pq.stop_reason == "pole"
     assert pq.stop_level == 0
+
+
+# a huge L does not make the O(1) input S count as zero at level 0
+def test_level_zero_is_judged_on_its_own_scale():
+    spec = ProblemSpec.from_strings("1e200*x", "1 - E", "E", x0=0.5, order=20, n_max=10)
+    pq = pq_iterate(spec, 2.0)
+    assert (pq.stop_level, pq.stop_reason) == (None, None)
+    assert pq.depth == 10
+    assert pq.q[0] == -1.0
 
 
 # on the quartic the ladder stops on a vanishing q[3](x0), not on

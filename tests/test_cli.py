@@ -403,6 +403,34 @@ def test_diagnose_quartic_pole_has_no_termination_level(tmp_path, capsys):
     assert "ladder stopped at level 3 (pole)" in " ".join(record["warnings"])
 
 
+# S = 1 - E = -1 is not identically zero, however large L is
+def test_diagnose_huge_lambda_does_not_terminate_at_level_zero(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "huge_lambda.json",
+        dict(HO_PROBLEM, lambda0="1e200*x", x0=0.5, order=20, n_max=10),
+    )
+    code, out, _ = _run(capsys, ["diagnose", path, "--param-value=2"])
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert record["outputs"]["termination_level"] is None
+    assert len(record["outputs"]["table"]) == 11
+
+
+# q0(x0) = 1e-9 passes the pole test and q0'/q0 leaves double range
+@pytest.mark.parametrize("command", ["diagnose", "classify"])
+def test_exit_numeric_on_series_ladder_overflow(tmp_path, capsys, command):
+    path = _write(
+        tmp_path,
+        "near_pole.json",
+        dict(HO_PROBLEM, lambda0="2 + x", s0="x - E", order=40, n_max=12),
+    )
+    argv = [command, path, "--param-value", "1", "--x0=1.000000001"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert "Overflow" in err
+
+
 # [DERIVED] at E = 2k+1 the level-k q vanishes identically; with n_max = k
 # that is the last level, and the full table is not partial
 @pytest.mark.parametrize("k", [1, 2, 3])

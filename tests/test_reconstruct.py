@@ -12,7 +12,6 @@ from aimcf.cf import detect_termination, pq_iterate, terminated_alpha
 from aimcf.errors import OrderExhausted
 from aimcf.reconstruct import (
     build_solution,
-    factorization_residual,
     ode_residual,
     riccati_residual,
 )
@@ -50,7 +49,8 @@ def test_terminated_alpha_is_exact_riccati_solution():
     alpha = terminated_alpha(aim_iterate(spec, 3.0), level)
     res = riccati_residual(alpha, spec, 3.0)
     assert float(np.max(np.abs(res.coeffs))) <= 1e-13
-    fact = factorization_residual(alpha, spec, 3.0)
+    lam0, s0 = spec.series_pair(3.0)
+    fact = -((alpha.diff() + alpha * -(lam0 + alpha)) + s0)
     both = fact.coeffs + res.coeffs
     assert float(np.max(np.abs(both))) <= 1e-13
 
@@ -79,7 +79,8 @@ def test_factorization_is_negated_riccati(acoef, lcoef, scoef):
     spec = ProblemSpec.from_strings(lam_text, s_text, "E", x0=0.0, order=18, n_max=10)
     alpha = _alpha(acoef + [0.0] * (19 - len(acoef)))
     res = riccati_residual(alpha, spec, 0.0)
-    fact = factorization_residual(alpha, spec, 0.0)
+    lam0, s0 = spec.series_pair(0.0)
+    fact = -((alpha.diff() + alpha * -(lam0 + alpha)) + s0)
     scale = float(np.max(np.abs(res.coeffs))) + 1.0
     np.testing.assert_allclose(fact.coeffs, -res.coeffs, rtol=0, atol=1e-12 * scale)
 
@@ -151,8 +152,6 @@ def test_order_exhausted_paths():
     stub = _alpha([1.0])  # order 0, cannot differentiate
     with pytest.raises(OrderExhausted):
         riccati_residual(stub, spec, 0.0)
-    with pytest.raises(OrderExhausted):
-        factorization_residual(stub, spec, 0.0)
     short = _alpha([1.0, 0.0, 0.0])  # order 2 < 4 budget for the rebuild
     with pytest.raises(OrderExhausted):
         build_solution(short, spec, 0.0, C1=1.0, C2=1.0)

@@ -266,6 +266,12 @@ def test_div_tiny_pivot_warns():
         series_div(_series(0.0, [1.0, 1.0]), _series(0.0, [1e-14, 1.0]))
 
 
+# a quotient past double range is a numeric failure, not an invalid series
+def test_div_overflow():
+    with pytest.raises(Overflow):
+        series_div(_series(0.0, [1.0, 0.0, 0.0]), _series(0.0, [1.0, 1e200, 0.0]))
+
+
 def test_diff_order_zero_exhausted():
     with pytest.raises(OrderExhausted):
         series_diff(_series(0.0, [3.0]))
