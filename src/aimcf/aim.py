@@ -71,6 +71,7 @@ from .series import (
     EPS_PIVOT,
     Expression,
     TaylorSeries,
+    _result,
     bind_series,
     parse_expression,
     series_from_expr,
@@ -214,9 +215,11 @@ def aim_iterate(spec: ProblemSpec, param_value: float) -> AIMSequences:
             stacklevel=2,
         )
     lam, s, at = _ladder(lam0.coeffs, s0.coeffs, spec.n_max)
+    # _ladder has checked every level for overflow; level 0 shares the
+    # read-only input arrays
     return AIMSequences(
-        lam=tuple(TaylorSeries(spec.x0, c) for c in lam),
-        s=tuple(TaylorSeries(spec.x0, c) for c in s),
+        lam=tuple(_result(lam0.center, c) for c in lam),
+        s=tuple(_result(lam0.center, c) for c in s),
         delta=_cross(*at),
     )
 

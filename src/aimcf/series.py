@@ -11,6 +11,14 @@ and never zero-pads.  Differentiation shortens a series by one order,
 antidifferentiation lengthens it by one.  All operations are pure: they
 return new series and never mutate their inputs.
 
+Validation happens where data enters.  The public constructor
+``TaylorSeries(center, coeffs)`` copies its argument and rejects a
+non-finite centre and empty, multi-dimensional or non-finite coefficients
+with :class:`ValidationError`.  The results of arithmetic on series (sum,
+difference, product, quotient, derivative, negation, exponential) are
+fresh arrays that are checked only for overflow: a coefficient past
+double range raises :class:`Overflow`.
+
 The module also ships a small rational expression language used to
 describe the coefficient functions of an ODE: an AST (``Const``, ``VarX``,
 ``Param``, ``Neg``, ``Add``, ``Sub``, ``Mul``, ``Div``, ``IntPow``), a
@@ -142,7 +150,7 @@ class TaylorSeries:
         return series_div(_coerce(other, self), self)
 
     def __neg__(self):
-        return TaylorSeries(self.center, -self.coeffs)
+        return _result(self.center, -self.coeffs)
 
     def diff(self):
         return series_diff(self)
@@ -169,6 +177,23 @@ def _check_centers(a: TaylorSeries, b: TaylorSeries):
         )
 
 
+def _result(center: float, coeffs: np.ndarray) -> TaylorSeries:
+    """Wrap a fresh coefficient array the library computed from valid series.
+
+    Skips the public constructor's copy and checks: ``coeffs`` is a 1-d
+    float array that nothing writes to afterwards, and ``center`` is the
+    centre of the operands.  Only overflow is checked; a non-finite
+    coefficient raises :class:`Overflow`.
+    """
+    if not np.isfinite(coeffs).all():
+        raise Overflow("series coefficients overflowed double precision")
+    coeffs.setflags(write=False)
+    result = object.__new__(TaylorSeries)
+    object.__setattr__(result, "center", center)
+    object.__setattr__(result, "coeffs", coeffs)
+    return result
+
+
 # ----------------------------------------------------------------------
 # arithmetic
 
@@ -177,14 +202,16 @@ def series_add(a: TaylorSeries, b: TaylorSeries) -> TaylorSeries:
     """Coefficientwise sum, truncated to min(a.order, b.order)."""
     _check_centers(a, b)
     n = min(a.order, b.order) + 1
-    return TaylorSeries(a.center, a.coeffs[:n] + b.coeffs[:n])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _result(a.center, a.coeffs[:n] + b.coeffs[:n])
 
 
 def series_sub(a: TaylorSeries, b: TaylorSeries) -> TaylorSeries:
     """Coefficientwise difference, truncated to min(a.order, b.order)."""
     _check_centers(a, b)
     n = min(a.order, b.order) + 1
-    return TaylorSeries(a.center, a.coeffs[:n] - b.coeffs[:n])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _result(a.center, a.coeffs[:n] - b.coeffs[:n])
 
 
 def series_mul(a: TaylorSeries, b: TaylorSeries) -> TaylorSeries:
@@ -195,8 +222,8 @@ def series_mul(a: TaylorSeries, b: TaylorSeries) -> TaylorSeries:
     """
     _check_centers(a, b)
     n = min(a.order, b.order) + 1
-    prod = np.convolve(a.coeffs, b.coeffs)[:n]
-    return TaylorSeries(a.center, prod)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _result(a.center, np.convolve(a.coeffs, b.coeffs)[:n])
 
 
 def series_div(a: TaylorSeries, b: TaylorSeries) -> TaylorSeries:
@@ -221,18 +248,17 @@ def series_div(a: TaylorSeries, b: TaylorSeries) -> TaylorSeries:
             stacklevel=2,
         )
     n = min(a.order, b.order) + 1
-    out = np.empty(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            acc = a.coeffs[k]
-            # subtract sum_{j=1..k} b[j] * out[k-j]
-            hi = min(k, b.order)
-            for j in range(1, hi + 1):
-                acc -= b.coeffs[j] * out[k - j]
-            out[k] = acc / pivot
-    if not np.all(np.isfinite(out)):
-        raise Overflow("series quotient overflowed double precision")
-    return TaylorSeries(a.center, out)
+    # Python floats: the same IEEE operations as numpy scalars, several
+    # times faster; overflow gives inf or nan, caught by _result
+    num, den = a.coeffs[:n].tolist(), b.coeffs[:n].tolist()
+    out: list[float] = []
+    for k in range(n):
+        acc = num[k]
+        # subtract sum_{j=1..k} b[j] * out[k-j]
+        for bj, prev in zip(den[1 : k + 1], reversed(out)):
+            acc -= bj * prev
+        out.append(acc / pivot)
+    return _result(a.center, np.array(out))
 
 
 def series_diff(a: TaylorSeries) -> TaylorSeries:
@@ -240,7 +266,8 @@ def series_diff(a: TaylorSeries) -> TaylorSeries:
     if a.order == 0:
         raise OrderExhausted("cannot differentiate an order-0 series")
     k = np.arange(1, a.order + 1, dtype=float)
-    return TaylorSeries(a.center, a.coeffs[1:] * k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _result(a.center, a.coeffs[1:] * k)
 
 
 def series_antideriv(a: TaylorSeries, constant: float = 0.0) -> TaylorSeries:
@@ -260,18 +287,16 @@ def series_exp(a: TaylorSeries) -> TaylorSeries:
         raise Overflow(
             f"exp of constant term {a.coeffs[0]!r} exceeds double range"
         ) from None
-    n = a.order + 1
-    out = np.empty(n)
-    out[0] = e0
-    for k in range(n - 1):
+    # (j+1) a[j+1], the coefficients of a', on Python floats as in series_div
+    da = [(j + 1) * c for j, c in enumerate(a.coeffs[1:].tolist())]
+    out = [e0]
+    for k in range(a.order):
         # (k+1) e[k+1] = sum_{j=0..k} (j+1) a[j+1] e[k-j]
         acc = 0.0
-        for j in range(k + 1):
-            acc += (j + 1) * a.coeffs[j + 1] * out[k - j]
-        out[k + 1] = acc / (k + 1)
-    if not np.all(np.isfinite(out)):
-        raise Overflow("series exponential overflowed double precision")
-    return TaylorSeries(a.center, out)
+        for dj, prev in zip(da[: k + 1], reversed(out)):
+            acc += dj * prev
+        out.append(acc / (k + 1))
+    return _result(a.center, np.array(out))
 
 
 # ----------------------------------------------------------------------

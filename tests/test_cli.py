@@ -431,6 +431,21 @@ def test_exit_numeric_on_series_ladder_overflow(tmp_path, capsys, command):
     assert "Overflow" in err
 
 
+# finite series whose sum or product leaves double range inside the ladder:
+# a numeric failure, not an input error
+@pytest.mark.parametrize("command", ["diagnose", "classify"])
+def test_exit_numeric_on_series_arithmetic_overflow(tmp_path, capsys, command):
+    path = _write(
+        tmp_path,
+        "huge_product.json",
+        dict(HO_PROBLEM, lambda0="1e300*x", s0="x - E", x0=0.5, order=20, n_max=10),
+    )
+    argv = [command, path, "--param-value", "0.4999999999"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert "Overflow" in err
+
+
 # [DERIVED] at E = 2k+1 the level-k q vanishes identically; with n_max = k
 # that is the last level, and the full table is not partial
 @pytest.mark.parametrize("k", [1, 2, 3])

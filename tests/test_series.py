@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from aimcf.errors import (
+    AimError,
     CenterMismatch,
     ConditioningWarning,
     OrderExhausted,
@@ -20,6 +21,8 @@ from aimcf.errors import (
     ValidationError,
 )
 from aimcf.series import (
+    EPS_PIVOT,
+    PIVOT_WARN_REL,
     Add,
     Const,
     Div,
@@ -293,6 +296,157 @@ def test_scalar_coercion_operators():
 def test_nonfinite_coefficients_rejected():
     with pytest.raises(ValidationError):
         _series(0.0, [1.0, math.inf])
+
+
+def reference_div(a, b):
+    """Long division a / b in a loop over numpy scalars, as an oracle."""
+    pivot = float(b.coeffs[0])
+    if abs(pivot) < EPS_PIVOT:
+        raise SingularPivot("pivot")
+    a_scale = float(np.max(np.abs(a.coeffs)))
+    if a_scale > 0.0 and abs(pivot) < PIVOT_WARN_REL * a_scale:
+        warnings.warn("tiny pivot", ConditioningWarning)
+    n = min(a.order, b.order) + 1
+    out = np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            acc = a.coeffs[k]
+            for j in range(1, min(k, b.order) + 1):
+                acc -= b.coeffs[j] * out[k - j]
+            out[k] = acc / pivot
+    if not np.all(np.isfinite(out)):
+        raise Overflow("quotient")
+    return out
+
+
+def reference_exp(a):
+    """Exponential by the e' = a'e recurrence over numpy scalars, as an oracle."""
+    try:
+        e0 = math.exp(float(a.coeffs[0]))
+    except OverflowError:
+        raise Overflow("exp") from None
+    n = a.order + 1
+    out = np.empty(n)
+    out[0] = e0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            acc = 0.0
+            for j in range(k + 1):
+                acc += (j + 1) * a.coeffs[j + 1] * out[k - j]
+            out[k + 1] = acc / (k + 1)
+    if not np.all(np.isfinite(out)):
+        raise Overflow("exp")
+    return out
+
+
+def _outcome(fn, *args):
+    """Coefficient bytes or exception type of one call, and its warning types."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+        except AimError as exc:
+            value = type(exc)
+        else:
+            coeffs = result.coeffs if isinstance(result, TaylorSeries) else result
+            value = coeffs.tobytes()  # bit for bit, signed zeros included
+    return value, [w.category for w in caught]
+
+
+@st.composite
+def wide_series(draw, pivots=()):
+    """Orders 0..80, magnitudes scaled by 10^-200..10^200, optional set pivot."""
+    order = draw(st.integers(min_value=0, max_value=80))
+    scale = 10.0 ** draw(st.integers(min_value=-200, max_value=200))
+    coeffs = draw(
+        st.lists(
+            st.floats(min_value=-10, max_value=10, allow_nan=False),
+            min_size=order + 1,
+            max_size=order + 1,
+        )
+    )
+    arr = np.array(coeffs) * scale
+    pivot = draw(st.sampled_from((None,) + tuple(pivots)))
+    if pivot is not None:
+        arr[0] = pivot
+    return _series(0.0, arr)
+
+
+# the Python-float loop of series_div is the numpy-scalar loop bit for bit,
+# with the same SingularPivot, ConditioningWarning and Overflow
+@given(wide_series(), wide_series(pivots=(0.0, 1e-301, -1e-299, 1e-250, 3e-13)))
+@settings(max_examples=200, deadline=None)
+def test_div_matches_numpy_scalar_reference(a, b):
+    assert _outcome(series_div, a, b) == _outcome(reference_div, a, b)
+
+
+@given(wide_series())
+@settings(max_examples=100, deadline=None)
+def test_exp_matches_numpy_scalar_reference(a):
+    assert _outcome(series_exp, a) == _outcome(reference_exp, a)
+
+
+_A = _series(0.5, [1.0, -2.0, 3.0, 0.25])
+_B = _series(0.5, [2.0, 1.0, -0.5])
+ARITHMETIC = {
+    "add": lambda: series_add(_A, _B),
+    "sub": lambda: series_sub(_A, _B),
+    "mul": lambda: series_mul(_A, _B),
+    "div": lambda: series_div(_A, _B),
+    "diff": lambda: series_diff(_A),
+    "neg": lambda: -_A,
+    "antideriv": lambda: series_antideriv(_A, 1.0),
+    "exp": lambda: series_exp(_A),
+}
+
+
+@pytest.mark.parametrize("op", ARITHMETIC.values(), ids=ARITHMETIC.keys())
+def test_arithmetic_result_is_read_only_and_fresh(op):
+    result = op()
+    assert result.center == 0.5
+    assert not result.coeffs.flags.writeable
+    for operand in (_A, _B):
+        assert not np.shares_memory(result.coeffs, operand.coeffs)
+
+
+def test_public_constructor_copies_its_argument():
+    raw = np.array([1.0, 2.0])
+    s = TaylorSeries(0.0, raw)
+    assert not np.shares_memory(s.coeffs, raw)
+    assert not s.coeffs.flags.writeable
+    raw[0] = 5.0
+    assert s.coeffs[0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "center, coeffs",
+    [
+        (0.0, [math.nan, 1.0]),
+        (0.0, []),
+        (0.0, [[1.0, 2.0], [3.0, 4.0]]),
+        (math.inf, [1.0]),
+        (math.nan, [1.0]),
+    ],
+    ids=["nan", "empty", "2-d", "inf-center", "nan-center"],
+)
+def test_public_constructor_rejects_bad_input(center, coeffs):
+    with pytest.raises(ValidationError):
+        TaylorSeries(center, np.array(coeffs, dtype=float))
+
+
+# finite operands whose result leaves double range: Overflow, and no numpy
+# RuntimeWarning on the way
+@pytest.mark.parametrize(
+    "op",
+    [series_add, series_sub, series_mul, lambda a, b: series_diff(a)],
+    ids=["add", "sub", "mul", "diff"],
+)
+def test_arithmetic_past_double_range_is_overflow(op):
+    big = _series(0.0, [1e308, 1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow):
+            op(big, -big if op is series_sub else big)
 
 
 @pytest.mark.parametrize(
