@@ -13,8 +13,9 @@ The termination quantity
     delta[n] = L[n](x0) * S[n-1](x0) - L[n-1](x0) * S[n](x0)
 
 vanishes at eigenvalues of problems whose ladder terminates, which is what
-:func:`find_eigenvalues` scans for and then refines by safeguarded Illinois
-(modified regula falsi) steps.
+:func:`find_eigenvalues` scans for and then refines by safeguarded secant
+steps (Dekker 1969; Brent 1973, ch. 4), reporting the chord zero of each
+final bracket.
 
 One raw-array kernel, :func:`_ladder`, runs the recursion on Taylor
 coefficients: level n + 1 is an index shift of level n (the derivative)
@@ -338,6 +339,59 @@ def _scan_deltas(l0: np.ndarray, s0: np.ndarray) -> np.ndarray:
     return _cross(np.array(lam_at), np.array(s_at)).T
 
 
+def _locate(
+    f: Callable[[float], float], lo: float, hi: float, tol: float, trial: float | None = None
+) -> float | None:
+    """Zero of ``f`` in [lo, hi] by safeguarded secant steps.
+
+    None if the ends share a sign; an end or iterate where ``f`` is exactly
+    zero is returned at once.  A step tries ``trial`` if given, else the
+    secant point of the last two evaluated points (the ends at first); the
+    midpoint when ``f2 - f1`` is zero or overflows, when that point lies
+    outside the bracket, or when the bracket has not halved over the last
+    two steps.  The point is clamped tol / 2 inside, so the bracket closes
+    and a secant that lands on an end (a root within rounding of it) costs
+    one step.  Stops at width ``tol`` or when no double lies inside, and
+    returns the chord zero of the final bracket, or its midpoint if
+    rounding puts that point outside.
+    """
+    flo = f(lo)
+    if flo == 0.0:
+        return lo
+    fhi = f(hi)
+    if fhi == 0.0:
+        return hi
+    if (flo < 0.0) == (fhi < 0.0):
+        return None
+    x1, f1, x2, f2 = lo, flo, hi, fhi  # the last two evaluated points
+    widths = (np.inf, np.inf)  # before each of the last two steps
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or not lo < mid < hi:
+            break
+        if trial is None:
+            halved = hi - lo <= 0.5 * widths[0]
+            # equal values, or a difference that overflows, give no secant zero
+            secant = halved and 0.0 < abs(f2 - f1) < np.inf
+            trial = x2 - (x2 - x1) * (f2 / (f2 - f1)) if secant else mid
+        if not lo <= trial <= hi:
+            trial = mid
+        trial = min(max(trial, lo + 0.5 * tol), hi - 0.5 * tol)
+        if not lo < trial < hi:  # tol / 2 below the spacing of doubles
+            trial = mid
+        widths = (widths[1], hi - lo)
+        x1, f1, x2, f2 = x2, f2, trial, f(trial)
+        if f2 == 0.0:
+            return trial
+        if (f2 < 0.0) == (flo < 0.0):
+            lo, flo = trial, f2
+        else:
+            hi, fhi = trial, f2
+        trial = None
+    chord = lo + (hi - lo) * (flo / (flo - fhi))
+    return chord if lo <= chord <= hi else 0.5 * (lo + hi)
+
+
 def find_eigenvalues(
     spec: ProblemSpec,
     e_min: float,
@@ -350,14 +404,21 @@ def find_eigenvalues(
     The depth n is ``spec.n_max``.  One pass in grid order reports each
     grid point where delta[n] is exactly zero and refines each cell whose
     ends change sign to within ``tol`` of a sign change, so the roots come
-    out in ascending order.  Every root found at depth n is re-located at
-    depth n + 2 inside the same grid cell, or inside both cells at a grid
-    point it lies within ``tol`` of, starting from it; the reported
-    residual is the distance between the two roots, each located to within
-    ``tol`` (infinite, with a warning, if the deeper level cannot be
-    re-bracketed).  Both expressions are bound once; the grid is evaluated
-    in one batched pass (:func:`_scan_deltas`) and every other parameter
-    value alone (:func:`_ladder`), so grid values agree with a per-point
+    out in ascending order.  A cell is refined by :func:`_locate`, whose
+    secant steps fall back to the midpoint, and its root is the chord zero
+    of a final bracket of width ``tol`` or less.  Every root found at depth
+    n is re-located at depth n + 2 inside the same grid cell, or inside
+    both cells at a grid point it lies within ``tol`` of; if the ends of
+    that bracket share a sign at depth n + 2 (a truncation root that moves
+    across a grid point with depth), it gains the cell beyond its end
+    nearer the root.  The recheck starts from the already evaluated point
+    or adjacent pair nearest the root that holds a zero or a sign change of
+    delta[n + 2], so it costs few new evaluations.  The reported residual
+    is the distance between the two roots, each located to within ``tol``
+    (infinite, with a warning, if the deeper level cannot be re-bracketed
+    there).  Both expressions are bound once; the grid is evaluated in one
+    batched pass (:func:`_scan_deltas`) and every other parameter value
+    alone (:func:`_ladder`), so grid values agree with a per-point
     evaluation to the tolerance the module docstring states.
     Grid points whose inputs cannot be evaluated (a singular pivot) are
     skipped with a warning and drop out of the batch.  An identically
@@ -384,50 +445,38 @@ def find_eigenvalues(
             deltas[e] = _delta_vector(*inputs(e))
         return float(deltas[e][depth - 1])
 
-    def locate(depth: int, lo: float, hi: float, trial: float | None = None) -> float | None:
-        """Zero of delta[depth] in [lo, hi] by safeguarded Illinois steps.
+    def sign(e: float) -> float:
+        return np.sign(delta(e, n + 2))
 
-        None if the ends share a sign.  A step tries ``trial`` if given, else
-        the regula falsi point of the ends, halving the value at an end kept
-        twice in a row; the midpoint when that point is not strictly inside
-        (``flo - fhi`` may overflow) or the bracket has not halved over the
-        last two steps; clamped tol / 2 inside, so the bracket closes.
-        Stops at width ``tol`` or when no double lies inside.
+    def evaluated(a: int, b: int) -> list[float]:
+        """The evaluated E between grid points a and b (clipped to the grid)."""
+        lo, hi = grid[max(a, 0)], grid[min(b, grid_points - 1)]
+        return sorted(e for e in deltas if lo <= e <= hi)
+
+    def recheck(e_found: float, a: int, b: int) -> float | None:
+        """Root of delta[n + 2] nearest ``e_found`` between grid points a and b.
+
+        If the ends share a sign, the bracket first gains the grid cell
+        beyond its end nearer to ``e_found``; None if they still do.  The
+        search starts from the evaluated point nearest ``e_found`` where
+        delta[n + 2] is zero, or the adjacent evaluated points nearest it
+        whose values change sign, whichever is nearer, and tries
+        ``e_found`` first when it lies strictly between them.
         """
-        flo = delta(lo, depth)
-        if flo == 0.0:
-            return lo
-        fhi = delta(hi, depth)
-        if fhi == 0.0:
-            return hi
-        if (flo < 0.0) == (fhi < 0.0):
-            return None
-        widths = (np.inf, np.inf)  # before each of the last two steps
-        kept = ""  # the end the last step kept
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= tol or not lo < mid < hi:
-                break
-            if trial is None:
-                halved = hi - lo <= 0.5 * widths[0]
-                trial = lo + (hi - lo) * (flo / (flo - fhi)) if halved else mid
-            if not lo < trial < hi:
-                trial = mid
-            trial = min(max(trial, lo + 0.5 * tol), hi - 0.5 * tol)
-            widths = (widths[1], hi - lo)
-            f = delta(trial, depth)
-            if f == 0.0:
-                return trial
-            if (f < 0.0) == (flo < 0.0):
-                lo, flo = trial, f
-                fhi *= 0.5 if kept == "hi" else 1.0
-                kept = "hi"
+        points = evaluated(a, b)
+        if sign(points[0]) * sign(points[-1]) > 0.0:
+            if e_found - points[0] <= points[-1] - e_found:
+                a -= 1
             else:
-                hi, fhi = trial, f
-                flo *= 0.5 if kept == "lo" else 1.0
-                kept = "lo"
-            trial = None
-        return 0.5 * (lo + hi)
+                b += 1
+            points = evaluated(a, b)
+            if sign(points[0]) * sign(points[-1]) > 0.0:
+                return None
+        brackets = [(e, e) for e in points if sign(e) == 0.0]
+        brackets += [(x, y) for x, y in zip(points, points[1:]) if sign(x) * sign(y) < 0.0]
+        lo, hi = min(brackets, key=lambda pair: max(pair[0] - e_found, e_found - pair[1]))
+        trial = e_found if lo < e_found < hi else None
+        return _locate(lambda e: delta(e, n + 2), lo, hi, tol, trial)
 
     # the per-point conditioning chatter is not useful during a scan; other
     # warning categories still reach the caller's handlers
@@ -463,30 +512,25 @@ def find_eigenvalues(
             if not finite[i]:
                 continue
             if vals[i] == 0.0:
-                e_found = grid[i]
-                lo = grid[max(i - 1, 0)]
-                hi = grid[min(i + 1, grid_points - 1)]
+                e_found, a, b = grid[i], i - 1, i + 1
             elif (
                 i + 1 < grid_points
                 and finite[i + 1]
                 and vals[i + 1] != 0.0
                 and (vals[i] < 0.0) != (vals[i + 1] < 0.0)
             ):
-                lo, hi = grid[i], grid[i + 1]
-                e_found = locate(n, lo, hi)
+                e_found = _locate(lambda e: delta(e, n), grid[i], grid[i + 1], tol)
                 # a root on a grid point, where delta is rounding noise, may
                 # change cell with depth: recheck over both cells at that point
-                if e_found - lo <= tol:
-                    lo = grid[max(i - 1, 0)]
-                if hi - e_found <= tol:
-                    hi = grid[min(i + 2, grid_points - 1)]
+                a = i - 1 if e_found - grid[i] <= tol else i
+                b = i + 2 if grid[i + 1] - e_found <= tol else i + 1
             else:
                 continue
-            deeper = locate(n + 2, lo, hi, e_found)
+            deeper = recheck(e_found, a, b)
             if deeper is None:
                 warnings.warn(
                     f"root near E = {e_found:.12g}: no sign change at depth "
-                    f"{n + 2} inside the original bracket",
+                    f"{n + 2} inside its bracket or the grid cell beside it",
                     DepthRecheckWarning,
                     stacklevel=2,
                 )

@@ -16,6 +16,7 @@ from aimcf.aim import (
     _bind_inputs,
     _delta_vector,
     _ladder,
+    _locate,
     _scan_deltas,
     aim_iterate,
     aim_matrix_iterate,
@@ -382,11 +383,11 @@ def test_every_ladder_view_raises_overflow(view, spec):
 
 
 # a failed recheck is reported against the caller, like the other search
-# warnings, not against the library; the quartic's depth-20 truncation root
-# 7.450369 moves into the next grid cell at depth 22
+# warnings, not against the library; the quartic's depth-10 truncation root
+# 11.307869 has no depth-12 sign change in its cell or the cell beside it
 def test_depth_recheck_warning_points_at_caller():
     spec = ProblemSpec.from_strings(
-        "6*x", "x^4 - 9*x^2 + 3 - E", "E", x0=0.0, order=22, n_max=20
+        "6*x", "x^4 - 9*x^2 + 3 - E", "E", x0=0.0, order=12, n_max=10
     )
     with pytest.warns(DepthRecheckWarning) as record:
         find_eigenvalues(spec, 0.552, 12.552, 41, tol=1e-9)
@@ -439,6 +440,118 @@ def test_refinement_takes_at_most_half_the_bisection_evaluations(
     roots = find_eigenvalues(spec, e_min + shift, e_max + shift, points, tol=1e-10)
     assert len(roots) == count
     assert len(calls) <= bisection_evals // 2
+
+
+# the same searches, bounded at most 10% above the 35 and 25 evaluations
+# that secant steps and a recheck seeded from evaluated points take;
+# unshifted, the oscillator levels are grid points where delta is rounding
+# noise, and a secant step that rounds onto such an end is clamped tol / 2
+# inside it rather than bisecting the cell (26 evaluations)
+@pytest.mark.parametrize(
+    "lambda0, s0, e_min, e_max, points, shift, count, max_evals",
+    [
+        ("2*x", "1 - E", 0.0, 12.0, 101, 0.37, 6, 38),
+        ("6*x", "x^4 - 9*x^2 + 3 - E", 0.3, 12.3, 401, 0.37, 4, 27),
+        ("2*x", "1 - E", 0.0, 12.0, 101, 0.0, 6, 28),
+    ],
+    ids=["oscillator", "quartic", "oscillator-on-grid"],
+)
+def test_secant_refinement_evaluation_counts(
+    monkeypatch, lambda0, s0, e_min, e_max, points, shift, count, max_evals
+):
+    spec = ProblemSpec.from_strings(lambda0, s0, "E", x0=0.0, order=80, n_max=40)
+    shift *= (e_max - e_min) / (points - 1)
+    calls = _count_point_evals(monkeypatch)
+    roots = find_eigenvalues(spec, e_min + shift, e_max + shift, points, tol=1e-10)
+    assert len(roots) == count
+    assert len(calls) <= max_evals
+
+
+# [DERIVED] the oscillator ladder terminates at E = 2k + 1, where delta
+# changes sign steeply; the chord zero of the final bracket lands within a
+# few ulps of the level, far inside tol, wherever the grid falls
+@example(shift=0.0)
+@given(shift=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+@settings(max_examples=8, deadline=None)
+def test_oscillator_roots_are_exact_under_grid_shift(shift):
+    spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=0.0, order=80, n_max=40)
+    cell = 12.0 / 100
+    roots = find_eigenvalues(spec, shift * cell, 12.0 + shift * cell, 101, tol=1e-10)
+    np.testing.assert_allclose(
+        [r.value for r in roots], [1, 3, 5, 7, 9, 11], rtol=0, atol=1e-12
+    )
+
+
+# delta exactly equal at two successive iterates (f2 == f1), and a difference
+# of iterates that overflows: both steps fall back to the midpoint, with no
+# ZeroDivisionError and no floating-point warning
+@pytest.mark.parametrize("scale", [1.0, 1e308])
+def test_secant_step_survives_flat_stretch_and_overflow(scale):
+    values = []
+
+    def f(e):
+        values.append(-scale if e < 0.9 else scale)
+        return values[-1]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        root = _locate(f, 0.0, 1.0, 1e-12)
+    assert abs(root - 0.9) <= 1e-12
+    assert values[2] == values[3] == -scale  # the flat stretch was reached
+
+
+# a truncation root that crosses a grid point between depths 20 and 22:
+# the depth-20 root 7.450369 lies in [7.152, 7.452], the depth-22 root
+# 7.455206 in the next cell, which the recheck adds
+def test_recheck_follows_a_root_into_the_next_cell():
+    spec = ProblemSpec.from_strings(
+        "6*x", "x^4 - 9*x^2 + 3 - E", "E", x0=0.0, order=22, n_max=20
+    )
+    roots = find_eigenvalues(spec, 0.552, 12.552, 41, tol=1e-9)
+    assert len(roots) == 4
+    assert abs(roots[2].value - 7.450369) <= 1e-6
+    assert abs(roots[2].residual - 0.004837) <= 1e-6
+
+
+# [DERIVED] every grid point is a level, where delta[20] and delta[22] are
+# exactly zero; the recheck of each level stops at its own zero, not at the
+# zero of the neighbouring level at the end of its two-cell bracket
+# (residual 2)
+def test_recheck_of_a_zero_on_the_grid_stays_at_that_zero():
+    roots = find_eigenvalues(_ho_spec(order=22, n_max=20), -1.0, 9.0, 6, tol=1e-10)
+    assert [(r.value, r.residual) for r in roots] == [(e, 0.0) for e in (1, 3, 5, 7, 9)]
+
+
+# the recheck brackets of the levels 1 and 3 reach the skipped grid point
+# E = 2; the search reads only evaluated points there instead of raising
+def test_recheck_beside_a_skipped_grid_point():
+    spec = ProblemSpec.from_strings(
+        "2*x", "(1 - E)*(E - 2)/(E - 2)", "E", x0=0.0, order=60, n_max=30
+    )
+    with pytest.warns(GridPointSkippedWarning):
+        roots = find_eigenvalues(spec, 0.0, 5.0, 6, tol=1e-11)
+    assert [r.value for r in roots] == [1.0, 3.0, 5.0]
+    assert roots[0].residual == roots[2].residual == 0.0
+
+
+# [DERIVED] shifting the grid does not leave a truncation root of the
+# quartic without a depth-22 recheck, on either grid size; the examples move
+# the roots 3.7986 and 11.6255 across a grid point between the depths
+@example(shift=134 / 202, points=41)
+@example(shift=75 / 202, points=101)
+@given(
+    shift=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    points=st.sampled_from([41, 101]),
+)
+@settings(max_examples=12, deadline=None)
+def test_no_infinite_residual_under_grid_shift(shift, points):
+    spec = ProblemSpec.from_strings(
+        "6*x", "x^4 - 9*x^2 + 3 - E", "E", x0=0.0, order=22, n_max=20
+    )
+    cell = 12.0 / (points - 1)
+    roots = find_eigenvalues(spec, 0.3 + shift * cell, 12.3 + shift * cell, points, tol=1e-9)
+    assert len(roots) == 4
+    assert all(math.isfinite(r.residual) for r in roots)
 
 
 # a tol below the spacing of doubles: each bracket stops once no double is
