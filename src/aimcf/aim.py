@@ -19,29 +19,29 @@ final bracket.
 
 One raw-array kernel, :func:`_ladder`, runs the recursion on Taylor
 coefficients: level n + 1 is an index shift of level n (the derivative)
-plus its convolution with the coefficients of L and S.  Coefficient m of
-level n depends only on coefficients 0..m + n of the inputs, so trimming
-the inputs to depth + 1 coefficients leaves every delta up to that depth
-exact, and bit-identical, since the kernel keeps the accumulation order of
-truncated series arithmetic.  :func:`aim_iterate` (whole series per level)
-and :func:`aim_matrix_iterate` (coefficient table) are views of that
-kernel, and the kernel raises :class:`~aimcf.errors.Overflow` when a
-coefficient leaves double range, so every view reports overflow alike.
+plus its convolution with the coefficients of L and S.  It keeps the
+accumulation order of truncated series arithmetic, so :func:`aim_iterate`
+(whole series per level) and :func:`aim_matrix_iterate` (coefficient
+table) are bit-identical views of it, and it raises
+:class:`~aimcf.errors.Overflow` when a coefficient leaves double range, so
+every view reports overflow alike.
 
-The eigenvalue search binds both expressions once per search
-(:func:`~aimcf.series.bind_series` at order n + 2) and evaluates each
-distinct parameter value once, to depth n + 2, reading the scan and
-refinement values at depth n and the recheck values at depth n + 2 from
-that one evaluation.  Which kernel evaluates a value follows from what is
-evaluated: the whole grid goes through :func:`_scan_deltas` in one batched
-pass, one row per grid point, and each refinement or recheck point goes
-through :func:`_ladder` alone, which is faster for a single point and is
-the kernel the tests pin bit for bit.  The batched kernel sums its
-convolutions in another order, so its deltas agree with the per-point
-ones to rounding: within 1e-12 of the cross terms ``|L|[i+1] |S|[i] +
-|L|[i] |S|[i+1]`` of the ladder run on absolute input coefficients,
-which scale the rounding error of both orders.  No parameter value is
-evaluated by both kernels.
+The eigenvalue search reads only the at-centre values, and these need no
+whole series: since y^(i+2) = L[i] y' + S[i] y, L[i](x0) and S[i](x0) are
+the derivatives at x0 of the two solutions with (y, y') = (0, 1) and
+(1, 0) there, which the Leibniz rule gives from the input derivatives in
+O(n**2) operations instead of the ladder's O(n**3).  The search binds both
+expressions once per search (:func:`~aimcf.series.bind_series` at order
+n + 2) and evaluates each distinct parameter value once, to depth n + 2,
+reading the scan and refinement values at depth n and the recheck values at
+depth n + 2 from that one evaluation.  One recurrence runs in two loop
+shapes: the whole grid in one batched pass through :func:`_scan_deltas`,
+one row per grid point, and each refinement or recheck point alone through
+:func:`_delta_vector`.  Both do the same operations in the same order, so
+a grid value equals a per-point one bit for bit.  Against the series
+ladder, which sums in another order, they agree to rounding: within 1e-13
+of the cross terms ``|L|[i+1] |S|[i] + |L|[i] |S|[i+1]`` of the ladder run
+on absolute input coefficients, which scale the rounding error of both.
 
 Every ladder runs to the one depth of its problem, ``ProblemSpec.n_max``
 (the n of delta[n]); a caller that wants another depth builds another
@@ -50,6 +50,9 @@ spec, for example with ``dataclasses.replace(spec, n_max=d)``.
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -295,48 +298,115 @@ def _bind_inputs(
     return lambda e: (lam(e).coeffs, s(e).coeffs)
 
 
-def _delta_vector(l0: np.ndarray, s0: np.ndarray) -> np.ndarray:
-    """delta[1..depth] from input coefficients 0..depth, through :func:`_ladder`.
+def _rounded(n: int) -> float:
+    """The integer n correctly rounded to a double, or inf beyond double range."""
+    try:
+        return float(n)
+    except OverflowError:
+        return float("inf")
 
-    Level i of the ladder needs only depth + 1 - i coefficients for the
-    deltas up to depth, so the values equal those of :func:`aim_iterate`
-    at any larger order.
+
+@functools.lru_cache(maxsize=8)
+def _tables(width: int) -> tuple[list[tuple[float, ...]], np.ndarray, np.ndarray]:
+    """Binomial rows C(k, 0..k) for k < width, and t! for t < width as a
+    correctly rounded mantissa times an exact power of two.
+
+    Both come from exact integers, Pascal's rule and a running product, and
+    are built on first use for each width, so nothing is computed at import.
     """
-    return _cross(*_ladder(l0, s0, l0.size - 1)[2])
+    binom, mant, exp = [], [], []
+    row, fact = [1], 1
+    for k in range(width):
+        if k:
+            row = [1, *map(operator.add, row, row[1:]), 1]
+            fact *= k
+        binom.append(tuple(map(_rounded, row)))
+        e = max(fact.bit_length() - 53, 0)
+        mant.append(fact / (1 << e))  # int division rounds correctly
+        exp.append(e)
+    return binom, np.array(mant), np.array(exp)
+
+
+def _recurrence_inputs(
+    l0: np.ndarray, s0: np.ndarray
+) -> tuple[list[tuple[float, ...]], np.ndarray, np.ndarray]:
+    """Binomial rows and the derivatives t! c[..., t] at x0 of L and S.
+
+    t! enters as its mantissa times an exact power of two, so a derivative
+    is finite wherever it lies in double range, also past t = 170 where t!
+    does not.
+    """
+    binom, mant, exp = _tables(l0.shape[-1])
+    with np.errstate(over="ignore"):
+        return binom, np.ldexp(mant * l0, exp), np.ldexp(mant * s0, exp)
+
+
+def _delta_vector(l0: np.ndarray, s0: np.ndarray) -> np.ndarray:
+    """delta[1..depth] from input coefficients 0..depth, by the derivative recurrence.
+
+    Since y^(i+2) = L[i] y' + S[i] y, the at-centre values L[i](x0) and
+    S[i](x0) are the derivatives u_b(i + 2) and u_a(i + 2) at x0 of the
+    solutions with (y, y') = (0, 1) and (1, 0) there, and the Leibniz rule
+    gives them in O(depth**2) operations:
+
+        u(k + 2) = sum over t of C(k, t) (L^(t) u(k + 1 - t) + S^(t) u(k - t))
+
+    The sum runs in ascending t over the columns where L^(t)(x0) or
+    S^(t)(x0) is nonzero, on Python floats.  Derivatives, not Taylor
+    coefficients, are carried, since u(k) / k! underflows where u(k) and
+    delta do not.  The values equal those of :func:`_scan_deltas` for the
+    same row bit for bit, and those of the series ladder within the bound
+    the module docstring states.  A value beyond double range turns inf or
+    nan, which reaches delta, so :func:`_cross` raises :class:`Overflow`.
+    """
+    width = l0.size
+    binom, dl, ds = _recurrence_inputs(l0, s0)
+    dl, ds = dl.tolist(), ds.tolist()
+    terms = [(t, dl[t], ds[t]) for t in range(width) if dl[t] or ds[t]]
+    ua, ub = [1.0, 0.0], [0.0, 1.0]
+    for k in range(width):
+        row = binom[k]
+        a = b = 0.0
+        for t, l, s in terms:
+            if t > k:
+                break
+            c, j = row[t], k - t
+            a += c * (l * ua[j + 1] + s * ua[j])
+            b += c * (l * ub[j + 1] + s * ub[j])
+        ua.append(a)
+        ub.append(b)
+    return _cross(np.array(ub[2:]), np.array(ua[2:]))
 
 
 def _scan_deltas(l0: np.ndarray, s0: np.ndarray) -> np.ndarray:
     """delta[1..depth] for each row of ``(points, depth + 1)`` input coefficients.
 
-    The batched twin of :func:`_delta_vector`, for a whole grid in one pass.
-    Each convolution is a sum of shifted elementwise products, one per input
-    column that is nonzero in some row, so every row gets the same
-    operations whatever the other rows hold (a column that is zero in this
-    row adds only zeros) and a row's values do not depend on which points
-    share the pass.  It sums in another order than ``np.convolve``, so its
-    values agree with :func:`_delta_vector` to rounding, not bit for bit.
-    Raises :class:`Overflow` (from :func:`_cross`) if any value leaves double
-    range, without numpy's floating-point warnings: every coefficient reaches
-    an at-centre value, and so a delta, through the index shift.
+    The batched twin of :func:`_delta_vector`, for a whole grid in one pass:
+    the same recurrence on ``(2, points)`` arrays that hold u_a and u_b of
+    every row, summed over the columns that are nonzero in some row.  A
+    column that is zero in a row adds only zeros there, so every row gets
+    the operations of :func:`_delta_vector` in the same order and equals it
+    bit for bit, whatever the other rows hold.  Raises :class:`Overflow`
+    (from :func:`_cross`) if any value leaves double range, without numpy's
+    floating-point warnings.
     """
     points, width = l0.shape
-    k = np.arange(1, width, dtype=float)
-    cols_l = np.flatnonzero(l0.any(axis=0))
-    cols_s = np.flatnonzero(s0.any(axis=0))
-    l, s = l0, s0
-    lam_at, s_at = [l[:, 0]], [s[:, 0]]
+    binom, dl, ds = _recurrence_inputs(l0, s0)
+    dl, ds = dl.T.copy(), ds.T.copy()  # contiguous columns
+    cols = np.flatnonzero(dl.any(axis=1) | ds.any(axis=1)).tolist()
+    terms = [(t, dl[t], ds[t]) for t in cols]
+    u = [np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])]
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(width - 1, 0, -1):
-            conv_l = np.zeros((points, n))
-            conv_s = np.zeros((points, n))
-            for t in cols_l[cols_l < n]:
-                conv_l[:, t:] += l0[:, t, None] * l[:, : n - t]
-            for t in cols_s[cols_s < n]:
-                conv_s[:, t:] += s0[:, t, None] * l[:, : n - t]
-            l, s = (k[:n] * l[:, 1:] + conv_l) + s[:, :n], k[:n] * s[:, 1:] + conv_s
-            lam_at.append(l[:, 0])
-            s_at.append(s[:, 0])
-    return _cross(np.array(lam_at), np.array(s_at)).T
+        for k in range(width):
+            row = binom[k]
+            acc = np.zeros((2, points))
+            for t, l, s in terms:
+                if t > k:
+                    break
+                acc += row[t] * (l * u[k + 1 - t] + s * u[k - t])
+            u.append(acc)
+    at = np.array(u[2:])
+    return _cross(at[:, 1], at[:, 0]).T
 
 
 def _locate(
@@ -418,8 +488,9 @@ def find_eigenvalues(
     (infinite, with a warning, if the deeper level cannot be re-bracketed
     there).  Both expressions are bound once; the grid is evaluated in one
     batched pass (:func:`_scan_deltas`) and every other parameter value
-    alone (:func:`_ladder`), so grid values agree with a per-point
-    evaluation to the tolerance the module docstring states.
+    alone (:func:`_delta_vector`), both by the derivative recurrence of the
+    module docstring, so a grid value equals a per-point evaluation bit for
+    bit and the series ladder's value to the tolerance stated there.
     Grid points whose inputs cannot be evaluated (a singular pivot) are
     skipped with a warning and drop out of the batch.  An identically
     vanishing delta (for example S = 0) yields no brackets and an empty

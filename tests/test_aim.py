@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -199,8 +200,7 @@ poly_coeffs = st.lists(
 )
 
 
-# every view of the ladder kernel reproduces the reference bit for bit,
-# including the solver's deltas from inputs trimmed to depth + 1 coefficients
+# every view of the ladder kernel reproduces the reference bit for bit
 @given(
     poly_coeffs,
     poly_coeffs,
@@ -232,14 +232,66 @@ def test_kernel_views_match_reference_exactly(lam_c, s_c, x0, energy, depth, spa
         assert np.array_equal(tab[:, n, 0], ref_l[n].coeffs[: m_max + 1]), n
         assert np.array_equal(tab[:, n, 1], ref_s[n].coeffs[: m_max + 1]), n
     assert np.array_equal(seqs.delta, ref_delta)
-    assert np.array_equal(_delta_vector(*_bind_inputs(spec, depth)(energy)), ref_delta)
+
+
+def _exact_deltas(l0, s0):
+    """delta[1..depth] of the series ladder in exact rational arithmetic on
+    the given double input coefficients 0..depth."""
+    lam, s = [Fraction(c) for c in l0], [Fraction(c) for c in s0]
+    nz_l = [(p, c) for p, c in enumerate(lam) if c]
+    nz_s = [(p, c) for p, c in enumerate(s) if c]
+    lam_at, s_at = [lam[0]], [s[0]]
+    for _ in range(len(l0) - 1):
+        m = len(lam) - 1
+        lam, s = (
+            [(q + 1) * lam[q + 1] + sum(c * lam[q - p] for p, c in nz_l if p <= q) + s[q]
+             for q in range(m)],
+            [(q + 1) * s[q + 1] + sum(c * lam[q - p] for p, c in nz_s if p <= q)
+             for q in range(m)],
+        )
+        lam_at.append(lam[0])
+        s_at.append(s[0])
+    return [lam_at[i + 1] * s_at[i] - lam_at[i] * s_at[i + 1] for i in range(len(l0) - 1)]
+
+
+def _cross_terms(l0, s0):
+    """|L|[i+1] |S|[i] + |L|[i] |S|[i+1] of the ladder on absolute input
+    coefficients, which scale the rounding error of any summation order
+    (Higham 2002, section 3.1)."""
+    lam_abs, s_abs = _ladder(np.abs(l0), np.abs(s0), l0.size - 1)[2]
+    return lam_abs[1:] * s_abs[:-1] + lam_abs[:-1] * s_abs[1:]
+
+
+# the solver's deltas, from the derivative recurrence on inputs trimmed to
+# depth + 1 coefficients, lie within 1e-13 of the absolute-input cross terms
+# of the exact series ladder on the same double inputs; 1e-250 more allows
+# for gradual underflow below 1e-308 (tiny E or coefficients), which loses
+# at most 5e-324 per operation, amplified no more than the ladder's growth
+@example(lam_c=[0.0], s_c=[0.0], x0=0.0, energy=1.9592803825227268e-252, depth=1)
+@given(
+    poly_coeffs,
+    poly_coeffs,
+    st.floats(min_value=-1, max_value=1),
+    st.floats(min_value=-5, max_value=5),
+    st.integers(min_value=1, max_value=30),
+)
+@settings(max_examples=40, deadline=None)
+def test_delta_vector_matches_exact_ladder(lam_c, s_c, x0, energy, depth):
+    spec = ProblemSpec.from_strings(
+        _poly_text(lam_c), _poly_text(s_c) + " - E", "E",
+        x0=x0, order=depth + 2, n_max=depth,
+    )
+    l0, s0 = _bind_inputs(spec, depth)(energy)
+    got = _delta_vector(l0, s0)
+    exact = _exact_deltas(l0, s0)
+    bound = 1e-13 * _cross_terms(l0, s0) + 1e-250
+    for i in range(depth):
+        assert abs(Fraction(got[i]) - exact[i]) <= Fraction(bound[i]), i
 
 
 # the batched scan kernel: a row's values do not depend on the points that
-# share its pass; they agree with the per-point kernel to rounding, within
-# 1e-12 of the cross terms of the ladder run on absolute input coefficients,
-# which scale the rounding error of both summation orders (Higham 2002,
-# section 3.1); and delta stays exactly 0 when S vanishes identically
+# share its pass and equal the per-point kernel's bit for bit; and delta
+# stays exactly 0 when S vanishes identically
 @example(lam_c=[0.0, 2.0], s_c=[1.0], x0=0.0, energies=[1.0, 3.0, 1.0], depth=30)
 @given(
     poly_coeffs,
@@ -260,9 +312,7 @@ def test_scan_kernel_matches_per_point_kernel(lam_c, s_c, x0, energies, depth):
     assert batch.shape == (len(energies), depth)
     for i in range(len(energies)):
         assert np.array_equal(batch[i], _scan_deltas(l0[i : i + 1], s0[i : i + 1])[0]), i
-        lam_abs, s_abs = _ladder(np.abs(l0[i]), np.abs(s0[i]), depth)[2]
-        bound = 1e-12 * (lam_abs[1:] * s_abs[:-1] + lam_abs[:-1] * s_abs[1:])
-        assert np.all(np.abs(batch[i] - _delta_vector(l0[i], s0[i])) <= bound), i
+        assert np.array_equal(batch[i], _delta_vector(l0[i], s0[i])), i
     assert np.array_equal(_scan_deltas(l0, np.zeros_like(s0)), np.zeros_like(batch))
 
 
@@ -353,6 +403,61 @@ def test_delta_overflow_raises_overflow():
         aim_iterate(spec, 0.5)
     with pytest.raises(Overflow):
         find_eigenvalues(spec, 0.0, 4.0, 11, tol=1e-10)
+
+
+def _deep_inputs(lambda0, s0, energy, depth):
+    spec = ProblemSpec.from_strings(lambda0, s0, "E", x0=0.0, order=depth + 2, n_max=depth)
+    return _bind_inputs(spec, depth)(energy)
+
+
+# deep ladders stay finite where the series ladder does, within 1e-13 of its
+# absolute-input cross terms, and the batched kernel equals the per-point
+# one; n_max 200 needs t! past 170 (a table cut there raises IndexError), and
+# 1/(1000 + x) needs finite derivatives t! l_t where t! itself overflows
+@pytest.mark.parametrize(
+    "lambda0, s0, energy",
+    [("0", "-1 - E", 0.0), ("0.1*x", "-1 - E", 0.5), ("1/(1000 + x)", "-1 - E", 0.0)],
+)
+def test_deep_ladder_matches_series_ladder(lambda0, s0, energy):
+    l0, s0 = _deep_inputs(lambda0, s0, energy, 200)
+    got = _delta_vector(l0, s0)
+    lam_at, s_at = _ladder(l0, s0, 200)[2]
+    ref = lam_at[1:] * s_at[:-1] - lam_at[:-1] * s_at[1:]
+    assert np.all(np.abs(got - ref) <= 1e-13 * _cross_terms(l0, s0))
+    assert np.array_equal(_scan_deltas(l0[None], s0[None])[0], got)
+
+
+# delta_150 = 0.01^151 = 1e-302, as the series ladder gives it; carried as
+# Taylor coefficients u(k) / k!, the recurrence underflows to 0 here
+def test_deep_ladder_keeps_tiny_delta():
+    l0, s0 = _deep_inputs("0", "-0.01 - E", 0.0, 150)
+    got = _delta_vector(l0, s0)[-1]
+    assert got == pytest.approx(1e-302, rel=1e-13)
+    lam_at, s_at = _ladder(l0, s0, 150)[2]
+    assert lam_at[-1] * s_at[-2] - lam_at[-2] * s_at[-1] == pytest.approx(got, rel=1e-13)
+
+
+# past n_max 1028 some binomial coefficients C(k, t) leave double range; a
+# ladder whose inputs have no such column t still runs: S = -1 gives
+# delta = +-1 exactly at every depth
+def test_deep_ladder_runs_past_binomial_range():
+    l0, s0 = _deep_inputs("0", "-1 - E", 0.0, 1040)
+    got = _delta_vector(l0, s0)
+    assert np.array_equal(np.abs(got), np.ones(1040))
+    assert np.array_equal(_scan_deltas(l0[None], s0[None])[0], got)
+
+
+# 1/(10 + x) gives finite deltas at n_max 150 and overflows at n_max 200,
+# where both kernels raise Overflow, not OverflowError or IndexError, and no
+# RuntimeWarning escapes (the suite turns one into a failure)
+def test_deep_ladder_overflow_raises_overflow():
+    l0, s0 = _deep_inputs("1/(10 + x)", "-1 - E", 0.0, 150)
+    assert np.isfinite(_delta_vector(l0, s0)).all()
+    l0, s0 = _deep_inputs("1/(10 + x)", "-1 - E", 0.0, 200)
+    with pytest.raises(Overflow):
+        _delta_vector(l0, s0)
+    with pytest.raises(Overflow):
+        _scan_deltas(l0[None], s0[None])
 
 
 # the ladder kernel owns the overflow check, so no view reports an overflow
@@ -606,11 +711,7 @@ def test_roots_lie_within_tol_of_a_sign_change(problem, shift, tol):
     inputs = _bind_inputs(spec, n + 2)
 
     def delta(e):
-        # grid points through the batched kernel, as the search reads them
-        l0, s0 = inputs(e)
-        if e in grid:
-            return float(_scan_deltas(l0[None], s0[None])[0, n - 1])
-        return float(_delta_vector(l0, s0)[n - 1])
+        return float(_delta_vector(*inputs(e))[n - 1])
 
     roots = find_eigenvalues(spec, grid[0], grid[-1], points, tol=tol)
     assert roots

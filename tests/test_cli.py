@@ -388,6 +388,18 @@ def test_exit_numeric_on_delta_overflow(tmp_path, capsys):
     assert "Overflow" in err
 
 
+# a deep ladder past double range exits 3 through the derivative recurrence
+def test_exit_numeric_on_deep_ladder_overflow(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "deep_overflow.json",
+        dict(HO_PROBLEM, lambda0="1/(10 + x)", s0="-1 - E", order=202, n_max=200),
+    )
+    code, out, err = _run(capsys, ["solve", path, "--grid", "11"])
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert "Overflow" in err
+
+
 # a ladder that stops on a pole has not terminated, whatever the size of
 # its coefficients
 def test_diagnose_quartic_pole_has_no_termination_level(tmp_path, capsys):
