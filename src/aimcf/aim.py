@@ -32,13 +32,18 @@ the derivatives at x0 of the two solutions with (y, y') = (0, 1) and
 (1, 0) there, which the Leibniz rule gives from the input derivatives in
 O(n**2) operations instead of the ladder's O(n**3).  The search binds both
 expressions once per search (:func:`~aimcf.series.bind_series` at order
-n + 2) and evaluates each distinct parameter value once, to depth n + 2,
-reading the scan and refinement values at depth n and the recheck values at
-depth n + 2 from that one evaluation.  One recurrence runs in two loop
-shapes: the whole grid in one batched pass through :func:`_scan_deltas`,
-one row per grid point, and each refinement or recheck point alone through
-:func:`_delta_vector`.  Both do the same operations in the same order, so
-a grid value equals a per-point one bit for bit.  Against the series
+n + 2), which maps an array of parameter values to one row of input
+coefficients per value, and evaluates each distinct parameter value once,
+to depth n + 2, reading the scan and refinement values at depth n and the
+recheck values at depth n + 2 from that one evaluation.  The whole grid is
+bound in one call and its rows go through one batched pass of
+:func:`_scan_deltas`; each refinement or recheck point is bound as a
+one-value array and evaluated alone through :func:`_delta_vector`.  A grid
+with a point that fails to bind is bound again point by point, so the
+failing points are skipped, with their warnings in grid order, as if the
+batch had never run.  Rows are bit-identical to one-value bindings, and
+both kernels do the same operations in the same order, so a grid value
+equals a per-point one bit for bit.  Against the series
 ladder, which sums in another order, they agree to rounding: within 1e-13
 of the cross terms ``|L|[i+1] |S|[i] + |L|[i] |S|[i+1]`` of the ladder run
 on absolute input coefficients, which scale the rounding error of both.
@@ -61,6 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    AimError,
     ConditioningWarning,
     DegenerateDeltaWarning,
     DepthRecheckWarning,
@@ -291,11 +297,11 @@ class Root(NamedTuple):
 
 def _bind_inputs(
     spec: ProblemSpec, order: int
-) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
-    """Coefficients 0..order of (L, S) at x0 as a function of the parameter."""
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Coefficients 0..order of (L, S) at x0, one row per parameter value."""
     lam = bind_series(spec.lambda0, spec.x0, order)
     s = bind_series(spec.s0, spec.x0, order)
-    return lambda e: (lam(e).coeffs, s(e).coeffs)
+    return lambda values: (lam(values), s(values))
 
 
 def _rounded(n: int) -> float:
@@ -486,17 +492,23 @@ def find_eigenvalues(
     delta[n + 2], so it costs few new evaluations.  The reported residual
     is the distance between the two roots, each located to within ``tol``
     (infinite, with a warning, if the deeper level cannot be re-bracketed
-    there).  Both expressions are bound once; the grid is evaluated in one
-    batched pass (:func:`_scan_deltas`) and every other parameter value
-    alone (:func:`_delta_vector`), both by the derivative recurrence of the
-    module docstring, so a grid value equals a per-point evaluation bit for
-    bit and the series ladder's value to the tolerance stated there.
-    Grid points whose inputs cannot be evaluated (a singular pivot) are
-    skipped with a warning and drop out of the batch.  An identically
-    vanishing delta (for example S = 0) yields no brackets and an empty
-    result.
+    there).  Both expressions are bound once; the grid is bound in one
+    row-stacked call and evaluated in one batched pass (:func:`_scan_deltas`),
+    and every other parameter value is bound and evaluated alone
+    (:func:`_delta_vector`), both by the derivative recurrence of the module
+    docstring, so a grid value equals a per-point evaluation bit for bit and
+    the series ladder's value to the tolerance stated there.  If binding the
+    grid raises, it is bound again point by point: grid points whose inputs
+    cannot be evaluated (a singular pivot) are skipped with a warning, in
+    grid order, and drop out of the batch, and any other error is raised
+    by the first point that meets it.  An identically vanishing delta (for
+    example S = 0) yields no brackets and an empty result.  A non-finite
+    ``e_min``, ``e_max`` or ``e_max - e_min`` raises :class:`ValidationError`.
     """
     n = spec.n_max
+    e_min, e_max = float(e_min), float(e_max)  # Python floats: e_max - e_min cannot warn
+    if not (math.isfinite(e_min) and math.isfinite(e_max) and math.isfinite(e_max - e_min)):
+        raise ValidationError("e_min, e_max and e_max - e_min must be finite")
     if e_min >= e_max:
         raise ValidationError("e_min must be < e_max")
     if grid_points < 2:
@@ -513,7 +525,8 @@ def find_eigenvalues(
 
     def delta(e: float, depth: int) -> float:
         if e not in deltas:
-            deltas[e] = _delta_vector(*inputs(e))
+            l0, s0 = inputs([e])
+            deltas[e] = _delta_vector(l0[0], s0[0])
         return float(deltas[e][depth - 1])
 
     def sign(e: float) -> float:
@@ -554,19 +567,24 @@ def find_eigenvalues(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
         inputs = _bind_inputs(spec, n + 2)
-        rows: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        for e in grid:
-            try:
-                rows[e] = inputs(e)
-            except SingularPivot as exc:
-                warnings.warn(
-                    f"grid point E = {e:g} skipped: {exc}",
-                    GridPointSkippedWarning,
-                    stacklevel=2,
-                )
-        if rows:
-            l0, s0 = (np.array(c) for c in zip(*rows.values()))
-            deltas.update(zip(rows, _scan_deltas(l0, s0)))
+        try:
+            bound = [(grid, *inputs(grid))]
+        except AimError:
+            # some grid point fails: bind point by point, in grid order,
+            # skipping singular points, as if the batch had never run
+            bound = []
+            for e in grid:
+                try:
+                    bound.append(([e], *inputs([e])))
+                except SingularPivot as exc:
+                    warnings.warn(
+                        f"grid point E = {e:g} skipped: {exc}",
+                        GridPointSkippedWarning,
+                        stacklevel=2,
+                    )
+        if bound:
+            points, l0, s0 = (np.concatenate(c) for c in zip(*bound))
+            deltas.update(zip(points.tolist(), _scan_deltas(l0, s0)))
         vals = np.array([deltas[e][n - 1] if e in deltas else np.nan for e in grid])
         finite = np.isfinite(vals)
         if not finite.any() or np.max(np.abs(vals[finite])) < EPS_PIVOT:

@@ -829,32 +829,3 @@ def birkhoff_adams(
             log_term_possible=log_flag,
         ),
     )
-
-
-def ratio_growth_fit(seqs) -> tuple[float, float, float]:
-    """Linear fit of |L_n(x0)/L_{n-1}(x0)| against depth over the last half.
-
-    Returns (intercept, slope, radius) where radius = 1/slope estimates the
-    distance over which the underlying series representation converges; a
-    non-positive or negligible slope means no finite limit on the radius.
-    """
-    values = [ser.at_center for ser in seqs.lam]
-    pts: list[tuple[float, float]] = []
-    for n in range(1, len(values)):
-        if abs(values[n - 1]) > 1e-280:
-            pts.append((float(n), abs(values[n] / values[n - 1])))
-    if len(pts) < 10:
-        raise InsufficientData(
-            f"need at least 10 valid ratio samples, got {len(pts)}"
-        )
-    half = pts[len(pts) // 2:]
-    xs = np.array([u for u, _ in half])
-    ys = np.array([v for _, v in half])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    a0 = float(intercept)
-    a1 = float(slope)
-    if a1 <= 1e-9 * max(1.0, abs(a0)):
-        rho = math.inf
-    else:
-        rho = 1.0 / a1
-    return (a0, a1, rho)

@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import enum
+import functools
 import io
 import json
 import math
@@ -366,7 +367,10 @@ def _parse_sweep(text: str) -> list[float]:
     return [float(v) for v in np.linspace(start, stop, steps)]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call;
+    parsing leaves it unchanged, so each call starts from its defaults."""
     parser = argparse.ArgumentParser(
         prog="aimcf",
         description="Eigenproblem solver and recurrence diagnostics",

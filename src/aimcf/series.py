@@ -23,10 +23,15 @@ The module also ships a small rational expression language used to
 describe the coefficient functions of an ODE: an AST (``Const``, ``VarX``,
 ``Param``, ``Neg``, ``Add``, ``Sub``, ``Mul``, ``Div``, ``IntPow``), a
 recursive-descent parser over ``x``, one declared parameter name, decimal
-literals, ``+ - * / ^`` and parentheses, and :func:`bind_series`, which
-binds an AST at a given center and order to a function from the parameter
-value to the series, evaluating every parameter-free subtree once.
-:func:`series_from_expr` binds and calls once.
+literals, ``+ - * / ^`` and parentheses, and :func:`bind_series`, the one
+expression walker.  It binds an AST at a given center and order to a
+function from an array of parameter values to a row stack, one row of
+coefficients per value: every parameter-free subtree is evaluated once,
+when bound, and each call evaluates only the nodes on the paths to the
+parameter, over all rows at once where the operation is elementwise and
+row by row where it is not, so each row is bit-identical to the series of
+a walk for that value alone.  :func:`series_from_expr` binds, calls on
+one value and wraps that row.
 """
 
 from __future__ import annotations
@@ -177,6 +182,13 @@ def _check_centers(a: TaylorSeries, b: TaylorSeries):
         )
 
 
+def _checked(coeffs: np.ndarray) -> np.ndarray:
+    """``coeffs`` itself; a non-finite coefficient raises :class:`Overflow`."""
+    if not np.isfinite(coeffs).all():
+        raise Overflow("series coefficients overflowed double precision")
+    return coeffs
+
+
 def _result(center: float, coeffs: np.ndarray) -> TaylorSeries:
     """Wrap a fresh coefficient array the library computed from valid series.
 
@@ -185,9 +197,7 @@ def _result(center: float, coeffs: np.ndarray) -> TaylorSeries:
     centre of the operands.  Only overflow is checked; a non-finite
     coefficient raises :class:`Overflow`.
     """
-    if not np.isfinite(coeffs).all():
-        raise Overflow("series coefficients overflowed double precision")
-    coeffs.setflags(write=False)
+    _checked(coeffs).setflags(write=False)
     result = object.__new__(TaylorSeries)
     object.__setattr__(result, "center", center)
     object.__setattr__(result, "coeffs", coeffs)
@@ -221,9 +231,13 @@ def series_mul(a: TaylorSeries, b: TaylorSeries) -> TaylorSeries:
     are treated as unknown, so only the reliable prefix is returned.
     """
     _check_centers(a, b)
-    n = min(a.order, b.order) + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        return _result(a.center, np.convolve(a.coeffs, b.coeffs)[:n])
+        return _result(a.center, _mul(a.coeffs, b.coeffs))
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Cauchy product of :func:`series_mul` on coefficient arrays."""
+    return np.convolve(a, b)[: min(a.size, b.size)]
 
 
 def series_div(a: TaylorSeries, b: TaylorSeries) -> TaylorSeries:
@@ -236,29 +250,38 @@ def series_div(a: TaylorSeries, b: TaylorSeries) -> TaylorSeries:
     raises :class:`Overflow`.
     """
     _check_centers(a, b)
-    pivot = float(b.coeffs[0])
+    return _result(a.center, _divide(a.coeffs, b.coeffs))
+
+
+def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """The long division of :func:`series_div` on coefficient arrays.
+
+    Checks the pivot and warns as :func:`series_div` describes; the quotient
+    has min(num.size, den.size) coefficients and is not checked for overflow.
+    """
+    pivot = float(den[0])
     if abs(pivot) < EPS_PIVOT:
         raise SingularPivot(f"divisor constant term {pivot!r} below {EPS_PIVOT:g}")
-    a_scale = float(np.max(np.abs(a.coeffs)))
-    if a_scale > 0.0 and abs(pivot) < PIVOT_WARN_REL * a_scale:
+    num_scale = float(np.max(np.abs(num)))
+    if num_scale > 0.0 and abs(pivot) < PIVOT_WARN_REL * num_scale:
         warnings.warn(
             f"division pivot {pivot:.3e} is tiny relative to numerator scale "
-            f"{a_scale:.3e}; quotient coefficients may be inaccurate",
+            f"{num_scale:.3e}; quotient coefficients may be inaccurate",
             ConditioningWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    n = min(a.order, b.order) + 1
+    n = min(num.size, den.size)
     # Python floats: the same IEEE operations as numpy scalars, several
-    # times faster; overflow gives inf or nan, caught by _result
-    num, den = a.coeffs[:n].tolist(), b.coeffs[:n].tolist()
+    # times faster; overflow gives inf or nan, which the caller checks
+    num, den = num[:n].tolist(), den[:n].tolist()
     out: list[float] = []
     for k in range(n):
         acc = num[k]
-        # subtract sum_{j=1..k} b[j] * out[k-j]
-        for bj, prev in zip(den[1 : k + 1], reversed(out)):
-            acc -= bj * prev
+        # subtract sum_{j=1..k} den[j] * out[k-j]
+        for dj, prev in zip(den[1 : k + 1], reversed(out)):
+            acc -= dj * prev
         out.append(acc / pivot)
-    return _result(a.center, np.array(out))
+    return np.array(out)
 
 
 def series_diff(a: TaylorSeries) -> TaylorSeries:
@@ -369,38 +392,59 @@ def series_from_expr(
     Division inside the tree requires the denominator series to have a
     usable constant term (else :class:`SingularPivot` propagates).  A tree
     too deep to walk recursively raises :class:`ParseOrEvalError`.  This is
-    :func:`bind_series` called once.
+    :func:`bind_series` called on the one value ``[param_value]``.
     """
-    return bind_series(e, center, order)(param_value)
+    return _result(float(center), bind_series(e, center, order)([param_value])[0])
 
 
 def bind_series(
     e: Expression, center: float, order: int
-) -> Callable[[float], TaylorSeries]:
+) -> Callable[[np.ndarray], np.ndarray]:
     """Bind an expression AST at ``center`` and ``order`` to a function of the parameter.
 
-    Every parameter-free subtree is evaluated here, once.  The returned
-    function maps a parameter value to the series of ``e`` and recomputes
-    only the nodes on the paths to the parameter, with the operations and
-    operands of a walk that evaluates every node at every call, so its
-    series are bit-identical to that walk's.  An operation that fails on
-    parameter-free operands (a singular pivot, a non-finite coefficient)
-    stays unbound, so every call raises it again, in the order the walk
-    meets it.  A tree too deep to walk recursively raises
-    :class:`ParseOrEvalError`, when bound or when called.
+    The returned function maps a 1-d array of parameter values to a
+    ``(values, order + 1)`` array whose row i holds the coefficients of
+    ``e`` at value i.  Every parameter-free subtree is evaluated here, once,
+    and a parameter-free expression returns a read-only view of its one
+    coefficient array.  Otherwise the values are checked finite and each
+    node on a path to the parameter is evaluated on a row stack: the
+    parameter is the stack with the values in column 0 and zeros beside
+    them, sum, difference and negation are one numpy operation over the
+    stack, and product, quotient and integer power run the one-series
+    kernels row by row.  Each row is the same operations on the same
+    operands as a walk that evaluates every node for that value alone, so
+    it is bit-identical to that walk's series.  A node whose rows leave
+    double range raises :class:`Overflow`.
+
+    An error in any row raises; which error, when several rows fail, is
+    only fixed for one-value calls, which meet the errors in the order the
+    walk does.  An operation that fails on parameter-free operands (a
+    singular pivot, a non-finite coefficient) stays unbound, so every call
+    raises it again in that order.  A tree too deep to walk recursively
+    raises :class:`ParseOrEvalError`, when bound or when called.
     """
     if order < 0:
         raise ValidationError("series order must be >= 0")
+    if not math.isfinite(center):
+        raise ValidationError("series center must be finite")
     try:
-        bound = _bind(e, center, order)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = _bind(e, center, order)
     except RecursionError as exc:
         raise ParseOrEvalError("expression is nested too deeply to evaluate") from exc
-    if isinstance(bound, TaylorSeries):
-        return lambda param_value: bound
+    if isinstance(bound, np.ndarray):
+        bound.setflags(write=False)
+        return lambda values: np.broadcast_to(bound, (len(values), order + 1))
 
-    def call(param_value: float) -> TaylorSeries:
+    def call(values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1:
+            raise ValidationError("parameter values must be a 1-d array")
+        if not np.isfinite(values).all():
+            raise ValidationError("series coefficients must all be finite")
         try:
-            return bound(param_value)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return bound(values)
         except RecursionError as exc:
             raise ParseOrEvalError("expression is nested too deeply to evaluate") from exc
 
@@ -408,55 +452,86 @@ def bind_series(
 
 
 def _bind(e: Expression, center: float, order: int):
-    """``e`` as a series if it is parameter-free, else as a function of the parameter."""
+    """``e``'s coefficients if it is parameter-free, else a function from the
+    parameter values to its row stack."""
     if isinstance(e, Const):
-        return TaylorSeries.constant(e.value, center, order)
+        return TaylorSeries.constant(e.value, center, order).coeffs
     if isinstance(e, VarX):
-        return TaylorSeries.identity(center, order)
+        return TaylorSeries.identity(center, order).coeffs
     if isinstance(e, Param):
-        return lambda param_value: TaylorSeries.constant(param_value, center, order)
+        return functools.partial(_param_rows, width=order + 1)
     if isinstance(e, Neg):
         return _lift(operator.neg, _bind(e.operand, center, order))
     if isinstance(e, (Add, Sub, Mul, Div)):
-        op = {
-            Add: series_add,
-            Sub: series_sub,
-            Mul: series_mul,
-            Div: series_div,
+        kernel = {
+            Add: operator.add,
+            Sub: operator.sub,
+            Mul: _mul,
+            Div: _divide,
         }[type(e)]
-        return _lift(op, _bind(e.left, center, order), _bind(e.right, center, order))
+        return _lift(kernel, _bind(e.left, center, order), _bind(e.right, center, order))
     if isinstance(e, IntPow):
         power = functools.partial(_power, exponent=e.exponent)
         return _lift(power, _bind(e.base, center, order))
     raise ParseOrEvalError(f"unknown expression node {type(e).__name__}")
 
 
-def _lift(op, *operands):
-    """``op`` on bound operands: applied now if all are series, else on every call."""
-    if all(isinstance(a, TaylorSeries) for a in operands):
+def _lift(kernel, *operands):
+    """``kernel`` on bound operands: applied now if all are coefficient arrays,
+    else on every call."""
+    if all(isinstance(a, np.ndarray) for a in operands):
         try:
-            return op(*operands)
+            return _apply(kernel, operands)
         except AimError:
             pass  # left unbound: every call raises it again, in tree order
     # one frame per tree level when called, as in a whole-tree walk
-    fns = [(lambda _, a=a: a) if isinstance(a, TaylorSeries) else a for a in operands]
+    fns = [(lambda _, a=a: a) if isinstance(a, np.ndarray) else a for a in operands]
     if len(fns) == 1:
         (f,) = fns
-        return lambda param_value: op(f(param_value))
+        return lambda values: _apply(kernel, (f(values),))
     f, g = fns
-    return lambda param_value: op(f(param_value), g(param_value))
+    return lambda values: _apply(kernel, (f(values), g(values)))
 
 
-def _power(base: TaylorSeries, exponent: int) -> TaylorSeries:
-    result = TaylorSeries.constant(1.0, base.center, base.order)
-    # exponentiation by squaring keeps the operation count low
+# kernels that act on a whole row stack, elementwise, in one numpy operation
+_BROADCAST = frozenset({operator.neg, operator.add, operator.sub})
+
+
+def _apply(kernel, operands: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``kernel`` on coefficient arrays and row stacks, checked for overflow.
+
+    An elementwise kernel broadcasts a coefficient array over a stack's
+    rows; any other kernel runs once per row, on that row of each stack and
+    on each coefficient array whole.
+    """
+    stacks = [a for a in operands if a.ndim == 2]
+    if kernel in _BROADCAST or not stacks:
+        return _checked(kernel(*operands))
+    out = np.empty(stacks[0].shape)
+    for i in range(out.shape[0]):
+        out[i] = kernel(*(a[i] if a.ndim == 2 else a for a in operands))
+    return _checked(out)
+
+
+def _param_rows(values: np.ndarray, width: int) -> np.ndarray:
+    """The parameter's row stack: the constant series of each value."""
+    rows = np.zeros((values.size, width))
+    rows[:, 0] = values
+    return rows
+
+
+def _power(base: np.ndarray, exponent: int) -> np.ndarray:
+    result = np.zeros(base.size)
+    result[0] = 1.0
+    # exponentiation by squaring keeps the operation count low; a product
+    # past double range stays non-finite through every later product
     k = exponent
     while k:
         if k & 1:
-            result = series_mul(result, base)
+            result = _mul(result, base)
         k >>= 1
         if k:
-            base = series_mul(base, base)
+            base = _mul(base, base)
     return result
 
 

@@ -234,6 +234,12 @@ def test_kernel_views_match_reference_exactly(lam_c, s_c, x0, energy, depth, spa
     assert np.array_equal(seqs.delta, ref_delta)
 
 
+def _inputs_at(spec, depth, energy):
+    """Input coefficients 0..depth of (L, S) at one parameter value."""
+    l0, s0 = _bind_inputs(spec, depth)([energy])
+    return l0[0], s0[0]
+
+
 def _exact_deltas(l0, s0):
     """delta[1..depth] of the series ladder in exact rational arithmetic on
     the given double input coefficients 0..depth."""
@@ -281,7 +287,7 @@ def test_delta_vector_matches_exact_ladder(lam_c, s_c, x0, energy, depth):
         _poly_text(lam_c), _poly_text(s_c) + " - E", "E",
         x0=x0, order=depth + 2, n_max=depth,
     )
-    l0, s0 = _bind_inputs(spec, depth)(energy)
+    l0, s0 = _inputs_at(spec, depth, energy)
     got = _delta_vector(l0, s0)
     exact = _exact_deltas(l0, s0)
     bound = 1e-13 * _cross_terms(l0, s0) + 1e-250
@@ -306,8 +312,7 @@ def test_scan_kernel_matches_per_point_kernel(lam_c, s_c, x0, energies, depth):
         _poly_text(lam_c), _poly_text(s_c) + " - E", "E",
         x0=x0, order=depth + 2, n_max=depth,
     )
-    inputs = _bind_inputs(spec, depth)
-    l0, s0 = (np.array(c) for c in zip(*map(inputs, energies)))
+    l0, s0 = _bind_inputs(spec, depth)(energies)
     batch = _scan_deltas(l0, s0)
     assert batch.shape == (len(energies), depth)
     for i in range(len(energies)):
@@ -328,6 +333,66 @@ def test_singular_grid_point_is_skipped_with_warning():
     assert len(skipped) == 1
     assert "E = 2 " in str(skipped[0].message)
     np.testing.assert_allclose([r.value for r in roots], [1, 3, 5], rtol=0, atol=1e-8)
+
+
+def _recorded_search(spec, *args, **kwargs):
+    """Roots and the (category, text) of every warning of one search."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        roots = find_eigenvalues(spec, *args, **kwargs)
+    return roots, [(w.category, str(w.message)) for w in caught]
+
+
+def _bind_one_value_at_a_time(monkeypatch):
+    """Make every binding of more than one value fail, so that a search binds
+    its grid point by point."""
+    bind = aim._bind_inputs
+
+    def one_at_a_time(spec, order):
+        inputs = bind(spec, order)
+
+        def call(values):
+            if len(values) > 1:
+                raise SingularPivot("bound one value at a time")
+            return inputs(values)
+
+        return call
+
+    monkeypatch.setattr(aim, "_bind_inputs", one_at_a_time)
+
+
+# the batched binding falls back to binding point by point when a grid point
+# fails, so the skipped points, the warning texts in their order and the
+# roots are those of a search that binds every point alone
+def test_skipped_grid_point_search_equals_point_by_point_search(monkeypatch):
+    spec = ProblemSpec.from_strings(
+        "2*x", "(1 - E)*(E - 2)/(E - 2)", "E", x0=0.0, order=60, n_max=30
+    )
+    batched = _recorded_search(spec, 0.5, 5.5, 21, tol=1e-11)
+    _bind_one_value_at_a_time(monkeypatch)
+    per_point = _recorded_search(spec, 0.5, 5.5, 21, tol=1e-11)
+    assert batched == per_point
+    skipped = [text for category, text in batched[1] if category is GridPointSkippedWarning]
+    assert skipped == ["grid point E = 2 skipped: divisor constant term 0.0 below 1e-300"]
+
+
+# the parameter under a product, a quotient and an integer power: a grid
+# bound in one stack gives the roots, residuals and warnings of a grid bound
+# point by point, bit for bit
+@pytest.mark.parametrize(
+    "lambda0, s0",
+    [
+        ("2*x", "(1 - E)*(2 + x)/(2 + x)"),
+        ("2*x", "1 - E - (E*x)^2/(3 + x)^2"),
+        ("2*x - E*x^3/(4 + E)", "x^2 - E"),
+    ],
+)
+def test_batched_search_equals_point_by_point_search(monkeypatch, lambda0, s0):
+    spec = ProblemSpec.from_strings(lambda0, s0, "E", x0=0.1, order=22, n_max=20)
+    batched = _recorded_search(spec, 0.3, 9.3, 31, tol=1e-10)
+    _bind_one_value_at_a_time(monkeypatch)
+    assert _recorded_search(spec, 0.3, 9.3, 31, tol=1e-10) == batched
+    assert batched[0]
 
 
 # [DERIVED] exact spectrum E = 2k+1 of the transformed oscillator equation;
@@ -364,6 +429,28 @@ def test_find_eigenvalues_rejects_infinite_tol():
     spec = _ho_spec(order=60, n_max=20)
     with pytest.raises(ValidationError):
         find_eigenvalues(spec, 0.0, 4.0, 11, tol=float("inf"))
+
+
+# a search range that is not finite, or whose width is not, is an input
+# error raised before the grid is built (numpy warned and then failed deep
+# in the series code)
+@pytest.mark.parametrize(
+    "e_min, e_max",
+    [
+        (0.0, math.inf),
+        (-math.inf, 1.0),
+        (math.nan, 1.0),
+        (0.0, math.nan),
+        (-1e308, 1e308),
+        (np.float64(-1e308), np.float64(1e308)),
+    ],
+)
+def test_find_eigenvalues_rejects_nonfinite_range(e_min, e_max):
+    spec = _ho_spec(order=22, n_max=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="finite"):
+            find_eigenvalues(spec, e_min, e_max, 11, tol=1e-10)
 
 
 # the scan builds its own order n + 2 series, so the smallest order the spec
@@ -407,7 +494,7 @@ def test_delta_overflow_raises_overflow():
 
 def _deep_inputs(lambda0, s0, energy, depth):
     spec = ProblemSpec.from_strings(lambda0, s0, "E", x0=0.0, order=depth + 2, n_max=depth)
-    return _bind_inputs(spec, depth)(energy)
+    return _inputs_at(spec, depth, energy)
 
 
 # deep ladders stay finite where the series ladder does, within 1e-13 of its
@@ -708,10 +795,8 @@ def test_roots_lie_within_tol_of_a_sign_change(problem, shift, tol):
     spec = ProblemSpec.from_strings(*problem, "E", x0=0.0, order=n + 2, n_max=n)
     cell = 12.0 / (points - 1)
     grid = np.linspace(0.3 + shift * cell, 12.3 + shift * cell, points)
-    inputs = _bind_inputs(spec, n + 2)
-
     def delta(e):
-        return float(_delta_vector(*inputs(e))[n - 1])
+        return float(_delta_vector(*_inputs_at(spec, n + 2, e))[n - 1])
 
     roots = find_eigenvalues(spec, grid[0], grid[-1], points, tol=tol)
     assert roots

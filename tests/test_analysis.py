@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from aimcf.aim import ProblemSpec, aim_iterate
 from aimcf.analysis import (
     CaseLabel,
     Verdict,
@@ -18,7 +17,6 @@ from aimcf.analysis import (
     miller_minimal_ratio,
     monic_transform,
     pincherle_check,
-    ratio_growth_fit,
     stern_seidel,
 )
 from aimcf.cf import cf_approximants
@@ -379,35 +377,3 @@ def test_expansion_input_guards():
         birkhoff_adams([-3.0], [-4.0], k_max=0)
     with pytest.raises(ValidationError):
         birkhoff_adams([], [-4.0], k_max=2)
-
-
-# ----------------------------------------------------------------------
-# growth-rate fit on the iteration ladder
-
-
-def test_ratio_growth_fit_constant_coefficients():
-    spec = ProblemSpec.from_strings("3", "4 + 0*E", "E", x0=0.0, order=70, n_max=40)
-    seqs = aim_iterate(spec, 0.0)
-    a0, a1, rho = ratio_growth_fit(seqs)
-    assert a0 == pytest.approx(4.0, rel=1e-6)
-    assert abs(a1) < 1e-9
-    assert math.isinf(rho)
-
-
-def test_ratio_growth_fit_needs_nonvanishing_center_values():
-    spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=0.0, order=60, n_max=30)
-    import warnings as _w
-
-    with _w.catch_warnings():
-        _w.simplefilter("ignore")
-        seqs = aim_iterate(spec, 3.0)
-    with pytest.raises(InsufficientData):
-        ratio_growth_fit(seqs)
-
-
-def test_ratio_growth_fit_off_axis_is_finite():
-    spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=0.5, order=60, n_max=30)
-    seqs = aim_iterate(spec, 3.0)
-    a0, a1, rho = ratio_growth_fit(seqs)
-    assert math.isfinite(rho) and rho > 0.0
-    assert a1 > 0.0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from aimcf.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
+from aimcf.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, build_parser, main
 
 
 def _write(tmp_path, name, payload):
@@ -628,6 +628,45 @@ def test_flag_overrides_problem_file(tmp_path, capsys):
     assert record["inputs"]["x0"] == 2.0
     # q0 at the overridden center: 1 - 3 = -2, p0 = 2*2 = 4
     assert record["outputs"]["table"][0]["p"] == 4.0
+
+
+# the parser is built once and shared by every call; no option value of one
+# call reaches the next, whichever subcommands and options they mix
+def test_repeated_calls_share_no_option_values(ho_file, const_seq_file, capsys):
+    assert build_parser() is build_parser()
+    runs = [
+        ["solve", ho_file],
+        ["diagnose", ho_file, "--param-value", "3"],
+        ["solve", ho_file, "--grid", "7", "--n", "20", "--tol", "1e-6", "--seed", "4"],
+        ["diagnose", ho_file, "--param-value", "5", "--x0", "0.5", "--format", "csv"],
+        ["classify", const_seq_file, "--seed", "2", "--order", "65"],
+        ["diagnose", ho_file, "--param-value", "3"],
+        ["solve", ho_file],
+    ]
+    outputs = []
+    for argv in runs:
+        code, out, _ = _run(capsys, argv)
+        assert code == EXIT_OK, argv
+        outputs.append(out)
+    assert outputs[-1] == outputs[0]
+    assert outputs[-2] == outputs[1]
+    first, narrow = json.loads(outputs[0]), json.loads(outputs[2])
+    assert narrow["outputs"]["search"]["grid"] == 7 and narrow["seed"] == 4
+    assert first["outputs"]["search"] == HO_PROBLEM["search"]
+    assert first["inputs"]["n_max"] == HO_PROBLEM["n_max"] and first["seed"] == 0
+    assert json.loads(outputs[1])["inputs"]["x0"] == HO_PROBLEM["x0"]
+
+
+# a search range that is not finite, or whose width overflows, exits as an
+# input error before any grid is built
+@pytest.mark.parametrize("e_min, e_max", [(0.0, math.inf), (-1e308, 1e308)])
+def test_exit_input_on_nonfinite_search_range(tmp_path, capsys, e_min, e_max):
+    search = dict(HO_PROBLEM["search"], e_min=e_min, e_max=e_max)
+    path = _write(tmp_path, "range.json", dict(HO_PROBLEM, search=search))
+    code, out, err = _run(capsys, ["solve", path])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "must be finite" in err
 
 
 # small valid problem files, one per declared-structure kind, so every mutated

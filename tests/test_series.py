@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
@@ -128,7 +128,8 @@ def _walk(e, value, center, order):
 
 
 # the parameter under each kind of node, beside parameter-free subtrees that
-# the binder evaluates once
+# the binder evaluates once; every row of a stack, whatever the other rows
+# hold, equals the walk for its value alone
 @pytest.mark.parametrize(
     "text",
     [
@@ -145,24 +146,31 @@ def _walk(e, value, center, order):
 def test_bound_series_match_whole_tree_walk(text):
     expr = parse_expression(text)
     bound = bind_series(expr, center=0.3, order=14)
-    for value in (-1.7, 0.0, 2.5, 1e-3):
+    values = [-1.7, 0.0, 2.5, 1e-3]
+    rows = bound(np.array(values))
+    assert rows.shape == (4, 15)
+    for row, value in zip(rows, values):
         want = _walk(expr, value, 0.3, 14).coeffs
-        assert np.array_equal(bound(value).coeffs, want), value
+        assert np.array_equal(row, want), value
+        assert np.array_equal(bound(np.array([value]))[0], want), value
         assert np.array_equal(series_from_expr(expr, value, 0.3, 14).coeffs, want), value
 
 
 def test_bound_parameter_free_expression_is_evaluated_once():
     bound = bind_series(parse_expression("(1 + x)^3/(2 - x)"), center=0.1, order=6)
-    assert bound(1.0) is bound(-4.0)
+    one, three = bound(np.array([1.0])), bound(np.array([-4.0, 0.5, 2.0]))
+    assert one.shape == (1, 7) and three.shape == (3, 7)
+    assert np.shares_memory(one, three)
+    assert not three.flags.writeable
 
 
 # a parameter-free operation that fails is raised by every call, not by the
 # binding, so a caller that skips failing parameter values can still bind
 def test_bound_failure_is_raised_on_each_call():
     bound = bind_series(parse_expression("E + 1/x"), center=0.0, order=4)
-    for value in (1.0, 2.0):
+    for values in ([1.0], [2.0], [1.0, 2.0]):
         with pytest.raises(SingularPivot):
-            bound(value)
+            bound(np.array(values))
 
 
 # the bound functions recurse when called, so a call too deep for the stack
@@ -173,9 +181,69 @@ def test_bound_call_nested_too_deeply_is_parse_or_eval_error():
     sys.setrecursionlimit(300)
     try:
         with pytest.raises(ParseOrEvalError):
-            bound(1.0)
+            bound(np.array([1.0]))
     finally:
         sys.setrecursionlimit(limit)
+
+
+# the parameter values enter the stack once and are checked there, as the
+# constant series of a non-finite value is rejected
+@pytest.mark.parametrize("values", [[1.0, math.inf], [math.nan], [[1.0]]])
+def test_bound_rejects_bad_parameter_values(values):
+    bound = bind_series(parse_expression("x - E"), center=0.0, order=3)
+    with pytest.raises(ValidationError):
+        bound(np.array(values))
+
+
+def _expressions():
+    """Random ASTs over x, the parameter and small constants, with every
+    node kind."""
+    leaves = st.one_of(
+        st.builds(Const, st.sampled_from([-2.0, -0.5, 0.0, 1.0, 1.5, 3.0])),
+        st.just(VarX()),
+        st.just(Param()),
+    )
+
+    def nodes(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            *(st.builds(op, children, children) for op in (Add, Sub, Mul, Div)),
+            st.builds(IntPow, children, st.integers(min_value=0, max_value=4)),
+        )
+
+    return st.recursive(leaves, nodes, max_leaves=8)
+
+
+# every row of a stack equals the whole-tree walk for its value, bit for bit;
+# a stack that holds a value the walk fails on raises
+@example(expr=Div(Const(1.0), Sub(Param(), VarX())), values=[0.0, 2.0], center=0.0, order=3)
+@example(expr=Neg(IntPow(Mul(Param(), VarX()), 3)), values=[1.5, -2.0], center=0.5, order=4)
+@example(expr=Add(Param(), Div(VarX(), Param())), values=[1.0, 2.0, -3.0], center=0.2, order=5)
+@given(
+    expr=_expressions(),
+    values=st.lists(st.floats(min_value=-3, max_value=3), min_size=1, max_size=8),
+    center=st.floats(min_value=-1, max_value=1),
+    order=st.integers(min_value=0, max_value=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_bound_rows_match_whole_tree_walk(expr, values, center, order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        bound = bind_series(expr, center, order)
+        wants = []
+        for value in values:
+            try:
+                wants.append(_walk(expr, value, center, order).coeffs)
+            except AimError:
+                wants.append(None)
+        if any(want is None for want in wants):
+            with pytest.raises(AimError):
+                bound(np.array(values))
+            return
+        rows = bound(np.array(values))
+    assert rows.shape == (len(values), order + 1)
+    for row, want in zip(rows, wants):
+        assert np.array_equal(row, want)
 
 
 def test_evaluation_horner_matches_polyval():
