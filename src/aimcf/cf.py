@@ -8,7 +8,7 @@ derivative ladder
     p[n] = p[n-1] + q[n-1]'/q[n-1]
     q[n] = q[n-1] + p[n-1]' - p[n-1] * q[n-1]'/q[n-1]
 
-(:func:`pq_iterate`, in series arithmetic).  Its values at the expansion
+(:func:`pq_iterate`, on raw coefficient arrays).  Its values at the expansion
 point feed the classical approximant machinery: numerators A[n] and
 denominators B[n] obey the same three-term recurrence, their cross
 determinant collapses to a signed product of the q's, successive
@@ -33,11 +33,12 @@ import numpy as np
 from .aim import AIMSequences, ProblemSpec
 from .errors import (
     DeterminantMismatchWarning,
+    Overflow,
     ValidationError,
     ZeroDenominator,
     ZeroPartialNumerator,
 )
-from .series import TaylorSeries, series_div
+from .series import TaylorSeries, _checked, _divide, _mul, series_div
 
 # mantissas are renormalised by 2**RESCALE_SHIFT when they leave this band
 _RESCALE_SHIFT = 600
@@ -75,36 +76,53 @@ class PQSequences:
 def pq_iterate(spec: ProblemSpec, param_value: float) -> PQSequences:
     """Run the logarithmic-derivative ladder up to ``spec.n_max`` levels.
 
-    Each level consumes one Taylor order; only the current level's series
-    are kept.  The ladder stops at the first level, the last one included,
-    whose q series is identically zero relative to the largest coefficient
-    magnitude seen so far (``"termination"``: the fraction ends exactly
-    there).  Extension past level n divides by q[n], so below the last level
-    it also stops, as a ``"pole"``, where only the value of q[n] at x0 is
-    tiny (no analytic continuation is attempted).  Level 0, the input S, is
-    zero only when all its coefficients are, and its pole test uses its own.
+    Each level consumes one Taylor order; only the current level's
+    coefficient arrays are kept.  The ladder stops at the first level, the
+    last one included, whose q series is identically zero relative to the
+    largest coefficient magnitude seen so far (``"termination"``: the
+    fraction ends exactly there).  Extension past level n divides by q[n],
+    so below the last level it also stops, as a ``"pole"``, where only the
+    value of q[n] at x0 is tiny (no analytic continuation is attempted).
+    Level 0, the input S, is zero only when all its coefficients are, and
+    its pole test uses its own.
+
+    The levels run on raw coefficient arrays with the operations of the
+    series arithmetic (derivative, :func:`~aimcf.series.series_div`'s long
+    division, sum, Cauchy product), so every value is the series ladder's
+    bit for bit.  A coefficient past double range raises
+    :class:`~aimcf.errors.Overflow`, found once per level from the largest
+    magnitudes the stop rules read.
     """
-    p_ser, q_ser = spec.series_pair(param_value)
-    p, q = [p_ser.at_center], [q_ser.at_center]
+    p, q = (series.coeffs for series in spec.series_pair(param_value))
+    ks = np.arange(1, p.size, dtype=float)  # derivative factors
+    p_vals, q_vals = [float(p[0])], [float(q[0])]
     scale = 1e-300
     stop: tuple[int | None, str | None] = (None, None)
-    for level in range(spec.n_max + 1):
-        q_max = float(np.max(np.abs(q_ser.coeffs)))
-        scale = max(scale, float(np.max(np.abs(p_ser.coeffs))), q_max)
-        tiny = TERMINATION_REL * (scale if level else q_max)
-        if q_max <= (tiny if level else 0.0):
-            stop = (level, "termination")
-            break
-        if level == spec.n_max:
-            break
-        if abs(q_ser.at_center) <= tiny:
-            stop = (level, "pole")
-            break
-        ratio = series_div(q_ser.diff(), q_ser)
-        p_ser, q_ser = p_ser + ratio, (q_ser + p_ser.diff()) - p_ser * ratio
-        p.append(p_ser.at_center)
-        q.append(q_ser.at_center)
-    values = np.array([p, q])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in range(spec.n_max + 1):
+            p_max, q_max = float(np.abs(p).max()), float(np.abs(q).max())
+            if not (math.isfinite(p_max) and math.isfinite(q_max)):
+                raise Overflow("series coefficients overflowed double precision")
+            scale = max(scale, p_max, q_max)
+            tiny = TERMINATION_REL * (scale if level else q_max)
+            if q_max <= (tiny if level else 0.0):
+                stop = (level, "termination")
+                break
+            if level == spec.n_max:
+                break
+            if abs(q[0]) <= tiny:
+                stop = (level, "pole")
+                break
+            # p and q share one size per level; every result has one fewer
+            m = q.size - 1
+            dq = q[1:] * ks[:m]
+            if not math.isfinite(q_max * q.size):  # q' may have overflowed:
+                _checked(dq)  # raise before the division warns of an inf scale
+            ratio = _divide(dq, q)
+            p, q = p[:m] + ratio, (q[:m] + p[1:] * ks[:m]) - _mul(p, ratio)
+            p_vals.append(float(p[0]))
+            q_vals.append(float(q[0]))
+    values = np.array([p_vals, q_vals])
     values.setflags(write=False)
     return PQSequences(values[0], values[1], *stop)
 

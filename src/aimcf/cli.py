@@ -87,12 +87,20 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _require_number(value: Any, name: str, integer: bool) -> None:
-    """Reject a JSON value of the wrong numeric type; booleans never pass."""
+    """Reject a JSON value of the wrong numeric type; booleans never pass.
+
+    A real must also be finite: ``json.load`` reads ``NaN`` and ``Infinity``,
+    and an integer literal may be too long for a float.
+    """
     _require(
         isinstance(value, int if integer else (int, float))
         and not isinstance(value, bool),
         f"'{name}' must be {'an integer' if integer else 'a real number'}, "
         f"got {value!r}",
+    )
+    _require(
+        integer or abs(value) <= sys.float_info.max,
+        f"'{name}' must be finite, got {value!r}",
     )
 
 
@@ -131,7 +139,7 @@ def _load_problem(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read problem file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an over-long integer literal
         raise ValidationError(f"problem file is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "problem file must be a JSON object")
     for key in ("lambda0", "s0", "parameter", "x0", "order", "n_max"):

@@ -247,7 +247,9 @@ def series_div(a: TaylorSeries, b: TaylorSeries) -> TaylorSeries:
     raise :class:`SingularPivot`; pivots smaller than ``PIVOT_WARN_REL``
     times the numerator's largest coefficient emit a
     :class:`ConditioningWarning` but proceed.  A quotient past double range
-    raises :class:`Overflow`.
+    raises :class:`Overflow`.  Each quotient coefficient costs one
+    multiply-subtract per nonzero coefficient of ``b`` past the pivot, so
+    dividing by a constant or a polynomial is linear in the order.
     """
     _check_centers(a, b)
     return _result(a.center, _divide(a.coeffs, b.coeffs))
@@ -258,11 +260,17 @@ def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
     Checks the pivot and warns as :func:`series_div` describes; the quotient
     has min(num.size, den.size) coefficients and is not checked for overflow.
+    Coefficient k is num[k] minus den[j] * out[k - j] over ascending j >= 1,
+    leaving out the j where den[j] is zero: one multiply-subtract per
+    nonzero divisor coefficient, so a constant or polynomial divisor costs
+    O(n) and only a dense one O(n**2).  Where the quotient is finite it is
+    the dense loop's over every j bit for bit, signed zeros included; where
+    it is not, both are non-finite from the same first coefficient on.
     """
     pivot = float(den[0])
     if abs(pivot) < EPS_PIVOT:
         raise SingularPivot(f"divisor constant term {pivot!r} below {EPS_PIVOT:g}")
-    num_scale = float(np.max(np.abs(num)))
+    num_scale = float(np.abs(num).max())
     if num_scale > 0.0 and abs(pivot) < PIVOT_WARN_REL * num_scale:
         warnings.warn(
             f"division pivot {pivot:.3e} is tiny relative to numerator scale "
@@ -274,12 +282,21 @@ def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     # Python floats: the same IEEE operations as numpy scalars, several
     # times faster; overflow gives inf or nan, which the caller checks
     num, den = num[:n].tolist(), den[:n].tolist()
+    terms = [(j, dj) for j, dj in enumerate(den[1:], 1) if dj != 0.0]
+    live = 0  # terms[:live] are those with j <= k
     out: list[float] = []
-    for k in range(n):
-        acc = num[k]
-        # subtract sum_{j=1..k} den[j] * out[k-j]
-        for dj, prev in zip(den[1 : k + 1], reversed(out)):
-            acc -= dj * prev
+    for k, acc in enumerate(num):
+        if live < len(terms) and terms[live][0] == k:
+            live += 1
+        for j, dj in terms[:live]:
+            acc -= dj * out[k - j]
+        # while out is finite a skipped product is +-0.0: it can only turn an
+        # accumulator of -0.0 into +0.0 (-0.0 - (-0.0)), never back, so a
+        # -0.0 is redone over every j
+        if acc == 0.0 and math.copysign(1.0, acc) < 0.0:
+            acc = num[k]
+            for dj, prev in zip(den[1 : k + 1], reversed(out)):
+                acc -= dj * prev
         out.append(acc / pivot)
     return np.array(out)
 

@@ -1,6 +1,7 @@
 """Approximant recurrence, determinant identity, termination, unit rescaling."""
 
 import contextlib
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from aimcf.aim import ProblemSpec, _ladder, aim_iterate
 from aimcf.cf import (
+    TERMINATION_REL,
+    PQSequences,
     alpha_partial_sums,
     cf_approximants,
     cf_determinants,
@@ -22,12 +25,15 @@ from aimcf.cf import (
     terminated_alpha,
 )
 from aimcf.errors import (
+    AimError,
     ConditioningWarning,
     DeterminantMismatchWarning,
+    Overflow,
     ValidationError,
     ZeroDenominator,
     ZeroPartialNumerator,
 )
+from aimcf.series import series_div
 
 
 def _const(p, q, n):
@@ -361,3 +367,99 @@ def test_quartic_pole_is_not_termination():
     pq = pq_iterate(spec, 1.0)
     assert (pq.stop_level, pq.stop_reason) == (3, "pole")
     assert detect_termination(pq) is None
+
+
+# ----------------------------------------------------------------------
+# the raw-array ladder against its series-arithmetic form
+
+
+def reference_pq_iterate(spec, param_value):
+    """The ladder in TaylorSeries arithmetic, level by level, as an oracle."""
+    p_ser, q_ser = spec.series_pair(param_value)
+    p, q = [p_ser.at_center], [q_ser.at_center]
+    scale = 1e-300
+    stop = (None, None)
+    for level in range(spec.n_max + 1):
+        q_max = float(np.max(np.abs(q_ser.coeffs)))
+        scale = max(scale, float(np.max(np.abs(p_ser.coeffs))), q_max)
+        tiny = TERMINATION_REL * (scale if level else q_max)
+        if q_max <= (tiny if level else 0.0):
+            stop = (level, "termination")
+            break
+        if level == spec.n_max:
+            break
+        if abs(q_ser.at_center) <= tiny:
+            stop = (level, "pole")
+            break
+        ratio = series_div(q_ser.diff(), q_ser)
+        p_ser, q_ser = p_ser + ratio, (q_ser + p_ser.diff()) - p_ser * ratio
+        p.append(p_ser.at_center)
+        q.append(q_ser.at_center)
+    return PQSequences(np.array(p), np.array(q), *stop)
+
+
+def _pq_outcome(fn, problem, x0, energy, n_max, order):
+    """Value bytes and stop, or the error type, and the warning types of one run."""
+    spec = ProblemSpec.from_strings(*problem, "E", x0=x0, order=order, n_max=n_max)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            pq = fn(spec, energy)
+        except AimError as exc:
+            value = type(exc)
+        else:
+            value = (pq.p.tobytes(), pq.q.tobytes(), pq.stop_level, pq.stop_reason)
+    return value, [w.category for w in caught]
+
+
+PIN_PROBLEMS = {
+    "oscillator": HO[:2],
+    "quartic": ("6*x", "x^4 - 9*x^2 + 3 - E"),
+    "constant": ("3", "4 + 0*E"),
+    "linear": ("2 + x", "x - E"),
+    "rational": ("1/(10 + x)", "x - E"),
+    "huge-lambda": ("1e200*x", "1 - E"),
+}
+
+
+@pytest.mark.parametrize("problem", PIN_PROBLEMS.values(), ids=PIN_PROBLEMS.keys())
+def test_pq_iterate_matches_series_ladder(problem):
+    grid = itertools.product(
+        (0.0, 0.5, -1.3), (0.5, 3.0, 7.25), ((5, 7), (12, 40), (40, 80))
+    )
+    for x0, energy, (n_max, order) in grid:
+        args = (problem, x0, energy, n_max, order)
+        assert _pq_outcome(pq_iterate, *args) == _pq_outcome(reference_pq_iterate, *args), args
+
+
+# each case reaches the edge it is listed for: an overflow (of a sum or
+# product, of the quotient, or of q' before the division could warn), a
+# pole, a false or a true termination, a conditioning warning
+@pytest.mark.parametrize(
+    "problem, x0, energy, n_max, order, edge",
+    [
+        (("2 + x", "x - E"), 1.000000001, 1.0, 12, 40, (Overflow, [])),
+        (("1e300*x", "x - E"), 0.5, 0.4999999999, 10, 20, (Overflow, [])),
+        (("x", "1e306 + 1e307*x^40"), 0.0, 1.0, 40, 44, (Overflow, [])),
+        (("2 + x", "x - E"), 0.5, 0.5, 6, 20, ("pole", [])),
+        (PIN_PROBLEMS["quartic"], 0.5, 3.0, 40, 80, ("termination", [])),
+        (PIN_PROBLEMS["quartic"], 0.3, 7.25, 40, 80, ("pole", [ConditioningWarning])),
+        (PIN_PROBLEMS["rational"], 0.0, 2.0, 40, 80, ("pole", [ConditioningWarning])),
+        (HO[:2], 6.560974342087148e-118, 3.0, 12, 40, ("termination", [])),
+    ],
+)
+def test_pq_iterate_matches_series_ladder_at_edges(problem, x0, energy, n_max, order, edge):
+    args = (problem, x0, energy, n_max, order)
+    got = _pq_outcome(pq_iterate, *args)
+    assert got == _pq_outcome(reference_pq_iterate, *args)
+    value, caught = got
+    assert (value if value is Overflow else value[3], caught) == edge
+
+
+# [DERIVED] constant p = 3, q = 4: q' = 0, so every level repeats them exactly
+def test_constant_fraction_ladder_is_exact():
+    for x0 in (0.0, 0.7, -1.9):
+        spec = ProblemSpec.from_strings("3", "4 + 0*E", "E", x0=x0, order=64, n_max=60)
+        pq = pq_iterate(spec, 1.0)
+        assert pq.depth == 60
+        assert np.all(pq.p == 3.0) and np.all(pq.q == 4.0)

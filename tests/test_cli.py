@@ -524,6 +524,14 @@ def test_exit_input_on_bad_sweep(ho_file, capsys):
         ("grid", True),
         ("tol", "1e-10"),
         ("tol", True),
+        # json.load reads NaN and Infinity, and an integer literal may be
+        # too long for a float
+        ("x0", math.nan),
+        ("x0", math.inf),
+        pytest.param("x0", 10**400, id="x0-huge"),
+        ("e_min", -math.inf),
+        ("e_max", math.nan),
+        pytest.param("e_max", 10**400, id="e_max-huge"),
     ],
 )
 def test_exit_input_on_malformed_numeric_field(tmp_path, capsys, field, value):
@@ -577,6 +585,12 @@ def test_solve_at_minimal_order(ho_file, tmp_path, capsys):
         {"declared_ba_coeffs": {"a_coeffs": "xy", "b_coeffs": [1.0]}},
         {"declared_ba_coeffs": {"a_coeffs": [0.0], "b_coeffs": [1.0], "k_max": 2.5}},
         [],
+        # non-finite reals, which json.load reads
+        {"pvals": [math.nan] + [3.0] * 59, "qvals": [4.0] * 60},
+        {"pvals": [3.0] * 60, "qvals": [4.0] * 59 + [math.inf]},
+        {"declared_power_law": {"a": math.nan, "sigma": 1, "b": -1, "tau": 0}},
+        {"declared_power_law": {"a": 2, "sigma": 1, "b": -1, "tau": -math.inf}},
+        {"declared_ba_coeffs": {"a_coeffs": [math.inf], "b_coeffs": [1.0]}},
     ],
 )
 def test_exit_input_on_malformed_classify_block(tmp_path, capsys, block):
@@ -595,6 +609,16 @@ def test_exit_input_on_missing_file(capsys):
 def test_exit_input_on_invalid_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
+    code, _, err = _run(capsys, ["solve", str(path)])
+    assert code == EXIT_INPUT
+    assert "not valid JSON" in err
+
+
+# json.load raises a plain ValueError for an integer literal past Python's
+# digit limit
+def test_exit_input_on_overlong_integer_literal(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"x0": 1' + "0" * 5000 + "}", encoding="utf-8")
     code, _, err = _run(capsys, ["solve", str(path)])
     assert code == EXIT_INPUT
     assert "not valid JSON" in err

@@ -423,7 +423,11 @@ def _outcome(fn, *args):
 
 @st.composite
 def wide_series(draw, pivots=()):
-    """Orders 0..80, magnitudes scaled by 10^-200..10^200, optional set pivot."""
+    """Orders 0..80, magnitudes scaled by 10^-200..10^200, optional set pivot.
+
+    Zero-heavy draws put a signed zero at random positions, at every
+    position past the first (a constant series), or everywhere.
+    """
     order = draw(st.integers(min_value=0, max_value=80))
     scale = 10.0 ** draw(st.integers(min_value=-200, max_value=200))
     coeffs = draw(
@@ -434,16 +438,28 @@ def wide_series(draw, pivots=()):
         )
     )
     arr = np.array(coeffs) * scale
+    zeros = draw(st.sampled_from(("none", "mask", "constant", "all")))
+    if zeros == "mask":
+        mask = draw(st.lists(st.booleans(), min_size=order + 1, max_size=order + 1))
+    else:
+        mask = [zeros == "all"] + [zeros != "none"] * order
+    for i in np.flatnonzero(mask):
+        arr[i] = draw(st.sampled_from((0.0, -0.0)))
     pivot = draw(st.sampled_from((None,) + tuple(pivots)))
     if pivot is not None:
         arr[0] = pivot
     return _series(0.0, arr)
 
 
-# the Python-float loop of series_div is the numpy-scalar loop bit for bit,
-# with the same SingularPivot, ConditioningWarning and Overflow
-@given(wide_series(), wide_series(pivots=(0.0, 1e-301, -1e-299, 1e-250, 3e-13)))
-@settings(max_examples=200, deadline=None)
+# the Python-float loop of series_div, which skips zero divisor terms, is the
+# dense numpy-scalar loop bit for bit, signed zeros included, with the same
+# SingularPivot, ConditioningWarning and Overflow; in the first example the
+# dense loop turns -0.0 into +0.0 by subtracting 0.0 * -1.0, which a bare
+# skip of zero terms would leave out
+@example(_series(0.0, [-1.0, -0.0]), _series(0.0, [1.0, 0.0]))
+@example(_series(0.0, [-0.0, -0.0, -0.0]), _series(0.0, [-2.0, 0.0, -0.0]))
+@given(wide_series(), wide_series(pivots=(0.0, 1e-301, -1e-299, 1e-250, 3e-13, -1.5)))
+@settings(max_examples=300, deadline=None)
 def test_div_matches_numpy_scalar_reference(a, b):
     assert _outcome(series_div, a, b) == _outcome(reference_div, a, b)
 
