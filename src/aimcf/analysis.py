@@ -3,20 +3,24 @@ classification for three-term recurrences x_n = p_n x_{n-1} + q_n x_{n-2}.
 
 Analytic labels derived from the monic transform are advisory; every report
 also carries brute-force forward/backward ratio estimates computed directly
-on the original recurrence, and a consistency flag comparing the two.
+on the original recurrence, and a consistency flag comparing the two.  The
+forward probe, the backward passes of Miller's algorithm and the approximants
+all run on the one recurrence runner of :mod:`aimcf.cf`, whose mantissas are
+rescaled by exact powers of two, so no probe overflows or underflows.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .cf import CFState, cf_approximants
+from .cf import CFState, _ldexp_safe, _run_recurrence, cf_approximants
 from .errors import (
     DegenerateDenominator,
     HypothesisViolated,
@@ -39,8 +43,6 @@ STABLE_RTOL = 1e-12
 CONSISTENCY_RTOL = 0.05
 # Width of the band around 1 inside which the monic limit counts as exactly 1.
 UNIT_Q_TOL = 1e-5
-# Magnitude guard before renormalizing a running recurrence pair.
-RENORM_AT = 1e200
 
 
 class Verdict(Enum):
@@ -210,30 +212,23 @@ def bound_check(state: CFState) -> list[tuple[int, float, float, bool]]:
 
 
 def _backward_pass(
-    p: np.ndarray, q: np.ndarray, top: int
-) -> tuple[float, float, int, float]:
+    p: list[float], q: list[float], top: int
+) -> tuple[list[list[float]], list[int]]:
     """Run x_{n-2} = (x_n - p_n x_{n-1}) / q_n down from x_top = 0, x_{top-1} = 1.
 
-    Returns (x_{-1}, x_{-2}, probe_index, probe_ratio) where probe_ratio is
-    x_m / x_{m-1} sampled at m = floor(3 top / 4), inside the asymptotic range.
+    Returns the recurrence runner's ``(rows, exps)``; step i holds x_{top-i}.
     """
-    hi = 0.0  # x_n
-    lo = 1.0  # x_{n-1}
-    probe_at = max(2, (3 * top) // 4)
-    probe_ratio = math.nan
     for n in range(top, -1, -1):
         if q[n] == 0.0:
             raise ZeroQ(f"q[{n}] = 0 blocks the backward recurrence")
-        nxt = (hi - p[n] * lo) / q[n]  # x_{n-2}
-        hi, lo = lo, nxt
-        # now hi = x_{n-1}, lo = x_{n-2}
-        if n - 1 == probe_at and lo != 0.0:
-            probe_ratio = hi / lo
-        m = max(abs(hi), abs(lo))
-        if m > RENORM_AT:
-            hi /= m
-            lo /= m
-    return hi, lo, probe_at, probe_ratio
+    return _run_recurrence(p[: top + 1], q[: top + 1], [0.0], [1.0], backward=True)
+
+
+def _ratio(rows: list[list[float]], exps: list[int], i: int, j: int) -> float:
+    """Ratio of runner steps i and j of a single solution; NaN where step j is 0."""
+    if rows[j][0] == 0.0:
+        return math.nan
+    return _ldexp_safe(rows[i][0] / rows[j][0], exps[i] - exps[j])
 
 
 def miller_minimal_ratio(
@@ -256,12 +251,13 @@ def miller_minimal_ratio(
         raise ValidationError(
             "depth_schedule needs at least two depths within the sampled range"
         )
+    p_list, q_list = p.tolist(), q.tolist()
     prev: Optional[float] = None
     for top in usable:
-        x_m1, x_m2, _, _ = _backward_pass(p, q, top)
-        if x_m2 == 0.0:
+        rows, exps = _backward_pass(p_list, q_list, top)
+        if rows[-1][0] == 0.0:
             raise NoConvergence(f"base value vanished at depth {top}")
-        est = x_m1 / x_m2
+        est = _ratio(rows, exps, -2, -1)
         if prev is not None and abs(est - prev) <= STABLE_RTOL * max(1.0, abs(est)):
             return est
         prev = est
@@ -324,12 +320,19 @@ def monic_transform(
         raise ValidationError("pvals and qvals must have equal length")
     if p.size < 2:
         raise ValidationError("need at least two levels for the transform")
+    if np.any(p == 0.0):
+        raise ZeroP(f"p[{int(np.argmax(p == 0.0))}] = 0 blocks the transform")
+    p_list, q_list = p.tolist(), q.tolist()
     t: list[float] = []
     for n in range(1, p.size):
-        denom = p[n - 1] * p[n]
-        if denom == 0.0:
-            raise ZeroP(f"p[{n - 1}] * p[{n}] = 0 blocks the transform")
-        t.append(4.0 * float(q[n]) / float(denom))
+        denom = p_list[n - 1] * p_list[n]
+        if abs(denom) >= sys.float_info.min:
+            t.append(4.0 * q_list[n] / denom)
+        else:  # the product underflows: divide mantissas, add exponents
+            (m1, e1), (m2, e2), (mq, eq) = map(
+                math.frexp, (p_list[n - 1], p_list[n], q_list[n])
+            )
+            t.append(_ldexp_safe(4.0 * mq / (m1 * m2), eq - e1 - e2))
     return t, t[-1]
 
 
@@ -359,38 +362,23 @@ def _envelope_exponent(samples: np.ndarray) -> Optional[float]:
     return -float(slope)
 
 
-def _forward_probe(
-    p: np.ndarray, q: np.ndarray, seed: int
-) -> tuple[float, float]:
+def _forward_probe(p: list[float], q: list[float], seed: int) -> tuple[float, float]:
     """Forward-iterate from a seeded random start; return (last ratio, growth).
 
     growth is the geometric-mean per-step magnitude over the second half of the
     range, meaningful even when the plain ratio oscillates (complex roots).
     """
-    rng = np.random.default_rng(seed)
-    prev2, prev1 = rng.standard_normal(2)
-    log_scale = 0.0
-    mid = p.size // 2
-    log_mid = None
-    log_end = None
-    for n in range(p.size):
-        cur = p[n] * prev1 + q[n] * prev2
-        prev2, prev1 = prev1, cur
-        m = max(abs(prev1), abs(prev2))
-        if m > RENORM_AT:
-            prev1 /= m
-            prev2 /= m
-            log_scale += math.log(m)
-        if n == mid and prev1 != 0.0:
-            log_mid = math.log(abs(prev1)) + log_scale
-        if n == p.size - 1 and prev1 != 0.0:
-            log_end = math.log(abs(prev1)) + log_scale
-    ratio = prev1 / prev2 if prev2 != 0.0 else math.nan
-    if log_mid is None or log_end is None or p.size - 1 == mid:
+    x2, x1 = np.random.default_rng(seed).standard_normal(2).tolist()
+    rows, exps = _run_recurrence(p, q, [x2], [x1])
+    mid, last = len(p) // 2 + 2, len(rows) - 1  # steps of x_{len(p) // 2} and x_N
+    if last == mid or rows[mid][0] == 0.0 or rows[last][0] == 0.0:
         growth = math.nan
     else:
-        growth = math.exp((log_end - log_mid) / (p.size - 1 - mid))
-    return ratio, growth
+        log_mid, log_end = (
+            math.log(abs(rows[i][0])) + exps[i] * math.log(2.0) for i in (mid, last)
+        )
+        growth = math.exp((log_end - log_mid) / (last - mid))
+    return _ratio(rows, exps, last, last - 1), growth
 
 
 def _close(a: float, b: float, scale: float) -> bool:
@@ -426,13 +414,16 @@ def classify(
     notes: list[str] = []
 
     # Brute-force probes on the original recurrence.
-    num_dom, growth = _forward_probe(p, q, seed)
+    p_list, q_list, top = p.tolist(), q.tolist(), p.size - 1
+    num_dom, growth = _forward_probe(p_list, q_list, seed)
     minimal_exists = True
-    probe_at = max(2, (3 * (p.size - 1)) // 4)
+    # x_m / x_{m-1} of the backward pass from the top, inside the asymptotic range
+    probe_at = max(2, (3 * top) // 4)
     probe_ratio = math.nan
     try:
         num_min = miller_minimal_ratio(p, q, _default_schedule(p.size))
-        _, _, probe_at, probe_ratio = _backward_pass(p, q, p.size - 1)
+        rows, exps = _backward_pass(p_list, q_list, top)
+        probe_ratio = _ratio(rows, exps, top - probe_at, top - probe_at + 1)
     except (NoConvergence, ZeroQ) as exc:
         num_min = math.nan
         minimal_exists = False
@@ -478,8 +469,8 @@ def classify(
         power_law=power_law,
         ba_data=ba,
         minimal_exists=minimal_exists,
-        numeric_dominant_ratio=float(num_dom),
-        numeric_minimal_ratio=float(num_min),
+        numeric_dominant_ratio=num_dom,
+        numeric_minimal_ratio=num_min,
         consistency=consistency,
         notes=tuple(notes),
     )

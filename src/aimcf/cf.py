@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +39,10 @@ from .errors import (
 )
 from .series import TaylorSeries, _checked, _divide, _mul, series_div
 
-# mantissas are renormalised by 2**RESCALE_SHIFT when they leave this band
-_RESCALE_SHIFT = 600
-_RESCALE_HI = 2.0**300
-_RESCALE_LO = 2.0**-300
+# _run_recurrence rescales its live mantissas by a power of two when their
+# largest magnitude leaves [1 / _BAND, _BAND]; inside the band the product of
+# two mantissas stays a normal double
+_BAND = 2.0**300
 
 # a ladder series counts as identically zero when all its coefficients are
 # below this fraction of the largest coefficient magnitude seen so far
@@ -193,19 +192,12 @@ class CFState:
         self._check_index(n, -2)
         return _ldexp_safe(self._mant_b[n + 2], int(self._exp2[n + 2]))
 
-    def v_scaled(self, n: int) -> tuple[float, int]:
-        """Cross determinant at n as (mantissa, base-2 exponent)."""
+    def v(self, n: int) -> float:
+        """Cross determinant v[n] = A[n] B[n-1] - A[n-1] B[n] (may overflow to inf)."""
         self._check_index(n, -1)
         i = n + 2
-        mant = (
-            self._mant_a[i] * self._mant_b[i - 1]
-            - self._mant_a[i - 1] * self._mant_b[i]
-        )
-        return mant, int(self._exp2[i] + self._exp2[i - 1])
-
-    def v(self, n: int) -> float:
-        mant, e2 = self.v_scaled(n)
-        return _ldexp_safe(mant, e2)
+        mant = self._mant_a[i] * self._mant_b[i - 1] - self._mant_a[i - 1] * self._mant_b[i]
+        return _ldexp_safe(mant, int(self._exp2[i] + self._exp2[i - 1]))
 
 
 def _ldexp_safe(mant: float, e2: int) -> float:
@@ -213,6 +205,43 @@ def _ldexp_safe(mant: float, e2: int) -> float:
         return math.ldexp(mant, e2)
     except OverflowError:
         return math.inf if mant > 0 else -math.inf
+
+
+def _run_recurrence(p, q, x2, x1, backward=False) -> tuple[list[list[float]], list[int]]:
+    """Solutions of x[n] = p[n] x[n-1] + q[n] x[n-2], n = 0..N, on Python floats.
+
+    ``p`` and ``q`` are float lists of length N + 1; ``x2`` and ``x1`` list
+    each solution's start values x[-2] and x[-1].  With ``backward`` the
+    recurrence runs down as x[n-2] = (x[n] - p[n] x[n-1]) / q[n] for
+    n = N..0, from start values x[N] and x[N-1]; every q[n] must be nonzero.
+
+    All solutions share one power-of-two exponent per index.  When the
+    largest magnitude at the newest index leaves [1 / _BAND, _BAND], that
+    index and the one before it are rescaled to bring it into [1/2, 1).
+    Power-of-two scaling is exact, so every value is the unscaled
+    recurrence's bit for bit wherever the mantissas stay normal.
+
+    Returns ``(rows, exps)``: solution k at step i is
+    ``rows[i][k] * 2**exps[i]``, with the two start values at steps 0 and 1,
+    so step i holds x[i - 2] forward and x[N - i] backward.
+    """
+    lo, hi = 1.0 / _BAND, _BAND
+    rows, exps, e = [x2, x1], [0, 0], 0
+    for pn, qn in zip(p[::-1], q[::-1]) if backward else zip(p, q):
+        if backward:
+            new = [(b - pn * a) / qn for a, b in zip(x1, x2)]
+        else:
+            new = [pn * a + qn * b for a, b in zip(x1, x2)]
+        big = max(map(abs, new))
+        if not lo <= big <= hi:
+            shift = -math.frexp(big)[1]
+            x1 = [_ldexp_safe(v, shift) for v in x1]
+            new = [math.ldexp(v, shift) for v in new]
+            e -= shift
+        x2, x1 = x1, new
+        rows.append(new)
+        exps.append(e)
+    return rows, exps
 
 
 def cf_approximants(pvals, qvals) -> CFState:
@@ -227,29 +256,9 @@ def cf_approximants(pvals, qvals) -> CFState:
     qvals = np.array(qvals, dtype=float)
     if pvals.shape != qvals.shape or pvals.ndim != 1 or pvals.size == 0:
         raise ValidationError("pvals and qvals must be equal-length 1-d sequences")
-    N = pvals.size - 1
-    mant_a = np.empty(N + 3)
-    mant_b = np.empty(N + 3)
-    exp2 = np.zeros(N + 3, dtype=np.int64)
-    mant_a[0], mant_a[1] = 1.0, 0.0  # n = -2, -1
-    mant_b[0], mant_b[1] = 0.0, 1.0
-    for n in range(N + 1):
-        i = n + 2
-        shift = int(exp2[i - 2] - exp2[i - 1])
-        scale_back = math.ldexp(1.0, shift) if shift > -1074 else 0.0
-        a_new = pvals[n] * mant_a[i - 1] + qvals[n] * (mant_a[i - 2] * scale_back)
-        b_new = pvals[n] * mant_b[i - 1] + qvals[n] * (mant_b[i - 2] * scale_back)
-        e_new = int(exp2[i - 1])
-        big = max(abs(a_new), abs(b_new))
-        if big > _RESCALE_HI:
-            a_new = math.ldexp(a_new, -_RESCALE_SHIFT)
-            b_new = math.ldexp(b_new, -_RESCALE_SHIFT)
-            e_new += _RESCALE_SHIFT
-        elif 0.0 < big < _RESCALE_LO:
-            a_new = math.ldexp(a_new, _RESCALE_SHIFT)
-            b_new = math.ldexp(b_new, _RESCALE_SHIFT)
-            e_new -= _RESCALE_SHIFT
-        mant_a[i], mant_b[i], exp2[i] = a_new, b_new, e_new
+    rows, exps = _run_recurrence(pvals.tolist(), qvals.tolist(), [1.0, 0.0], [0.0, 1.0])
+    mant_a, mant_b = np.array(rows).T
+    exp2 = np.array(exps)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         c = np.where(mant_b[2:] != 0.0, mant_a[2:] / mant_b[2:], math.nan)
     for arr in (mant_a, mant_b, exp2, c, pvals, qvals):
@@ -264,17 +273,6 @@ def cf_approximants(pvals, qvals) -> CFState:
     )
 
 
-def _q_products(qvals: np.ndarray) -> Iterator[tuple[float, int]]:
-    """Running products q[0]..q[n] as (mantissa, base-2 exponent) pairs."""
-    prod_mant, prod_e2 = 1.0, 0
-    for q in qvals:
-        prod_mant *= float(q)
-        if prod_mant != 0.0:
-            mant, ex = math.frexp(prod_mant)
-            prod_mant, prod_e2 = mant, prod_e2 + ex
-        yield prod_mant, prod_e2
-
-
 def cf_determinants(state: CFState) -> np.ndarray:
     """Cross determinants v[n] for n = -1..N, checked against the q product.
 
@@ -286,16 +284,20 @@ def cf_determinants(state: CFState) -> np.ndarray:
     (:class:`DeterminantMismatchWarning`) only for discrepancies rounding
     cannot explain.
     """
-    out = np.array([state.v(n) for n in range(-1, state.depth + 1)])
+    a, b, e2 = (arr.tolist() for arr in (state._mant_a, state._mant_b, state._exp2))
+    # (mantissa, exponent) of v[n] at entry n + 1
+    v = [(a[i] * b[i - 1] - a[i - 1] * b[i], e2[i] + e2[i - 1]) for i in range(1, len(a))]
+    # running products q[0]..q[n]: the recurrence with partial numerators 0
+    zeros = [0.0] * (state.depth + 1)
+    prods, prod_exps = _run_recurrence(state.qvals.tolist(), zeros, [0.0], [1.0])
     eps = float(np.finfo(float).eps)
     worst = 0.0
-    for n, (prod_mant, prod_e2) in enumerate(_q_products(state.qvals)):
-        expected_mant = prod_mant if n % 2 == 0 else -prod_mant
-        got_mant, got_e2 = state.v_scaled(n)
+    for n in range(state.depth + 1):
         i = n + 2
-        cross_mant = abs(state._mant_a[i] * state._mant_b[i - 1]) + abs(
-            state._mant_a[i - 1] * state._mant_b[i]
-        )
+        prod_mant, prod_e2 = prods[i][0], prod_exps[i]
+        expected_mant = prod_mant if n % 2 == 0 else -prod_mant
+        got_mant, got_e2 = v[n + 1]
+        cross_mant = abs(a[i] * b[i - 1]) + abs(a[i - 1] * b[i])
         # compare in the product's scale
         got_in_prod_scale = _ldexp_safe(got_mant, got_e2 - prod_e2)
         noise = 64.0 * (n + 2) * eps * _ldexp_safe(cross_mant, got_e2 - prod_e2)
@@ -309,7 +311,7 @@ def cf_determinants(state: CFState) -> np.ndarray:
             DeterminantMismatchWarning,
             stacklevel=2,
         )
-    return out
+    return np.array([_ldexp_safe(mant, e) for mant, e in v])
 
 
 def alpha_partial_sums(state: CFState) -> np.ndarray:
@@ -319,18 +321,18 @@ def alpha_partial_sums(state: CFState) -> np.ndarray:
     must be nonzero.  The terms are
     ``np.diff(alpha_partial_sums(state), prepend=0.0)``.
     """
+    b, e2 = state._mant_b.tolist(), state._exp2.tolist()
+    zeros = [0.0] * (state.depth + 1)
+    prods, prod_exps = _run_recurrence(state.qvals.tolist(), zeros, [0.0], [1.0])
     sums = np.empty(state.depth + 1)
     acc = 0.0
-    for k, (prod_mant, prod_e2) in enumerate(_q_products(state.qvals)):
+    for k in range(state.depth + 1):
         i = k + 2
-        bk = state._mant_b[i]
-        bk1 = state._mant_b[i - 1]
-        if bk == 0.0 or bk1 == 0.0:
-            raise ZeroDenominator(f"B[{k if bk == 0.0 else k - 1}] = 0")
+        if b[i] == 0.0 or b[i - 1] == 0.0:
+            raise ZeroDenominator(f"B[{k if b[i] == 0.0 else k - 1}] = 0")
         sign = 1.0 if k % 2 == 0 else -1.0
-        denom_e2 = int(state._exp2[i] + state._exp2[i - 1])
-        term = sign * _ldexp_safe(prod_mant / (bk * bk1), prod_e2 - denom_e2)
-        acc += term
+        denom_e2 = e2[i] + e2[i - 1]
+        acc += sign * _ldexp_safe(prods[i][0] / (b[i] * b[i - 1]), prod_exps[i] - denom_e2)
         sums[k] = acc
     return sums
 

@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aimcf.analysis import (
     CaseLabel,
     Verdict,
+    _default_schedule,
     birkhoff_adams,
     bound_check,
     characteristic_roots,
@@ -173,6 +176,37 @@ def test_minimal_ratio_schedule_validation():
         miller_minimal_ratio([3.0] * 10, [4.0] * 9, [3, 4])
 
 
+# [DERIVED] p = 2.1 c, q = -c^2 is the c = 1 recurrence under an equivalence
+# transform, so its characteristic roots (2.1 +- sqrt(0.41)) / 2 scale by c
+_ROOT_MIN, _ROOT_DOM = (2.1 - math.sqrt(0.41)) / 2.0, (2.1 + math.sqrt(0.41)) / 2.0
+
+
+def test_minimal_ratio_survives_backward_underflow():
+    # the backward values shrink by about 1e-10 a step and used to vanish at depth 49
+    n = 200
+    got = miller_minimal_ratio([2.1e10] * n, [-1e20] * n, _default_schedule(n))
+    assert got == pytest.approx(1e10 * 0.7298437881283536, rel=1e-14)
+
+
+def test_dominant_ratio_survives_forward_underflow():
+    # the forward values shrink by about 1e-10 a step and used to give nan
+    rep = classify([2.1e-10] * 200, [-1e-20] * 200)
+    assert rep.numeric_dominant_ratio == pytest.approx(1e-10 * _ROOT_DOM, rel=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(-120, 120))
+@example(k=-120)
+@example(k=120)
+def test_equivalence_transform_scales_probe_ratios(k):
+    n, c = 200, math.ldexp(1.0, k)
+    p, q = [2.1 * c] * n, [-c * c] * n
+    assert miller_minimal_ratio(p, q, _default_schedule(n)) == pytest.approx(
+        c * _ROOT_MIN, rel=1e-14
+    )
+    assert classify(p, q).numeric_dominant_ratio == pytest.approx(c * _ROOT_DOM, rel=1e-14)
+
+
 def test_backward_pass_zero_q_blocks():
     q = [4.0] * 20
     q[7] = 0.0
@@ -187,6 +221,7 @@ def test_limit_ratio_link_constants():
     assert res.backward_ratio == pytest.approx(-1.0, abs=1e-12)
     assert res.relation_sign == -1.0
     assert res.agreement < 1e-12
+    assert type(res.backward_ratio) is float and type(res.agreement) is float
 
 
 # [DERIVED] scipy oracle: fraction limit equals -J1(1)/J0(1)
@@ -210,6 +245,16 @@ def test_monic_transform_values():
     t_b, q_b = monic_transform(p, q)
     assert t_b[0] == pytest.approx(-0.5)
     assert abs(q_b) < abs(t_b[0])
+
+
+def test_monic_transform_underflowing_product_is_not_zero_p():
+    # p[0] * p[1] = 2e-400 underflows, yet t_1 = 4 q / (p[0] p[1]) = -2e100
+    t, _ = monic_transform([1e-200 * (n + 1) for n in range(40)], [-1e-300] * 40)
+    assert t[0] == pytest.approx(-2e100, rel=1e-15)
+    assert t[-1] == pytest.approx(-4e100 / (39 * 40), rel=1e-15)
+    # a normal product keeps the plain quotient
+    t, _ = monic_transform([3.0, 0.7, 1e-3], [4.0, 5.0, 6.0])
+    assert t == [4.0 * 5.0 / (3.0 * 0.7), 4.0 * 6.0 / (0.7 * 1e-3)]
 
 
 def test_monic_transform_guards():
@@ -249,6 +294,8 @@ def test_classify_constants_is_growth_case():
 def test_classify_small_perturbation_case():
     n = 220
     rep = classify([2.0] * n, [-0.05] * n)
+    assert type(rep.numeric_dominant_ratio) is float
+    assert type(rep.numeric_minimal_ratio) is float
     assert rep.case_label is CaseLabel.CASE_1A
     assert rep.numeric_dominant_ratio == pytest.approx(1.0 + math.sqrt(0.95), rel=1e-9)
     assert rep.numeric_minimal_ratio == pytest.approx(1.0 - math.sqrt(0.95), rel=1e-7)

@@ -194,6 +194,22 @@ def test_bessel_ratio_deep_fraction_stays_finite():
     assert abs(state.C[-1] - want) < 1e-14
 
 
+_COEF = st.one_of(st.just(0.0), st.floats(1 / 16, 16), st.floats(-16, -1 / 16))
+
+
+# [DERIVED] scaling p by c and q by c^2 scales A[n] by c^(n+2) and B[n] by
+# c^(n+1), so C by c; with c = 2^k the power-of-two mantissas make it exact
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(-120, 120), pq=st.lists(st.tuples(_COEF, _COEF), min_size=1, max_size=30))
+@example(k=120, pq=[(3.0, 4.0)] * 30)
+@example(k=-120, pq=[(3.0, 4.0)] * 30)
+def test_equivalence_transform_scales_approximants_exactly(k, pq):
+    p, q = (list(v) for v in zip(*pq))
+    base = cf_approximants(p, q)
+    scaled = cf_approximants([math.ldexp(v, k) for v in p], [math.ldexp(v, 2 * k) for v in q])
+    np.testing.assert_array_equal(scaled.C, np.ldexp(base.C, k))
+
+
 def test_determinant_warning_on_forced_mismatch():
     state = cf_approximants([3.0, 3.0, 3.0], [4.0, 4.0, 4.0])
     # sabotage: rebuild with inconsistent stored q so the check must trip

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +134,27 @@ def test_classify_cylinder_recurrence_reports_consistency(tmp_path, capsys):
     cls = json.loads(out)["outputs"]["classification"]
     assert cls["case_label"] == "4a"
     assert cls["consistency"] is True
+
+
+# p[0] * p[1] underflows to 0 although no p is zero; t_1 = -2e100 is finite
+def test_classify_tiny_p_products_are_not_zero_p(tmp_path, capsys):
+    block = {"pvals": [1e-200 * (n + 1) for n in range(40)], "qvals": [-1e-300] * 40}
+    path = _write(tmp_path, "tiny.json", dict(HO_PROBLEM, classify=block))
+    code, out, err = _run(capsys, ["classify", path])
+    assert code == EXIT_OK, err
+    cls = json.loads(out)["outputs"]["classification"]
+    assert cls["q_limit"] == pytest.approx(-4e100 / (39 * 40), rel=1e-15)
+
+
+# recorded before the approximant recurrence moved onto the shared runner;
+# E = 7 terminates at level 3
+@pytest.mark.parametrize("e", ["7.25", "7.0"])
+def test_diagnose_golden_output(tmp_path, capsys, e):
+    path = _write(tmp_path, "osc.json", dict(HO_PROBLEM, x0=0.3, order=80, n_max=40))
+    code, out, _ = _run(capsys, ["diagnose", path, f"--param-value={e}"])
+    assert code == EXIT_OK
+    golden = Path(__file__).parent / "golden" / f"diagnose_oscillator_x0.3_E{e}.json"
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def test_classify_from_ladder_needs_param_value(const_file, capsys):
