@@ -501,9 +501,12 @@ def find_eigenvalues(
     grid raises, it is bound again point by point: grid points whose inputs
     cannot be evaluated (a singular pivot) are skipped with a warning, in
     grid order, and drop out of the batch, and any other error is raised
-    by the first point that meets it.  An identically vanishing delta (for
-    example S = 0) yields no brackets and an empty result.  A non-finite
-    ``e_min``, ``e_max`` or ``e_max - e_min`` raises :class:`ValidationError`.
+    by the first point that meets it.  If delta[n] vanishes on the whole
+    grid, it is evaluated once more at the midpoint of the first cell: if
+    it vanishes there too (for example S = 0) the result is empty, with a
+    :class:`DegenerateDeltaWarning`; otherwise every grid point is a root.
+    A non-finite ``e_min``, ``e_max`` or ``e_max - e_min`` raises
+    :class:`ValidationError`.
     """
     n = spec.n_max
     e_min, e_max = float(e_min), float(e_max)  # Python floats: e_max - e_min cannot warn
@@ -587,7 +590,15 @@ def find_eigenvalues(
             deltas.update(zip(points.tolist(), _scan_deltas(l0, s0)))
         vals = np.array([deltas[e][n - 1] if e in deltas else np.nan for e in grid])
         finite = np.isfinite(vals)
-        if not finite.any() or np.max(np.abs(vals[finite])) < EPS_PIVOT:
+        degenerate = not finite.any() or np.max(np.abs(vals[finite])) < EPS_PIVOT
+        if degenerate and finite.any():
+            # every grid point may be a root: look once off the grid, where
+            # a NaN or an input that cannot be evaluated settles nothing
+            try:
+                degenerate = not abs(delta(0.5 * (grid[0] + grid[1]), n)) >= EPS_PIVOT
+            except AimError:
+                pass
+        if degenerate:
             warnings.warn(
                 "termination quantity vanishes on the whole grid; "
                 "no bracketing possible",

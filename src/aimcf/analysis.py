@@ -1,12 +1,15 @@
 """Convergence verdicts, minimal-solution detection, and asymptotic
 classification for three-term recurrences x_n = p_n x_{n-1} + q_n x_{n-2}.
 
-Analytic labels derived from the monic transform are advisory; every report
-also carries brute-force forward/backward ratio estimates computed directly
-on the original recurrence, and a consistency flag comparing the two.  The
-forward probe, the backward passes of Miller's algorithm and the approximants
-all run on the one recurrence runner of :mod:`aimcf.cf`, whose mantissas are
-rescaled by exact powers of two, so no probe overflows or underflows.
+Analytic labels derived from the monic transform t_n = -4 q_n / (p_{n-1} p_n)
+are advisory; every report also carries brute-force forward/backward ratio
+estimates computed directly on the original recurrence, and a consistency
+flag comparing the two.  Whether a minimal solution exists is decided once,
+by the Miller run (Gautschi, SIAM Rev. 9 (1967) 24) of the report's one
+:func:`pincherle_check`.  The forward probe, the backward passes and the
+approximants all run on the one recurrence runner of :mod:`aimcf.cf`, whose
+mantissas are rescaled by exact powers of two, so no probe overflows or
+underflows.
 """
 
 from __future__ import annotations
@@ -123,7 +126,12 @@ class BirkhoffAdamsData:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Asymptotic class of a recurrence plus authoritative numeric ratios."""
+    """Asymptotic class of a recurrence plus authoritative numeric ratios.
+
+    ``pincherle`` is the one :func:`pincherle_check` of the classification,
+    whose Miller run supplies ``numeric_minimal_ratio``; it is None exactly
+    when ``minimal_exists`` is false.
+    """
 
     q_limit: float
     a_n_samples: tuple[float, ...]
@@ -134,6 +142,7 @@ class ClassificationReport:
     minimal_exists: bool
     numeric_dominant_ratio: float
     numeric_minimal_ratio: float
+    pincherle: Optional[PincherleResult]
     consistency: bool
     notes: tuple[str, ...] = field(default=())
 
@@ -164,7 +173,10 @@ def stern_seidel(pvals: Sequence[float], threshold: float, window: int) -> Conve
     # crossing: a convergent sum can still exceed a low threshold.
     if tail < CAUCHY_TOL:
         verdict = Verdict.DIVERGES
-        exp_bound = math.exp(2.0 * partial)
+        try:
+            exp_bound = math.exp(2.0 * partial)
+        except OverflowError:  # a sum above about 354
+            exp_bound = math.inf
     elif partial > threshold:
         verdict = Verdict.CONVERGES
         exp_bound = math.inf
@@ -309,10 +321,14 @@ def pincherle_check(pvals: Sequence[float], qvals: Sequence[float]) -> Pincherle
 def monic_transform(
     pvals: Sequence[float], qvals: Sequence[float]
 ) -> tuple[list[float], float]:
-    """Normalized coefficient sequence t_n = 4 q_n / (p_{n-1} p_n) and its limit.
+    """Normalized coefficient sequence t_n = -4 q_n / (p_{n-1} p_n) and its limit.
 
-    The limit estimate is the last sampled value; callers needing error bars
-    should inspect the tail of the returned sequence.
+    Substituting x_n = (prod_k p_k / 2) y_n gives the monic form
+    y_n = 2 y_{n-1} - t_n y_{n-2}, whose characteristic roots at the limit t
+    are 1 +/- sqrt(1 - t) (:func:`characteristic_roots`); times p_n / 2 they
+    are the ratio limits of the original recurrence.  The limit estimate is
+    the last sampled value; callers needing error bars should inspect the
+    tail of the returned sequence.
     """
     p = np.asarray(pvals, dtype=float)
     q = np.asarray(qvals, dtype=float)
@@ -327,17 +343,18 @@ def monic_transform(
     for n in range(1, p.size):
         denom = p_list[n - 1] * p_list[n]
         if abs(denom) >= sys.float_info.min:
-            t.append(4.0 * q_list[n] / denom)
+            t.append(-4.0 * q_list[n] / denom)
         else:  # the product underflows: divide mantissas, add exponents
             (m1, e1), (m2, e2), (mq, eq) = map(
                 math.frexp, (p_list[n - 1], p_list[n], q_list[n])
             )
-            t.append(_ldexp_safe(4.0 * mq / (m1 * m2), eq - e1 - e2))
+            t.append(_ldexp_safe(-4.0 * mq / (m1 * m2), eq - e1 - e2))
     return t, t[-1]
 
 
 def characteristic_roots(q: float) -> tuple[complex, complex]:
-    """Roots 1 +/- sqrt(1 - q), complex conjugate pair when q > 1."""
+    """Roots 1 +/- sqrt(1 - q) of r^2 - 2 r + q, the monic form's equation at
+    limit q; a complex conjugate pair when q > 1."""
     s = cmath.sqrt(1.0 - q)
     return (1.0 + s, 1.0 - s)
 
@@ -416,23 +433,24 @@ def classify(
     # Brute-force probes on the original recurrence.
     p_list, q_list, top = p.tolist(), q.tolist(), p.size - 1
     num_dom, growth = _forward_probe(p_list, q_list, seed)
-    minimal_exists = True
-    # x_m / x_{m-1} of the backward pass from the top, inside the asymptotic range
-    probe_at = max(2, (3 * top) // 4)
-    probe_ratio = math.nan
+    pincherle: Optional[PincherleResult] = None
     try:
-        num_min = miller_minimal_ratio(p, q, _default_schedule(p.size))
-        rows, exps = _backward_pass(p_list, q_list, top)
-        probe_ratio = _ratio(rows, exps, top - probe_at, top - probe_at + 1)
+        pincherle = pincherle_check(p, q)
     except (NoConvergence, ZeroQ) as exc:
-        num_min = math.nan
-        minimal_exists = False
         notes.append(f"backward recurrence did not stabilize: {exc}")
+    num_min = math.nan if pincherle is None else pincherle.backward_ratio
 
     power_law: Optional[tuple[float, float, float, float]] = None
     ba: Optional[BirkhoffAdamsData] = None
 
     if declared is not None:
+        # x_m / x_{m-1} of the backward pass from the top, inside the asymptotic range
+        probe_at = max(2, (3 * top) // 4)
+        try:
+            rows, exps = _backward_pass(p_list, q_list, top)
+            probe_ratio = _ratio(rows, exps, top - probe_at, top - probe_at + 1)
+        except ZeroQ:
+            probe_ratio = math.nan
         if {"sigma", "tau"} <= set(declared):
             label, power_law = _classify_power_law(declared, notes)
             try:
@@ -468,9 +486,10 @@ def classify(
         case_label=label,
         power_law=power_law,
         ba_data=ba,
-        minimal_exists=minimal_exists,
+        minimal_exists=pincherle is not None,
         numeric_dominant_ratio=num_dom,
         numeric_minimal_ratio=num_min,
+        pincherle=pincherle,
         consistency=consistency,
         notes=tuple(notes),
     )

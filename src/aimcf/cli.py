@@ -314,11 +314,11 @@ def _run_classify(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dic
         warnings.simplefilter("always")
         pvals, qvals, declared = _classify_sequences(raw, spec, args)
         report = analysis.classify(pvals, qvals, declared=declared, seed=args.seed)
-        pincherle = analysis.pincherle_check(pvals, qvals)
     warn_list.extend(_warning_strings(caught))
+    classification = _jsonable(report)
     outputs = {
-        "classification": _jsonable(report),
-        "pincherle": _jsonable(pincherle),
+        "classification": classification,
+        "pincherle": classification.pop("pincherle"),
     }
     return {"outputs": outputs, "warnings": warn_list}
 

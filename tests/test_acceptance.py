@@ -296,7 +296,7 @@ def test_criterion_11_recurrence_classification():
     root_err = max(abs(roots[0] - (-1.0)), abs(roots[1] - 4.0))
     tail = max(max(abs(c) for c in row[1:]) for row in ba.c_table)
     ok = (
-        rep_const.case_label is CaseLabel.CASE_3
+        rep_const.case_label is CaseLabel.CASE_1A
         and rep_const.minimal_exists
         and dom_err < 1e-8
         and min_err < 1e-8
@@ -309,7 +309,7 @@ def test_criterion_11_recurrence_classification():
     )
     _verdict(
         11,
-        f"case 3 ratio errs ({dom_err:.1e}, {min_err:.1e}); Bessel 4a consistent with "
+        f"case 1a ratio errs ({dom_err:.1e}, {min_err:.1e}); Bessel 4a consistent with "
         f"decaying minimal ratio; constant-term roots err {root_err:.1e}, "
         f"correction tail {tail:.1e}",
         ok,

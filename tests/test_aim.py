@@ -472,6 +472,25 @@ def test_degenerate_delta_emits_warning_and_empty_result():
     with pytest.warns(DegenerateDeltaWarning):
         roots = find_eigenvalues(spec, 0.0, 2.0, 11, tol=1e-10)
     assert roots == []
+    # the grid of test_roots_on_every_grid_point: the off-grid look vanishes
+    # too, or (at E = 2, a zero divisor) cannot be evaluated
+    for s0, e_max, grid in (("0", 13.0, 7), ("0/(E - 2)", 3.0, 2)):
+        spec = ProblemSpec.from_strings("2*x", s0, "E", x0=0.0, order=42, n_max=40)
+        with pytest.warns(DegenerateDeltaWarning):
+            roots = find_eigenvalues(spec, 1.0, e_max, grid)
+        assert roots == []
+
+
+# every grid point is an eigenvalue, so delta is exactly 0 on the whole grid;
+# one off-grid value tells this apart from a delta that vanishes identically
+@pytest.mark.parametrize("e_max, grid", [(13.0, 7), (3.0, 2)])
+def test_roots_on_every_grid_point(e_max, grid):
+    spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=0.0, order=42, n_max=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateDeltaWarning)
+        roots = find_eigenvalues(spec, 1.0, e_max, grid)
+    assert [r.value for r in roots] == [float(2 * k + 1) for k in range(grid)]
+    assert all(r.residual == 0.0 for r in roots)
 
 
 # the inputs are finite series, so a non-finite ladder value at x0 can only

@@ -64,6 +64,14 @@ def test_verdict_diverges_on_summable_terms():
     assert rep.exp_bound == pytest.approx(54.598, rel=1e-3)
 
 
+# 2 * 400 is beyond math.exp's range; the bound is infinite, as in the other
+# verdict branches, instead of an OverflowError
+def test_diverges_verdict_on_huge_sum_has_infinite_bound():
+    rep = stern_seidel([400.0] + [1e-14] * 20, 50.0, 10)
+    assert rep.verdict is Verdict.DIVERGES
+    assert rep.exp_bound == math.inf
+
+
 def test_cauchy_tail_beats_threshold_crossing():
     # partial sum 2 exceeds a threshold of 1, but the tail has converged
     p = [2.0 ** (-n) for n in range(60)]
@@ -239,22 +247,22 @@ def test_limit_ratio_link_cylinder_recurrence():
 
 def test_monic_transform_values():
     t, q_lim = monic_transform([3.0] * 10, [4.0] * 10)
-    assert t == pytest.approx([16.0 / 9.0] * 9)
-    assert q_lim == pytest.approx(16.0 / 9.0)
+    assert t == pytest.approx([-16.0 / 9.0] * 9)
+    assert q_lim == pytest.approx(-16.0 / 9.0)
     p, q = _bessel_pq(10)
     t_b, q_b = monic_transform(p, q)
-    assert t_b[0] == pytest.approx(-0.5)
+    assert t_b[0] == pytest.approx(0.5)
     assert abs(q_b) < abs(t_b[0])
 
 
 def test_monic_transform_underflowing_product_is_not_zero_p():
-    # p[0] * p[1] = 2e-400 underflows, yet t_1 = 4 q / (p[0] p[1]) = -2e100
+    # p[0] * p[1] = 2e-400 underflows, yet t_1 = -4 q / (p[0] p[1]) = 2e100
     t, _ = monic_transform([1e-200 * (n + 1) for n in range(40)], [-1e-300] * 40)
-    assert t[0] == pytest.approx(-2e100, rel=1e-15)
-    assert t[-1] == pytest.approx(-4e100 / (39 * 40), rel=1e-15)
+    assert t[0] == pytest.approx(2e100, rel=1e-15)
+    assert t[-1] == pytest.approx(4e100 / (39 * 40), rel=1e-15)
     # a normal product keeps the plain quotient
     t, _ = monic_transform([3.0, 0.7, 1e-3], [4.0, 5.0, 6.0])
-    assert t == [4.0 * 5.0 / (3.0 * 0.7), 4.0 * 6.0 / (0.7 * 1e-3)]
+    assert t == [-4.0 * 5.0 / (3.0 * 0.7), -4.0 * 6.0 / (0.7 * 1e-3)]
 
 
 def test_monic_transform_guards():
@@ -279,16 +287,50 @@ def test_characteristic_roots_branches():
 
 
 def test_classify_constants_is_growth_case():
+    # t = -16/9 gives roots 1 +- 5/3, which times p/2 = 3/2 are 4 and -1
     rep = classify([3.0] * 60, [4.0] * 60)
-    assert rep.case_label is CaseLabel.CASE_3
-    assert rep.q_limit == pytest.approx(16.0 / 9.0)
+    assert rep.case_label is CaseLabel.CASE_1A
+    assert rep.q_limit == pytest.approx(-16.0 / 9.0)
     assert rep.numeric_dominant_ratio == pytest.approx(4.0, abs=1e-8)
     assert rep.numeric_minimal_ratio == pytest.approx(-1.0, abs=1e-8)
     assert rep.minimal_exists
-    # advisory growth modulus sqrt(16/9)*3/2 = 2 misses the true ratio 4;
-    # the numeric probes are authoritative
-    assert not rep.consistency
-    assert any("authoritative" in note for note in rep.notes)
+    assert rep.consistency
+    assert not any("authoritative" in note for note in rep.notes)
+
+
+def _by_position(roots):
+    return sorted(roots, key=lambda z: (round(z.real, 6), z.imag))
+
+
+# [DERIVED] constant ratios r solve r^2 = p r + q; the monic roots
+# 1 +- sqrt(1 - t) with t = -4 q / p^2, times p / 2, are exactly those.  A
+# modulus gap of 1.5x lets Miller's algorithm settle within 200 levels; a
+# complex pair has equal moduli and no minimal solution
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.floats(0.5, 4.0) | st.floats(-4.0, -0.5),
+    q=st.floats(-4.0, -0.01) | st.floats(0.01, 4.0),
+)
+@example(p=3.0, q=4.0)
+@example(p=2.1, q=-1.0)
+@example(p=1.0, q=-1.0)
+@example(p=2.0, q=-0.05)
+@example(p=2.0, q=-3.0)
+@example(p=2.5, q=-1.5)  # roots 1.5 and 1: a gap of exactly 1.5x
+@example(p=1.0, q=6.0)  # roots 3 and -2
+def test_constant_recurrence_roots_match_numpy(p, q):
+    rep = classify([p] * 200, [q] * 200)
+    want = _by_position(complex(z) for z in np.roots([1.0, -p, -q]))
+    got = _by_position(r * p / 2.0 for r in rep.roots)
+    assert got == pytest.approx(want, abs=1e-6 * max(1.0, abs(p)))
+    small, big = sorted(abs(z) for z in want)
+    if big >= 1.5 * small:
+        assert rep.minimal_exists
+        root_min = min(want, key=abs).real
+        assert rep.numeric_minimal_ratio == pytest.approx(root_min, rel=1e-9, abs=1e-12)
+    if rep.q_limit >= 1.1:
+        assert not rep.minimal_exists
+        assert rep.pincherle is None
 
 
 def test_classify_small_perturbation_case():
@@ -304,20 +346,33 @@ def test_classify_small_perturbation_case():
 
 
 def test_classify_periodic_recurrence_lacks_minimal_solution():
+    # t = 4 gives the conjugate pair 1 +- i sqrt(3) of equal modulus; the
+    # growth modulus sqrt(|t|) p/2 = 1 matches the numeric one
     rep = classify([1.0] * 150, [-1.0] * 150)
+    assert rep.case_label is CaseLabel.CASE_3
     assert not rep.minimal_exists
     assert math.isnan(rep.numeric_minimal_ratio)
-    assert not rep.consistency
+    assert rep.consistency
     assert any("did not stabilize" in note for note in rep.notes)
 
 
 def test_classify_unit_limit_case():
     n = 240
+    # q -> +1 means t -> -1: distinct real roots 1 +- sqrt(2), case 1
     q = [1.0] + [1.0 + (k + 1.0) ** (-3.0) for k in range(n - 1)]
     rep = classify([2.0] * n, q)
-    assert rep.case_label is CaseLabel.CASE_2
+    assert rep.case_label is CaseLabel.CASE_1A
     assert rep.numeric_dominant_ratio == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-6)
     assert rep.minimal_exists
+    assert rep.consistency
+    # q -> -1 means t -> 1: the double root 1 with summable n |a_n|, case 2.
+    # Solutions grow like 1 and n, so backward estimates creep by O(1/depth)
+    # and Miller's algorithm does not stabilize
+    rep = classify([2.0] * n, [-v for v in q])
+    assert rep.case_label is CaseLabel.CASE_2
+    assert rep.q_limit == pytest.approx(1.0, abs=1e-6)
+    assert not rep.minimal_exists
+    assert rep.pincherle is None
     assert not rep.consistency
 
 

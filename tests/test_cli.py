@@ -104,9 +104,9 @@ def test_classify_constants_labels_growth_case(const_seq_file, capsys):
     assert code == EXIT_OK
     record = json.loads(out)
     cls = record["outputs"]["classification"]
-    assert cls["case_label"] == "3"
+    assert cls["case_label"] == "1a"
     assert cls["minimal_exists"] is True
-    assert cls["consistency"] is False
+    assert cls["consistency"] is True
     assert abs(cls["numeric_dominant_ratio"] - 4.0) < 1e-8
     assert abs(cls["numeric_minimal_ratio"] + 1.0) < 1e-8
     pin = record["outputs"]["pincherle"]
@@ -136,14 +136,14 @@ def test_classify_cylinder_recurrence_reports_consistency(tmp_path, capsys):
     assert cls["consistency"] is True
 
 
-# p[0] * p[1] underflows to 0 although no p is zero; t_1 = -2e100 is finite
+# p[0] * p[1] underflows to 0 although no p is zero; t_1 = 2e100 is finite
 def test_classify_tiny_p_products_are_not_zero_p(tmp_path, capsys):
     block = {"pvals": [1e-200 * (n + 1) for n in range(40)], "qvals": [-1e-300] * 40}
     path = _write(tmp_path, "tiny.json", dict(HO_PROBLEM, classify=block))
     code, out, err = _run(capsys, ["classify", path])
     assert code == EXIT_OK, err
     cls = json.loads(out)["outputs"]["classification"]
-    assert cls["q_limit"] == pytest.approx(-4e100 / (39 * 40), rel=1e-15)
+    assert cls["q_limit"] == pytest.approx(4e100 / (39 * 40), rel=1e-15)
 
 
 # recorded before the approximant recurrence moved onto the shared runner;
@@ -157,6 +157,84 @@ def test_diagnose_golden_output(tmp_path, capsys, e):
     assert out == golden.read_text(encoding="utf-8")
 
 
+CLASSIFY_GOLDEN = {
+    "cylinder_z1": dict(
+        HO_PROBLEM,
+        classify={
+            "pvals": [2.0 * (n + 1) for n in range(240)],
+            "qvals": [-1.0] * 240,
+            "declared_power_law": {"a": 2, "sigma": 1, "b": -1, "tau": 0},
+        },
+    ),
+    "constants_3_4": dict(HO_PROBLEM, classify={"pvals": [3.0] * 60, "qvals": [4.0] * 60}),
+}
+
+
+# recorded with t_n = -4 q_n / (p_{n-1} p_n) while classify and the CLI still
+# ran Miller's algorithm separately; one shared run must print the same bytes
+@pytest.mark.parametrize("name", sorted(CLASSIFY_GOLDEN))
+def test_classify_golden_output(tmp_path, capsys, name):
+    path = _write(tmp_path, f"{name}.json", CLASSIFY_GOLDEN[name])
+    code, out, _ = _run(capsys, ["classify", path])
+    assert code == EXIT_OK
+    golden = Path(__file__).parent / "golden" / f"classify_{name}.json"
+    assert out == golden.read_text(encoding="utf-8")
+
+
+# roots 1 +- i sqrt(2) and (1 +- i sqrt(3)) / 2 share their modulus: there is
+# no minimal solution, which is an answer, not a numeric failure
+@pytest.mark.parametrize("p, q", [(2.0, -3.0), (1.0, -1.0)])
+def test_classify_without_minimal_solution_exits_ok(tmp_path, capsys, p, q):
+    block = {"pvals": [p] * 60, "qvals": [q] * 60}
+    path = _write(tmp_path, "pair.json", dict(HO_PROBLEM, classify=block))
+    code, out, err = _run(capsys, ["classify", path])
+    assert code == EXIT_OK, err
+    outputs = json.loads(out)["outputs"]
+    assert outputs["classification"]["minimal_exists"] is False
+    assert outputs["pincherle"] is None
+    assert "pincherle" not in outputs["classification"]
+
+
+# q = 0 at the top blocks a backward pass started there, but Miller's
+# algorithm settles at lower depths; the classification and the Pincherle
+# block report the same minimal ratio
+def test_classify_zero_top_q_keeps_minimal_ratio(tmp_path, capsys):
+    block = {"pvals": [3.0] * 60, "qvals": [4.0] * 59 + [0.0]}
+    path = _write(tmp_path, "zero_q.json", dict(HO_PROBLEM, classify=block))
+    code, out, err = _run(capsys, ["classify", path])
+    assert code == EXIT_OK, err
+    outputs = json.loads(out)["outputs"]
+    cls = outputs["classification"]
+    assert cls["minimal_exists"] is True
+    assert cls["numeric_minimal_ratio"] == pytest.approx(-1.0, abs=1e-12)
+    assert outputs["pincherle"]["backward_ratio"] == cls["numeric_minimal_ratio"]
+
+
+_COEFFS = st.one_of(st.just(0.0), st.floats(-5.0, 5.0))
+
+
+# a raw recurrence is classified or fails numerically (a zero p), and the
+# Pincherle block is present exactly when a minimal solution was found
+@given(
+    pvals=st.lists(_COEFFS, min_size=40, max_size=40),
+    qvals=st.lists(_COEFFS, min_size=40, max_size=40),
+)
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_classify_pincherle_present_iff_minimal_exists(tmp_path, capsys, pvals, qvals):
+    block = {"pvals": pvals, "qvals": qvals}
+    path = _write(tmp_path, "raw.json", dict(HO_PROBLEM, classify=block))
+    code, out, _ = _run(capsys, ["classify", path])
+    assert code in (EXIT_OK, EXIT_NUMERIC)
+    if code == EXIT_OK:
+        outputs = json.loads(out)["outputs"]
+        minimal = outputs["classification"]["minimal_exists"]
+        assert (outputs["pincherle"] is None) == (not minimal)
+
+
 def test_classify_from_ladder_needs_param_value(const_file, capsys):
     code, _, err = _run(capsys, ["classify", const_file])
     assert code == EXIT_INPUT
@@ -167,7 +245,7 @@ def test_classify_from_ladder_runs(const_file, capsys):
     code, out, _ = _run(capsys, ["classify", const_file, "--param-value", "0"])
     assert code == EXIT_OK
     record = json.loads(out)
-    assert record["outputs"]["classification"]["case_label"] == "3"
+    assert record["outputs"]["classification"]["case_label"] == "1a"
 
 
 def test_classify_short_sequences_exit_numeric(tmp_path, capsys):
