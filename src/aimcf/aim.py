@@ -42,8 +42,16 @@ one-value array and evaluated alone through :func:`_delta_vector`.  A grid
 with a point that fails to bind is bound again point by point, so the
 failing points are skipped, with their warnings in grid order, as if the
 batch had never run.  Rows are bit-identical to one-value bindings, and
-both kernels do the same operations in the same order, so a grid value
-equals a per-point one bit for bit.  Against the series
+both kernels sum the same terms in the same order, so a grid value equals
+a per-point one bit for bit.  Both leave out products that are exactly
+zero: a column that is zero on both sides, and the side of a column that
+is zero, at its point for the per-point kernel and on the whole grid for
+the batched pass (a column that is one-sided on the grid), which also
+skips the multiply by C(k, 0) = C(k, k) = 1.  A skipped zero could at
+most change the sign of a zero term, and the sum onto a +0 accumulator
+erases that sign, so no value changes, not even a zero's sign (which no
+root decision reads anyway); a skipped 0 * inf follows an overflow that
+raises :class:`~aimcf.errors.Overflow` either way.  Against the series
 ladder, which sums in another order, they agree to rounding: within 1e-13
 of the cross terms ``|L|[i+1] |S|[i] + |L|[i] |S|[i+1]`` of the ladder run
 on absolute input coefficients, which scale the rounding error of both.
@@ -59,7 +67,7 @@ import functools
 import math
 import operator
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -347,7 +355,7 @@ def _recurrence_inputs(
         return binom, np.ldexp(mant * l0, exp), np.ldexp(mant * s0, exp)
 
 
-def _delta_vector(l0: np.ndarray, s0: np.ndarray) -> np.ndarray:
+def _delta_vector(l0: np.ndarray, s0: np.ndarray) -> list[float]:
     """delta[1..depth] from input coefficients 0..depth, by the derivative recurrence.
 
     Since y^(i+2) = L[i] y' + S[i] y, the at-centre values L[i](x0) and
@@ -357,13 +365,17 @@ def _delta_vector(l0: np.ndarray, s0: np.ndarray) -> np.ndarray:
 
         u(k + 2) = sum over t of C(k, t) (L^(t) u(k + 1 - t) + S^(t) u(k - t))
 
-    The sum runs in ascending t over the columns where L^(t)(x0) or
-    S^(t)(x0) is nonzero, on Python floats.  Derivatives, not Taylor
-    coefficients, are carried, since u(k) / k! underflows where u(k) and
-    delta do not.  The values equal those of :func:`_scan_deltas` for the
-    same row bit for bit, and those of the series ladder within the bound
-    the module docstring states.  A value beyond double range turns inf or
-    nan, which reaches delta, so :func:`_cross` raises :class:`Overflow`.
+    The sum runs on Python floats, in ascending t over the columns where
+    L^(t)(x0) or S^(t)(x0) is nonzero, leaving out the side of a column
+    that is zero; the cross product of :func:`_cross` at the end runs on
+    Python floats too, which spares a one-point call its array copies and
+    ``np.errstate``.  Derivatives, not Taylor coefficients, are carried,
+    since u(k) / k! underflows where u(k) and delta do not.  The values
+    equal those of :func:`_scan_deltas` for the same row bit for bit (the
+    module docstring says why the skipped products change nothing), and
+    those of the series ladder within the bound stated there.  A value
+    beyond double range turns inf or nan, which reaches delta, so this
+    raises :class:`Overflow`.
     """
     width = l0.size
     binom, dl, ds = _recurrence_inputs(l0, s0)
@@ -377,11 +389,21 @@ def _delta_vector(l0: np.ndarray, s0: np.ndarray) -> np.ndarray:
             if t > k:
                 break
             c, j = row[t], k - t
-            a += c * (l * ua[j + 1] + s * ua[j])
-            b += c * (l * ub[j + 1] + s * ub[j])
+            if not l:
+                a += c * (s * ua[j])
+                b += c * (s * ub[j])
+            elif not s:
+                a += c * (l * ua[j + 1])
+                b += c * (l * ub[j + 1])
+            else:
+                a += c * (l * ua[j + 1] + s * ua[j])
+                b += c * (l * ub[j + 1] + s * ub[j])
         ua.append(a)
         ub.append(b)
-    return _cross(np.array(ub[2:]), np.array(ua[2:]))
+    delta = [b1 * a0 - b0 * a1 for a0, a1, b0, b1 in zip(ua[2:], ua[3:], ub[2:], ub[3:])]
+    if not all(map(math.isfinite, delta)):
+        raise Overflow("termination quantity overflows double range")
+    return delta
 
 
 def _scan_deltas(l0: np.ndarray, s0: np.ndarray) -> np.ndarray:
@@ -389,30 +411,46 @@ def _scan_deltas(l0: np.ndarray, s0: np.ndarray) -> np.ndarray:
 
     The batched twin of :func:`_delta_vector`, for a whole grid in one pass:
     the same recurrence on ``(2, points)`` arrays that hold u_a and u_b of
-    every row, summed over the columns that are nonzero in some row.  A
-    column that is zero in a row adds only zeros there, so every row gets
-    the operations of :func:`_delta_vector` in the same order and equals it
-    bit for bit, whatever the other rows hold.  Raises :class:`Overflow`
-    (from :func:`_cross`) if any value leaves double range, without numpy's
-    floating-point warnings.
+    every row, summed in place into one preallocated array, over the
+    columns that are nonzero in some row.  A column that is zero in a row
+    adds only zeros there, so every row gets the sums of
+    :func:`_delta_vector` in the same order and equals it bit for bit,
+    whatever the other rows hold.  It leaves out the side of a column
+    whose L^(t) or S^(t) is zero in every row, and the multiply by
+    C(k, 0) = C(k, k) = 1; neither changes a value, as the module docstring
+    shows.  Raises :class:`Overflow` (from :func:`_cross`) if any value
+    leaves double range, without numpy's floating-point warnings.
     """
     points, width = l0.shape
     binom, dl, ds = _recurrence_inputs(l0, s0)
     dl, ds = dl.T.copy(), ds.T.copy()  # contiguous columns
-    cols = np.flatnonzero(dl.any(axis=1) | ds.any(axis=1)).tolist()
-    terms = [(t, dl[t], ds[t]) for t in cols]
-    u = [np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])]
+    dl_on, ds_on = dl.any(axis=1).tolist(), ds.any(axis=1).tolist()
+    terms = [
+        (t, dl[t] if dl_on[t] else None, ds[t] if ds_on[t] else None)
+        for t in range(width)
+        if dl_on[t] or ds_on[t]
+    ]
+    # u[k] holds u_a(k) and u_b(k) of every row; each u(k + 2) is summed in
+    # place onto +0, term by term, as _delta_vector sums onto a = b = 0.0
+    u = np.zeros((width + 2, 2, points))
+    u[0, 0] = u[1, 1] = 1.0
+    term, part = np.empty((2, points)), np.empty((2, points))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(width):
-            row = binom[k]
-            acc = np.zeros((2, points))
+            row, acc = binom[k], u[k + 2]
             for t, l, s in terms:
                 if t > k:
                     break
-                acc += row[t] * (l * u[k + 1 - t] + s * u[k - t])
-            u.append(acc)
-    at = np.array(u[2:])
-    return _cross(at[:, 1], at[:, 0]).T
+                if l is None:
+                    np.multiply(s, u[k - t], out=term)
+                else:
+                    np.multiply(l, u[k + 1 - t], out=term)
+                    if s is not None:
+                        term += np.multiply(s, u[k - t], out=part)
+                if 0 < t < k:  # C(k, 0) = C(k, k) = 1
+                    term *= row[t]
+                acc += term
+    return _cross(u[2:, 1], u[2:, 0]).T
 
 
 def _locate(
@@ -524,7 +562,7 @@ def find_eigenvalues(
     # refinement at depth n and the recheck at depth n + 2 alike; the grid
     # fills this in one batched pass, ``delta`` adds every other E alone
     # (``inputs`` is bound below, inside the warning filter)
-    deltas: dict[float, np.ndarray] = {}
+    deltas: dict[float, Sequence[float]] = {}
 
     def delta(e: float, depth: int) -> float:
         if e not in deltas:

@@ -343,6 +343,9 @@ def cf_equiv_unit(pvals, qvals) -> np.ndarray:
     Returns ptilde with the property that the approximants of
     q[0] * K(1/ptilde) coincide with those of K(q/p) at every level.  The
     rescaling inverts each q, so any zero partial numerator is rejected.
+    The loop runs on Python floats, so it emits no floating-point warning;
+    a running scale that overflows or reaches zero, or a partial
+    denominator beyond double range, raises :class:`Overflow`.
     """
     pvals = np.asarray(pvals, dtype=float)
     qvals = np.asarray(qvals, dtype=float)
@@ -351,10 +354,12 @@ def cf_equiv_unit(pvals, qvals) -> np.ndarray:
     if np.any(qvals == 0.0):
         k = int(np.nonzero(qvals == 0.0)[0][0])
         raise ZeroPartialNumerator(f"q[{k}] = 0 cannot be rescaled away")
-    out = np.empty(pvals.size)
-    d = 1.0
-    out[0] = pvals[0]
-    for n in range(1, pvals.size):
-        d = 1.0 / (qvals[n] * d)
-        out[n] = pvals[n] * d
-    return out
+    p, q = pvals.tolist(), qvals.tolist()
+    out, d = [p[0]], 1.0
+    for n in range(1, len(p)):
+        scaled = q[n] * d
+        d = 1.0 / scaled if scaled else math.inf
+        out.append(p[n] * d)
+        if not (d and math.isfinite(d) and math.isfinite(out[-1])):
+            raise Overflow(f"unit-form rescaling leaves double range at level {n}")
+    return np.array(out)

@@ -423,11 +423,12 @@ def bind_series(
     ``(values, order + 1)`` array whose row i holds the coefficients of
     ``e`` at value i.  Every parameter-free subtree is evaluated here, once,
     and a parameter-free expression returns a read-only view of its one
-    coefficient array.  Otherwise the values are checked finite and each
-    node on a path to the parameter is evaluated on a row stack: the
-    parameter is the stack with the values in column 0 and zeros beside
-    them, sum, difference and negation are one numpy operation over the
-    stack, and product, quotient and integer power run the one-series
+    coefficient array (the same view on every one-value call, which spares
+    that call ``np.broadcast_to``).  Otherwise the values are checked
+    finite and each node on a path to the parameter is evaluated on a row
+    stack: the parameter is the stack with the values in column 0 and zeros
+    beside them, sum, difference and negation are one numpy operation over
+    the stack, and product, quotient and integer power run the one-series
     kernels row by row.  Each row is the same operations on the same
     operands as a walk that evaluates every node for that value alone, so
     it is bit-identical to that walk's series.  A node whose rows leave
@@ -451,7 +452,10 @@ def bind_series(
         raise ParseOrEvalError("expression is nested too deeply to evaluate") from exc
     if isinstance(bound, np.ndarray):
         bound.setflags(write=False)
-        return lambda values: np.broadcast_to(bound, (len(values), order + 1))
+        one = bound[np.newaxis]
+        return lambda values: (
+            one if len(values) == 1 else np.broadcast_to(bound, (len(values), order + 1))
+        )
 
     def call(values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)

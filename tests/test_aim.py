@@ -297,8 +297,19 @@ def test_delta_vector_matches_exact_ladder(lam_c, s_c, x0, energy, depth):
 
 # the batched scan kernel: a row's values do not depend on the points that
 # share its pass and equal the per-point kernel's bit for bit; and delta
-# stays exactly 0 when S vanishes identically
+# stays exactly 0 when S vanishes identically.  The examples: the bench
+# quartic at x0 = 0, where every column is one-sided, so the batched pass
+# skips a side of each; at x0 = 0.7, where columns 0 and 1 are two-sided;
+# and at x0 = 0.5 with E = 0.8125, the value of x^4 - 9 x^2 + 3 there, exact
+# in binary, so the S side of column 0 is zero in that one row only: the
+# per-point kernel skips it there, the batched pass does not
+QUARTIC_C = {"lam_c": [0.0, 6.0], "s_c": [3.0, 0.0, -9.0, 0.0, 1.0]}
+
+
 @example(lam_c=[0.0, 2.0], s_c=[1.0], x0=0.0, energies=[1.0, 3.0, 1.0], depth=30)
+@example(**QUARTIC_C, x0=0.0, energies=[1.06, 3.8, 7.46, 11.64, 0.3], depth=40)
+@example(**QUARTIC_C, x0=0.7, energies=[1.06, 3.8, -2.5], depth=40)
+@example(**QUARTIC_C, x0=0.5, energies=[2.0, 0.8125, -1.0], depth=40)
 @given(
     poly_coeffs,
     poly_coeffs,
@@ -564,6 +575,20 @@ def test_deep_ladder_overflow_raises_overflow():
         _delta_vector(l0, s0)
     with pytest.raises(Overflow):
         _scan_deltas(l0[None], s0[None])
+
+
+# with L = 0 every column is one-sided, so the batched pass skips the L
+# side, where 0 * inf = nan would have followed the overflow; u(2j) =
+# (-1e20 - E)^j leaves double range by j = 16, and both kernels raise
+# Overflow with no RuntimeWarning (the suite turns one into a failure)
+def test_one_sided_overflow_raises_overflow():
+    l0, s0 = _deep_inputs("0", "-1e20 - E", 0.0, 40)
+    with pytest.raises(Overflow):
+        _delta_vector(l0, s0)
+    with pytest.raises(Overflow):
+        _scan_deltas(l0[None], s0[None])
+    with pytest.raises(Overflow):
+        _scan_deltas(np.stack([l0, l0]), np.stack([s0, s0 + 1.0]))
 
 
 # the ladder kernel owns the overflow check, so no view reports an overflow

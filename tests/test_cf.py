@@ -159,6 +159,23 @@ def test_equiv_unit_rejects_zero_numerator():
         cf_equiv_unit([1.0, 1.0, 1.0], [1.0, 0.0, 1.0])
 
 
+# the running scale d = 1 / (q[n] d) leaves double range: q[2] d = 1e300 *
+# 1e300 overflows, so d reaches 0 (and 1 / 0 follows); q[2] d = 1e-200 *
+# 1e-200 underflows to 0, so d would be 1 / 0.  Each raises Overflow, which
+# the diagnose command reports as skipped unit-form diagnostics, and emits no
+# numpy warning (the suite turns a RuntimeWarning into a failure)
+@pytest.mark.parametrize(
+    "qvals",
+    [[1.0, 1e-300, 1e300, 1.0], [1.0, 1e200, 1e-200, 1e-200]],
+    ids=["scale-to-zero", "scale-to-inf"],
+)
+def test_equiv_unit_scale_out_of_range_raises_overflow(qvals):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow):
+            cf_equiv_unit([1.0] * 4, qvals)
+
+
 def test_zero_denominator_paths():
     # p = 0 everywhere makes B[0] = 0
     state = cf_approximants([0.0, 0.0], [1.0, 1.0])

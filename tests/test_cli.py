@@ -157,6 +157,36 @@ def test_diagnose_golden_output(tmp_path, capsys, e):
     assert out == golden.read_text(encoding="utf-8")
 
 
+SOLVE_GOLDEN = {
+    "oscillator": dict(
+        HO_PROBLEM,
+        order=80,
+        n_max=40,
+        search={"e_min": 0.0444, "e_max": 12.0444, "grid": 101, "tol": 1e-10},
+    ),
+    "quartic": dict(
+        HO_PROBLEM,
+        lambda0="6*x",
+        s0="x^4 - 9*x^2 + 3 - E",
+        order=80,
+        n_max=40,
+        search={"e_min": 0.3111, "e_max": 12.3111, "grid": 401, "tol": 1e-10},
+    ),
+}
+
+
+# the two solve problems of the benchmark, on grids shifted by 0.37 of a
+# cell; recorded before the batched scan skipped one-sided columns, so a
+# leaner kernel must print the same bytes
+@pytest.mark.parametrize("name", sorted(SOLVE_GOLDEN))
+def test_solve_golden_output(tmp_path, capsys, name):
+    path = _write(tmp_path, f"{name}.json", SOLVE_GOLDEN[name])
+    code, out, _ = _run(capsys, ["solve", path])
+    assert code == EXIT_OK
+    golden = Path(__file__).parent / "golden" / f"solve_{name}_shift0.37.json"
+    assert out == golden.read_text(encoding="utf-8")
+
+
 CLASSIFY_GOLDEN = {
     "cylinder_z1": dict(
         HO_PROBLEM,
