@@ -88,9 +88,10 @@ def pq_iterate(spec: ProblemSpec, param_value: float) -> PQSequences:
     The levels run on raw coefficient arrays with the operations of the
     series arithmetic (derivative, :func:`~aimcf.series.series_div`'s long
     division, sum, Cauchy product), so every value is the series ladder's
-    bit for bit.  A coefficient past double range raises
-    :class:`~aimcf.errors.Overflow`, found once per level from the largest
-    magnitudes the stop rules read.
+    bit for bit.  Where q[n] is constant in x, as on the oscillator, the
+    division by it is one vector division.  A coefficient past double range
+    raises :class:`~aimcf.errors.Overflow`, found once per level from the
+    largest magnitudes the stop rules read.
     """
     p, q = (series.coeffs for series in spec.series_pair(param_value))
     ks = np.arange(1, p.size, dtype=float)  # derivative factors

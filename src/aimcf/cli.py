@@ -50,35 +50,56 @@ SUM_THRESHOLD = 50.0
 CAUCHY_WINDOW = 10
 
 
+# types that JSON takes as they are
+_PASSTHROUGH = frozenset({int, str, bool, type(None)})
+
+
 def _jsonable(obj: Any) -> Any:
-    """Reduce report objects to JSON-safe primitives, deterministically."""
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: _jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, complex):
-        return {"im": _jsonable(obj.imag), "re": _jsonable(obj.real)}
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+    """Reduce report objects to JSON-safe primitives, deterministically.
+
+    One ordered dispatch.  The common exact types come first: float, dict,
+    list and tuple, then int, str, bool and None, which pass through.  Other
+    objects go by isinstance: an enum member becomes its value, a dataclass
+    a dict of its fields, a complex number ``{"im", "re"}``, numpy integers
+    and bools Python ones, an array or other sequence a list, a mapping a
+    dict with string keys, and a numpy or other float a float.  Anything
+    else passes through.  A non-finite float becomes "nan", "inf" or "-inf".
+    """
+    kind = type(obj)
+    if kind is not float:
+        if kind is dict:
+            return {str(k): _jsonable(v) for k, v in obj.items()}
+        if kind is list or kind is tuple:
+            return [_jsonable(v) for v in obj]
+        if kind in _PASSTHROUGH:
+            return obj
+        if isinstance(obj, enum.Enum):
+            return obj.value
+        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            return {
+                f.name: _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)
+            }
+        if isinstance(obj, complex):
+            return {"im": _jsonable(obj.imag), "re": _jsonable(obj.real)}
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.ndarray):
+            return [_jsonable(v) for v in obj.tolist()]
+        if isinstance(obj, (list, tuple)):
+            return [_jsonable(v) for v in obj]
+        if isinstance(obj, dict):
+            return {str(k): _jsonable(v) for k, v in obj.items()}
+        if isinstance(obj, np.bool_):
+            return bool(obj)
+        if not isinstance(obj, (np.floating, float)):
+            return obj
+        obj = float(obj)
+    if math.isfinite(obj):
+        return obj
+    if math.isnan(obj):
+        return "nan"
+    return "inf" if obj > 0 else "-inf"
 
 
 def _require(cond: bool, message: str) -> None:

@@ -61,6 +61,8 @@ from .errors import (
 EPS_PIVOT = 1e-300
 # Pivots below this fraction of the numerator scale only warn.
 PIVOT_WARN_REL = 1e-12
+# -0.0 read as an int64: the bits _divide compares to find a negative zero
+_NEG_ZERO_BITS = np.float64(-0.0).view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -247,12 +249,14 @@ def series_div(a: TaylorSeries, b: TaylorSeries) -> TaylorSeries:
     raise :class:`SingularPivot`; pivots smaller than ``PIVOT_WARN_REL``
     times the numerator's largest coefficient emit a
     :class:`ConditioningWarning` but proceed.  A quotient past double range
-    raises :class:`Overflow`.  Each quotient coefficient costs one
+    raises :class:`Overflow`.  Dividing by a constant is one vector
+    division; otherwise each quotient coefficient costs one
     multiply-subtract per nonzero coefficient of ``b`` past the pivot, so
-    dividing by a constant or a polynomial is linear in the order.
+    dividing by a polynomial is linear in the order.
     """
     _check_centers(a, b)
-    return _result(a.center, _divide(a.coeffs, b.coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _result(a.center, _divide(a.coeffs, b.coeffs))
 
 
 def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -260,12 +264,16 @@ def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
     Checks the pivot and warns as :func:`series_div` describes; the quotient
     has min(num.size, den.size) coefficients and is not checked for overflow.
-    Coefficient k is num[k] minus den[j] * out[k - j] over ascending j >= 1,
-    leaving out the j where den[j] is zero: one multiply-subtract per
-    nonzero divisor coefficient, so a constant or polynomial divisor costs
-    O(n) and only a dense one O(n**2).  Where the quotient is finite it is
-    the dense loop's over every j bit for bit, signed zeros included; where
-    it is not, both are non-finite from the same first coefficient on.
+    The caller sets the floating-point error state: a quotient past double
+    range is inf.  Coefficient k is num[k] minus den[j] * out[k - j] over
+    ascending j >= 1, leaving out the j where den[j] is zero: one
+    multiply-subtract per nonzero divisor coefficient, so a polynomial
+    divisor costs O(n) and only a dense one O(n**2).  A constant divisor
+    (den[1:n] all zero) is one vector division num[:n] / pivot, unless a
+    numerator coefficient past index 0 is -0.0, which the dense loop may
+    turn into +0.0; that case takes the loop.  Where the quotient is finite
+    it is the dense loop's over every j bit for bit, signed zeros included;
+    where it is not, its first non-finite coefficient is the dense loop's.
     """
     pivot = float(den[0])
     if abs(pivot) < EPS_PIVOT:
@@ -279,6 +287,9 @@ def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
             stacklevel=3,
         )
     n = min(num.size, den.size)
+    if not den[1:n].any() and not (num[1:n].view(np.int64) == _NEG_ZERO_BITS).any():
+        # each coefficient is num[k] / pivot, as in the loop below
+        return num[:n] / pivot
     # Python floats: the same IEEE operations as numpy scalars, several
     # times faster; overflow gives inf or nan, which the caller checks
     num, den = num[:n].tolist(), den[:n].tolist()

@@ -1,5 +1,7 @@
 """End-to-end command runs: JSON/CSV output, exit codes, determinism."""
 
+import dataclasses
+import enum
 import json
 import math
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from aimcf.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, build_parser, main
+from aimcf.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, _jsonable, build_parser, main
 
 
 def _write(tmp_path, name, payload):
@@ -157,6 +159,18 @@ def test_diagnose_golden_output(tmp_path, capsys, e):
     assert out == golden.read_text(encoding="utf-8")
 
 
+# recorded before series division by a constant took one vector operation
+# and before _jsonable dispatched on exact types; three runs, one at a
+# negative centre, under the sweep's "runs" record
+def test_diagnose_sweep_golden_output(tmp_path, capsys):
+    path = _write(tmp_path, "osc.json", dict(HO_PROBLEM, order=80, n_max=40))
+    argv = ["diagnose", path, "--param-value", "7.25", "--sweep-x0=-0.9:0.9:3"]
+    code, out, _ = _run(capsys, argv)
+    assert code == EXIT_OK
+    golden = Path(__file__).parent / "golden" / "diagnose_oscillator_sweep-0.9_0.9_3_E7.25.json"
+    assert out == golden.read_text(encoding="utf-8")
+
+
 SOLVE_GOLDEN = {
     "oscillator": dict(
         HO_PROBLEM,
@@ -173,11 +187,17 @@ SOLVE_GOLDEN = {
         search={"e_min": 0.3111, "e_max": 12.3111, "grid": 401, "tol": 1e-10},
     ),
 }
+# the oscillator with S written as a quotient by a constant, off centre:
+# every grid and refinement binding divides by the constant series 2
+SOLVE_GOLDEN["oscillator_div_x0.3"] = dict(
+    SOLVE_GOLDEN["oscillator"], s0="(2 - 2*E)/2", x0=0.3
+)
 
 
 # the two solve problems of the benchmark, on grids shifted by 0.37 of a
 # cell; recorded before the batched scan skipped one-sided columns, so a
-# leaner kernel must print the same bytes
+# leaner kernel must print the same bytes.  The constant-divisor variant was
+# recorded before series division took its one-vector path.
 @pytest.mark.parametrize("name", sorted(SOLVE_GOLDEN))
 def test_solve_golden_output(tmp_path, capsys, name):
     path = _write(tmp_path, f"{name}.json", SOLVE_GOLDEN[name])
@@ -926,3 +946,56 @@ def test_exit_code_for_any_single_field_mutation(
     path = _write(tmp_path, "mutated.json", problem)
     code, _, _ = _run(capsys, [command, path, "--param-value", "3", f"--seed={seed}"])
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC)
+
+
+class _Tag(enum.Enum):
+    RED = "red"
+
+
+@dataclasses.dataclass
+class _Inner:
+    x: float
+    tag: _Tag
+
+
+@dataclasses.dataclass
+class _Outer:
+    inner: _Inner
+    values: tuple
+
+
+NAN, INF = math.nan, math.inf
+JSONABLE_TABLE = {
+    "nan": (NAN, "nan"),
+    "inf": (INF, "inf"),
+    "-inf": (-INF, "-inf"),
+    "-0.0": (-0.0, -0.0),
+    "float": (2.5, 2.5),
+    "np.float64 nan": (np.float64(NAN), "nan"),
+    "np.float64 inf": (np.float64(INF), "inf"),
+    "np.float64 -inf": (np.float64(-INF), "-inf"),
+    "np.float64 -0.0": (np.float64(-0.0), -0.0),
+    "np.int64": (np.int64(-7), -7),
+    "np.bool_": (np.bool_(True), True),
+    "bool": (False, False),
+    "int": (3, 3),
+    "None": (None, None),
+    "str": ("nan", "nan"),
+    "enum": (_Tag.RED, "red"),
+    "complex": (complex(NAN, -1.0), {"im": -1.0, "re": "nan"}),
+    "dataclass": (
+        _Outer(_Inner(-INF, _Tag.RED), (1, np.float64(0.5))),
+        {"inner": {"x": "-inf", "tag": "red"}, "values": [1, 0.5]},
+    ),
+    "tuple": ((True, None, NAN), [True, None, "nan"]),
+    "dict": ({1: NAN, 2: [np.int64(4)]}, {"1": "nan", "2": [4]}),
+    "ndarray 2-d": (np.array([[1.0, NAN], [-INF, -0.0]]), [[1.0, "nan"], ["-inf", -0.0]]),
+}
+
+
+# written against the isinstance-only converter: the exact-type dispatch must
+# return the same values of the same Python types (repr tells 1 from 1.0 and
+# True, 0.0 from -0.0, a list from a tuple and np.int64 from int)
+@pytest.mark.parametrize("obj, expected", JSONABLE_TABLE.values(), ids=JSONABLE_TABLE.keys())
+def test_jsonable_type_table(obj, expected):
+    assert repr(_jsonable(obj)) == repr(expected)

@@ -455,9 +455,18 @@ def wide_series(draw, pivots=()):
 # dense numpy-scalar loop bit for bit, signed zeros included, with the same
 # SingularPivot, ConditioningWarning and Overflow; in the first example the
 # dense loop turns -0.0 into +0.0 by subtracting 0.0 * -1.0, which a bare
-# skip of zero terms would leave out
+# skip of zero terms would leave out.  The rest pin the constant divisor's
+# vector path: an all-zero numerator over a negative pivot (-0.0 quotients),
+# -0.0 past index 0 (the loop's case), an overflow that must raise with no
+# RuntimeWarning, a one-coefficient divisor and a longer numerator
 @example(_series(0.0, [-1.0, -0.0]), _series(0.0, [1.0, 0.0]))
 @example(_series(0.0, [-0.0, -0.0, -0.0]), _series(0.0, [-2.0, 0.0, -0.0]))
+@example(_series(0.0, [0.0, 0.0, 0.0]), _series(0.0, [-3.0, 0.0, 0.0]))
+@example(_series(0.0, [3.0, -0.0]), _series(0.0, [1.0, 0.0]))
+@example(_series(0.0, [1.0, -0.0, -0.0]), _series(0.0, [-2.0, -0.0, 0.0]))
+@example(_series(0.0, [1e300, 1.0]), _series(0.0, [1e-10, 0.0]))
+@example(_series(0.0, [1.0, 2.0, -0.0]), _series(0.0, [4.0]))
+@example(_series(0.0, [1.0, -2.0, 3.0, 5.0]), _series(0.0, [-0.5, 0.0]))
 @given(wide_series(), wide_series(pivots=(0.0, 1e-301, -1e-299, 1e-250, 3e-13, -1.5)))
 @settings(max_examples=300, deadline=None)
 def test_div_matches_numpy_scalar_reference(a, b):
