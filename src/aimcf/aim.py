@@ -515,14 +515,21 @@ def find_eigenvalues(
 ) -> list[Root]:
     """Scan delta[n] over a parameter grid and refine its sign changes.
 
-    The depth n is ``spec.n_max``.  One pass in grid order reports each
-    grid point where delta[n] is exactly zero and refines each cell whose
-    ends change sign to within ``tol`` of a sign change, so the roots come
-    out in ascending order.  A cell is refined by :func:`_locate`, whose
-    secant steps fall back to the midpoint, and its root is the chord zero
-    of a final bracket of width ``tol`` or less.  Every root found at depth
-    n is re-located at depth n + 2 inside the same grid cell, or inside
-    both cells at a grid point it lies within ``tol`` of; if the ends of
+    The depth n is ``spec.n_max``.  The grid is the distinct values of
+    ``np.linspace(e_min, e_max, grid_points)``: a value that rounding
+    repeats (on a range of a few ulps) is searched once, since a cell
+    between equal values cannot change sign, so no root is reported twice.
+    One pass in grid order reports each grid point where delta[n] is
+    exactly zero and refines each cell whose ends change sign to within
+    ``tol`` of a sign change, so the roots come out in ascending order.
+    The grid values and their delta[n], read from the depth-n column of
+    the scan table (NaN at a skipped point), enter these cell tests as
+    Python floats, which compare as the doubles they hold.  A cell is
+    refined by :func:`_locate`, whose secant steps fall back to the
+    midpoint, and its root is the chord zero of a final bracket of width
+    ``tol`` or less.  Every root found at depth n is re-located at depth
+    n + 2 inside the same grid cell, or inside both cells at a grid point
+    it lies within ``tol`` of; if the ends of
     that bracket share a sign at depth n + 2 (a truncation root that moves
     across a grid point with depth), it gains the cell beyond its end
     nearer the root.  The recheck starts from the already evaluated point
@@ -557,7 +564,7 @@ def find_eigenvalues(
     if not 0.0 < tol < np.inf:
         raise ValidationError("tol must be positive and finite")
 
-    grid = [float(e) for e in np.linspace(e_min, e_max, grid_points)]
+    grid = np.unique(np.linspace(e_min, e_max, grid_points)).tolist()
     # each E is evaluated once, to depth n + 2, serving the scan, the
     # refinement at depth n and the recheck at depth n + 2 alike; the grid
     # fills this in one batched pass, ``delta`` adds every other E alone
@@ -575,7 +582,7 @@ def find_eigenvalues(
 
     def evaluated(a: int, b: int) -> list[float]:
         """The evaluated E between grid points a and b (clipped to the grid)."""
-        lo, hi = grid[max(a, 0)], grid[min(b, grid_points - 1)]
+        lo, hi = grid[max(a, 0)], grid[min(b, len(grid) - 1)]
         return sorted(e for e in deltas if lo <= e <= hi)
 
     def recheck(e_found: float, a: int, b: int) -> float | None:
@@ -609,24 +616,30 @@ def find_eigenvalues(
         warnings.simplefilter("ignore", ConditioningWarning)
         inputs = _bind_inputs(spec, n + 2)
         try:
-            bound = [(grid, *inputs(grid))]
+            bound, l0, s0 = range(len(grid)), *inputs(grid)  # indices bound
         except AimError:
             # some grid point fails: bind point by point, in grid order,
             # skipping singular points, as if the batch had never run
-            bound = []
-            for e in grid:
+            bound, rows = [], []
+            for i, e in enumerate(grid):
                 try:
-                    bound.append(([e], *inputs([e])))
+                    rows.append(inputs([e]))
                 except SingularPivot as exc:
                     warnings.warn(
                         f"grid point E = {e:g} skipped: {exc}",
                         GridPointSkippedWarning,
                         stacklevel=2,
                     )
+                else:
+                    bound.append(i)
+            if rows:
+                l0, s0 = (np.concatenate(c) for c in zip(*rows))
+        # delta[n] at the bound grid points, NaN at the skipped ones
+        vals = np.full(len(grid), np.nan)
         if bound:
-            points, l0, s0 = (np.concatenate(c) for c in zip(*bound))
-            deltas.update(zip(points.tolist(), _scan_deltas(l0, s0)))
-        vals = np.array([deltas[e][n - 1] if e in deltas else np.nan for e in grid])
+            table = _scan_deltas(l0, s0)
+            deltas.update(zip([grid[i] for i in bound], table))
+            vals[bound] = table[:, n - 1]
         finite = np.isfinite(vals)
         degenerate = not finite.any() or np.max(np.abs(vals[finite])) < EPS_PIVOT
         if degenerate and finite.any():
@@ -645,14 +658,17 @@ def find_eigenvalues(
             )
             return []
 
+        # the cell tests compare Python floats, which spares 8 numpy scalar
+        # operations per grid point and decides alike
+        vals, finite = vals.tolist(), finite.tolist()
         roots: list[Root] = []
-        for i in range(grid_points):
+        for i in range(len(grid)):
             if not finite[i]:
                 continue
             if vals[i] == 0.0:
                 e_found, a, b = grid[i], i - 1, i + 1
             elif (
-                i + 1 < grid_points
+                i + 1 < len(grid)
                 and finite[i + 1]
                 and vals[i + 1] != 0.0
                 and (vals[i] < 0.0) != (vals[i + 1] < 0.0)

@@ -387,22 +387,46 @@ def test_skipped_grid_point_search_equals_point_by_point_search(monkeypatch):
     assert skipped == ["grid point E = 2 skipped: divisor constant term 0.0 below 1e-300"]
 
 
-# the parameter under a product, a quotient and an integer power: a grid
-# bound in one stack gives the roots, residuals and warnings of a grid bound
-# point by point, bit for bit
+# the two solve problems of the benchmark: (L, S, e_min, e_max, grid points)
+BENCH = {
+    "oscillator": ("2*x", "1 - E", 0.0, 12.0, 101),
+    "quartic": ("6*x", "x^4 - 9*x^2 + 3 - E", 0.3, 12.3, 401),
+}
+
+
+def _bench_search(name):
+    """The spec and (e_min, e_max, grid points) of a benchmark problem at x0 = 0,
+    order 80, depth 40, on its grid shifted by 0.37 of a cell."""
+    lambda0, s0, e_min, e_max, points = BENCH[name]
+    spec = ProblemSpec.from_strings(lambda0, s0, "E", x0=0.0, order=80, n_max=40)
+    shift = 0.37 * (e_max - e_min) / (points - 1)
+    return spec, (e_min + shift, e_max + shift, points)
+
+
+# the parameter under a product, a quotient and an integer power, and the
+# benchmark problems on their full grids: a grid bound in one stack gives the
+# roots, residuals and warnings of a grid bound point by point, bit for bit
+# (reprs of doubles round-trip, and tell -0.0 from 0.0)
 @pytest.mark.parametrize(
-    "lambda0, s0",
+    "spec, search",
     [
-        ("2*x", "(1 - E)*(2 + x)/(2 + x)"),
-        ("2*x", "1 - E - (E*x)^2/(3 + x)^2"),
-        ("2*x - E*x^3/(4 + E)", "x^2 - E"),
-    ],
+        pytest.param(
+            ProblemSpec.from_strings(lambda0, s0, "E", x0=0.1, order=22, n_max=20),
+            (0.3, 9.3, 31),
+            id=f"{lambda0}-{s0}",
+        )
+        for lambda0, s0 in [
+            ("2*x", "(1 - E)*(2 + x)/(2 + x)"),
+            ("2*x", "1 - E - (E*x)^2/(3 + x)^2"),
+            ("2*x - E*x^3/(4 + E)", "x^2 - E"),
+        ]
+    ]
+    + [pytest.param(*_bench_search(name), id=f"bench-{name}") for name in BENCH],
 )
-def test_batched_search_equals_point_by_point_search(monkeypatch, lambda0, s0):
-    spec = ProblemSpec.from_strings(lambda0, s0, "E", x0=0.1, order=22, n_max=20)
-    batched = _recorded_search(spec, 0.3, 9.3, 31, tol=1e-10)
+def test_batched_search_equals_point_by_point_search(monkeypatch, spec, search):
+    batched = _recorded_search(spec, *search, tol=1e-10)
     _bind_one_value_at_a_time(monkeypatch)
-    assert _recorded_search(spec, 0.3, 9.3, 31, tol=1e-10) == batched
+    assert repr(_recorded_search(spec, *search, tol=1e-10)) == repr(batched)
     assert batched[0]
 
 
@@ -502,6 +526,16 @@ def test_roots_on_every_grid_point(e_max, grid):
         roots = find_eigenvalues(spec, 1.0, e_max, grid)
     assert [r.value for r in roots] == [float(2 * k + 1) for k in range(grid)]
     assert all(r.residual == 0.0 for r in roots)
+
+
+# np.linspace repeats 1.0 three times on this range of a few ulps; a cell
+# between equal values cannot change sign, so the root is reported once
+@pytest.mark.parametrize("x0", [0.0, 0.3])
+def test_repeated_grid_values_report_a_root_once(x0):
+    spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=x0, order=42, n_max=40)
+    e_min, e_max = 1 - 2e-16, 1 + 4.4e-16
+    assert np.linspace(e_min, e_max, 11).tolist().count(1.0) == 3
+    assert find_eigenvalues(spec, e_min, e_max, 11) == [aim.Root(1.0, 0.0, 40)]
 
 
 # the inputs are finite series, so a non-finite ladder value at x0 can only
@@ -654,6 +688,51 @@ def _count_point_evals(monkeypatch):
 
     monkeypatch.setattr(aim, "_delta_vector", counted)
     return calls
+
+
+def _record_evaluations(monkeypatch):
+    """Record the values of every binding, the rows of every batched scan and
+    the parameter value of every per-point evaluation (the value bound last)."""
+    log = {"bound": [], "scan_rows": [], "point": []}
+    bind, scan, point = aim._bind_inputs, aim._scan_deltas, aim._delta_vector
+
+    def recording_bind(spec, order):
+        inputs = bind(spec, order)
+
+        def call(values):
+            log["bound"].append(list(values))
+            return inputs(values)
+
+        return call
+
+    def recording_scan(l0, s0):
+        log["scan_rows"].append(len(l0))
+        return scan(l0, s0)
+
+    def recording_point(l0, s0):
+        (e,) = log["bound"][-1]
+        log["point"].append(e)
+        return point(l0, s0)
+
+    monkeypatch.setattr(aim, "_bind_inputs", recording_bind)
+    monkeypatch.setattr(aim, "_scan_deltas", recording_scan)
+    monkeypatch.setattr(aim, "_delta_vector", recording_point)
+    return log
+
+
+# the benchmark problems: the grid goes through one batched scan, every other
+# value through one per-point evaluation, and no value is evaluated twice
+@pytest.mark.parametrize("name", sorted(BENCH))
+def test_search_evaluates_each_value_once(monkeypatch, name):
+    spec, search = _bench_search(name)
+    log = _record_evaluations(monkeypatch)
+    find_eigenvalues(spec, *search, tol=1e-10)
+    grid = np.linspace(*search).tolist()
+    assert log["scan_rows"] == [len(grid)]
+    assert len(set(log["point"])) == len(log["point"])
+    assert not set(log["point"]) & set(grid)
+    evaluated = {e for values in log["bound"] for e in values}
+    assert log["scan_rows"][0] + len(log["point"]) == len(evaluated)
 
 
 # the two solve problems of the benchmark, on a grid shifted by 0.37 of a

@@ -207,6 +207,21 @@ def test_solve_golden_output(tmp_path, capsys, name):
     assert out == golden.read_text(encoding="utf-8")
 
 
+# the grid point E = 2 cannot be bound (its S divides by zero), so the grid
+# is bound point by point: the roots and the skip warning of that path,
+# recorded before the search read its cell tests from the scan table
+def test_solve_golden_output_with_skipped_grid_point(tmp_path, capsys):
+    problem = dict(
+        HO_PROBLEM,
+        s0="(1 - E)*(E - 2)/(E - 2)",
+        search={"e_min": 0.5, "e_max": 5.5, "grid": 21, "tol": 1e-11},
+    )
+    code, out, _ = _run(capsys, ["solve", _write(tmp_path, "skip.json", problem)])
+    assert code == EXIT_OK
+    golden = Path(__file__).parent / "golden" / "solve_skipped_grid_point_E2.json"
+    assert out == golden.read_text(encoding="utf-8")
+
+
 CLASSIFY_GOLDEN = {
     "cylinder_z1": dict(
         HO_PROBLEM,
