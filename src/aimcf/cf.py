@@ -37,7 +37,7 @@ from .errors import (
     ZeroDenominator,
     ZeroPartialNumerator,
 )
-from .series import TaylorSeries, _checked, _divide, _mul, series_div
+from .series import TaylorSeries, _check_pivot, _checked, _divide, _mul, series_div
 
 # _run_recurrence rescales its live mantissas by a power of two when their
 # largest magnitude leaves [1 / _BAND, _BAND]; inside the band the product of
@@ -88,19 +88,24 @@ def pq_iterate(spec: ProblemSpec, param_value: float) -> PQSequences:
     The levels run on raw coefficient arrays with the operations of the
     series arithmetic (derivative, :func:`~aimcf.series.series_div`'s long
     division, sum, Cauchy product), so every value is the series ladder's
-    bit for bit.  Where q[n] is constant in x, as on the oscillator, the
-    division by it is one vector division.  A coefficient past double range
-    raises :class:`~aimcf.errors.Overflow`, found once per level from the
-    largest magnitudes the stop rules read.
+    bit for bit.  Where q[n] is constant in x (every coefficient past the
+    first +0.0), as on the oscillator at every level, q'/q is a zero series:
+    the level skips the division and the product and only adds q[1:] / q[0],
+    the signed zeros the division would give, to p.  Such a level leaves
+    p's magnitudes as they were, so p's largest magnitude is not taken
+    again.  A coefficient past double range raises
+    :class:`~aimcf.errors.Overflow`, found once per level from the largest
+    magnitudes the stop rules read.
     """
     p, q = (series.coeffs for series in spec.series_pair(param_value))
     ks = np.arange(1, p.size, dtype=float)  # derivative factors
     p_vals, q_vals = [float(p[0])], [float(q[0])]
     scale = 1e-300
     stop: tuple[int | None, str | None] = (None, None)
+    p_max = float(np.abs(p).max())
     with np.errstate(over="ignore", invalid="ignore"):
         for level in range(spec.n_max + 1):
-            p_max, q_max = float(np.abs(p).max()), float(np.abs(q).max())
+            q_max = float(np.abs(q).max())
             if not (math.isfinite(p_max) and math.isfinite(q_max)):
                 raise Overflow("series coefficients overflowed double precision")
             scale = max(scale, p_max, q_max)
@@ -115,11 +120,20 @@ def pq_iterate(spec: ProblemSpec, param_value: float) -> PQSequences:
                 break
             # p and q share one size per level; every result has one fewer
             m = q.size - 1
-            dq = q[1:] * ks[:m]
-            if not math.isfinite(q_max * q.size):  # q' may have overflowed:
-                _checked(dq)  # raise before the division warns of an inf scale
-            ratio = _divide(dq, q)
-            p, q = p[:m] + ratio, (q[:m] + p[1:] * ks[:m]) - _mul(p, ratio)
+            if not q[1:].view(np.int64).any():
+                # q[1:] all +0.0 (a -0.0 may turn +0.0 in _divide's loop):
+                # the ratio is q[1:] / q[0], its product with p is +0.0, and
+                # p keeps its magnitudes, only truncated: p_max, already in
+                # scale, still bounds it
+                ratio = q[1:] / _check_pivot(float(q[0]))
+                p, q = p[:m] + ratio, q[:m] + p[1:] * ks[:m]
+            else:
+                dq = q[1:] * ks[:m]
+                if not math.isfinite(q_max * q.size):  # q' may have overflowed:
+                    _checked(dq)  # raise before the division warns of an inf scale
+                ratio = _divide(dq, q)
+                p, q = p[:m] + ratio, (q[:m] + p[1:] * ks[:m]) - _mul(p, ratio)
+                p_max = float(np.abs(p).max())
             p_vals.append(float(p[0]))
             q_vals.append(float(q[0]))
     values = np.array([p_vals, q_vals])

@@ -259,11 +259,19 @@ def series_div(a: TaylorSeries, b: TaylorSeries) -> TaylorSeries:
         return _result(a.center, _divide(a.coeffs, b.coeffs))
 
 
+def _check_pivot(pivot: float) -> float:
+    """``pivot`` itself; a magnitude below ``EPS_PIVOT`` raises :class:`SingularPivot`."""
+    if abs(pivot) < EPS_PIVOT:
+        raise SingularPivot(f"divisor constant term {pivot!r} below {EPS_PIVOT:g}")
+    return pivot
+
+
 def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """The long division of :func:`series_div` on coefficient arrays.
 
-    Checks the pivot and warns as :func:`series_div` describes; the quotient
-    has min(num.size, den.size) coefficients and is not checked for overflow.
+    Checks the pivot with :func:`_check_pivot` and warns as
+    :func:`series_div` describes; the quotient has min(num.size, den.size)
+    coefficients and is not checked for overflow.
     The caller sets the floating-point error state: a quotient past double
     range is inf.  Coefficient k is num[k] minus den[j] * out[k - j] over
     ascending j >= 1, leaving out the j where den[j] is zero: one
@@ -275,9 +283,7 @@ def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     it is the dense loop's over every j bit for bit, signed zeros included;
     where it is not, its first non-finite coefficient is the dense loop's.
     """
-    pivot = float(den[0])
-    if abs(pivot) < EPS_PIVOT:
-        raise SingularPivot(f"divisor constant term {pivot!r} below {EPS_PIVOT:g}")
+    pivot = _check_pivot(float(den[0]))
     num_scale = float(np.abs(num).max())
     if num_scale > 0.0 and abs(pivot) < PIVOT_WARN_REL * num_scale:
         warnings.warn(

@@ -12,6 +12,7 @@ import scipy.special as sps
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aimcf import cf
 from aimcf.aim import ProblemSpec, _ladder, aim_iterate
 from aimcf.cf import (
     TERMINATION_REL,
@@ -29,6 +30,7 @@ from aimcf.errors import (
     ConditioningWarning,
     DeterminantMismatchWarning,
     Overflow,
+    SingularPivot,
     ValidationError,
     ZeroDenominator,
     ZeroPartialNumerator,
@@ -452,6 +454,8 @@ PIN_PROBLEMS = {
     "linear": ("2 + x", "x - E"),
     "rational": ("1/(10 + x)", "x - E"),
     "huge-lambda": ("1e200*x", "1 - E"),
+    # at x0 = 0, E = 0.5: p[0] = -0.0, and p[1] = -0.0 + 0.0 / 0.5 = +0.0
+    "negx": ("-x", "1 - E"),
 }
 
 
@@ -467,7 +471,8 @@ def test_pq_iterate_matches_series_ladder(problem):
 
 # each case reaches the edge it is listed for: an overflow (of a sum or
 # product, of the quotient, or of q' before the division could warn), a
-# pole, a false or a true termination, a conditioning warning
+# pole, a false or a true termination, a conditioning warning, a pivot
+# below EPS_PIVOT on a level whose q is constant in x
 @pytest.mark.parametrize(
     "problem, x0, energy, n_max, order, edge",
     [
@@ -479,6 +484,7 @@ def test_pq_iterate_matches_series_ladder(problem):
         (PIN_PROBLEMS["quartic"], 0.3, 7.25, 40, 80, ("pole", [ConditioningWarning])),
         (PIN_PROBLEMS["rational"], 0.0, 2.0, 40, 80, ("pole", [ConditioningWarning])),
         (HO[:2], 6.560974342087148e-118, 3.0, 12, 40, ("termination", [])),
+        (("-2.5e-300*x", "3e-300 - E"), 0.0, 0.0, 10, 20, (SingularPivot, [])),
     ],
 )
 def test_pq_iterate_matches_series_ladder_at_edges(problem, x0, energy, n_max, order, edge):
@@ -486,7 +492,32 @@ def test_pq_iterate_matches_series_ladder_at_edges(problem, x0, energy, n_max, o
     got = _pq_outcome(pq_iterate, *args)
     assert got == _pq_outcome(reference_pq_iterate, *args)
     value, caught = got
-    assert (value if value is Overflow else value[3], caught) == edge
+    assert (value if isinstance(value, type) else value[3], caught) == edge
+
+
+# a level whose q is constant in x skips the division and the Cauchy
+# product; any other level runs one of each
+@pytest.mark.parametrize(
+    "problem, calls_per_level",
+    [(HO[:2], 0), (PIN_PROBLEMS["linear"], 1)],
+    ids=["oscillator", "linear"],
+)
+def test_pq_iterate_skips_division_where_q_is_constant(monkeypatch, problem, calls_per_level):
+    calls = {"_divide": 0, "_mul": 0}
+
+    def counted(name, kernel):
+        def call(a, b):
+            calls[name] += 1
+            return kernel(a, b)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(cf, name, counted(name, getattr(cf, name)))
+    spec = ProblemSpec.from_strings(*problem, "E", x0=0.3, order=80, n_max=40)
+    levels = pq_iterate(spec, 7.25).depth
+    assert levels > 0
+    assert calls == {"_divide": calls_per_level * levels, "_mul": calls_per_level * levels}
 
 
 # [DERIVED] constant p = 3, q = 4: q' = 0, so every level repeats them exactly

@@ -171,6 +171,16 @@ def test_diagnose_sweep_golden_output(tmp_path, capsys):
     assert out == golden.read_text(encoding="utf-8")
 
 
+# recorded before a ladder level whose q is constant in x skipped its
+# division; at x0 = 0, p[0] = -0.0 and the signed-zero ratio makes p[1] +0.0
+def test_diagnose_signed_zero_golden_output(tmp_path, capsys):
+    path = _write(tmp_path, "negx.json", dict(HO_PROBLEM, lambda0="-x", order=80, n_max=40))
+    code, out, _ = _run(capsys, ["diagnose", path, "--param-value=0.5"])
+    assert code == EXIT_OK
+    golden = Path(__file__).parent / "golden" / "diagnose_negx_x0_E0.5.json"
+    assert out == golden.read_text(encoding="utf-8")
+
+
 SOLVE_GOLDEN = {
     "oscillator": dict(
         HO_PROBLEM,
