@@ -336,6 +336,11 @@ def monic_transform(
         raise ValidationError("pvals and qvals must have equal length")
     if p.size < 2:
         raise ValidationError("need at least two levels for the transform")
+    if not p.any():
+        raise ZeroP(
+            "every p_n is 0: L(x0) = 0, the symmetric centre where the fraction "
+            "has no value"
+        )
     if np.any(p == 0.0):
         raise ZeroP(f"p[{int(np.argmax(p == 0.0))}] = 0 blocks the transform")
     p_list, q_list = p.tolist(), q.tolist()
@@ -411,10 +416,11 @@ def classify(
     """Label the asymptotic class of the recurrence and cross-check numerically.
 
     declared carries structure that cannot be inferred from samples: either a
-    power law {"a", "sigma", "b", "tau"} for coefficient growth, or expansion
+    power law {"a", "sigma", "b", "tau"}, p_n ~ a n^sigma and q_n ~ b n^tau
+    with n = index + 1, predicted by Perron-Kreuser, or expansion
     coefficients {"a_coeffs", "b_coeffs", optional "k_max"} in powers of 1/n.
-    Numeric dominant/minimal ratios are always computed on the original
-    recurrence and are authoritative where the advisory label disagrees.
+    Both predictions meet the numeric ratios, which are authoritative, in
+    one check; only an inconsistent one adds a note.
     """
     p = np.asarray(pvals, dtype=float)
     q = np.asarray(qvals, dtype=float)
@@ -453,12 +459,7 @@ def classify(
             probe_ratio = math.nan
         if {"sigma", "tau"} <= set(declared):
             label, power_law = _classify_power_law(declared, notes)
-            try:
-                consistency = _power_law_consistency(
-                    label, power_law, p, num_dom, probe_at, probe_ratio, notes
-                )
-            except OverflowError as exc:
-                raise Overflow(f"declared power-law prediction overflowed: {exc}") from exc
+            pred = _power_law_prediction(label, power_law, p.size, probe_at)
         elif {"a_coeffs", "b_coeffs"} <= set(declared):
             ba = birkhoff_adams(
                 declared["a_coeffs"],
@@ -466,13 +467,15 @@ def classify(
                 int(declared.get("k_max", 6)),
             )
             label = _ba_label(ba)
-            consistency = _ba_consistency(
-                ba, num_dom, growth, probe_at, probe_ratio, notes
-            )
+            pair = _split_roots(*ba.r_pm)
+            pred = abs(ba.r_pm[0]) if pair is None else (pair[0].real, pair[1].real)
         else:
             raise ValidationError(
                 "declared must contain sigma/tau (power law) or a_coeffs/b_coeffs"
             )
+        consistency = pred is not None and _declared_consistency(
+            pred, num_dom, growth, probe_at, probe_ratio, notes
+        )
     else:
         label = _classify_limit_cases(q_limit, a_samples, notes)
         consistency = _limit_case_consistency(
@@ -567,12 +570,11 @@ def _limit_case_consistency(
 def _classify_power_law(
     declared: dict, notes: list[str]
 ) -> tuple[CaseLabel, tuple[float, float, float, float]]:
-    sigma = float(declared["sigma"])
-    tau = float(declared["tau"])
-    a = float(declared.get("a", math.nan))
-    b = float(declared.get("b", math.nan))
-    if a == 0.0:
-        raise ValidationError("declared power-law scale a must be nonzero")
+    if "a" not in declared or "b" not in declared:
+        raise ValidationError("declared power law needs both scales a and b")
+    a, sigma, b, tau = (float(declared[k]) for k in ("a", "sigma", "b", "tau"))
+    if a == 0.0 or b == 0.0:
+        raise ValidationError("declared power-law scales a and b must be nonzero")
     power_law = (a, sigma, b, tau)
     if sigma > tau / 2.0:
         return CaseLabel.CASE_4A, power_law
@@ -582,62 +584,43 @@ def _classify_power_law(
     return CaseLabel.UNCLASSIFIED, power_law
 
 
-def _power_law_consistency(
+def _split_roots(r1: complex, r2: complex) -> Optional[tuple[complex, complex]]:
+    """(dominant, minimal) of two characteristic roots; None for equal moduli."""
+    if abs(abs(r1) - abs(r2)) <= 1e-9 * max(1.0, abs(r1)):
+        return None
+    return (r1, r2) if abs(r1) > abs(r2) else (r2, r1)
+
+
+def _power_law_prediction(
     label: CaseLabel,
     power_law: tuple[float, float, float, float],
-    p: np.ndarray,
-    num_dom: float,
+    size: int,
     probe_at: int,
-    probe_ratio: float,
-    notes: list[str],
-) -> bool:
+) -> Optional[tuple[float, float] | float]:
+    """Perron-Kreuser (dominant, minimal) ratios for p_n ~ a n^sigma,
+    q_n ~ b n^tau, n = index + 1 (Gautschi, SIAM Rev. 9 (1967) 24; Wimp,
+    Computation with Recurrence Relations, 1984, ch. 1): a n^sigma and
+    -(b/a) n^(tau-sigma) in case 4a, lambda n^sigma with lambda^2 = a lambda + b
+    in case 4b.  n is the forward probe's last level for the dominant ratio
+    and probe_at + 2 for the minimal one, as x_m / x_{m-1} ~ -q_{m+1} / p_{m+1}.
+    Equal root moduli give the forward probe's mean growth modulus instead.
+    """
     a, sigma, b, tau = power_law
-    top = p.size - 1
-    if label is CaseLabel.CASE_4A:
-        pred_dom = a * top ** sigma
-        ok_dom = math.isfinite(num_dom) and _close(
-            num_dom, pred_dom, max(abs(pred_dom), abs(num_dom))
-        )
-        # Two candidate exponents for the minimal ratio; the printed growing
-        # form loses to its mirrored decaying form on every checked instance,
-        # so both are evaluated and the numeric match decides.
-        cand_printed = -(b / a) * probe_at ** (sigma - tau)
-        cand_mirror = -(b / a) * probe_at ** (tau - sigma)
-        if math.isfinite(probe_ratio):
-            err_printed = abs(probe_ratio - cand_printed)
-            err_mirror = abs(probe_ratio - cand_mirror)
-            if err_mirror <= err_printed:
-                chosen, chosen_name = cand_mirror, "tau-sigma"
-            else:
-                chosen, chosen_name = cand_printed, "sigma-tau"
-            ok_min = _close(probe_ratio, chosen, max(abs(probe_ratio), abs(chosen)))
-            notes.append(
-                f"minimal-ratio exponent selected: n^({chosen_name}); "
-                f"probe at n={probe_at} gave {probe_ratio:.6g} vs "
-                f"candidates {cand_printed:.6g} / {cand_mirror:.6g}"
-            )
-        else:
-            ok_min = False
-            notes.append("no backward probe available for exponent selection")
-        return ok_dom and ok_min
-    if label is CaseLabel.CASE_4B:
-        # Exponent-coefficient quadratic as printed; flagged when numerics
-        # disagree, which is expected since the growth scales a, b are unused.
-        disc = cmath.sqrt(sigma * sigma - 4.0 * tau)
-        lam = ((-sigma + disc) / 2.0, (-sigma - disc) / 2.0)
-        pred_dom = max(abs(lam[0]), abs(lam[1])) * p.size ** sigma
-        ok = math.isfinite(num_dom) and _close(
-            abs(num_dom), pred_dom, max(pred_dom, abs(num_dom))
-        )
-        if not ok:
-            alt = cmath.sqrt(a * a + 4.0 * b)
-            notes.append(
-                f"printed exponent roots {lam[0]:.6g}, {lam[1]:.6g} disagree with "
-                f"numeric ratio {num_dom:.6g}; growth-scale roots would be "
-                f"{(a + alt) / 2.0:.6g}, {(a - alt) / 2.0:.6g} times n^sigma"
-            )
-        return ok
-    return False
+    n_dom, n_min = size, probe_at + 2
+    try:
+        if label is CaseLabel.CASE_4A:
+            return a * n_dom**sigma, -(b / a) * n_min ** (tau - sigma)
+        if label is not CaseLabel.CASE_4B:
+            return None
+        s = cmath.sqrt(a * a + 4.0 * b)
+        pair = _split_roots((a + s) / 2.0, (a - s) / 2.0)
+        if pair is None:
+            top, mid = size - 1, size // 2
+            log_mean = (math.lgamma(top + 2) - math.lgamma(mid + 2)) / (top - mid)
+            return abs(a + s) / 2.0 * math.exp(sigma * log_mean)
+        return pair[0].real * n_dom**sigma, pair[1].real * n_min**sigma
+    except OverflowError as exc:
+        raise Overflow(f"declared power-law prediction overflowed: {exc}") from exc
 
 
 def _ba_label(ba: BirkhoffAdamsData) -> CaseLabel:
@@ -652,35 +635,32 @@ def _ba_label(ba: BirkhoffAdamsData) -> CaseLabel:
     return CaseLabel.CASE_5A
 
 
-def _ba_consistency(
-    ba: BirkhoffAdamsData,
+def _declared_consistency(
+    pred: tuple[float, float] | float,
     num_dom: float,
     growth: float,
     probe_at: int,
     probe_ratio: float,
     notes: list[str],
 ) -> bool:
-    r_plus, r_minus = ba.r_pm
-    if abs(abs(r_plus) - abs(r_minus)) <= 1e-9 * max(1.0, abs(r_plus)):
-        # Equal moduli: only the shared growth modulus is checkable.
-        pred = abs(r_plus)
-        ok = math.isfinite(growth) and _close(growth, pred, max(pred, abs(growth)))
-        notes.append("equal root moduli; minimal-side comparison not applicable")
-        return ok
-    dom = r_plus if abs(r_plus) > abs(r_minus) else r_minus
-    sub = r_minus if dom is r_plus else r_plus
-    ok_dom = math.isfinite(num_dom) and _close(
-        num_dom, dom.real, max(abs(dom), abs(num_dom))
+    """Check a predicted (dominant, minimal) ratio pair, or for equal root
+    moduli a growth modulus, against the probes, each at its own scale."""
+    if isinstance(pred, tuple):
+        what = f"predicted ratios (dominant, minimal at n={probe_at + 2})"
+        want, got = pred, (num_dom, probe_ratio)
+    else:
+        what = "equal root moduli: predicted growth modulus"
+        want, got = (pred,), (growth,)
+    ok = all(
+        math.isfinite(x) and _close(x, y, max(abs(x), abs(y)))
+        for x, y in zip(got, want)
     )
-    ok_min = math.isfinite(probe_ratio) and _close(
-        probe_ratio, sub.real, max(abs(dom), abs(probe_ratio))
-    )
-    if not (ok_dom and ok_min):
+    if not ok:
         notes.append(
-            f"expansion roots ({dom:.6g}, {sub:.6g}) vs numeric "
-            f"({num_dom:.6g}, probe {probe_ratio:.6g} at n={probe_at})"
+            f"{what} {', '.join(f'{v:.6g}' for v in want)} vs numeric "
+            f"{', '.join(f'{v:.6g}' for v in got)}; numeric ratios authoritative"
         )
-    return ok_dom and ok_min
+    return ok
 
 
 def _gbinom(z: complex, m: int) -> complex:

@@ -290,7 +290,10 @@ def test_criterion_11_recurrence_classification():
     rep_bess = classify(
         *_bessel_pq(), declared={"a": 2.0, "sigma": 1.0, "b": -1.0, "tau": 0.0}
     )
-    notes = " ".join(rep_bess.notes)
+    # a wrong-sign b flips only the predicted minimal ratio
+    rep_wrong_b = classify(
+        *_bessel_pq(), declared={"a": 2.0, "sigma": 1.0, "b": 1.0, "tau": 0.0}
+    )
     ba = birkhoff_adams((-3.0,), (-4.0,), k_max=5)
     roots = sorted(ba.r_pm, key=lambda z: z.real)
     root_err = max(abs(roots[0] - (-1.0)), abs(roots[1] - 4.0))
@@ -303,7 +306,8 @@ def test_criterion_11_recurrence_classification():
         and rep_bess.case_label is CaseLabel.CASE_4A
         and rep_bess.minimal_exists
         and rep_bess.consistency
-        and "n^(tau-sigma)" in notes
+        and rep_bess.notes == ()
+        and not rep_wrong_b.consistency
         and root_err < 1e-8
         and tail < 1e-12
     )

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sps
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aimcf.analysis import (
@@ -266,8 +266,11 @@ def test_monic_transform_underflowing_product_is_not_zero_p():
 
 
 def test_monic_transform_guards():
-    with pytest.raises(ZeroP):
+    with pytest.raises(ZeroP, match="p\\[1\\] = 0"):
         monic_transform([3.0, 0.0, 3.0], [4.0, 4.0, 4.0])
+    # every p_n zero: L(x0) = 0, where the fraction has no value
+    with pytest.raises(ZeroP, match="symmetric centre"):
+        monic_transform([0.0, -0.0, 0.0], [4.0, 4.0, 4.0])
     with pytest.raises(ValidationError):
         monic_transform([3.0], [4.0])
 
@@ -383,15 +386,87 @@ def test_classify_declared_power_law_cylinder():
     assert rep.power_law == (2.0, 1.0, -1.0, 0.0)
     assert rep.minimal_exists
     assert rep.consistency
-    joined = " ".join(rep.notes)
-    assert "n^(tau-sigma)" in joined
+    assert rep.notes == ()
+    # a wrong-sign b predicts a minimal ratio of the wrong sign
+    rep = classify(p, q, declared={"a": 2.0, "sigma": 1.0, "b": 1.0, "tau": 0.0})
+    assert not rep.consistency
+    (note,) = rep.notes
+    assert "minimal at n=181" in note
 
 
 def test_classify_declared_equal_exponent_power_law():
-    # sigma = tau/2 takes the quadratic-exponent branch and flags numerics
+    # sigma = tau/2: lambda^2 = 2 lambda - 1 has the double root 1, so only the
+    # growth modulus is predicted, and it is half the cylinder's 2n growth
     p, q = _bessel_pq()
     rep = classify(p, q, declared={"a": 2.0, "sigma": 1.0, "b": -1.0, "tau": 2.0})
     assert rep.case_label is CaseLabel.CASE_4B
+    assert not rep.consistency
+    (note,) = rep.notes
+    assert note.startswith("equal root moduli")
+
+
+# case 4b ratios are lambda n^sigma for both roots of lambda^2 = a lambda + b:
+# 2 and -1 for (1, 1, 2, 2), 2 and 1 for (3, 1, -2, 2)
+@pytest.mark.parametrize("a, sigma, b, tau", [(1, 1, 2, 2), (3, 1, -2, 2)])
+def test_classify_declared_equal_exponent_power_law_consistent(a, sigma, b, tau):
+    n = np.arange(1, 241, dtype=float)
+    declared = {"a": a, "sigma": sigma, "b": b, "tau": tau}
+    rep = classify(a * n**sigma, b * n**tau, declared=declared)
+    assert rep.case_label is CaseLabel.CASE_4B
+    assert rep.consistency
+    assert rep.notes == ()
+
+
+@pytest.mark.parametrize(
+    "declared",
+    [
+        {"sigma": 1.0, "tau": 0.0},
+        {"a": 2.0, "sigma": 1.0, "tau": 0.0},
+        {"sigma": 1.0, "b": -1.0, "tau": 0.0},
+        {"a": 2.0, "sigma": 1.0, "b": 0.0, "tau": 0.0},
+        {"a": 0.0, "sigma": 1.0, "b": -1.0, "tau": 0.0},
+    ],
+)
+def test_classify_declared_power_law_needs_nonzero_scales(declared):
+    with pytest.raises(ValidationError):
+        classify(*_bessel_pq(), declared=declared)
+
+
+def _own_declaration_ok(a, b, sigma, tau, size):
+    """Whether the leading Perron-Kreuser ratios hold well inside size levels:
+    roots apart by 30% and a first-order relative correction of at most 2%
+    at 0.75 size, (b/a^2) n^(tau-2 sigma) in case 4a and
+    sigma |lambda_-| / (|lambda_+ - lambda_-| n) in case 4b."""
+    n = 0.75 * size
+    if sigma > tau / 2.0:
+        return abs(b) / a**2 * n ** (tau - 2.0 * sigma) <= 0.02
+    lo, hi = sorted(np.roots([1.0, -a, -b]), key=abs)
+    apart = abs(hi) - abs(lo) >= 0.3 * abs(hi)
+    return apart and sigma * abs(lo) <= 0.02 * n * abs(hi - lo)
+
+
+_SCALES = st.floats(0.25, 4.0).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+# a recurrence built from its own declaration is consistent on both sides
+@given(
+    a=_SCALES,
+    b=_SCALES,
+    sigma=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+    tau_pick=st.sampled_from([0.0, 0.5, 1.0, 2.0, "2sigma", 3.0]),
+    size=st.sampled_from([120, 180, 240]),
+)
+@settings(max_examples=80, deadline=None)
+def test_classify_own_power_law_is_consistent(a, b, sigma, tau_pick, size):
+    tau = 2.0 * sigma if tau_pick == "2sigma" else tau_pick
+    assume(sigma >= tau / 2.0 and _own_declaration_ok(a, b, sigma, tau, size))
+    n = np.arange(1, size + 1, dtype=float)
+    declared = {"a": a, "sigma": sigma, "b": b, "tau": tau}
+    rep = classify(a * n**sigma, b * n**tau, declared=declared)
+    case = CaseLabel.CASE_4A if sigma > tau / 2.0 else CaseLabel.CASE_4B
+    assert rep.case_label is case
+    assert rep.consistency, rep.notes
+    assert rep.notes == ()
 
 
 def test_classify_declared_expansion_constants():

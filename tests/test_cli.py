@@ -232,21 +232,22 @@ def test_solve_golden_output_with_skipped_grid_point(tmp_path, capsys):
     assert out == golden.read_text(encoding="utf-8")
 
 
+_CYLINDER = {"pvals": [2.0 * (n + 1) for n in range(240)], "qvals": [-1.0] * 240}
 CLASSIFY_GOLDEN = {
     "cylinder_z1": dict(
         HO_PROBLEM,
-        classify={
-            "pvals": [2.0 * (n + 1) for n in range(240)],
-            "qvals": [-1.0] * 240,
-            "declared_power_law": {"a": 2, "sigma": 1, "b": -1, "tau": 0},
-        },
+        classify=dict(
+            _CYLINDER, declared_power_law={"a": 2, "sigma": 1, "b": -1, "tau": 0}
+        ),
     ),
     "constants_3_4": dict(HO_PROBLEM, classify={"pvals": [3.0] * 60, "qvals": [4.0] * 60}),
 }
 
 
 # recorded with t_n = -4 q_n / (p_{n-1} p_n) while classify and the CLI still
-# ran Miller's algorithm separately; one shared run must print the same bytes
+# ran Miller's algorithm separately; one shared run must print the same bytes.
+# The cylinder's was rerecorded when a consistent power law stopped adding a
+# note, its only change
 @pytest.mark.parametrize("name", sorted(CLASSIFY_GOLDEN))
 def test_classify_golden_output(tmp_path, capsys, name):
     path = _write(tmp_path, f"{name}.json", CLASSIFY_GOLDEN[name])
@@ -321,6 +322,15 @@ def test_classify_from_ladder_runs(const_file, capsys):
     assert code == EXIT_OK
     record = json.loads(out)
     assert record["outputs"]["classification"]["case_label"] == "1a"
+
+
+# the oscillator at x0 = 0 has every p_n = 0: L(x0) = 0, the symmetric
+# centre, where the fraction has no value
+def test_classify_at_symmetric_centre_exits_numeric(ho_file, capsys):
+    code, out, err = _run(capsys, ["classify", ho_file, "--param-value", "7.25"])
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert "ZeroP" in err
+    assert "symmetric centre" in err
 
 
 def test_classify_short_sequences_exit_numeric(tmp_path, capsys):
@@ -766,6 +776,9 @@ def test_solve_at_minimal_order(ho_file, tmp_path, capsys):
         {"declared_power_law": {"a": math.nan, "sigma": 1, "b": -1, "tau": 0}},
         {"declared_power_law": {"a": 2, "sigma": 1, "b": -1, "tau": -math.inf}},
         {"declared_ba_coeffs": {"a_coeffs": [math.inf], "b_coeffs": [1.0]}},
+        # a power law needs both scales, each nonzero
+        {**_CYLINDER, "declared_power_law": {"sigma": 1, "tau": 0}},
+        {**_CYLINDER, "declared_power_law": {"a": 2, "sigma": 1, "b": 0, "tau": 0}},
     ],
 )
 def test_exit_input_on_malformed_classify_block(tmp_path, capsys, block):
