@@ -4,8 +4,11 @@ classification for three-term recurrences x_n = p_n x_{n-1} + q_n x_{n-2}.
 Analytic labels derived from the monic transform t_n = -4 q_n / (p_{n-1} p_n)
 are advisory; every report also carries brute-force forward/backward ratio
 estimates computed directly on the original recurrence, and a consistency
-flag comparing the two.  Whether a minimal solution exists is decided once,
-by the Miller run (Gautschi, SIAM Rev. 9 (1967) 24) of the report's one
+flag from one rule for every case: the predicted dominant ratio meets the
+forward probe's last ratio, the minimal one the backward probe's ratio 3/4 of
+the way up, and for equal root moduli the growth modulus meets the forward
+probe's.  Consistency is not minimal existence, which is decided once, by the
+Miller run (Gautschi, SIAM Rev. 9 (1967) 24) of the report's one
 :func:`pincherle_check`.  The forward probe, the backward passes and the
 approximants all run on the one recurrence runner of :mod:`aimcf.cf`, whose
 mantissas are rescaled by exact powers of two, so no probe overflows or
@@ -419,8 +422,13 @@ def classify(
     power law {"a", "sigma", "b", "tau"}, p_n ~ a n^sigma and q_n ~ b n^tau
     with n = index + 1, predicted by Perron-Kreuser, or expansion
     coefficients {"a_coeffs", "b_coeffs", optional "k_max"} in powers of 1/n.
-    Both predictions meet the numeric ratios, which are authoritative, in
-    one check; only an inconsistent one adds a note.
+    It is checked first, so a malformed one raises ValidationError whatever
+    the sequences.  Without it the monic roots times p_n / 2 are the
+    prediction.  Every prediction meets the numeric ratios, which are
+    authoritative, by one check: the dominant ratio at the last level, the
+    minimal one at the backward probe's level 3/4 of the way up, or for equal
+    root moduli the growth modulus; only an inconsistent one adds a note.
+    ``consistency`` is not minimal existence, which Miller's run decides.
     """
     p = np.asarray(pvals, dtype=float)
     q = np.asarray(qvals, dtype=float)
@@ -428,6 +436,7 @@ def classify(
         raise ValidationError("pvals and qvals must have equal length")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
+    power_law, ba = parse_declared(declared)
     if p.size < 31:
         raise InsufficientData(f"need at least 31 levels, got {p.size}")
 
@@ -445,42 +454,35 @@ def classify(
     except (NoConvergence, ZeroQ) as exc:
         notes.append(f"backward recurrence did not stabilize: {exc}")
     num_min = math.nan if pincherle is None else pincherle.backward_ratio
+    # x_m / x_{m-1} of the backward pass from the top, inside the asymptotic range
+    probe_at = max(2, (3 * top) // 4)
+    try:
+        rows, exps = _backward_pass(p_list, q_list, top)
+        probe_ratio = _ratio(rows, exps, top - probe_at, top - probe_at + 1)
+    except ZeroQ:
+        probe_ratio = math.nan
 
-    power_law: Optional[tuple[float, float, float, float]] = None
-    ba: Optional[BirkhoffAdamsData] = None
-
-    if declared is not None:
-        # x_m / x_{m-1} of the backward pass from the top, inside the asymptotic range
-        probe_at = max(2, (3 * top) // 4)
-        try:
-            rows, exps = _backward_pass(p_list, q_list, top)
-            probe_ratio = _ratio(rows, exps, top - probe_at, top - probe_at + 1)
-        except ZeroQ:
-            probe_ratio = math.nan
-        if {"sigma", "tau"} <= set(declared):
-            label, power_law = _classify_power_law(declared, notes)
-            pred = _power_law_prediction(label, power_law, p.size, probe_at)
-        elif {"a_coeffs", "b_coeffs"} <= set(declared):
-            ba = birkhoff_adams(
-                declared["a_coeffs"],
-                declared["b_coeffs"],
-                int(declared.get("k_max", 6)),
-            )
-            label = _ba_label(ba)
-            pair = _split_roots(*ba.r_pm)
-            pred = abs(ba.r_pm[0]) if pair is None else (pair[0].real, pair[1].real)
-        else:
-            raise ValidationError(
-                "declared must contain sigma/tau (power law) or a_coeffs/b_coeffs"
-            )
-        consistency = pred is not None and _declared_consistency(
-            pred, num_dom, growth, probe_at, probe_ratio, notes
-        )
+    pred: Optional[tuple[float, float] | float]
+    if power_law is not None:
+        label, pred = _power_law_prediction(power_law, p.size, probe_at, notes)
+    elif ba is not None:
+        label = _ba_label(ba)
+        pair = _split_roots(*ba.r_pm)
+        pred = abs(ba.r_pm[0]) if pair is None else (pair[0].real, pair[1].real)
     else:
         label = _classify_limit_cases(q_limit, a_samples, notes)
-        consistency = _limit_case_consistency(
-            label, roots, p, num_dom, num_min, growth, q_limit, notes
-        )
+        pair = _split_roots(*roots)
+        half_p = p_list[-1] / 2.0
+        if pair is None:
+            pred = abs(roots[0] * half_p)
+        else:
+            # the minimal root of t[m] = -4 q_{m+1} / (p_m p_{m+1}) times p_m / 2
+            # is ~ -q_{m+1} / p_{m+1}, even where t_n -> 0 as p_n grows
+            r_min = characteristic_roots(t[probe_at])[1].real
+            pred = (pair[0].real * half_p, r_min * p_list[probe_at] / 2.0)
+    consistency = pred is not None and _consistency(
+        pred, num_dom, growth, probe_at, probe_ratio, notes
+    )
 
     return ClassificationReport(
         q_limit=q_limit,
@@ -495,6 +497,34 @@ def classify(
         pincherle=pincherle,
         consistency=consistency,
         notes=tuple(notes),
+    )
+
+
+def parse_declared(
+    declared: Optional[dict],
+) -> tuple[Optional[tuple[float, float, float, float]], Optional[BirkhoffAdamsData]]:
+    """The declared power law (a, sigma, b, tau) or 1/n-expansion data of
+    :func:`classify`, which checks it before any sequence; ValidationError if
+    it has neither kind, both, or a missing or zero power-law scale."""
+    if declared is None:
+        return None, None
+    power_law = {"sigma", "tau"} <= set(declared)
+    if power_law and {"a_coeffs", "b_coeffs"} <= set(declared):
+        raise ValidationError(
+            "declared holds both sigma/tau and a_coeffs/b_coeffs; give one kind"
+        )
+    if power_law:
+        if "a" not in declared or "b" not in declared:
+            raise ValidationError("declared power law needs both scales a and b")
+        a, sigma, b, tau = (float(declared[k]) for k in ("a", "sigma", "b", "tau"))
+        if a == 0.0 or b == 0.0:
+            raise ValidationError("declared power-law scales a and b must be nonzero")
+        return (a, sigma, b, tau), None
+    if {"a_coeffs", "b_coeffs"} <= set(declared):
+        k_max = int(declared.get("k_max", 6))
+        return None, birkhoff_adams(declared["a_coeffs"], declared["b_coeffs"], k_max)
+    raise ValidationError(
+        "declared must contain sigma/tau (power law) or a_coeffs/b_coeffs"
     )
 
 
@@ -532,58 +562,6 @@ def _classify_limit_cases(
     return CaseLabel.UNCLASSIFIED
 
 
-def _limit_case_consistency(
-    label: CaseLabel,
-    roots: tuple[complex, complex],
-    p: np.ndarray,
-    num_dom: float,
-    num_min: float,
-    growth: float,
-    q_limit: float,
-    notes: list[str],
-) -> bool:
-    """Compare numeric ratios to root predictions mapped back by p_n / 2."""
-    half_p = float(p[-1]) / 2.0
-    if label is CaseLabel.CASE_3:
-        # Conjugate roots share modulus sqrt(q); compare growth moduli.
-        pred = math.sqrt(abs(q_limit)) * abs(half_p)
-        ok = math.isfinite(growth) and _close(growth, pred, max(pred, abs(growth)))
-        if not ok:
-            notes.append(
-                f"advisory growth modulus {pred:.6g} vs numeric {growth:.6g}; "
-                "numeric ratios authoritative"
-            )
-        return ok
-    pred_dom = roots[0].real * half_p
-    pred_min = roots[1].real * half_p
-    scale = max(abs(pred_dom), abs(num_dom))
-    ok_dom = math.isfinite(num_dom) and _close(num_dom, pred_dom, scale)
-    ok_min = math.isfinite(num_min) and _close(num_min, pred_min, scale)
-    if not (ok_dom and ok_min):
-        notes.append(
-            f"root predictions ({pred_dom:.6g}, {pred_min:.6g}) vs numeric "
-            f"({num_dom:.6g}, {num_min:.6g}); numeric ratios authoritative"
-        )
-    return ok_dom and ok_min
-
-
-def _classify_power_law(
-    declared: dict, notes: list[str]
-) -> tuple[CaseLabel, tuple[float, float, float, float]]:
-    if "a" not in declared or "b" not in declared:
-        raise ValidationError("declared power law needs both scales a and b")
-    a, sigma, b, tau = (float(declared[k]) for k in ("a", "sigma", "b", "tau"))
-    if a == 0.0 or b == 0.0:
-        raise ValidationError("declared power-law scales a and b must be nonzero")
-    power_law = (a, sigma, b, tau)
-    if sigma > tau / 2.0:
-        return CaseLabel.CASE_4A, power_law
-    if sigma == tau / 2.0:
-        return CaseLabel.CASE_4B, power_law
-    notes.append("declared growth has sigma < tau/2, outside the covered cases")
-    return CaseLabel.UNCLASSIFIED, power_law
-
-
 def _split_roots(r1: complex, r2: complex) -> Optional[tuple[complex, complex]]:
     """(dominant, minimal) of two characteristic roots; None for equal moduli."""
     if abs(abs(r1) - abs(r2)) <= 1e-9 * max(1.0, abs(r1)):
@@ -592,33 +570,43 @@ def _split_roots(r1: complex, r2: complex) -> Optional[tuple[complex, complex]]:
 
 
 def _power_law_prediction(
-    label: CaseLabel,
     power_law: tuple[float, float, float, float],
     size: int,
     probe_at: int,
-) -> Optional[tuple[float, float] | float]:
-    """Perron-Kreuser (dominant, minimal) ratios for p_n ~ a n^sigma,
-    q_n ~ b n^tau, n = index + 1 (Gautschi, SIAM Rev. 9 (1967) 24; Wimp,
-    Computation with Recurrence Relations, 1984, ch. 1): a n^sigma and
-    -(b/a) n^(tau-sigma) in case 4a, lambda n^sigma with lambda^2 = a lambda + b
-    in case 4b.  n is the forward probe's last level for the dominant ratio
+    notes: list[str],
+) -> tuple[CaseLabel, Optional[tuple[float, float] | float]]:
+    """Case label and Perron-Kreuser (dominant, minimal) ratios for
+    p_n ~ a n^sigma, q_n ~ b n^tau, n = index + 1 (Gautschi, SIAM Rev. 9
+    (1967) 24; Wimp, Computation with Recurrence Relations, 1984, ch. 1):
+    a n^sigma and -(b/a) n^(tau-sigma) in case 4a, lambda n^sigma with
+    lambda^2 = a lambda + b in case 4b, there to first order: times
+    1 -/+ sigma lambda_- / ((lambda_+ - lambda_-) n) for the dominant and
+    minimal root.  n is the forward probe's last level for the dominant ratio
     and probe_at + 2 for the minimal one, as x_m / x_{m-1} ~ -q_{m+1} / p_{m+1}.
-    Equal root moduli give the forward probe's mean growth modulus instead.
+    Equal root moduli give the forward probe's mean growth modulus instead;
+    sigma < tau/2 predicts nothing.
     """
     a, sigma, b, tau = power_law
+    if not sigma >= tau / 2.0:
+        notes.append("declared growth has sigma < tau/2, outside the covered cases")
+        return CaseLabel.UNCLASSIFIED, None
     n_dom, n_min = size, probe_at + 2
+    label = CaseLabel.CASE_4A if sigma > tau / 2.0 else CaseLabel.CASE_4B
     try:
         if label is CaseLabel.CASE_4A:
-            return a * n_dom**sigma, -(b / a) * n_min ** (tau - sigma)
-        if label is not CaseLabel.CASE_4B:
-            return None
+            return label, (a * n_dom**sigma, -(b / a) * n_min ** (tau - sigma))
         s = cmath.sqrt(a * a + 4.0 * b)
         pair = _split_roots((a + s) / 2.0, (a - s) / 2.0)
         if pair is None:
             top, mid = size - 1, size // 2
             log_mean = (math.lgamma(top + 2) - math.lgamma(mid + 2)) / (top - mid)
-            return abs(a + s) / 2.0 * math.exp(sigma * log_mean)
-        return pair[0].real * n_dom**sigma, pair[1].real * n_min**sigma
+            return label, abs(a + s) / 2.0 * math.exp(sigma * log_mean)
+        hi, lo = pair[0].real, pair[1].real
+        c = sigma * lo / (hi - lo)
+        return label, (
+            hi * n_dom**sigma * (1.0 - c / n_dom),
+            lo * n_min**sigma * (1.0 + c / n_min),
+        )
     except OverflowError as exc:
         raise Overflow(f"declared power-law prediction overflowed: {exc}") from exc
 
@@ -635,7 +623,7 @@ def _ba_label(ba: BirkhoffAdamsData) -> CaseLabel:
     return CaseLabel.CASE_5A
 
 
-def _declared_consistency(
+def _consistency(
     pred: tuple[float, float] | float,
     num_dom: float,
     growth: float,

@@ -141,6 +141,10 @@ def _check_classify(block: Any) -> None:
     for key in ("pvals", "qvals"):
         if key in block:
             _require_reals(block[key], key)
+    _require(
+        not ("declared_power_law" in block and "declared_ba_coeffs" in block),
+        "declare either 'declared_power_law' or 'declared_ba_coeffs', not both",
+    )
     for name in ("declared_power_law", "declared_ba_coeffs"):
         if name not in block:
             continue
@@ -325,7 +329,11 @@ def _classify_sequences(
         args.param_value is not None,
         "classify requires --param-value unless raw sequences are given",
     )
-    pq = pq_iterate(spec, args.param_value)
+    try:
+        pq = pq_iterate(spec, args.param_value)
+    except AimError:  # a malformed declaration exits 2 even where the ladder fails
+        analysis.parse_declared(declared)
+        raise
     return pq.p.tolist(), pq.q.tolist(), declared
 
 

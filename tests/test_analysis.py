@@ -19,6 +19,7 @@ from aimcf.analysis import (
     classify,
     miller_minimal_ratio,
     monic_transform,
+    parse_declared,
     pincherle_check,
     stern_seidel,
 )
@@ -370,13 +371,65 @@ def test_classify_unit_limit_case():
     assert rep.consistency
     # q -> -1 means t -> 1: the double root 1 with summable n |a_n|, case 2.
     # Solutions grow like 1 and n, so backward estimates creep by O(1/depth)
-    # and Miller's algorithm does not stabilize
+    # and Miller's algorithm does not stabilize; the growth modulus |r| p/2 = 1
+    # still matches, as consistency is not minimal existence
     rep = classify([2.0] * n, [-v for v in q])
     assert rep.case_label is CaseLabel.CASE_2
     assert rep.q_limit == pytest.approx(1.0, abs=1e-6)
     assert not rep.minimal_exists
     assert rep.pincherle is None
-    assert not rep.consistency
+    assert rep.consistency
+
+
+# the minimal ratio is read at the backward probe's level, not at Miller's
+# x_{-1}/x_{-2}, where a 1/n perturbation is largest: (p, q) from Miller are
+# (1.70708, 0.615054) against roots (1.70708, 0.292918) in the first case
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (lambda n: 2.0 + 0.0 * n, lambda n: -0.5 * (1.0 + n**-2.0)),
+        (lambda n: 3.0 * (1.0 + 1.0 / n), lambda n: 4.0 + 0.0 * n),
+    ],
+    ids=["q-perturbed", "p-perturbed"],
+)
+def test_classify_perturbed_constants_are_consistent(p, q):
+    n = np.arange(1, 121, dtype=float)
+    rep = classify(p(n), q(n))
+    assert rep.case_label is CaseLabel.CASE_1A
+    assert rep.consistency
+    assert rep.notes == ()
+
+
+# the cylinder data undeclared: t_n -> 0 as p_n = 2n grows, so the minimal
+# root is taken from t at the probe's level, ~ -q/p = 1/(2n) there, not from
+# the last level's t, which would predict 1.58e-3 against 2.76e-3
+def test_classify_undeclared_growing_p_is_consistent():
+    rep = classify(*_bessel_pq())
+    assert rep.case_label is CaseLabel.CASE_1A
+    assert rep.minimal_exists
+    assert rep.consistency
+    assert rep.notes == ()
+
+
+# [DERIVED] p (1 + c/n^k), q (1 + d/n^j) has the ratio limits of (p, q): with
+# roots 1.5x apart, both sides match at 240 levels, with no note
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.floats(0.5, 4.0) | st.floats(-4.0, -0.5),
+    q=st.floats(-4.0, -0.01) | st.floats(0.01, 4.0),
+    k=st.sampled_from([2, 3]),
+    j=st.sampled_from([2, 3]),
+    c=st.floats(-0.9, 2.0),
+    d=st.floats(-0.9, 2.0),
+)
+@example(p=2.5, q=-1.5, k=2, j=2, c=2.0, d=-0.9)  # roots 1.5 and 1
+def test_classify_perturbed_constant_recurrence_is_consistent(p, q, k, j, c, d):
+    small, big = sorted(np.roots([1.0, -p, -q]), key=abs)
+    assume(small.imag == 0.0 and abs(big) >= 1.5 * abs(small))
+    n = np.arange(1, 241, dtype=float)
+    rep = classify(p * (1.0 + c / n**k), q * (1.0 + d / n**j))
+    assert rep.consistency, rep.notes
+    assert rep.notes == ()
 
 
 def test_classify_declared_power_law_cylinder():
@@ -417,6 +470,20 @@ def test_classify_declared_equal_exponent_power_law_consistent(a, sigma, b, tau)
     assert rep.notes == ()
 
 
+# [DERIVED] to first order the 4b ratios carry 1 -/+ sigma lambda_- /
+# ((lambda_+ - lambda_-) n): roots -2.30 and -1.55, only 32% apart, predict
+# -32013 and -13457 against numeric -31794 and -13590 (leading order:
+# -33161 and -12870, the minimal side 5.3% off)
+def test_classify_declared_close_roots_power_law_to_first_order():
+    a, sigma, b, tau = -3.857, 2.0, -3.579, 4.0
+    n = np.arange(1, 121, dtype=float)
+    declared = {"a": a, "sigma": sigma, "b": b, "tau": tau}
+    rep = classify(a * n**sigma, b * n**tau, declared=declared)
+    assert rep.case_label is CaseLabel.CASE_4B
+    assert rep.consistency
+    assert not any("authoritative" in note for note in rep.notes)
+
+
 @pytest.mark.parametrize(
     "declared",
     [
@@ -430,6 +497,38 @@ def test_classify_declared_equal_exponent_power_law_consistent(a, sigma, b, tau)
 def test_classify_declared_power_law_needs_nonzero_scales(declared):
     with pytest.raises(ValidationError):
         classify(*_bessel_pq(), declared=declared)
+
+
+# the declaration is checked before the sequences, so a short or all-zero-p
+# recurrence cannot turn a malformed one into a numeric failure
+@pytest.mark.parametrize("p, q", [([3.0] * 20, [4.0] * 20), ([0.0] * 60, [4.0] * 60)])
+def test_classify_checks_declaration_first(p, q):
+    with pytest.raises(ValidationError):
+        classify(p, q, declared={"sigma": 1.0, "tau": 0.0})
+
+
+# one declaration holds one kind: a power law beside 1/n-expansion data is
+# rejected by the validator classify and the CLI share
+def test_parse_declared_rejects_both_kinds():
+    declared = {"a": 2.0, "sigma": 1.0, "b": -1.0, "tau": 0.0}
+    declared.update(a_coeffs=[-3.0], b_coeffs=[-4.0])
+    with pytest.raises(ValidationError, match="both"):
+        parse_declared(declared)
+    with pytest.raises(ValidationError, match="both"):
+        classify(*_bessel_pq(), declared=declared)
+
+
+# a declaration outside the covered cases predicts nothing; its note still
+# follows the probe notes
+def test_classify_uncovered_power_law_note_follows_probe_notes():
+    declared = {"a": 1.0, "sigma": 0.0, "b": -1.0, "tau": 1.0}
+    rep = classify([1.0] * 150, [-1.0] * 150, declared=declared)
+    assert rep.case_label is CaseLabel.UNCLASSIFIED
+    assert not rep.consistency
+    assert [note.split(":")[0] for note in rep.notes] == [
+        "backward recurrence did not stabilize",
+        "declared growth has sigma < tau/2, outside the covered cases",
+    ]
 
 
 def _own_declaration_ok(a, b, sigma, tau, size):

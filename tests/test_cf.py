@@ -324,11 +324,14 @@ def test_terminated_alpha_matches_hermite_log_derivative(energy, x0):
 # only absolute precision, hence the floor at the smallest normal double.
 # At a subnormal x0, B[n] is subnormal for even n and A[n] / B[n] leaves
 # double range; at E = 3 and x0 = 6.6e-118, L[1](x0) = 4 x0^2 cancels to 0
-# in the ladder, not in the recurrence
+# in the ladder, not in the recurrence.  Near E = 2 and x0 = 0 the linear
+# problem's q_1(x0) nearly vanishes, q_1'/q_1 has a pole beside x0 and the
+# coefficients leave double range: both ladders raise the same Overflow there
 @pytest.mark.filterwarnings("ignore::aimcf.errors.ConditioningWarning")
 @example(problem=HO[:2], x0=2.2250738585e-313, energy=2.0)
 @example(problem=HO[:2], x0=5e-324, energy=1.5)
 @example(problem=HO[:2], x0=6.560974342087148e-118, energy=3.0)
+@example(problem=("2 + x", "x - E"), x0=1e-09, energy=2.0)
 @given(
     problem=st.sampled_from([HO[:2], ("6*x", "x^4 - 9*x^2 + 3 - E"), ("2 + x", "x - E")]),
     x0=st.floats(min_value=-1.5, max_value=1.5),
@@ -337,7 +340,14 @@ def test_terminated_alpha_matches_hermite_log_derivative(energy, x0):
 @settings(max_examples=40, deadline=None)
 def test_approximants_are_ladder_values(problem, x0, energy):
     spec = ProblemSpec.from_strings(*problem, "E", x0=x0, order=40, n_max=12)
-    pq = pq_iterate(spec, energy)
+    try:
+        pq = pq_iterate(spec, energy)
+    except AimError:
+        args = (problem, x0, energy, 12, 40)
+        got = _pq_outcome(pq_iterate, *args)
+        assert got == _pq_outcome(reference_pq_iterate, *args)
+        assert got[0] is Overflow
+        return
     seqs = aim_iterate(spec, energy)
     state = cf_approximants(pq.p, pq.q)
     lam0, s0 = spec.series_pair(energy)

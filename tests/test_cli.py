@@ -333,6 +333,31 @@ def test_classify_at_symmetric_centre_exits_numeric(ho_file, capsys):
     assert "symmetric centre" in err
 
 
+# a malformed declaration is an input error before any numeric failure:
+# neither the symmetric centre's ZeroP, nor a ladder too short to classify,
+# nor a ladder that overflows comes first
+@pytest.mark.parametrize(
+    "problem, argv_tail",
+    [
+        ({}, ["--param-value", "7.25"]),
+        ({}, ["--param-value", "7.25", "--x0", "0.3", "--n", "20"]),
+        (
+            {"lambda0": "2 + x", "s0": "x - E", "order": 40, "n_max": 12},
+            ["--param-value", "1", "--x0=1.000000001"],
+        ),
+    ],
+    ids=["centre", "short", "ladder-overflow"],
+)
+def test_classify_malformed_declaration_exits_input_first(
+    tmp_path, capsys, problem, argv_tail
+):
+    block = {"declared_power_law": {"sigma": 1, "tau": 0}}
+    path = _write(tmp_path, "declared.json", dict(HO_PROBLEM, **problem, classify=block))
+    code, out, err = _run(capsys, ["classify", path, *argv_tail])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "both scales" in err
+
+
 def test_classify_short_sequences_exit_numeric(tmp_path, capsys):
     path = _write(
         tmp_path,
@@ -779,6 +804,12 @@ def test_solve_at_minimal_order(ho_file, tmp_path, capsys):
         # a power law needs both scales, each nonzero
         {**_CYLINDER, "declared_power_law": {"sigma": 1, "tau": 0}},
         {**_CYLINDER, "declared_power_law": {"a": 2, "sigma": 1, "b": 0, "tau": 0}},
+        # one declaration, not both
+        {
+            **_CYLINDER,
+            "declared_power_law": {"a": 2, "sigma": 1, "b": -1, "tau": 0},
+            "declared_ba_coeffs": {"a_coeffs": [-3.0], "b_coeffs": [-4.0]},
+        },
     ],
 )
 def test_exit_input_on_malformed_classify_block(tmp_path, capsys, block):
