@@ -30,24 +30,27 @@ The eigenvalue search reads only the at-centre values, and these need no
 whole series: since y^(i+2) = L[i] y' + S[i] y, L[i](x0) and S[i](x0) are
 the derivatives at x0 of the two solutions with (y, y') = (0, 1) and
 (1, 0) there, which the Leibniz rule gives from the input derivatives in
-O(n**2) operations instead of the ladder's O(n**3).  The search binds both
-expressions once per search (:func:`~aimcf.series.bind_series` at order
-n + 2), which maps an array of parameter values to one row of input
-coefficients per value, and evaluates each distinct parameter value once,
-to depth n + 2, reading the scan and refinement values at depth n and the
-recheck values at depth n + 2 from that one evaluation.  The whole grid is
-bound in one call and its rows go through one batched pass of
-:func:`_scan_deltas`; each refinement or recheck point is bound as a
-one-value array and evaluated alone through :func:`_delta_vector`.  A grid
-with a point that fails to bind is bound again point by point, so the
-failing points are skipped, with their warnings in grid order, as if the
-batch had never run.  Rows are bit-identical to one-value bindings, and
-both kernels sum the same terms in the same order, so a grid value equals
-a per-point one bit for bit.  Both leave out products that are exactly
-zero: a column that is zero on both sides, and the side of a column that
-is zero, at its point for the per-point kernel and on the whole grid for
-the batched pass (a column that is one-sided on the grid), which also
-skips the multiply by C(k, 0) = C(k, k) = 1.  A skipped zero could at
+O(n**2) operations instead of the ladder's O(n**3).  A search does once
+what does not depend on the point: it validates its inputs, binds each
+expression once at order n + 2 (:func:`_evaluator`, on the layer under
+:func:`~aimcf.series.bind_series`), takes the derivatives at x0 of a side
+that does not depend on the parameter, and runs under one floating-point
+error state and one guard against expressions too deep to evaluate.  It
+evaluates each distinct parameter value once, to depth n + 2, and keeps
+delta[n] for the scan and refinement and delta[n + 2] for the recheck, as
+Python floats, with the evaluated values in one sorted list.  The whole grid
+is bound in one call and its rows go through one batched pass of
+:func:`_scan_deltas`; each refinement or recheck point calls only the
+parameter side, on a one-value array, and runs :func:`_delta_recurrence` on
+Python lists.  A grid with a point that fails to bind is bound again point
+by point, so the failing points are skipped, with their warnings in grid
+order, as if the batch had never run.  Rows are bit-identical to one-value
+bindings, and both kernels sum the same terms in the same order, so a grid
+value equals a per-point one bit for bit.  Both leave out products that
+are exactly zero: a column that is zero on both sides, and the side of a
+column that is zero, at its point for the per-point kernel and on the whole
+grid for the batched pass (a column that is one-sided on the grid), which
+also skips the multiply by C(k, 0) = C(k, k) = 1.  A skipped zero could at
 most change the sign of a zero term, and the sum onto a +0 accumulator
 erases that sign, so no value changes, not even a zero's sign (which no
 root decision reads anyway); a skipped 0 * inf follows an overflow that
@@ -63,11 +66,12 @@ spec, for example with ``dataclasses.replace(spec, n_max=d)``.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
 import warnings
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -82,6 +86,7 @@ from .errors import (
     IndexOutOfRange,
     OrderExhausted,
     Overflow,
+    ParseOrEvalError,
     SingularPivot,
     ValidationError,
 )
@@ -89,8 +94,8 @@ from .series import (
     EPS_PIVOT,
     Expression,
     TaylorSeries,
+    _bind,
     _result,
-    bind_series,
     parse_expression,
     series_from_expr,
 )
@@ -303,15 +308,6 @@ class Root(NamedTuple):
     n_used: int
 
 
-def _bind_inputs(
-    spec: ProblemSpec, order: int
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Coefficients 0..order of (L, S) at x0, one row per parameter value."""
-    lam = bind_series(spec.lambda0, spec.x0, order)
-    s = bind_series(spec.s0, spec.x0, order)
-    return lambda values: (lam(values), s(values))
-
-
 def _rounded(n: int) -> float:
     """The integer n correctly rounded to a double, or inf beyond double range."""
     try:
@@ -356,7 +352,15 @@ def _recurrence_inputs(
 
 
 def _delta_vector(l0: np.ndarray, s0: np.ndarray) -> list[float]:
-    """delta[1..depth] from input coefficients 0..depth, by the derivative recurrence.
+    """delta[1..depth] from input coefficients 0..depth, by :func:`_delta_recurrence`."""
+    binom, dl, ds = _recurrence_inputs(l0, s0)
+    return _delta_recurrence(binom, dl.tolist(), ds.tolist())
+
+
+def _delta_recurrence(
+    binom: list[tuple[float, ...]], dl: list[float], ds: list[float]
+) -> list[float]:
+    """delta[1..depth] from the derivatives t! c[t] at x0 of L and S, t = 0..depth.
 
     Since y^(i+2) = L[i] y' + S[i] y, the at-centre values L[i](x0) and
     S[i](x0) are the derivatives u_b(i + 2) and u_a(i + 2) at x0 of the
@@ -377,9 +381,7 @@ def _delta_vector(l0: np.ndarray, s0: np.ndarray) -> list[float]:
     beyond double range turns inf or nan, which reaches delta, so this
     raises :class:`Overflow`.
     """
-    width = l0.size
-    binom, dl, ds = _recurrence_inputs(l0, s0)
-    dl, ds = dl.tolist(), ds.tolist()
+    width = len(dl)
     terms = [(t, dl[t], ds[t]) for t in range(width) if dl[t] or ds[t]]
     ua, ub = [1.0, 0.0], [0.0, 1.0]
     for k in range(width):
@@ -453,6 +455,53 @@ def _scan_deltas(l0: np.ndarray, s0: np.ndarray) -> np.ndarray:
     return _cross(u[2:, 1], u[2:, 0]).T
 
 
+def _evaluator(
+    spec: ProblemSpec, order: int
+) -> tuple[Callable[[list[float]], list[np.ndarray]], Callable[[float], list[float]]]:
+    """Bind L and S of one search at x0 to ``order``; return ``(rows, deltas_at)``.
+
+    Each expression is bound once, by :func:`~aimcf.series._bind`.  A side
+    bound to a constant array (it does not depend on the parameter) gets its
+    derivatives t! c[t] once, here; a parameter side is called per use.
+    ``rows(values)`` gives the ``(values, order + 1)`` input rows of L and S
+    for a list of parameter values, a constant side broadcast to every row,
+    for :func:`_scan_deltas`.  ``deltas_at(e)`` gives delta[1..order] at one
+    value: it calls each parameter side on the one-value array ``[e]``, takes
+    that row's derivatives and runs :func:`_delta_recurrence` on Python
+    lists, which equals :func:`_delta_vector` on the rows bit for bit.
+
+    This is :func:`~aimcf.series.bind_series` without its per-call wrapper:
+    the caller checks that every value is finite and runs binding and calls
+    under ``np.errstate(over="ignore", invalid="ignore")``, turning a
+    ``RecursionError`` into :class:`~aimcf.errors.ParseOrEvalError`.  A
+    non-finite ``x0`` raises :class:`ValidationError` here, as it does there.
+    """
+    if not math.isfinite(spec.x0):
+        raise ValidationError("series center must be finite")
+    sides = [_bind(e, spec.x0, order) for e in (spec.lambda0, spec.s0)]
+    binom, mant, exp = _tables(order + 1)
+
+    def derivatives(coeffs: np.ndarray) -> list[float]:
+        return np.ldexp(mant * coeffs, exp).tolist()
+
+    # each side with the derivatives of its constant array, or None
+    live = [(c, derivatives(c) if isinstance(c, np.ndarray) else None) for c in sides]
+
+    def rows(values: list[float]) -> list[np.ndarray]:
+        values = np.array(values)
+        return [
+            side(values) if d is None else np.broadcast_to(side, (values.size, order + 1))
+            for side, d in live
+        ]
+
+    def deltas_at(e: float) -> list[float]:
+        values = np.array([e])
+        dl, ds = (d if d is not None else derivatives(side(values)[0]) for side, d in live)
+        return _delta_recurrence(binom, dl, ds)
+
+    return rows, deltas_at
+
+
 def _locate(
     f: Callable[[float], float], lo: float, hi: float, tol: float, trial: float | None = None
 ) -> float | None:
@@ -523,7 +572,7 @@ def find_eigenvalues(
     exactly zero and refines each cell whose ends change sign to within
     ``tol`` of a sign change, so the roots come out in ascending order.
     The grid values and their delta[n], read from the depth-n column of
-    the scan table (NaN at a skipped point), enter these cell tests as
+    the scan table (skipped points have none), enter these cell tests as
     Python floats, which compare as the doubles they hold.  A cell is
     refined by :func:`_locate`, whose secant steps fall back to the
     midpoint, and its root is the chord zero of a final bracket of width
@@ -534,26 +583,39 @@ def find_eigenvalues(
     across a grid point with depth), it gains the cell beyond its end
     nearer the root.  The recheck starts from the already evaluated point
     or adjacent pair nearest the root that holds a zero or a sign change of
-    delta[n + 2], so it costs few new evaluations.  The reported residual
-    is the distance between the two roots, each located to within ``tol``
-    (infinite, with a warning, if the deeper level cannot be re-bracketed
-    there).  Both expressions are bound once; the grid is bound in one
-    row-stacked call and evaluated in one batched pass (:func:`_scan_deltas`),
-    and every other parameter value is bound and evaluated alone
-    (:func:`_delta_vector`), both by the derivative recurrence of the module
-    docstring, so a grid value equals a per-point evaluation bit for bit and
-    the series ladder's value to the tolerance stated there.  If binding the
-    grid raises, it is bound again point by point: grid points whose inputs
-    cannot be evaluated (a singular pivot) are skipped with a warning, in
-    grid order, and drop out of the batch, and any other error is raised
-    by the first point that meets it.  If delta[n] vanishes on the whole
-    grid, it is evaluated once more at the midpoint of the first cell: if
-    it vanishes there too (for example S = 0) the result is empty, with a
+    delta[n + 2], so it costs few new evaluations; it reads the evaluated
+    points of its bracket from a sorted list, by bisection.  The reported
+    residual is the distance between the two roots, each located to within
+    ``tol`` (infinite, with a warning, if the deeper level cannot be
+    re-bracketed there).
+
+    Once per search, the inputs are validated, each expression is bound
+    (:func:`_evaluator`), the derivatives at x0 of a side that does not
+    depend on the parameter are taken, and one floating-point error state
+    and one guard that turns a ``RecursionError`` into
+    :class:`ParseOrEvalError` are set up.  The grid is bound in one
+    row-stacked call and evaluated in one batched pass (:func:`_scan_deltas`);
+    at every other parameter value only the parameter side is called, on a
+    one-value array, and :func:`_delta_recurrence` runs on Python lists.
+    Each value is evaluated once, to depth n + 2, and keeps delta[n] and
+    delta[n + 2] as Python floats.  Both passes run the derivative
+    recurrence of the module docstring, so a grid value equals a per-point
+    evaluation bit for bit and the series ladder's value to the tolerance
+    stated there.
+
+    If binding the grid raises, it is bound again point by point: grid
+    points whose inputs cannot be evaluated (a singular pivot) are skipped
+    with a warning, in grid order, and drop out of the batch, and any other
+    error is raised by the first point that meets it.  If delta[n] vanishes
+    on the whole grid, it is evaluated once more at the midpoint of the
+    first cell: if it vanishes there too (for example S = 0), or that
+    midpoint overflows (ends near 1e308), the result is empty, with a
     :class:`DegenerateDeltaWarning`; otherwise every grid point is a root.
+    So every parameter value evaluated is finite: the grid comes from a
+    finite range, and trial points lie strictly inside finite brackets.
     A non-finite ``e_min``, ``e_max`` or ``e_max - e_min`` raises
     :class:`ValidationError`.
     """
-    n = spec.n_max
     e_min, e_max = float(e_min), float(e_max)  # Python floats: e_max - e_min cannot warn
     if not (math.isfinite(e_min) and math.isfinite(e_max) and math.isfinite(e_max - e_min)):
         raise ValidationError("e_min, e_max and e_max - e_min must be finite")
@@ -565,25 +627,46 @@ def find_eigenvalues(
         raise ValidationError("tol must be positive and finite")
 
     grid = np.unique(np.linspace(e_min, e_max, grid_points)).tolist()
-    # each E is evaluated once, to depth n + 2, serving the scan, the
-    # refinement at depth n and the recheck at depth n + 2 alike; the grid
-    # fills this in one batched pass, ``delta`` adds every other E alone
-    # (``inputs`` is bound below, inside the warning filter)
-    deltas: dict[float, Sequence[float]] = {}
+    try:
+        # the per-point conditioning chatter is not useful during a scan;
+        # other warning categories still reach the caller's handlers
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("ignore", ConditioningWarning)
+            return _search(spec, grid, tol)
+    except RecursionError as exc:
+        raise ParseOrEvalError("expression is nested too deeply to evaluate") from exc
 
-    def delta(e: float, depth: int) -> float:
+
+def _search(spec: ProblemSpec, grid: list[float], tol: float) -> list[Root]:
+    """The search of :func:`find_eigenvalues` on its ascending distinct grid.
+
+    Its warnings name the caller of :func:`find_eigenvalues` (stacklevel 3).
+    """
+    n = spec.n_max
+    rows, deltas_at = _evaluator(spec, n + 2)
+    # each E is evaluated once, to depth n + 2, and keeps the two depths the
+    # search reads: delta[n] for the scan and refinement, delta[n + 2] for
+    # the recheck; the grid fills this in one batched pass, ``delta`` adds
+    # every other E alone.  ``evaluated`` holds the same E in ascending order
+    deltas: dict[float, tuple[float, float]] = {}
+    evaluated: list[float] = []
+
+    def delta(e: float) -> tuple[float, float]:
         if e not in deltas:
-            l0, s0 = inputs([e])
-            deltas[e] = _delta_vector(l0[0], s0[0])
-        return float(deltas[e][depth - 1])
+            row = deltas_at(e)
+            deltas[e] = row[n - 1], row[n + 1]
+            bisect.insort(evaluated, e)
+        return deltas[e]
 
-    def sign(e: float) -> float:
-        return np.sign(delta(e, n + 2))
+    def sign(e: float) -> int:
+        deep = delta(e)[1]
+        return (deep > 0.0) - (deep < 0.0)
 
-    def evaluated(a: int, b: int) -> list[float]:
+    def between(a: int, b: int) -> list[float]:
         """The evaluated E between grid points a and b (clipped to the grid)."""
         lo, hi = grid[max(a, 0)], grid[min(b, len(grid) - 1)]
-        return sorted(e for e in deltas if lo <= e <= hi)
+        i, j = bisect.bisect_left(evaluated, lo), bisect.bisect_right(evaluated, hi)
+        return evaluated[i:j]
 
     def recheck(e_found: float, a: int, b: int) -> float | None:
         """Root of delta[n + 2] nearest ``e_found`` between grid points a and b.
@@ -595,99 +678,90 @@ def find_eigenvalues(
         whose values change sign, whichever is nearer, and tries
         ``e_found`` first when it lies strictly between them.
         """
-        points = evaluated(a, b)
-        if sign(points[0]) * sign(points[-1]) > 0.0:
+        points = between(a, b)
+        if sign(points[0]) * sign(points[-1]) > 0:
             if e_found - points[0] <= points[-1] - e_found:
                 a -= 1
             else:
                 b += 1
-            points = evaluated(a, b)
-            if sign(points[0]) * sign(points[-1]) > 0.0:
+            points = between(a, b)
+            if sign(points[0]) * sign(points[-1]) > 0:
                 return None
-        brackets = [(e, e) for e in points if sign(e) == 0.0]
-        brackets += [(x, y) for x, y in zip(points, points[1:]) if sign(x) * sign(y) < 0.0]
+        brackets = [(e, e) for e in points if sign(e) == 0]
+        brackets += [(x, y) for x, y in zip(points, points[1:]) if sign(x) * sign(y) < 0]
         lo, hi = min(brackets, key=lambda pair: max(pair[0] - e_found, e_found - pair[1]))
         trial = e_found if lo < e_found < hi else None
-        return _locate(lambda e: delta(e, n + 2), lo, hi, tol, trial)
+        return _locate(lambda e: delta(e)[1], lo, hi, tol, trial)
 
-    # the per-point conditioning chatter is not useful during a scan; other
-    # warning categories still reach the caller's handlers
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConditioningWarning)
-        inputs = _bind_inputs(spec, n + 2)
-        try:
-            bound, l0, s0 = range(len(grid)), *inputs(grid)  # indices bound
-        except AimError:
-            # some grid point fails: bind point by point, in grid order,
-            # skipping singular points, as if the batch had never run
-            bound, rows = [], []
-            for i, e in enumerate(grid):
-                try:
-                    rows.append(inputs([e]))
-                except SingularPivot as exc:
-                    warnings.warn(
-                        f"grid point E = {e:g} skipped: {exc}",
-                        GridPointSkippedWarning,
-                        stacklevel=2,
-                    )
-                else:
-                    bound.append(i)
-            if rows:
-                l0, s0 = (np.concatenate(c) for c in zip(*rows))
-        # delta[n] at the bound grid points, NaN at the skipped ones
-        vals = np.full(len(grid), np.nan)
-        if bound:
-            table = _scan_deltas(l0, s0)
-            deltas.update(zip([grid[i] for i in bound], table))
-            vals[bound] = table[:, n - 1]
-        finite = np.isfinite(vals)
-        degenerate = not finite.any() or np.max(np.abs(vals[finite])) < EPS_PIVOT
-        if degenerate and finite.any():
-            # every grid point may be a root: look once off the grid, where
-            # a NaN or an input that cannot be evaluated settles nothing
+    try:
+        bound, (l0, s0) = range(len(grid)), rows(grid)  # indices bound
+    except AimError:
+        # some grid point fails: bind point by point, in grid order,
+        # skipping singular points, as if the batch had never run
+        bound, stacks = [], []
+        for i, e in enumerate(grid):
             try:
-                degenerate = not abs(delta(0.5 * (grid[0] + grid[1]), n)) >= EPS_PIVOT
-            except AimError:
-                pass
-        if degenerate:
-            warnings.warn(
-                "termination quantity vanishes on the whole grid; "
-                "no bracketing possible",
-                DegenerateDeltaWarning,
-                stacklevel=2,
-            )
-            return []
-
-        # the cell tests compare Python floats, which spares 8 numpy scalar
-        # operations per grid point and decides alike
-        vals, finite = vals.tolist(), finite.tolist()
-        roots: list[Root] = []
-        for i in range(len(grid)):
-            if not finite[i]:
-                continue
-            if vals[i] == 0.0:
-                e_found, a, b = grid[i], i - 1, i + 1
-            elif (
-                i + 1 < len(grid)
-                and finite[i + 1]
-                and vals[i + 1] != 0.0
-                and (vals[i] < 0.0) != (vals[i + 1] < 0.0)
-            ):
-                e_found = _locate(lambda e: delta(e, n), grid[i], grid[i + 1], tol)
-                # a root on a grid point, where delta is rounding noise, may
-                # change cell with depth: recheck over both cells at that point
-                a = i - 1 if e_found - grid[i] <= tol else i
-                b = i + 2 if grid[i + 1] - e_found <= tol else i + 1
-            else:
-                continue
-            deeper = recheck(e_found, a, b)
-            if deeper is None:
+                stacks.append(rows([e]))
+            except SingularPivot as exc:
                 warnings.warn(
-                    f"root near E = {e_found:.12g}: no sign change at depth "
-                    f"{n + 2} inside its bracket or the grid cell beside it",
-                    DepthRecheckWarning,
-                    stacklevel=2,
+                    f"grid point E = {e:g} skipped: {exc}",
+                    GridPointSkippedWarning,
+                    stacklevel=3,
                 )
-            residual = float("inf") if deeper is None else abs(deeper - e_found)
-            roots.append(Root(e_found, residual, n))
+            else:
+                bound.append(i)
+        if stacks:
+            l0, s0 = (np.concatenate(c) for c in zip(*stacks))
+    # delta[n] at the bound grid points, None at the skipped ones; the cell
+    # tests compare Python floats, which decide as the doubles they hold
+    vals: list[float | None] = [None] * len(grid)
+    if bound:
+        table = _scan_deltas(l0, s0)
+        for i, shallow, deep in zip(bound, *table[:, [n - 1, n + 1]].T.tolist()):
+            deltas[grid[i]] = shallow, deep
+            vals[i] = shallow
+        evaluated.extend(grid[i] for i in bound)
+    degenerate = not bound or max(abs(vals[i]) for i in bound) < EPS_PIVOT
+    if degenerate and bound:
+        # every grid point may be a root: look once off the grid, where an
+        # input that cannot be evaluated settles nothing, nor a midpoint
+        # whose sum of ends near +-1e308 overflows
+        mid = 0.5 * (grid[0] + grid[1])
+        try:
+            degenerate = not (math.isfinite(mid) and abs(delta(mid)[0]) >= EPS_PIVOT)
+        except AimError:
+            pass
+    if degenerate:
+        warnings.warn(
+            "termination quantity vanishes on the whole grid; "
+            "no bracketing possible",
+            DegenerateDeltaWarning,
+            stacklevel=3,
+        )
+        return []
+
+    roots: list[Root] = []
+    for i, (v, w) in enumerate(zip(vals, vals[1:] + [None])):
+        if v is None:
+            continue
+        if v == 0.0:
+            e_found, a, b = grid[i], i - 1, i + 1
+        elif w is not None and w != 0.0 and (v < 0.0) != (w < 0.0):
+            e_found = _locate(lambda e: delta(e)[0], grid[i], grid[i + 1], tol)
+            # a root on a grid point, where delta is rounding noise, may
+            # change cell with depth: recheck over both cells at that point
+            a = i - 1 if e_found - grid[i] <= tol else i
+            b = i + 2 if grid[i + 1] - e_found <= tol else i + 1
+        else:
+            continue
+        deeper = recheck(e_found, a, b)
+        if deeper is None:
+            warnings.warn(
+                f"root near E = {e_found:.12g}: no sign change at depth "
+                f"{n + 2} inside its bracket or the grid cell beside it",
+                DepthRecheckWarning,
+                stacklevel=3,
+            )
+        residual = float("inf") if deeper is None else abs(deeper - e_found)
+        roots.append(Root(e_found, residual, n))
     return roots

@@ -390,20 +390,31 @@ def _envelope_exponent(samples: np.ndarray) -> Optional[float]:
 def _forward_probe(p: list[float], q: list[float], seed: int) -> tuple[float, float]:
     """Forward-iterate from a seeded random start; return (last ratio, growth).
 
-    growth is the geometric-mean per-step magnitude over the second half of the
-    range, meaningful even when the plain ratio oscillates (complex roots).
+    growth is the per-step growth modulus over the second half of the range,
+    |D_N / D_mid|^(1 / (2 (N - mid))), from the Casoratian of the solution
+    and its shift, D_n = x_n x_{n-2} - x_{n-1}^2.  With constant coefficients
+    D_n = -q D_{n-1}, so growth is |q|^(1/2), the common modulus of
+    equal-modulus roots, to rounding: a conjugate pair's oscillation
+    |cos(n theta + phi)|, which any two samples of x_n carry, cancels out of
+    D_n.
     """
     x2, x1 = np.random.default_rng(seed).standard_normal(2).tolist()
     rows, exps = _run_recurrence(p, q, [x2], [x1])
     mid, last = len(p) // 2 + 2, len(rows) - 1  # steps of x_{len(p) // 2} and x_N
-    if last == mid or rows[mid][0] == 0.0 or rows[last][0] == 0.0:
+    log_mid, log_end = (_log_casoratian(rows, exps, i) for i in (mid, last))
+    if last == mid or log_mid is None or log_end is None:
         growth = math.nan
     else:
-        log_mid, log_end = (
-            math.log(abs(rows[i][0])) + exps[i] * math.log(2.0) for i in (mid, last)
-        )
-        growth = math.exp((log_end - log_mid) / (last - mid))
+        growth = math.exp((log_end - log_mid) / (2 * (last - mid)))
     return _ratio(rows, exps, last, last - 1), growth
+
+
+def _log_casoratian(rows: list[list[float]], exps: list[int], i: int) -> Optional[float]:
+    """log |x_i x_{i-2} - x_{i-1}^2| over runner steps i - 2..i; None where it is 0."""
+    e = exps[i - 1]
+    d = _ldexp_safe(rows[i][0] * rows[i - 2][0], exps[i] + exps[i - 2] - 2 * e)
+    d -= rows[i - 1][0] ** 2
+    return None if d == 0.0 else math.log(abs(d)) + 2 * e * math.log(2.0)
 
 
 def _close(a: float, b: float, scale: float) -> bool:

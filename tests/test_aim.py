@@ -8,13 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aimcf import aim
 from aimcf.aim import (
     ProblemSpec,
-    _bind_inputs,
     _delta_vector,
     _ladder,
     _locate,
@@ -26,6 +25,8 @@ from aimcf.aim import (
     find_eigenvalues,
 )
 from aimcf.errors import (
+    AimError,
+    AimWarning,
     ConditioningWarning,
     DegenerateDeltaWarning,
     DepthRecheckWarning,
@@ -36,6 +37,7 @@ from aimcf.errors import (
     SingularPivot,
     ValidationError,
 )
+from aimcf.series import bind_series
 
 HO = dict(lambda0="2*x", s0="1 - E", param="E")
 
@@ -234,9 +236,14 @@ def test_kernel_views_match_reference_exactly(lam_c, s_c, x0, energy, depth, spa
     assert np.array_equal(seqs.delta, ref_delta)
 
 
+def _inputs(spec, depth, energies):
+    """Input coefficients 0..depth of (L, S), one row per parameter value."""
+    return tuple(bind_series(e, spec.x0, depth)(energies) for e in (spec.lambda0, spec.s0))
+
+
 def _inputs_at(spec, depth, energy):
     """Input coefficients 0..depth of (L, S) at one parameter value."""
-    l0, s0 = _bind_inputs(spec, depth)([energy])
+    l0, s0 = _inputs(spec, depth, [energy])
     return l0[0], s0[0]
 
 
@@ -323,7 +330,7 @@ def test_scan_kernel_matches_per_point_kernel(lam_c, s_c, x0, energies, depth):
         _poly_text(lam_c), _poly_text(s_c) + " - E", "E",
         x0=x0, order=depth + 2, n_max=depth,
     )
-    l0, s0 = _bind_inputs(spec, depth)(energies)
+    l0, s0 = _inputs(spec, depth, energies)
     batch = _scan_deltas(l0, s0)
     assert batch.shape == (len(energies), depth)
     for i in range(len(energies)):
@@ -355,21 +362,26 @@ def _recorded_search(spec, *args, **kwargs):
 
 
 def _bind_one_value_at_a_time(monkeypatch):
-    """Make every binding of more than one value fail, so that a search binds
-    its grid point by point."""
-    bind = aim._bind_inputs
+    """Make every call of a bound parameter side on more than one value fail,
+    so that a search binds its grid point by point; returns the list of
+    refused calls, which a search that reaches this seam fills."""
+    bind, refused = aim._bind, []
 
-    def one_at_a_time(spec, order):
-        inputs = bind(spec, order)
+    def one_at_a_time(e, center, order):
+        side = bind(e, center, order)
+        if isinstance(side, np.ndarray):
+            return side
 
         def call(values):
             if len(values) > 1:
+                refused.append(len(values))
                 raise SingularPivot("bound one value at a time")
-            return inputs(values)
+            return side(values)
 
         return call
 
-    monkeypatch.setattr(aim, "_bind_inputs", one_at_a_time)
+    monkeypatch.setattr(aim, "_bind", one_at_a_time)
+    return refused
 
 
 # the batched binding falls back to binding point by point when a grid point
@@ -380,8 +392,9 @@ def test_skipped_grid_point_search_equals_point_by_point_search(monkeypatch):
         "2*x", "(1 - E)*(E - 2)/(E - 2)", "E", x0=0.0, order=60, n_max=30
     )
     batched = _recorded_search(spec, 0.5, 5.5, 21, tol=1e-11)
-    _bind_one_value_at_a_time(monkeypatch)
+    refused = _bind_one_value_at_a_time(monkeypatch)
     per_point = _recorded_search(spec, 0.5, 5.5, 21, tol=1e-11)
+    assert refused == [21]
     assert batched == per_point
     skipped = [text for category, text in batched[1] if category is GridPointSkippedWarning]
     assert skipped == ["grid point E = 2 skipped: divisor constant term 0.0 below 1e-300"]
@@ -425,8 +438,9 @@ def _bench_search(name):
 )
 def test_batched_search_equals_point_by_point_search(monkeypatch, spec, search):
     batched = _recorded_search(spec, *search, tol=1e-10)
-    _bind_one_value_at_a_time(monkeypatch)
+    refused = _bind_one_value_at_a_time(monkeypatch)
     assert repr(_recorded_search(spec, *search, tol=1e-10)) == repr(batched)
+    assert refused == [search[2]]
     assert batched[0]
 
 
@@ -680,28 +694,31 @@ def test_roots_do_not_depend_on_grid_shift(shift):
 def _count_point_evals(monkeypatch):
     """Record one entry per parameter value the search evaluates alone."""
     calls = []
-    kernel = aim._delta_vector
+    kernel = aim._delta_recurrence
 
-    def counted(l0, s0):
+    def counted(binom, dl, ds):
         calls.append(None)
-        return kernel(l0, s0)
+        return kernel(binom, dl, ds)
 
-    monkeypatch.setattr(aim, "_delta_vector", counted)
+    monkeypatch.setattr(aim, "_delta_recurrence", counted)
     return calls
 
 
 def _record_evaluations(monkeypatch):
-    """Record the values of every binding, the rows of every batched scan and
-    the parameter value of every per-point evaluation (the value bound last)."""
+    """Record the values of every call of a bound parameter side, the rows of
+    every batched scan and the parameter value of every per-point evaluation
+    (the value bound last)."""
     log = {"bound": [], "scan_rows": [], "point": []}
-    bind, scan, point = aim._bind_inputs, aim._scan_deltas, aim._delta_vector
+    bind, scan, point = aim._bind, aim._scan_deltas, aim._delta_recurrence
 
-    def recording_bind(spec, order):
-        inputs = bind(spec, order)
+    def recording_bind(e, center, order):
+        side = bind(e, center, order)
+        if isinstance(side, np.ndarray):
+            return side
 
         def call(values):
-            log["bound"].append(list(values))
-            return inputs(values)
+            log["bound"].append(values.tolist())
+            return side(values)
 
         return call
 
@@ -709,14 +726,14 @@ def _record_evaluations(monkeypatch):
         log["scan_rows"].append(len(l0))
         return scan(l0, s0)
 
-    def recording_point(l0, s0):
+    def recording_point(binom, dl, ds):
         (e,) = log["bound"][-1]
         log["point"].append(e)
-        return point(l0, s0)
+        return point(binom, dl, ds)
 
-    monkeypatch.setattr(aim, "_bind_inputs", recording_bind)
+    monkeypatch.setattr(aim, "_bind", recording_bind)
     monkeypatch.setattr(aim, "_scan_deltas", recording_scan)
-    monkeypatch.setattr(aim, "_delta_vector", recording_point)
+    monkeypatch.setattr(aim, "_delta_recurrence", recording_point)
     return log
 
 
@@ -733,6 +750,41 @@ def test_search_evaluates_each_value_once(monkeypatch, name):
     assert not set(log["point"]) & set(grid)
     evaluated = {e for values in log["bound"] for e in values}
     assert log["scan_rows"][0] + len(log["point"]) == len(evaluated)
+
+
+# every parameter value a search evaluates is finite, also on ranges whose
+# ends lie near +-1e308: the grid comes from a finite range of finite width,
+# trial points lie strictly inside finite brackets, and a degenerate grid
+# whose first two values sum past double range gets no off-grid look.  The
+# grid, bound first, is np.unique of np.linspace, also where the range spans
+# a few ulps and rounding repeats values, or where a step that rounds up to
+# the least subnormal takes np.linspace past e_max and back down to it
+@example(e_min=1e308, width=5e307, points=7, s0="0*E")
+@example(e_min=-1.7e308, width=7e307, points=11, s0="1/E*0")
+@example(e_min=1 - 2e-16, width=3, points=11, s0="1 - E")
+@example(e_min=0.0, width=3, points=6, s0="0*E")
+@given(
+    e_min=st.floats(min_value=-1.79e308, max_value=1.79e308),
+    width=st.one_of(st.floats(min_value=1e-300, max_value=1.79e308), st.integers(1, 40)),
+    points=st.integers(2, 41),
+    s0=st.sampled_from(["0*E", "1/E*0", "1 - E", "1 - 1e-300*E"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_search_evaluates_only_finite_values(e_min, width, points, s0):
+    if isinstance(width, int):  # that many ulps of e_min
+        width *= math.ulp(e_min)
+    e_max = e_min + width
+    assume(math.isfinite(e_max) and e_min < e_max)
+    spec = ProblemSpec.from_strings("2*x", s0, "E", x0=0.0, order=12, n_max=10)
+    with pytest.MonkeyPatch.context() as monkeypatch, warnings.catch_warnings():
+        warnings.simplefilter("ignore", AimWarning)
+        log = _record_evaluations(monkeypatch)
+        try:
+            find_eigenvalues(spec, e_min, e_max, points, tol=1e-10)
+        except AimError:
+            pass  # an overflow of the ladder at huge E
+    assert log["bound"][0] == np.unique(np.linspace(e_min, e_max, points)).tolist()
+    assert all(math.isfinite(e) for values in log["bound"] for e in values)
 
 
 # the two solve problems of the benchmark, on a grid shifted by 0.37 of a
@@ -754,7 +806,7 @@ def test_refinement_takes_at_most_half_the_bisection_evaluations(
     calls = _count_point_evals(monkeypatch)
     roots = find_eigenvalues(spec, e_min + shift, e_max + shift, points, tol=1e-10)
     assert len(roots) == count
-    assert len(calls) <= bisection_evals // 2
+    assert 0 < len(calls) <= bisection_evals // 2
 
 
 # the same searches, bounded at most 10% above the 35 and 25 evaluations
@@ -779,7 +831,7 @@ def test_secant_refinement_evaluation_counts(
     calls = _count_point_evals(monkeypatch)
     roots = find_eigenvalues(spec, e_min + shift, e_max + shift, points, tol=1e-10)
     assert len(roots) == count
-    assert len(calls) <= max_evals
+    assert 0 < len(calls) <= max_evals
 
 
 # [DERIVED] the oscillator ladder terminates at E = 2k + 1, where delta
@@ -884,7 +936,7 @@ def test_tol_below_double_spacing_stops_at_adjacent_doubles(monkeypatch):
         # searched alone, as a two-point grid, the cell gives the same root
         assert find_eigenvalues(spec, lo, hi, 2, tol=1e-300) == [root]
         steps = 2 * math.ceil(math.log2((hi - lo) / np.spacing(hi))) + 4
-        assert len(calls) <= 2 * steps  # one bracket at depth n, one at n + 2
+        assert 0 < len(calls) <= 2 * steps  # one bracket at depth n, one at n + 2
 
 
 def _bisect(f, lo, hi, tol):

@@ -360,6 +360,32 @@ def test_classify_periodic_recurrence_lacks_minimal_solution():
     assert any("did not stabilize" in note for note in rep.notes)
 
 
+# a conjugate pair's solution x_n ~ |r|^n cos(n theta + phi): a growth modulus
+# taken from x_{N/2} and x_N carried log |cos| of both into it and read
+# 1.38724 here against |q|^(1/2) = 1.30866; the Casoratian
+# x_n x_{n-2} - x_{n-1}^2 = -q (its value one step down) has no cosine in it
+def test_classify_conjugate_pair_growth_from_casoratian():
+    rep = classify([-1.4731] * 200, [-1.7126] * 200, seed=0)
+    assert rep.case_label is CaseLabel.CASE_3
+    assert rep.consistency
+    assert not any(note.startswith("equal root moduli") for note in rep.notes)
+
+
+# a seeded scan of 150 constant conjugate pairs, each from its own seeded
+# start; a growth modulus read from two samples of x_n fails 2 of them
+def test_classify_conjugate_pairs_are_consistent():
+    rng = np.random.default_rng(0)
+    checked = 0
+    while checked < 150:
+        p = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 4.0)
+        q = -rng.uniform(0.01, 4.0)
+        if p * p + 4.0 * q >= 0.0:
+            continue
+        checked += 1
+        rep = classify([p] * 200, [q] * 200, seed=int(rng.integers(100)))
+        assert rep.consistency, (p, q, rep.notes)
+
+
 def test_classify_unit_limit_case():
     n = 240
     # q -> +1 means t -> -1: distinct real roots 1 +- sqrt(2), case 1

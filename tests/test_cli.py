@@ -202,12 +202,18 @@ SOLVE_GOLDEN = {
 SOLVE_GOLDEN["oscillator_div_x0.3"] = dict(
     SOLVE_GOLDEN["oscillator"], s0="(2 - 2*E)/2", x0=0.3
 )
+# L depends on E, so no side of the search is parameter-free; most of its
+# truncation roots fail the depth recheck, which pins those warnings too
+SOLVE_GOLDEN["lambda_with_E"] = dict(
+    SOLVE_GOLDEN["oscillator"], lambda0="2*x - E*x^3/(4 + E)", s0="x^2 - E"
+)
 
 
 # the two solve problems of the benchmark, on grids shifted by 0.37 of a
 # cell; recorded before the batched scan skipped one-sided columns, so a
 # leaner kernel must print the same bytes.  The constant-divisor variant was
-# recorded before series division took its one-vector path.
+# recorded before series division took its one-vector path, and the one with
+# E in L before the search bound its inputs once per search.
 @pytest.mark.parametrize("name", sorted(SOLVE_GOLDEN))
 def test_solve_golden_output(tmp_path, capsys, name):
     path = _write(tmp_path, f"{name}.json", SOLVE_GOLDEN[name])
@@ -230,6 +236,26 @@ def test_solve_golden_output_with_skipped_grid_point(tmp_path, capsys):
     assert code == EXIT_OK
     golden = Path(__file__).parent / "golden" / "solve_skipped_grid_point_E2.json"
     assert out == golden.read_text(encoding="utf-8")
+
+
+# a sum of 3000 terms parses without recursion, but its tree is too deep to
+# evaluate, whether E sits at its deepest leaf or at the top: an input error.
+# A parameter-side node past double range is a numeric failure, met on the
+# grid and again at the first grid point bound alone
+@pytest.mark.parametrize(
+    "s0, code, message",
+    [
+        ("+".join(["x"] * 3000) + "+E", EXIT_INPUT, "error: expression is nested too"),
+        ("E+" + "+".join(["x"] * 3000), EXIT_INPUT, "error: expression is nested too"),
+        ("(1e200*E)^2", EXIT_NUMERIC, "numeric failure: Overflow: "),
+    ],
+    ids=["deep-E-last", "deep-E-first", "overflow"],
+)
+def test_solve_exit_code_of_failing_expression(tmp_path, capsys, s0, code, message):
+    path = _write(tmp_path, "bad.json", dict(HO_PROBLEM, s0=s0))
+    got, out, err = _run(capsys, ["solve", path])
+    assert (got, out) == (code, "")
+    assert err.startswith(message)
 
 
 _CYLINDER = {"pvals": [2.0 * (n + 1) for n in range(240)], "qvals": [-1.0] * 240}
