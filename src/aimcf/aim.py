@@ -32,31 +32,34 @@ the derivatives at x0 of the two solutions with (y, y') = (0, 1) and
 (1, 0) there, which the Leibniz rule gives from the input derivatives in
 O(n**2) operations instead of the ladder's O(n**3).  A search does once
 what does not depend on the point: it validates its inputs, binds each
-expression once at order n + 2 (:func:`_evaluator`, on the layer under
-:func:`~aimcf.series.bind_series`), takes the derivatives at x0 of a side
-that does not depend on the parameter, and runs under one floating-point
-error state and one guard against expressions too deep to evaluate.  It
-evaluates each distinct parameter value once, to depth n + 2, and keeps
-delta[n] for the scan and refinement and delta[n + 2] for the recheck, as
-Python floats, with the evaluated values in one sorted list.  The whole grid
-is bound in one call and its rows go through one batched pass of
-:func:`_scan_deltas`; each refinement or recheck point calls only the
-parameter side, on a one-value array, and runs :func:`_delta_recurrence` on
-Python lists.  A grid with a point that fails to bind is bound again point
-by point, so the failing points are skipped, with their warnings in grid
-order, as if the batch had never run.  Rows are bit-identical to one-value
-bindings, and both kernels sum the same terms in the same order, so a grid
-value equals a per-point one bit for bit.  Both leave out products that
-are exactly zero: a column that is zero on both sides, and the side of a
-column that is zero, at its point for the per-point kernel and on the whole
-grid for the batched pass (a column that is one-sided on the grid), which
-also skips the multiply by C(k, 0) = C(k, k) = 1.  A skipped zero could at
-most change the sign of a zero term, and the sum onto a +0 accumulator
-erases that sign, so no value changes, not even a zero's sign (which no
-root decision reads anyway); a skipped 0 * inf follows an overflow that
-raises :class:`~aimcf.errors.Overflow` either way.  Against the series
-ladder, which sums in another order, they agree to rounding: within 1e-13
-of the cross terms ``|L|[i+1] |S|[i] + |L|[i] |S|[i+1]`` of the ladder run
+expression once at order n + 2 with the one expression binder,
+:func:`~aimcf.series._bind` (:func:`_evaluator`), takes the derivative
+column at x0 of a side that does not depend on the parameter, and runs
+under one floating-point error state and one guard against expressions too
+deep to evaluate.  It evaluates each distinct parameter value once, to
+depth n + 2, and keeps delta[n] for the scan and refinement and
+delta[n + 2] for the recheck, as Python floats, with the evaluated values
+in one sorted list.  Both kernels take the derivatives t! c[t] at x0 of L
+and S.  The whole grid is bound in one call, and its derivative columns
+(a parameter-free side's one column broadcasts) go through one batched
+pass of :func:`_scan_deltas`; each refinement or recheck point calls only
+the parameter side, on a one-value array, and runs
+:func:`_delta_recurrence` on Python lists.  If binding the grid fails,
+every grid point is evaluated by that per-point kernel instead, in grid
+order, and the points that cannot be evaluated are skipped with a warning.
+Rows of a binding are bit-identical to one-value bindings, and both
+kernels sum the same terms in the same order, so a grid value equals a
+per-point one bit for bit.  Both leave out products that are exactly zero:
+a derivative order t where L^(t) and S^(t) are both zero, and the side of
+an order t that is zero, at its point for the per-point kernel and on the
+whole grid for the batched pass (an order that is one-sided on the grid),
+which also skips the multiply by C(k, 0) = C(k, k) = 1.  A skipped zero
+could at most change the sign of a zero term, and the sum onto a +0
+accumulator erases that sign, so no value changes, not even a zero's sign
+(which no root decision reads anyway); a skipped 0 * inf follows an
+overflow that raises :class:`~aimcf.errors.Overflow` either way.  Against
+the series ladder, which sums in another order, they agree to rounding:
+within 1e-13 of the cross terms ``|L|[i+1] |S|[i] + |L|[i] |S|[i+1]`` of the ladder run
 on absolute input coefficients, which scale the rounding error of both.
 
 Every ladder runs to the one depth of its problem, ``ProblemSpec.n_max``
@@ -110,7 +113,7 @@ class ProblemSpec:
         s0: expression for the zeroth-order coefficient S(x).
         param_name: name of the spectral parameter appearing in the
             expressions (conventionally the energy).
-        x0: expansion/evaluation point for the ladder.
+        x0: expansion/evaluation point for the ladder; must be finite.
         order: Taylor order carried by the ladder; must be >= n_max + 2 so
             that the deepest ladder entries keep usable coefficients.
         n_max: depth n of every ladder run on this problem, at least 1.
@@ -130,6 +133,8 @@ class ProblemSpec:
             raise ValidationError(
                 f"order ({self.order}) must be >= n_max + 2 ({self.n_max + 2})"
             )
+        if not math.isfinite(self.x0):
+            raise ValidationError("series center must be finite")
 
     @classmethod
     def from_strings(
@@ -337,26 +342,6 @@ def _tables(width: int) -> tuple[list[tuple[float, ...]], np.ndarray, np.ndarray
     return binom, np.array(mant), np.array(exp)
 
 
-def _recurrence_inputs(
-    l0: np.ndarray, s0: np.ndarray
-) -> tuple[list[tuple[float, ...]], np.ndarray, np.ndarray]:
-    """Binomial rows and the derivatives t! c[..., t] at x0 of L and S.
-
-    t! enters as its mantissa times an exact power of two, so a derivative
-    is finite wherever it lies in double range, also past t = 170 where t!
-    does not.
-    """
-    binom, mant, exp = _tables(l0.shape[-1])
-    with np.errstate(over="ignore"):
-        return binom, np.ldexp(mant * l0, exp), np.ldexp(mant * s0, exp)
-
-
-def _delta_vector(l0: np.ndarray, s0: np.ndarray) -> list[float]:
-    """delta[1..depth] from input coefficients 0..depth, by :func:`_delta_recurrence`."""
-    binom, dl, ds = _recurrence_inputs(l0, s0)
-    return _delta_recurrence(binom, dl.tolist(), ds.tolist())
-
-
 def _delta_recurrence(
     binom: list[tuple[float, ...]], dl: list[float], ds: list[float]
 ) -> list[float]:
@@ -369,13 +354,13 @@ def _delta_recurrence(
 
         u(k + 2) = sum over t of C(k, t) (L^(t) u(k + 1 - t) + S^(t) u(k - t))
 
-    The sum runs on Python floats, in ascending t over the columns where
-    L^(t)(x0) or S^(t)(x0) is nonzero, leaving out the side of a column
-    that is zero; the cross product of :func:`_cross` at the end runs on
-    Python floats too, which spares a one-point call its array copies and
+    The sum runs on Python floats, in ascending t over the t where
+    L^(t)(x0) or S^(t)(x0) is nonzero, leaving out the side that is zero;
+    the cross product of :func:`_cross` at the end runs on Python floats
+    too, which spares a one-point call its array copies and
     ``np.errstate``.  Derivatives, not Taylor coefficients, are carried,
     since u(k) / k! underflows where u(k) and delta do not.  The values
-    equal those of :func:`_scan_deltas` for the same row bit for bit (the
+    equal those of :func:`_scan_deltas` at the same point bit for bit (the
     module docstring says why the skipped products change nothing), and
     those of the series ladder within the bound stated there.  A value
     beyond double range turns inf or nan, which reaches delta, so this
@@ -408,32 +393,34 @@ def _delta_recurrence(
     return delta
 
 
-def _scan_deltas(l0: np.ndarray, s0: np.ndarray) -> np.ndarray:
-    """delta[1..depth] for each row of ``(points, depth + 1)`` input coefficients.
+def _scan_deltas(dl: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """delta[1..depth] at each point of ``(depth + 1, points)`` derivative columns.
 
-    The batched twin of :func:`_delta_vector`, for a whole grid in one pass:
-    the same recurrence on ``(2, points)`` arrays that hold u_a and u_b of
-    every row, summed in place into one preallocated array, over the
-    columns that are nonzero in some row.  A column that is zero in a row
-    adds only zeros there, so every row gets the sums of
-    :func:`_delta_vector` in the same order and equals it bit for bit,
-    whatever the other rows hold.  It leaves out the side of a column
-    whose L^(t) or S^(t) is zero in every row, and the multiply by
+    Row t of ``dl`` and ``ds`` holds L^(t)(x0) and S^(t)(x0) at every point;
+    a side with one column, the same at every point, broadcasts.  This is
+    the batched twin of :func:`_delta_recurrence`, for a whole grid in one
+    pass: the same recurrence on ``(2, points)`` arrays that hold u_a and
+    u_b of every point, summed in place into one preallocated array, over
+    the rows t that are nonzero at some point.  A row that is zero at a
+    point adds only zeros there, so every point gets the sums of
+    :func:`_delta_recurrence` in the same order and equals it bit for bit,
+    whatever the other points hold.  It leaves out the side of a row whose
+    L^(t) or S^(t) is zero at every point, and the multiply by
     C(k, 0) = C(k, k) = 1; neither changes a value, as the module docstring
-    shows.  Raises :class:`Overflow` (from :func:`_cross`) if any value
-    leaves double range, without numpy's floating-point warnings.
+    shows.  Returns a ``(points, depth)`` array, one row per point of the
+    broadcast columns.  Raises :class:`Overflow` (from :func:`_cross`) if
+    any value leaves double range, without numpy's floating-point warnings.
     """
-    points, width = l0.shape
-    binom, dl, ds = _recurrence_inputs(l0, s0)
-    dl, ds = dl.T.copy(), ds.T.copy()  # contiguous columns
+    width, points = np.broadcast_shapes(dl.shape, ds.shape)
+    binom = _tables(width)[0]
     dl_on, ds_on = dl.any(axis=1).tolist(), ds.any(axis=1).tolist()
     terms = [
         (t, dl[t] if dl_on[t] else None, ds[t] if ds_on[t] else None)
         for t in range(width)
         if dl_on[t] or ds_on[t]
     ]
-    # u[k] holds u_a(k) and u_b(k) of every row; each u(k + 2) is summed in
-    # place onto +0, term by term, as _delta_vector sums onto a = b = 0.0
+    # u[k] holds u_a(k) and u_b(k) of every point; each u(k + 2) is summed in
+    # place onto +0, term by term, as _delta_recurrence sums onto a = b = 0.0
     u = np.zeros((width + 2, 2, points))
     u[0, 0] = u[1, 1] = 1.0
     term, part = np.empty((2, points)), np.empty((2, points))
@@ -458,48 +445,49 @@ def _scan_deltas(l0: np.ndarray, s0: np.ndarray) -> np.ndarray:
 def _evaluator(
     spec: ProblemSpec, order: int
 ) -> tuple[Callable[[list[float]], list[np.ndarray]], Callable[[float], list[float]]]:
-    """Bind L and S of one search at x0 to ``order``; return ``(rows, deltas_at)``.
+    """Bind L and S of one search at x0 to ``order``; return ``(columns, deltas_at)``.
 
-    Each expression is bound once, by :func:`~aimcf.series._bind`.  A side
-    bound to a constant array (it does not depend on the parameter) gets its
-    derivatives t! c[t] once, here; a parameter side is called per use.
-    ``rows(values)`` gives the ``(values, order + 1)`` input rows of L and S
-    for a list of parameter values, a constant side broadcast to every row,
-    for :func:`_scan_deltas`.  ``deltas_at(e)`` gives delta[1..order] at one
-    value: it calls each parameter side on the one-value array ``[e]``, takes
-    that row's derivatives and runs :func:`_delta_recurrence` on Python
-    lists, which equals :func:`_delta_vector` on the rows bit for bit.
+    Each expression is bound once, by :func:`~aimcf.series._bind`, and
+    enters the kernels as its derivatives t! c[t] at x0, with t! as a
+    correctly rounded mantissa times an exact power of two, so a derivative
+    is finite wherever it lies in double range, also past t = 170 where t!
+    is not.  A side bound to a constant array (it does not depend on the
+    parameter) gets its one derivative column here, once; a parameter side
+    is called per use.  ``columns(values)`` gives the derivative columns of
+    L and S for a list of parameter values, ``(order + 1, values)`` for a
+    parameter side and the one ``(order + 1, 1)`` column of a constant side,
+    which broadcasts, for :func:`_scan_deltas`.  ``deltas_at(e)`` gives
+    delta[1..order] at one value from the same derivatives, as Python lists,
+    by :func:`_delta_recurrence`, which equals :func:`_scan_deltas` on
+    ``columns([e])`` bit for bit.
 
-    This is :func:`~aimcf.series.bind_series` without its per-call wrapper:
-    the caller checks that every value is finite and runs binding and calls
+    The caller checks that every value is finite and runs binding and calls
     under ``np.errstate(over="ignore", invalid="ignore")``, turning a
-    ``RecursionError`` into :class:`~aimcf.errors.ParseOrEvalError`.  A
-    non-finite ``x0`` raises :class:`ValidationError` here, as it does there.
+    ``RecursionError`` into :class:`~aimcf.errors.ParseOrEvalError`, as
+    :func:`~aimcf.series.series_from_expr` does; ``spec`` has checked x0.
     """
-    if not math.isfinite(spec.x0):
-        raise ValidationError("series center must be finite")
-    sides = [_bind(e, spec.x0, order) for e in (spec.lambda0, spec.s0)]
     binom, mant, exp = _tables(order + 1)
 
-    def derivatives(coeffs: np.ndarray) -> list[float]:
-        return np.ldexp(mant * coeffs, exp).tolist()
+    def derivatives(coeffs: np.ndarray) -> np.ndarray:
+        return np.ldexp(mant * coeffs, exp)
 
-    # each side with the derivatives of its constant array, or None
-    live = [(c, derivatives(c) if isinstance(c, np.ndarray) else None) for c in sides]
+    sides = [_bind(e, spec.x0, order) for e in (spec.lambda0, spec.s0)]
+    # each side with the derivative column of its constant array, or None
+    live = [
+        (c, derivatives(c)[:, np.newaxis] if isinstance(c, np.ndarray) else None) for c in sides
+    ]
 
-    def rows(values: list[float]) -> list[np.ndarray]:
+    def columns(values: list[float]) -> list[np.ndarray]:
         values = np.array(values)
-        return [
-            side(values) if d is None else np.broadcast_to(side, (values.size, order + 1))
-            for side, d in live
-        ]
+        # a parameter side's columns, copied so that each row t is contiguous
+        return [derivatives(side(values)).T.copy() if col is None else col for side, col in live]
 
     def deltas_at(e: float) -> list[float]:
         values = np.array([e])
-        dl, ds = (d if d is not None else derivatives(side(values)[0]) for side, d in live)
-        return _delta_recurrence(binom, dl, ds)
+        dl, ds = (derivatives(side(values)[0]) if col is None else col[:, 0] for side, col in live)
+        return _delta_recurrence(binom, dl.tolist(), ds.tolist())
 
-    return rows, deltas_at
+    return columns, deltas_at
 
 
 def _locate(
@@ -565,15 +553,17 @@ def find_eigenvalues(
     """Scan delta[n] over a parameter grid and refine its sign changes.
 
     The depth n is ``spec.n_max``.  The grid is the distinct values of
-    ``np.linspace(e_min, e_max, grid_points)``: a value that rounding
-    repeats (on a range of a few ulps) is searched once, since a cell
-    between equal values cannot change sign, so no root is reported twice.
+    ``np.linspace(e_min, e_max, grid_points)`` clipped to [e_min, e_max]
+    (a step that rounds up in the subnormal range takes ``np.linspace``
+    past e_max): a value that rounding repeats (on a range of a few ulps)
+    is searched once, since a cell between equal values cannot change
+    sign, so no root is reported twice.
     One pass in grid order reports each grid point where delta[n] is
     exactly zero and refines each cell whose ends change sign to within
     ``tol`` of a sign change, so the roots come out in ascending order.
-    The grid values and their delta[n], read from the depth-n column of
-    the scan table (skipped points have none), enter these cell tests as
-    Python floats, which compare as the doubles they hold.  A cell is
+    The grid values and their delta[n] (skipped points have none) enter
+    these cell tests as Python floats, which compare as the doubles they
+    hold.  A cell is
     refined by :func:`_locate`, whose secant steps fall back to the
     midpoint, and its root is the chord zero of a final bracket of width
     ``tol`` or less.  Every root found at depth n is re-located at depth
@@ -590,22 +580,22 @@ def find_eigenvalues(
     re-bracketed there).
 
     Once per search, the inputs are validated, each expression is bound
-    (:func:`_evaluator`), the derivatives at x0 of a side that does not
-    depend on the parameter are taken, and one floating-point error state
-    and one guard that turns a ``RecursionError`` into
-    :class:`ParseOrEvalError` are set up.  The grid is bound in one
-    row-stacked call and evaluated in one batched pass (:func:`_scan_deltas`);
-    at every other parameter value only the parameter side is called, on a
-    one-value array, and :func:`_delta_recurrence` runs on Python lists.
-    Each value is evaluated once, to depth n + 2, and keeps delta[n] and
-    delta[n + 2] as Python floats.  Both passes run the derivative
-    recurrence of the module docstring, so a grid value equals a per-point
-    evaluation bit for bit and the series ladder's value to the tolerance
-    stated there.
+    (:func:`_evaluator`), the derivative column at x0 of a side that does
+    not depend on the parameter is taken, and one floating-point error
+    state and one guard that turns a ``RecursionError`` into
+    :class:`ParseOrEvalError` are set up.  The grid is bound in one call,
+    and its derivative columns are evaluated in one batched pass
+    (:func:`_scan_deltas`); at every other parameter value only the
+    parameter side is called, on a one-value array, and
+    :func:`_delta_recurrence` runs on Python lists.  Each value is
+    evaluated once, to depth n + 2, and keeps delta[n] and delta[n + 2] as
+    Python floats.  Both passes run the derivative recurrence of the module
+    docstring, so a grid value equals a per-point evaluation bit for bit
+    and the series ladder's value to the tolerance stated there.
 
-    If binding the grid raises, it is bound again point by point: grid
-    points whose inputs cannot be evaluated (a singular pivot) are skipped
-    with a warning, in grid order, and drop out of the batch, and any other
+    If binding the grid raises, every grid point is evaluated alone, in
+    grid order, by the per-point kernel: points whose inputs cannot be
+    evaluated (a singular pivot) are skipped with a warning, and any other
     error is raised by the first point that meets it.  If delta[n] vanishes
     on the whole grid, it is evaluated once more at the midpoint of the
     first cell: if it vanishes there too (for example S = 0), or that
@@ -626,7 +616,7 @@ def find_eigenvalues(
     if not 0.0 < tol < np.inf:
         raise ValidationError("tol must be positive and finite")
 
-    grid = np.unique(np.linspace(e_min, e_max, grid_points)).tolist()
+    grid = np.unique(np.linspace(e_min, e_max, grid_points).clip(e_min, e_max)).tolist()
     try:
         # the per-point conditioning chatter is not useful during a scan;
         # other warning categories still reach the caller's handlers
@@ -643,11 +633,12 @@ def _search(spec: ProblemSpec, grid: list[float], tol: float) -> list[Root]:
     Its warnings name the caller of :func:`find_eigenvalues` (stacklevel 3).
     """
     n = spec.n_max
-    rows, deltas_at = _evaluator(spec, n + 2)
+    columns, deltas_at = _evaluator(spec, n + 2)
     # each E is evaluated once, to depth n + 2, and keeps the two depths the
     # search reads: delta[n] for the scan and refinement, delta[n + 2] for
-    # the recheck; the grid fills this in one batched pass, ``delta`` adds
-    # every other E alone.  ``evaluated`` holds the same E in ascending order
+    # the recheck; the grid fills this in one batched pass (through
+    # ``delta``, point by point, if binding it fails), ``delta`` adds every
+    # other E alone.  ``evaluated`` holds the same E in ascending order
     deltas: dict[float, tuple[float, float]] = {}
     evaluated: list[float] = []
 
@@ -693,36 +684,34 @@ def _search(spec: ProblemSpec, grid: list[float], tol: float) -> list[Root]:
         trial = e_found if lo < e_found < hi else None
         return _locate(lambda e: delta(e)[1], lo, hi, tol, trial)
 
+    # delta[n] at the grid points, None at the skipped ones; the cell tests
+    # compare Python floats, which decide as the doubles they hold
+    vals: list[float | None] = [None] * len(grid)
     try:
-        bound, (l0, s0) = range(len(grid)), rows(grid)  # indices bound
+        dl, ds = columns(grid)
     except AimError:
-        # some grid point fails: bind point by point, in grid order,
-        # skipping singular points, as if the batch had never run
-        bound, stacks = [], []
+        # some grid point fails: evaluate point by point, in grid order,
+        # skipping singular points
         for i, e in enumerate(grid):
             try:
-                stacks.append(rows([e]))
+                vals[i] = delta(e)[0]
             except SingularPivot as exc:
                 warnings.warn(
                     f"grid point E = {e:g} skipped: {exc}",
                     GridPointSkippedWarning,
                     stacklevel=3,
                 )
-            else:
-                bound.append(i)
-        if stacks:
-            l0, s0 = (np.concatenate(c) for c in zip(*stacks))
-    # delta[n] at the bound grid points, None at the skipped ones; the cell
-    # tests compare Python floats, which decide as the doubles they hold
-    vals: list[float | None] = [None] * len(grid)
-    if bound:
-        table = _scan_deltas(l0, s0)
-        for i, shallow, deep in zip(bound, *table[:, [n - 1, n + 1]].T.tolist()):
-            deltas[grid[i]] = shallow, deep
+    else:
+        # one row per grid point, or one for all where neither side has E
+        table = _scan_deltas(dl, ds)[:, [n - 1, n + 1]]
+        pairs = np.broadcast_to(table, (len(grid), 2)).tolist()
+        for i, (e, (shallow, deep)) in enumerate(zip(grid, pairs)):
+            deltas[e] = shallow, deep
             vals[i] = shallow
-        evaluated.extend(grid[i] for i in bound)
-    degenerate = not bound or max(abs(vals[i]) for i in bound) < EPS_PIVOT
-    if degenerate and bound:
+        evaluated.extend(grid)
+    known = [abs(v) for v in vals if v is not None]
+    degenerate = not known or max(known) < EPS_PIVOT
+    if degenerate and known:
         # every grid point may be a root: look once off the grid, where an
         # input that cannot be evaluated settles nothing, nor a midpoint
         # whose sum of ends near +-1e308 overflows

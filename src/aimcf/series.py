@@ -23,15 +23,17 @@ The module also ships a small rational expression language used to
 describe the coefficient functions of an ODE: an AST (``Const``, ``VarX``,
 ``Param``, ``Neg``, ``Add``, ``Sub``, ``Mul``, ``Div``, ``IntPow``), a
 recursive-descent parser over ``x``, one declared parameter name, decimal
-literals, ``+ - * / ^`` and parentheses, and :func:`bind_series`, the one
-expression walker.  It binds an AST at a given center and order to a
-function from an array of parameter values to a row stack, one row of
-coefficients per value: every parameter-free subtree is evaluated once,
-when bound, and each call evaluates only the nodes on the paths to the
-parameter, over all rows at once where the operation is elementwise and
-row by row where it is not, so each row is bit-identical to the series of
-a walk for that value alone.  :func:`series_from_expr` binds, calls on
-one value and wraps that row.
+literals, ``+ - * / ^`` and parentheses, and :func:`_bind`, the one
+expression binder.  It binds an AST at a given center and order to its
+coefficients, if it is parameter-free, or else to a function from an array
+of parameter values to a row stack, one row of coefficients per value:
+every parameter-free subtree is evaluated once, when bound, and each call
+evaluates only the nodes on the paths to the parameter, over all rows at
+once where the operation is elementwise and row by row where it is not, so
+each row is bit-identical to the series of a walk for that value alone.
+:func:`series_from_expr` binds, calls on one value and wraps that row; the
+eigenvalue search of :mod:`aimcf.aim` binds once per search and calls on
+many values.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import math
 import operator
 import re
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -423,26 +424,42 @@ def series_from_expr(
     """Evaluate an expression AST to a TaylorSeries at ``center``.
 
     ``x`` becomes the identity series, the parameter becomes a constant.
-    Division inside the tree requires the denominator series to have a
-    usable constant term (else :class:`SingularPivot` propagates).  A tree
-    too deep to walk recursively raises :class:`ParseOrEvalError`.  This is
-    :func:`bind_series` called on the one value ``[param_value]``.
+    The expression is bound by :func:`_bind`, which evaluates every
+    parameter-free subtree once, and the bound function, if the expression
+    has the parameter, is called on the one value ``[param_value]``.
+    A negative ``order``, a non-finite ``center`` and, if the expression
+    has the parameter, a non-finite ``param_value`` raise
+    :class:`ValidationError`.  Division inside the tree requires the
+    denominator series to have a usable constant term (else
+    :class:`SingularPivot` propagates); a coefficient past double range
+    raises :class:`Overflow`.  A tree too deep to walk recursively raises
+    :class:`ParseOrEvalError`.
     """
-    return _result(float(center), bind_series(e, center, order)([param_value])[0])
+    if order < 0:
+        raise ValidationError("series order must be >= 0")
+    if not math.isfinite(center):
+        raise ValidationError("series center must be finite")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = _bind(e, center, order)
+            if not isinstance(coeffs, np.ndarray):
+                value = float(param_value)
+                if not math.isfinite(value):
+                    raise ValidationError("series coefficients must all be finite")
+                coeffs = coeffs(np.array([value]))[0]
+    except RecursionError as exc:
+        raise ParseOrEvalError("expression is nested too deeply to evaluate") from exc
+    return _result(float(center), coeffs)
 
 
-def bind_series(
-    e: Expression, center: float, order: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Bind an expression AST at ``center`` and ``order`` to a function of the parameter.
+def _bind(e: Expression, center: float, order: int):
+    """Bind ``e`` at ``center`` and ``order``: its coefficients if it is
+    parameter-free, else a function of the parameter.
 
-    The returned function maps a 1-d array of parameter values to a
+    The function maps a 1-d array of finite parameter values to a
     ``(values, order + 1)`` array whose row i holds the coefficients of
-    ``e`` at value i.  Every parameter-free subtree is evaluated here, once,
-    and a parameter-free expression returns a read-only view of its one
-    coefficient array (the same view on every one-value call, which spares
-    that call ``np.broadcast_to``).  Otherwise the values are checked
-    finite and each node on a path to the parameter is evaluated on a row
+    ``e`` at value i.  Every parameter-free subtree is evaluated here, once;
+    each node on a path to the parameter is evaluated per call, on a row
     stack: the parameter is the stack with the values in column 0 and zeros
     beside them, sum, difference and negation are one numpy operation over
     the stack, and product, quotient and integer power run the one-series
@@ -455,43 +472,11 @@ def bind_series(
     only fixed for one-value calls, which meet the errors in the order the
     walk does.  An operation that fails on parameter-free operands (a
     singular pivot, a non-finite coefficient) stays unbound, so every call
-    raises it again in that order.  A tree too deep to walk recursively
-    raises :class:`ParseOrEvalError`, when bound or when called.
+    raises it again in that order.  The caller checks the values, runs
+    binding and calls under ``np.errstate(over="ignore", invalid="ignore")``
+    and turns a ``RecursionError``, which a tree too deep to walk raises
+    when bound or when called, into :class:`ParseOrEvalError`.
     """
-    if order < 0:
-        raise ValidationError("series order must be >= 0")
-    if not math.isfinite(center):
-        raise ValidationError("series center must be finite")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = _bind(e, center, order)
-    except RecursionError as exc:
-        raise ParseOrEvalError("expression is nested too deeply to evaluate") from exc
-    if isinstance(bound, np.ndarray):
-        bound.setflags(write=False)
-        one = bound[np.newaxis]
-        return lambda values: (
-            one if len(values) == 1 else np.broadcast_to(bound, (len(values), order + 1))
-        )
-
-    def call(values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1:
-            raise ValidationError("parameter values must be a 1-d array")
-        if not np.isfinite(values).all():
-            raise ValidationError("series coefficients must all be finite")
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return bound(values)
-        except RecursionError as exc:
-            raise ParseOrEvalError("expression is nested too deeply to evaluate") from exc
-
-    return call
-
-
-def _bind(e: Expression, center: float, order: int):
-    """``e``'s coefficients if it is parameter-free, else a function from the
-    parameter values to its row stack."""
     if isinstance(e, Const):
         return TaylorSeries.constant(e.value, center, order).coeffs
     if isinstance(e, VarX):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from aimcf import aim
 from aimcf.aim import (
     ProblemSpec,
-    _delta_vector,
     _ladder,
     _locate,
     _scan_deltas,
@@ -37,7 +36,7 @@ from aimcf.errors import (
     SingularPivot,
     ValidationError,
 )
-from aimcf.series import bind_series
+from aimcf.series import series_from_expr
 
 HO = dict(lambda0="2*x", s0="1 - E", param="E")
 
@@ -159,6 +158,9 @@ def test_problem_spec_validation():
         ProblemSpec.from_strings("x", "1 - E", "E", x0=0.0, order=2, n_max=1)
     with pytest.raises(ValidationError):
         ProblemSpec.from_strings("x", "1 - E", "E", x0=0.0, order=10, n_max=0)
+    for x0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="series center must be finite"):
+            ProblemSpec.from_strings("x", "1 - E", "E", x0=x0, order=10, n_max=1)
 
 
 # [TRIVIAL] first table column holds the input coefficient pair
@@ -236,15 +238,25 @@ def test_kernel_views_match_reference_exactly(lam_c, s_c, x0, energy, depth, spa
     assert np.array_equal(seqs.delta, ref_delta)
 
 
-def _inputs(spec, depth, energies):
-    """Input coefficients 0..depth of (L, S), one row per parameter value."""
-    return tuple(bind_series(e, spec.x0, depth)(energies) for e in (spec.lambda0, spec.s0))
-
-
 def _inputs_at(spec, depth, energy):
     """Input coefficients 0..depth of (L, S) at one parameter value."""
-    l0, s0 = _inputs(spec, depth, [energy])
-    return l0[0], s0[0]
+    return tuple(
+        series_from_expr(e, energy, spec.x0, depth).coeffs for e in (spec.lambda0, spec.s0)
+    )
+
+
+def _point_deltas(spec, depth, energy):
+    """delta[1..depth] at one parameter value by the search's per-point kernel,
+    from its evaluator, under its floating-point error state."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return aim._evaluator(spec, depth)[1](energy)
+
+
+def _scan(spec, depth, energies):
+    """delta[1..depth] at each parameter value by one batched scan of the
+    search's derivative columns, under its floating-point error state."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _scan_deltas(*aim._evaluator(spec, depth)[0](energies))
 
 
 def _exact_deltas(l0, s0):
@@ -295,7 +307,7 @@ def test_delta_vector_matches_exact_ladder(lam_c, s_c, x0, energy, depth):
         x0=x0, order=depth + 2, n_max=depth,
     )
     l0, s0 = _inputs_at(spec, depth, energy)
-    got = _delta_vector(l0, s0)
+    got = _point_deltas(spec, depth, energy)
     exact = _exact_deltas(l0, s0)
     bound = 1e-13 * _cross_terms(l0, s0) + 1e-250
     for i in range(depth):
@@ -330,13 +342,15 @@ def test_scan_kernel_matches_per_point_kernel(lam_c, s_c, x0, energies, depth):
         _poly_text(lam_c), _poly_text(s_c) + " - E", "E",
         x0=x0, order=depth + 2, n_max=depth,
     )
-    l0, s0 = _inputs(spec, depth, energies)
-    batch = _scan_deltas(l0, s0)
-    assert batch.shape == (len(energies), depth)
-    for i in range(len(energies)):
-        assert np.array_equal(batch[i], _scan_deltas(l0[i : i + 1], s0[i : i + 1])[0]), i
-        assert np.array_equal(batch[i], _delta_vector(l0[i], s0[i])), i
-    assert np.array_equal(_scan_deltas(l0, np.zeros_like(s0)), np.zeros_like(batch))
+    columns, deltas_at = aim._evaluator(spec, depth)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dl, ds = columns(energies)
+        batch = _scan_deltas(dl, ds)
+        assert batch.shape == (len(energies), depth)
+        for i, e in enumerate(energies):
+            assert np.array_equal(batch[i], _scan_deltas(*columns([e]))[0]), i
+            assert np.array_equal(batch[i], deltas_at(e)), i
+        assert np.array_equal(_scan_deltas(dl, np.zeros_like(ds)), np.zeros_like(batch))
 
 
 # a grid point whose inputs cannot be evaluated drops out of the batched
@@ -363,7 +377,7 @@ def _recorded_search(spec, *args, **kwargs):
 
 def _bind_one_value_at_a_time(monkeypatch):
     """Make every call of a bound parameter side on more than one value fail,
-    so that a search binds its grid point by point; returns the list of
+    so that a search evaluates its grid point by point; returns the list of
     refused calls, which a search that reaches this seam fills."""
     bind, refused = aim._bind, []
 
@@ -384,9 +398,9 @@ def _bind_one_value_at_a_time(monkeypatch):
     return refused
 
 
-# the batched binding falls back to binding point by point when a grid point
+# the batched scan falls back to the per-point kernel when binding the grid
 # fails, so the skipped points, the warning texts in their order and the
-# roots are those of a search that binds every point alone
+# roots are those of a search that evaluates every grid point alone
 def test_skipped_grid_point_search_equals_point_by_point_search(monkeypatch):
     spec = ProblemSpec.from_strings(
         "2*x", "(1 - E)*(E - 2)/(E - 2)", "E", x0=0.0, order=60, n_max=30
@@ -417,8 +431,9 @@ def _bench_search(name):
 
 
 # the parameter under a product, a quotient and an integer power, and the
-# benchmark problems on their full grids: a grid bound in one stack gives the
-# roots, residuals and warnings of a grid bound point by point, bit for bit
+# benchmark problems on their full grids: a grid scanned in one batch gives
+# the roots, residuals and warnings of a grid evaluated point by point, bit
+# for bit
 # (reprs of doubles round-trip, and tell -0.0 from 0.0)
 @pytest.mark.parametrize(
     "spec, search",
@@ -442,6 +457,48 @@ def test_batched_search_equals_point_by_point_search(monkeypatch, spec, search):
     assert repr(_recorded_search(spec, *search, tol=1e-10)) == repr(batched)
     assert refused == [search[2]]
     assert batched[0]
+
+
+# a side free of E enters the scan as one derivative column that broadcasts
+# over the grid, and with E on neither side every grid point still gets its
+# delta; the roots, residuals and warnings were recorded on the search that
+# broadcast such a side to one row per grid point
+@pytest.mark.parametrize(
+    "lambda0, s0, roots, categories",
+    [
+        ("2*x", "0", [], [DegenerateDeltaWarning]),
+        ("2*x", "1", [], []),
+        (
+            "2*x",
+            "1 - E",
+            [
+                (1.0, 0.0),
+                (2.9999999999999996, 1.3322676295501878e-15),
+                (5.000000000000001, 8.881784197001252e-16),
+                (6.999999999999998, 8.881784197001252e-16),
+                (9.000000000000002, 1.7763568394002505e-15),
+            ],
+            [],
+        ),
+        (
+            "2*x - E*x^3/(4 + E)",
+            "x^2 + 1",
+            [
+                (1.143617973239067, 0.20806338778646505),
+                (1.8769626741102348, 0.12335857076053314),
+                (2.45795665373877, math.inf),
+                (8.45279881184011, math.inf),
+            ],
+            [DepthRecheckWarning, DepthRecheckWarning],
+        ),
+    ],
+    ids=["no-E-zero-S", "no-E", "E-free-L", "E-free-S"],
+)
+def test_e_free_sides_keep_their_outcomes(lambda0, s0, roots, categories):
+    spec = ProblemSpec.from_strings(lambda0, s0, "E", x0=0.3, order=22, n_max=20)
+    found, caught = _recorded_search(spec, 0.3, 9.3, 31, tol=1e-10)
+    assert [(r.value, r.residual) for r in found] == roots
+    assert [category for category, _ in caught] == categories
 
 
 # [DERIVED] exact spectrum E = 2k+1 of the transformed oscillator equation;
@@ -570,9 +627,8 @@ def test_delta_overflow_raises_overflow():
         find_eigenvalues(spec, 0.0, 4.0, 11, tol=1e-10)
 
 
-def _deep_inputs(lambda0, s0, energy, depth):
-    spec = ProblemSpec.from_strings(lambda0, s0, "E", x0=0.0, order=depth + 2, n_max=depth)
-    return _inputs_at(spec, depth, energy)
+def _deep_spec(lambda0, s0, depth):
+    return ProblemSpec.from_strings(lambda0, s0, "E", x0=0.0, order=depth + 2, n_max=depth)
 
 
 # deep ladders stay finite where the series ladder does, within 1e-13 of its
@@ -584,45 +640,48 @@ def _deep_inputs(lambda0, s0, energy, depth):
     [("0", "-1 - E", 0.0), ("0.1*x", "-1 - E", 0.5), ("1/(1000 + x)", "-1 - E", 0.0)],
 )
 def test_deep_ladder_matches_series_ladder(lambda0, s0, energy):
-    l0, s0 = _deep_inputs(lambda0, s0, energy, 200)
-    got = _delta_vector(l0, s0)
+    spec = _deep_spec(lambda0, s0, 200)
+    l0, s0 = _inputs_at(spec, 200, energy)
+    got = _point_deltas(spec, 200, energy)
     lam_at, s_at = _ladder(l0, s0, 200)[2]
     ref = lam_at[1:] * s_at[:-1] - lam_at[:-1] * s_at[1:]
     assert np.all(np.abs(got - ref) <= 1e-13 * _cross_terms(l0, s0))
-    assert np.array_equal(_scan_deltas(l0[None], s0[None])[0], got)
+    assert np.array_equal(_scan(spec, 200, [energy])[0], got)
 
 
 # delta_150 = 0.01^151 = 1e-302, as the series ladder gives it; carried as
-# Taylor coefficients u(k) / k!, the recurrence underflows to 0 here
+# Taylor coefficients u(k) / k!, the recurrence underflows to 0 here (abs=0:
+# pytest.approx would otherwise accept anything within 1e-12 of 1e-302)
 def test_deep_ladder_keeps_tiny_delta():
-    l0, s0 = _deep_inputs("0", "-0.01 - E", 0.0, 150)
-    got = _delta_vector(l0, s0)[-1]
-    assert got == pytest.approx(1e-302, rel=1e-13)
+    spec = _deep_spec("0", "-0.01 - E", 150)
+    l0, s0 = _inputs_at(spec, 150, 0.0)
+    got = _point_deltas(spec, 150, 0.0)[-1]
+    assert got == pytest.approx(1e-302, rel=1e-13, abs=0.0)
     lam_at, s_at = _ladder(l0, s0, 150)[2]
-    assert lam_at[-1] * s_at[-2] - lam_at[-2] * s_at[-1] == pytest.approx(got, rel=1e-13)
+    ref = lam_at[-1] * s_at[-2] - lam_at[-2] * s_at[-1]
+    assert ref == pytest.approx(got, rel=1e-13, abs=0.0)
 
 
 # past n_max 1028 some binomial coefficients C(k, t) leave double range; a
 # ladder whose inputs have no such column t still runs: S = -1 gives
 # delta = +-1 exactly at every depth
 def test_deep_ladder_runs_past_binomial_range():
-    l0, s0 = _deep_inputs("0", "-1 - E", 0.0, 1040)
-    got = _delta_vector(l0, s0)
+    spec = _deep_spec("0", "-1 - E", 1040)
+    got = _point_deltas(spec, 1040, 0.0)
     assert np.array_equal(np.abs(got), np.ones(1040))
-    assert np.array_equal(_scan_deltas(l0[None], s0[None])[0], got)
+    assert np.array_equal(_scan(spec, 1040, [0.0])[0], got)
 
 
 # 1/(10 + x) gives finite deltas at n_max 150 and overflows at n_max 200,
 # where both kernels raise Overflow, not OverflowError or IndexError, and no
 # RuntimeWarning escapes (the suite turns one into a failure)
 def test_deep_ladder_overflow_raises_overflow():
-    l0, s0 = _deep_inputs("1/(10 + x)", "-1 - E", 0.0, 150)
-    assert np.isfinite(_delta_vector(l0, s0)).all()
-    l0, s0 = _deep_inputs("1/(10 + x)", "-1 - E", 0.0, 200)
+    assert np.isfinite(_point_deltas(_deep_spec("1/(10 + x)", "-1 - E", 150), 150, 0.0)).all()
+    spec = _deep_spec("1/(10 + x)", "-1 - E", 200)
     with pytest.raises(Overflow):
-        _delta_vector(l0, s0)
+        _point_deltas(spec, 200, 0.0)
     with pytest.raises(Overflow):
-        _scan_deltas(l0[None], s0[None])
+        _scan(spec, 200, [0.0])
 
 
 # with L = 0 every column is one-sided, so the batched pass skips the L
@@ -630,13 +689,13 @@ def test_deep_ladder_overflow_raises_overflow():
 # (-1e20 - E)^j leaves double range by j = 16, and both kernels raise
 # Overflow with no RuntimeWarning (the suite turns one into a failure)
 def test_one_sided_overflow_raises_overflow():
-    l0, s0 = _deep_inputs("0", "-1e20 - E", 0.0, 40)
+    spec = _deep_spec("0", "-1e20 - E", 40)
     with pytest.raises(Overflow):
-        _delta_vector(l0, s0)
+        _point_deltas(spec, 40, 0.0)
     with pytest.raises(Overflow):
-        _scan_deltas(l0[None], s0[None])
+        _scan(spec, 40, [0.0])
     with pytest.raises(Overflow):
-        _scan_deltas(np.stack([l0, l0]), np.stack([s0, s0 + 1.0]))
+        _scan(spec, 40, [0.0, -1.0])
 
 
 # the ladder kernel owns the overflow check, so no view reports an overflow
@@ -705,9 +764,10 @@ def _count_point_evals(monkeypatch):
 
 
 def _record_evaluations(monkeypatch):
-    """Record the values of every call of a bound parameter side, the rows of
-    every batched scan and the parameter value of every per-point evaluation
-    (the value bound last)."""
+    """Record the values of every call of a bound parameter side, the points
+    of every batched scan (the broadcast width of its derivative columns)
+    and the parameter value of every per-point evaluation (the value bound
+    last)."""
     log = {"bound": [], "scan_rows": [], "point": []}
     bind, scan, point = aim._bind, aim._scan_deltas, aim._delta_recurrence
 
@@ -722,9 +782,9 @@ def _record_evaluations(monkeypatch):
 
         return call
 
-    def recording_scan(l0, s0):
-        log["scan_rows"].append(len(l0))
-        return scan(l0, s0)
+    def recording_scan(dl, ds):
+        log["scan_rows"].append(np.broadcast_shapes(dl.shape, ds.shape)[1])
+        return scan(dl, ds)
 
     def recording_point(binom, dl, ds):
         (e,) = log["bound"][-1]
@@ -756,9 +816,10 @@ def test_search_evaluates_each_value_once(monkeypatch, name):
 # ends lie near +-1e308: the grid comes from a finite range of finite width,
 # trial points lie strictly inside finite brackets, and a degenerate grid
 # whose first two values sum past double range gets no off-grid look.  The
-# grid, bound first, is np.unique of np.linspace, also where the range spans
-# a few ulps and rounding repeats values, or where a step that rounds up to
-# the least subnormal takes np.linspace past e_max and back down to it
+# grid, bound first, is np.unique of np.linspace clipped to the range, also
+# where the range spans a few ulps and rounding repeats values, or where a
+# step that rounds up to the least subnormal takes np.linspace past e_max
+# and back down to it; no value evaluated lies outside the range
 @example(e_min=1e308, width=5e307, points=7, s0="0*E")
 @example(e_min=-1.7e308, width=7e307, points=11, s0="1/E*0")
 @example(e_min=1 - 2e-16, width=3, points=11, s0="1 - E")
@@ -783,8 +844,21 @@ def test_search_evaluates_only_finite_values(e_min, width, points, s0):
             find_eigenvalues(spec, e_min, e_max, points, tol=1e-10)
         except AimError:
             pass  # an overflow of the ladder at huge E
-    assert log["bound"][0] == np.unique(np.linspace(e_min, e_max, points)).tolist()
-    assert all(math.isfinite(e) for values in log["bound"] for e in values)
+    grid = np.unique(np.linspace(e_min, e_max, points).clip(e_min, e_max)).tolist()
+    assert log["bound"][0] == grid
+    assert all(e_min <= e <= e_max for values in log["bound"] for e in values)
+
+
+# np.linspace(0.0, 1.5e-323, 6) rounds its step up to the least subnormal
+# and reaches 2e-323 before its last value is set to e_max; the grid is
+# clipped to the range, so no E beyond e_max is evaluated
+def test_grid_stays_inside_the_range(monkeypatch):
+    assert max(np.linspace(0.0, 1.5e-323, 6)) > 1.5e-323
+    spec = ProblemSpec.from_strings("2*x", "1 - 1e300*E", "E", x0=0.0, order=12, n_max=10)
+    log = _record_evaluations(monkeypatch)
+    find_eigenvalues(spec, 0.0, 1.5e-323, 6, tol=1e-10)
+    assert log["bound"][0] == [0.0, 5e-324, 1e-323, 1.5e-323]
+    assert max(e for values in log["bound"] for e in values) <= 1.5e-323
 
 
 # the two solve problems of the benchmark, on a grid shifted by 0.37 of a
@@ -970,8 +1044,11 @@ def test_roots_lie_within_tol_of_a_sign_change(problem, shift, tol):
     spec = ProblemSpec.from_strings(*problem, "E", x0=0.0, order=n + 2, n_max=n)
     cell = 12.0 / (points - 1)
     grid = np.linspace(0.3 + shift * cell, 12.3 + shift * cell, points)
+    deltas_at = aim._evaluator(spec, n + 2)[1]
+
     def delta(e):
-        return float(_delta_vector(*_inputs_at(spec, n + 2, e))[n - 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            return deltas_at(e)[n - 1]
 
     roots = find_eigenvalues(spec, grid[0], grid[-1], points, tol=tol)
     assert roots

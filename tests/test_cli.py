@@ -780,6 +780,22 @@ def test_exit_input_on_malformed_numeric_field(tmp_path, capsys, field, value):
     assert f"'{field}'" in err
 
 
+# a non-finite centre from the command line is an input error on every
+# command, as "x0": NaN in the problem file is; classify on raw sequences
+# never expands a series, and the spec checks x0 where it is built
+@pytest.mark.parametrize("command", ["solve", "diagnose", "classify"])
+@pytest.mark.parametrize(
+    "argv_tail", [["--x0", "nan"], ["--x0", "inf"], ["--x0=-inf"], ["--sweep-x0", "nan:1:2"]]
+)
+def test_exit_input_on_nonfinite_x0_option(tmp_path, capsys, command, argv_tail):
+    payload = dict(HO_PROBLEM, classify={"pvals": [3.0] * 60, "qvals": [4.0] * 60})
+    path = _write(tmp_path, "raw.json", payload)
+    code, out, err = _run(capsys, [command, path, "--param-value", "1", *argv_tail])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "series center must be finite" in err
+
+
 # a non-finite tol, from the command line or from the problem file ("tol":
 # NaN or Infinity in the JSON), is an input error
 @pytest.mark.parametrize(

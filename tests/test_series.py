@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
+from aimcf import aim
+from aimcf.aim import ProblemSpec, find_eigenvalues
 from aimcf.errors import (
     AimError,
     CenterMismatch,
@@ -33,7 +35,6 @@ from aimcf.series import (
     Sub,
     TaylorSeries,
     VarX,
-    bind_series,
     parse_expression,
     series_add,
     series_antideriv,
@@ -127,9 +128,29 @@ def _walk(e, value, center, order):
     return op(_walk(e.left, value, center, order), _walk(e.right, value, center, order))
 
 
+def _search_columns(expr, center, order):
+    """The columns function of the eigenvalue search's evaluator for ``expr``
+    (as S, beside L = 0), run as the search runs it, and the derivative
+    column t! c[t] of one coefficient array in the evaluator's arithmetic."""
+    spec = ProblemSpec(Const(0.0), expr, "E", center, order + 3, 1)
+    columns = aim._evaluator(spec, order)[0]
+    _, mant, exp = aim._tables(order + 1)
+
+    def column(values):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return columns(values)[1]
+
+    def derivatives(coeffs):
+        with np.errstate(over="ignore"):
+            return np.ldexp(mant * coeffs, exp)
+
+    return column, derivatives
+
+
 # the parameter under each kind of node, beside parameter-free subtrees that
-# the binder evaluates once; every row of a stack, whatever the other rows
-# hold, equals the walk for its value alone
+# the binder evaluates once; every column of a search's derivative columns,
+# whatever the other values are, is that of the walk for its value alone,
+# and so is the series of that one value
 @pytest.mark.parametrize(
     "text",
     [
@@ -145,54 +166,69 @@ def _walk(e, value, center, order):
 )
 def test_bound_series_match_whole_tree_walk(text):
     expr = parse_expression(text)
-    bound = bind_series(expr, center=0.3, order=14)
+    column, derivatives = _search_columns(expr, center=0.3, order=14)
     values = [-1.7, 0.0, 2.5, 1e-3]
-    rows = bound(np.array(values))
-    assert rows.shape == (4, 15)
-    for row, value in zip(rows, values):
+    cols = column(values)
+    assert cols.shape == (15, 4)
+    for col, value in zip(cols.T, values):
         want = _walk(expr, value, 0.3, 14).coeffs
-        assert np.array_equal(row, want), value
-        assert np.array_equal(bound(np.array([value]))[0], want), value
+        assert np.array_equal(col, derivatives(want)), value
+        assert np.array_equal(column([value])[:, 0], col), value
         assert np.array_equal(series_from_expr(expr, value, 0.3, 14).coeffs, want), value
 
 
+# a parameter-free side is evaluated once per search: every call returns its
+# one derivative column, which broadcasts over the values
 def test_bound_parameter_free_expression_is_evaluated_once():
-    bound = bind_series(parse_expression("(1 + x)^3/(2 - x)"), center=0.1, order=6)
-    one, three = bound(np.array([1.0])), bound(np.array([-4.0, 0.5, 2.0]))
-    assert one.shape == (1, 7) and three.shape == (3, 7)
-    assert np.shares_memory(one, three)
-    assert not three.flags.writeable
+    expr = parse_expression("(1 + x)^3/(2 - x)")
+    column, derivatives = _search_columns(expr, center=0.1, order=6)
+    one, three = column([1.0]), column([-4.0, 0.5, 2.0])
+    assert one is three
+    assert one.shape == (7, 1)
+    assert np.array_equal(one[:, 0], derivatives(_walk(expr, 0.0, 0.1, 6).coeffs))
 
 
 # a parameter-free operation that fails is raised by every call, not by the
-# binding, so a caller that skips failing parameter values can still bind
+# binding, so a search that skips failing parameter values can still bind
 def test_bound_failure_is_raised_on_each_call():
-    bound = bind_series(parse_expression("E + 1/x"), center=0.0, order=4)
+    expr = parse_expression("E + 1/x")
+    column, _ = _search_columns(expr, center=0.0, order=4)
     for values in ([1.0], [2.0], [1.0, 2.0]):
         with pytest.raises(SingularPivot):
-            bound(np.array(values))
+            column(values)
+        with pytest.raises(SingularPivot):
+            series_from_expr(expr, values[0], 0.0, 4)
 
 
-# the bound functions recurse when called, so a call too deep for the stack
-# is an evaluation error as well as a binding too deep for it
+# the binder recurses, so a tree too deep for the stack is an evaluation
+# error, for one value and for a search over many
 def test_bound_call_nested_too_deeply_is_parse_or_eval_error():
-    bound = bind_series(parse_expression("+".join(["E"] * 400)), center=0.0, order=2)
+    expr = parse_expression("+".join(["E"] * 400))
+    spec = ProblemSpec(Const(0.0), expr, "E", 0.0, 3, 1)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(300)
     try:
         with pytest.raises(ParseOrEvalError):
-            bound(np.array([1.0]))
+            series_from_expr(expr, 1.0, 0.0, 2)
+        with pytest.raises(ParseOrEvalError):
+            find_eigenvalues(spec, 0.0, 1.0, 3)
     finally:
         sys.setrecursionlimit(limit)
 
 
-# the parameter values enter the stack once and are checked there, as the
-# constant series of a non-finite value is rejected
-@pytest.mark.parametrize("values", [[1.0, math.inf], [math.nan], [[1.0]]])
+# a non-finite parameter value is rejected, as the constant series of a
+# non-finite value is: one value where it enters the binder's row stack, and
+# the values of a search where its range is checked, before any binding
+@pytest.mark.parametrize("values", [[1.0, math.inf], [math.nan], [-math.inf, 0.0]])
 def test_bound_rejects_bad_parameter_values(values):
-    bound = bind_series(parse_expression("x - E"), center=0.0, order=3)
-    with pytest.raises(ValidationError):
-        bound(np.array(values))
+    expr = parse_expression("x - E")
+    for value in values:
+        if not math.isfinite(value):
+            with pytest.raises(ValidationError, match="finite"):
+                series_from_expr(expr, value, 0.0, 3)
+    spec = ProblemSpec(Const(0.0), expr, "E", 0.0, 3, 1)
+    with pytest.raises(ValidationError, match="finite"):
+        find_eigenvalues(spec, min(values), max(values), 3)
 
 
 def _expressions():
@@ -214,8 +250,9 @@ def _expressions():
     return st.recursive(leaves, nodes, max_leaves=8)
 
 
-# every row of a stack equals the whole-tree walk for its value, bit for bit;
-# a stack that holds a value the walk fails on raises
+# every column of a search's derivative columns equals that of the
+# whole-tree walk for its value, bit for bit; values that hold one the walk
+# fails on raise
 @example(expr=Div(Const(1.0), Sub(Param(), VarX())), values=[0.0, 2.0], center=0.0, order=3)
 @example(expr=Neg(IntPow(Mul(Param(), VarX()), 3)), values=[1.5, -2.0], center=0.5, order=4)
 @example(expr=Add(Param(), Div(VarX(), Param())), values=[1.0, 2.0, -3.0], center=0.2, order=5)
@@ -229,7 +266,7 @@ def _expressions():
 def test_bound_rows_match_whole_tree_walk(expr, values, center, order):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
-        bound = bind_series(expr, center, order)
+        column, derivatives = _search_columns(expr, center, order)
         wants = []
         for value in values:
             try:
@@ -238,12 +275,12 @@ def test_bound_rows_match_whole_tree_walk(expr, values, center, order):
                 wants.append(None)
         if any(want is None for want in wants):
             with pytest.raises(AimError):
-                bound(np.array(values))
+                column(values)
             return
-        rows = bound(np.array(values))
-    assert rows.shape == (len(values), order + 1)
-    for row, want in zip(rows, wants):
-        assert np.array_equal(row, want)
+        cols = column(values)
+    assert cols.shape in {(order + 1, len(values)), (order + 1, 1)}
+    for i, want in enumerate(wants):
+        assert np.array_equal(cols[:, i % cols.shape[1]], derivatives(want))
 
 
 def test_evaluation_horner_matches_polyval():
