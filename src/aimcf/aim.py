@@ -73,6 +73,7 @@ import bisect
 import functools
 import math
 import operator
+import sys
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -133,7 +134,7 @@ class ProblemSpec:
             raise ValidationError(
                 f"order ({self.order}) must be >= n_max + 2 ({self.n_max + 2})"
             )
-        if not math.isfinite(self.x0):
+        if not abs(self.x0) <= sys.float_info.max:  # an int past double range too
             raise ValidationError("series center must be finite")
 
     @classmethod

@@ -90,12 +90,12 @@ def pq_iterate(spec: ProblemSpec, param_value: float) -> PQSequences:
     division, sum, Cauchy product), so every value is the series ladder's
     bit for bit.  Where q[n] is constant in x (every coefficient past the
     first +0.0), as on the oscillator at every level, q'/q is a zero series:
-    the level skips the division and the product and only adds q[1:] / q[0],
-    the signed zeros the division would give, to p.  Such a level leaves
-    p's magnitudes as they were, so p's largest magnitude is not taken
-    again.  A coefficient past double range raises
-    :class:`~aimcf.errors.Overflow`, found once per level from the largest
-    magnitudes the stop rules read.
+    the level skips the division and the product, adds the scalar
+    0.0 / q[n](x0), each quotient entry's signed zero, to p, and takes
+    |q[n](x0)| as q's largest magnitude.  It leaves p's magnitudes as they
+    were, so p's largest magnitude is not taken again.  A coefficient past
+    double range raises :class:`~aimcf.errors.Overflow`, found once per
+    level from the largest magnitudes the stop rules read.
     """
     p, q = (series.coeffs for series in spec.series_pair(param_value))
     ks = np.arange(1, p.size, dtype=float)  # derivative factors
@@ -105,7 +105,12 @@ def pq_iterate(spec: ProblemSpec, param_value: float) -> PQSequences:
     p_max = float(np.abs(p).max())
     with np.errstate(over="ignore", invalid="ignore"):
         for level in range(spec.n_max + 1):
-            q_max = float(np.abs(q).max())
+            # flat: q[1:] all +0.0 (a -0.0 may turn +0.0 in _divide's loop), so
+            # |q[0]| is q's largest magnitude, q[1:] / q[0] is 0.0 / q[0], its
+            # product with p +0.0, and p, only truncated, stays within p_max
+            q0 = float(q[0])
+            flat = not q[1:].view(np.int64).any()
+            q_max = abs(q0) if flat else float(np.abs(q).max())
             if not (math.isfinite(p_max) and math.isfinite(q_max)):
                 raise Overflow("series coefficients overflowed double precision")
             scale = max(scale, p_max, q_max)
@@ -115,18 +120,13 @@ def pq_iterate(spec: ProblemSpec, param_value: float) -> PQSequences:
                 break
             if level == spec.n_max:
                 break
-            if abs(q[0]) <= tiny:
+            if abs(q0) <= tiny:
                 stop = (level, "pole")
                 break
             # p and q share one size per level; every result has one fewer
             m = q.size - 1
-            if not q[1:].view(np.int64).any():
-                # q[1:] all +0.0 (a -0.0 may turn +0.0 in _divide's loop):
-                # the ratio is q[1:] / q[0], its product with p is +0.0, and
-                # p keeps its magnitudes, only truncated: p_max, already in
-                # scale, still bounds it
-                ratio = q[1:] / _check_pivot(float(q[0]))
-                p, q = p[:m] + ratio, q[:m] + p[1:] * ks[:m]
+            if flat:
+                p, q = p[:m] + 0.0 / _check_pivot(q0), q[:m] + p[1:] * ks[:m]
             else:
                 dq = q[1:] * ks[:m]
                 if not math.isfinite(q_max * q.size):  # q' may have overflowed:

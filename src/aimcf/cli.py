@@ -9,8 +9,9 @@ Problem files are JSON:
       "classify": {"declared_power_law": {"a": 2, "sigma": 1, "b": -1, "tau": 0}}
     }
 
-Output is deterministic JSON (sorted keys, shortest round-trip floats,
-non-finite values as strings) or CSV of the command's main table.
+Output is CSV of the command's main table or deterministic JSON: sorted keys,
+two-space indent, shortest round-trip floats, ASCII-escaped strings, non-finite
+values as strings, the bytes of ``json.dumps(record, sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import math
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -100,6 +102,43 @@ def _jsonable(obj: Any) -> Any:
     if math.isnan(obj):
         return "nan"
     return "inf" if obj > 0 else "-inf"
+
+
+def _render_json(obj: Any) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` in one recursive pass over
+    the exact types :func:`_jsonable` returns: dicts with string keys, lists,
+    strings, ints, finite floats, bools and None; others raise TypeError."""
+    out: list[str] = []
+
+    def write(obj: Any, indent: str) -> None:
+        kind = type(obj)
+        if kind is float:
+            out.append(float.__repr__(obj))
+        elif kind is str:
+            out.append(encode_basestring_ascii(obj))
+        elif kind is dict:
+            inner, sep = indent + "  ", "{\n"
+            for key in sorted(obj):
+                out.append(sep + inner + encode_basestring_ascii(key) + ": ")
+                write(obj[key], inner)
+                sep = ",\n"
+            out.append("\n" + indent + "}" if obj else "{}")
+        elif kind is list:
+            inner, sep = indent + "  ", "[\n"
+            for item in obj:
+                out.append(sep + inner)
+                write(item, inner)
+                sep = ",\n"
+            out.append("\n" + indent + "]" if obj else "[]")
+        elif kind is int:
+            out.append(int.__repr__(obj))
+        elif obj is None or kind is bool:
+            out.append("null" if obj is None else "true" if obj else "false")
+        else:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    write(obj, "")
+    return "".join(out)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -488,7 +527,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.format == "csv":
         sys.stdout.write(_render_csv(_jsonable(record)))
     else:
-        print(json.dumps(_jsonable(record), sort_keys=True, indent=2))
+        print(_render_json(_jsonable(record)))
     return EXIT_OK
 
 

@@ -158,7 +158,8 @@ def test_problem_spec_validation():
         ProblemSpec.from_strings("x", "1 - E", "E", x0=0.0, order=2, n_max=1)
     with pytest.raises(ValidationError):
         ProblemSpec.from_strings("x", "1 - E", "E", x0=0.0, order=10, n_max=0)
-    for x0 in (math.nan, math.inf, -math.inf):
+    # an int past double range must not escape as OverflowError
+    for x0 in (math.nan, math.inf, -math.inf, 10**400, -(10**400)):
         with pytest.raises(ValidationError, match="series center must be finite"):
             ProblemSpec.from_strings("x", "1 - E", "E", x0=x0, order=10, n_max=1)
 

@@ -200,7 +200,7 @@ def test_minimal_ratio_survives_backward_underflow():
 def test_dominant_ratio_survives_forward_underflow():
     # the forward values shrink by about 1e-10 a step and used to give nan
     rep = classify([2.1e-10] * 200, [-1e-20] * 200)
-    assert rep.numeric_dominant_ratio == pytest.approx(1e-10 * _ROOT_DOM, rel=1e-14)
+    assert rep.numeric_dominant_ratio == pytest.approx(1e-10 * _ROOT_DOM, rel=1e-14, abs=0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -211,9 +211,11 @@ def test_equivalence_transform_scales_probe_ratios(k):
     n, c = 200, math.ldexp(1.0, k)
     p, q = [2.1 * c] * n, [-c * c] * n
     assert miller_minimal_ratio(p, q, _default_schedule(n)) == pytest.approx(
-        c * _ROOT_MIN, rel=1e-14
+        c * _ROOT_MIN, rel=1e-14, abs=0.0
     )
-    assert classify(p, q).numeric_dominant_ratio == pytest.approx(c * _ROOT_DOM, rel=1e-14)
+    assert classify(p, q).numeric_dominant_ratio == pytest.approx(
+        c * _ROOT_DOM, rel=1e-14, abs=0.0
+    )
 
 
 def test_backward_pass_zero_q_blocks():

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from aimcf.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, _jsonable, build_parser, main
+from aimcf.cli import (
+    EXIT_INPUT,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    _jsonable,
+    _render_json,
+    build_parser,
+    main,
+)
 
 
 def _write(tmp_path, name, payload):
@@ -1110,3 +1118,43 @@ JSONABLE_TABLE = {
 @pytest.mark.parametrize("obj, expected", JSONABLE_TABLE.values(), ids=JSONABLE_TABLE.keys())
 def test_jsonable_type_table(obj, expected):
     assert repr(_jsonable(obj)) == repr(expected)
+
+
+_AWKWARD_TEXT = st.text(
+    alphabet=st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€😀')
+)
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=10**40).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308, 1e16, 1.7976931348623157e308])
+    | _AWKWARD_TEXT
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_AWKWARD_TEXT, kids, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_JSON_TREES)
+@example(tree={"": [[], {}, [[]], {"a": {}}], 'é"\\\n\x00': [-0.0, 5e-324, 10**40]})
+def test_render_json_matches_json_dumps(tree):
+    assert _render_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parent / "golden").glob("*.json")), ids=lambda p: p.name
+)
+def test_golden_files_rerender_to_their_own_bytes(path):
+    text = path.read_text(encoding="utf-8")
+    assert _render_json(json.loads(text)) + "\n" == text
+
+
+@pytest.mark.parametrize("leaf", [{1.0}, object()], ids=["set", "object"])
+def test_render_json_rejects_other_types(leaf):
+    with pytest.raises(TypeError):
+        _render_json({"a": [1.0, {"b": leaf}]})
