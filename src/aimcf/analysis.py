@@ -9,7 +9,9 @@ forward probe's last ratio, the minimal one the backward probe's ratio 3/4 of
 the way up, and for equal root moduli the growth modulus meets the forward
 probe's.  Consistency is not minimal existence, which is decided once, by the
 Miller run (Gautschi, SIAM Rev. 9 (1967) 24) of the report's one
-:func:`pincherle_check`.  The forward probe, the backward passes and the
+:func:`pincherle_check`.  Miller's backward pass planted at depth N gives
+the estimate -C_N, so that run reads the approximants of one forward run of
+the fraction.  The forward probe, the one backward probe and the
 approximants all run on the one recurrence runner of :mod:`aimcf.cf`, whose
 mantissas are rescaled by exact powers of two, so no probe overflows or
 underflows.
@@ -86,11 +88,14 @@ class ConvergenceReport:
 
 @dataclass(frozen=True)
 class PincherleResult:
-    """Agreement between the fraction limit and the minimal-solution ratio."""
+    """Agreement between the fraction limit and the minimal-solution ratio.
+
+    Miller's estimate at depth N is -C_N, so ``agreement`` is
+    |cf_limit + backward_ratio|, the fraction's own change past that depth.
+    """
 
     cf_limit: float
     backward_ratio: float
-    relation_sign: float
     agreement: float
 
 
@@ -226,19 +231,6 @@ def bound_check(state: CFState) -> list[tuple[int, float, float, bool]]:
     return rows
 
 
-def _backward_pass(
-    p: list[float], q: list[float], top: int
-) -> tuple[list[list[float]], list[int]]:
-    """Run x_{n-2} = (x_n - p_n x_{n-1}) / q_n down from x_top = 0, x_{top-1} = 1.
-
-    Returns the recurrence runner's ``(rows, exps)``; step i holds x_{top-i}.
-    """
-    for n in range(top, -1, -1):
-        if q[n] == 0.0:
-            raise ZeroQ(f"q[{n}] = 0 blocks the backward recurrence")
-    return _run_recurrence(p[: top + 1], q[: top + 1], [0.0], [1.0], backward=True)
-
-
 def _ratio(rows: list[list[float]], exps: list[int], i: int, j: int) -> float:
     """Ratio of runner steps i and j of a single solution; NaN where step j is 0."""
     if rows[j][0] == 0.0:
@@ -251,28 +243,34 @@ def miller_minimal_ratio(
     qvals: Sequence[float],
     depth_schedule: Sequence[int],
 ) -> float:
-    """Minimal-solution ratio x_{-1}/x_{-2} by backward recurrence.
+    """Minimal-solution ratio x_{-1}/x_{-2} by Miller's backward recurrence.
 
-    Trial values are planted at increasing depths from depth_schedule until two
-    successive estimates agree to 1e-12 relative; failure to stabilize means no
-    minimal solution is numerically detectable.
+    The backward pass planted at depth N with x_N = 0, x_{N-1} = 1 is the
+    solution B_N A_n - A_N B_n up to a factor, so its estimate x_{-1}/x_{-2}
+    is -C_N, read from one forward run of :func:`~aimcf.cf.cf_approximants`.
+    Depths from depth_schedule are tried in increasing order until two
+    successive estimates agree to 1e-12 relative; failure to stabilize means
+    no minimal solution is numerically detectable.
     """
-    p = np.asarray(pvals, dtype=float)
-    q = np.asarray(qvals, dtype=float)
-    if p.shape != q.shape:
-        raise ValidationError("pvals and qvals must have equal length")
-    usable = sorted({int(n) for n in depth_schedule if 2 <= int(n) <= p.size - 1})
+    return _miller(cf_approximants(pvals, qvals), depth_schedule)
+
+
+def _miller(state: CFState, depth_schedule: Sequence[int]) -> float:
+    """:func:`miller_minimal_ratio` on the approximants of ``state``."""
+    usable = sorted({int(n) for n in depth_schedule if 2 <= int(n) <= state.depth})
     if len(usable) < 2:
         raise ValidationError(
             "depth_schedule needs at least two depths within the sampled range"
         )
-    p_list, q_list = p.tolist(), q.tolist()
     prev: Optional[float] = None
     for top in usable:
-        rows, exps = _backward_pass(p_list, q_list, top)
-        if rows[-1][0] == 0.0:
+        # the backward pass from depth top divides by every q_n, n <= top
+        zeros = np.flatnonzero(state.qvals[: top + 1] == 0.0)
+        if zeros.size:
+            raise ZeroQ(f"q[{zeros[-1]}] = 0 blocks the backward recurrence")
+        est = -float(state.C[top])
+        if not math.isfinite(est):  # B_N = 0, the backward pass's x_{-2}
             raise NoConvergence(f"base value vanished at depth {top}")
-        est = _ratio(rows, exps, -2, -1)
         if prev is not None and abs(est - prev) <= STABLE_RTOL * max(1.0, abs(est)):
             return est
         prev = est
@@ -297,27 +295,23 @@ def _default_schedule(size: int) -> list[int]:
 
 
 def pincherle_check(pvals: Sequence[float], qvals: Sequence[float]) -> PincherleResult:
-    """Compare the fraction limit against the backward minimal-solution ratio.
+    """Compare the fraction limit against Miller's minimal-solution ratio.
 
-    The sign linking the two is measured, not assumed: relation_sign is chosen
-    so that cf_limit is closest to relation_sign * backward_ratio, and the
-    residual discrepancy is reported as agreement.
+    Both come from one run of :func:`~aimcf.cf.cf_approximants`: Miller's
+    estimate at depth N is -C_N (:func:`miller_minimal_ratio`), so where the
+    minimal solution exists the limit is minus its ratio x_{-1}/x_{-2}
+    (Pincherle), and agreement is |cf_limit + backward_ratio|.
     """
     state = cf_approximants(pvals, qvals)
     finite = state.C[np.isfinite(state.C)]
     if finite.size == 0:
         raise ZeroDenominator("no finite approximants available")
     cf_limit = float(finite[-1])
-    backward = miller_minimal_ratio(pvals, qvals, _default_schedule(len(pvals)))
-    if abs(cf_limit + backward) <= abs(cf_limit - backward):
-        sign = -1.0
-    else:
-        sign = 1.0
+    backward = _miller(state, _default_schedule(state.depth + 1))
     return PincherleResult(
         cf_limit=cf_limit,
         backward_ratio=backward,
-        relation_sign=sign,
-        agreement=abs(cf_limit - sign * backward),
+        agreement=abs(cf_limit + backward),
     )
 
 
@@ -467,11 +461,11 @@ def classify(
     num_min = math.nan if pincherle is None else pincherle.backward_ratio
     # x_m / x_{m-1} of the backward pass from the top, inside the asymptotic range
     probe_at = max(2, (3 * top) // 4)
-    try:
-        rows, exps = _backward_pass(p_list, q_list, top)
-        probe_ratio = _ratio(rows, exps, top - probe_at, top - probe_at + 1)
-    except ZeroQ:
+    if 0.0 in q_list:  # the backward recurrence divides by every q_n
         probe_ratio = math.nan
+    else:
+        rows, exps = _run_recurrence(p_list, q_list, [0.0], [1.0], backward=True)
+        probe_ratio = _ratio(rows, exps, top - probe_at, top - probe_at + 1)
 
     pred: Optional[tuple[float, float] | float]
     if power_law is not None:

@@ -288,6 +288,12 @@ def cf_approximants(pvals, qvals) -> CFState:
     )
 
 
+def _q_products(state: CFState) -> tuple[list[list[float]], list[int]]:
+    """Running products q[0]..q[n] at runner step n + 2: the recurrence with
+    partial denominators q and partial numerators 0."""
+    return _run_recurrence(state.qvals.tolist(), [0.0] * (state.depth + 1), [0.0], [1.0])
+
+
 def cf_determinants(state: CFState) -> np.ndarray:
     """Cross determinants v[n] for n = -1..N, checked against the q product.
 
@@ -302,9 +308,7 @@ def cf_determinants(state: CFState) -> np.ndarray:
     a, b, e2 = (arr.tolist() for arr in (state._mant_a, state._mant_b, state._exp2))
     # (mantissa, exponent) of v[n] at entry n + 1
     v = [(a[i] * b[i - 1] - a[i - 1] * b[i], e2[i] + e2[i - 1]) for i in range(1, len(a))]
-    # running products q[0]..q[n]: the recurrence with partial numerators 0
-    zeros = [0.0] * (state.depth + 1)
-    prods, prod_exps = _run_recurrence(state.qvals.tolist(), zeros, [0.0], [1.0])
+    prods, prod_exps = _q_products(state)
     eps = float(np.finfo(float).eps)
     worst = 0.0
     for n in range(state.depth + 1):
@@ -337,8 +341,7 @@ def alpha_partial_sums(state: CFState) -> np.ndarray:
     ``np.diff(alpha_partial_sums(state), prepend=0.0)``.
     """
     b, e2 = state._mant_b.tolist(), state._exp2.tolist()
-    zeros = [0.0] * (state.depth + 1)
-    prods, prod_exps = _run_recurrence(state.qvals.tolist(), zeros, [0.0], [1.0])
+    prods, prod_exps = _q_products(state)
     sums = np.empty(state.depth + 1)
     acc = 0.0
     for k in range(state.depth + 1):

@@ -152,20 +152,16 @@ def _require_number(value: Any, name: str, integer: bool) -> None:
     A real must also be finite: ``json.load`` reads ``NaN`` and ``Infinity``,
     and an integer literal may be too long for a float.
     """
-    _require(
-        isinstance(value, int if integer else (int, float))
-        and not isinstance(value, bool),
-        f"'{name}' must be {'an integer' if integer else 'a real number'}, "
-        f"got {value!r}",
-    )
-    _require(
-        integer or abs(value) <= sys.float_info.max,
-        f"'{name}' must be finite, got {value!r}",
-    )
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a real number"
+        raise ValidationError(f"'{name}' must be {kind}, got {value!r}")
+    if not (integer or abs(value) <= sys.float_info.max):
+        raise ValidationError(f"'{name}' must be finite, got {value!r}")
 
 
 def _require_reals(values: Any, name: str) -> None:
-    _require(isinstance(values, list), f"'{name}' must be a list, got {values!r}")
+    if not isinstance(values, list):
+        raise ValidationError(f"'{name}' must be a list, got {values!r}")
     for i, value in enumerate(values):
         _require_number(value, f"{name}[{i}]", False)
 

@@ -23,7 +23,7 @@ from aimcf.analysis import (
     pincherle_check,
     stern_seidel,
 )
-from aimcf.cf import cf_approximants
+from aimcf.cf import _run_recurrence, cf_approximants
 from aimcf.errors import (
     HypothesisViolated,
     InsufficientData,
@@ -225,12 +225,48 @@ def test_backward_pass_zero_q_blocks():
         miller_minimal_ratio([3.0] * 20, q, [10, 11, 19])
 
 
+# [DERIVED] B_0..B_3 = 1, 2, 4, 4 - 2 * 2 = 0: the backward pass planted at
+# depth 3 ends on x_{-2} = 0, so its estimate has no value
+def test_minimal_ratio_base_value_vanishes():
+    with pytest.raises(NoConvergence, match=r"^base value vanished at depth 3$"):
+        miller_minimal_ratio([1.0] * 8, [1, 1, 2, -2, 1, 1, 1, 1], [3, 4])
+
+
+def _seeded_pq(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.arange(1, n + 1) * rng.uniform(0.5, 2.0, n), rng.uniform(-2.0, 2.0, n)
+
+
+_MILLER_CASES = {
+    **{f"cylinder-z{z}": (2.0 * np.arange(1, 241) / z, -np.ones(240)) for z in (0.5, 1, 2)},
+    "3-4": ([3.0] * 60, [4.0] * 60),
+    "1-1": ([1.0] * 60, [1.0] * 60),
+    "scaled": ([2.1e10] * 200, [-1e20] * 200),
+    **{f"random-{seed}": _seeded_pq(240, seed) for seed in range(3)},
+}
+
+
+# Miller's backward pass planted at depth N with x_N = 0, x_{N-1} = 1 is the
+# solution B_N A_n - A_N B_n up to a factor, so its estimate x_{-1}/x_{-2}
+# is -A_N/B_N = -C_N; the reference runs that backward pass
+@pytest.mark.parametrize("name", list(_MILLER_CASES))
+def test_miller_estimate_is_minus_approximant(name):
+    p, q = (list(map(float, v)) for v in _MILLER_CASES[name])
+    state = cf_approximants(p, q)
+    for top in _default_schedule(len(p)):
+        rows, exps = _run_recurrence(p[: top + 1], q[: top + 1], [0.0], [1.0], backward=True)
+        want = math.ldexp(rows[-2][0] / rows[-1][0], exps[-2] - exps[-1])
+        assert -state.C[top] == pytest.approx(want, rel=4e-15, abs=0.0)
+    res = pincherle_check(p, q)
+    assert res.backward_ratio in [-state.C[top] for top in _default_schedule(len(p))]
+    assert res.agreement == abs(res.cf_limit + res.backward_ratio)
+
+
 # [DERIVED] limit 1, minimal ratio -1, so limit = -ratio with zero residual
 def test_limit_ratio_link_constants():
     res = pincherle_check([3.0] * 60, [4.0] * 60)
     assert res.cf_limit == pytest.approx(1.0, abs=1e-12)
     assert res.backward_ratio == pytest.approx(-1.0, abs=1e-12)
-    assert res.relation_sign == -1.0
     assert res.agreement < 1e-12
     assert type(res.backward_ratio) is float and type(res.agreement) is float
 

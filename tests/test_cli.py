@@ -278,10 +278,9 @@ CLASSIFY_GOLDEN = {
 }
 
 
-# recorded with t_n = -4 q_n / (p_{n-1} p_n) while classify and the CLI still
-# ran Miller's algorithm separately; one shared run must print the same bytes.
-# The cylinder's was rerecorded when a consistent power law stopped adding a
-# note, its only change
+# recorded with t_n = -4 q_n / (p_{n-1} p_n) and Miller's estimates read as
+# -C_N from the fraction's one forward run, whose rounding moved the
+# cylinder's minimal ratio by 9.7e-16 relative against the backward passes
 @pytest.mark.parametrize("name", sorted(CLASSIFY_GOLDEN))
 def test_classify_golden_output(tmp_path, capsys, name):
     path = _write(tmp_path, f"{name}.json", CLASSIFY_GOLDEN[name])
