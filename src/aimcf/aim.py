@@ -37,13 +37,14 @@ expression once at order n + 2 with the one expression binder,
 column at x0 of a side that does not depend on the parameter, and runs
 under one floating-point error state and one guard against expressions too
 deep to evaluate.  It evaluates each distinct parameter value once, to
-depth n + 2, and keeps delta[n] for the scan and refinement and
-delta[n + 2] for the recheck, as Python floats, with the evaluated values
-in one sorted list.  Both kernels take the derivatives t! c[t] at x0 of L
-and S.  The whole grid is bound in one call, and its derivative columns
-(a parameter-free side's one column broadcasts) go through one batched
-pass of :func:`_scan_deltas`; each refinement or recheck point calls only
-the parameter side, on a one-value array, and runs
+depth n + 2, and forms and keeps only delta[n] for the scan and refinement
+and delta[n + 2] for the recheck, as Python floats, with the evaluated
+values in one sorted list.  Both kernels take the derivatives t! c[t] at x0
+of L and S and the depths to form, and raise :class:`~aimcf.errors.Overflow`
+if one of those deltas is not finite.  The whole grid is bound in one call,
+and its derivative columns (a parameter-free side's one column broadcasts)
+go through one batched pass of :func:`_scan_deltas`; each refinement or
+recheck point calls only the parameter side, on a one-value array, and runs
 :func:`_delta_recurrence` on Python lists.  If binding the grid fails,
 every grid point is evaluated by that per-point kernel instead, in grid
 order, and the points that cannot be evaluated are skipped with a warning.
@@ -75,7 +76,7 @@ import math
 import operator
 import sys
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -344,9 +345,9 @@ def _tables(width: int) -> tuple[list[tuple[float, ...]], np.ndarray, np.ndarray
 
 
 def _delta_recurrence(
-    binom: list[tuple[float, ...]], dl: list[float], ds: list[float]
+    binom: list[tuple[float, ...]], dl: list[float], ds: list[float], depths: Iterable[int]
 ) -> list[float]:
-    """delta[1..depth] from the derivatives t! c[t] at x0 of L and S, t = 0..depth.
+    """delta[d], d in ``depths`` (1..depth), from the derivatives t! c[t] at x0 of L and S.
 
     Since y^(i+2) = L[i] y' + S[i] y, the at-centre values L[i](x0) and
     S[i](x0) are the derivatives u_b(i + 2) and u_a(i + 2) at x0 of the
@@ -357,15 +358,15 @@ def _delta_recurrence(
 
     The sum runs on Python floats, in ascending t over the t where
     L^(t)(x0) or S^(t)(x0) is nonzero, leaving out the side that is zero;
-    the cross product of :func:`_cross` at the end runs on Python floats
+    the cross product of :func:`_cross` at ``depths`` runs on Python floats
     too, which spares a one-point call its array copies and
     ``np.errstate``.  Derivatives, not Taylor coefficients, are carried,
     since u(k) / k! underflows where u(k) and delta do not.  The values
     equal those of :func:`_scan_deltas` at the same point bit for bit (the
     module docstring says why the skipped products change nothing), and
     those of the series ladder within the bound stated there.  A value
-    beyond double range turns inf or nan, which reaches delta, so this
-    raises :class:`Overflow`.
+    beyond double range turns inf or nan; if that reaches a delta of
+    ``depths``, this raises :class:`Overflow`.
     """
     width = len(dl)
     terms = [(t, dl[t], ds[t]) for t in range(width) if dl[t] or ds[t]]
@@ -388,14 +389,14 @@ def _delta_recurrence(
                 b += c * (l * ub[j + 1] + s * ub[j])
         ua.append(a)
         ub.append(b)
-    delta = [b1 * a0 - b0 * a1 for a0, a1, b0, b1 in zip(ua[2:], ua[3:], ub[2:], ub[3:])]
+    delta = [ub[d + 2] * ua[d + 1] - ub[d + 1] * ua[d + 2] for d in depths]
     if not all(map(math.isfinite, delta)):
         raise Overflow("termination quantity overflows double range")
     return delta
 
 
-def _scan_deltas(dl: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """delta[1..depth] at each point of ``(depth + 1, points)`` derivative columns.
+def _scan_deltas(dl: np.ndarray, ds: np.ndarray, depths: Iterable[int]) -> np.ndarray:
+    """delta[d], d in ``depths``, at each point of ``(depth + 1, points)`` derivative columns.
 
     Row t of ``dl`` and ``ds`` holds L^(t)(x0) and S^(t)(x0) at every point;
     a side with one column, the same at every point, broadcasts.  This is
@@ -408,9 +409,9 @@ def _scan_deltas(dl: np.ndarray, ds: np.ndarray) -> np.ndarray:
     whatever the other points hold.  It leaves out the side of a row whose
     L^(t) or S^(t) is zero at every point, and the multiply by
     C(k, 0) = C(k, k) = 1; neither changes a value, as the module docstring
-    shows.  Returns a ``(points, depth)`` array, one row per point of the
-    broadcast columns.  Raises :class:`Overflow` (from :func:`_cross`) if
-    any value leaves double range, without numpy's floating-point warnings.
+    shows.  Returns a ``(len(depths), points)`` array, one column per point
+    of the broadcast columns; raises :class:`Overflow` if one of its values
+    leaves double range, without numpy's floating-point warnings.
     """
     width, points = np.broadcast_shapes(dl.shape, ds.shape)
     binom = _tables(width)[0]
@@ -440,12 +441,15 @@ def _scan_deltas(dl: np.ndarray, ds: np.ndarray) -> np.ndarray:
                 if 0 < t < k:  # C(k, 0) = C(k, k) = 1
                     term *= row[t]
                 acc += term
-    return _cross(u[2:, 1], u[2:, 0]).T
+        delta = np.array([u[d + 2, 1] * u[d + 1, 0] - u[d + 1, 1] * u[d + 2, 0] for d in depths])
+    if not np.isfinite(delta).all():
+        raise Overflow("termination quantity overflows double range")
+    return delta
 
 
-def _evaluator(
-    spec: ProblemSpec, order: int
-) -> tuple[Callable[[list[float]], list[np.ndarray]], Callable[[float], list[float]]]:
+def _evaluator(spec: ProblemSpec, order: int) -> tuple[
+    Callable[[list[float]], list[np.ndarray]], Callable[[float, Iterable[int]], list[float]]
+]:
     """Bind L and S of one search at x0 to ``order``; return ``(columns, deltas_at)``.
 
     Each expression is bound once, by :func:`~aimcf.series._bind`, and
@@ -453,14 +457,15 @@ def _evaluator(
     correctly rounded mantissa times an exact power of two, so a derivative
     is finite wherever it lies in double range, also past t = 170 where t!
     is not.  A side bound to a constant array (it does not depend on the
-    parameter) gets its one derivative column here, once; a parameter side
-    is called per use.  ``columns(values)`` gives the derivative columns of
-    L and S for a list of parameter values, ``(order + 1, values)`` for a
-    parameter side and the one ``(order + 1, 1)`` column of a constant side,
-    which broadcasts, for :func:`_scan_deltas`.  ``deltas_at(e)`` gives
-    delta[1..order] at one value from the same derivatives, as Python lists,
-    by :func:`_delta_recurrence`, which equals :func:`_scan_deltas` on
-    ``columns([e])`` bit for bit.
+    parameter) gets its one derivative column here, once, as an array and as
+    a Python list; a parameter side is called per use.  ``columns(values)``
+    gives the derivative columns of L and S for a list of parameter values,
+    ``(order + 1, values)`` for a parameter side and the one
+    ``(order + 1, 1)`` column of a constant side, which broadcasts, for
+    :func:`_scan_deltas`.  ``deltas_at(e, depths)`` gives delta[d] at one
+    value for d in ``depths`` (1..order) from the same derivatives, as
+    Python lists, by :func:`_delta_recurrence`, which equals
+    :func:`_scan_deltas` on ``columns([e])`` at those depths bit for bit.
 
     The caller checks that every value is finite and runs binding and calls
     under ``np.errstate(over="ignore", invalid="ignore")``, turning a
@@ -473,20 +478,22 @@ def _evaluator(
         return np.ldexp(mant * coeffs, exp)
 
     sides = [_bind(e, spec.x0, order) for e in (spec.lambda0, spec.s0)]
-    # each side with the derivative column of its constant array, or None
-    live = [
-        (c, derivatives(c)[:, np.newaxis] if isinstance(c, np.ndarray) else None) for c in sides
-    ]
+    # each side as its binding and None or, bound to a constant array, as that
+    # array's one derivative column, in a Python list and in an array
+    cols = [derivatives(c) if isinstance(c, np.ndarray) else None for c in sides]
+    live = [(c, None) if d is None else (d.tolist(), d[:, None]) for c, d in zip(sides, cols)]
 
     def columns(values: list[float]) -> list[np.ndarray]:
         values = np.array(values)
         # a parameter side's columns, copied so that each row t is contiguous
         return [derivatives(side(values)).T.copy() if col is None else col for side, col in live]
 
-    def deltas_at(e: float) -> list[float]:
+    def deltas_at(e: float, depths: Iterable[int]) -> list[float]:
         values = np.array([e])
-        dl, ds = (derivatives(side(values)[0]) if col is None else col[:, 0] for side, col in live)
-        return _delta_recurrence(binom, dl.tolist(), ds.tolist())
+        dl, ds = (
+            derivatives(side(values)[0]).tolist() if col is None else side for side, col in live
+        )
+        return _delta_recurrence(binom, dl, ds, depths)
 
     return columns, deltas_at
 
@@ -589,10 +596,11 @@ def find_eigenvalues(
     (:func:`_scan_deltas`); at every other parameter value only the
     parameter side is called, on a one-value array, and
     :func:`_delta_recurrence` runs on Python lists.  Each value is
-    evaluated once, to depth n + 2, and keeps delta[n] and delta[n + 2] as
-    Python floats.  Both passes run the derivative recurrence of the module
-    docstring, so a grid value equals a per-point evaluation bit for bit
-    and the series ladder's value to the tolerance stated there.
+    evaluated once, to depth n + 2; the kernels form only delta[n] and
+    delta[n + 2], as Python floats, and raise :class:`Overflow` if one
+    leaves double range.  Both passes run the derivative recurrence of the
+    module docstring, so a grid value equals a per-point evaluation bit for
+    bit and the series ladder's value to the tolerance stated there.
 
     If binding the grid raises, every grid point is evaluated alone, in
     grid order, by the per-point kernel: points whose inputs cannot be
@@ -635,18 +643,18 @@ def _search(spec: ProblemSpec, grid: list[float], tol: float) -> list[Root]:
     """
     n = spec.n_max
     columns, deltas_at = _evaluator(spec, n + 2)
-    # each E is evaluated once, to depth n + 2, and keeps the two depths the
-    # search reads: delta[n] for the scan and refinement, delta[n + 2] for
-    # the recheck; the grid fills this in one batched pass (through
-    # ``delta``, point by point, if binding it fails), ``delta`` adds every
-    # other E alone.  ``evaluated`` holds the same E in ascending order
+    # each E is evaluated once, to depth n + 2, and the kernels form only the
+    # two depths the search reads: delta[n] for the scan and refinement,
+    # delta[n + 2] for the recheck.  The grid fills ``deltas`` in one batched
+    # pass (through ``delta``, point by point, if binding it fails), ``delta``
+    # adds every other E, and ``evaluated`` holds the same E in ascending order
+    depths = (n, n + 2)
     deltas: dict[float, tuple[float, float]] = {}
     evaluated: list[float] = []
 
     def delta(e: float) -> tuple[float, float]:
         if e not in deltas:
-            row = deltas_at(e)
-            deltas[e] = row[n - 1], row[n + 1]
+            deltas[e] = tuple(deltas_at(e, depths))
             bisect.insort(evaluated, e)
         return deltas[e]
 
@@ -703,12 +711,11 @@ def _search(spec: ProblemSpec, grid: list[float], tol: float) -> list[Root]:
                     stacklevel=3,
                 )
     else:
-        # one row per grid point, or one for all where neither side has E
-        table = _scan_deltas(dl, ds)[:, [n - 1, n + 1]]
-        pairs = np.broadcast_to(table, (len(grid), 2)).tolist()
-        for i, (e, (shallow, deep)) in enumerate(zip(grid, pairs)):
-            deltas[e] = shallow, deep
-            vals[i] = shallow
+        shallow, deep = _scan_deltas(dl, ds, depths).tolist()
+        if len(shallow) == 1:  # neither side has E: one value for every point
+            shallow, deep = shallow * len(grid), deep * len(grid)
+        deltas.update(zip(grid, zip(shallow, deep)))
+        vals = shallow
         evaluated.extend(grid)
     known = [abs(v) for v in vals if v is not None]
     degenerate = not known or max(known) < EPS_PIVOT

@@ -163,7 +163,10 @@ def _require_reals(values: Any, name: str) -> None:
     if not isinstance(values, list):
         raise ValidationError(f"'{name}' must be a list, got {values!r}")
     for i, value in enumerate(values):
-        _require_number(value, f"{name}[{i}]", False)
+        # the checks of _require_number, which names a failing element
+        real = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (real and abs(value) <= sys.float_info.max):
+            _require_number(value, f"{name}[{i}]", False)
 
 
 def _check_classify(block: Any) -> None:

@@ -250,14 +250,16 @@ def _point_deltas(spec, depth, energy):
     """delta[1..depth] at one parameter value by the search's per-point kernel,
     from its evaluator, under its floating-point error state."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return aim._evaluator(spec, depth)[1](energy)
+        return aim._evaluator(spec, depth)[1](energy, range(1, depth + 1))
 
 
 def _scan(spec, depth, energies):
-    """delta[1..depth] at each parameter value by one batched scan of the
-    search's derivative columns, under its floating-point error state."""
+    """delta[1..depth] at each parameter value (one row each) by one batched
+    scan of the search's derivative columns, under its floating-point error
+    state."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _scan_deltas(*aim._evaluator(spec, depth)[0](energies))
+        columns = aim._evaluator(spec, depth)[0](energies)
+        return _scan_deltas(*columns, range(1, depth + 1)).T
 
 
 def _exact_deltas(l0, s0):
@@ -315,43 +317,72 @@ def test_delta_vector_matches_exact_ladder(lam_c, s_c, x0, energy, depth):
         assert abs(Fraction(got[i]) - exact[i]) <= Fraction(bound[i]), i
 
 
+def _bits(values):
+    """The bits of each double, so that -0.0 and 0.0 differ."""
+    return np.array(values, dtype=float).view(np.int64)
+
+
 # the batched scan kernel: a row's values do not depend on the points that
-# share its pass and equal the per-point kernel's bit for bit; and delta
-# stays exactly 0 when S vanishes identically.  The examples: the bench
-# quartic at x0 = 0, where every column is one-sided, so the batched pass
-# skips a side of each; at x0 = 0.7, where columns 0 and 1 are two-sided;
-# and at x0 = 0.5 with E = 0.8125, the value of x^4 - 9 x^2 + 3 there, exact
-# in binary, so the S side of column 0 is zero in that one row only: the
-# per-point kernel skips it there, the batched pass does not
+# share its pass and equal the per-point kernel's bit for bit, whether E
+# enters S alone or L too; and delta stays exactly 0 when S vanishes
+# identically.  Each kernel forms the pair (n, n + 2) that the search reads
+# as the same bits as columns n and n + 2 of its own whole row, signed
+# zeros included, also where neither side depends on E (both at the first
+# value only), so that one column serves every point.  The examples: the
+# bench quartic at x0 = 0, where every column is one-sided, so the batched
+# pass skips a side of each; at x0 = 0.7, where columns 0 and 1 are
+# two-sided; and at x0 = 0.5 with E = 0.8125, the value of x^4 - 9 x^2 + 3
+# there, exact in binary, so the S side of column 0 is zero in that one row
+# only: the per-point kernel skips it there, the batched pass does not
+# (with E in L as well, L varies over the points there)
 QUARTIC_C = {"lam_c": [0.0, 6.0], "s_c": [3.0, 0.0, -9.0, 0.0, 1.0]}
 
 
-@example(lam_c=[0.0, 2.0], s_c=[1.0], x0=0.0, energies=[1.0, 3.0, 1.0], depth=30)
-@example(**QUARTIC_C, x0=0.0, energies=[1.06, 3.8, 7.46, 11.64, 0.3], depth=40)
-@example(**QUARTIC_C, x0=0.7, energies=[1.06, 3.8, -2.5], depth=40)
-@example(**QUARTIC_C, x0=0.5, energies=[2.0, 0.8125, -1.0], depth=40)
+@example(
+    lam_c=[0.0, 2.0], s_c=[1.0], x0=0.0, energies=[1.0, 3.0, 1.0], depth=30, n=28, e_in_l=False
+)
+@example(
+    **QUARTIC_C, x0=0.0, energies=[1.06, 3.8, 7.46, 11.64, 0.3], depth=40, n=38, e_in_l=False
+)
+@example(**QUARTIC_C, x0=0.7, energies=[1.06, 3.8, -2.5], depth=40, n=38, e_in_l=False)
+@example(**QUARTIC_C, x0=0.5, energies=[2.0, 0.8125, -1.0], depth=40, n=38, e_in_l=False)
+@example(**QUARTIC_C, x0=0.5, energies=[2.0, 0.8125, -1.0], depth=40, n=38, e_in_l=True)
 @given(
     poly_coeffs,
     poly_coeffs,
     st.floats(min_value=-1, max_value=1),
     st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=6),
     st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=28),
+    st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_scan_kernel_matches_per_point_kernel(lam_c, s_c, x0, energies, depth):
+def test_scan_kernel_matches_per_point_kernel(lam_c, s_c, x0, energies, depth, n, e_in_l):
     spec = ProblemSpec.from_strings(
-        _poly_text(lam_c), _poly_text(s_c) + " - E", "E",
+        _poly_text(lam_c) + (" + E*x" if e_in_l else ""), _poly_text(s_c) + " - E", "E",
         x0=x0, order=depth + 2, n_max=depth,
     )
     columns, deltas_at = aim._evaluator(spec, depth)
+    row = range(1, depth + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         dl, ds = columns(energies)
-        batch = _scan_deltas(dl, ds)
+        batch = _scan_deltas(dl, ds, row).T
         assert batch.shape == (len(energies), depth)
         for i, e in enumerate(energies):
-            assert np.array_equal(batch[i], _scan_deltas(*columns([e]))[0]), i
-            assert np.array_equal(batch[i], deltas_at(e)), i
-        assert np.array_equal(_scan_deltas(dl, np.zeros_like(ds)), np.zeros_like(batch))
+            assert np.array_equal(batch[i], _scan_deltas(*columns([e]), row)[:, 0]), i
+            assert np.array_equal(batch[i], deltas_at(e, row)), i
+        assert np.array_equal(_scan_deltas(dl, np.zeros_like(ds), row).T, np.zeros_like(batch))
+        if n + 2 <= depth:
+            pair = (n, n + 2)
+            want = batch[:, [n - 1, n + 1]].T
+            assert np.array_equal(_bits(_scan_deltas(dl, ds, pair)), _bits(want))
+            first = _scan_deltas(dl[:, :1], ds[:, :1], pair)
+            assert np.array_equal(_bits(first), _bits(want[:, :1]))
+            for e in energies:
+                whole = deltas_at(e, row)
+                assert np.array_equal(
+                    _bits(deltas_at(e, pair)), _bits([whole[n - 1], whole[n + 1]])
+                ), e
 
 
 # a grid point whose inputs cannot be evaluated drops out of the batched
@@ -756,9 +787,9 @@ def _count_point_evals(monkeypatch):
     calls = []
     kernel = aim._delta_recurrence
 
-    def counted(binom, dl, ds):
+    def counted(*args):
         calls.append(None)
-        return kernel(binom, dl, ds)
+        return kernel(*args)
 
     monkeypatch.setattr(aim, "_delta_recurrence", counted)
     return calls
@@ -783,14 +814,14 @@ def _record_evaluations(monkeypatch):
 
         return call
 
-    def recording_scan(dl, ds):
+    def recording_scan(dl, ds, *args):
         log["scan_rows"].append(np.broadcast_shapes(dl.shape, ds.shape)[1])
-        return scan(dl, ds)
+        return scan(dl, ds, *args)
 
-    def recording_point(binom, dl, ds):
+    def recording_point(*args):
         (e,) = log["bound"][-1]
         log["point"].append(e)
-        return point(binom, dl, ds)
+        return point(*args)
 
     monkeypatch.setattr(aim, "_bind", recording_bind)
     monkeypatch.setattr(aim, "_scan_deltas", recording_scan)
@@ -1049,7 +1080,7 @@ def test_roots_lie_within_tol_of_a_sign_change(problem, shift, tol):
 
     def delta(e):
         with np.errstate(over="ignore", invalid="ignore"):
-            return deltas_at(e)[n - 1]
+            return deltas_at(e, (n,))[0]
 
     roots = find_eigenvalues(spec, grid[0], grid[-1], points, tol=tol)
     assert roots

@@ -868,6 +868,37 @@ def test_exit_input_on_malformed_classify_block(tmp_path, capsys, block):
     assert err.startswith("error:")
 
 
+# a bad element of a raw sequence is named by its list and index, with its
+# repr, in the whole message
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        (
+            {"pvals": [math.nan] + [3.0] * 59, "qvals": [4.0] * 60},
+            "'pvals[0]' must be finite, got nan",
+        ),
+        (
+            {"pvals": ["abc"] + [1.0] * 39, "qvals": [1.0] * 40},
+            "'pvals[0]' must be a real number, got 'abc'",
+        ),
+        (
+            {"pvals": [3.0] * 60, "qvals": [4.0] * 59 + [math.inf]},
+            "'qvals[59]' must be finite, got inf",
+        ),
+        (
+            {"declared_ba_coeffs": {"a_coeffs": [0.5, True], "b_coeffs": [1.0]}},
+            "'a_coeffs[1]' must be a real number, got True",
+        ),
+    ],
+)
+def test_malformed_raw_sequence_message(tmp_path, capsys, block, message):
+    path = _write(tmp_path, "classify.json", dict(HO_PROBLEM, classify=block))
+    code, out, err = _run(capsys, ["classify", path, "--param-value", "3"])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_exit_input_on_missing_file(capsys):
     code, _, err = _run(capsys, ["solve", "/nonexistent/problem.json"])
     assert code == EXIT_INPUT
