@@ -48,6 +48,8 @@ recheck point calls only the parameter side, on a one-value array, and runs
 :func:`_delta_recurrence` on Python lists.  If binding the grid fails,
 every grid point is evaluated by that per-point kernel instead, in grid
 order, and the points that cannot be evaluated are skipped with a warning.
+With the parameter on neither side, delta is one value at every point,
+and one per-point evaluation replaces the scan.
 Rows of a binding are bit-identical to one-value bindings, and both
 kernels sum the same terms in the same order, so a grid value equals a
 per-point one bit for bit.  Both leave out products that are exactly zero:
@@ -62,6 +64,22 @@ overflow that raises :class:`~aimcf.errors.Overflow` either way.  Against
 the series ladder, which sums in another order, they agree to rounding:
 within 1e-13 of the cross terms ``|L|[i+1] |S|[i] + |L|[i] |S|[i+1]`` of the ladder run
 on absolute input coefficients, which scale the rounding error of both.
+
+At a symmetric centre, where every derivative of L of even order and
+every derivative of S of odd order is zero (L odd and S even about x0, as
+for the oscillator and the quartic at x0 = 0), u_a is even and u_b odd:
+u_a(k) is exactly +0.0 at every odd k and u_b(k) at every even k, since
+every term of their sums there is a finite number times +0.0 and the sum
+onto +0 stays +0.0.  Both kernels then run the recurrence once, on
+v = u_a + u_b started at (1, 1): v(k) equals the nonzero one of u_a(k) and
+u_b(k) bit for bit, as the same products summed in the same order, and
+delta[d] is formed with the operands and signed zeros of the two-solution
+cross product, v(d + 2) v(d + 1) - 0.0 for odd d and 0.0 - v(d + 1) v(d + 2)
+for even d.  A non-finite derivative changes nothing: where a zero of the
+two-solution loop would have turned nan, the nonzero solution is
+non-finite at the same index, through the same term, so the same deltas
+raise :class:`~aimcf.errors.Overflow`.  The per-point kernel decides this
+at its point, the batched pass on its whole grid.
 
 Every ladder runs to the one depth of its problem, ``ProblemSpec.n_max``
 (the n of delta[n]); a caller that wants another depth builds another
@@ -361,35 +379,59 @@ def _delta_recurrence(
     the cross product of :func:`_cross` at ``depths`` runs on Python floats
     too, which spares a one-point call its array copies and
     ``np.errstate``.  Derivatives, not Taylor coefficients, are carried,
-    since u(k) / k! underflows where u(k) and delta do not.  The values
-    equal those of :func:`_scan_deltas` at the same point bit for bit (the
-    module docstring says why the skipped products change nothing), and
-    those of the series ladder within the bound stated there.  A value
+    since u(k) / k! underflows where u(k) and delta do not.  At a
+    symmetric centre (L^(t) zero at every even t and S^(t) at every odd t)
+    one of u_a(k), u_b(k) is +0.0 at every k, and the loop runs once, on
+    v = u_a + u_b from (1, 1), reading v(k + 1 - t) for the one nonzero side
+    L^(t) or v(k - t) for S^(t); elsewhere it runs one fused loop over both
+    solutions, which costs less than two one-solution loops.  The values
+    equal those of :func:`_scan_deltas` at the same point bit for bit, on
+    either route (the module docstring says why neither the skipped
+    products nor the one-solution route change anything), and those of the
+    series ladder within the bound stated there.  A value
     beyond double range turns inf or nan; if that reaches a delta of
     ``depths``, this raises :class:`Overflow`.
     """
     width = len(dl)
     terms = [(t, dl[t], ds[t]) for t in range(width) if dl[t] or ds[t]]
-    ua, ub = [1.0, 0.0], [0.0, 1.0]
-    for k in range(width):
-        row = binom[k]
-        a = b = 0.0
-        for t, l, s in terms:
-            if t > k:
-                break
-            c, j = row[t], k - t
-            if not l:
-                a += c * (s * ua[j])
-                b += c * (s * ub[j])
-            elif not s:
-                a += c * (l * ua[j + 1])
-                b += c * (l * ub[j + 1])
-            else:
-                a += c * (l * ua[j + 1] + s * ua[j])
-                b += c * (l * ub[j + 1] + s * ub[j])
-        ua.append(a)
-        ub.append(b)
-    delta = [ub[d + 2] * ua[d + 1] - ub[d + 1] * ua[d + 2] for d in depths]
+    if not any(s if t % 2 else l for t, l, s in terms):
+        # a symmetric centre: one run of v = u_a + u_b, whose one nonzero
+        # side of order t reads v(k + 1 - t) for L and v(k - t) for S
+        sides = [(t, t - 1, l) if l else (t, t, s) for t, l, s in terms]
+        v = [1.0, 1.0]
+        for k in range(width):
+            row = binom[k]
+            a = 0.0
+            for t, back, c in sides:
+                if t > k:
+                    break
+                a += row[t] * (c * v[k - back])
+            v.append(a)
+        # the cross product of the two solutions, with the other's +0.0
+        delta = [
+            v[d + 2] * v[d + 1] - 0.0 if d % 2 else 0.0 - v[d + 1] * v[d + 2] for d in depths
+        ]
+    else:
+        ua, ub = [1.0, 0.0], [0.0, 1.0]
+        for k in range(width):
+            row = binom[k]
+            a = b = 0.0
+            for t, l, s in terms:
+                if t > k:
+                    break
+                c, j = row[t], k - t
+                if not l:
+                    a += c * (s * ua[j])
+                    b += c * (s * ub[j])
+                elif not s:
+                    a += c * (l * ua[j + 1])
+                    b += c * (l * ub[j + 1])
+                else:
+                    a += c * (l * ua[j + 1] + s * ua[j])
+                    b += c * (l * ub[j + 1] + s * ub[j])
+            ua.append(a)
+            ub.append(b)
+        delta = [ub[d + 2] * ua[d + 1] - ub[d + 1] * ua[d + 2] for d in depths]
     if not all(map(math.isfinite, delta)):
         raise Overflow("termination quantity overflows double range")
     return delta
@@ -409,9 +451,14 @@ def _scan_deltas(dl: np.ndarray, ds: np.ndarray, depths: Iterable[int]) -> np.nd
     whatever the other points hold.  It leaves out the side of a row whose
     L^(t) or S^(t) is zero at every point, and the multiply by
     C(k, 0) = C(k, k) = 1; neither changes a value, as the module docstring
-    shows.  Returns a ``(len(depths), points)`` array, one column per point
-    of the broadcast columns; raises :class:`Overflow` if one of its values
-    leaves double range, without numpy's floating-point warnings.
+    shows.  Where the whole grid is a symmetric centre (every row L^(t) of
+    even t and S^(t) of odd t zero at every point), the arrays are
+    ``(1, points)`` and hold v = u_a + u_b, the same calls on half the
+    data; a symmetric point of a grid that is not gets both solutions and
+    the same bits.  Returns a ``(len(depths), points)`` array, one column
+    per point of the broadcast columns; raises :class:`Overflow` if one of
+    its values leaves double range, without numpy's floating-point
+    warnings.
     """
     width, points = np.broadcast_shapes(dl.shape, ds.shape)
     binom = _tables(width)[0]
@@ -421,11 +468,13 @@ def _scan_deltas(dl: np.ndarray, ds: np.ndarray, depths: Iterable[int]) -> np.nd
         for t in range(width)
         if dl_on[t] or ds_on[t]
     ]
-    # u[k] holds u_a(k) and u_b(k) of every point; each u(k + 2) is summed in
-    # place onto +0, term by term, as _delta_recurrence sums onto a = b = 0.0
-    u = np.zeros((width + 2, 2, points))
-    u[0, 0] = u[1, 1] = 1.0
-    term, part = np.empty((2, points)), np.empty((2, points))
+    symmetric = not any(ds_on[t] if t % 2 else dl_on[t] for t in range(width))
+    # u[k] holds u_a(k) and u_b(k) of every point, or their sum v(k) at a
+    # symmetric centre; each u(k + 2) is summed in place onto +0, term by
+    # term, as _delta_recurrence sums onto a = b = 0.0
+    u = np.zeros((width + 2, 1 if symmetric else 2, points))
+    u[0, 0] = u[1, -1] = 1.0
+    term, part = np.empty(u.shape[1:]), np.empty(u.shape[1:])
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(width):
             row, acc = binom[k], u[k + 2]
@@ -441,7 +490,15 @@ def _scan_deltas(dl: np.ndarray, ds: np.ndarray, depths: Iterable[int]) -> np.nd
                 if 0 < t < k:  # C(k, 0) = C(k, k) = 1
                     term *= row[t]
                 acc += term
-        delta = np.array([u[d + 2, 1] * u[d + 1, 0] - u[d + 1, 1] * u[d + 2, 0] for d in depths])
+        if symmetric:  # the cross product of the two solutions, with the other's +0.0
+            v = u[:, 0]
+            delta = np.array(
+                [v[d + 2] * v[d + 1] - 0.0 if d % 2 else 0.0 - v[d + 1] * v[d + 2] for d in depths]
+            )
+        else:
+            delta = np.array(
+                [u[d + 2, 1] * u[d + 1, 0] - u[d + 1, 1] * u[d + 2, 0] for d in depths]
+            )
     if not np.isfinite(delta).all():
         raise Overflow("termination quantity overflows double range")
     return delta
@@ -605,7 +662,13 @@ def find_eigenvalues(
     If binding the grid raises, every grid point is evaluated alone, in
     grid order, by the per-point kernel: points whose inputs cannot be
     evaluated (a singular pivot) are skipped with a warning, and any other
-    error is raised by the first point that meets it.  If delta[n] vanishes
+    error is raised by the first point that meets it.  With the parameter
+    on neither side (both bound to constant arrays), delta[n] is one value
+    at every E, so no cell changes sign: it is evaluated once, at the
+    first grid point by the per-point kernel, which raises
+    :class:`Overflow` if delta[n] or delta[n + 2] is not finite, and the
+    result is empty, with a :class:`DegenerateDeltaWarning` if
+    |delta[n]| < ``EPS_PIVOT``.  If delta[n] vanishes
     on the whole grid, it is evaluated once more at the midpoint of the
     first cell: if it vanishes there too (for example S = 0), or that
     midpoint overflows (ends near 1e308), the result is empty, with a
@@ -634,6 +697,16 @@ def find_eigenvalues(
             return _search(spec, grid, tol)
     except RecursionError as exc:
         raise ParseOrEvalError("expression is nested too deeply to evaluate") from exc
+
+
+def _warn_degenerate() -> None:
+    """The :class:`DegenerateDeltaWarning` of :func:`_search`, against the
+    caller of :func:`find_eigenvalues`."""
+    warnings.warn(
+        "termination quantity vanishes on the whole grid; no bracketing possible",
+        DegenerateDeltaWarning,
+        stacklevel=4,
+    )
 
 
 def _search(spec: ProblemSpec, grid: list[float], tol: float) -> list[Root]:
@@ -711,9 +784,13 @@ def _search(spec: ProblemSpec, grid: list[float], tol: float) -> list[Root]:
                     stacklevel=3,
                 )
     else:
+        if dl.shape[1] == ds.shape[1] == 1:
+            # neither side has E, so delta[n] is one value at every E: no cell
+            # changes sign, and a delta that vanishes here vanishes everywhere
+            if abs(delta(grid[0])[0]) < EPS_PIVOT:
+                _warn_degenerate()
+            return []
         shallow, deep = _scan_deltas(dl, ds, depths).tolist()
-        if len(shallow) == 1:  # neither side has E: one value for every point
-            shallow, deep = shallow * len(grid), deep * len(grid)
         deltas.update(zip(grid, zip(shallow, deep)))
         vals = shallow
         evaluated.extend(grid)
@@ -729,12 +806,7 @@ def _search(spec: ProblemSpec, grid: list[float], tol: float) -> list[Root]:
         except AimError:
             pass
     if degenerate:
-        warnings.warn(
-            "termination quantity vanishes on the whole grid; "
-            "no bracketing possible",
-            DegenerateDeltaWarning,
-            stacklevel=3,
-        )
+        _warn_degenerate()
         return []
 
     roots: list[Root] = []

@@ -51,6 +51,10 @@ STABLE_RTOL = 1e-12
 CONSISTENCY_RTOL = 0.05
 # Width of the band around 1 inside which the monic limit counts as exactly 1.
 UNIT_Q_TOL = 1e-5
+# Why every p_n is 0: the ZeroP text of monic_transform and a diagnose warning.
+SYMMETRIC_CENTRE = (
+    "every p_n is 0: L(x0) = 0, the symmetric centre where the fraction has no value"
+)
 
 
 class Verdict(Enum):
@@ -334,10 +338,7 @@ def monic_transform(
     if p.size < 2:
         raise ValidationError("need at least two levels for the transform")
     if not p.any():
-        raise ZeroP(
-            "every p_n is 0: L(x0) = 0, the symmetric centre where the fraction "
-            "has no value"
-        )
+        raise ZeroP(SYMMETRIC_CENTRE)
     if np.any(p == 0.0):
         raise ZeroP(f"p[{int(np.argmax(p == 0.0))}] = 0 blocks the transform")
     p_list, q_list = p.tolist(), q.tolist()

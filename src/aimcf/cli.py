@@ -305,6 +305,8 @@ def _run_diagnose(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dic
                 f"ladder stopped at level {pq.stop_level} ({pq.stop_reason}); "
                 "table is partial"
             )
+        if not any(pvals):
+            warn_list.append(analysis.SYMMETRIC_CENTRE)
         state = cf_approximants(pvals, qvals)
         cf_determinants(state)
         table = []

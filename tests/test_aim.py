@@ -385,6 +385,93 @@ def test_scan_kernel_matches_per_point_kernel(lam_c, s_c, x0, energies, depth, n
                 ), e
 
 
+def _two_solution_deltas(binom, dl, ds, depths):
+    """delta[d], d in ``depths``, by the fused loop that carries u_a and u_b
+    side by side whatever the parity of L and S: the per-point kernel's
+    route off a symmetric centre, kept here as the reference for the
+    one-solution route at one."""
+    width = len(dl)
+    terms = [(t, dl[t], ds[t]) for t in range(width) if dl[t] or ds[t]]
+    ua, ub = [1.0, 0.0], [0.0, 1.0]
+    for k in range(width):
+        row = binom[k]
+        a = b = 0.0
+        for t, l, s in terms:
+            if t > k:
+                break
+            c, j = row[t], k - t
+            if not l:
+                a += c * (s * ua[j])
+                b += c * (s * ub[j])
+            elif not s:
+                a += c * (l * ua[j + 1])
+                b += c * (l * ub[j + 1])
+            else:
+                a += c * (l * ua[j + 1] + s * ua[j])
+                b += c * (l * ub[j + 1] + s * ub[j])
+        ua.append(a)
+        ub.append(b)
+    return [ub[d + 2] * ua[d + 1] - ub[d + 1] * ua[d + 2] for d in depths]
+
+
+def _columns_at(columns, e):
+    """The derivatives of L and S at one parameter value, as Python lists."""
+    return [c[:, 0].tolist() for c in columns([e])]
+
+
+# at a symmetric centre, L odd and S even about x0 = 0, u_a is even and u_b
+# odd, and both kernels run one solution, v = u_a + u_b: every delta equals
+# the two-solution loop's bit for bit, signed zeros included, or both
+# kernels raise Overflow where it is not finite.  The examples: the bench
+# quartic, and S = 0 at E = 0, where u_a = 1, 0, 0, ... and every delta is
+# +0.0 (0.0 - x, not -x, keeps that sign)
+@example(lam_c=[6.0], s_c=[3.0, -9.0, 1.0], energies=[1.06, 3.8, 7.46, 11.64, 0.3], depth=40)
+@example(lam_c=[2.0], s_c=[0.0], energies=[0.0, 1.0], depth=12)
+@given(
+    poly_coeffs,  # of x, x^3, x^5, x^7
+    poly_coeffs,  # of 1, x^2, x^4, x^6
+    st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=40, deadline=None)
+def test_symmetric_centre_kernels_match_two_solution_loop(lam_c, s_c, energies, depth):
+    odd = " + ".join(f"({c!r})*x^{2 * k + 1}" for k, c in enumerate(lam_c))
+    even = " + ".join(f"({c!r})*x^{2 * k}" for k, c in enumerate(s_c))
+    spec = ProblemSpec.from_strings(
+        odd, even + " - E", "E", x0=0.0, order=depth + 2, n_max=depth
+    )
+    columns, deltas_at = aim._evaluator(spec, depth)
+    binom, row = aim._tables(depth + 1)[0], range(1, depth + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [_two_solution_deltas(binom, *_columns_at(columns, e), row) for e in energies]
+        if not np.isfinite(want).all():
+            with pytest.raises(Overflow):
+                _scan_deltas(*columns(energies), row)
+            return
+        assert np.array_equal(_bits(_scan_deltas(*columns(energies), row).T), _bits(want))
+        for e, values in zip(energies, want):
+            assert np.array_equal(_bits(deltas_at(e, row)), _bits(values)), e
+
+
+# S = x^2 - E + (E - 3) x is even about x0 = 0 at E = 3 only, so on this
+# grid the batched pass runs both solutions and the per-point kernel at
+# E = 3 runs one: the two routes agree bit for bit there
+def test_mixed_route_grid_matches_per_point_kernel():
+    spec = ProblemSpec.from_strings(
+        "2*x", "x^2 - E + (E - 3)*x", "E", x0=0.0, order=42, n_max=40
+    )
+    columns, deltas_at = aim._evaluator(spec, 40)
+    binom, row = aim._tables(41)[0], range(1, 41)
+    energies = [1.0, 3.0, 5.5]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dl, ds = _columns_at(columns, 3.0)
+        assert not any(dl[0::2]) and not any(ds[1::2])  # symmetric at E = 3
+        assert any(_columns_at(columns, 1.0)[1][1::2])  # and not at E = 1
+        batch = _scan_deltas(*columns(energies), row)[:, 1]
+        assert np.array_equal(_bits(batch), _bits(deltas_at(3.0, row)))
+        assert np.array_equal(_bits(batch), _bits(_two_solution_deltas(binom, dl, ds, row)))
+
+
 # a grid point whose inputs cannot be evaluated drops out of the batched
 # scan with one warning, and the rest of the grid is still searched
 def test_singular_grid_point_is_skipped_with_warning():
@@ -492,9 +579,10 @@ def test_batched_search_equals_point_by_point_search(monkeypatch, spec, search):
 
 
 # a side free of E enters the scan as one derivative column that broadcasts
-# over the grid, and with E on neither side every grid point still gets its
-# delta; the roots, residuals and warnings were recorded on the search that
-# broadcast such a side to one row per grid point
+# over the grid, and with E on neither side the search evaluates one value
+# (test_e_free_search_evaluates_once); the roots, residuals and warnings
+# were recorded on the search that broadcast such a side to one row per
+# grid point
 @pytest.mark.parametrize(
     "lambda0, s0, roots, categories",
     [
@@ -531,6 +619,42 @@ def test_e_free_sides_keep_their_outcomes(lambda0, s0, roots, categories):
     found, caught = _recorded_search(spec, 0.3, 9.3, 31, tol=1e-10)
     assert [(r.value, r.residual) for r in found] == roots
     assert [category for category, _ in caught] == categories
+
+
+# with E on neither side delta[n] is one value at every E, so the search
+# evaluates it once, by the per-point kernel, and finds no root: it warns
+# where |delta[n]| < EPS_PIVOT (0, or -1e-313 at n_max 8), and raises
+# Overflow where delta[n] or only delta[n + 2] leaves double range (at
+# n_max 8, delta[8] = -1e270 and delta[10] overflows).  A side that stays
+# unbound because it raises (1/(x - x)) still goes point by point, and
+# each grid point is skipped
+@pytest.mark.parametrize(
+    "s0, n_max, categories",
+    [
+        ("0", 20, [DegenerateDeltaWarning]),
+        ("1e-320", 8, [DegenerateDeltaWarning]),
+        ("1", 20, []),
+        ("1e30", 8, Overflow),
+        ("1e30", 10, Overflow),
+        ("1/(x - x)", 20, [GridPointSkippedWarning] * 31 + [DegenerateDeltaWarning]),
+    ],
+    ids=["zero-S", "tiny-S", "no-E", "deep-overflow", "overflow", "unbound-S"],
+)
+def test_e_free_search_evaluates_once(monkeypatch, s0, n_max, categories):
+    spec = ProblemSpec.from_strings("2*x", s0, "E", x0=0.0, order=n_max + 2, n_max=n_max)
+    unbound = s0 == "1/(x - x)"
+    log = _record_evaluations(monkeypatch)
+    if categories is Overflow:
+        with pytest.raises(Overflow, match="termination quantity overflows double range"):
+            _recorded_search(spec, 0.3, 9.3, 31, tol=1e-10)
+    else:
+        found, caught = _recorded_search(spec, 0.3, 9.3, 31, tol=1e-10)
+        assert found == []
+        assert [category for category, _ in caught] == categories
+    assert log["scan_rows"] == []
+    assert log["point"] == ([] if unbound else [None])
+    grid = np.linspace(0.3, 9.3, 31).tolist()
+    assert log["bound"] == ([grid] + [[e] for e in grid] if unbound else [])
 
 
 # [DERIVED] exact spectrum E = 2k+1 of the transformed oscillator equation;
@@ -642,11 +766,24 @@ def test_repeated_grid_values_report_a_root_once(x0):
 
 
 # the inputs are finite series, so a non-finite ladder value at x0 can only
-# be arithmetic overflow, a numeric failure rather than an input error
+# be arithmetic overflow, a numeric failure rather than an input error; the
+# last two are symmetric centres whose derivative 40! 1e300 of S or
+# 41! 1e300 of L is inf, and the search and both kernels raise the message
+# they raised when every point ran both solutions
 def test_find_eigenvalues_raises_overflow_when_ladder_overflows():
-    spec = ProblemSpec.from_strings("1e200*x", "1 - E", "E", x0=0.5, order=20, n_max=10)
-    with pytest.raises(Overflow):
-        find_eigenvalues(spec, 0.0, 4.0, 11, tol=1e-10)
+    message = "termination quantity overflows double range"
+    for lambda0, s0, x0, n_max in [
+        ("1e200*x", "1 - E", 0.5, 10),
+        ("2*x", "1e300*x^40 - E", 0.0, 40),
+        ("1e300*x^41", "1 - E", 0.0, 40),
+    ]:
+        spec = ProblemSpec.from_strings(lambda0, s0, "E", x0=x0, order=n_max + 10, n_max=n_max)
+        with pytest.raises(Overflow, match=message):
+            find_eigenvalues(spec, 0.0, 4.0, 11, tol=1e-10)
+        with pytest.raises(Overflow, match=message):
+            _point_deltas(spec, n_max + 2, 1.0)
+        with pytest.raises(Overflow, match=message):
+            _scan(spec, n_max + 2, [1.0, 2.0])
 
 
 # L and S stay finite to depth 10, but delta_8 = inf - inf: a product of
@@ -799,7 +936,7 @@ def _record_evaluations(monkeypatch):
     """Record the values of every call of a bound parameter side, the points
     of every batched scan (the broadcast width of its derivative columns)
     and the parameter value of every per-point evaluation (the value bound
-    last)."""
+    last, None if neither side is bound per value)."""
     log = {"bound": [], "scan_rows": [], "point": []}
     bind, scan, point = aim._bind, aim._scan_deltas, aim._delta_recurrence
 
@@ -819,7 +956,7 @@ def _record_evaluations(monkeypatch):
         return scan(dl, ds, *args)
 
     def recording_point(*args):
-        (e,) = log["bound"][-1]
+        (e,) = log["bound"][-1] if log["bound"] else [None]
         log["point"].append(e)
         return point(*args)
 

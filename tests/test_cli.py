@@ -169,7 +169,8 @@ def test_diagnose_golden_output(tmp_path, capsys, e):
 
 # recorded before series division by a constant took one vector operation
 # and before _jsonable dispatched on exact types; three runs, one at a
-# negative centre, under the sweep's "runs" record
+# negative centre, under the sweep's "runs" record; the x0 = 0 run gained
+# the warning that names the symmetric centre (every p_n is 0) later
 def test_diagnose_sweep_golden_output(tmp_path, capsys):
     path = _write(tmp_path, "osc.json", dict(HO_PROBLEM, order=80, n_max=40))
     argv = ["diagnose", path, "--param-value", "7.25", "--sweep-x0=-0.9:0.9:3"]
@@ -181,6 +182,7 @@ def test_diagnose_sweep_golden_output(tmp_path, capsys):
 
 # recorded before a ladder level whose q is constant in x skipped its
 # division; at x0 = 0, p[0] = -0.0 and the signed-zero ratio makes p[1] +0.0
+# (the warning that names the symmetric centre was added later)
 def test_diagnose_signed_zero_golden_output(tmp_path, capsys):
     path = _write(tmp_path, "negx.json", dict(HO_PROBLEM, lambda0="-x", order=80, n_max=40))
     code, out, _ = _run(capsys, ["diagnose", path, "--param-value=0.5"])
