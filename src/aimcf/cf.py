@@ -8,9 +8,11 @@ derivative ladder
     p[n] = p[n-1] + q[n-1]'/q[n-1]
     q[n] = q[n-1] + p[n-1]' - p[n-1] * q[n-1]'/q[n-1]
 
-(:func:`pq_iterate`, on raw coefficient arrays).  Its values at the expansion
-point feed the classical approximant machinery: numerators A[n] and
-denominators B[n] obey the same three-term recurrence, their cross
+(:func:`pq_iterate`, on raw coefficient arrays; once q is constant in x and p
+linear, as on the oscillator, on the three floats p(x0), p' and q(x0), with
+p[n] = p[n-1] up to a zero's sign and q[n] = q[n-1] + p[n-1]').  Its values
+at the expansion point feed the classical approximant machinery: numerators
+A[n] and denominators B[n] obey the same three-term recurrence, their cross
 determinant collapses to a signed product of the q's, successive
 approximant differences telescope into an alternating series whose partial
 sums are the approximants (:func:`alpha_partial_sums`), and an
@@ -88,29 +90,34 @@ def pq_iterate(spec: ProblemSpec, param_value: float) -> PQSequences:
     The levels run on raw coefficient arrays with the operations of the
     series arithmetic (derivative, :func:`~aimcf.series.series_div`'s long
     division, sum, Cauchy product), so every value is the series ladder's
-    bit for bit.  Where q[n] is constant in x (every coefficient past the
-    first +0.0), as on the oscillator at every level, q'/q is a zero series:
-    the level skips the division and the product, adds the scalar
-    0.0 / q[n](x0), each quotient entry's signed zero, to p, and takes
-    |q[n](x0)| as q's largest magnitude.  It leaves p's magnitudes as they
-    were, so p's largest magnitude is not taken again.  A coefficient past
-    double range raises :class:`~aimcf.errors.Overflow`, found once per
-    level from the largest magnitudes the stop rules read.
+    bit for bit.  Once q[n] is constant in x (every coefficient past the
+    first +0.0) and p[n] is linear (every coefficient past the second
+    +-0.0), as on the oscillator from level 0, every later level is so too:
+    q'/q is the signed zero 0.0 / q[n](x0) in every entry, so p[n+1] is p[n]
+    plus that zero, and q[n+1] is q[n](x0) + p[n]'.  The rest of the ladder
+    then runs on three floats, p[n](x0), p[n]' and q[n](x0), with no
+    division and no Cauchy product; |q[n](x0)| is q's largest magnitude, and
+    p's is not taken again, since adding a zero leaves its magnitudes as
+    they were.  The pivot test and the stop rules are those of the array
+    levels, applied to the same values.  A coefficient past double range
+    raises :class:`~aimcf.errors.Overflow`, found once per level from the
+    largest magnitudes the stop rules read.
     """
     p, q = (series.coeffs for series in spec.series_pair(param_value))
     ks = np.arange(1, p.size, dtype=float)  # derivative factors
-    p_vals, q_vals = [float(p[0])], [float(q[0])]
+    p0, q0 = float(p[0]), float(q[0])
+    p_vals, q_vals = [p0], [q0]
     scale = 1e-300
     stop: tuple[int | None, str | None] = (None, None)
     p_max = float(np.abs(p).max())
+    p1 = None  # p[1] once q is flat and p linear; then only p0, p1, q0 change
     with np.errstate(over="ignore", invalid="ignore"):
         for level in range(spec.n_max + 1):
-            # flat: q[1:] all +0.0 (a -0.0 may turn +0.0 in _divide's loop), so
-            # |q[0]| is q's largest magnitude, q[1:] / q[0] is 0.0 / q[0], its
-            # product with p +0.0, and p, only truncated, stays within p_max
-            q0 = float(q[0])
-            flat = not q[1:].view(np.int64).any()
-            q_max = abs(q0) if flat else float(np.abs(q).max())
+            # flat q: q[1:] all +0.0 (a -0.0 may turn +0.0 in _divide's loop);
+            # linear p: p[2:] all +-0.0
+            if p1 is None and not (q[1:].view(np.int64).any() or p[2:].any()):
+                p1 = float(p[1])
+            q_max = float(np.abs(q).max()) if p1 is None else abs(q0)
             if not (math.isfinite(p_max) and math.isfinite(q_max)):
                 raise Overflow("series coefficients overflowed double precision")
             scale = max(scale, p_max, q_max)
@@ -123,19 +130,22 @@ def pq_iterate(spec: ProblemSpec, param_value: float) -> PQSequences:
             if abs(q0) <= tiny:
                 stop = (level, "pole")
                 break
-            # p and q share one size per level; every result has one fewer
-            m = q.size - 1
-            if flat:
-                p, q = p[:m] + 0.0 / _check_pivot(q0), q[:m] + p[1:] * ks[:m]
-            else:
+            if p1 is None:
+                # p and q share one size per level; every result has one fewer
+                m = q.size - 1
                 dq = q[1:] * ks[:m]
                 if not math.isfinite(q_max * q.size):  # q' may have overflowed:
                     _checked(dq)  # raise before the division warns of an inf scale
                 ratio = _divide(dq, q)
                 p, q = p[:m] + ratio, (q[:m] + p[1:] * ks[:m]) - _mul(p, ratio)
                 p_max = float(np.abs(p).max())
-            p_vals.append(float(p[0]))
-            q_vals.append(float(q[0]))
+                p0, q0 = float(p[0]), float(q[0])
+            else:
+                # q'/q is 0.0 / q0 in every entry, p' is p1 and ks[0] is 1.0
+                zero = 0.0 / _check_pivot(q0)
+                p0, p1, q0 = p0 + zero, p1 + zero, q0 + p1
+            p_vals.append(p0)
+            q_vals.append(q0)
     values = np.array([p_vals, q_vals])
     values.setflags(write=False)
     return PQSequences(values[0], values[1], *stop)

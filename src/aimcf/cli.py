@@ -309,13 +309,13 @@ def _run_diagnose(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dic
             warn_list.append(analysis.SYMMETRIC_CENTRE)
         state = cf_approximants(pvals, qvals)
         cf_determinants(state)
+        cvals = state.C.tolist()
         table = []
-        for n in range(state.depth + 1):
-            dc = state.C[n] - state.C[n - 1] if n >= 1 else math.nan
+        for n, c in enumerate(cvals):
             table.append(
                 {
-                    "C": float(state.C[n]),
-                    "dC": float(dc),
+                    "C": c,
+                    "dC": c - cvals[n - 1] if n else math.nan,
                     "n": n,
                     "p": pvals[n],
                     "q": qvals[n],

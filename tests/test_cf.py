@@ -466,6 +466,12 @@ PIN_PROBLEMS = {
     "huge-lambda": ("1e200*x", "1 - E"),
     # at x0 = 0, E = 0.5: p[0] = -0.0, and p[1] = -0.0 + 0.0 / 0.5 = +0.0
     "negx": ("-x", "1 - E"),
+    # q flat at level 0 but p not linear: that level divides, and q is not
+    # flat after it
+    "flat-q-quadratic-p": ("2*x + x^2", "1 - E"),
+    "flat-q-square-p": ("x^2", "2 - E"),
+    # p identically +-0.0
+    "zero-p": ("0*x", "1 - E"),
 }
 
 
@@ -479,10 +485,35 @@ def test_pq_iterate_matches_series_ladder(problem):
         assert _pq_outcome(pq_iterate, *args) == _pq_outcome(reference_pq_iterate, *args), args
 
 
+# L = a + b x and S = c - E keep q constant in x and p linear at every level,
+# so after level 0 the ladder runs on p[0], p[1] and q[0] alone; signed zeros,
+# subnormal and near-overflow coefficients must give the series ladder's bytes,
+# stops, warnings and errors
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1.7e308]),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+
+
+@given(
+    a=_EDGE_FLOATS,
+    b=_EDGE_FLOATS,
+    c=_EDGE_FLOATS,
+    x0=_EDGE_FLOATS,
+    energy=st.sampled_from([0.0, -0.0, 0.5, 3.0, 1e300]),
+    depth=st.sampled_from([(5, 7), (12, 40), (40, 80)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_pq_iterate_matches_series_ladder_on_linear_p_flat_q(a, b, c, x0, energy, depth):
+    args = ((f"{a!r} + {b!r}*x", f"{c!r} - E"), x0, energy, *depth)
+    assert _pq_outcome(pq_iterate, *args) == _pq_outcome(reference_pq_iterate, *args)
+
+
 # each case reaches the edge it is listed for: an overflow (of a sum or
-# product, of the quotient, or of q' before the division could warn), a
-# pole, a false or a true termination, a conditioning warning, a pivot
-# below EPS_PIVOT on a level whose q is constant in x
+# product, of the quotient, of q' before the division could warn, or of q[0]
+# where q is constant in x and p linear), a pole, a false or a true
+# termination, a level just above the zero test, a conditioning warning, a
+# pivot below EPS_PIVOT on a level whose q is constant in x
 @pytest.mark.parametrize(
     "problem, x0, energy, n_max, order, edge",
     [
@@ -495,6 +526,10 @@ def test_pq_iterate_matches_series_ladder(problem):
         (PIN_PROBLEMS["rational"], 0.0, 2.0, 40, 80, ("pole", [ConditioningWarning])),
         (HO[:2], 6.560974342087148e-118, 3.0, 12, 40, ("termination", [])),
         (("-2.5e-300*x", "3e-300 - E"), 0.0, 0.0, 10, 20, (SingularPivot, [])),
+        # q[0] grows by 1e307 a level while q stays flat and p linear
+        (("1e307*x", "1 - E"), 0.3, 2.0, 30, 40, (Overflow, [])),
+        # q[1] = 1.5e-12 of the scale, constant in x: just above the zero test
+        (("1e300*x", "-9.999999999985e299 - E"), 0.0, 0.0, 12, 40, (None, [])),
     ],
 )
 def test_pq_iterate_matches_series_ladder_at_edges(problem, x0, energy, n_max, order, edge):
@@ -505,12 +540,13 @@ def test_pq_iterate_matches_series_ladder_at_edges(problem, x0, energy, n_max, o
     assert (value if isinstance(value, type) else value[3], caught) == edge
 
 
-# a level whose q is constant in x skips the division and the Cauchy
-# product; any other level runs one of each
+# once q is constant in x and p linear, every later level is too and runs
+# no division and no Cauchy product; a level whose q is constant but whose p
+# is not linear runs one of each, as any other level does
 @pytest.mark.parametrize(
     "problem, calls_per_level",
-    [(HO[:2], 0), (PIN_PROBLEMS["linear"], 1)],
-    ids=["oscillator", "linear"],
+    [(HO[:2], 0), (PIN_PROBLEMS["linear"], 1), (PIN_PROBLEMS["flat-q-quadratic-p"], 1)],
+    ids=["oscillator", "linear", "flat-q-quadratic-p"],
 )
 def test_pq_iterate_skips_division_where_q_is_constant(monkeypatch, problem, calls_per_level):
     calls = {"_divide": 0, "_mul": 0}
@@ -528,6 +564,21 @@ def test_pq_iterate_skips_division_where_q_is_constant(monkeypatch, problem, cal
     levels = pq_iterate(spec, 7.25).depth
     assert levels > 0
     assert calls == {"_divide": calls_per_level * levels, "_mul": calls_per_level * levels}
+
+
+# [DERIVED] on the oscillator p[n] = 2 x0 and q[n] = q[n-1] + 2 exactly: q is
+# constant in x at every level and p' = 2
+@pytest.mark.parametrize(
+    "x0, energy", [(0.3, 7.25), (-1.3, 2.0), (0.0, 0.5), (1.5, 40.5), (2.5e-310, 1e6)]
+)
+def test_oscillator_ladder_is_closed_form(x0, energy):
+    spec = ProblemSpec.from_strings(*HO, x0=x0, order=80, n_max=40)
+    pq = pq_iterate(spec, energy)
+    assert (pq.stop_reason, pq.depth) == (None, 40)
+    assert pq.q[0] == 1.0 - energy
+    for n in range(pq.depth + 1):
+        assert pq.p[n] == 2.0 * x0
+        assert n == 0 or pq.q[n] == pq.q[n - 1] + 2.0
 
 
 # [DERIVED] constant p = 3, q = 4: q' = 0, so every level repeats them exactly

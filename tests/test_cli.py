@@ -466,6 +466,29 @@ def test_diagnose_center_on_zero_keeps_honest_nans(tmp_path, capsys):
     assert record["outputs"]["table"][0]["C"] == "nan"
 
 
+# C[0] and C[1] are both -inf beyond double range; their difference is nan,
+# and taking it adds no floating-point warning to the record
+def test_diagnose_infinite_approximants_difference_is_quiet(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "inf_c.json",
+        dict(
+            HO_PROBLEM,
+            lambda0="1e-200 + 1e+300*x",
+            s0="1e-200 + -1e+200*x - E",
+            x0=1e-310,
+            order=20,
+            n_max=12,
+        ),
+    )
+    code, out, _ = _run(capsys, ["diagnose", path, "--param-value", "1e300"])
+    assert code == EXIT_OK
+    record = json.loads(out)
+    table = record["outputs"]["table"]
+    assert [(row["C"], row["dC"]) for row in table] == [("-inf", "nan"), ("-inf", "nan")]
+    assert not any(w.startswith("RuntimeWarning") for w in record["warnings"])
+
+
 def test_diagnose_constants_convergence_block(const_file, capsys):
     code, out, _ = _run(capsys, ["diagnose", const_file, "--param-value", "0"])
     assert code == EXIT_OK
