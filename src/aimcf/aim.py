@@ -182,8 +182,7 @@ class ProblemSpec:
         return lam, s
 
 
-@dataclass(frozen=True)
-class AIMSequences:
+class AIMSequences(NamedTuple):
     """Ladder output: series lists plus the termination quantity at x0.
 
     ``lam[n]`` and ``s[n]`` hold the depth-n series (order decreasing by

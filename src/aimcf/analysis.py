@@ -22,9 +22,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -79,8 +78,7 @@ class CaseLabel(Enum):
     UNCLASSIFIED = "Unclassified"
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Finite-sample verdict on a unit-numerator fraction with positive p_n."""
 
     verdict: Verdict
@@ -90,8 +88,7 @@ class ConvergenceReport:
     mu: float
 
 
-@dataclass(frozen=True)
-class PincherleResult:
+class PincherleResult(NamedTuple):
     """Agreement between the fraction limit and the minimal-solution ratio.
 
     Miller's estimate at depth N is -C_N, so ``agreement`` is
@@ -103,8 +100,7 @@ class PincherleResult:
     agreement: float
 
 
-@dataclass(frozen=True)
-class DoubleRootData:
+class DoubleRootData(NamedTuple):
     """Double characteristic root with square-root-of-n correction exponents."""
 
     r: complex
@@ -113,8 +109,7 @@ class DoubleRootData:
     c1_pm: tuple[complex, complex]
 
 
-@dataclass(frozen=True)
-class EqualExponentData:
+class EqualExponentData(NamedTuple):
     """Exponent pair from the reduced quadratic in the doubly degenerate case."""
 
     alpha_pm: tuple[complex, complex]
@@ -123,8 +118,7 @@ class EqualExponentData:
     log_term_possible: bool
 
 
-@dataclass(frozen=True)
-class BirkhoffAdamsData:
+class BirkhoffAdamsData(NamedTuple):
     """Asymptotic-expansion data for a recurrence with 1/n coefficient series."""
 
     a_coeffs: tuple[float, ...]
@@ -136,8 +130,7 @@ class BirkhoffAdamsData:
     equal_exponent: Optional[EqualExponentData]
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Asymptotic class of a recurrence plus authoritative numeric ratios.
 
     ``pincherle`` is the one :func:`pincherle_check` of the classification,
@@ -156,7 +149,7 @@ class ClassificationReport:
     numeric_minimal_ratio: float
     pincherle: Optional[PincherleResult]
     consistency: bool
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
 
 def stern_seidel(pvals: Sequence[float], threshold: float, window: int) -> ConvergenceReport:

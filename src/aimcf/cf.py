@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +56,7 @@ TERMINATION_REL = 1e-12
 DETERMINANT_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PQSequences:
+class PQSequences(NamedTuple):
     """Values at x0 of the ladder's partial denominators p[n] and numerators q[n].
 
     Read-only float arrays, one entry per level run.  ``stop_level`` and

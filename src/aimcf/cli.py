@@ -9,15 +9,15 @@ Problem files are JSON:
       "classify": {"declared_power_law": {"a": 2, "sigma": 1, "b": -1, "tau": 0}}
     }
 
-Output is CSV of the command's main table or deterministic JSON: sorted keys,
-two-space indent, shortest round-trip floats, ASCII-escaped strings, non-finite
-values as strings, the bytes of ``json.dumps(record, sort_keys=True, indent=2)``.
+Output is CSV of the command's main table or deterministic JSON: the library's
+records (``NamedTuple``s) as objects of their fields, sorted keys, two-space
+indent, shortest round-trip floats, ASCII-escaped strings, non-finite values as
+strings, the bytes of ``json.dumps(record, sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import enum
 import functools
@@ -62,10 +62,10 @@ def _jsonable(obj: Any) -> Any:
     One ordered dispatch.  The common exact types come first: float, dict,
     list and tuple, then int, str, bool and None, which pass through.  Other
     objects go by isinstance: an enum member becomes its value, a dataclass
-    a dict of its fields, a complex number ``{"im", "re"}``, numpy integers
-    and bools Python ones, an array or other sequence a list, a mapping a
-    dict with string keys, and a numpy or other float a float.  Anything
-    else passes through.  A non-finite float becomes "nan", "inf" or "-inf".
+    or ``NamedTuple`` a dict of its fields, a complex number ``{"im", "re"}``,
+    numpy integers and bools Python ones, an array or other sequence a list,
+    a mapping a dict with string keys, a numpy or other float a float, and
+    anything else itself.  A non-finite float becomes "nan", "inf" or "-inf".
     """
     kind = type(obj)
     if kind is not float:
@@ -88,6 +88,8 @@ def _jsonable(obj: Any) -> Any:
             return int(obj)
         if isinstance(obj, np.ndarray):
             return [_jsonable(v) for v in obj.tolist()]
+        if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
+            return {k: _jsonable(v) for k, v in obj._asdict().items()}
         if isinstance(obj, (list, tuple)):
             return [_jsonable(v) for v in obj]
         if isinstance(obj, dict):
@@ -401,6 +403,7 @@ _CSV_TABLES = {
 
 def _render_csv(record: dict) -> str:
     """Flatten the command's main table; sweep runs gain a leading x0 column."""
+    import csv  # here, so that JSON output does not pay for its import
     runs = record.get("runs", [record])
     sweeping = "runs" in record
     table = _CSV_TABLES.get(record["command"])

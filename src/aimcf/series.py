@@ -361,58 +361,73 @@ def series_exp(a: TaylorSeries) -> TaylorSeries:
 # expression AST
 
 
-@dataclass(frozen=True)
-class Const:
-    value: float
+class _Node:
+    """Immutable expression node, equal and hashed by its type and fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return isinstance(other, _Node) and self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
-@dataclass(frozen=True)
-class VarX:
-    pass
+class Const(_Node):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Param:
-    pass
+class VarX(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expression"
+class Param(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expression"
-    right: "Expression"
+class Neg(_Node):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expression"
-    right: "Expression"
+class Add(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expression"
-    right: "Expression"
+class Sub(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "Expression"
-    right: "Expression"
+class Mul(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class IntPow:
-    base: "Expression"
-    exponent: int
+class Div(_Node):
+    __slots__ = ("left", "right")
 
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or self.exponent < 0:
+
+class IntPow(_Node):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base, exponent):
+        if not isinstance(exponent, int) or exponent < 0:
             raise ValidationError("IntPow exponent must be a non-negative int")
+        super().__init__(base, exponent)
 
 
 Expression = Const | VarX | Param | Neg | Add | Sub | Mul | Div | IntPow

@@ -5,6 +5,7 @@ import enum
 import json
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -1138,6 +1139,16 @@ class _Outer:
     values: tuple
 
 
+class _InnerRecord(NamedTuple):
+    x: float
+    tag: _Tag
+
+
+class _OuterRecord(NamedTuple):
+    inner: _InnerRecord
+    values: tuple
+
+
 NAN, INF = math.nan, math.inf
 JSONABLE_TABLE = {
     "nan": (NAN, "nan"),
@@ -1160,6 +1171,15 @@ JSONABLE_TABLE = {
     "dataclass": (
         _Outer(_Inner(-INF, _Tag.RED), (1, np.float64(0.5))),
         {"inner": {"x": "-inf", "tag": "red"}, "values": [1, 0.5]},
+    ),
+    # a NamedTuple is a tuple, but renders as an object, as a dataclass does
+    "NamedTuple": (
+        _OuterRecord(_InnerRecord(-INF, _Tag.RED), (1, np.float64(0.5))),
+        {"inner": {"x": "-inf", "tag": "red"}, "values": [1, 0.5]},
+    ),
+    "tuple beside a NamedTuple": (
+        (_InnerRecord(2.5, _Tag.RED), (-INF, _Tag.RED)),
+        [{"x": 2.5, "tag": "red"}, ["-inf", "red"]],
     ),
     "tuple": ((True, None, NAN), [True, None, "nan"]),
     "dict": ({1: NAN, 2: [np.int64(4)]}, {"1": "nan", "2": [4]}),

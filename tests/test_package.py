@@ -1,4 +1,12 @@
-"""The package's public names."""
+"""The package's public names and the shape of its records."""
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import numpy as np
+import pytest
 
 import aimcf
 
@@ -15,3 +23,58 @@ def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from aimcf import *", namespace)
     assert set(aimcf.__all__) <= namespace.keys()
+
+
+# the library's records: field names in order, and the defaults
+RECORDS = {
+    aimcf.AIMSequences: ("lam", "s", "delta"),
+    aimcf.PQSequences: ("p", "q", "stop_level=None", "stop_reason=None"),
+    aimcf.ConvergenceReport: ("verdict", "partial_sum", "product_bound", "exp_bound", "mu"),
+    aimcf.PincherleResult: ("cf_limit", "backward_ratio", "agreement"),
+    aimcf.DoubleRootData: ("r", "gamma_pm", "alpha_tilde", "c1_pm"),
+    aimcf.EqualExponentData: ("alpha_pm", "gap", "subcase", "log_term_possible"),
+    aimcf.BirkhoffAdamsData: (
+        "a_coeffs", "b_coeffs", "r_pm", "alpha_pm", "c_table", "double_root", "equal_exponent",
+    ),
+    aimcf.ClassificationReport: (
+        "q_limit", "a_n_samples", "roots", "case_label", "power_law", "ba_data",
+        "minimal_exists", "numeric_dominant_ratio", "numeric_minimal_ratio", "pincherle",
+        "consistency", "notes=()",
+    ),
+}
+
+
+def _signature(cls) -> tuple[str, ...]:
+    return tuple(
+        p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+        for p in inspect.signature(cls).parameters.values()
+    )
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=[cls.__name__ for cls in RECORDS])
+def test_records_keep_fields_defaults_and_refuse_assignment(cls):
+    fields = _signature(cls)
+    assert fields == RECORDS[cls]
+    record = cls(*(None for f in fields if "=" not in f))
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], 1.0)
+
+
+def test_records_keep_depth():
+    assert aimcf.AIMSequences((None,) * 4, (None,) * 4, np.zeros(3)).depth == 3
+    pq = aimcf.PQSequences(np.zeros(5), np.ones(5))
+    assert (pq.depth, pq.stop_level, pq.stop_reason) == (4, None, None)
+
+
+def test_only_three_classes_are_dataclasses():
+    """Each dataclass costs its generated methods at import; only these three
+    use what the decorator gives (``dataclasses.replace``, a validating
+    ``__post_init__``, private fields set by keyword)."""
+    found = set()
+    for info in pkgutil.iter_modules(aimcf.__path__):
+        module = importlib.import_module(f"aimcf.{info.name}")
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                if dataclasses.is_dataclass(obj):
+                    found.add(name)
+    assert found == {"ProblemSpec", "TaylorSeries", "CFState"}

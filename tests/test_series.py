@@ -1,6 +1,8 @@
 """Series arithmetic against closed forms, numpy.polynomial, and ring axioms."""
 
+import copy
 import math
+import pickle
 import sys
 import warnings
 
@@ -600,3 +602,47 @@ def test_unary_minus_and_precedence():
     np.testing.assert_allclose(got.coeffs, [0.0, 0.0, -1.0])
     got2 = series_from_expr(parse_expression("2 + 3*x*4"), 0.0, center=0.0, order=1)
     np.testing.assert_allclose(got2.coeffs, [2.0, 12.0])
+
+
+def test_expression_nodes_compare_by_type_and_fields():
+    a, b = Const(1.0), VarX()
+    assert VarX() != Param()
+    assert Add(a, b) != Sub(a, b)
+    assert Neg(a) != Neg(b)
+    assert Const(1.0) != 1.0
+    tree = Sub(IntPow(VarX(), 2), Param())
+    twin = Sub(IntPow(VarX(), 2), Param())
+    assert tree == twin and hash(tree) == hash(twin)
+    assert tree != Sub(IntPow(VarX(), 3), Param())
+    assert parse_expression("x^2 - E") == tree
+    assert repr(tree) == "Sub(left=IntPow(base=VarX(), exponent=2), right=Param())"
+    assert copy.deepcopy(tree) == tree
+    assert pickle.loads(pickle.dumps(tree)) == tree
+    # equal nodes make equal problems, and different nodes different ones
+    spec = ProblemSpec.from_strings("2*x", "1 - E")
+    assert spec == ProblemSpec.from_strings("2*x", "1 - E")
+    assert spec != ProblemSpec.from_strings("2*E", "1 - x")
+
+
+@pytest.mark.parametrize(
+    "node, field",
+    [(Const(1.0), "value"), (Neg(VarX()), "operand"), (Add(VarX(), Param()), "left"),
+     (IntPow(VarX(), 2), "exponent")],
+)
+def test_expression_nodes_refuse_assignment(node, field):
+    with pytest.raises(AttributeError):
+        setattr(node, field, Const(2.0))
+
+
+@pytest.mark.parametrize("exponent", [-1, 2.0])
+def test_intpow_rejects_bad_exponent(exponent):
+    with pytest.raises(ValidationError):
+        IntPow(VarX(), exponent)
+
+
+def test_expression_nodes_take_their_fields_positionally():
+    assert Add(VarX(), Param()).right == Param()
+    with pytest.raises(TypeError):
+        Add(VarX())
+    with pytest.raises(TypeError):
+        Const(1.0, 2.0)
