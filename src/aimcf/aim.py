@@ -124,6 +124,14 @@ from .series import (
 )
 
 
+def require_array_size(size: int, name: str) -> None:
+    """Raise :class:`ValidationError` where numpy cannot describe a float64
+    array of ``size`` entries (8 * size > ``sys.maxsize``), which it refuses
+    with a ValueError."""
+    if 8 * size > sys.maxsize:
+        raise ValidationError(f"{name} is too large for a numpy array")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """A fully specified eigenproblem in ``y'' = L y' + S y`` form.
@@ -155,6 +163,7 @@ class ProblemSpec:
             )
         if not abs(self.x0) <= sys.float_info.max:  # an int past double range too
             raise ValidationError("series center must be finite")
+        require_array_size(self.order + 1, "order")  # a series holds order + 1 floats
 
     @classmethod
     def from_strings(
@@ -684,6 +693,7 @@ def find_eigenvalues(
         raise ValidationError("e_min must be < e_max")
     if grid_points < 2:
         raise ValidationError("grid_points must be >= 2")
+    require_array_size(grid_points, "grid_points")
     if not 0.0 < tol < np.inf:
         raise ValidationError("tol must be positive and finite")
 

@@ -9,16 +9,17 @@ Problem files are JSON:
       "classify": {"declared_power_law": {"a": 2, "sigma": 1, "b": -1, "tau": 0}}
     }
 
-Output is CSV of the command's main table or deterministic JSON: the library's
-records (``NamedTuple``s) as objects of their fields, sorted keys, two-space
-indent, shortest round-trip floats, ASCII-escaped strings, non-finite values as
-strings, the bytes of ``json.dumps(record, sort_keys=True, indent=2)``.
+Output is deterministic JSON, written in one pass: the library's records
+(``NamedTuple``s) as objects of their fields, sorted keys, two-space indent,
+shortest round-trip floats, ASCII-escaped strings, non-finite values as
+strings, the bytes of ``json.dumps(record, sort_keys=True, indent=2)``.  CSV
+is the command's main table read off that JSON document, so the two formats
+show the same values.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import enum
 import functools
 import io
@@ -32,7 +33,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from . import analysis
-from .aim import ProblemSpec, find_eigenvalues
+from .aim import ProblemSpec, find_eigenvalues, require_array_size
 from .cf import cf_approximants, cf_determinants, cf_equiv_unit, detect_termination, pq_iterate
 from .errors import (
     AimError,
@@ -52,70 +53,24 @@ SUM_THRESHOLD = 50.0
 CAUCHY_WINDOW = 10
 
 
-# types that JSON takes as they are
-_PASSTHROUGH = frozenset({int, str, bool, type(None)})
-
-
-def _jsonable(obj: Any) -> Any:
-    """Reduce report objects to JSON-safe primitives, deterministically.
-
-    One ordered dispatch.  The common exact types come first: float, dict,
-    list and tuple, then int, str, bool and None, which pass through.  Other
-    objects go by isinstance: an enum member becomes its value, a dataclass
-    or ``NamedTuple`` a dict of its fields, a complex number ``{"im", "re"}``,
-    numpy integers and bools Python ones, an array or other sequence a list,
-    a mapping a dict with string keys, a numpy or other float a float, and
-    anything else itself.  A non-finite float becomes "nan", "inf" or "-inf".
-    """
-    kind = type(obj)
-    if kind is not float:
-        if kind is dict:
-            return {str(k): _jsonable(v) for k, v in obj.items()}
-        if kind is list or kind is tuple:
-            return [_jsonable(v) for v in obj]
-        if kind in _PASSTHROUGH:
-            return obj
-        if isinstance(obj, enum.Enum):
-            return obj.value
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return {
-                f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)
-            }
-        if isinstance(obj, complex):
-            return {"im": _jsonable(obj.imag), "re": _jsonable(obj.real)}
-        if isinstance(obj, np.integer):
-            return int(obj)
-        if isinstance(obj, np.ndarray):
-            return [_jsonable(v) for v in obj.tolist()]
-        if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
-            return {k: _jsonable(v) for k, v in obj._asdict().items()}
-        if isinstance(obj, (list, tuple)):
-            return [_jsonable(v) for v in obj]
-        if isinstance(obj, dict):
-            return {str(k): _jsonable(v) for k, v in obj.items()}
-        if isinstance(obj, np.bool_):
-            return bool(obj)
-        if not isinstance(obj, (np.floating, float)):
-            return obj
-        obj = float(obj)
-    if math.isfinite(obj):
-        return obj
-    if math.isnan(obj):
-        return "nan"
-    return "inf" if obj > 0 else "-inf"
-
-
 def _render_json(obj: Any) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` in one recursive pass over
-    the exact types :func:`_jsonable` returns: dicts with string keys, lists,
-    strings, ints, finite floats, bools and None; others raise TypeError."""
+    """``json.dumps(record, sort_keys=True, indent=2)`` of a record, written in
+    one recursive pass.
+
+    The exact types come first: float, str, dict (whose keys must be str),
+    list and tuple, int, None and bool; a non-finite float is written as the
+    string "nan", "inf" or "-inf".  Then, by isinstance, a ``NamedTuple`` is
+    written as an object of its fields, an enum member as its value, a complex
+    number as ``{"im", "re"}``, and a numpy scalar or array as its
+    ``tolist()``.  Anything else raises TypeError.
+    """
     out: list[str] = []
 
     def write(obj: Any, indent: str) -> None:
         kind = type(obj)
         if kind is float:
-            out.append(float.__repr__(obj))
+            text = float.__repr__(obj)
+            out.append(text if math.isfinite(obj) else '"' + text + '"')
         elif kind is str:
             out.append(encode_basestring_ascii(obj))
         elif kind is dict:
@@ -125,7 +80,7 @@ def _render_json(obj: Any) -> str:
                 write(obj[key], inner)
                 sep = ",\n"
             out.append("\n" + indent + "}" if obj else "{}")
-        elif kind is list:
+        elif kind is list or kind is tuple:
             inner, sep = indent + "  ", "[\n"
             for item in obj:
                 out.append(sep + inner)
@@ -136,6 +91,14 @@ def _render_json(obj: Any) -> str:
             out.append(int.__repr__(obj))
         elif obj is None or kind is bool:
             out.append("null" if obj is None else "true" if obj else "false")
+        elif isinstance(obj, tuple) and hasattr(obj, "_asdict"):
+            write(obj._asdict(), indent)
+        elif isinstance(obj, enum.Enum):
+            write(obj.value, indent)
+        elif isinstance(obj, complex):
+            write({"im": obj.imag, "re": obj.real}, indent)
+        elif isinstance(obj, (np.generic, np.ndarray)):
+            write(obj.tolist(), indent)
         else:
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -331,8 +294,7 @@ def _run_diagnose(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dic
             warn_list.append(f"unit-form diagnostics skipped: {exc}")
             ptilde = None
         if ptilde is not None and all(p > 0.0 for p in ptilde):
-            report = analysis.stern_seidel(ptilde, SUM_THRESHOLD, CAUCHY_WINDOW)
-            verdict = _jsonable(report)
+            verdict = analysis.stern_seidel(ptilde, SUM_THRESHOLD, CAUCHY_WINDOW)
             if all(p >= 1.0 for p in ptilde):
                 unit_state = cf_approximants(ptilde, [1.0] * len(ptilde))
                 rows = analysis.bound_check(unit_state)
@@ -386,7 +348,7 @@ def _run_classify(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dic
         pvals, qvals, declared = _classify_sequences(raw, spec, args)
         report = analysis.classify(pvals, qvals, declared=declared, seed=args.seed)
     warn_list.extend(_warning_strings(caught))
-    classification = _jsonable(report)
+    classification = report._asdict()
     outputs = {
         "classification": classification,
         "pincherle": classification.pop("pincherle"),
@@ -444,6 +406,7 @@ def _parse_sweep(text: str) -> list[float]:
     except ValueError as exc:
         raise ValidationError(f"bad --sweep-x0 value: {exc}") from exc
     _require(steps >= 1, "--sweep-x0 steps must be >= 1")
+    require_array_size(steps, "--sweep-x0 steps")
     return [float(v) for v in np.linspace(start, stop, steps)]
 
 
@@ -528,10 +491,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except AimError as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    text = _render_json(record)
     if args.format == "csv":
-        sys.stdout.write(_render_csv(_jsonable(record)))
+        sys.stdout.write(_render_csv(json.loads(text)))
     else:
-        print(_render_json(_jsonable(record)))
+        print(text)
     return EXIT_OK
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from aimcf.aim import (
     alpha_at,
     delta_n,
     find_eigenvalues,
+    require_array_size,
 )
 from aimcf.errors import (
     AimError,
@@ -162,6 +164,21 @@ def test_problem_spec_validation():
     for x0 in (math.nan, math.inf, -math.inf, 10**400, -(10**400)):
         with pytest.raises(ValidationError, match="series center must be finite"):
             ProblemSpec.from_strings("x", "1 - E", "E", x0=x0, order=10, n_max=1)
+
+
+# numpy describes a float64 array of at most sys.maxsize // 8 entries; a
+# size past that is an input error, raised before anything is allocated
+def test_array_size_rule_boundary():
+    top = sys.maxsize // 8
+    require_array_size(top, "size")
+    with pytest.raises(ValidationError, match="size is too large"):
+        require_array_size(top + 1, "size")
+    # a series holds order + 1 coefficients
+    assert ProblemSpec.from_strings("x", "1 - E", "E", order=top - 1, n_max=1).order == top - 1
+    with pytest.raises(ValidationError, match="order is too large"):
+        ProblemSpec.from_strings("x", "1 - E", "E", order=top, n_max=1)
+    with pytest.raises(ValidationError, match="grid_points is too large"):
+        find_eigenvalues(_ho_spec(), 0.0, 1.0, top + 1)
 
 
 # [TRIVIAL] first table column holds the input coefficient pair

@@ -1,5 +1,6 @@
 """End-to-end command runs: JSON/CSV output, exit codes, determinism."""
 
+import argparse
 import dataclasses
 import enum
 import json
@@ -12,11 +13,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from aimcf import cli
 from aimcf.cli import (
     EXIT_INPUT,
     EXIT_NUMERIC,
     EXIT_OK,
-    _jsonable,
     _render_json,
     build_parser,
     main,
@@ -169,9 +170,10 @@ def test_diagnose_golden_output(tmp_path, capsys, e):
 
 
 # recorded before series division by a constant took one vector operation
-# and before _jsonable dispatched on exact types; three runs, one at a
-# negative centre, under the sweep's "runs" record; the x0 = 0 run gained
-# the warning that names the symmetric centre (every p_n is 0) later
+# and before the reduction of records to JSON types dispatched on exact
+# types; three runs, one at a negative centre, under the sweep's "runs"
+# record; the x0 = 0 run gained the warning that names the symmetric centre
+# (every p_n is 0) later
 def test_diagnose_sweep_golden_output(tmp_path, capsys):
     path = _write(tmp_path, "osc.json", dict(HO_PROBLEM, order=80, n_max=40))
     argv = ["diagnose", path, "--param-value", "7.25", "--sweep-x0=-0.9:0.9:3"]
@@ -290,6 +292,61 @@ def test_classify_golden_output(tmp_path, capsys, name):
     code, out, _ = _run(capsys, ["classify", path])
     assert code == EXIT_OK
     golden = Path(__file__).parent / "golden" / f"classify_{name}.json"
+    assert out == golden.read_text(encoding="utf-8")
+
+
+# the cylinder recurrence on 40 levels, declared as 1/n coefficient series:
+# one problem for each branch of birkhoff_adams
+_BA_DECLARED = {
+    "distinct": {"a_coeffs": [-3.0, 0.5], "b_coeffs": [2.0, 0.1], "k_max": 3},
+    "double_root": {"a_coeffs": [-2.0, 0.3], "b_coeffs": [1.0, 0.5]},
+    "equal_exponent": {"a_coeffs": [-2.0, 1.0, 0.2], "b_coeffs": [1.0, -1.0, 0.1]},
+}
+CLASSIFY_BA_GOLDEN = {
+    name: dict(
+        HO_PROBLEM,
+        classify={
+            "pvals": [2.0 * (n + 1) for n in range(40)],
+            "qvals": [-1.0] * 40,
+            "declared_ba_coeffs": declared,
+        },
+    )
+    for name, declared in _BA_DECLARED.items()
+}
+
+
+# recorded before the JSON writer took over the reduction of records to JSON
+# types: complex roots, exponents and coefficient tables, and records nested
+# two deep (ba_data.double_root, ba_data.equal_exponent)
+@pytest.mark.parametrize("name", sorted(CLASSIFY_BA_GOLDEN))
+def test_classify_birkhoff_adams_golden_output(tmp_path, capsys, name):
+    path = _write(tmp_path, f"{name}.json", CLASSIFY_BA_GOLDEN[name])
+    code, out, _ = _run(capsys, ["classify", path])
+    assert code == EXIT_OK
+    golden = Path(__file__).parent / "golden" / f"classify_ba_{name}.json"
+    assert out == golden.read_text(encoding="utf-8")
+
+
+# golden file stem -> (problem, command line without the file and --format)
+CSV_GOLDEN = {
+    "classify_ba_distinct": (CLASSIFY_BA_GOLDEN["distinct"], ["classify"]),
+    "diagnose_oscillator_sweep-0.9_0.9_3_E7.25": (
+        dict(HO_PROBLEM, order=80, n_max=40),
+        ["diagnose", "--param-value", "7.25", "--sweep-x0=-0.9:0.9:3"],
+    ),
+    "solve_oscillator_shift0.37": (SOLVE_GOLDEN["oscillator"], ["solve"]),
+}
+
+
+# CSV bytes, recorded before CSV was read off the JSON document: key/value
+# rows of a nested record, a sweep's x0 column, and a solve table
+@pytest.mark.parametrize("name", sorted(CSV_GOLDEN))
+def test_csv_golden_output(tmp_path, capsys, name):
+    problem, (command, *rest) = CSV_GOLDEN[name]
+    path = _write(tmp_path, "problem.json", problem)
+    code, out, _ = _run(capsys, [command, path, *rest, "--format", "csv"])
+    assert code == EXIT_OK
+    golden = Path(__file__).parent / "golden" / f"{name}.csv"
     assert out == golden.read_text(encoding="utf-8")
 
 
@@ -776,6 +833,44 @@ def test_exit_input_on_bad_sweep(ho_file, capsys):
     assert "sweep" in err
 
 
+# a size whose float64 array numpy cannot describe (8 * size > sys.maxsize)
+# is an input error, raised before anything is allocated; solve never
+# expands a series, but its spec holds the order too
+@pytest.mark.parametrize("command", ["solve", "diagnose", "classify"])
+@pytest.mark.parametrize(
+    "change, argv_tail, name",
+    [
+        ({"order": 10**30}, [], "order"),
+        ({"order": 2**62}, [], "order"),
+        ({}, ["--order", str(2**62)], "order"),
+        ({}, ["--sweep-x0", f"0:1:{10**30}"], "--sweep-x0 steps"),
+    ],
+    ids=["order-1e30", "order-2^62", "order-option", "sweep-steps"],
+)
+def test_exit_input_on_size_past_numpy_limit(
+    tmp_path, capsys, command, change, argv_tail, name
+):
+    path = _write(tmp_path, "huge.json", dict(HO_PROBLEM, **change))
+    code, out, err = _run(capsys, [command, path, "--param-value", "2", *argv_tail])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: {name} is too large for a numpy array\n"
+
+
+@pytest.mark.parametrize(
+    "search, argv_tail",
+    [
+        (dict(HO_PROBLEM["search"], grid=10**30), []),
+        (HO_PROBLEM["search"], ["--grid", str(10**30)]),
+    ],
+    ids=["file", "option"],
+)
+def test_exit_input_on_grid_past_numpy_limit(tmp_path, capsys, search, argv_tail):
+    path = _write(tmp_path, "huge_grid.json", dict(HO_PROBLEM, search=search))
+    code, out, err = _run(capsys, ["solve", path, *argv_tail])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: grid_points is too large for a numpy array\n"
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -1150,6 +1245,7 @@ class _OuterRecord(NamedTuple):
 
 
 NAN, INF = math.nan, math.inf
+# object -> the JSON value it is written as, or TypeError if it is refused
 JSONABLE_TABLE = {
     "nan": (NAN, "nan"),
     "inf": (INF, "inf"),
@@ -1168,11 +1264,8 @@ JSONABLE_TABLE = {
     "str": ("nan", "nan"),
     "enum": (_Tag.RED, "red"),
     "complex": (complex(NAN, -1.0), {"im": -1.0, "re": "nan"}),
-    "dataclass": (
-        _Outer(_Inner(-INF, _Tag.RED), (1, np.float64(0.5))),
-        {"inner": {"x": "-inf", "tag": "red"}, "values": [1, 0.5]},
-    ),
-    # a NamedTuple is a tuple, but renders as an object, as a dataclass does
+    # no record is a dataclass, and the writer refuses one
+    "dataclass": (_Outer(_Inner(-INF, _Tag.RED), (1, np.float64(0.5))), TypeError),
     "NamedTuple": (
         _OuterRecord(_InnerRecord(-INF, _Tag.RED), (1, np.float64(0.5))),
         {"inner": {"x": "-inf", "tag": "red"}, "values": [1, 0.5]},
@@ -1182,17 +1275,108 @@ JSONABLE_TABLE = {
         [{"x": 2.5, "tag": "red"}, ["-inf", "red"]],
     ),
     "tuple": ((True, None, NAN), [True, None, "nan"]),
-    "dict": ({1: NAN, 2: [np.int64(4)]}, {"1": "nan", "2": [4]}),
+    "dict": ({"1": NAN, "2": [np.int64(4)]}, {"1": "nan", "2": [4]}),
+    # every record's keys are str, and the writer refuses any other key
+    "dict int key": ({1: NAN}, TypeError),
     "ndarray 2-d": (np.array([[1.0, NAN], [-INF, -0.0]]), [[1.0, "nan"], ["-inf", -0.0]]),
 }
 
 
-# written against the isinstance-only converter: the exact-type dispatch must
-# return the same values of the same Python types (repr tells 1 from 1.0 and
-# True, 0.0 from -0.0, a list from a tuple and np.int64 from int)
+# the JSON text tells 1 from 1.0, True from 1, and 0.0 from -0.0
 @pytest.mark.parametrize("obj, expected", JSONABLE_TABLE.values(), ids=JSONABLE_TABLE.keys())
 def test_jsonable_type_table(obj, expected):
-    assert repr(_jsonable(obj)) == repr(expected)
+    if expected is TypeError:
+        with pytest.raises(TypeError):
+            _render_json(obj)
+    else:
+        assert _render_json(obj) == json.dumps(expected, sort_keys=True, indent=2)
+
+
+def _reference(obj):
+    """The two-pass converter the JSON writer replaced, by isinstance alone:
+    an object reduced to the types ``json.dumps`` writes.  Two of its rules
+    are gone, as in the writer: a dataclass is left as it is (so json.dumps
+    refuses it), and a dict key that is not str is refused, not passed
+    through ``str``."""
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, complex):
+        return {"im": _reference(obj.imag), "re": _reference(obj.real)}
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [_reference(v) for v in obj.tolist()]
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
+        return {k: _reference(v) for k, v in obj._asdict().items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference(v) for v in obj]
+    if isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError(f"keys must be str, got {list(obj)!r}")
+        return {k: _reference(v) for k, v in obj.items()}
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if not isinstance(obj, (np.floating, float)):
+        return obj
+    obj = float(obj)
+    if math.isfinite(obj):
+        return obj
+    if math.isnan(obj):
+        return "nan"
+    return "inf" if obj > 0 else "-inf"
+
+
+def _reference_text(obj):
+    return json.dumps(_reference(obj), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj", [obj for obj, _ in JSONABLE_TABLE.values()], ids=JSONABLE_TABLE.keys()
+)
+def test_render_json_matches_reference_on_type_table(obj):
+    try:
+        expected = _reference_text(obj)
+    except TypeError:
+        with pytest.raises(TypeError):
+            _render_json(obj)
+    else:
+        assert _render_json(obj) == expected
+
+
+# golden file stem -> (problem, command line without the file) of the
+# golden tests above
+GOLDEN_COMMANDS = {
+    **{f"solve_{n}": (p, ["solve"]) for n, p in SOLVE_GOLDEN.items()},
+    **{f"classify_{n}": (p, ["classify"]) for n, p in CLASSIFY_GOLDEN.items()},
+    **{f"classify_ba_{n}": (p, ["classify"]) for n, p in CLASSIFY_BA_GOLDEN.items()},
+    **{
+        f"diagnose_oscillator_x0.3_E{e}": (
+            dict(HO_PROBLEM, x0=0.3, order=80, n_max=40),
+            ["diagnose", f"--param-value={e}"],
+        )
+        for e in ("7.25", "7.0")
+    },
+    "diagnose_negx_x0_E0.5": (
+        dict(HO_PROBLEM, lambda0="-x", order=80, n_max=40),
+        ["diagnose", "--param-value=0.5"],
+    ),
+    "diagnose_oscillator_sweep-0.9_0.9_3_E7.25": CSV_GOLDEN[
+        "diagnose_oscillator_sweep-0.9_0.9_3_E7.25"
+    ],
+}
+
+
+# the library records of every golden command, rebuilt run by run as main
+# builds them, are written as json.dumps writes the reference's reduction
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_render_json_matches_reference_on_golden_records(tmp_path, name):
+    problem, (command, *rest) = GOLDEN_COMMANDS[name]
+    args = build_parser().parse_args([command, _write(tmp_path, "p.json", problem), *rest])
+    raw = cli._load_problem(args.problem_file)
+    centres = [args.x0] if args.sweep_x0 is None else cli._parse_sweep(args.sweep_x0)
+    for x0 in centres:
+        record = cli._single_record(raw, argparse.Namespace(**dict(vars(args), x0=x0)))
+        assert _render_json(record) == _reference_text(record)
 
 
 _AWKWARD_TEXT = st.text(
