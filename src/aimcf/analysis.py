@@ -2,19 +2,18 @@
 classification for three-term recurrences x_n = p_n x_{n-1} + q_n x_{n-2}.
 
 Analytic labels derived from the monic transform t_n = -4 q_n / (p_{n-1} p_n)
-are advisory; every report also carries brute-force forward/backward ratio
-estimates computed directly on the original recurrence, and a consistency
-flag from one rule for every case: the predicted dominant ratio meets the
-forward probe's last ratio, the minimal one the backward probe's ratio 3/4 of
-the way up, and for equal root moduli the growth modulus meets the forward
-probe's.  Consistency is not minimal existence, which is decided once, by the
-Miller run (Gautschi, SIAM Rev. 9 (1967) 24) of the report's one
-:func:`pincherle_check`.  Miller's backward pass planted at depth N gives
-the estimate -C_N, so that run reads the approximants of one forward run of
-the fraction.  The forward probe, the one backward probe and the
-approximants all run on the one recurrence runner of :mod:`aimcf.cf`, whose
-mantissas are rescaled by exact powers of two, so no probe overflows or
-underflows.
+are advisory; the numeric ratios of two runs on the original recurrence are
+authoritative.  The fraction's forward run (:func:`~aimcf.cf.cf_approximants`)
+gives the approximants, Miller's estimates (the backward pass planted at
+depth N gives -C_N), the dominant ratio and the growth; one backward run
+gives the minimal ratio 3/4 of the way up.  A consistency flag follows from
+one rule for every case: the predicted dominant ratio meets the last ratio,
+the minimal one the backward ratio, and for equal root moduli the growth
+modulus meets the numeric one.  Consistency is not minimal existence, which
+is decided once, by the Miller run (Gautschi, SIAM Rev. 9 (1967) 24) of the
+report's one Pincherle check.  Both runs use the recurrence runner of
+:mod:`aimcf.cf`, whose mantissas are rescaled by exact powers of two, so
+neither overflows or underflows.
 """
 
 from __future__ import annotations
@@ -133,9 +132,11 @@ class BirkhoffAdamsData(NamedTuple):
 class ClassificationReport(NamedTuple):
     """Asymptotic class of a recurrence plus authoritative numeric ratios.
 
-    ``pincherle`` is the one :func:`pincherle_check` of the classification,
-    whose Miller run supplies ``numeric_minimal_ratio``; it is None exactly
-    when ``minimal_exists`` is false.
+    The fraction's forward run gives ``pincherle``, whose Miller estimate is
+    ``numeric_minimal_ratio``, and ``numeric_dominant_ratio``; the backward
+    run gives the minimal ratio 3/4 of the way up, which only the consistency
+    check reads.  ``pincherle`` is None exactly when ``minimal_exists`` is
+    false.
     """
 
     q_limit: float
@@ -164,8 +165,8 @@ def stern_seidel(pvals: Sequence[float], threshold: float, window: int) -> Conve
         raise ValidationError("stern_seidel needs at least one sample")
     if window < 1:
         raise ValidationError(f"window must be >= 1, got {window}")
-    if np.any(p <= 0.0):
-        bad = int(np.argmax(p <= 0.0))
+    if not np.all(p > 0.0):  # NaN fails too
+        bad = int(np.argmin(p > 0.0))
         raise NonPositiveP(f"p[{bad}] = {p[bad]:.6g} violates p_n > 0")
 
     partial = float(np.sum(p))
@@ -205,14 +206,15 @@ def bound_check(state: CFState) -> list[tuple[int, float, float, bool]]:
     """
     p = np.asarray(state.pvals, dtype=float)
     q = np.asarray(state.qvals, dtype=float)
-    if np.any(np.abs(q - 1.0) > 1e-9):
-        bad = int(np.argmax(np.abs(q - 1.0) > 1e-9))
+    # each check is written so that NaN fails it
+    if not np.all(np.abs(q - 1.0) <= 1e-9):
+        bad = int(np.argmin(np.abs(q - 1.0) <= 1e-9))
         raise HypothesisViolated(
             f"q[{bad}] = {q[bad]:.6g}; unit partial numerators required "
             "(rescale with cf_equiv_unit first)"
         )
-    if np.any(p < 1.0 - 1e-12):
-        bad = int(np.argmax(p < 1.0 - 1e-12))
+    if not np.all(p >= 1.0 - 1e-12):
+        bad = int(np.argmin(p >= 1.0 - 1e-12))
         raise HypothesisViolated(f"p[{bad}] = {p[bad]:.6g} violates p_n >= 1")
 
     mu = min(1.0, float(p[0]))
@@ -228,11 +230,11 @@ def bound_check(state: CFState) -> list[tuple[int, float, float, bool]]:
     return rows
 
 
-def _ratio(rows: list[list[float]], exps: list[int], i: int, j: int) -> float:
-    """Ratio of runner steps i and j of a single solution; NaN where step j is 0."""
-    if rows[j][0] == 0.0:
+def _ratio(x: list[float], exps: list[int], i: int, j: int) -> float:
+    """Ratio of runner steps i and j of mantissas x; NaN where step j is 0."""
+    if x[j] == 0.0:
         return math.nan
-    return _ldexp_safe(rows[i][0] / rows[j][0], exps[i] - exps[j])
+    return _ldexp_safe(x[i] / x[j], exps[i] - exps[j])
 
 
 def miller_minimal_ratio(
@@ -299,7 +301,11 @@ def pincherle_check(pvals: Sequence[float], qvals: Sequence[float]) -> Pincherle
     minimal solution exists the limit is minus its ratio x_{-1}/x_{-2}
     (Pincherle), and agreement is |cf_limit + backward_ratio|.
     """
-    state = cf_approximants(pvals, qvals)
+    return _pincherle(cf_approximants(pvals, qvals))
+
+
+def _pincherle(state: CFState) -> PincherleResult:
+    """:func:`pincherle_check` on the approximants of ``state``."""
     finite = state.C[np.isfinite(state.C)]
     if finite.size == 0:
         raise ZeroDenominator("no finite approximants available")
@@ -375,10 +381,14 @@ def _envelope_exponent(samples: np.ndarray) -> Optional[float]:
     return -float(slope)
 
 
-def _forward_probe(p: list[float], q: list[float], seed: int) -> tuple[float, float]:
-    """Forward-iterate from a seeded random start; return (last ratio, growth).
+def _forward_probe(state: CFState) -> tuple[float, float]:
+    """(last ratio x_N / x_{N-1}, growth) of the larger of A and B at N.
 
-    growth is the per-step growth modulus over the second half of the range,
+    Every solution is x_{-2} A_n + x_{-1} B_n and at most one of two
+    independent solutions is minimal, so that column is dominant whenever a
+    dominant solution exists; A and B share one exponent per index, so
+    comparing mantissas at N compares the values.  growth is the per-step
+    growth modulus over the second half of the range,
     |D_N / D_mid|^(1 / (2 (N - mid))), from the Casoratian of the solution
     and its shift, D_n = x_n x_{n-2} - x_{n-1}^2.  With constant coefficients
     D_n = -q D_{n-1}, so growth is |q|^(1/2), the common modulus of
@@ -386,22 +396,22 @@ def _forward_probe(p: list[float], q: list[float], seed: int) -> tuple[float, fl
     |cos(n theta + phi)|, which any two samples of x_n carry, cancels out of
     D_n.
     """
-    x2, x1 = np.random.default_rng(seed).standard_normal(2).tolist()
-    rows, exps = _run_recurrence(p, q, [x2], [x1])
-    mid, last = len(p) // 2 + 2, len(rows) - 1  # steps of x_{len(p) // 2} and x_N
-    log_mid, log_end = (_log_casoratian(rows, exps, i) for i in (mid, last))
+    a, b = state._mant_a.tolist(), state._mant_b.tolist()
+    x, exps = a if abs(a[-1]) >= abs(b[-1]) else b, state._exp2.tolist()
+    mid, last = (state.depth + 1) // 2 + 2, len(x) - 1  # steps of x_{(N+1)//2}, x_N
+    log_mid, log_end = (_log_casoratian(x, exps, i) for i in (mid, last))
     if last == mid or log_mid is None or log_end is None:
         growth = math.nan
     else:
         growth = math.exp((log_end - log_mid) / (2 * (last - mid)))
-    return _ratio(rows, exps, last, last - 1), growth
+    return _ratio(x, exps, last, last - 1), growth
 
 
-def _log_casoratian(rows: list[list[float]], exps: list[int], i: int) -> Optional[float]:
+def _log_casoratian(x: list[float], exps: list[int], i: int) -> Optional[float]:
     """log |x_i x_{i-2} - x_{i-1}^2| over runner steps i - 2..i; None where it is 0."""
     e = exps[i - 1]
-    d = _ldexp_safe(rows[i][0] * rows[i - 2][0], exps[i] + exps[i - 2] - 2 * e)
-    d -= rows[i - 1][0] ** 2
+    d = _ldexp_safe(x[i] * x[i - 2], exps[i] + exps[i - 2] - 2 * e)
+    d -= x[i - 1] ** 2
     return None if d == 0.0 else math.log(abs(d)) + 2 * e * math.log(2.0)
 
 
@@ -413,7 +423,6 @@ def classify(
     pvals: Sequence[float],
     qvals: Sequence[float],
     declared: Optional[dict] = None,
-    seed: int = 0,
 ) -> ClassificationReport:
     """Label the asymptotic class of the recurrence and cross-check numerically.
 
@@ -423,19 +432,24 @@ def classify(
     coefficients {"a_coeffs", "b_coeffs", optional "k_max"} in powers of 1/n.
     It is checked first, so a malformed one raises ValidationError whatever
     the sequences.  Without it the monic roots times p_n / 2 are the
-    prediction.  Every prediction meets the numeric ratios, which are
-    authoritative, by one check: the dominant ratio at the last level, the
-    minimal one at the backward probe's level 3/4 of the way up, or for equal
-    root moduli the growth modulus; only an inconsistent one adds a note.
-    ``consistency`` is not minimal existence, which Miller's run decides.
+    prediction.  The fraction's one forward run gives the approximants,
+    Miller's estimates, the dominant ratio at the last level and the growth
+    modulus; one backward run gives the minimal ratio 3/4 of the way up.
+    Every prediction meets these numeric ratios, which are authoritative, by
+    one check: the dominant and minimal ratios, or for equal root moduli the
+    growth modulus; only an inconsistent one adds a note.  ``consistency``
+    is not minimal existence, which Miller's run decides.  Non-finite pvals
+    or qvals raise ValidationError before any run.
     """
     p = np.asarray(pvals, dtype=float)
     q = np.asarray(qvals, dtype=float)
     if p.shape != q.shape:
         raise ValidationError("pvals and qvals must have equal length")
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
     power_law, ba = parse_declared(declared)
+    for name, arr in (("pvals", p), ("qvals", q)):
+        if not np.all(np.isfinite(arr)):
+            bad = int(np.argmin(np.isfinite(arr)))
+            raise ValidationError(f"{name}[{bad}] = {arr[bad]} is not finite")
     if p.size < 31:
         raise InsufficientData(f"need at least 31 levels, got {p.size}")
 
@@ -444,12 +458,12 @@ def classify(
     roots = characteristic_roots(q_limit)
     notes: list[str] = []
 
-    # Brute-force probes on the original recurrence.
     p_list, q_list, top = p.tolist(), q.tolist(), p.size - 1
-    num_dom, growth = _forward_probe(p_list, q_list, seed)
+    state = cf_approximants(p, q)
+    num_dom, growth = _forward_probe(state)
     pincherle: Optional[PincherleResult] = None
     try:
-        pincherle = pincherle_check(p, q)
+        pincherle = _pincherle(state)
     except (NoConvergence, ZeroQ) as exc:
         notes.append(f"backward recurrence did not stabilize: {exc}")
     num_min = math.nan if pincherle is None else pincherle.backward_ratio
@@ -459,7 +473,8 @@ def classify(
         probe_ratio = math.nan
     else:
         rows, exps = _run_recurrence(p_list, q_list, [0.0], [1.0], backward=True)
-        probe_ratio = _ratio(rows, exps, top - probe_at, top - probe_at + 1)
+        x = [row[0] for row in rows]
+        probe_ratio = _ratio(x, exps, top - probe_at, top - probe_at + 1)
 
     pred: Optional[tuple[float, float] | float]
     if power_law is not None:

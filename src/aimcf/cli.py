@@ -346,7 +346,7 @@ def _run_classify(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dic
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         pvals, qvals, declared = _classify_sequences(raw, spec, args)
-        report = analysis.classify(pvals, qvals, declared=declared, seed=args.seed)
+        report = analysis.classify(pvals, qvals, declared=declared)
     warn_list.extend(_warning_strings(caught))
     classification = report._asdict()
     outputs = {
@@ -437,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("json", "csv"), default="json", help="output format"
         )
-        p.add_argument("--seed", type=int, default=0, help="seed for numeric probes")
         p.add_argument(
             "--sweep-x0",
             default=None,
@@ -461,7 +460,6 @@ def _single_record(raw: dict, args: argparse.Namespace) -> dict:
         "command": args.command,
         "inputs": _inputs_echo(raw, spec, args),
         "outputs": body["outputs"],
-        "seed": args.seed,
         "warnings": body["warnings"],
     }
 
@@ -480,7 +478,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             record: dict = {
                 "command": args.command,
                 "runs": records,
-                "seed": args.seed,
                 "sweep_parameter": "x0",
             }
         else:

@@ -9,6 +9,8 @@ import scipy.special as sps
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from aimcf import analysis as analysis_module
+from aimcf import cf as cf_module
 from aimcf.analysis import (
     CaseLabel,
     Verdict,
@@ -96,6 +98,13 @@ def test_verdict_input_guards():
         stern_seidel([1.0], threshold=50.0, window=0)
 
 
+# NaN is neither > 0 nor <= 0, so the hypothesis check is written as the
+# negation of p_n > 0; a NaN sample once came back as an Inconclusive verdict
+def test_verdict_rejects_nan_p():
+    with pytest.raises(NonPositiveP, match=r"^p\[1\] = nan violates p_n > 0$"):
+        stern_seidel([1.0, math.nan, 2.0], threshold=50.0, window=10)
+
+
 # soundness: a Converges verdict must come with Cauchy approximants
 def test_converges_verdict_implies_cauchy_approximants():
     rng = np.random.default_rng(17)
@@ -144,6 +153,18 @@ def test_bound_check_hypothesis_guards():
         bound_check(cf_approximants([1.0, 1.0], [1.0, 1.01]))
     with pytest.raises(HypothesisViolated):
         bound_check(cf_approximants([0.5, 1.0], [1.0, 1.0]))
+
+
+# a NaN p_n or q_n fails its hypothesis check and is named there, instead of
+# surfacing later as ZeroDenominator at level 1
+@pytest.mark.parametrize(
+    "pvals, qvals, where",
+    [([1.0, math.nan, 2.0], [1.0] * 3, "p[1]"), ([1.0] * 3, [1.0, math.nan, 1.0], "q[1]")],
+)
+def test_bound_check_rejects_nan(pvals, qvals, where):
+    with pytest.raises(HypothesisViolated) as info:
+        bound_check(cf_approximants(pvals, qvals))
+    assert str(info.value).startswith(f"{where} = nan")
 
 
 # [DERIVED] denominator product lower bound, equality chain for p = 1
@@ -403,14 +424,14 @@ def test_classify_periodic_recurrence_lacks_minimal_solution():
 # 1.38724 here against |q|^(1/2) = 1.30866; the Casoratian
 # x_n x_{n-2} - x_{n-1}^2 = -q (its value one step down) has no cosine in it
 def test_classify_conjugate_pair_growth_from_casoratian():
-    rep = classify([-1.4731] * 200, [-1.7126] * 200, seed=0)
+    rep = classify([-1.4731] * 200, [-1.7126] * 200)
     assert rep.case_label is CaseLabel.CASE_3
     assert rep.consistency
     assert not any(note.startswith("equal root moduli") for note in rep.notes)
 
 
-# a seeded scan of 150 constant conjugate pairs, each from its own seeded
-# start; a growth modulus read from two samples of x_n fails 2 of them
+# a seeded scan of 150 constant conjugate pairs; a growth modulus read from
+# two samples of x_n fails 2 of them
 def test_classify_conjugate_pairs_are_consistent():
     rng = np.random.default_rng(0)
     checked = 0
@@ -420,7 +441,8 @@ def test_classify_conjugate_pairs_are_consistent():
         if p * p + 4.0 * q >= 0.0:
             continue
         checked += 1
-        rep = classify([p] * 200, [q] * 200, seed=int(rng.integers(100)))
+        rng.integers(100)  # keeps the 150 pairs the scan has always drawn
+        rep = classify([p] * 200, [q] * 200)
         assert rep.consistency, (p, q, rep.notes)
 
 
@@ -653,8 +675,41 @@ def test_classify_input_guards():
         classify([3.0] * 40, [4.0] * 40, declared={"nonsense": 1})
     with pytest.raises(ValidationError):
         classify([3.0] * 40, [4.0] * 39)
-    with pytest.raises(ValidationError):
-        classify([3.0] * 40, [4.0] * 40, seed=-1)
+
+
+# a non-finite sample is an input error raised before any probe; these once
+# came back as reports (nan q_limit, inf dominant ratio, case 1a) or as the
+# numeric error ZeroDenominator
+@pytest.mark.parametrize(
+    "pvals, qvals, where",
+    [
+        ([3.0] * 40, [4.0] * 39 + [math.nan], "qvals[39] = nan"),
+        ([3.0] * 39 + [math.inf], [4.0] * 40, "pvals[39] = inf"),
+        ([3.0] * 20 + [math.nan] + [3.0] * 19, [4.0] * 40, "pvals[20] = nan"),
+        ([math.nan] * 40, [1.0] * 40, "pvals[0] = nan"),
+    ],
+)
+def test_classify_rejects_non_finite_samples(pvals, qvals, where):
+    with pytest.raises(ValidationError) as info:
+        classify(pvals, qvals)
+    assert str(info.value).startswith(where)
+
+
+# every solution is x_{-2} A_n + x_{-1} B_n, so the dominant ratio and the
+# growth come off the fraction's forward run, which also gives Miller's
+# estimates; the only other run is the backward one
+def test_classify_runs_the_recurrence_twice(monkeypatch):
+    runs = []
+
+    def counting(*args, **kwargs):
+        runs.append(kwargs.get("backward", False))
+        return _run_recurrence(*args, **kwargs)
+
+    monkeypatch.setattr(cf_module, "_run_recurrence", counting)
+    monkeypatch.setattr(analysis_module, "_run_recurrence", counting)
+    rep = classify(*_bessel_pq())
+    assert runs == [False, True]
+    assert rep.minimal_exists and rep.consistency
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,8 @@ import dataclasses
 import enum
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
@@ -91,7 +93,7 @@ def test_solve_finds_oscillator_spectrum(ho_file, capsys):
     assert code == EXIT_OK
     record = json.loads(out)
     assert record["command"] == "solve"
-    assert record["seed"] == 0
+    assert "seed" not in record
     values = [r["value"] for r in record["outputs"]["eigenvalues"]]
     np.testing.assert_allclose(values, [1.0, 3.0, 5.0, 7.0], atol=1e-8)
     assert record["outputs"]["count"] == 4
@@ -101,12 +103,12 @@ def test_solve_finds_oscillator_spectrum(ho_file, capsys):
 
 
 def test_json_output_is_deterministic_and_round_trips(const_seq_file, capsys):
-    code1, out1, _ = _run(capsys, ["classify", const_seq_file, "--seed", "7"])
-    code2, out2, _ = _run(capsys, ["classify", const_seq_file, "--seed", "7"])
+    code1, out1, _ = _run(capsys, ["classify", const_seq_file])
+    code2, out2, _ = _run(capsys, ["classify", const_seq_file])
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
     record = json.loads(out1)
-    assert record["seed"] == 7
+    assert "seed" not in record
     # canonical form: sorted keys, two-space indent, shortest float repr
     assert out1 == json.dumps(record, sort_keys=True, indent=2) + "\n"
 
@@ -797,10 +799,31 @@ def test_diagnose_termination_on_last_level(tmp_path, capsys, k):
     assert not any("table is partial" in w for w in record["warnings"])
 
 
-def test_exit_input_on_negative_seed(const_seq_file, capsys):
-    code, _, err = _run(capsys, ["classify", const_seq_file, "--seed=-1"])
-    assert code == EXIT_INPUT
-    assert "seed" in err
+# the numeric probes read the fraction's own runs and take no seed
+@pytest.mark.parametrize("command", ["solve", "diagnose", "classify"])
+def test_no_subcommand_accepts_seed(const_seq_file, capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, const_seq_file, "--seed", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+# classify starts no random generator, so a first classify in a fresh
+# interpreter does not pay for importing numpy.random
+def test_classify_leaves_numpy_random_unimported(const_seq_file):
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        f"import contextlib, io, sys; sys.path.insert(0, {str(src)!r})\n"
+        "from aimcf.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['classify', {const_seq_file!r}])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(EXIT_OK), "False"]
 
 
 def test_exit_input_on_bad_order_budget(tmp_path, capsys):
@@ -1081,9 +1104,9 @@ def test_repeated_calls_share_no_option_values(ho_file, const_seq_file, capsys):
     runs = [
         ["solve", ho_file],
         ["diagnose", ho_file, "--param-value", "3"],
-        ["solve", ho_file, "--grid", "7", "--n", "20", "--tol", "1e-6", "--seed", "4"],
+        ["solve", ho_file, "--grid", "7", "--n", "20", "--tol", "1e-6"],
         ["diagnose", ho_file, "--param-value", "5", "--x0", "0.5", "--format", "csv"],
-        ["classify", const_seq_file, "--seed", "2", "--order", "65"],
+        ["classify", const_seq_file, "--order", "65"],
         ["diagnose", ho_file, "--param-value", "3"],
         ["solve", ho_file],
     ]
@@ -1095,9 +1118,9 @@ def test_repeated_calls_share_no_option_values(ho_file, const_seq_file, capsys):
     assert outputs[-1] == outputs[0]
     assert outputs[-2] == outputs[1]
     first, narrow = json.loads(outputs[0]), json.loads(outputs[2])
-    assert narrow["outputs"]["search"]["grid"] == 7 and narrow["seed"] == 4
+    assert narrow["outputs"]["search"]["grid"] == 7 and "seed" not in narrow
     assert first["outputs"]["search"] == HO_PROBLEM["search"]
-    assert first["inputs"]["n_max"] == HO_PROBLEM["n_max"] and first["seed"] == 0
+    assert first["inputs"]["n_max"] == HO_PROBLEM["n_max"] and "seed" not in first
     assert json.loads(outputs[1])["inputs"]["x0"] == HO_PROBLEM["x0"]
 
 
@@ -1195,26 +1218,23 @@ def _power_law(**changes):
 
 
 # the exit codes 0 (ok), 2 (input) and 3 (numeric) hold for every problem
-# file and seed, and no exception escapes main; the examples once escaped as
-# a ZeroDivisionError (a = 0) or an OverflowError (huge exponents)
-@example(problem=_power_law(a=0.0), command="classify", seed=0)
-@example(problem=_power_law(sigma=1e308), command="classify", seed=0)
-@example(problem=_power_law(tau=-1e36), command="classify", seed=0)
+# file, and no exception escapes main; the examples once escaped as a
+# ZeroDivisionError (a = 0) or an OverflowError (huge exponents)
+@example(problem=_power_law(a=0.0), command="classify")
+@example(problem=_power_law(sigma=1e308), command="classify")
+@example(problem=_power_law(tau=-1e36), command="classify")
 @given(
     problem=_mutated_problem(),
     command=st.sampled_from(["solve", "diagnose", "classify"]),
-    seed=st.integers(-3, 3),
 )
 @settings(
     max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-def test_exit_code_for_any_single_field_mutation(
-    tmp_path, capsys, problem, command, seed
-):
+def test_exit_code_for_any_single_field_mutation(tmp_path, capsys, problem, command):
     path = _write(tmp_path, "mutated.json", problem)
-    code, _, _ = _run(capsys, [command, path, "--param-value", "3", f"--seed={seed}"])
+    code, _, _ = _run(capsys, [command, path, "--param-value", "3"])
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC)
 
 
