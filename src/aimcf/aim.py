@@ -565,12 +565,13 @@ def _evaluator(spec: ProblemSpec, order: int) -> tuple[
 
 def _locate(
     f: Callable[[float], float], lo: float, hi: float, tol: float, trial: float | None = None
-) -> float | None:
+) -> float:
     """Zero of ``f`` in [lo, hi] by safeguarded secant steps.
 
-    None if the ends share a sign; an end or iterate where ``f`` is exactly
-    zero is returned at once.  A step tries ``trial`` if given, else the
-    secant point of the last two evaluated points (the ends at first); the
+    Either ``f(lo)`` is zero, or ``f(lo)`` and ``f(hi)`` are nonzero and of
+    opposite sign; ``lo`` or an iterate where ``f`` is exactly zero is
+    returned at once.  A step tries ``trial`` if given, else the secant
+    point of the last two evaluated points (the ends at first); the
     midpoint when ``f2 - f1`` is zero or overflows, when that point lies
     outside the bracket, or when the bracket has not halved over the last
     two steps.  The point is clamped tol / 2 inside, so the bracket closes
@@ -583,10 +584,6 @@ def _locate(
     if flo == 0.0:
         return lo
     fhi = f(hi)
-    if fhi == 0.0:
-        return hi
-    if (flo < 0.0) == (fhi < 0.0):
-        return None
     x1, f1, x2, f2 = lo, flo, hi, fhi  # the last two evaluated points
     widths = (np.inf, np.inf)  # before each of the last two steps
     for _ in range(200):

@@ -5,15 +5,15 @@ Analytic labels derived from the monic transform t_n = -4 q_n / (p_{n-1} p_n)
 are advisory; the numeric ratios of two runs on the original recurrence are
 authoritative.  The fraction's forward run (:func:`~aimcf.cf.cf_approximants`)
 gives the approximants, Miller's estimates (the backward pass planted at
-depth N gives -C_N), the dominant ratio and the growth; one backward run
-gives the minimal ratio 3/4 of the way up.  A consistency flag follows from
-one rule for every case: the predicted dominant ratio meets the last ratio,
-the minimal one the backward ratio, and for equal root moduli the growth
-modulus meets the numeric one.  Consistency is not minimal existence, which
-is decided once, by the Miller run (Gautschi, SIAM Rev. 9 (1967) 24) of the
-report's one Pincherle check.  Both runs use the recurrence runner of
-:mod:`aimcf.cf`, whose mantissas are rescaled by exact powers of two, so
-neither overflows or underflows.
+depth N gives -C_N), the dominant ratio and the growth; the fraction's tail
+from level m + 1 gives minus the minimal ratio x_m / x_{m-1} at m = 3N/4
+(Pincherle).  A consistency flag follows from one rule for every case: the
+predicted dominant ratio meets the last ratio, the minimal one the tail's
+ratio, and for equal root moduli the growth modulus meets the numeric one.
+Consistency is not minimal existence, which is decided once, by the Miller
+run (Gautschi, SIAM Rev. 9 (1967) 24) of the report's one Pincherle check.
+Both runs are forward approximant runs, whose mantissas are rescaled by
+exact powers of two, so neither overflows or underflows.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cf import CFState, _ldexp_safe, _run_recurrence, cf_approximants
+from .cf import CFState, _ldexp_safe, cf_approximants
 from .errors import (
     DegenerateDenominator,
     HypothesisViolated,
@@ -133,10 +133,10 @@ class ClassificationReport(NamedTuple):
     """Asymptotic class of a recurrence plus authoritative numeric ratios.
 
     The fraction's forward run gives ``pincherle``, whose Miller estimate is
-    ``numeric_minimal_ratio``, and ``numeric_dominant_ratio``; the backward
-    run gives the minimal ratio 3/4 of the way up, which only the consistency
-    check reads.  ``pincherle`` is None exactly when ``minimal_exists`` is
-    false.
+    ``numeric_minimal_ratio``, and ``numeric_dominant_ratio``; the fraction's
+    tail from level m + 1 gives minus the minimal ratio at m = 3N/4
+    (Pincherle), which only the consistency check reads.  ``pincherle`` is
+    None exactly when ``minimal_exists`` is false.
     """
 
     q_limit: float
@@ -263,7 +263,8 @@ def _miller(state: CFState, depth_schedule: Sequence[int]) -> float:
         )
     prev: Optional[float] = None
     for top in usable:
-        # the backward pass from depth top divides by every q_n, n <= top
+        # Pincherle's theorem needs every q_n != 0, n <= top: a zero q_n ends
+        # the fraction whether or not the recurrence has a minimal solution
         zeros = np.flatnonzero(state.qvals[: top + 1] == 0.0)
         if zeros.size:
             raise ZeroQ(f"q[{zeros[-1]}] = 0 blocks the backward recurrence")
@@ -434,7 +435,8 @@ def classify(
     the sequences.  Without it the monic roots times p_n / 2 are the
     prediction.  The fraction's one forward run gives the approximants,
     Miller's estimates, the dominant ratio at the last level and the growth
-    modulus; one backward run gives the minimal ratio 3/4 of the way up.
+    modulus; the fraction's tail from level m + 1 gives minus the minimal
+    ratio x_m / x_{m-1} at m = 3N/4 (Pincherle).
     Every prediction meets these numeric ratios, which are authoritative, by
     one check: the dominant and minimal ratios, or for equal root moduli the
     growth modulus; only an inconsistent one adds a note.  ``consistency``
@@ -458,7 +460,7 @@ def classify(
     roots = characteristic_roots(q_limit)
     notes: list[str] = []
 
-    p_list, q_list, top = p.tolist(), q.tolist(), p.size - 1
+    p_list, top = p.tolist(), p.size - 1
     state = cf_approximants(p, q)
     num_dom, growth = _forward_probe(state)
     pincherle: Optional[PincherleResult] = None
@@ -467,14 +469,11 @@ def classify(
     except (NoConvergence, ZeroQ) as exc:
         notes.append(f"backward recurrence did not stabilize: {exc}")
     num_min = math.nan if pincherle is None else pincherle.backward_ratio
-    # x_m / x_{m-1} of the backward pass from the top, inside the asymptotic range
+    # the minimal ratio x_m / x_{m-1} inside the asymptotic range: minus the
+    # tail from level m + 1, a zero q_n ending it as it ends any fraction
     probe_at = max(2, (3 * top) // 4)
-    if 0.0 in q_list:  # the backward recurrence divides by every q_n
-        probe_ratio = math.nan
-    else:
-        rows, exps = _run_recurrence(p_list, q_list, [0.0], [1.0], backward=True)
-        x = [row[0] for row in rows]
-        probe_ratio = _ratio(x, exps, top - probe_at, top - probe_at + 1)
+    tail = cf_approximants(p[probe_at + 1 :], q[probe_at + 1 :])
+    probe_ratio = -float(tail.C[-1])
 
     pred: Optional[tuple[float, float] | float]
     if power_law is not None:

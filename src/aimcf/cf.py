@@ -232,13 +232,11 @@ def _ldexp_safe(mant: float, e2: int) -> float:
         return math.inf if mant > 0 else -math.inf
 
 
-def _run_recurrence(p, q, x2, x1, backward=False) -> tuple[list[list[float]], list[int]]:
+def _run_recurrence(p, q, x2, x1) -> tuple[list[list[float]], list[int]]:
     """Solutions of x[n] = p[n] x[n-1] + q[n] x[n-2], n = 0..N, on Python floats.
 
     ``p`` and ``q`` are float lists of length N + 1; ``x2`` and ``x1`` list
-    each solution's start values x[-2] and x[-1].  With ``backward`` the
-    recurrence runs down as x[n-2] = (x[n] - p[n] x[n-1]) / q[n] for
-    n = N..0, from start values x[N] and x[N-1]; every q[n] must be nonzero.
+    each solution's start values x[-2] and x[-1].
 
     All solutions share one power-of-two exponent per index.  When the
     largest magnitude at the newest index leaves [1 / _BAND, _BAND], that
@@ -248,15 +246,12 @@ def _run_recurrence(p, q, x2, x1, backward=False) -> tuple[list[list[float]], li
 
     Returns ``(rows, exps)``: solution k at step i is
     ``rows[i][k] * 2**exps[i]``, with the two start values at steps 0 and 1,
-    so step i holds x[i - 2] forward and x[N - i] backward.
+    so step i holds x[i - 2].
     """
     lo, hi = 1.0 / _BAND, _BAND
     rows, exps, e = [x2, x1], [0, 0], 0
-    for pn, qn in zip(p[::-1], q[::-1]) if backward else zip(p, q):
-        if backward:
-            new = [(b - pn * a) / qn for a, b in zip(x1, x2)]
-        else:
-            new = [pn * a + qn * b for a, b in zip(x1, x2)]
+    for pn, qn in zip(p, q):
+        new = [pn * a + qn * b for a, b in zip(x1, x2)]
         big = max(map(abs, new))
         if not lo <= big <= hi:
             shift = -math.frexp(big)[1]

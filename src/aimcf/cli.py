@@ -217,7 +217,7 @@ def _inputs_echo(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dict
         "order": spec.order,
         "n_max": spec.n_max,
     }
-    if args.param_value is not None:
+    if getattr(args, "param_value", None) is not None:
         echo["param_value"] = args.param_value
     return echo
 
@@ -413,7 +413,9 @@ def _parse_sweep(text: str) -> list[float]:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every call;
-    parsing leaves it unchanged, so each call starts from its defaults."""
+    parsing leaves it unchanged, so each call starts from its defaults.  Each
+    subcommand registers only the flags it reads: ``--grid`` and ``--tol``
+    for solve, ``--param-value`` for diagnose and classify."""
     parser = argparse.ArgumentParser(
         prog="aimcf",
         description="Eigenproblem solver and recurrence diagnostics",
@@ -429,11 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", type=int, default=None, help="series truncation order")
         p.add_argument("--n", type=int, default=None, help="iteration depth")
         p.add_argument("--x0", type=float, default=None, help="expansion center")
-        p.add_argument(
-            "--param-value", type=float, default=None, help="fixed parameter value"
-        )
-        p.add_argument("--grid", type=int, default=None, help="scan grid points")
-        p.add_argument("--tol", type=float, default=None, help="root tolerance")
+        if name == "solve":
+            p.add_argument("--grid", type=int, default=None, help="scan grid points")
+            p.add_argument("--tol", type=float, default=None, help="root tolerance")
+        else:
+            p.add_argument(
+                "--param-value", type=float, default=None, help="fixed parameter value"
+            )
         p.add_argument(
             "--format", choices=("json", "csv"), default="json", help="output format"
         )

@@ -710,6 +710,21 @@ def test_find_eigenvalues_rejects_infinite_tol():
         find_eigenvalues(spec, 0.0, 4.0, 11, tol=float("inf"))
 
 
+# an empty or reversed range, or a grid of one point, holds no cell to scan;
+# a problem file meets the CLI's own e_min < e_max check first
+@pytest.mark.parametrize(
+    "e_min, e_max, grid, message",
+    [
+        (4.0, 4.0, 11, "e_min must be < e_max"),
+        (4.0, 0.0, 11, "e_min must be < e_max"),
+        (0.0, 4.0, 1, "grid_points must be >= 2"),
+    ],
+)
+def test_find_eigenvalues_rejects_empty_range_or_grid(e_min, e_max, grid, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        find_eigenvalues(_ho_spec(order=22, n_max=20), e_min, e_max, grid)
+
+
 # a search range that is not finite, or whose width is not, is an input
 # error raised before the grid is built (numpy warned and then failed deep
 # in the series code)

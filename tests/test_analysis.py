@@ -269,15 +269,17 @@ _MILLER_CASES = {
 
 # Miller's backward pass planted at depth N with x_N = 0, x_{N-1} = 1 is the
 # solution B_N A_n - A_N B_n up to a factor, so its estimate x_{-1}/x_{-2}
-# is -A_N/B_N = -C_N; the reference runs that backward pass
+# is -A_N/B_N = -C_N; the reference runs that backward pass on the ratios
+# rho_n = x_n / x_{n-1}, rho_{n-1} = q_n / (rho_n - p_n) from rho_N = 0
 @pytest.mark.parametrize("name", list(_MILLER_CASES))
 def test_miller_estimate_is_minus_approximant(name):
     p, q = (list(map(float, v)) for v in _MILLER_CASES[name])
     state = cf_approximants(p, q)
     for top in _default_schedule(len(p)):
-        rows, exps = _run_recurrence(p[: top + 1], q[: top + 1], [0.0], [1.0], backward=True)
-        want = math.ldexp(rows[-2][0] / rows[-1][0], exps[-2] - exps[-1])
-        assert -state.C[top] == pytest.approx(want, rel=4e-15, abs=0.0)
+        rho = 0.0
+        for n in range(top, -1, -1):
+            rho = q[n] / (rho - p[n])
+        assert -state.C[top] == pytest.approx(rho, rel=4e-15, abs=0.0)
     res = pincherle_check(p, q)
     assert res.backward_ratio in [-state.C[top] for top in _default_schedule(len(p))]
     assert res.agreement == abs(res.cf_limit + res.backward_ratio)
@@ -697,19 +699,34 @@ def test_classify_rejects_non_finite_samples(pvals, qvals, where):
 
 # every solution is x_{-2} A_n + x_{-1} B_n, so the dominant ratio and the
 # growth come off the fraction's forward run, which also gives Miller's
-# estimates; the only other run is the backward one
+# estimates; the only other run is the tail's from level 3N/4 + 1
 def test_classify_runs_the_recurrence_twice(monkeypatch):
     runs = []
 
-    def counting(*args, **kwargs):
-        runs.append(kwargs.get("backward", False))
-        return _run_recurrence(*args, **kwargs)
+    def counting(p, q, x2, x1):
+        runs.append(len(p))
+        return _run_recurrence(p, q, x2, x1)
 
     monkeypatch.setattr(cf_module, "_run_recurrence", counting)
-    monkeypatch.setattr(analysis_module, "_run_recurrence", counting)
+    assert not hasattr(analysis_module, "_run_recurrence")
     rep = classify(*_bessel_pq())
-    assert runs == [False, True]
+    assert runs == [240, 60]
     assert rep.minimal_exists and rep.consistency
+
+
+# [DERIVED] the minimal ratio at m = 29 is minus the tail from level 30, which
+# a zero q_n ends as it ends any fraction: q_30 = 0 gives 0, the predicted
+# -q_30 / p_30; q_35 = 0 leaves 4 / (3 + 4 / (3 + ...)) over levels 30..34,
+# about 1 (x = 4 / (3 + x)); q_5 = 0 leaves the tail whole, where it blocks
+# only Miller's estimates, which reach across it
+@pytest.mark.parametrize("k, minimal_exists", [(5, False), (30, True), (35, True)])
+def test_zero_q_ends_the_tail_probe(k, minimal_exists):
+    q = [4.0] * 40
+    q[k] = 0.0
+    rep = classify([3.0] * 40, q)
+    assert rep.consistency
+    assert not any(note.startswith("predicted ratios") for note in rep.notes)
+    assert rep.minimal_exists is minimal_exists
 
 
 # ----------------------------------------------------------------------

@@ -87,6 +87,11 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _param(command, value):
+    """``--param-value value`` where ``command`` reads it: solve scans instead."""
+    return [] if command == "solve" else ["--param-value", value]
+
+
 # [DERIVED] exact spectrum 2k+1 through the full command path
 def test_solve_finds_oscillator_spectrum(ho_file, capsys):
     code, out, err = _run(capsys, ["solve", ho_file])
@@ -799,6 +804,22 @@ def test_diagnose_termination_on_last_level(tmp_path, capsys, k):
     assert not any("table is partial" in w for w in record["warnings"])
 
 
+# [DERIVED] constant L = 3 and S = 1/4 keep p_n = 3 and q_n = 1/4 on every
+# level; the unit form alternates 3, 12 over 11 levels, all >= 1, so the
+# bound check runs, and its sum 6 * 3 + 5 * 12 = 78 passes the threshold 50
+def test_diagnose_unit_form_at_least_one_runs_bound_check(tmp_path, capsys):
+    problem = dict(HO_PROBLEM, lambda0="3", s0="0.25 + 0*E", order=20, n_max=10)
+    path = _write(tmp_path, "unit.json", problem)
+    code, out, err = _run(capsys, ["diagnose", path, "--param-value", "1"])
+    assert code == EXIT_OK, err
+    record = json.loads(out)
+    assert record["warnings"] == []
+    outputs = record["outputs"]
+    assert outputs["convergence"]["verdict"] == "Converges"
+    assert outputs["convergence"]["partial_sum"] == 78.0
+    assert outputs["bound_violations"] == 0
+
+
 # the numeric probes read the fraction's own runs and take no seed
 @pytest.mark.parametrize("command", ["solve", "diagnose", "classify"])
 def test_no_subcommand_accepts_seed(const_seq_file, capsys, command):
@@ -806,6 +827,25 @@ def test_no_subcommand_accepts_seed(const_seq_file, capsys, command):
         main([command, const_seq_file, "--seed", "1"])
     assert info.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+# each subcommand registers only the flags it reads: solve scans, so it takes
+# no parameter value; diagnose and classify fix one, so no grid or tolerance
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("solve", "--param-value"),
+        ("diagnose", "--grid"),
+        ("diagnose", "--tol"),
+        ("classify", "--grid"),
+        ("classify", "--tol"),
+    ],
+)
+def test_subcommand_rejects_flags_it_does_not_read(const_seq_file, capsys, command, flag):
+    with pytest.raises(SystemExit) as info:
+        main([command, const_seq_file, flag, "1"])
+    assert info.value.code == EXIT_INPUT
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 # classify starts no random generator, so a first classify in a fresh
@@ -874,7 +914,7 @@ def test_exit_input_on_size_past_numpy_limit(
     tmp_path, capsys, command, change, argv_tail, name
 ):
     path = _write(tmp_path, "huge.json", dict(HO_PROBLEM, **change))
-    code, out, err = _run(capsys, [command, path, "--param-value", "2", *argv_tail])
+    code, out, err = _run(capsys, [command, path, *_param(command, "2"), *argv_tail])
     assert (code, out) == (EXIT_INPUT, "")
     assert err == f"error: {name} is too large for a numpy array\n"
 
@@ -941,7 +981,7 @@ def test_exit_input_on_malformed_numeric_field(tmp_path, capsys, field, value):
 def test_exit_input_on_nonfinite_x0_option(tmp_path, capsys, command, argv_tail):
     payload = dict(HO_PROBLEM, classify={"pvals": [3.0] * 60, "qvals": [4.0] * 60})
     path = _write(tmp_path, "raw.json", payload)
-    code, out, err = _run(capsys, [command, path, "--param-value", "1", *argv_tail])
+    code, out, err = _run(capsys, [command, path, *_param(command, "1"), *argv_tail])
     assert code == EXIT_INPUT
     assert out == ""
     assert "series center must be finite" in err
@@ -963,6 +1003,25 @@ def test_exit_input_on_nan_tol(tmp_path, capsys, argv_tail, search):
     code, _, err = _run(capsys, ["solve", path, *argv_tail])
     assert code == EXIT_INPUT
     assert "tol" in err
+
+
+# [DERIVED] the oscillator's eigenvalues are the odd integers, none in
+# [1.5, 2.5]: an empty result carries a warning
+def test_solve_warns_when_no_eigenvalue_is_found(tmp_path, capsys):
+    search = dict(HO_PROBLEM["search"], e_min=1.5, e_max=2.5, grid=11)
+    path = _write(tmp_path, "gap.json", dict(HO_PROBLEM, order=80, n_max=40, search=search))
+    code, out, err = _run(capsys, ["solve", path])
+    assert code == EXIT_OK, err
+    record = json.loads(out)
+    assert record["outputs"]["count"] == 0
+    assert record["warnings"] == ["no eigenvalues found in [1.5, 2.5] at depth 40"]
+
+
+# a grid of one point holds no cell to scan
+def test_solve_rejects_single_point_grid(ho_file, capsys):
+    code, out, err = _run(capsys, ["solve", ho_file, "--grid", "1"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: grid_points must be >= 2\n"
 
 
 # the scan never reads the spec's order, so the smallest order the spec
@@ -1234,7 +1293,7 @@ def _power_law(**changes):
 )
 def test_exit_code_for_any_single_field_mutation(tmp_path, capsys, problem, command):
     path = _write(tmp_path, "mutated.json", problem)
-    code, _, _ = _run(capsys, [command, path, "--param-value", "3"])
+    code, _, _ = _run(capsys, [command, path, *_param(command, "3")])
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC)
 
 
