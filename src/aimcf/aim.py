@@ -1,89 +1,27 @@
 """Iteration ladder for second-order linear ODE eigenproblems.
 
-The equation under study is ``y'' = L(x) y' + S(x) y`` with coefficient
-functions supplied as expressions in ``x`` and one spectral parameter.
-Repeated differentiation produces the ladder
+The equation is ``y'' = L(x) y' + S(x) y``, with L and S given as
+expressions in ``x`` and one spectral parameter (:class:`ProblemSpec`).
+Repeated differentiation gives the ladder
 
     L[n] = L[n-1]' + L * L[n-1] + S[n-1]
     S[n] = S[n-1]' + S * L[n-1]
 
-carried here in truncated Taylor arithmetic about a user-chosen point x0.
-The termination quantity
+whose termination quantity
 
     delta[n] = L[n](x0) * S[n-1](x0) - L[n-1](x0) * S[n](x0)
 
-vanishes at eigenvalues of problems whose ladder terminates, which is what
-:func:`find_eigenvalues` scans for and then refines by safeguarded secant
-steps (Dekker 1969; Brent 1973, ch. 4), reporting the chord zero of each
-final bracket.
+vanishes at the eigenvalues of problems whose ladder terminates.
 
-One raw-array kernel, :func:`_ladder`, runs the recursion on Taylor
-coefficients: level n + 1 is an index shift of level n (the derivative)
-plus its convolution with the coefficients of L and S.  It keeps the
-accumulation order of truncated series arithmetic, so :func:`aim_iterate`
-(whole series per level) and :func:`aim_matrix_iterate` (coefficient
-table) are bit-identical views of it, and it raises
-:class:`~aimcf.errors.Overflow` when a coefficient leaves double range, so
-every view reports overflow alike.
-
-The eigenvalue search reads only the at-centre values, and these need no
-whole series: since y^(i+2) = L[i] y' + S[i] y, L[i](x0) and S[i](x0) are
-the derivatives at x0 of the two solutions with (y, y') = (0, 1) and
-(1, 0) there, which the Leibniz rule gives from the input derivatives in
-O(n**2) operations instead of the ladder's O(n**3).  A search does once
-what does not depend on the point: it validates its inputs, binds each
-expression once at order n + 2 with the one expression binder,
-:func:`~aimcf.series._bind` (:func:`_evaluator`), takes the derivative
-column at x0 of a side that does not depend on the parameter, and runs
-under one floating-point error state and one guard against expressions too
-deep to evaluate.  It evaluates each distinct parameter value once, to
-depth n + 2, and forms and keeps only delta[n] for the scan and refinement
-and delta[n + 2] for the recheck, as Python floats, with the evaluated
-values in one sorted list.  Both kernels take the derivatives t! c[t] at x0
-of L and S and the depths to form, and raise :class:`~aimcf.errors.Overflow`
-if one of those deltas is not finite.  The whole grid is bound in one call,
-and its derivative columns (a parameter-free side's one column broadcasts)
-go through one batched pass of :func:`_scan_deltas`; each refinement or
-recheck point calls only the parameter side, on a one-value array, and runs
-:func:`_delta_recurrence` on Python lists.  If binding the grid fails,
-every grid point is evaluated by that per-point kernel instead, in grid
-order, and the points that cannot be evaluated are skipped with a warning.
-With the parameter on neither side, delta is one value at every point,
-and one per-point evaluation replaces the scan.
-Rows of a binding are bit-identical to one-value bindings, and both
-kernels sum the same terms in the same order, so a grid value equals a
-per-point one bit for bit.  Both leave out products that are exactly zero:
-a derivative order t where L^(t) and S^(t) are both zero, and the side of
-an order t that is zero, at its point for the per-point kernel and on the
-whole grid for the batched pass (an order that is one-sided on the grid),
-which also skips the multiply by C(k, 0) = C(k, k) = 1.  A skipped zero
-could at most change the sign of a zero term, and the sum onto a +0
-accumulator erases that sign, so no value changes, not even a zero's sign
-(which no root decision reads anyway); a skipped 0 * inf follows an
-overflow that raises :class:`~aimcf.errors.Overflow` either way.  Against
-the series ladder, which sums in another order, they agree to rounding:
-within 1e-13 of the cross terms ``|L|[i+1] |S|[i] + |L|[i] |S|[i+1]`` of the ladder run
-on absolute input coefficients, which scale the rounding error of both.
-
-At a symmetric centre, where every derivative of L of even order and
-every derivative of S of odd order is zero (L odd and S even about x0, as
-for the oscillator and the quartic at x0 = 0), u_a is even and u_b odd:
-u_a(k) is exactly +0.0 at every odd k and u_b(k) at every even k, since
-every term of their sums there is a finite number times +0.0 and the sum
-onto +0 stays +0.0.  Both kernels then run the recurrence once, on
-v = u_a + u_b started at (1, 1): v(k) equals the nonzero one of u_a(k) and
-u_b(k) bit for bit, as the same products summed in the same order, and
-delta[d] is formed with the operands and signed zeros of the two-solution
-cross product, v(d + 2) v(d + 1) - 0.0 for odd d and 0.0 - v(d + 1) v(d + 2)
-for even d.  A non-finite derivative changes nothing: where a zero of the
-two-solution loop would have turned nan, the nonzero solution is
-non-finite at the same index, through the same term, so the same deltas
-raise :class:`~aimcf.errors.Overflow`.  The per-point kernel decides this
-at its point, the batched pass on its whole grid.
-
-Every ladder runs to the one depth of its problem, ``ProblemSpec.n_max``
-(the n of delta[n]); a caller that wants another depth builds another
-spec, for example with ``dataclasses.replace(spec, n_max=d)``.
+* :func:`_ladder` runs the ladder on Taylor coefficients about x0;
+  :func:`aim_iterate` and :func:`aim_matrix_iterate` are its two views.
+* :func:`_delta_recurrence` gives delta[n] from the derivatives of L and S
+  at x0 alone, in O(n**2), and says how its values relate to the ladder's;
+  :func:`_scan_deltas` is its batched twin for a grid, and
+  :func:`_cross_deltas` their one delta formula.
+* :func:`find_eigenvalues` scans delta[n] over a parameter grid, refines
+  each sign change by :func:`_locate` and rechecks each root at depth
+  n + 2; :func:`_evaluator` binds the inputs of a search once.
 """
 
 from __future__ import annotations
@@ -214,17 +152,15 @@ def _ladder(
     """Coefficient arrays of ladder levels 0..depth; level i is i entries shorter.
 
     Also returns the at-centre values as a ``(2, depth + 1)`` array of rows
-    L[i](x0) and S[i](x0).  The accumulation order ``(shift +
-    L-convolution) + S`` and the per-level ``np.convolve`` of equal-length
-    prefixes reproduce truncated Taylor arithmetic bit for bit, so the
-    result does not depend on how many input coefficients the caller passes
-    beyond those a level needs.
-
-    Raises :class:`Overflow` if any coefficient leaves double range.  Each
-    coefficient m of level i reaches coefficient m - 1 of level i + 1
-    through the index shift, and a non-finite operand keeps the sum
-    non-finite, so checking the at-centre values and the last level finds
-    every non-finite coefficient.
+    L[i](x0) and S[i](x0).  Level i + 1 is an index shift of level i (the
+    derivative) plus its convolution with L and S, accumulated as ``(shift +
+    L-convolution) + S`` over equal-length prefixes, which reproduces
+    truncated Taylor arithmetic bit for bit whatever the number of input
+    coefficients; :func:`aim_iterate` and :func:`aim_matrix_iterate` are
+    bit-identical views of it.  Raises :class:`Overflow` if any coefficient
+    leaves double range: coefficient m of level i reaches coefficient m - 1 of
+    level i + 1 through the shift, and a non-finite operand keeps a sum
+    non-finite, so the at-centre values and the last level show every one.
     """
     k = np.arange(1, l0.size, dtype=float)
     lam, s = [l0], [s0]
@@ -375,30 +311,41 @@ def _delta_recurrence(
 ) -> list[float]:
     """delta[d], d in ``depths`` (1..depth), from the derivatives t! c[t] at x0 of L and S.
 
-    Since y^(i+2) = L[i] y' + S[i] y, the at-centre values L[i](x0) and
-    S[i](x0) are the derivatives u_b(i + 2) and u_a(i + 2) at x0 of the
-    solutions with (y, y') = (0, 1) and (1, 0) there, and the Leibniz rule
-    gives them in O(depth**2) operations:
+    Since y^(i+2) = L[i] y' + S[i] y, L[i](x0) and S[i](x0) are the
+    derivatives u_b(i + 2) and u_a(i + 2) at x0 of the solutions with
+    (y, y') = (0, 1) and (1, 0) there, which the Leibniz rule gives in
+    O(depth**2) operations instead of the ladder's O(depth**3):
 
         u(k + 2) = sum over t of C(k, t) (L^(t) u(k + 1 - t) + S^(t) u(k - t))
 
-    The sum runs on Python floats, in ascending t over the t where
-    L^(t)(x0) or S^(t)(x0) is nonzero, leaving out the side that is zero;
-    the cross product of :func:`_cross` at ``depths`` runs on Python floats
-    too, which spares a one-point call its array copies and
-    ``np.errstate``.  Derivatives, not Taylor coefficients, are carried,
-    since u(k) / k! underflows where u(k) and delta do not.  At a
-    symmetric centre (L^(t) zero at every even t and S^(t) at every odd t)
-    one of u_a(k), u_b(k) is +0.0 at every k, and the loop runs once, on
-    v = u_a + u_b from (1, 1), reading v(k + 1 - t) for the one nonzero side
-    L^(t) or v(k - t) for S^(t); elsewhere it runs one fused loop over both
-    solutions, which costs less than two one-solution loops.  The values
-    equal those of :func:`_scan_deltas` at the same point bit for bit, on
-    either route (the module docstring says why neither the skipped
-    products nor the one-solution route change anything), and those of the
-    series ladder within the bound stated there.  A value
-    beyond double range turns inf or nan; if that reaches a delta of
-    ``depths``, this raises :class:`Overflow`.
+    The sum runs on Python floats in ascending t onto a +0.0 accumulator, and
+    :func:`_cross_deltas` forms delta at ``depths`` only, with no array copies
+    or ``np.errstate``.  Derivatives, not Taylor coefficients, are carried,
+    since u(k) / k! underflows where u(k) and delta do not.  A value beyond
+    double range turns inf or nan; if that reaches a delta of ``depths``, this
+    raises :class:`Overflow`.
+
+    The sum leaves out the orders t where L^(t)(x0) and S^(t)(x0) are both
+    zero, and the zero side of an order.  A skipped product of a finite number
+    and zero could only change the sign of a zero term, which the sum onto
+    +0.0 erases, so no value changes, not even a zero's sign; a skipped
+    0 * inf follows an overflow that raises either way.
+
+    At a symmetric centre, L^(t) zero at every even t and S^(t) at every odd t
+    (L odd and S even about x0, as for the oscillator and the quartic at
+    x0 = 0), u_a is even and u_b odd: one of u_a(k), u_b(k) is exactly +0.0 at every k, each
+    term of its sum being a finite number times +0.0.  The loop then runs
+    once, on v = u_a + u_b from (1, 1), reading v(k + 1 - t) for the one
+    nonzero side L^(t) or v(k - t) for S^(t); v(k) is the nonzero one of
+    u_a(k), u_b(k) bit for bit, the same products summed in the same order.
+    Where a zero of the two-solution loop would turn nan, the nonzero solution
+    is non-finite at the same index, so the same deltas raise.  Elsewhere one
+    fused loop runs over both solutions, cheaper than two loops.
+
+    :func:`_scan_deltas` gives the same values bit for bit.  The series ladder
+    sums in another order and agrees to rounding: within 1e-13 of the cross
+    terms ``|L|[i+1] |S|[i] + |L|[i] |S|[i+1]`` of the ladder run on absolute
+    input coefficients, which scale the rounding error of both.
     """
     width = len(dl)
     terms = [(t, dl[t], ds[t]) for t in range(width) if dl[t] or ds[t]]
@@ -415,10 +362,7 @@ def _delta_recurrence(
                     break
                 a += row[t] * (c * v[k - back])
             v.append(a)
-        # the cross product of the two solutions, with the other's +0.0
-        delta = [
-            v[d + 2] * v[d + 1] - 0.0 if d % 2 else 0.0 - v[d + 1] * v[d + 2] for d in depths
-        ]
+        delta = _cross_deltas(v, None, depths)
     else:
         ua, ub = [1.0, 0.0], [0.0, 1.0]
         for k in range(width):
@@ -439,34 +383,43 @@ def _delta_recurrence(
                     b += c * (l * ub[j + 1] + s * ub[j])
             ua.append(a)
             ub.append(b)
-        delta = [ub[d + 2] * ua[d + 1] - ub[d + 1] * ua[d + 2] for d in depths]
+        delta = _cross_deltas(ua, ub, depths)
     if not all(map(math.isfinite, delta)):
         raise Overflow("termination quantity overflows double range")
     return delta
 
 
+def _cross_deltas(ua, ub, depths: Iterable[int]) -> list:
+    """delta[d] = u_b(d + 2) u_a(d + 1) - u_b(d + 1) u_a(d + 2), d in ``depths``.
+
+    The one delta formula of both kernels, on Python floats or on arrays of
+    grid points; with L[i](x0) = u_b(i + 2) and S[i](x0) = u_a(i + 2) it is the
+    ladder's cross product.  ``ub`` is None at a symmetric centre, where ``ua``
+    holds v = u_a + u_b (:func:`_delta_recurrence`) and one product has two
+    +0.0 operands: v(d + 2) v(d + 1) - 0.0 for odd d, 0.0 - v(d + 1) v(d + 2)
+    for even d.
+    """
+    if ub is None:
+        v = ua
+        return [v[d + 2] * v[d + 1] - 0.0 if d % 2 else 0.0 - v[d + 1] * v[d + 2] for d in depths]
+    return [ub[d + 2] * ua[d + 1] - ub[d + 1] * ua[d + 2] for d in depths]
+
+
 def _scan_deltas(dl: np.ndarray, ds: np.ndarray, depths: Iterable[int]) -> np.ndarray:
     """delta[d], d in ``depths``, at each point of ``(depth + 1, points)`` derivative columns.
 
-    Row t of ``dl`` and ``ds`` holds L^(t)(x0) and S^(t)(x0) at every point;
-    a side with one column, the same at every point, broadcasts.  This is
-    the batched twin of :func:`_delta_recurrence`, for a whole grid in one
-    pass: the same recurrence on ``(2, points)`` arrays that hold u_a and
-    u_b of every point, summed in place into one preallocated array, over
-    the rows t that are nonzero at some point.  A row that is zero at a
-    point adds only zeros there, so every point gets the sums of
-    :func:`_delta_recurrence` in the same order and equals it bit for bit,
-    whatever the other points hold.  It leaves out the side of a row whose
-    L^(t) or S^(t) is zero at every point, and the multiply by
-    C(k, 0) = C(k, k) = 1; neither changes a value, as the module docstring
-    shows.  Where the whole grid is a symmetric centre (every row L^(t) of
-    even t and S^(t) of odd t zero at every point), the arrays are
-    ``(1, points)`` and hold v = u_a + u_b, the same calls on half the
-    data; a symmetric point of a grid that is not gets both solutions and
-    the same bits.  Returns a ``(len(depths), points)`` array, one column
-    per point of the broadcast columns; raises :class:`Overflow` if one of
-    its values leaves double range, without numpy's floating-point
-    warnings.
+    The batched twin of :func:`_delta_recurrence`, whose docstring gives the
+    recurrence and why skipped zeros and the symmetric route change no value.
+    Row t of ``dl`` and ``ds`` holds L^(t)(x0) and S^(t)(x0) at every point; a
+    side with one column broadcasts.  The recurrence runs on ``(2, points)``
+    arrays of u_a and u_b, summed in place onto +0.0 over the rows nonzero at
+    some point; a row that is zero at a point adds only zeros there, so every
+    point equals :func:`_delta_recurrence` bit for bit, whatever the other
+    points hold.  A side zero at every point is left out, as is the multiply
+    by C(k, 0) = C(k, k) = 1.  Where the whole grid is a symmetric centre the
+    arrays are ``(1, points)`` and hold v = u_a + u_b.  Returns a
+    ``(len(depths), points)`` array; raises :class:`Overflow` if one of its
+    values leaves double range, without numpy's floating-point warnings.
     """
     width, points = np.broadcast_shapes(dl.shape, ds.shape)
     binom = _tables(width)[0]
@@ -498,15 +451,7 @@ def _scan_deltas(dl: np.ndarray, ds: np.ndarray, depths: Iterable[int]) -> np.nd
                 if 0 < t < k:  # C(k, 0) = C(k, k) = 1
                     term *= row[t]
                 acc += term
-        if symmetric:  # the cross product of the two solutions, with the other's +0.0
-            v = u[:, 0]
-            delta = np.array(
-                [v[d + 2] * v[d + 1] - 0.0 if d % 2 else 0.0 - v[d + 1] * v[d + 2] for d in depths]
-            )
-        else:
-            delta = np.array(
-                [u[d + 2, 1] * u[d + 1, 0] - u[d + 1, 1] * u[d + 2, 0] for d in depths]
-            )
+        delta = np.array(_cross_deltas(u[:, 0], None if symmetric else u[:, 1], depths))
     if not np.isfinite(delta).all():
         raise Overflow("termination quantity overflows double range")
     return delta
@@ -517,20 +462,16 @@ def _evaluator(spec: ProblemSpec, order: int) -> tuple[
 ]:
     """Bind L and S of one search at x0 to ``order``; return ``(columns, deltas_at)``.
 
-    Each expression is bound once, by :func:`~aimcf.series._bind`, and
-    enters the kernels as its derivatives t! c[t] at x0, with t! as a
-    correctly rounded mantissa times an exact power of two, so a derivative
-    is finite wherever it lies in double range, also past t = 170 where t!
-    is not.  A side bound to a constant array (it does not depend on the
-    parameter) gets its one derivative column here, once, as an array and as
-    a Python list; a parameter side is called per use.  ``columns(values)``
-    gives the derivative columns of L and S for a list of parameter values,
-    ``(order + 1, values)`` for a parameter side and the one
-    ``(order + 1, 1)`` column of a constant side, which broadcasts, for
-    :func:`_scan_deltas`.  ``deltas_at(e, depths)`` gives delta[d] at one
-    value for d in ``depths`` (1..order) from the same derivatives, as
-    Python lists, by :func:`_delta_recurrence`, which equals
-    :func:`_scan_deltas` on ``columns([e])`` at those depths bit for bit.
+    Each expression is bound once, by :func:`~aimcf.series._bind`, and enters
+    the kernels as its derivatives t! c[t] at x0, with t! as a correctly
+    rounded mantissa times an exact power of two, so a derivative is finite
+    wherever it lies in double range, also past t = 170 where t! is not.  A
+    side that does not depend on the parameter gets its one derivative column
+    here, once.  ``columns(values)`` gives the derivative columns of L and S
+    for :func:`_scan_deltas`: ``(order + 1, values)`` for a parameter side and
+    the one ``(order + 1, 1)`` column of a constant side.
+    ``deltas_at(e, depths)`` gives delta[d] at one value for d in ``depths``
+    (1..order) by :func:`_delta_recurrence`.
 
     The caller checks that every value is finite and runs binding and calls
     under ``np.errstate(over="ignore", invalid="ignore")``, turning a
@@ -623,65 +564,33 @@ def find_eigenvalues(
     """Scan delta[n] over a parameter grid and refine its sign changes.
 
     The depth n is ``spec.n_max``.  The grid is the distinct values of
-    ``np.linspace(e_min, e_max, grid_points)`` clipped to [e_min, e_max]
-    (a step that rounds up in the subnormal range takes ``np.linspace``
-    past e_max): a value that rounding repeats (on a range of a few ulps)
-    is searched once, since a cell between equal values cannot change
-    sign, so no root is reported twice.
-    One pass in grid order reports each grid point where delta[n] is
-    exactly zero and refines each cell whose ends change sign to within
-    ``tol`` of a sign change, so the roots come out in ascending order.
-    The grid values and their delta[n] (skipped points have none) enter
-    these cell tests as Python floats, which compare as the doubles they
-    hold.  A cell is
-    refined by :func:`_locate`, whose secant steps fall back to the
-    midpoint, and its root is the chord zero of a final bracket of width
-    ``tol`` or less.  Every root found at depth n is re-located at depth
-    n + 2 inside the same grid cell, or inside both cells at a grid point
-    it lies within ``tol`` of; if the ends of
-    that bracket share a sign at depth n + 2 (a truncation root that moves
-    across a grid point with depth), it gains the cell beyond its end
-    nearer the root.  The recheck starts from the already evaluated point
-    or adjacent pair nearest the root that holds a zero or a sign change of
-    delta[n + 2], so it costs few new evaluations; it reads the evaluated
-    points of its bracket from a sorted list, by bisection.  The reported
-    residual is the distance between the two roots, each located to within
-    ``tol`` (infinite, with a warning, if the deeper level cannot be
-    re-bracketed there).
+    ``np.linspace(e_min, e_max, grid_points)`` clipped to [e_min, e_max] (a
+    step that rounds up in the subnormal range takes ``np.linspace`` past
+    e_max), so no value is searched twice and no root reported twice.  One
+    pass in grid order reports each grid point where delta[n] is exactly zero
+    and refines each cell whose ends change sign by :func:`_locate`, so the
+    roots come out in ascending order.  Each root is re-located at depth n + 2
+    inside the same grid cell, or inside both cells at a grid point it lies
+    within ``tol`` of; a bracket whose ends share a sign at depth n + 2 (a
+    truncation root that crosses a grid point with depth) gains the cell
+    beyond its end nearer the root.  The residual is the distance between the
+    two roots (infinite, with a :class:`DepthRecheckWarning`, if the deeper
+    level has no sign change there).
 
-    Once per search, the inputs are validated, each expression is bound
-    (:func:`_evaluator`), the derivative column at x0 of a side that does
-    not depend on the parameter is taken, and one floating-point error
-    state and one guard that turns a ``RecursionError`` into
-    :class:`ParseOrEvalError` are set up.  The grid is bound in one call,
-    and its derivative columns are evaluated in one batched pass
-    (:func:`_scan_deltas`); at every other parameter value only the
-    parameter side is called, on a one-value array, and
-    :func:`_delta_recurrence` runs on Python lists.  Each value is
-    evaluated once, to depth n + 2; the kernels form only delta[n] and
-    delta[n + 2], as Python floats, and raise :class:`Overflow` if one
-    leaves double range.  Both passes run the derivative recurrence of the
-    module docstring, so a grid value equals a per-point evaluation bit for
-    bit and the series ladder's value to the tolerance stated there.
-
-    If binding the grid raises, every grid point is evaluated alone, in
-    grid order, by the per-point kernel: points whose inputs cannot be
-    evaluated (a singular pivot) are skipped with a warning, and any other
-    error is raised by the first point that meets it.  With the parameter
-    on neither side (both bound to constant arrays), delta[n] is one value
-    at every E, so no cell changes sign: it is evaluated once, at the
-    first grid point by the per-point kernel, which raises
-    :class:`Overflow` if delta[n] or delta[n + 2] is not finite, and the
-    result is empty, with a :class:`DegenerateDeltaWarning` if
-    |delta[n]| < ``EPS_PIVOT``.  If delta[n] vanishes
-    on the whole grid, it is evaluated once more at the midpoint of the
-    first cell: if it vanishes there too (for example S = 0), or that
-    midpoint overflows (ends near 1e308), the result is empty, with a
-    :class:`DegenerateDeltaWarning`; otherwise every grid point is a root.
-    So every parameter value evaluated is finite: the grid comes from a
-    finite range, and trial points lie strictly inside finite brackets.
-    A non-finite ``e_min``, ``e_max`` or ``e_max - e_min`` raises
-    :class:`ValidationError`.
+    Each parameter value is evaluated once, to depth n + 2, by the kernels of
+    :func:`_evaluator`, the grid in one batched pass; :class:`Overflow` is
+    raised where delta[n] or delta[n + 2] leaves double range.  If the grid
+    cannot be bound as a whole, its points are evaluated one by one, and those
+    with a singular pivot are skipped with a :class:`GridPointSkippedWarning`.
+    With the parameter on neither side the result is empty, with a
+    :class:`DegenerateDeltaWarning` if |delta[n]| < ``EPS_PIVOT``.  So is it
+    where delta[n] vanishes on the whole grid and at the midpoint of its first
+    cell (for example S = 0) or that midpoint overflows; if only the grid
+    vanishes, every grid point is a root.  The tiny-pivot
+    :class:`ConditioningWarning` of a division in L or S is not passed on.  A
+    non-finite ``e_min``, ``e_max`` or ``e_max - e_min`` raises
+    :class:`ValidationError`, and an expression nested too deeply to evaluate
+    :class:`ParseOrEvalError`.
     """
     e_min, e_max = float(e_min), float(e_max)  # Python floats: e_max - e_min cannot warn
     if not (math.isfinite(e_min) and math.isfinite(e_max) and math.isfinite(e_max - e_min)):
@@ -696,8 +605,9 @@ def find_eigenvalues(
 
     grid = np.unique(np.linspace(e_min, e_max, grid_points).clip(e_min, e_max)).tolist()
     try:
-        # the per-point conditioning chatter is not useful during a scan;
-        # other warning categories still reach the caller's handlers
+        # drops only the tiny-pivot ConditioningWarning of _divide, which a
+        # Div node of L or S raises when bound or called; other warnings
+        # reach the caller's handlers
         with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
             warnings.simplefilter("ignore", ConditioningWarning)
             return _search(spec, grid, tol)

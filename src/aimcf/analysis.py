@@ -1,19 +1,10 @@
 """Convergence verdicts, minimal-solution detection, and asymptotic
 classification for three-term recurrences x_n = p_n x_{n-1} + q_n x_{n-2}.
 
-Analytic labels derived from the monic transform t_n = -4 q_n / (p_{n-1} p_n)
-are advisory; the numeric ratios of two runs on the original recurrence are
-authoritative.  The fraction's forward run (:func:`~aimcf.cf.cf_approximants`)
-gives the approximants, Miller's estimates (the backward pass planted at
-depth N gives -C_N), the dominant ratio and the growth; the fraction's tail
-from level m + 1 gives minus the minimal ratio x_m / x_{m-1} at m = 3N/4
-(Pincherle).  A consistency flag follows from one rule for every case: the
-predicted dominant ratio meets the last ratio, the minimal one the tail's
-ratio, and for equal root moduli the growth modulus meets the numeric one.
-Consistency is not minimal existence, which is decided once, by the Miller
-run (Gautschi, SIAM Rev. 9 (1967) 24) of the report's one Pincherle check.
-Both runs are forward approximant runs, whose mantissas are rescaled by
-exact powers of two, so neither overflows or underflows.
+:func:`stern_seidel` and :func:`bound_check` judge unit-numerator
+fractions; :func:`miller_minimal_ratio` and :func:`pincherle_check` decide
+whether a minimal solution exists; :func:`classify` labels a recurrence and
+checks the label against numeric ratios read off its fraction.
 """
 
 from __future__ import annotations
@@ -26,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cf import CFState, _ldexp_safe, cf_approximants
+from .cf import CFState, cf_approximants, dominant_probe, require_pq
 from .errors import (
     DegenerateDenominator,
     HypothesisViolated,
@@ -88,11 +79,8 @@ class ConvergenceReport(NamedTuple):
 
 
 class PincherleResult(NamedTuple):
-    """Agreement between the fraction limit and the minimal-solution ratio.
-
-    Miller's estimate at depth N is -C_N, so ``agreement`` is
-    |cf_limit + backward_ratio|, the fraction's own change past that depth.
-    """
+    """Agreement between the fraction limit and the minimal-solution ratio
+    (:func:`pincherle_check`)."""
 
     cf_limit: float
     backward_ratio: float
@@ -130,14 +118,9 @@ class BirkhoffAdamsData(NamedTuple):
 
 
 class ClassificationReport(NamedTuple):
-    """Asymptotic class of a recurrence plus authoritative numeric ratios.
-
-    The fraction's forward run gives ``pincherle``, whose Miller estimate is
-    ``numeric_minimal_ratio``, and ``numeric_dominant_ratio``; the fraction's
-    tail from level m + 1 gives minus the minimal ratio at m = 3N/4
-    (Pincherle), which only the consistency check reads.  ``pincherle`` is
-    None exactly when ``minimal_exists`` is false.
-    """
+    """Asymptotic class of a recurrence plus authoritative numeric ratios, as
+    :func:`classify` derives them; ``pincherle`` is None exactly when
+    ``minimal_exists`` is false."""
 
     q_limit: float
     a_n_samples: tuple[float, ...]
@@ -230,13 +213,6 @@ def bound_check(state: CFState) -> list[tuple[int, float, float, bool]]:
     return rows
 
 
-def _ratio(x: list[float], exps: list[int], i: int, j: int) -> float:
-    """Ratio of runner steps i and j of mantissas x; NaN where step j is 0."""
-    if x[j] == 0.0:
-        return math.nan
-    return _ldexp_safe(x[i] / x[j], exps[i] - exps[j])
-
-
 def miller_minimal_ratio(
     pvals: Sequence[float],
     qvals: Sequence[float],
@@ -246,7 +222,8 @@ def miller_minimal_ratio(
 
     The backward pass planted at depth N with x_N = 0, x_{N-1} = 1 is the
     solution B_N A_n - A_N B_n up to a factor, so its estimate x_{-1}/x_{-2}
-    is -C_N, read from one forward run of :func:`~aimcf.cf.cf_approximants`.
+    is -C_N (Gautschi, SIAM Rev. 9 (1967) 24), read from one forward run of
+    :func:`~aimcf.cf.cf_approximants`.
     Depths from depth_schedule are tried in increasing order until two
     successive estimates agree to 1e-12 relative; failure to stabilize means
     no minimal solution is numerically detectable.
@@ -267,16 +244,14 @@ def _miller(state: CFState, depth_schedule: Sequence[int]) -> float:
         # the fraction whether or not the recurrence has a minimal solution
         zeros = np.flatnonzero(state.qvals[: top + 1] == 0.0)
         if zeros.size:
-            raise ZeroQ(f"q[{zeros[-1]}] = 0 blocks the backward recurrence")
+            raise ZeroQ(f"q[{zeros[-1]}] = 0, but Pincherle's theorem needs every q_n != 0")
         est = -float(state.C[top])
         if not math.isfinite(est):  # B_N = 0, the backward pass's x_{-2}
             raise NoConvergence(f"base value vanished at depth {top}")
         if prev is not None and abs(est - prev) <= STABLE_RTOL * max(1.0, abs(est)):
             return est
         prev = est
-    raise NoConvergence(
-        f"backward estimates failed to stabilize over depths {usable}"
-    )
+    raise NoConvergence(f"Miller's estimates -C_N did not settle over depths {usable}")
 
 
 def _default_schedule(size: int) -> list[int]:
@@ -298,9 +273,10 @@ def pincherle_check(pvals: Sequence[float], qvals: Sequence[float]) -> Pincherle
     """Compare the fraction limit against Miller's minimal-solution ratio.
 
     Both come from one run of :func:`~aimcf.cf.cf_approximants`: Miller's
-    estimate at depth N is -C_N (:func:`miller_minimal_ratio`), so where the
+    estimate at depth N is -C_N (:func:`miller_minimal_ratio`), and where the
     minimal solution exists the limit is minus its ratio x_{-1}/x_{-2}
-    (Pincherle), and agreement is |cf_limit + backward_ratio|.
+    (Pincherle), so ``agreement``, |cf_limit + backward_ratio|, is the
+    fraction's own change past the depth where the estimates settled.
     """
     return _pincherle(cf_approximants(pvals, qvals))
 
@@ -331,10 +307,7 @@ def monic_transform(
     the last sampled value; callers needing error bars should inspect the
     tail of the returned sequence.
     """
-    p = np.asarray(pvals, dtype=float)
-    q = np.asarray(qvals, dtype=float)
-    if p.shape != q.shape:
-        raise ValidationError("pvals and qvals must have equal length")
+    p, q = require_pq(pvals, qvals)
     if p.size < 2:
         raise ValidationError("need at least two levels for the transform")
     if not p.any():
@@ -351,7 +324,8 @@ def monic_transform(
             (m1, e1), (m2, e2), (mq, eq) = map(
                 math.frexp, (p_list[n - 1], p_list[n], q_list[n])
             )
-            t.append(_ldexp_safe(-4.0 * mq / (m1 * m2), eq - e1 - e2))
+            with np.errstate(over="ignore"):  # past double range: +-inf
+                t.append(float(np.ldexp(-4.0 * mq / (m1 * m2), eq - e1 - e2)))
     return t, t[-1]
 
 
@@ -382,40 +356,6 @@ def _envelope_exponent(samples: np.ndarray) -> Optional[float]:
     return -float(slope)
 
 
-def _forward_probe(state: CFState) -> tuple[float, float]:
-    """(last ratio x_N / x_{N-1}, growth) of the larger of A and B at N.
-
-    Every solution is x_{-2} A_n + x_{-1} B_n and at most one of two
-    independent solutions is minimal, so that column is dominant whenever a
-    dominant solution exists; A and B share one exponent per index, so
-    comparing mantissas at N compares the values.  growth is the per-step
-    growth modulus over the second half of the range,
-    |D_N / D_mid|^(1 / (2 (N - mid))), from the Casoratian of the solution
-    and its shift, D_n = x_n x_{n-2} - x_{n-1}^2.  With constant coefficients
-    D_n = -q D_{n-1}, so growth is |q|^(1/2), the common modulus of
-    equal-modulus roots, to rounding: a conjugate pair's oscillation
-    |cos(n theta + phi)|, which any two samples of x_n carry, cancels out of
-    D_n.
-    """
-    a, b = state._mant_a.tolist(), state._mant_b.tolist()
-    x, exps = a if abs(a[-1]) >= abs(b[-1]) else b, state._exp2.tolist()
-    mid, last = (state.depth + 1) // 2 + 2, len(x) - 1  # steps of x_{(N+1)//2}, x_N
-    log_mid, log_end = (_log_casoratian(x, exps, i) for i in (mid, last))
-    if last == mid or log_mid is None or log_end is None:
-        growth = math.nan
-    else:
-        growth = math.exp((log_end - log_mid) / (2 * (last - mid)))
-    return _ratio(x, exps, last, last - 1), growth
-
-
-def _log_casoratian(x: list[float], exps: list[int], i: int) -> Optional[float]:
-    """log |x_i x_{i-2} - x_{i-1}^2| over runner steps i - 2..i; None where it is 0."""
-    e = exps[i - 1]
-    d = _ldexp_safe(x[i] * x[i - 2], exps[i] + exps[i - 2] - 2 * e)
-    d -= x[i - 1] ** 2
-    return None if d == 0.0 else math.log(abs(d)) + 2 * e * math.log(2.0)
-
-
 def _close(a: float, b: float, scale: float) -> bool:
     return abs(a - b) <= CONSISTENCY_RTOL * max(scale, 1e-300)
 
@@ -432,21 +372,25 @@ def classify(
     with n = index + 1, predicted by Perron-Kreuser, or expansion
     coefficients {"a_coeffs", "b_coeffs", optional "k_max"} in powers of 1/n.
     It is checked first, so a malformed one raises ValidationError whatever
-    the sequences.  Without it the monic roots times p_n / 2 are the
-    prediction.  The fraction's one forward run gives the approximants,
-    Miller's estimates, the dominant ratio at the last level and the growth
-    modulus; the fraction's tail from level m + 1 gives minus the minimal
-    ratio x_m / x_{m-1} at m = 3N/4 (Pincherle).
-    Every prediction meets these numeric ratios, which are authoritative, by
-    one check: the dominant and minimal ratios, or for equal root moduli the
-    growth modulus; only an inconsistent one adds a note.  ``consistency``
-    is not minimal existence, which Miller's run decides.  Non-finite pvals
-    or qvals raise ValidationError before any run.
+    the sequences.  Without it the roots of :func:`monic_transform` times
+    p_n / 2 are the prediction.  Labels are advisory, numeric ratios
+    authoritative.
+
+    These come off forward runs of :func:`~aimcf.cf.cf_approximants`, which
+    neither overflow nor underflow.  The run over the whole fraction gives
+    ``pincherle`` and ``numeric_minimal_ratio`` (Miller's estimates are -C_N)
+    and, by :func:`~aimcf.cf.dominant_probe`, ``numeric_dominant_ratio`` and
+    the growth modulus; ``numeric_dominant_ratio`` is NaN where the sample's
+    characteristic roots share their modulus, as no solution dominates there.
+    The run over the tail from level m + 1 gives minus the minimal ratio
+    x_m / x_{m-1} at m = 3N/4 (Pincherle).  One rule checks every prediction:
+    the dominant ratio and that minimal ratio, or for equal root moduli the
+    growth modulus; only an inconsistent prediction adds a note.
+    ``consistency`` is not minimal existence, which Miller's estimates decide.
+    The sequences must pass :func:`~aimcf.cf.require_pq`, and a non-finite
+    entry raises ValidationError before any run.
     """
-    p = np.asarray(pvals, dtype=float)
-    q = np.asarray(qvals, dtype=float)
-    if p.shape != q.shape:
-        raise ValidationError("pvals and qvals must have equal length")
+    p, q = require_pq(pvals, qvals)
     power_law, ba = parse_declared(declared)
     for name, arr in (("pvals", p), ("qvals", q)):
         if not np.all(np.isfinite(arr)):
@@ -458,16 +402,19 @@ def classify(
     t, q_limit = monic_transform(p, q)
     a_samples = np.asarray(t, dtype=float) - q_limit
     roots = characteristic_roots(q_limit)
+    split = _split_roots(*roots)
     notes: list[str] = []
 
     p_list, top = p.tolist(), p.size - 1
     state = cf_approximants(p, q)
-    num_dom, growth = _forward_probe(state)
+    num_dom, growth = dominant_probe(state)
+    if split is None:  # equal root moduli: no solution dominates
+        num_dom = math.nan
     pincherle: Optional[PincherleResult] = None
     try:
         pincherle = _pincherle(state)
     except (NoConvergence, ZeroQ) as exc:
-        notes.append(f"backward recurrence did not stabilize: {exc}")
+        notes.append(f"no minimal solution found: {exc}")
     num_min = math.nan if pincherle is None else pincherle.backward_ratio
     # the minimal ratio x_m / x_{m-1} inside the asymptotic range: minus the
     # tail from level m + 1, a zero q_n ending it as it ends any fraction
@@ -484,15 +431,14 @@ def classify(
         pred = abs(ba.r_pm[0]) if pair is None else (pair[0].real, pair[1].real)
     else:
         label = _classify_limit_cases(q_limit, a_samples, notes)
-        pair = _split_roots(*roots)
         half_p = p_list[-1] / 2.0
-        if pair is None:
+        if split is None:
             pred = abs(roots[0] * half_p)
         else:
             # the minimal root of t[m] = -4 q_{m+1} / (p_m p_{m+1}) times p_m / 2
             # is ~ -q_{m+1} / p_{m+1}, even where t_n -> 0 as p_n grows
             r_min = characteristic_roots(t[probe_at])[1].real
-            pred = (pair[0].real * half_p, r_min * p_list[probe_at] / 2.0)
+            pred = (split[0].real * half_p, r_min * p_list[probe_at] / 2.0)
     consistency = pred is not None and _consistency(
         pred, num_dom, growth, probe_at, probe_ratio, notes
     )
@@ -688,6 +634,8 @@ def birkhoff_adams(
     """
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
+    if k_max > 64:  # the distinct-root table costs about k_max**4 steps
+        raise ValidationError(f"k_max must be <= 64, got {k_max}")
     a = tuple(float(v) for v in a_coeffs)
     b = tuple(float(v) for v in b_coeffs)
     if not a or not b:

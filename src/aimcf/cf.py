@@ -8,19 +8,18 @@ derivative ladder
     p[n] = p[n-1] + q[n-1]'/q[n-1]
     q[n] = q[n-1] + p[n-1]' - p[n-1] * q[n-1]'/q[n-1]
 
-(:func:`pq_iterate`, on raw coefficient arrays; once q is constant in x and p
-linear, as on the oscillator, on the three floats p(x0), p' and q(x0), with
-p[n] = p[n-1] up to a zero's sign and q[n] = q[n-1] + p[n-1]').  Its values
-at the expansion point feed the classical approximant machinery: numerators
-A[n] and denominators B[n] obey the same three-term recurrence, their cross
-determinant collapses to a signed product of the q's, successive
-approximant differences telescope into an alternating series whose partial
-sums are the approximants (:func:`alpha_partial_sums`), and an
-equivalence transform rescales any fraction to unit partial numerators
-(:func:`cf_equiv_unit`).  A level with q identically zero terminates the
-fraction exactly; :func:`pq_iterate` stops there, :func:`detect_termination`
-reads that stop, and :func:`terminated_alpha` reads alpha off the iteration
-ladder, whose ratios S[n](x0) / L[n](x0) are the approximants A[n] / B[n].
+run by :func:`pq_iterate`.  Its values at the expansion point feed the
+approximant machinery: :func:`cf_approximants` gives the numerators A[n],
+denominators B[n] and approximants C[n] = A[n]/B[n] as one
+:class:`CFState`, the one record of a fraction run, which only this module
+reads below its public fields; :func:`cf_determinants` checks their cross
+determinants against the signed product of the q's,
+:func:`alpha_partial_sums` sums the alternating series whose partial sums
+are the approximants, and :func:`cf_equiv_unit` rescales a fraction to unit
+partial numerators.  A level with q identically zero terminates the fraction
+exactly; :func:`detect_termination` reads that stop, and
+:func:`terminated_alpha` reads alpha off the iteration ladder, whose ratios
+S[n](x0) / L[n](x0) are the approximants A[n] / B[n].
 """
 
 from __future__ import annotations
@@ -77,31 +76,27 @@ class PQSequences(NamedTuple):
 def pq_iterate(spec: ProblemSpec, param_value: float) -> PQSequences:
     """Run the logarithmic-derivative ladder up to ``spec.n_max`` levels.
 
-    Each level consumes one Taylor order; only the current level's
-    coefficient arrays are kept.  The ladder stops at the first level, the
-    last one included, whose q series is identically zero relative to the
-    largest coefficient magnitude seen so far (``"termination"``: the
-    fraction ends exactly there).  Extension past level n divides by q[n],
-    so below the last level it also stops, as a ``"pole"``, where only the
-    value of q[n] at x0 is tiny (no analytic continuation is attempted).
-    Level 0, the input S, is zero only when all its coefficients are, and
-    its pole test uses its own.
+    Each level consumes one Taylor order; only the current level's coefficient
+    arrays are kept.  The ladder stops at the first level, the last one
+    included, whose q series is identically zero relative to the largest
+    coefficient magnitude seen so far (``"termination"``: the fraction ends
+    exactly there).  Extension past level n divides by q[n], so below the last
+    level it also stops, as a ``"pole"``, where only q[n](x0) is tiny.  Level
+    0, the input S, is zero only when all its coefficients are, and its pole
+    test uses its own.  A coefficient past double range raises
+    :class:`~aimcf.errors.Overflow`, found once per level from the largest
+    magnitudes the stop rules read.
 
-    The levels run on raw coefficient arrays with the operations of the
-    series arithmetic (derivative, :func:`~aimcf.series.series_div`'s long
-    division, sum, Cauchy product), so every value is the series ladder's
-    bit for bit.  Once q[n] is constant in x (every coefficient past the
-    first +0.0) and p[n] is linear (every coefficient past the second
-    +-0.0), as on the oscillator from level 0, every later level is so too:
-    q'/q is the signed zero 0.0 / q[n](x0) in every entry, so p[n+1] is p[n]
-    plus that zero, and q[n+1] is q[n](x0) + p[n]'.  The rest of the ladder
-    then runs on three floats, p[n](x0), p[n]' and q[n](x0), with no
-    division and no Cauchy product; |q[n](x0)| is q's largest magnitude, and
-    p's is not taken again, since adding a zero leaves its magnitudes as
-    they were.  The pivot test and the stop rules are those of the array
-    levels, applied to the same values.  A coefficient past double range
-    raises :class:`~aimcf.errors.Overflow`, found once per level from the
-    largest magnitudes the stop rules read.
+    The levels run on raw coefficient arrays with the operations of the series
+    arithmetic (derivative, :func:`~aimcf.series.series_div`'s long division,
+    sum, Cauchy product), so every value is the series ladder's bit for bit.
+    Once q[n] is constant in x (every coefficient past the first +0.0) and p[n]
+    linear (every coefficient past the second +-0.0), as on the oscillator, so
+    is every later level: q'/q is the signed zero 0.0 / q[n](x0) in every
+    entry, p[n+1] is p[n] plus that zero, and q[n+1] is q[n](x0) + p[n]'.  The
+    rest then runs on the three floats p[n](x0), p[n]' and q[n](x0), with the
+    same pivot test and stop rules; |q[n](x0)| is q's largest magnitude, and
+    p's stays as it was, since adding a zero leaves magnitudes alone.
     """
     p, q = (series.coeffs for series in spec.series_pair(param_value))
     ks = np.arange(1, p.size, dtype=float)  # derivative factors
@@ -184,20 +179,20 @@ class CFState:
     """Approximant state of a continued fraction at a fixed point.
 
     Numerators ``A`` and denominators ``B`` run over indices -2..N and are
-    stored as mantissa arrays with shared power-of-two exponents (the pair
-    at a given index is rescaled jointly, so approximants are plain
-    mantissa ratios while raw values can exceed double range).  ``C[n]``
-    is the approximant A[n]/B[n] (NaN where B[n] = 0).  ``v`` holds the
-    cross determinants for indices -1..N, with ``v[-1] = -1`` fixed by the
-    initial conditions.
+    stored as mantissas with shared power-of-two exponents (the pair at a
+    given index is rescaled jointly, so approximants are plain mantissa
+    ratios while raw values can exceed double range); only this module reads
+    them.  ``C[n]`` is the approximant A[n]/B[n] (NaN where B[n] = 0).  The
+    cross determinants ``v`` run over indices -1..N, with ``v(-1) = -1``
+    fixed by the initial conditions.
     """
 
     pvals: np.ndarray
     qvals: np.ndarray
     C: np.ndarray
-    _mant_a: np.ndarray  # index i holds n = i - 2
-    _mant_b: np.ndarray
-    _exp2: np.ndarray  # joint power-of-two exponent per index
+    _mant_a: tuple[float, ...]  # index i holds n = i - 2
+    _mant_b: tuple[float, ...]
+    _exp2: tuple[int, ...]  # joint power-of-two exponent per index
 
     @property
     def depth(self) -> int:
@@ -210,19 +205,24 @@ class CFState:
     def A(self, n: int) -> float:
         """Numerator A[n] as a float (may overflow to inf for deep fractions)."""
         self._check_index(n, -2)
-        return _ldexp_safe(self._mant_a[n + 2], int(self._exp2[n + 2]))
+        return _ldexp_safe(self._mant_a[n + 2], self._exp2[n + 2])
 
     def B(self, n: int) -> float:
         """Denominator B[n] as a float (may overflow to inf)."""
         self._check_index(n, -2)
-        return _ldexp_safe(self._mant_b[n + 2], int(self._exp2[n + 2]))
+        return _ldexp_safe(self._mant_b[n + 2], self._exp2[n + 2])
 
     def v(self, n: int) -> float:
         """Cross determinant v[n] = A[n] B[n-1] - A[n-1] B[n] (may overflow to inf)."""
         self._check_index(n, -1)
-        i = n + 2
-        mant = self._mant_a[i] * self._mant_b[i - 1] - self._mant_a[i - 1] * self._mant_b[i]
-        return _ldexp_safe(mant, int(self._exp2[i] + self._exp2[i - 1]))
+        left, right, e2 = self._cross(n + 2)
+        return _ldexp_safe(left - right, e2)
+
+    def _cross(self, i: int) -> tuple[float, float, int]:
+        """Mantissas of A[n] B[n-1] and A[n-1] B[n] at step i = n + 2, and
+        their shared exponent."""
+        a, b, e2 = self._mant_a, self._mant_b, self._exp2
+        return a[i] * b[i - 1], a[i - 1] * b[i], e2[i] + e2[i - 1]
 
 
 def _ldexp_safe(mant: float, e2: int) -> float:
@@ -232,21 +232,27 @@ def _ldexp_safe(mant: float, e2: int) -> float:
         return math.inf if mant > 0 else -math.inf
 
 
+def require_pq(pvals, qvals) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh float arrays of ``pvals`` and ``qvals``; :class:`ValidationError`
+    unless they are non-empty 1-d sequences of one length."""
+    p = np.array(pvals, dtype=float)
+    q = np.array(qvals, dtype=float)
+    if p.shape != q.shape or p.ndim != 1 or p.size == 0:
+        raise ValidationError("pvals and qvals must be equal-length 1-d sequences")
+    return p, q
+
+
 def _run_recurrence(p, q, x2, x1) -> tuple[list[list[float]], list[int]]:
     """Solutions of x[n] = p[n] x[n-1] + q[n] x[n-2], n = 0..N, on Python floats.
 
     ``p`` and ``q`` are float lists of length N + 1; ``x2`` and ``x1`` list
-    each solution's start values x[-2] and x[-1].
-
-    All solutions share one power-of-two exponent per index.  When the
-    largest magnitude at the newest index leaves [1 / _BAND, _BAND], that
-    index and the one before it are rescaled to bring it into [1/2, 1).
-    Power-of-two scaling is exact, so every value is the unscaled
-    recurrence's bit for bit wherever the mantissas stay normal.
-
-    Returns ``(rows, exps)``: solution k at step i is
-    ``rows[i][k] * 2**exps[i]``, with the two start values at steps 0 and 1,
-    so step i holds x[i - 2].
+    each solution's start values x[-2] and x[-1].  All solutions share one
+    power-of-two exponent per index: when the largest magnitude at the newest
+    index leaves [1 / _BAND, _BAND], that index and the one before it are
+    rescaled to bring it into [1/2, 1).  Power-of-two scaling is exact, so
+    every value is the unscaled recurrence's bit for bit wherever the
+    mantissas stay normal.  Returns ``(rows, exps)``: solution k at step i is
+    ``rows[i][k] * 2**exps[i]``, so step i holds x[i - 2].
     """
     lo, hi = 1.0 / _BAND, _BAND
     rows, exps, e = [x2, x1], [0, 0], 0
@@ -269,28 +275,17 @@ def cf_approximants(pvals, qvals) -> CFState:
 
     Initial conditions A[-2] = 1, A[-1] = 0, B[-2] = 0, B[-1] = 1; then
     A[n] = p[n] A[n-1] + q[n] A[n-2] and likewise for B, for n = 0..N with
-    N + 1 the length of the inputs.  C[n] is NaN where B[n] = 0 and +-inf
-    beyond double range, as A(n) and B(n) are; the recurrence keeps going.
+    N + 1 the length of the inputs (checked by :func:`require_pq`).  C[n] is
+    NaN where B[n] = 0 and +-inf beyond double range, as A(n) and B(n) are;
+    the recurrence keeps going.
     """
-    pvals = np.array(pvals, dtype=float)
-    qvals = np.array(qvals, dtype=float)
-    if pvals.shape != qvals.shape or pvals.ndim != 1 or pvals.size == 0:
-        raise ValidationError("pvals and qvals must be equal-length 1-d sequences")
+    pvals, qvals = require_pq(pvals, qvals)
     rows, exps = _run_recurrence(pvals.tolist(), qvals.tolist(), [1.0, 0.0], [0.0, 1.0])
-    mant_a, mant_b = np.array(rows).T
-    exp2 = np.array(exps)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        c = np.where(mant_b[2:] != 0.0, mant_a[2:] / mant_b[2:], math.nan)
-    for arr in (mant_a, mant_b, exp2, c, pvals, qvals):
+    mant_a, mant_b = zip(*rows)
+    c = np.array([a / b if b != 0.0 else math.nan for a, b in zip(mant_a[2:], mant_b[2:])])
+    for arr in (c, pvals, qvals):
         arr.setflags(write=False)
-    return CFState(
-        pvals=pvals,
-        qvals=qvals,
-        C=c,
-        _mant_a=mant_a,
-        _mant_b=mant_b,
-        _exp2=exp2,
-    )
+    return CFState(pvals, qvals, c, mant_a, mant_b, tuple(exps))
 
 
 def _q_products(state: CFState) -> tuple[list[list[float]], list[int]]:
@@ -310,21 +305,20 @@ def cf_determinants(state: CFState) -> np.ndarray:
     (:class:`DeterminantMismatchWarning`) only for discrepancies rounding
     cannot explain.
     """
-    a, b, e2 = (arr.tolist() for arr in (state._mant_a, state._mant_b, state._exp2))
-    # (mantissa, exponent) of v[n] at entry n + 1
-    v = [(a[i] * b[i - 1] - a[i - 1] * b[i], e2[i] + e2[i - 1]) for i in range(1, len(a))]
     prods, prod_exps = _q_products(state)
     eps = float(np.finfo(float).eps)
     worst = 0.0
+    v = [state.v(-1)]
     for n in range(state.depth + 1):
         i = n + 2
+        left, right, got_e2 = state._cross(i)
+        got_mant = left - right
+        v.append(_ldexp_safe(got_mant, got_e2))
         prod_mant, prod_e2 = prods[i][0], prod_exps[i]
         expected_mant = prod_mant if n % 2 == 0 else -prod_mant
-        got_mant, got_e2 = v[n + 1]
-        cross_mant = abs(a[i] * b[i - 1]) + abs(a[i - 1] * b[i])
         # compare in the product's scale
         got_in_prod_scale = _ldexp_safe(got_mant, got_e2 - prod_e2)
-        noise = 64.0 * (n + 2) * eps * _ldexp_safe(cross_mant, got_e2 - prod_e2)
+        noise = 64.0 * (n + 2) * eps * _ldexp_safe(abs(left) + abs(right), got_e2 - prod_e2)
         denom = max(abs(expected_mant), 1e-300)
         err = abs(got_in_prod_scale - expected_mant)
         if err > DETERMINANT_RTOL * denom + noise:
@@ -335,7 +329,7 @@ def cf_determinants(state: CFState) -> np.ndarray:
             DeterminantMismatchWarning,
             stacklevel=2,
         )
-    return np.array([_ldexp_safe(mant, e) for mant, e in v])
+    return np.array(v)
 
 
 def alpha_partial_sums(state: CFState) -> np.ndarray:
@@ -345,7 +339,7 @@ def alpha_partial_sums(state: CFState) -> np.ndarray:
     must be nonzero.  The terms are
     ``np.diff(alpha_partial_sums(state), prepend=0.0)``.
     """
-    b, e2 = state._mant_b.tolist(), state._exp2.tolist()
+    b, e2 = state._mant_b, state._exp2
     prods, prod_exps = _q_products(state)
     sums = np.empty(state.depth + 1)
     acc = 0.0
@@ -360,6 +354,40 @@ def alpha_partial_sums(state: CFState) -> np.ndarray:
     return sums
 
 
+def dominant_probe(state: CFState) -> tuple[float, float]:
+    """(last ratio x_N / x_{N-1}, growth) of the larger of A and B at N.
+
+    Every solution is x_{-2} A_n + x_{-1} B_n and at most one of two
+    independent solutions is minimal, so that column is dominant whenever a
+    dominant solution exists; A and B share one exponent per index, so their
+    mantissas at N compare as the values.  The ratio is NaN where x_{N-1} = 0.
+    growth is the per-step growth modulus |D_N / D_mid|^(1 / (2 (N - mid)))
+    over the second half of the range, from the Casoratian
+    D_n = x_n x_{n-2} - x_{n-1}^2: with constant coefficients D_n = -q D_{n-1},
+    so growth is |q|^(1/2), the common modulus of equal-modulus roots, and a
+    conjugate pair's oscillation |cos(n theta + phi)| cancels out of D_n.
+    """
+    a, b, exps = state._mant_a, state._mant_b, state._exp2
+    x = a if abs(a[-1]) >= abs(b[-1]) else b
+    mid, last = (state.depth + 1) // 2 + 2, len(x) - 1  # steps of x_{(N+1)//2}, x_N
+    log_mid, log_end = (_log_casoratian(x, exps, i) for i in (mid, last))
+    if last == mid or log_mid is None or log_end is None:
+        growth = math.nan
+    else:
+        growth = math.exp((log_end - log_mid) / (2 * (last - mid)))
+    if x[last - 1] == 0.0:
+        return math.nan, growth
+    return _ldexp_safe(x[last] / x[last - 1], exps[last] - exps[last - 1]), growth
+
+
+def _log_casoratian(x: tuple[float, ...], exps: tuple[int, ...], i: int) -> float | None:
+    """log |x_i x_{i-2} - x_{i-1}^2| over runner steps i - 2..i; None where it is 0."""
+    e = exps[i - 1]
+    d = _ldexp_safe(x[i] * x[i - 2], exps[i] + exps[i - 2] - 2 * e)
+    d -= x[i - 1] ** 2
+    return None if d == 0.0 else math.log(abs(d)) + 2 * e * math.log(2.0)
+
+
 def cf_equiv_unit(pvals, qvals) -> np.ndarray:
     """Partial denominators of the equivalent unit-numerator fraction.
 
@@ -370,10 +398,7 @@ def cf_equiv_unit(pvals, qvals) -> np.ndarray:
     a running scale that overflows or reaches zero, or a partial
     denominator beyond double range, raises :class:`Overflow`.
     """
-    pvals = np.asarray(pvals, dtype=float)
-    qvals = np.asarray(qvals, dtype=float)
-    if pvals.shape != qvals.shape or pvals.ndim != 1 or pvals.size == 0:
-        raise ValidationError("pvals and qvals must be equal-length 1-d sequences")
+    pvals, qvals = require_pq(pvals, qvals)
     if np.any(qvals == 0.0):
         k = int(np.nonzero(qvals == 0.0)[0][0])
         raise ZeroPartialNumerator(f"q[{k}] = 0 cannot be rescaled away")

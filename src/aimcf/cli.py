@@ -9,12 +9,8 @@ Problem files are JSON:
       "classify": {"declared_power_law": {"a": 2, "sigma": 1, "b": -1, "tau": 0}}
     }
 
-Output is deterministic JSON, written in one pass: the library's records
-(``NamedTuple``s) as objects of their fields, sorted keys, two-space indent,
-shortest round-trip floats, ASCII-escaped strings, non-finite values as
-strings, the bytes of ``json.dumps(record, sort_keys=True, indent=2)``.  CSV
-is the command's main table read off that JSON document, so the two formats
-show the same values.
+Output is deterministic JSON (:func:`_render_json`), or CSV read off that
+JSON document (:func:`_render_csv`), so the two formats show the same values.
 """
 
 from __future__ import annotations

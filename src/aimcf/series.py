@@ -11,29 +11,15 @@ and never zero-pads.  Differentiation shortens a series by one order,
 antidifferentiation lengthens it by one.  All operations are pure: they
 return new series and never mutate their inputs.
 
-Validation happens where data enters.  The public constructor
-``TaylorSeries(center, coeffs)`` copies its argument and rejects a
-non-finite centre and empty, multi-dimensional or non-finite coefficients
-with :class:`ValidationError`.  The results of arithmetic on series (sum,
-difference, product, quotient, derivative, negation, exponential) are
-fresh arrays that are checked only for overflow: a coefficient past
-double range raises :class:`Overflow`.
+Validation happens where data enters (:class:`TaylorSeries`); results of
+arithmetic are checked only for overflow (:func:`_result`).
 
 The module also ships a small rational expression language used to
 describe the coefficient functions of an ODE: an AST (``Const``, ``VarX``,
-``Param``, ``Neg``, ``Add``, ``Sub``, ``Mul``, ``Div``, ``IntPow``), a
-recursive-descent parser over ``x``, one declared parameter name, decimal
-literals, ``+ - * / ^`` and parentheses, and :func:`_bind`, the one
-expression binder.  It binds an AST at a given center and order to its
-coefficients, if it is parameter-free, or else to a function from an array
-of parameter values to a row stack, one row of coefficients per value:
-every parameter-free subtree is evaluated once, when bound, and each call
-evaluates only the nodes on the paths to the parameter, over all rows at
-once where the operation is elementwise and row by row where it is not, so
-each row is bit-identical to the series of a walk for that value alone.
-:func:`series_from_expr` binds, calls on one value and wraps that row; the
-eigenvalue search of :mod:`aimcf.aim` binds once per search and calls on
-many values.
+``Param``, ``Neg``, ``Add``, ``Sub``, ``Mul``, ``Div``, ``IntPow``), its
+parser (:func:`parse_expression`), and :func:`_bind`, the one expression
+binder, which :func:`series_from_expr` calls on one parameter value and the
+eigenvalue search of :mod:`aimcf.aim` once per search.
 """
 
 from __future__ import annotations
@@ -69,6 +55,10 @@ _NEG_ZERO_BITS = np.float64(-0.0).view(np.int64)
 @dataclass(frozen=True)
 class TaylorSeries:
     """Immutable truncated Taylor expansion ``sum c[k] (x - center)^k``.
+
+    The constructor copies ``coeffs`` and rejects a non-finite centre and
+    empty, multi-dimensional or non-finite coefficients with
+    :class:`ValidationError`.
 
     Attributes:
         center: Expansion point x0.
@@ -244,16 +234,12 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def series_div(a: TaylorSeries, b: TaylorSeries) -> TaylorSeries:
-    """Long division a / b, truncated to min(a.order, b.order).
+    """Long division a / b, truncated to min(a.order, b.order), by :func:`_divide`.
 
     Requires a usable pivot ``b.coeffs[0]``: magnitudes below ``EPS_PIVOT``
-    raise :class:`SingularPivot`; pivots smaller than ``PIVOT_WARN_REL``
-    times the numerator's largest coefficient emit a
-    :class:`ConditioningWarning` but proceed.  A quotient past double range
-    raises :class:`Overflow`.  Dividing by a constant is one vector
-    division; otherwise each quotient coefficient costs one
-    multiply-subtract per nonzero coefficient of ``b`` past the pivot, so
-    dividing by a polynomial is linear in the order.
+    raise :class:`SingularPivot`; pivots smaller than ``PIVOT_WARN_REL`` times
+    the numerator's largest coefficient emit a :class:`ConditioningWarning` but
+    proceed.  A quotient past double range raises :class:`Overflow`.
     """
     _check_centers(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -438,17 +424,14 @@ def series_from_expr(
 ) -> TaylorSeries:
     """Evaluate an expression AST to a TaylorSeries at ``center``.
 
-    ``x`` becomes the identity series, the parameter becomes a constant.
-    The expression is bound by :func:`_bind`, which evaluates every
-    parameter-free subtree once, and the bound function, if the expression
-    has the parameter, is called on the one value ``[param_value]``.
-    A negative ``order``, a non-finite ``center`` and, if the expression
-    has the parameter, a non-finite ``param_value`` raise
-    :class:`ValidationError`.  Division inside the tree requires the
-    denominator series to have a usable constant term (else
-    :class:`SingularPivot` propagates); a coefficient past double range
-    raises :class:`Overflow`.  A tree too deep to walk recursively raises
-    :class:`ParseOrEvalError`.
+    ``x`` becomes the identity series, the parameter the constant
+    ``param_value``: the expression is bound by :func:`_bind` and, if it has
+    the parameter, called on that one value.  A negative ``order``, a
+    non-finite ``center`` and, if the expression has the parameter, a
+    non-finite ``param_value`` raise :class:`ValidationError`.  A division by a
+    series without a usable constant term raises :class:`SingularPivot`, a
+    coefficient past double range :class:`Overflow`, and a tree too deep to
+    walk recursively :class:`ParseOrEvalError`.
     """
     if order < 0:
         raise ValidationError("series order must be >= 0")
@@ -472,25 +455,23 @@ def _bind(e: Expression, center: float, order: int):
     parameter-free, else a function of the parameter.
 
     The function maps a 1-d array of finite parameter values to a
-    ``(values, order + 1)`` array whose row i holds the coefficients of
-    ``e`` at value i.  Every parameter-free subtree is evaluated here, once;
-    each node on a path to the parameter is evaluated per call, on a row
-    stack: the parameter is the stack with the values in column 0 and zeros
-    beside them, sum, difference and negation are one numpy operation over
-    the stack, and product, quotient and integer power run the one-series
-    kernels row by row.  Each row is the same operations on the same
-    operands as a walk that evaluates every node for that value alone, so
-    it is bit-identical to that walk's series.  A node whose rows leave
-    double range raises :class:`Overflow`.
-
-    An error in any row raises; which error, when several rows fail, is
-    only fixed for one-value calls, which meet the errors in the order the
-    walk does.  An operation that fails on parameter-free operands (a
-    singular pivot, a non-finite coefficient) stays unbound, so every call
-    raises it again in that order.  The caller checks the values, runs
-    binding and calls under ``np.errstate(over="ignore", invalid="ignore")``
-    and turns a ``RecursionError``, which a tree too deep to walk raises
-    when bound or when called, into :class:`ParseOrEvalError`.
+    ``(values, order + 1)`` array whose row i holds the coefficients of ``e``
+    at value i.  Every parameter-free subtree is evaluated here, once; each
+    node on a path to the parameter is evaluated per call, on a row stack: the
+    parameter is the stack with the values in column 0 and zeros beside them,
+    sum, difference and negation are one numpy operation over the stack, and
+    product, quotient and integer power run the one-series kernels row by row.
+    Each row is the same operations on the same operands as a walk that
+    evaluates every node for that value alone, so it is bit-identical to that
+    walk's series.  A node whose rows leave double range raises
+    :class:`Overflow`.  Which error a call raises when several rows fail is
+    only fixed for one-value calls, which meet errors in the walk's order; an
+    operation that fails on parameter-free operands (a singular pivot, a
+    non-finite coefficient) stays unbound, so every call raises it again in
+    that order.  The caller checks the values, runs binding and calls under
+    ``np.errstate(over="ignore", invalid="ignore")`` and turns a
+    ``RecursionError``, which a tree too deep to walk raises when bound or
+    called, into :class:`ParseOrEvalError`.
     """
     if isinstance(e, Const):
         return TaylorSeries.constant(e.value, center, order).coeffs
@@ -703,7 +684,8 @@ class _Parser:
 
 
 def parse_expression(text: str, param_name: str = "E") -> Expression:
-    """Parse expression text over ``x`` and one named parameter into an AST."""
+    """Parse expression text over ``x`` and one named parameter into an AST, by
+    recursive descent over decimal literals, ``+ - * / ^`` and parentheses."""
     try:
         return _Parser(text, param_name).parse()
     except RecursionError as exc:

@@ -25,7 +25,7 @@ from aimcf.analysis import (
     pincherle_check,
     stern_seidel,
 )
-from aimcf.cf import _run_recurrence, cf_approximants
+from aimcf.cf import _run_recurrence, cf_approximants, cf_equiv_unit
 from aimcf.errors import (
     HypothesisViolated,
     InsufficientData,
@@ -418,7 +418,35 @@ def test_classify_periodic_recurrence_lacks_minimal_solution():
     assert not rep.minimal_exists
     assert math.isnan(rep.numeric_minimal_ratio)
     assert rep.consistency
-    assert any("did not stabilize" in note for note in rep.notes)
+    assert any("no minimal solution found" in note for note in rep.notes)
+
+
+# no backward recurrence runs: the notes name what was checked, Pincherle's
+# q_n != 0 and Miller's estimates -C_N over the listed depths
+def test_classify_notes_name_the_checks():
+    q = [4.0] * 40
+    q[5] = 0.0
+    assert classify([3.0] * 40, q).notes == (
+        "no minimal solution found: q[5] = 0, but Pincherle's theorem needs every q_n != 0",
+    )
+    assert classify([0.5] * 100, [-1.0] * 100).notes == (
+        "no minimal solution found: Miller's estimates -C_N did not settle "
+        "over depths [24, 25, 49, 50, 74, 75, 98, 99]",
+    )
+
+
+# a conjugate pair (t > 1) or a double root (t = 1) has no dominant solution:
+# x_N / x_{N-1} of whichever column is larger would depend on the start, so
+# the report carries NaN there and checks the growth modulus instead
+@pytest.mark.parametrize(
+    "p, q, n",
+    [(-1.4731, -1.7126, 200), (0.5, -1.0, 100), (1.0, -1.0, 150), (2.0, -1.0, 100)],
+)
+def test_equal_root_moduli_report_no_dominant_ratio(p, q, n):
+    rep = classify([p] * n, [q] * n)
+    assert rep.roots[0] == rep.roots[1].conjugate()
+    assert math.isnan(rep.numeric_dominant_ratio)
+    assert rep.consistency
 
 
 # a conjugate pair's solution x_n ~ |r|^n cos(n theta + phi): a growth modulus
@@ -614,7 +642,7 @@ def test_classify_uncovered_power_law_note_follows_probe_notes():
     assert rep.case_label is CaseLabel.UNCLASSIFIED
     assert not rep.consistency
     assert [note.split(":")[0] for note in rep.notes] == [
-        "backward recurrence did not stabilize",
+        "no minimal solution found",
         "declared growth has sigma < tau/2, outside the covered cases",
     ]
 
@@ -677,6 +705,23 @@ def test_classify_input_guards():
         classify([3.0] * 40, [4.0] * 40, declared={"nonsense": 1})
     with pytest.raises(ValidationError):
         classify([3.0] * 40, [4.0] * 39)
+
+
+# one (p, q) check, with one message, guards every entry point that takes
+# the two sequences
+@pytest.mark.parametrize(
+    "call",
+    [cf_approximants, cf_equiv_unit, monic_transform, classify, pincherle_check],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize(
+    "pvals, qvals",
+    [([3.0] * 40, [4.0] * 39), ([], []), ([[3.0] * 40], [[4.0] * 40]), (3.0, 4.0)],
+    ids=["lengths", "empty", "2-d", "scalar"],
+)
+def test_pq_pairs_share_one_check(call, pvals, qvals):
+    with pytest.raises(ValidationError, match=r"^pvals and qvals must be equal-length 1-d sequences$"):
+        call(pvals, qvals)
 
 
 # a non-finite sample is an input error raised before any probe; these once
@@ -787,5 +832,11 @@ def test_expansion_input_guards():
         birkhoff_adams([-3.0], [0.0], k_max=2)
     with pytest.raises(ValidationError):
         birkhoff_adams([-3.0], [-4.0], k_max=0)
+    with pytest.raises(ValidationError, match=r"^k_max must be <= 64, got 65$"):
+        birkhoff_adams([-3.0], [-4.0], k_max=65)
+    with pytest.raises(ValidationError, match="k_max"):
+        parse_declared({"a_coeffs": [-3.0], "b_coeffs": [-4.0], "k_max": 10**9})
+    # the bound is inclusive; a double root does not build the k_max table
+    assert birkhoff_adams([-2.0, 0.0], [1.0, 1.0], k_max=64).double_root is not None
     with pytest.raises(ValidationError):
         birkhoff_adams([], [-4.0], k_max=2)

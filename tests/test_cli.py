@@ -1062,6 +1062,10 @@ def test_solve_at_minimal_order(ho_file, tmp_path, capsys):
             "declared_power_law": {"a": 2, "sigma": 1, "b": -1, "tau": 0},
             "declared_ba_coeffs": {"a_coeffs": [-3.0], "b_coeffs": [-4.0]},
         },
+        # the 1/n table costs about k_max**4 steps, so k_max is bounded
+        {**_CYLINDER, "declared_ba_coeffs": {"a_coeffs": [-3.0], "b_coeffs": [-4.0], "k_max": 10**6}},
+        # raw sequences must not be empty
+        {"pvals": [], "qvals": []},
     ],
 )
 def test_exit_input_on_malformed_classify_block(tmp_path, capsys, block):

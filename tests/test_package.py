@@ -1,9 +1,11 @@
 """The package's public names and the shape of its records."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,3 +80,35 @@ def test_only_three_classes_are_dataclasses():
                 if dataclasses.is_dataclass(obj):
                     found.add(name)
     assert found == {"ProblemSpec", "TaylorSeries", "CFState"}
+
+
+def _module_trees():
+    for path in sorted(Path(aimcf.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_only_cf_reads_the_scaled_approximant_state():
+    """``cf`` alone knows how a fraction run stores its mantissas and
+    exponents; ``analysis`` reads that state through ``cf``'s public names."""
+    private = {f.name for f in dataclasses.fields(aimcf.CFState) if f.name.startswith("_")}
+    assert private
+    readers = set()
+    for name, tree in _module_trees():
+        for node in ast.walk(tree):
+            named = (
+                node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.arg if isinstance(node, ast.keyword)
+                else None
+            )
+            if named in private:
+                readers.add(name)
+    assert readers == {"cf"}
+    imported = {
+        alias.name
+        for name, tree in _module_trees() if name == "analysis"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "cf" and node.level == 1
+        for alias in node.names
+    }
+    assert imported and not [n for n in imported if n.startswith("_")]
