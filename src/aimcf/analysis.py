@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
@@ -464,7 +465,8 @@ def parse_declared(
 ) -> tuple[Optional[tuple[float, float, float, float]], Optional[BirkhoffAdamsData]]:
     """The declared power law (a, sigma, b, tau) or 1/n-expansion data of
     :func:`classify`, which checks it before any sequence; ValidationError if
-    it has neither kind, both, or a missing or zero power-law scale."""
+    it has neither kind, both, a missing or zero power-law scale, a power-law
+    value that is not a finite real, or a ``k_max`` that is not an int."""
     if declared is None:
         return None, None
     power_law = {"sigma", "tau"} <= set(declared)
@@ -475,13 +477,20 @@ def parse_declared(
     if power_law:
         if "a" not in declared or "b" not in declared:
             raise ValidationError("declared power law needs both scales a and b")
+        for key in ("a", "sigma", "b", "tau"):
+            value = declared[key]
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and abs(value) <= sys.float_info.max):  # NaN fails too
+                raise ValidationError(f"declared {key} must be a finite real, got {value!r}")
         a, sigma, b, tau = (float(declared[k]) for k in ("a", "sigma", "b", "tau"))
         if a == 0.0 or b == 0.0:
             raise ValidationError("declared power-law scales a and b must be nonzero")
         return (a, sigma, b, tau), None
     if {"a_coeffs", "b_coeffs"} <= set(declared):
-        k_max = int(declared.get("k_max", 6))
-        return None, birkhoff_adams(declared["a_coeffs"], declared["b_coeffs"], k_max)
+        k_max = declared.get("k_max", 6)
+        if isinstance(k_max, bool) or not isinstance(k_max, numbers.Integral):
+            raise ValidationError(f"declared k_max must be an int, got {k_max!r}")
+        return None, birkhoff_adams(declared["a_coeffs"], declared["b_coeffs"], int(k_max))
     raise ValidationError(
         "declared must contain sigma/tau (power law) or a_coeffs/b_coeffs"
     )

@@ -25,6 +25,7 @@ S[n](x0) / L[n](x0) are the approximants A[n] / B[n].
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,9 +42,10 @@ from .errors import (
 )
 from .series import TaylorSeries, _check_pivot, _checked, _divide, _mul, series_div
 
-# _run_recurrence rescales its live mantissas by a power of two when their
-# largest magnitude leaves [1 / _BAND, _BAND]; inside the band the product of
-# two mantissas stays a normal double
+# the loops of cf_approximants and _q_products rescale their newest values,
+# and the ones before them, by a power of two when the largest magnitude among
+# the newest leaves [1 / _BAND, _BAND]; inside the band the product of two
+# mantissas stays a normal double
 _BAND = 2.0**300
 
 # a ladder series counts as identically zero when all its coefficients are
@@ -242,34 +244,6 @@ def require_pq(pvals, qvals) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _run_recurrence(p, q, x2, x1) -> tuple[list[list[float]], list[int]]:
-    """Solutions of x[n] = p[n] x[n-1] + q[n] x[n-2], n = 0..N, on Python floats.
-
-    ``p`` and ``q`` are float lists of length N + 1; ``x2`` and ``x1`` list
-    each solution's start values x[-2] and x[-1].  All solutions share one
-    power-of-two exponent per index: when the largest magnitude at the newest
-    index leaves [1 / _BAND, _BAND], that index and the one before it are
-    rescaled to bring it into [1/2, 1).  Power-of-two scaling is exact, so
-    every value is the unscaled recurrence's bit for bit wherever the
-    mantissas stay normal.  Returns ``(rows, exps)``: solution k at step i is
-    ``rows[i][k] * 2**exps[i]``, so step i holds x[i - 2].
-    """
-    lo, hi = 1.0 / _BAND, _BAND
-    rows, exps, e = [x2, x1], [0, 0], 0
-    for pn, qn in zip(p, q):
-        new = [pn * a + qn * b for a, b in zip(x1, x2)]
-        big = max(map(abs, new))
-        if not lo <= big <= hi:
-            shift = -math.frexp(big)[1]
-            x1 = [_ldexp_safe(v, shift) for v in x1]
-            new = [math.ldexp(v, shift) for v in new]
-            e -= shift
-        x2, x1 = x1, new
-        rows.append(new)
-        exps.append(e)
-    return rows, exps
-
-
 def cf_approximants(pvals, qvals) -> CFState:
     """Run the three-term approximant recurrence over every given level.
 
@@ -278,20 +252,60 @@ def cf_approximants(pvals, qvals) -> CFState:
     N + 1 the length of the inputs (checked by :func:`require_pq`).  C[n] is
     NaN where B[n] = 0 and +-inf beyond double range, as A(n) and B(n) are;
     the recurrence keeps going.
+
+    One loop on Python floats carries the last two (A, B) pairs and their
+    joint exponent.  When the larger magnitude of a new pair leaves
+    [1 / _BAND, _BAND], the new pair and the one before it are rescaled by a
+    power of two that brings it into [1/2, 1); the stored previous pair keeps
+    its old exponent, and only the next step sees it rescaled.
     """
     pvals, qvals = require_pq(pvals, qvals)
-    rows, exps = _run_recurrence(pvals.tolist(), qvals.tolist(), [1.0, 0.0], [0.0, 1.0])
-    mant_a, mant_b = zip(*rows)
+    lo, hi, ldexp, frexp = 1.0 / _BAND, _BAND, math.ldexp, math.frexp
+    mant_a, mant_b, exps = [1.0, 0.0], [0.0, 1.0], [0, 0]
+    a2, b2, a1, b1, e = 1.0, 0.0, 0.0, 1.0, 0
+    for pn, qn in zip(pvals.tolist(), qvals.tolist()):
+        a, b = pn * a1 + qn * a2, pn * b1 + qn * b2
+        big = abs(a)  # max(|a|, |b|) as max() takes it: a NaN |a| stays
+        if abs(b) > big:
+            big = abs(b)
+        if not lo <= big <= hi:
+            shift = -frexp(big)[1]
+            a1, b1 = _ldexp_safe(a1, shift), _ldexp_safe(b1, shift)
+            a, b = ldexp(a, shift), ldexp(b, shift)
+            e -= shift
+        a2, b2, a1, b1 = a1, b1, a, b
+        mant_a.append(a)
+        mant_b.append(b)
+        exps.append(e)
     c = np.array([a / b if b != 0.0 else math.nan for a, b in zip(mant_a[2:], mant_b[2:])])
     for arr in (c, pvals, qvals):
         arr.setflags(write=False)
-    return CFState(pvals, qvals, c, mant_a, mant_b, tuple(exps))
+    return CFState(pvals, qvals, c, tuple(mant_a), tuple(mant_b), tuple(exps))
 
 
-def _q_products(state: CFState) -> tuple[list[list[float]], list[int]]:
-    """Running products q[0]..q[n] at runner step n + 2: the recurrence with
-    partial denominators q and partial numerators 0."""
-    return _run_recurrence(state.qvals.tolist(), [0.0] * (state.depth + 1), [0.0], [1.0])
+def _q_products(state: CFState) -> tuple[list[float], list[int]]:
+    """Running products q[0]..q[n] as ``prods[n] * 2**exps[n]``, n = 0..N.
+
+    One loop on Python floats, the approximant recurrence's with partial
+    denominators q and partial numerators 0: each product is ``q[n] * r1 +
+    0.0 * r2`` from the last two, so a NaN or inf two steps back still
+    reaches it, and it is rescaled by the :func:`cf_approximants` band rule.
+    It reads only ``state.qvals``, so the determinant check stays
+    independent of the stored A and B.
+    """
+    lo, hi, ldexp, frexp = 1.0 / _BAND, _BAND, math.ldexp, math.frexp
+    prods, exps = [], []
+    r2, r1, e = 0.0, 1.0, 0
+    for qn in state.qvals.tolist():
+        r = qn * r1 + 0.0 * r2
+        if not lo <= abs(r) <= hi:
+            shift = -frexp(r)[1]
+            r1, r = _ldexp_safe(r1, shift), ldexp(r, shift)
+            e -= shift
+        r2, r1 = r1, r
+        prods.append(r)
+        exps.append(e)
+    return prods, exps
 
 
 def cf_determinants(state: CFState) -> np.ndarray:
@@ -306,19 +320,17 @@ def cf_determinants(state: CFState) -> np.ndarray:
     cannot explain.
     """
     prods, prod_exps = _q_products(state)
-    eps = float(np.finfo(float).eps)
-    worst = 0.0
+    cross, eps, worst = state._cross, sys.float_info.epsilon, 0.0
     v = [state.v(-1)]
-    for n in range(state.depth + 1):
-        i = n + 2
-        left, right, got_e2 = state._cross(i)
+    for n, (prod_mant, prod_e2) in enumerate(zip(prods, prod_exps)):
+        left, right, got_e2 = cross(n + 2)
         got_mant = left - right
         v.append(_ldexp_safe(got_mant, got_e2))
-        prod_mant, prod_e2 = prods[i][0], prod_exps[i]
         expected_mant = prod_mant if n % 2 == 0 else -prod_mant
         # compare in the product's scale
-        got_in_prod_scale = _ldexp_safe(got_mant, got_e2 - prod_e2)
-        noise = 64.0 * (n + 2) * eps * _ldexp_safe(abs(left) + abs(right), got_e2 - prod_e2)
+        to_prod = got_e2 - prod_e2
+        got_in_prod_scale = _ldexp_safe(got_mant, to_prod)
+        noise = 64.0 * (n + 2) * eps * _ldexp_safe(abs(left) + abs(right), to_prod)
         denom = max(abs(expected_mant), 1e-300)
         err = abs(got_in_prod_scale - expected_mant)
         if err > DETERMINANT_RTOL * denom + noise:
@@ -349,7 +361,7 @@ def alpha_partial_sums(state: CFState) -> np.ndarray:
             raise ZeroDenominator(f"B[{k if b[i] == 0.0 else k - 1}] = 0")
         sign = 1.0 if k % 2 == 0 else -1.0
         denom_e2 = e2[i] + e2[i - 1]
-        acc += sign * _ldexp_safe(prods[i][0] / (b[i] * b[i - 1]), prod_exps[i] - denom_e2)
+        acc += sign * _ldexp_safe(prods[k] / (b[i] * b[i - 1]), prod_exps[k] - denom_e2)
         sums[k] = acc
     return sums
 

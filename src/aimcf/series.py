@@ -473,10 +473,19 @@ def _bind(e: Expression, center: float, order: int):
     ``RecursionError``, which a tree too deep to walk raises when bound or
     called, into :class:`ParseOrEvalError`.
     """
-    if isinstance(e, Const):
-        return TaylorSeries.constant(e.value, center, order).coeffs
-    if isinstance(e, VarX):
-        return TaylorSeries.identity(center, order).coeffs
+    if isinstance(e, (Const, VarX)):
+        # the coefficients of TaylorSeries.constant and .identity, read-only
+        leaf = np.zeros(order + 1)
+        if isinstance(e, Const):
+            leaf[0] = e.value
+        else:
+            leaf[0] = center
+            if order >= 1:
+                leaf[1] = 1.0
+        if not math.isfinite(leaf[0]):
+            raise ValidationError("series coefficients must all be finite")
+        leaf.setflags(write=False)
+        return leaf
     if isinstance(e, Param):
         return functools.partial(_param_rows, width=order + 1)
     if isinstance(e, Neg):

@@ -25,7 +25,7 @@ from aimcf.analysis import (
     pincherle_check,
     stern_seidel,
 )
-from aimcf.cf import _run_recurrence, cf_approximants, cf_equiv_unit
+from aimcf.cf import cf_approximants, cf_equiv_unit
 from aimcf.errors import (
     HypothesisViolated,
     InsufficientData,
@@ -634,6 +634,36 @@ def test_parse_declared_rejects_both_kinds():
         classify(*_bessel_pq(), declared=declared)
 
 
+# a declared value of the wrong type or a non-finite one is a ValidationError,
+# neither truncated nor converted, and no bare ValueError or OverflowError
+_POWER_LAW = {"a": 2.0, "sigma": 1.0, "b": -1.0, "tau": 0.0}
+_EXPANSION = {"a_coeffs": [-3.0], "b_coeffs": [-4.0]}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("k_max", k) for k in (2.5, "3", True, math.nan, math.inf)]
+    + [("a", math.nan), ("sigma", "1"), ("b", True), ("tau", math.inf), ("sigma", 10**400)],
+    ids=[
+        *("k_max-" + k for k in ("2.5", "str", "bool", "nan", "inf")),
+        *("a-nan", "sigma-str", "b-bool", "tau-inf", "sigma-10**400"),
+    ],
+)
+def test_parse_declared_rejects_bad_values(key, value):
+    declared = {**(_EXPANSION if key == "k_max" else _POWER_LAW), key: value}
+    with pytest.raises(ValidationError, match=f"declared {key} must be"):
+        parse_declared(declared)
+    with pytest.raises(ValidationError, match=f"declared {key} must be"):
+        classify(*_bessel_pq(), declared=declared)
+
+
+def test_parse_declared_takes_numpy_numbers():
+    power_law, _ = parse_declared({k: np.float64(v) for k, v in _POWER_LAW.items()})
+    assert power_law == (2.0, 1.0, -1.0, 0.0)
+    _, data = parse_declared({**_EXPANSION, "k_max": np.int64(3)})
+    assert data == parse_declared({**_EXPANSION, "k_max": 3})[1]
+
+
 # a declaration outside the covered cases predicts nothing; its note still
 # follows the probe notes
 def test_classify_uncovered_power_law_note_follows_probe_notes():
@@ -744,16 +774,22 @@ def test_classify_rejects_non_finite_samples(pvals, qvals, where):
 
 # every solution is x_{-2} A_n + x_{-1} B_n, so the dominant ratio and the
 # growth come off the fraction's forward run, which also gives Miller's
-# estimates; the only other run is the tail's from level 3N/4 + 1
+# estimates; the only other run is the tail's from level 3N/4 + 1, and the
+# q products of the determinant check are never run
 def test_classify_runs_the_recurrence_twice(monkeypatch):
     runs = []
+    q_products = cf_module._q_products
 
-    def counting(p, q, x2, x1):
+    def approximants(p, q):
         runs.append(len(p))
-        return _run_recurrence(p, q, x2, x1)
+        return cf_approximants(p, q)
 
-    monkeypatch.setattr(cf_module, "_run_recurrence", counting)
-    assert not hasattr(analysis_module, "_run_recurrence")
+    def products(state):
+        runs.append(state.depth + 1)
+        return q_products(state)
+
+    monkeypatch.setattr(analysis_module, "cf_approximants", approximants)
+    monkeypatch.setattr(cf_module, "_q_products", products)
     rep = classify(*_bessel_pq())
     assert runs == [240, 60]
     assert rep.minimal_exists and rep.consistency

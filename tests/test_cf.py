@@ -244,6 +244,121 @@ def test_determinant_warning_on_forced_mismatch():
         cf_determinants(bad)
 
 
+def _run_recurrence(p, q, x2, x1):
+    """Reference runner: solutions of x[n] = p[n] x[n-1] + q[n] x[n-2] on
+    shared power-of-two exponents, one list per step; solution k at step i is
+    ``rows[i][k] * 2**exps[i]``, so step i holds x[i - 2]."""
+    lo, hi = 1.0 / cf._BAND, cf._BAND
+    rows, exps, e = [x2, x1], [0, 0], 0
+    for pn, qn in zip(p, q):
+        new = [pn * a + qn * b for a, b in zip(x1, x2)]
+        big = max(map(abs, new))
+        if not lo <= big <= hi:
+            shift = -math.frexp(big)[1]
+            x1 = [cf._ldexp_safe(v, shift) for v in x1]
+            new = [math.ldexp(v, shift) for v in new]
+            e -= shift
+        x2, x1 = x1, new
+        rows.append(new)
+        exps.append(e)
+    return rows, exps
+
+
+def _reference_run(p, q):
+    """A and B mantissas, their exponents, the q products' mantissas and
+    exponents, C, v, the determinant warnings and the partial sums' outcome,
+    from the reference runner."""
+    rows, exps = _run_recurrence(p, q, [1.0, 0.0], [0.0, 1.0])
+    a, b = (list(col) for col in zip(*rows))
+    prods, prod_exps = _run_recurrence(q, [0.0] * len(q), [0.0], [1.0])
+    c = [x / y if y != 0.0 else math.nan for x, y in zip(a[2:], b[2:])]
+    v, worst, sums, acc, failed = [], 0.0, [], 0.0, None
+    for i in range(1, len(rows)):
+        left, right, e2 = a[i] * b[i - 1], a[i - 1] * b[i], exps[i] + exps[i - 1]
+        v.append(cf._ldexp_safe(left - right, e2))
+        if i == 1:
+            continue
+        n = i - 2
+        expected = prods[i][0] if n % 2 == 0 else -prods[i][0]
+        got = cf._ldexp_safe(left - right, e2 - prod_exps[i])
+        noise = 64.0 * (n + 2) * np.finfo(float).eps * cf._ldexp_safe(
+            abs(left) + abs(right), e2 - prod_exps[i]
+        )
+        denom = max(abs(expected), 1e-300)
+        err = abs(got - expected)
+        if err > cf.DETERMINANT_RTOL * denom + noise:
+            worst = max(worst, err / denom)
+        if failed:
+            continue
+        if b[i] == 0.0 or b[i - 1] == 0.0:
+            failed = ("ZeroDenominator", f"B[{n if b[i] == 0.0 else n - 1}] = 0")
+            continue
+        try:
+            term = prods[i][0] / (b[i] * b[i - 1])
+        except ZeroDivisionError as exc:  # the two mantissas' product underflows
+            failed = ("ZeroDivisionError", str(exc))
+            continue
+        acc += (1.0 if n % 2 == 0 else -1.0) * cf._ldexp_safe(term, prod_exps[i] - e2)
+        sums.append(acc)
+    warned = [f"determinant product identity off by relative {worst:.3e}"] if worst else []
+    products = [r[0] for r in prods[2:]], prod_exps[2:]
+    return a, b, exps, products, c, v, warned, failed or ("sums", _bits(sums))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+_SPECIALS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def _wild_pq(draw):
+    """p and q of length 1..300 with |entries| from 1e-200 to 1e200, so the
+    band rescale fires both ways, and a few zero, inf and NaN entries."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p, q = (
+        (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-200, 200, n)).tolist()
+        for _ in range(2)
+    )
+    for seq in (p, q):
+        for k in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            seq[k] = draw(_SPECIALS)
+    return p, q
+
+
+# the approximant and q-product loops run the reference three-term runner's
+# operations in its order, so every mantissa, exponent, C, v, warning and
+# partial sum is the same double
+@settings(max_examples=150, deadline=None)
+@given(pq=_wild_pq())
+@example(pq=([3.0] * 300, [4.0] * 300))
+@example(pq=([1e200, 1e-200, math.nan], [1e-200, math.inf, 0.0]))
+# a rescale that overflows the pair before the newest one: B[0] = 2^299 goes
+# to inf, and so does the q product q[0] = 2^300 past a subnormal q[1]
+@example(pq=([2.0**299, 1e-300, 1.0], [1.0, -1e-300 * 2.0**299, 1.0]))
+@example(pq=([1.0, 1.0, 1.0], [2.0**300, 5e-324, 1.0]))
+def test_approximant_loops_match_reference_runner(pq):
+    a, b, exps, (prods, prod_exps), c, v, warned, sums = _reference_run(*pq)
+    state = cf_approximants(*pq)
+    assert (_bits(state._mant_a), _bits(state._mant_b)) == (_bits(a), _bits(b))
+    assert state._exp2 == tuple(exps)
+    got_prods, got_prod_exps = cf._q_products(state)
+    assert (_bits(got_prods), got_prod_exps) == (_bits(prods), prod_exps)
+    assert _bits(state.C) == _bits(c)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got_v = cf_determinants(state)
+    assert _bits(got_v) == _bits(v)
+    assert [str(w.message) for w in caught if w.category is DeterminantMismatchWarning] == warned
+    try:
+        got_sums = ("sums", _bits(alpha_partial_sums(state)))
+    except (ZeroDenominator, ZeroDivisionError) as exc:
+        got_sums = (type(exc).__name__, str(exc))
+    assert got_sums == sums
+
+
 # ----------------------------------------------------------------------
 # series-level ladder and termination
 

@@ -37,6 +37,7 @@ from aimcf.series import (
     Sub,
     TaylorSeries,
     VarX,
+    _bind,
     parse_expression,
     series_add,
     series_antideriv,
@@ -231,6 +232,29 @@ def test_bound_rejects_bad_parameter_values(values):
     spec = ProblemSpec(Const(0.0), expr, "E", 0.0, 3, 1)
     with pytest.raises(ValidationError, match="finite"):
         find_eigenvalues(spec, min(values), max(values), 3)
+
+
+# a non-finite constant leaf is an input error wherever it is bound, with or
+# without the parameter beside it; finite leaves bind to read-only arrays
+@pytest.mark.parametrize(
+    "expr",
+    [parse_expression("1e400 + x"), parse_expression("E * 1e400"), Neg(Const(math.nan))],
+    ids=["literal-inf", "beside-parameter", "nan-node"],
+)
+def test_non_finite_constant_is_validation_error(expr):
+    with pytest.raises(ValidationError, match="series coefficients must all be finite"):
+        series_from_expr(expr, 1.0, 0.0, 4)
+    spec = ProblemSpec(expr, parse_expression("x - E"), "E", 0.0, 4, 2)
+    with pytest.raises(ValidationError, match="series coefficients must all be finite"):
+        find_eigenvalues(spec, 0.0, 1.0, 3)
+
+
+@pytest.mark.parametrize("order", [0, 1, 4])
+def test_leaves_bind_read_only(order):
+    for leaf, want in ((Const(2.5), [2.5]), (VarX(), [0.75, 1.0])):
+        coeffs = _bind(leaf, 0.75, order)
+        np.testing.assert_array_equal(coeffs, (want + [0.0] * order)[: order + 1])
+        assert not coeffs.flags.writeable
 
 
 def _expressions():
