@@ -18,7 +18,7 @@ vanishes at the eigenvalues of problems whose ladder terminates.
 * :func:`_delta_recurrence` gives delta[n] from the derivatives of L and S
   at x0 alone, in O(n**2), and says how its values relate to the ladder's;
   :func:`_scan_deltas` is its batched twin for a grid, and
-  :func:`_cross_deltas` their one delta formula.
+  :func:`_cross_deltas` the one delta formula of both and of the ladder.
 * :func:`find_eigenvalues` scans delta[n] over a parameter grid, refines
   each sign change by :func:`_locate` and rechecks each root at depth
   n + 2; :func:`_evaluator` binds the inputs of a search once.
@@ -77,8 +77,6 @@ class ProblemSpec:
     Attributes:
         lambda0: expression for the first-derivative coefficient L(x).
         s0: expression for the zeroth-order coefficient S(x).
-        param_name: name of the spectral parameter appearing in the
-            expressions (conventionally the energy).
         x0: expansion/evaluation point for the ladder; must be finite.
         order: Taylor order carried by the ladder; must be >= n_max + 2 so
             that the deepest ladder entries keep usable coefficients.
@@ -87,7 +85,6 @@ class ProblemSpec:
 
     lambda0: Expression
     s0: Expression
-    param_name: str
     x0: float
     order: int
     n_max: int
@@ -113,10 +110,10 @@ class ProblemSpec:
         order: int = 40,
         n_max: int = 20,
     ) -> "ProblemSpec":
+        """Parse L and S, expressions in ``x`` and the parameter ``param_name``."""
         return cls(
             lambda0=parse_expression(lambda0, param_name),
             s0=parse_expression(s0, param_name),
-            param_name=param_name,
             x0=x0,
             order=order,
             n_max=n_max,
@@ -177,19 +174,6 @@ def _ladder(
     return lam, s, at
 
 
-def _cross(lam_at: np.ndarray, s_at: np.ndarray) -> np.ndarray:
-    """delta[i] = L[i+1] S[i] - L[i] S[i+1] from the at-centre values.
-
-    Raises :class:`Overflow` if a product leaves double range, which finite
-    L and S values do not rule out.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        delta = lam_at[1:] * s_at[:-1] - lam_at[:-1] * s_at[1:]
-    if not np.isfinite(delta).all():
-        raise Overflow("termination quantity overflows double range")
-    return delta
-
-
 def aim_iterate(spec: ProblemSpec, param_value: float) -> AIMSequences:
     """Run the differentiation ladder to ``spec.n_max`` levels.
 
@@ -207,12 +191,16 @@ def aim_iterate(spec: ProblemSpec, param_value: float) -> AIMSequences:
             stacklevel=2,
         )
     lam, s, at = _ladder(lam0.coeffs, s0.coeffs, spec.n_max)
+    lam_at, s_at = at.tolist()  # u_b and u_a past their initial conditions
+    delta = _cross_deltas([1.0, 0.0, *s_at], [0.0, 1.0, *lam_at], range(1, spec.n_max + 1))
+    if not all(map(math.isfinite, delta)):  # finite L and S do not rule it out
+        raise Overflow("termination quantity overflows double range")
     # _ladder has checked every level for overflow; level 0 shares the
     # read-only input arrays
     return AIMSequences(
         lam=tuple(_result(lam0.center, c) for c in lam),
         s=tuple(_result(lam0.center, c) for c in s),
-        delta=_cross(*at),
+        delta=np.array(delta),
     )
 
 
@@ -394,10 +382,10 @@ def _cross_deltas(ua, ub, depths: Iterable[int]) -> list:
 
     The one delta formula of both kernels, on Python floats or on arrays of
     grid points; with L[i](x0) = u_b(i + 2) and S[i](x0) = u_a(i + 2) it is the
-    ladder's cross product.  ``ub`` is None at a symmetric centre, where ``ua``
-    holds v = u_a + u_b (:func:`_delta_recurrence`) and one product has two
-    +0.0 operands: v(d + 2) v(d + 1) - 0.0 for odd d, 0.0 - v(d + 1) v(d + 2)
-    for even d.
+    ladder's cross product, as :func:`aim_iterate` forms it.  ``ub`` is None at
+    a symmetric centre, where ``ua`` holds v = u_a + u_b
+    (:func:`_delta_recurrence`) and one product has two +0.0 operands:
+    v(d + 2) v(d + 1) - 0.0 for odd d, 0.0 - v(d + 1) v(d + 2) for even d.
     """
     if ub is None:
         v = ua

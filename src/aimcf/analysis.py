@@ -33,7 +33,11 @@ from .errors import (
     ZeroQ,
 )
 
-# Tail of partial-sum increments below this is treated as Cauchy (sum converged).
+# The fixed policy of stern_seidel, part of diagnose's output: a sum of p_n
+# above SUM_THRESHOLD counts as divergent (the fraction converges), and a sum
+# of the last CAUCHY_WINDOW samples below CAUCHY_TOL as Cauchy (it converged).
+SUM_THRESHOLD = 50.0
+CAUCHY_WINDOW = 10
 CAUCHY_TOL = 1e-12
 # Relative agreement required between successive backward-recurrence estimates.
 STABLE_RTOL = 1e-12
@@ -137,18 +141,17 @@ class ClassificationReport(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-def stern_seidel(pvals: Sequence[float], threshold: float, window: int) -> ConvergenceReport:
+def stern_seidel(pvals: Sequence[float]) -> ConvergenceReport:
     """Convergence verdict for 1/(p_0 + 1/(p_1 + ...)) from the sum of p_n.
 
     Divergence of the sum implies the fraction converges and conversely, but
-    only asymptotically; outside both finite-sample certainty regions the
-    verdict is Inconclusive rather than a guess.
+    only asymptotically; outside both finite-sample certainty regions, fixed
+    by ``SUM_THRESHOLD``, ``CAUCHY_WINDOW`` and ``CAUCHY_TOL``, the verdict is
+    Inconclusive rather than a guess.
     """
     p = np.asarray(pvals, dtype=float)
     if p.size == 0:
         raise ValidationError("stern_seidel needs at least one sample")
-    if window < 1:
-        raise ValidationError(f"window must be >= 1, got {window}")
     if not np.all(p > 0.0):  # NaN fails too
         bad = int(np.argmin(p > 0.0))
         raise NonPositiveP(f"p[{bad}] = {p[bad]:.6g} violates p_n > 0")
@@ -157,17 +160,16 @@ def stern_seidel(pvals: Sequence[float], threshold: float, window: int) -> Conve
     mu = min(1.0, float(p[0]))
     product_bound = mu * mu * partial
 
-    w = min(window, p.size)
-    tail = float(np.sum(p[-w:]))
-    # A Cauchy tail certifies the sum converged, which wins over any threshold
-    # crossing: a convergent sum can still exceed a low threshold.
+    tail = float(np.sum(p[-CAUCHY_WINDOW:]))
+    # A Cauchy tail certifies the sum converged, which wins over the threshold
+    # crossing: a convergent sum can still exceed SUM_THRESHOLD.
     if tail < CAUCHY_TOL:
         verdict = Verdict.DIVERGES
         try:
             exp_bound = math.exp(2.0 * partial)
         except OverflowError:  # a sum above about 354
             exp_bound = math.inf
-    elif partial > threshold:
+    elif partial > SUM_THRESHOLD:
         verdict = Verdict.CONVERGES
         exp_bound = math.inf
     else:
@@ -256,9 +258,9 @@ def _miller(state: CFState, depth_schedule: Sequence[int]) -> float:
 
 
 def _default_schedule(size: int) -> list[int]:
-    # Consecutive depths (k, k+1) are paired so that a periodic recurrence,
-    # whose estimates repeat at depths congruent mod the period, cannot fake
-    # stabilization between equally spaced trial depths.
+    # Depths near N/4, N/2, 3N/4 and N, each with its successor.  Two successive
+    # depths may differ by a multiple of a period, so a periodic fraction can
+    # fake a settled estimate; classify skips Miller for a conjugate pair.
     top = size - 1
     anchors = {max(2, top // 4), max(2, top // 2), max(2, (3 * top) // 4), top - 1}
     cand = set()
@@ -387,7 +389,8 @@ def classify(
     x_m / x_{m-1} at m = 3N/4 (Pincherle).  One rule checks every prediction:
     the dominant ratio and that minimal ratio, or for equal root moduli the
     growth modulus; only an inconsistent prediction adds a note.
-    ``consistency`` is not minimal existence, which Miller's estimates decide.
+    ``consistency`` is not minimal existence, which Miller's estimates decide
+    unless the sample's roots are a conjugate pair, where none exists.
     The sequences must pass :func:`~aimcf.cf.require_pq`, and a non-finite
     entry raises ValidationError before any run.
     """
@@ -412,10 +415,13 @@ def classify(
     if split is None:  # equal root moduli: no solution dominates
         num_dom = math.nan
     pincherle: Optional[PincherleResult] = None
-    try:
-        pincherle = _pincherle(state)
-    except (NoConvergence, ZeroQ) as exc:
-        notes.append(f"no minimal solution found: {exc}")
+    if split is None and q_limit > 1.0:  # a periodic C_n fakes a settled Miller estimate
+        notes.append("no minimal solution found: the roots are a conjugate pair")
+    else:
+        try:
+            pincherle = _pincherle(state)
+        except (NoConvergence, ZeroQ) as exc:
+            notes.append(f"no minimal solution found: {exc}")
     num_min = math.nan if pincherle is None else pincherle.backward_ratio
     # the minimal ratio x_m / x_{m-1} inside the asymptotic range: minus the
     # tail from level m + 1, a zero q_n ending it as it ends any fraction

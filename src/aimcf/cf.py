@@ -349,9 +349,10 @@ def alpha_partial_sums(state: CFState) -> np.ndarray:
 
     Term k is (-1)^k q[0]..q[k] / (B[k] B[k-1]) = C[k] - C[k-1]; every B[k]
     must be nonzero.  The terms are
-    ``np.diff(alpha_partial_sums(state), prepend=0.0)``.
+    ``np.diff(alpha_partial_sums(state), prepend=0.0)``.  The B mantissas are
+    split by ``frexp``, since a B below the band may make their product underflow.
     """
-    b, e2 = state._mant_b, state._exp2
+    b, e2, frexp = state._mant_b, state._exp2, math.frexp
     prods, prod_exps = _q_products(state)
     sums = np.empty(state.depth + 1)
     acc = 0.0
@@ -360,8 +361,9 @@ def alpha_partial_sums(state: CFState) -> np.ndarray:
         if b[i] == 0.0 or b[i - 1] == 0.0:
             raise ZeroDenominator(f"B[{k if b[i] == 0.0 else k - 1}] = 0")
         sign = 1.0 if k % 2 == 0 else -1.0
-        denom_e2 = e2[i] + e2[i - 1]
-        acc += sign * _ldexp_safe(prods[k] / (b[i] * b[i - 1]), prod_exps[k] - denom_e2)
+        (m1, x1), (m2, x2) = frexp(b[i]), frexp(b[i - 1])
+        denom_e2 = e2[i] + e2[i - 1] + x1 + x2
+        acc += sign * _ldexp_safe(prods[k] / (m1 * m2), prod_exps[k] - denom_e2)
         sums[k] = acc
     return sums
 

@@ -43,11 +43,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-# Fixed policy for the diagnose convergence verdict; the thresholds are part
-# of the output contract, not tunables.
-SUM_THRESHOLD = 50.0
-CAUCHY_WINDOW = 10
-
 
 def _render_json(obj: Any) -> str:
     """``json.dumps(record, sort_keys=True, indent=2)`` of a record, written in
@@ -192,7 +187,8 @@ def _load_problem(path: str) -> dict:
 
 def _build_spec(raw: dict, args: argparse.Namespace) -> ProblemSpec:
     x0 = args.x0 if args.x0 is not None else float(raw["x0"])
-    order = args.order if args.order is not None else raw["order"]
+    order = getattr(args, "order", None)  # solve has no --order
+    order = order if order is not None else raw["order"]
     n_max = args.n if args.n is not None else raw["n_max"]
     return ProblemSpec.from_strings(
         raw["lambda0"],
@@ -290,7 +286,7 @@ def _run_diagnose(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dic
             warn_list.append(f"unit-form diagnostics skipped: {exc}")
             ptilde = None
         if ptilde is not None and all(p > 0.0 for p in ptilde):
-            verdict = analysis.stern_seidel(ptilde, SUM_THRESHOLD, CAUCHY_WINDOW)
+            verdict = analysis.stern_seidel(ptilde)
             if all(p >= 1.0 for p in ptilde):
                 unit_state = cf_approximants(ptilde, [1.0] * len(ptilde))
                 rows = analysis.bound_check(unit_state)
@@ -411,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every call;
     parsing leaves it unchanged, so each call starts from its defaults.  Each
     subcommand registers only the flags it reads: ``--grid`` and ``--tol``
-    for solve, ``--param-value`` for diagnose and classify."""
+    for solve, ``--order`` and ``--param-value`` for diagnose and classify
+    (solve binds its expressions at n_max + 2, whatever the order)."""
     parser = argparse.ArgumentParser(
         prog="aimcf",
         description="Eigenproblem solver and recurrence diagnostics",
@@ -424,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("problem_file", help="JSON problem description")
-        p.add_argument("--order", type=int, default=None, help="series truncation order")
+        if name != "solve":
+            p.add_argument("--order", type=int, default=None, help="series truncation order")
         p.add_argument("--n", type=int, default=None, help="iteration depth")
         p.add_argument("--x0", type=float, default=None, help="expansion center")
         if name == "solve":

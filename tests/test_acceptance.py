@@ -171,11 +171,11 @@ def test_criterion_05_partial_sums_match_approximants():
 
 def test_criterion_06_convergence_verdicts_and_product_bound():
     ones = np.ones(51)
-    rep_c = stern_seidel(ones, threshold=50.0, window=10)
+    rep_c = stern_seidel(ones)
     st_ones = cf_approximants(ones, np.ones(51))
     cauchy = abs(st_ones.C[50] - st_ones.C[49])
     halving = 0.5 ** np.arange(51.0)
-    rep_d = stern_seidel(halving, threshold=50.0, window=10)
+    rep_d = stern_seidel(halving)
     st_half = cf_approximants(halving, np.ones(51))
     parity_gap = abs(st_half.C[50] - st_half.C[49])
     rng = np.random.default_rng(99)

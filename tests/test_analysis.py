@@ -50,7 +50,7 @@ def _bessel_pq(n=BESSEL_N):
 
 
 def test_verdict_converges_on_divergent_sum():
-    rep = stern_seidel([1.0] * 60, threshold=50.0, window=10)
+    rep = stern_seidel([1.0] * 60)
     assert rep.verdict is Verdict.CONVERGES
     assert rep.partial_sum == 60.0
     assert rep.mu == 1.0
@@ -61,7 +61,7 @@ def test_verdict_converges_on_divergent_sum():
 # [DERIVED] sum of 2^-n is 2, so the growth cap is e^4 ~ 54.598
 def test_verdict_diverges_on_summable_terms():
     p = [2.0 ** (-n) for n in range(60)]
-    rep = stern_seidel(p, threshold=50.0, window=10)
+    rep = stern_seidel(p)
     assert rep.verdict is Verdict.DIVERGES
     assert rep.exp_bound == pytest.approx(math.exp(2.0 * rep.partial_sum))
     assert rep.exp_bound == pytest.approx(54.598, rel=1e-3)
@@ -70,39 +70,38 @@ def test_verdict_diverges_on_summable_terms():
 # 2 * 400 is beyond math.exp's range; the bound is infinite, as in the other
 # verdict branches, instead of an OverflowError
 def test_diverges_verdict_on_huge_sum_has_infinite_bound():
-    rep = stern_seidel([400.0] + [1e-14] * 20, 50.0, 10)
+    rep = stern_seidel([400.0] + [1e-14] * 20)
     assert rep.verdict is Verdict.DIVERGES
     assert rep.exp_bound == math.inf
 
 
 def test_cauchy_tail_beats_threshold_crossing():
-    # partial sum 2 exceeds a threshold of 1, but the tail has converged
-    p = [2.0 ** (-n) for n in range(60)]
-    rep = stern_seidel(p, threshold=1.0, window=10)
+    # partial sum 62 exceeds the threshold 50, but the tail has converged
+    p = [60.0] + [2.0 ** (-n) for n in range(60)]
+    rep = stern_seidel(p)
+    assert rep.partial_sum > 50.0
     assert rep.verdict is Verdict.DIVERGES
 
 
 def test_verdict_inconclusive_between_regions():
     p = [1.0 / (n + 1) for n in range(60)]
-    rep = stern_seidel(p, threshold=50.0, window=10)
+    rep = stern_seidel(p)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert 4.6 < rep.partial_sum < 4.8
 
 
 def test_verdict_input_guards():
     with pytest.raises(NonPositiveP):
-        stern_seidel([1.0, 0.0, 1.0], threshold=50.0, window=5)
+        stern_seidel([1.0, 0.0, 1.0])
     with pytest.raises(ValidationError):
-        stern_seidel([], threshold=50.0, window=5)
-    with pytest.raises(ValidationError):
-        stern_seidel([1.0], threshold=50.0, window=0)
+        stern_seidel([])
 
 
 # NaN is neither > 0 nor <= 0, so the hypothesis check is written as the
 # negation of p_n > 0; a NaN sample once came back as an Inconclusive verdict
 def test_verdict_rejects_nan_p():
     with pytest.raises(NonPositiveP, match=r"^p\[1\] = nan violates p_n > 0$"):
-        stern_seidel([1.0, math.nan, 2.0], threshold=50.0, window=10)
+        stern_seidel([1.0, math.nan, 2.0])
 
 
 # soundness: a Converges verdict must come with Cauchy approximants
@@ -110,7 +109,7 @@ def test_converges_verdict_implies_cauchy_approximants():
     rng = np.random.default_rng(17)
     for _ in range(5):
         p = rng.uniform(1.0, 2.0, 201)
-        rep = stern_seidel(p, threshold=50.0, window=10)
+        rep = stern_seidel(p)
         assert rep.verdict is Verdict.CONVERGES
         state = cf_approximants(p, np.ones(201))
         assert abs(state.C[200] - state.C[190]) < 1e-8
@@ -119,7 +118,7 @@ def test_converges_verdict_implies_cauchy_approximants():
 # soundness: a Diverges verdict must show split even/odd limits
 def test_diverges_verdict_implies_even_odd_gap():
     p = np.array([2.0 ** (-n) for n in range(51)])
-    rep = stern_seidel(p, threshold=50.0, window=8)
+    rep = stern_seidel(p)
     assert rep.verdict is Verdict.DIVERGES
     state = cf_approximants(p, np.ones(51))
     assert abs(state.C[50] - state.C[49]) > 1e-3
@@ -383,6 +382,7 @@ def _by_position(roots):
 @example(p=2.0, q=-3.0)
 @example(p=2.5, q=-1.5)  # roots 1.5 and 1: a gap of exactly 1.5x
 @example(p=1.0, q=6.0)  # roots 3 and -2
+@example(p=-1.0, q=-1 / 3)  # t = 4/3: C_n has period 6, as do Miller's estimates
 def test_constant_recurrence_roots_match_numpy(p, q):
     rep = classify([p] * 200, [q] * 200)
     want = _by_position(complex(z) for z in np.roots([1.0, -p, -q]))
@@ -430,8 +430,7 @@ def test_classify_notes_name_the_checks():
         "no minimal solution found: q[5] = 0, but Pincherle's theorem needs every q_n != 0",
     )
     assert classify([0.5] * 100, [-1.0] * 100).notes == (
-        "no minimal solution found: Miller's estimates -C_N did not settle "
-        "over depths [24, 25, 49, 50, 74, 75, 98, 99]",
+        "no minimal solution found: the roots are a conjugate pair",
     )
 
 

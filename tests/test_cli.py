@@ -92,6 +92,12 @@ def _param(command, value):
     return [] if command == "solve" else ["--param-value", value]
 
 
+def _order(command, value):
+    """The file change and arguments that set the order to ``value``:
+    ``--order`` where ``command`` reads it, the file for solve, which has none."""
+    return ({"order": value}, []) if command == "solve" else ({}, ["--order", str(value)])
+
+
 # [DERIVED] exact spectrum 2k+1 through the full command path
 def test_solve_finds_oscillator_spectrum(ho_file, capsys):
     code, out, err = _run(capsys, ["solve", ho_file])
@@ -830,11 +836,13 @@ def test_no_subcommand_accepts_seed(const_seq_file, capsys, command):
 
 
 # each subcommand registers only the flags it reads: solve scans, so it takes
-# no parameter value; diagnose and classify fix one, so no grid or tolerance
+# no parameter value, and binds at n_max + 2, so no order; diagnose and
+# classify fix one, so no grid or tolerance
 @pytest.mark.parametrize(
     "command, flag",
     [
         ("solve", "--param-value"),
+        ("solve", "--order"),
         ("diagnose", "--grid"),
         ("diagnose", "--tol"),
         ("classify", "--grid"),
@@ -905,7 +913,7 @@ def test_exit_input_on_bad_sweep(ho_file, capsys):
     [
         ({"order": 10**30}, [], "order"),
         ({"order": 2**62}, [], "order"),
-        ({}, ["--order", str(2**62)], "order"),
+        (None, None, "order"),  # _order(command, 2**62)
         ({}, ["--sweep-x0", f"0:1:{10**30}"], "--sweep-x0 steps"),
     ],
     ids=["order-1e30", "order-2^62", "order-option", "sweep-steps"],
@@ -913,6 +921,8 @@ def test_exit_input_on_bad_sweep(ho_file, capsys):
 def test_exit_input_on_size_past_numpy_limit(
     tmp_path, capsys, command, change, argv_tail, name
 ):
+    if change is None:
+        change, argv_tail = _order(command, 2**62)
     path = _write(tmp_path, "huge.json", dict(HO_PROBLEM, **change))
     code, out, err = _run(capsys, [command, path, *_param(command, "2"), *argv_tail])
     assert (code, out) == (EXIT_INPUT, "")

@@ -112,3 +112,21 @@ def test_only_cf_reads_the_scaled_approximant_state():
         for alias in node.names
     }
     assert imported and not [n for n in imported if n.startswith("_")]
+
+
+def test_every_problem_spec_field_has_a_reader():
+    """A field that no code reads is a setting with no effect: each field of
+    ``ProblemSpec`` is read as an attribute somewhere in ``src/`` outside the
+    class.  Reads of ``self.<name>`` are left out, so the class's own methods
+    and another class's attribute of the same name (the parser's
+    ``self.param_name``) do not count."""
+    fields = {f.name for f in dataclasses.fields(aimcf.ProblemSpec)}
+    read = {
+        node.attr
+        for _, tree in _module_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    }
+    assert sorted(fields - read) == []

@@ -135,7 +135,7 @@ def _search_columns(expr, center, order):
     """The columns function of the eigenvalue search's evaluator for ``expr``
     (as S, beside L = 0), run as the search runs it, and the derivative
     column t! c[t] of one coefficient array in the evaluator's arithmetic."""
-    spec = ProblemSpec(Const(0.0), expr, "E", center, order + 3, 1)
+    spec = ProblemSpec(Const(0.0), expr, center, order + 3, 1)
     columns = aim._evaluator(spec, order)[0]
     _, mant, exp = aim._tables(order + 1)
 
@@ -207,7 +207,7 @@ def test_bound_failure_is_raised_on_each_call():
 # error, for one value and for a search over many
 def test_bound_call_nested_too_deeply_is_parse_or_eval_error():
     expr = parse_expression("+".join(["E"] * 400))
-    spec = ProblemSpec(Const(0.0), expr, "E", 0.0, 3, 1)
+    spec = ProblemSpec(Const(0.0), expr, 0.0, 3, 1)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(300)
     try:
@@ -229,7 +229,7 @@ def test_bound_rejects_bad_parameter_values(values):
         if not math.isfinite(value):
             with pytest.raises(ValidationError, match="finite"):
                 series_from_expr(expr, value, 0.0, 3)
-    spec = ProblemSpec(Const(0.0), expr, "E", 0.0, 3, 1)
+    spec = ProblemSpec(Const(0.0), expr, 0.0, 3, 1)
     with pytest.raises(ValidationError, match="finite"):
         find_eigenvalues(spec, min(values), max(values), 3)
 
@@ -244,7 +244,7 @@ def test_bound_rejects_bad_parameter_values(values):
 def test_non_finite_constant_is_validation_error(expr):
     with pytest.raises(ValidationError, match="series coefficients must all be finite"):
         series_from_expr(expr, 1.0, 0.0, 4)
-    spec = ProblemSpec(expr, parse_expression("x - E"), "E", 0.0, 4, 2)
+    spec = ProblemSpec(expr, parse_expression("x - E"), 0.0, 4, 2)
     with pytest.raises(ValidationError, match="series coefficients must all be finite"):
         find_eigenvalues(spec, 0.0, 1.0, 3)
 
