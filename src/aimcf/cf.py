@@ -16,8 +16,10 @@ reads below its public fields; :func:`cf_determinants` checks their cross
 determinants against the signed product of the q's,
 :func:`alpha_partial_sums` sums the alternating series whose partial sums
 are the approximants, and :func:`cf_equiv_unit` rescales a fraction to unit
-partial numerators.  A level with q identically zero terminates the fraction
-exactly; :func:`detect_termination` reads that stop, and
+partial numerators.  Both three-term recurrences, the approximants' and the
+q products', run on one band-scaled loop, :func:`_run`.  A level with q
+identically zero terminates the fraction exactly; :func:`detect_termination`
+reads that stop, and
 :func:`terminated_alpha` reads alpha off the iteration ladder, whose ratios
 S[n](x0) / L[n](x0) are the approximants A[n] / B[n].
 """
@@ -42,10 +44,9 @@ from .errors import (
 )
 from .series import TaylorSeries, _check_pivot, _checked, _divide, _mul, series_div
 
-# the loops of cf_approximants and _q_products rescale their newest values,
-# and the ones before them, by a power of two when the largest magnitude among
-# the newest leaves [1 / _BAND, _BAND]; inside the band the product of two
-# mantissas stays a normal double
+# _run rescales its newest pair, and the one before it, by a power of two
+# when the pair's larger magnitude leaves [1 / _BAND, _BAND]; inside the band
+# the product of two mantissas stays a normal double
 _BAND = 2.0**300
 
 # a ladder series counts as identically zero when all its coefficients are
@@ -251,7 +252,18 @@ def cf_approximants(pvals, qvals) -> CFState:
     A[n] = p[n] A[n-1] + q[n] A[n-2] and likewise for B, for n = 0..N with
     N + 1 the length of the inputs (checked by :func:`require_pq`).  C[n] is
     NaN where B[n] = 0 and +-inf beyond double range, as A(n) and B(n) are;
-    the recurrence keeps going.
+    the recurrence keeps going.  :func:`_run` runs it.
+    """
+    pvals, qvals = require_pq(pvals, qvals)
+    mant_a, mant_b, exps = _run(pvals.tolist(), qvals.tolist())
+    c = np.array([a / b if b != 0.0 else math.nan for a, b in zip(mant_a[2:], mant_b[2:])])
+    for arr in (c, pvals, qvals):
+        arr.setflags(write=False)
+    return CFState(pvals, qvals, c, tuple(mant_a), tuple(mant_b), tuple(exps))
+
+
+def _run(pvals: list[float], qvals: list[float]) -> tuple[list[float], list[float], list[int]]:
+    """Mantissas of A and B and their joint exponents, runner steps -2..N.
 
     One loop on Python floats carries the last two (A, B) pairs and their
     joint exponent.  When the larger magnitude of a new pair leaves
@@ -259,11 +271,10 @@ def cf_approximants(pvals, qvals) -> CFState:
     power of two that brings it into [1/2, 1); the stored previous pair keeps
     its old exponent, and only the next step sees it rescaled.
     """
-    pvals, qvals = require_pq(pvals, qvals)
     lo, hi, ldexp, frexp = 1.0 / _BAND, _BAND, math.ldexp, math.frexp
     mant_a, mant_b, exps = [1.0, 0.0], [0.0, 1.0], [0, 0]
     a2, b2, a1, b1, e = 1.0, 0.0, 0.0, 1.0, 0
-    for pn, qn in zip(pvals.tolist(), qvals.tolist()):
+    for pn, qn in zip(pvals, qvals):
         a, b = pn * a1 + qn * a2, pn * b1 + qn * b2
         big = abs(a)  # max(|a|, |b|) as max() takes it: a NaN |a| stays
         if abs(b) > big:
@@ -277,35 +288,21 @@ def cf_approximants(pvals, qvals) -> CFState:
         mant_a.append(a)
         mant_b.append(b)
         exps.append(e)
-    c = np.array([a / b if b != 0.0 else math.nan for a, b in zip(mant_a[2:], mant_b[2:])])
-    for arr in (c, pvals, qvals):
-        arr.setflags(write=False)
-    return CFState(pvals, qvals, c, tuple(mant_a), tuple(mant_b), tuple(exps))
+    return mant_a, mant_b, exps
 
 
 def _q_products(state: CFState) -> tuple[list[float], list[int]]:
     """Running products q[0]..q[n] as ``prods[n] * 2**exps[n]``, n = 0..N.
 
-    One loop on Python floats, the approximant recurrence's with partial
-    denominators q and partial numerators 0: each product is ``q[n] * r1 +
-    0.0 * r2`` from the last two, so a NaN or inf two steps back still
-    reaches it, and it is rescaled by the :func:`cf_approximants` band rule.
-    It reads only ``state.qvals``, so the determinant check stays
-    independent of the stored A and B.
+    The B column of the (q, 0) fraction run by :func:`_run`: B[n] = q[n]
+    B[n-1] + 0.0 B[n-2], so a NaN or inf two steps back still reaches it.
+    A stays 0.0, or NaN past a non-finite q, where B is not finite either,
+    so B alone sets each shift.  It reads only ``state.qvals``, so the
+    determinant check stays independent of the stored A and B.
     """
-    lo, hi, ldexp, frexp = 1.0 / _BAND, _BAND, math.ldexp, math.frexp
-    prods, exps = [], []
-    r2, r1, e = 0.0, 1.0, 0
-    for qn in state.qvals.tolist():
-        r = qn * r1 + 0.0 * r2
-        if not lo <= abs(r) <= hi:
-            shift = -frexp(r)[1]
-            r1, r = _ldexp_safe(r1, shift), ldexp(r, shift)
-            e -= shift
-        r2, r1 = r1, r
-        prods.append(r)
-        exps.append(e)
-    return prods, exps
+    q = state.qvals.tolist()
+    _, prods, exps = _run(q, [0.0] * len(q))
+    return prods[2:], exps[2:]
 
 
 def cf_determinants(state: CFState) -> np.ndarray:

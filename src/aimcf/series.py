@@ -107,45 +107,39 @@ class TaylorSeries:
 
     @staticmethod
     def constant(value: float, center: float, order: int) -> "TaylorSeries":
-        c = np.zeros(order + 1)
-        c[0] = value
-        return TaylorSeries(center, c)
+        return TaylorSeries(center, _bind(Const(value), center, order))
 
     @staticmethod
     def identity(center: float, order: int) -> "TaylorSeries":
         """The series of f(x) = x about ``center``."""
-        c = np.zeros(order + 1)
-        c[0] = center
-        if order >= 1:
-            c[1] = 1.0
-        return TaylorSeries(center, c)
+        return TaylorSeries(center, _bind(VarX(), center, order))
 
     # ------------------------------------------------------------------
     # operator sugar; the module-level functions carry the real logic
 
     def __add__(self, other):
-        return series_add(self, _coerce(other, self))
+        return _operate(series_add, self, other)
 
     def __radd__(self, other):
-        return series_add(_coerce(other, self), self)
+        return _operate(series_add, self, other, reflected=True)
 
     def __sub__(self, other):
-        return series_sub(self, _coerce(other, self))
+        return _operate(series_sub, self, other)
 
     def __rsub__(self, other):
-        return series_sub(_coerce(other, self), self)
+        return _operate(series_sub, self, other, reflected=True)
 
     def __mul__(self, other):
-        return series_mul(self, _coerce(other, self))
+        return _operate(series_mul, self, other)
 
     def __rmul__(self, other):
-        return series_mul(_coerce(other, self), self)
+        return _operate(series_mul, self, other, reflected=True)
 
     def __truediv__(self, other):
-        return series_div(self, _coerce(other, self))
+        return _operate(series_div, self, other)
 
     def __rtruediv__(self, other):
-        return series_div(_coerce(other, self), self)
+        return _operate(series_div, self, other, reflected=True)
 
     def __neg__(self):
         return _result(self.center, -self.coeffs)
@@ -160,12 +154,15 @@ class TaylorSeries:
         return series_exp(self)
 
 
-def _coerce(value, like: TaylorSeries) -> TaylorSeries:
-    if isinstance(value, TaylorSeries):
-        return value
-    if isinstance(value, (int, float)):
-        return TaylorSeries.constant(float(value), like.center, like.order)
-    return NotImplemented
+def _operate(kernel, series: TaylorSeries, other, reflected: bool = False):
+    """``kernel(series, other)``, or ``kernel(other, series)`` if ``reflected``,
+    with a real number ``other`` taken as the constant series; NotImplemented
+    for any other operand that is no series, so that Python raises TypeError."""
+    if isinstance(other, (int, float)):
+        other = TaylorSeries.constant(float(other), series.center, series.order)
+    elif not isinstance(other, TaylorSeries):
+        return NotImplemented
+    return kernel(other, series) if reflected else kernel(series, other)
 
 
 def _check_centers(a: TaylorSeries, b: TaylorSeries):
@@ -474,7 +471,7 @@ def _bind(e: Expression, center: float, order: int):
     called, into :class:`ParseOrEvalError`.
     """
     if isinstance(e, (Const, VarX)):
-        # the coefficients of TaylorSeries.constant and .identity, read-only
+        # read-only; TaylorSeries.constant and .identity copy these leaves
         leaf = np.zeros(order + 1)
         if isinstance(e, Const):
             leaf[0] = e.value

@@ -6,6 +6,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -700,6 +701,48 @@ def test_oscillator_ladder_is_closed_form(x0, energy):
     for n in range(pq.depth + 1):
         assert pq.p[n] == 2.0 * x0
         assert n == 0 or pq.q[n] == pq.q[n - 1] + 2.0
+
+
+def _hermite_alpha(energy, x0):
+    """-y'/y at x0 of the oscillator solution recessive toward sign(x0) * inf,
+    with nu = (E - 1) / 2 not an integer: -2 nu H_{nu-1}(x0) / H_nu(x0) for
+    x0 > 0, and the mirror image +2 nu H_{nu-1}(-x0) / H_nu(-x0) for x0 < 0."""
+    nu = (energy - 1) / 2
+    ratio = float(2 * nu * mpmath.hermite(nu - 1, abs(x0)) / mpmath.hermite(nu, abs(x0)))
+    return -ratio if x0 > 0 else ratio
+
+
+def _ho_approximants(energy, x0, depth=40):
+    return cf_approximants(*_ho_pq(energy, x0, max(80, depth + 2), depth)[:2]).C
+
+
+# [DERIVED] at a non-eigenvalue E the oscillator's fraction never terminates,
+# and its approximants converge pointwise to the recessive solution's alpha.
+# The error falls like exp(-2 sqrt(2) |x0| sqrt(n)): measured over this grid
+# at n = 10, 20 and 40, error / exp(...) lies in 1.05..10.3, pinned as 1..11.
+# (E, x0) = (4.4, 0.5) is left out: it lies next to a zero of H_nu, where the
+# limit is 42.76 and the ratio about 750.  At E = 7.25 and n = 40 the error is
+# 1.6e-2 at |x0| = 0.3, 1.9e-4 at 0.5, 5.6e-8 at 1.0 and 1.2e-11 at 1.5.
+@pytest.mark.parametrize(
+    "energy, x0",
+    [(e, x) for e in (2.0, 4.4, 7.25) for x in (0.3, -0.3, 1.0, 1.5, -1.5)] + [(7.25, 0.5)],
+)
+def test_approximants_converge_to_recessive_hermite_ratio(energy, x0):
+    c, want = _ho_approximants(energy, x0), _hermite_alpha(energy, x0)
+    for n in (10, 20, 40):
+        error = abs(c[n] - want)
+        assert 1.0 <= error / math.exp(-2.0 * math.sqrt(2.0) * abs(x0) * math.sqrt(n)) <= 11.0
+    assert np.array_equal(_ho_approximants(energy, -x0), -c)
+
+
+# near the symmetric centre that rate is too slow to show: at x0 = 0.05 and
+# E = 7.25 the approximants still swing far from the limit 44.14 at n = 200
+def test_approximants_near_symmetric_centre_have_not_converged():
+    c, want = _ho_approximants(7.25, 0.05, depth=200), _hermite_alpha(7.25, 0.05)
+    assert want == pytest.approx(44.1446, abs=1e-4)
+    for n, got in ((50, -60.317), (100, -175.340), (200, 182.944)):
+        assert c[n] == pytest.approx(got, abs=1e-3)
+        assert abs(c[n] - want) > 100.0
 
 
 # [DERIVED] constant p = 3, q = 4: q' = 0, so every level repeats them exactly

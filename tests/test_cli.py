@@ -874,7 +874,7 @@ def test_classify_leaves_numpy_random_unimported(const_seq_file):
     assert done.stdout.split() == [str(EXIT_OK), "False"]
 
 
-def test_exit_input_on_bad_order_budget(tmp_path, capsys):
+def test_exit_input_on_bad_order_budget(tmp_path, ho_file, capsys):
     path = _write(
         tmp_path,
         "bad_order.json",
@@ -890,6 +890,11 @@ def test_exit_input_on_bad_order_budget(tmp_path, capsys):
     code, _, err = _run(capsys, ["diagnose", path, "--param-value", "1"])
     assert code == EXIT_INPUT
     assert "order" in err
+    # solve binds at n_max + 2, but the file's order is its depth budget, the
+    # one bound on --n, and no flag lifts it
+    code, _, err = _run(capsys, ["solve", ho_file, "--n", "70"])
+    assert code == EXIT_INPUT
+    assert "order (60) must be >= n_max + 2 (72)" in err
 
 
 def test_exit_input_on_missing_search(const_file, capsys):

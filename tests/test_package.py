@@ -114,6 +114,30 @@ def test_only_cf_reads_the_scaled_approximant_state():
     assert imported and not [n for n in imported if n.startswith("_")]
 
 
+def test_one_loop_reads_the_rescale_band():
+    """Every fraction recurrence in ``cf`` runs on one band-scaled loop:
+    ``cf._run`` is the one function in ``src/`` that reads ``_BAND``, and no
+    code outside a function reads it."""
+    readers = set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        named = (
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else None
+        )
+        if named == "_BAND" and isinstance(node.ctx, ast.Load):
+            readers.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for name, tree in _module_trees():
+        visit(tree, name, None)
+    assert readers == {("cf", "_run")}
+
+
 def test_every_problem_spec_field_has_a_reader():
     """A field that no code reads is a setting with no effect: each field of
     ``ProblemSpec`` is read as an attribute somewhere in ``src/`` outside the

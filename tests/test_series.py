@@ -422,11 +422,43 @@ def test_scalar_coercion_operators():
     np.testing.assert_allclose((2.0 * s).coeffs, [2.0, 4.0, 6.0])
     np.testing.assert_allclose((1.0 - s).coeffs, [0.0, -2.0, -3.0])
     np.testing.assert_allclose((-s).coeffs, [-1.0, -2.0, -3.0])
+    a = _series(0.0, [1.0, 2.0])
+    np.testing.assert_array_equal((a + np.float64(2.0)).coeffs, [3.0, 2.0])
+    np.testing.assert_array_equal((a + True).coeffs, [2.0, 2.0])
+    np.testing.assert_array_equal((2 / a).coeffs, [2.0, -4.0])
+
+
+# an operand with no coercion to a series is Python's TypeError, whichever
+# side it is on
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda a: a + "x",
+        lambda a: "x" + a,
+        lambda a: a * None,
+        lambda a: a + 1j,
+        lambda a: None - a,
+        lambda a: a / [1.0],
+    ],
+    ids=["add-str", "radd-str", "mul-none", "add-complex", "rsub-none", "div-list"],
+)
+def test_unsupported_operand_is_type_error(op):
+    with pytest.raises(TypeError):
+        op(_series(0.0, [1.0, 2.0]))
 
 
 def test_nonfinite_coefficients_rejected():
     with pytest.raises(ValidationError):
         _series(0.0, [1.0, math.inf])
+    # the leaf constructors check the leaf as the binder does, the centre as
+    # the public constructor does
+    for make, message in (
+        (lambda: TaylorSeries.constant(math.nan, 0.0, 3), "coefficients must all be finite"),
+        (lambda: TaylorSeries.identity(math.inf, 3), "coefficients must all be finite"),
+        (lambda: TaylorSeries.constant(1.0, math.inf, 3), "center must be finite"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            make()
 
 
 def reference_div(a, b):
