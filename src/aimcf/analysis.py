@@ -216,33 +216,33 @@ def bound_check(state: CFState) -> list[tuple[int, float, float, bool]]:
     return rows
 
 
-def miller_minimal_ratio(
-    pvals: Sequence[float],
-    qvals: Sequence[float],
-    depth_schedule: Sequence[int],
-) -> float:
+def miller_minimal_ratio(pvals: Sequence[float], qvals: Sequence[float]) -> float:
     """Minimal-solution ratio x_{-1}/x_{-2} by Miller's backward recurrence.
 
     The backward pass planted at depth N with x_N = 0, x_{N-1} = 1 is the
     solution B_N A_n - A_N B_n up to a factor, so its estimate x_{-1}/x_{-2}
     is -C_N (Gautschi, SIAM Rev. 9 (1967) 24), read from one forward run of
     :func:`~aimcf.cf.cf_approximants`.
-    Depths from depth_schedule are tried in increasing order until two
-    successive estimates agree to 1e-12 relative; failure to stabilize means
-    no minimal solution is numerically detectable.
+    Depths near N/4, N/2, 3N/4 and N, each with its successor, are tried in
+    increasing order until two successive estimates agree to 1e-12 relative;
+    failure to stabilize means no minimal solution is numerically detectable,
+    and a conjugate pair of roots, 1 < t_N < inf (:func:`monic_transform`),
+    raises NoConvergence before any estimate is read.
     """
-    return _miller(cf_approximants(pvals, qvals), depth_schedule)
+    return _miller(cf_approximants(pvals, qvals))
 
 
-def _miller(state: CFState, depth_schedule: Sequence[int]) -> float:
+def _miller(state: CFState) -> float:
     """:func:`miller_minimal_ratio` on the approximants of ``state``."""
-    usable = sorted({int(n) for n in depth_schedule if 2 <= int(n) <= state.depth})
-    if len(usable) < 2:
-        raise ValidationError(
-            "depth_schedule needs at least two depths within the sampled range"
-        )
+    depths = _default_schedule(state.depth + 1)
+    if len(depths) < 2:
+        raise ValidationError(f"Miller's estimates need at least 4 levels, got {state.depth + 1}")
+    # a conjugate pair makes C_n periodic: two depths a period apart would settle
+    p0, p1 = float(state.pvals[-2]), float(state.pvals[-1])
+    if p0 != 0.0 and p1 != 0.0 and 1.0 < _monic_sample(p0, p1, float(state.qvals[-1])) < math.inf:
+        raise NoConvergence("the roots are a conjugate pair")
     prev: Optional[float] = None
-    for top in usable:
+    for top in depths:
         # Pincherle's theorem needs every q_n != 0, n <= top: a zero q_n ends
         # the fraction whether or not the recurrence has a minimal solution
         zeros = np.flatnonzero(state.qvals[: top + 1] == 0.0)
@@ -254,22 +254,15 @@ def _miller(state: CFState, depth_schedule: Sequence[int]) -> float:
         if prev is not None and abs(est - prev) <= STABLE_RTOL * max(1.0, abs(est)):
             return est
         prev = est
-    raise NoConvergence(f"Miller's estimates -C_N did not settle over depths {usable}")
+    raise NoConvergence(f"Miller's estimates -C_N did not settle over depths {depths}")
 
 
 def _default_schedule(size: int) -> list[int]:
-    # Depths near N/4, N/2, 3N/4 and N, each with its successor.  Two successive
-    # depths may differ by a multiple of a period, so a periodic fraction can
-    # fake a settled estimate; classify skips Miller for a conjugate pair.
+    """Miller's depths 2..N for ``size`` = N + 1 levels: near N/4, N/2, 3N/4
+    and N, each with its successor."""
     top = size - 1
     anchors = {max(2, top // 4), max(2, top // 2), max(2, (3 * top) // 4), top - 1}
-    cand = set()
-    for k in anchors:
-        cand.add(k)
-        if k + 1 <= top:
-            cand.add(k + 1)
-    cand.add(top)
-    return sorted(cand)
+    return sorted({d for k in anchors for d in (k, k + 1) if 2 <= d <= top})
 
 
 def pincherle_check(pvals: Sequence[float], qvals: Sequence[float]) -> PincherleResult:
@@ -290,7 +283,7 @@ def _pincherle(state: CFState) -> PincherleResult:
     if finite.size == 0:
         raise ZeroDenominator("no finite approximants available")
     cf_limit = float(finite[-1])
-    backward = _miller(state, _default_schedule(state.depth + 1))
+    backward = _miller(state)
     return PincherleResult(
         cf_limit=cf_limit,
         backward_ratio=backward,
@@ -318,18 +311,20 @@ def monic_transform(
     if np.any(p == 0.0):
         raise ZeroP(f"p[{int(np.argmax(p == 0.0))}] = 0 blocks the transform")
     p_list, q_list = p.tolist(), q.tolist()
-    t: list[float] = []
-    for n in range(1, p.size):
-        denom = p_list[n - 1] * p_list[n]
-        if abs(denom) >= sys.float_info.min:
-            t.append(-4.0 * q_list[n] / denom)
-        else:  # the product underflows: divide mantissas, add exponents
-            (m1, e1), (m2, e2), (mq, eq) = map(
-                math.frexp, (p_list[n - 1], p_list[n], q_list[n])
-            )
-            with np.errstate(over="ignore"):  # past double range: +-inf
-                t.append(float(np.ldexp(-4.0 * mq / (m1 * m2), eq - e1 - e2)))
+    t = [_monic_sample(p_list[n - 1], p_list[n], q_list[n]) for n in range(1, p.size)]
     return t, t[-1]
+
+
+def _monic_sample(p_prev: float, p: float, q: float) -> float:
+    """One monic sample t = -4 q / (p_prev p) of Python floats (numpy
+    scalars would warn on overflow); :func:`monic_transform` takes one a level."""
+    denom = p_prev * p
+    if abs(denom) >= sys.float_info.min:
+        return -4.0 * q / denom
+    # the product underflows: divide mantissas, add exponents
+    (m1, e1), (m2, e2), (mq, eq) = map(math.frexp, (p_prev, p, q))
+    with np.errstate(over="ignore"):  # past double range: +-inf
+        return float(np.ldexp(-4.0 * mq / (m1 * m2), eq - e1 - e2))
 
 
 def characteristic_roots(q: float) -> tuple[complex, complex]:
@@ -404,7 +399,8 @@ def classify(
         raise InsufficientData(f"need at least 31 levels, got {p.size}")
 
     t, q_limit = monic_transform(p, q)
-    a_samples = np.asarray(t, dtype=float) - q_limit
+    with np.errstate(invalid="ignore"):  # inf - inf: a limit past double range
+        a_samples = np.asarray(t, dtype=float) - q_limit
     roots = characteristic_roots(q_limit)
     split = _split_roots(*roots)
     notes: list[str] = []
@@ -415,13 +411,10 @@ def classify(
     if split is None:  # equal root moduli: no solution dominates
         num_dom = math.nan
     pincherle: Optional[PincherleResult] = None
-    if split is None and q_limit > 1.0:  # a periodic C_n fakes a settled Miller estimate
-        notes.append("no minimal solution found: the roots are a conjugate pair")
-    else:
-        try:
-            pincherle = _pincherle(state)
-        except (NoConvergence, ZeroQ) as exc:
-            notes.append(f"no minimal solution found: {exc}")
+    try:
+        pincherle = _pincherle(state)
+    except (NoConvergence, ZeroQ) as exc:
+        notes.append(f"no minimal solution found: {exc}")
     num_min = math.nan if pincherle is None else pincherle.backward_ratio
     # the minimal ratio x_m / x_{m-1} inside the asymptotic range: minus the
     # tail from level m + 1, a zero q_n ending it as it ends any fraction

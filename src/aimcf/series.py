@@ -472,6 +472,8 @@ def _bind(e: Expression, center: float, order: int):
     """
     if isinstance(e, (Const, VarX)):
         # read-only; TaylorSeries.constant and .identity copy these leaves
+        if order < 0:
+            raise ValidationError("series order must be >= 0")
         leaf = np.zeros(order + 1)
         if isinstance(e, Const):
             leaf[0] = e.value

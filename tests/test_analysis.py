@@ -182,27 +182,36 @@ def test_denominator_product_lower_bound():
 
 def test_minimal_ratio_constant_recurrences():
     n = 60
-    sched = [15, 16, 30, 31, 45, 46, 59]
-    got = miller_minimal_ratio([3.0] * n, [4.0] * n, sched)
+    got = miller_minimal_ratio([3.0] * n, [4.0] * n)
     assert got == pytest.approx(-1.0, abs=1e-12)
-    golden = miller_minimal_ratio([1.0] * n, [1.0] * n, sched)
+    golden = miller_minimal_ratio([1.0] * n, [1.0] * n)
     assert golden == pytest.approx((1.0 - math.sqrt(5.0)) / 2.0, abs=1e-12)
 
 
 def test_minimal_ratio_rejects_periodic_recurrence():
-    # period-6 rotation has no minimal solution; consecutive trial depths
-    # must expose the fake stabilization equally spaced depths would show
+    # t = 4, a period-6 rotation, has no minimal solution: the conjugate pair
+    # stops Miller before an estimate a multiple of the period apart can fake
+    # a settled one.  t = 1, a double root, has none either, and its
+    # estimates drift without settling over successive depths
     n = 150
-    sched = [36, 37, 74, 75, 112, 113, 149]
-    with pytest.raises(NoConvergence):
-        miller_minimal_ratio([1.0] * n, [-1.0] * n, sched)
+    with pytest.raises(NoConvergence, match=r"^the roots are a conjugate pair$"):
+        miller_minimal_ratio([1.0] * n, [-1.0] * n)
+    with pytest.raises(
+        NoConvergence,
+        match=r"^Miller's estimates -C_N did not settle over depths "
+        r"\[37, 38, 74, 75, 111, 112, 148, 149\]$",
+    ):
+        miller_minimal_ratio([2.0] * n, [-1.0] * n)
 
 
 def test_minimal_ratio_schedule_validation():
+    # three levels leave one depth in 2..N, and Miller compares two
+    with pytest.raises(ValidationError, match="at least 4 levels"):
+        miller_minimal_ratio([3.0] * 3, [4.0] * 3)
+    with pytest.raises(NoConvergence, match=r"over depths \[2, 3\]$"):
+        miller_minimal_ratio([3.0] * 4, [4.0] * 4)
     with pytest.raises(ValidationError):
-        miller_minimal_ratio([3.0] * 10, [4.0] * 10, [5])
-    with pytest.raises(ValidationError):
-        miller_minimal_ratio([3.0] * 10, [4.0] * 9, [3, 4])
+        miller_minimal_ratio([3.0] * 10, [4.0] * 9)
 
 
 # [DERIVED] p = 2.1 c, q = -c^2 is the c = 1 recurrence under an equivalence
@@ -213,7 +222,7 @@ _ROOT_MIN, _ROOT_DOM = (2.1 - math.sqrt(0.41)) / 2.0, (2.1 + math.sqrt(0.41)) / 
 def test_minimal_ratio_survives_backward_underflow():
     # the backward values shrink by about 1e-10 a step and used to vanish at depth 49
     n = 200
-    got = miller_minimal_ratio([2.1e10] * n, [-1e20] * n, _default_schedule(n))
+    got = miller_minimal_ratio([2.1e10] * n, [-1e20] * n)
     assert got == pytest.approx(1e10 * 0.7298437881283536, rel=1e-14)
 
 
@@ -223,6 +232,20 @@ def test_dominant_ratio_survives_forward_underflow():
     assert rep.numeric_dominant_ratio == pytest.approx(1e-10 * _ROOT_DOM, rel=1e-14, abs=0.0)
 
 
+# the monic samples leave double range: every level past it (-inf, so the
+# perturbations inf - inf are NaN), or one level (a perturbation -inf)
+def test_classify_monic_limit_past_double_range_runs_clean():
+    rep = classify([1e-200] * 32, [1e200] * 32)
+    assert rep.q_limit == -math.inf
+    assert all(math.isnan(a) for a in rep.a_n_samples)
+    p, q = [1.0] * 40, [1.0] * 40
+    p[10] = p[11] = 1e-200
+    q[11] = 1e200
+    rep = classify(p, q)
+    assert rep.q_limit == -4.0
+    assert rep.a_n_samples[10] == -math.inf
+
+
 @settings(max_examples=30, deadline=None)
 @given(k=st.integers(-120, 120))
 @example(k=-120)
@@ -230,7 +253,7 @@ def test_dominant_ratio_survives_forward_underflow():
 def test_equivalence_transform_scales_probe_ratios(k):
     n, c = 200, math.ldexp(1.0, k)
     p, q = [2.1 * c] * n, [-c * c] * n
-    assert miller_minimal_ratio(p, q, _default_schedule(n)) == pytest.approx(
+    assert miller_minimal_ratio(p, q) == pytest.approx(
         c * _ROOT_MIN, rel=1e-14, abs=0.0
     )
     assert classify(p, q).numeric_dominant_ratio == pytest.approx(
@@ -242,14 +265,14 @@ def test_backward_pass_zero_q_blocks():
     q = [4.0] * 20
     q[7] = 0.0
     with pytest.raises(ZeroQ):
-        miller_minimal_ratio([3.0] * 20, q, [10, 11, 19])
+        miller_minimal_ratio([3.0] * 20, q)
 
 
 # [DERIVED] B_0..B_3 = 1, 2, 4, 4 - 2 * 2 = 0: the backward pass planted at
 # depth 3 ends on x_{-2} = 0, so its estimate has no value
 def test_minimal_ratio_base_value_vanishes():
     with pytest.raises(NoConvergence, match=r"^base value vanished at depth 3$"):
-        miller_minimal_ratio([1.0] * 8, [1, 1, 2, -2, 1, 1, 1, 1], [3, 4])
+        miller_minimal_ratio([1.0] * 8, [1, 1, 2, -2, 1, 1, 1, 1])
 
 
 def _seeded_pq(n, seed):
@@ -396,6 +419,27 @@ def test_constant_recurrence_roots_match_numpy(p, q):
     if rep.q_limit >= 1.1:
         assert not rep.minimal_exists
         assert rep.pincherle is None
+
+
+# one rule decides the minimal solution: the public Miller functions return
+# exactly where classify finds one and raise NoConvergence elsewhere, a
+# conjugate pair included, whose period-6 estimates at t = 4/3 would settle
+@pytest.mark.parametrize("t", [0.5, 0.99, 1.05, 1.2, 4 / 3, 1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("p", [0.25, 0.5, 1.0, 1.5, 2.0, 3.0, -1.0, -2.0])
+def test_miller_functions_follow_classify_minimal_existence(p, t):
+    pvals, qvals = [p] * 200, [-t * p * p / 4.0] * 200
+    rep = classify(pvals, qvals)
+    if rep.minimal_exists:
+        assert pincherle_check(pvals, qvals) == rep.pincherle
+        assert miller_minimal_ratio(pvals, qvals) == rep.numeric_minimal_ratio
+    else:
+        with pytest.raises(NoConvergence):
+            pincherle_check(pvals, qvals)
+        with pytest.raises(NoConvergence):
+            miller_minimal_ratio(pvals, qvals)
+    if t > 1.0:
+        assert not rep.minimal_exists
+        assert rep.notes[0] == "no minimal solution found: the roots are a conjugate pair"
 
 
 def test_classify_small_perturbation_case():

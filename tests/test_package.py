@@ -154,3 +154,29 @@ def test_every_problem_spec_field_has_a_reader():
         and not (isinstance(node.value, ast.Name) and node.value.id == "self")
     }
     assert sorted(fields - read) == []
+
+
+def test_one_function_decides_that_no_minimal_solution_exists():
+    """Miller's estimates decide, by one rule, whether a minimal solution can
+    be read: ``analysis._miller`` is the one function in ``src/`` that raises
+    ``NoConvergence``, and "no minimal solution found" is written once, in
+    ``classify``'s ``except`` around them."""
+    raisers, notes = set(), []
+
+    def visit(node, module, function, handled):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        handled = handled or isinstance(node, ast.ExceptHandler)
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "NoConvergence":
+                raisers.add((module, function))
+        if isinstance(node, ast.Constant) and "no minimal solution found" in str(node.value):
+            notes.append((module, function, handled))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function, handled)
+
+    for name, tree in _module_trees():
+        visit(tree, name, None, False)
+    assert raisers == {("analysis", "_miller")}
+    assert notes == [("analysis", "classify", True)]

@@ -450,12 +450,16 @@ def test_unsupported_operand_is_type_error(op):
 def test_nonfinite_coefficients_rejected():
     with pytest.raises(ValidationError):
         _series(0.0, [1.0, math.inf])
-    # the leaf constructors check the leaf as the binder does, the centre as
-    # the public constructor does
+    # the leaf constructors check the order and the leaf as the binder does,
+    # the centre as the public constructor does
     for make, message in (
         (lambda: TaylorSeries.constant(math.nan, 0.0, 3), "coefficients must all be finite"),
         (lambda: TaylorSeries.identity(math.inf, 3), "coefficients must all be finite"),
         (lambda: TaylorSeries.constant(1.0, math.inf, 3), "center must be finite"),
+        (lambda: TaylorSeries.constant(1.0, 0.0, -1), "^series order must be >= 0$"),
+        (lambda: TaylorSeries.identity(0.0, -1), "^series order must be >= 0$"),
+        (lambda: TaylorSeries.constant(1.0, 0.0, -2), "^series order must be >= 0$"),
+        (lambda: TaylorSeries.identity(0.0, -2), "^series order must be >= 0$"),
     ):
         with pytest.raises(ValidationError, match=message):
             make()
