@@ -56,6 +56,7 @@ from .series import (
     Expression,
     TaylorSeries,
     _bind,
+    _constant_term,
     _result,
     parse_expression,
     series_from_expr,
@@ -295,7 +296,8 @@ def _tables(width: int) -> tuple[list[tuple[float, ...]], np.ndarray, np.ndarray
 
 
 def _delta_recurrence(
-    binom: list[tuple[float, ...]], dl: list[float], ds: list[float], depths: Iterable[int]
+    binom: list[tuple[float, ...]], dl: list[float], ds: list[float], orders: list[int],
+    depths: Iterable[int],
 ) -> list[float]:
     """delta[d], d in ``depths`` (1..depth), from the derivatives t! c[t] at x0 of L and S.
 
@@ -313,11 +315,14 @@ def _delta_recurrence(
     double range turns inf or nan; if that reaches a delta of ``depths``, this
     raises :class:`Overflow`.
 
-    The sum leaves out the orders t where L^(t)(x0) and S^(t)(x0) are both
-    zero, and the zero side of an order.  A skipped product of a finite number
-    and zero could only change the sign of a zero term, which the sum onto
-    +0.0 erases, so no value changes, not even a zero's sign; a skipped
-    0 * inf follows an overflow that raises either way.
+    The sum runs over the ascending ``orders`` t, the term structure, which a
+    search fixes once where it can (:func:`_evaluator`): every t where
+    L^(t)(x0) or S^(t)(x0) is nonzero, and maybe t where both are zero at
+    this point.  It leaves out the zero side of an order.  A product of a
+    finite number and zero could only change the sign of a zero term, which
+    the sum onto +0.0 erases, so a zero term, kept or left out, changes no
+    value, not even a zero's sign; a 0 * inf follows an overflow that raises
+    either way.
 
     At a symmetric centre, L^(t) zero at every even t and S^(t) at every odd t
     (L odd and S even about x0, as for the oscillator and the quartic at
@@ -336,7 +341,7 @@ def _delta_recurrence(
     input coefficients, which scale the rounding error of both.
     """
     width = len(dl)
-    terms = [(t, dl[t], ds[t]) for t in range(width) if dl[t] or ds[t]]
+    terms = [(t, dl[t], ds[t]) for t in orders]
     if not any(s if t % 2 else l for t, l, s in terms):
         # a symmetric centre: one run of v = u_a + u_b, whose one nonzero
         # side of order t reads v(k + 1 - t) for L and v(k - t) for S
@@ -461,6 +466,17 @@ def _evaluator(spec: ProblemSpec, order: int) -> tuple[
     ``deltas_at(e, depths)`` gives delta[d] at one value for d in ``depths``
     (1..order) by :func:`_delta_recurrence`.
 
+    The constant-term route: where each parameter side keeps the rule of
+    :func:`~aimcf.series._constant_term`, its rows t >= 1 do not depend on the
+    parameter.  The first ``columns`` call that succeeds, and so has found
+    them finite at every node, fixes them from its column 0, with the term
+    structure of :func:`_delta_recurrence`: row 0 and every row nonzero on
+    either side.  ``deltas_at`` then computes only row 0, whose derivative is
+    the constant term itself (0! = 1), on floats: the values of a row stack
+    bound for that one value, bit for bit, and the same
+    :class:`~aimcf.errors.Overflow` where it raises.  Until then, and where a
+    side breaks the rule, ``deltas_at`` binds the value as ``columns`` does.
+
     The caller checks that every value is finite and runs binding and calls
     under ``np.errstate(over="ignore", invalid="ignore")``, turning a
     ``RecursionError`` into :class:`~aimcf.errors.ParseOrEvalError`, as
@@ -471,23 +487,39 @@ def _evaluator(spec: ProblemSpec, order: int) -> tuple[
     def derivatives(coeffs: np.ndarray) -> np.ndarray:
         return np.ldexp(mant * coeffs, exp)
 
-    sides = [_bind(e, spec.x0, order) for e in (spec.lambda0, spec.s0)]
+    exprs = (spec.lambda0, spec.s0)
+    sides = [_bind(e, spec.x0, order) for e in exprs]
     # each side as its binding and None or, bound to a constant array, as that
     # array's one derivative column, in a Python list and in an array
     cols = [derivatives(c) if isinstance(c, np.ndarray) else None for c in sides]
     live = [(c, None) if d is None else (d.tolist(), d[:, None]) for c, d in zip(sides, cols)]
+    # the constant-term route: each parameter side's constant term, on floats
+    heads = [_constant_term(e, spec.x0, order) if d is None else None for e, d in zip(exprs, cols)]
+    routed = all(h is not None or d is not None for h, d in zip(heads, cols))
+    fixed = None  # the rows of L and S and their term structure, once known
 
     def columns(values: list[float]) -> list[np.ndarray]:
+        nonlocal fixed
         values = np.array(values)
         # a parameter side's columns, copied so that each row t is contiguous
-        return [derivatives(side(values)).T.copy() if col is None else col for side, col in live]
+        out = [derivatives(side(values)).T.copy() if col is None else col for side, col in live]
+        if routed and fixed is None:
+            rl, rs = rows = [c[:, 0].tolist() for c in out]
+            fixed = rows, [t for t in range(order + 1) if t == 0 or rl[t] or rs[t]]
+        return out
 
     def deltas_at(e: float, depths: Iterable[int]) -> list[float]:
-        values = np.array([e])
-        dl, ds = (
-            derivatives(side(values)[0]).tolist() if col is None else side for side, col in live
-        )
-        return _delta_recurrence(binom, dl, ds, depths)
+        if fixed is not None:
+            rows, orders = fixed
+            dl, ds = (r if h is None else [h(e), *r[1:]] for h, r in zip(heads, rows))
+        else:
+            values = np.array([e])
+            dl, ds = (
+                derivatives(side(values)[0]).tolist() if col is None else side
+                for side, col in live
+            )
+            orders = [t for t in range(order + 1) if dl[t] or ds[t]]
+        return _delta_recurrence(binom, dl, ds, orders, depths)
 
     return columns, deltas_at
 

@@ -19,7 +19,9 @@ describe the coefficient functions of an ODE: an AST (``Const``, ``VarX``,
 ``Param``, ``Neg``, ``Add``, ``Sub``, ``Mul``, ``Div``, ``IntPow``), its
 parser (:func:`parse_expression`), and :func:`_bind`, the one expression
 binder, which :func:`series_from_expr` calls on one parameter value and the
-eigenvalue search of :mod:`aimcf.aim` once per search.
+eigenvalue search of :mod:`aimcf.aim` once per search.  Where the parameter
+enters only through sums, differences and negations, the search takes the
+constant term from :func:`_constant_term`, on floats.
 """
 
 from __future__ import annotations
@@ -177,6 +179,13 @@ def _checked(coeffs: np.ndarray) -> np.ndarray:
     if not np.isfinite(coeffs).all():
         raise Overflow("series coefficients overflowed double precision")
     return coeffs
+
+
+def _finite(value: float) -> float:
+    """:func:`_checked` on one Python float."""
+    if not math.isfinite(value):
+        raise Overflow("series coefficients overflowed double precision")
+    return value
 
 
 def _result(center: float, coeffs: np.ndarray) -> TaylorSeries:
@@ -447,28 +456,26 @@ def series_from_expr(
     return _result(float(center), coeffs)
 
 
+# the kernels of the operator nodes, on coefficient arrays and row stacks
+_KERNELS = {Neg: operator.neg, Add: operator.add, Sub: operator.sub, Mul: _mul, Div: _divide}
+
+
 def _bind(e: Expression, center: float, order: int):
     """Bind ``e`` at ``center`` and ``order``: its coefficients if it is
     parameter-free, else a function of the parameter.
 
     The function maps a 1-d array of finite parameter values to a
-    ``(values, order + 1)`` array whose row i holds the coefficients of ``e``
-    at value i.  Every parameter-free subtree is evaluated here, once; each
-    node on a path to the parameter is evaluated per call, on a row stack: the
-    parameter is the stack with the values in column 0 and zeros beside them,
-    sum, difference and negation are one numpy operation over the stack, and
-    product, quotient and integer power run the one-series kernels row by row.
-    Each row is the same operations on the same operands as a walk that
-    evaluates every node for that value alone, so it is bit-identical to that
-    walk's series.  A node whose rows leave double range raises
-    :class:`Overflow`.  Which error a call raises when several rows fail is
-    only fixed for one-value calls, which meet errors in the walk's order; an
-    operation that fails on parameter-free operands (a singular pivot, a
-    non-finite coefficient) stays unbound, so every call raises it again in
-    that order.  The caller checks the values, runs binding and calls under
+    ``(values, order + 1)`` array whose row i is, bit for bit, the series of a
+    walk that evaluates every node for value i alone.  Parameter-free subtrees
+    are evaluated here, once.  The parameter is a row stack with the values in
+    column 0; sum, difference and negation are one numpy operation over it,
+    other nodes run row by row.  A node whose rows leave double range raises
+    :class:`Overflow`.  An operation that fails on parameter-free operands
+    stays unbound, so every call raises it again, in tree order; where several
+    rows fail, only a one-value call is sure to raise the walk's error.  The
+    caller checks the values, binds and calls under
     ``np.errstate(over="ignore", invalid="ignore")`` and turns a
-    ``RecursionError``, which a tree too deep to walk raises when bound or
-    called, into :class:`ParseOrEvalError`.
+    ``RecursionError`` into :class:`ParseOrEvalError`.
     """
     if isinstance(e, (Const, VarX)):
         # read-only; TaylorSeries.constant and .identity copy these leaves
@@ -490,17 +497,49 @@ def _bind(e: Expression, center: float, order: int):
     if isinstance(e, Neg):
         return _lift(operator.neg, _bind(e.operand, center, order))
     if isinstance(e, (Add, Sub, Mul, Div)):
-        kernel = {
-            Add: operator.add,
-            Sub: operator.sub,
-            Mul: _mul,
-            Div: _divide,
-        }[type(e)]
+        kernel = _KERNELS[type(e)]
         return _lift(kernel, _bind(e.left, center, order), _bind(e.right, center, order))
     if isinstance(e, IntPow):
         power = functools.partial(_power, exponent=e.exponent)
         return _lift(power, _bind(e.base, center, order))
     raise ParseOrEvalError(f"unknown expression node {type(e).__name__}")
+
+
+def _constant_term(e: Expression, center: float, order: int):
+    """The constant coefficient of ``e`` at ``center`` as a function of the
+    parameter on Python floats, where ``e`` keeps the rule; else None, or the
+    coefficients of a parameter-free ``e`` that binds.
+
+    The rule: every path from the root to the parameter passes only through
+    ``Add``, ``Sub`` and ``Neg``, and :func:`_bind` binds every parameter-free
+    operand on such a path to an array.  Then no coefficient of ``e`` past the
+    constant one depends on the parameter, and the function makes the
+    operations of row 0 of :func:`_bind`'s stack on the same operands, so its
+    value is that row's bit for bit.  Each node on a path raises the
+    :class:`Overflow` of :func:`_checked` where its value is not finite, as
+    :func:`_bind` raises it where row 0 is not.
+    """
+    if isinstance(e, Param):
+        return lambda value: value
+    if isinstance(e, Neg):
+        parts = [_constant_term(e.operand, center, order)]
+    elif isinstance(e, (Add, Sub)):
+        parts = [_constant_term(e.left, center, order), _constant_term(e.right, center, order)]
+    else:
+        bound = _bind(e, center, order)
+        return bound if isinstance(bound, np.ndarray) else None
+    if any(p is None for p in parts):
+        return None
+    kernel = _KERNELS[type(e)]
+    if all(isinstance(p, np.ndarray) for p in parts):
+        bound = _lift(kernel, *parts)  # as _bind binds this parameter-free node
+        return bound if isinstance(bound, np.ndarray) else None
+    fns = [(lambda _, c=float(p[0]): c) if isinstance(p, np.ndarray) else p for p in parts]
+    if len(fns) == 1:
+        (f,) = fns
+        return lambda value: _finite(kernel(f(value)))
+    f, g = fns
+    return lambda value: _finite(kernel(f(value), g(value)))
 
 
 def _lift(kernel, *operands):

@@ -38,7 +38,7 @@ from aimcf.errors import (
     SingularPivot,
     ValidationError,
 )
-from aimcf.series import series_from_expr
+from aimcf.series import _constant_term, series_from_expr
 
 HO = dict(lambda0="2*x", s0="1 - E", param="E")
 
@@ -489,6 +489,131 @@ def test_mixed_route_grid_matches_per_point_kernel():
         assert np.array_equal(_bits(batch), _bits(_two_solution_deltas(binom, dl, ds, row)))
 
 
+# parameter-free text over x: sums, differences, products, integer powers
+# and quotients by 1.5 + y^2, whose constant term is never below 1.5
+free_text = st.recursive(
+    st.one_of(st.just("x"), st.floats(min_value=-4, max_value=4).map(lambda c: f"({c!r})")),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(inner, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(inner, inner).map(lambda t: f"({t[0]}) / (1.5 + ({t[1]})^2)"),
+    ),
+    max_leaves=5,
+)
+# text in which E enters only through sums, differences and negations
+path_text = st.recursive(
+    st.just("E"),
+    lambda inner: st.one_of(
+        inner.map(lambda a: f"-({a})"),
+        st.tuples(inner, st.sampled_from("+-"), st.one_of(free_text, inner)).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"
+        ),
+        st.tuples(free_text, st.sampled_from("+-"), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"
+        ),
+    ),
+    max_leaves=4,
+)
+# sides of S that keep the stacked route: E under a product, an integer
+# power or a quotient, or beside an operand that fails to bind
+STACKED_SIDES = ("E*x", "(x - E)^2", "1/(E + x^2)", "1 - 1e-300*E", "1/(x - x) - E")
+
+
+def _outcome(f, *args):
+    """The bits of ``f(*args)``, or the type and text of the AimError it raises."""
+    try:
+        return _bits(f(*args)).tolist()
+    except AimError as exc:
+        return type(exc), str(exc)
+
+
+# the constant-term route of the per-point kernel: where E enters S (and L,
+# if at all) only through sums, differences and negations, a value evaluated
+# after the grid binds no row stack, and its deltas are the stacked route's
+# and the batched scan's bit for bit, or it raises the same error; any other
+# S keeps the stacked route.  At x0 = 0 the two bench problems are symmetric
+@example(lambda0="2*x", s0="1 - E", x0=0.0, energies=[1.0, 2.5, 3.0], depth=40)
+@example(lambda0="6*x", s0="x^4 - 9*x^2 + 3 - E", x0=0.0, energies=[1.06, 7.46], depth=40)
+@example(lambda0="2*x", s0=STACKED_SIDES[0], x0=0.35, energies=[0.5, 2.0], depth=12)
+@example(lambda0="2*x", s0=STACKED_SIDES[1], x0=0.0, energies=[0.5, 2.0], depth=12)
+@example(lambda0="2*x", s0=STACKED_SIDES[2], x0=0.35, energies=[0.0, 2.0], depth=12)
+@example(lambda0="2*x", s0=STACKED_SIDES[3], x0=0.0, energies=[0.5, 2.0], depth=12)
+@example(lambda0="2*x", s0=STACKED_SIDES[4], x0=0.35, energies=[0.5, 2.0], depth=12)
+@given(
+    lambda0=st.one_of(free_text, path_text),
+    s0=path_text,
+    x0=st.sampled_from([0.0, 0.35]),
+    energies=st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=5),
+    depth=st.integers(min_value=1, max_value=24),
+)
+@settings(max_examples=60, deadline=None)
+def test_constant_term_route_matches_stacked_route(lambda0, s0, x0, energies, depth):
+    spec = ProblemSpec.from_strings(lambda0, s0, "E", x0=x0, order=depth + 2, n_max=depth)
+    routed = s0 not in STACKED_SIDES
+    row = range(1, depth + 1)
+    with pytest.MonkeyPatch.context() as monkeypatch, warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert (_constant_term(spec.s0, x0, depth) is not None) == routed
+            monkeypatch.setattr(aim, "_constant_term", lambda *args: None)
+            stacked_at = aim._evaluator(spec, depth)[1]
+            monkeypatch.undo()
+            log = _record_evaluations(monkeypatch)
+            columns, deltas_at = aim._evaluator(spec, depth)
+            try:
+                dl, ds = columns(energies)
+            except AimError:  # an operand that fails to bind: every value fails
+                assert not routed
+                dl = ds = None
+            grid_binds = len(log["bound"])
+            want = [_outcome(stacked_at, e, row) for e in energies]
+            assert [_outcome(deltas_at, e, row) for e in energies] == want
+            assert (len(log["bound"]) == grid_binds) == routed
+            if dl is not None:
+                scan = _outcome(lambda: _scan_deltas(dl, ds, row).T)
+                if all(isinstance(w, list) for w in want):
+                    assert scan == want
+                else:
+                    assert scan == (Overflow, "termination quantity overflows double range")
+
+
+# the constant-term route raises where a row stack bound for the value does:
+# S = 1e308 - E is 0 at E = 1e308 and leaves double range at E = -1e308
+def test_constant_term_overflow_raises_as_the_row_stack_does():
+    spec = ProblemSpec.from_strings("2*x", "1e308 - E", "E", x0=0.0, order=12, n_max=10)
+    stacked_at = aim._evaluator(spec, 12)[1]
+    columns, deltas_at = aim._evaluator(spec, 12)
+    message = "^series coefficients overflowed double precision$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns([1e308])
+        assert deltas_at(1e308, (10, 12)) == [0.0, 0.0]
+        for evaluate in (deltas_at, stacked_at):
+            with pytest.raises(Overflow, match=message):
+                evaluate(-1e308, (10, 12))
+
+
+# where rows past the constant one leave double range at a node on the path
+# to E, S = (1e308 x + E) + 1e308 x, the grid fails to bind and the first
+# value evaluated alone raises; where a parameter-free operand on the path
+# fails to bind, 1/(x - x), the search skips every grid point
+def test_path_operands_that_fail_keep_the_stacked_route(monkeypatch):
+    grid = np.linspace(0.0, 3.0, 7).tolist()
+    spec = ProblemSpec.from_strings(
+        "2*x", "(1e308*x + E) + 1e308*x", "E", x0=0.0, order=12, n_max=10
+    )
+    log = _record_evaluations(monkeypatch)
+    with pytest.raises(Overflow, match="^series coefficients overflowed double precision$"):
+        find_eigenvalues(spec, 0.0, 3.0, 7, tol=1e-10)
+    assert (log["batch"], log["point"], log["kernel"]) == ([grid], grid[:1], 0)
+    spec = ProblemSpec.from_strings("2*x", "1/(x - x) - E", "E", x0=0.0, order=12, n_max=10)
+    assert _constant_term(spec.s0, 0.0, 12) is None
+    found, caught = _recorded_search(spec, 0.0, 3.0, 7, tol=1e-10)
+    assert found == []
+    assert [category for category, _ in caught] == [GridPointSkippedWarning] * 7 + [
+        DegenerateDeltaWarning
+    ]
+
+
 # a grid point whose inputs cannot be evaluated drops out of the batched
 # scan with one warning, and the rest of the grid is still searched
 def test_singular_grid_point_is_skipped_with_warning():
@@ -669,8 +794,10 @@ def test_e_free_search_evaluates_once(monkeypatch, s0, n_max, categories):
         assert found == []
         assert [category for category, _ in caught] == categories
     assert log["scan_rows"] == []
-    assert log["point"] == ([] if unbound else [None])
+    assert log["kernel"] == (0 if unbound else 1)
     grid = np.linspace(0.3, 9.3, 31).tolist()
+    assert log["batch"] == [grid]
+    assert log["point"] == (grid if unbound else grid[:1])
     assert log["bound"] == ([grid] + [[e] for e in grid] if unbound else [])
 
 
@@ -965,12 +1092,30 @@ def _count_point_evals(monkeypatch):
 
 
 def _record_evaluations(monkeypatch):
-    """Record the values of every call of a bound parameter side, the points
-    of every batched scan (the broadcast width of its derivative columns)
-    and the parameter value of every per-point evaluation (the value bound
-    last, None if neither side is bound per value)."""
-    log = {"bound": [], "scan_rows": [], "point": []}
-    bind, scan, point = aim._bind, aim._scan_deltas, aim._delta_recurrence
+    """Record every parameter value a search evaluates, at the boundary of its
+    evaluator, whichever route computes it: the values of every ``columns``
+    call (``batch``) and of every ``deltas_at`` call (``point``).  Also
+    record the values of every call of a bound parameter side (``bound``),
+    the points of every batched scan (``scan_rows``, the broadcast width of
+    its derivative columns) and the number of per-point kernel runs
+    (``kernel``)."""
+    log = {"batch": [], "point": [], "bound": [], "scan_rows": [], "kernel": 0}
+    evaluator, bind, scan, kernel = (
+        aim._evaluator, aim._bind, aim._scan_deltas, aim._delta_recurrence
+    )
+
+    def recording_evaluator(spec, order):
+        columns, deltas_at = evaluator(spec, order)
+
+        def batch(values):
+            log["batch"].append(list(values))
+            return columns(values)
+
+        def point(e, depths):
+            log["point"].append(e)
+            return deltas_at(e, depths)
+
+        return batch, point
 
     def recording_bind(e, center, order):
         side = bind(e, center, order)
@@ -987,15 +1132,20 @@ def _record_evaluations(monkeypatch):
         log["scan_rows"].append(np.broadcast_shapes(dl.shape, ds.shape)[1])
         return scan(dl, ds, *args)
 
-    def recording_point(*args):
-        (e,) = log["bound"][-1] if log["bound"] else [None]
-        log["point"].append(e)
-        return point(*args)
+    def recording_kernel(*args):
+        log["kernel"] += 1
+        return kernel(*args)
 
+    monkeypatch.setattr(aim, "_evaluator", recording_evaluator)
     monkeypatch.setattr(aim, "_bind", recording_bind)
     monkeypatch.setattr(aim, "_scan_deltas", recording_scan)
-    monkeypatch.setattr(aim, "_delta_recurrence", recording_point)
+    monkeypatch.setattr(aim, "_delta_recurrence", recording_kernel)
     return log
+
+
+def _evaluated(log):
+    """Every parameter value of a recorded search, batch values first."""
+    return [e for values in log["batch"] for e in values] + log["point"]
 
 
 # the benchmark problems: the grid goes through one batched scan, every other
@@ -1006,18 +1156,21 @@ def test_search_evaluates_each_value_once(monkeypatch, name):
     log = _record_evaluations(monkeypatch)
     find_eigenvalues(spec, *search, tol=1e-10)
     grid = np.linspace(*search).tolist()
+    assert log["batch"] == [grid]
     assert log["scan_rows"] == [len(grid)]
     assert len(set(log["point"])) == len(log["point"])
     assert not set(log["point"]) & set(grid)
-    evaluated = {e for values in log["bound"] for e in values}
-    assert log["scan_rows"][0] + len(log["point"]) == len(evaluated)
+    assert log["scan_rows"][0] + len(log["point"]) == len(set(_evaluated(log)))
+    assert log["kernel"] == len(log["point"])
+    # S = V(x) - E: a per-point value binds no row stack, only its constant term
+    assert log["bound"] == [grid]
 
 
 # every parameter value a search evaluates is finite, also on ranges whose
 # ends lie near +-1e308: the grid comes from a finite range of finite width,
 # trial points lie strictly inside finite brackets, and a degenerate grid
 # whose first two values sum past double range gets no off-grid look.  The
-# grid, bound first, is np.unique of np.linspace clipped to the range, also
+# grid, evaluated first, is np.unique of np.linspace clipped to the range, also
 # where the range spans a few ulps and rounding repeats values, or where a
 # step that rounds up to the least subnormal takes np.linspace past e_max
 # and back down to it; no value evaluated lies outside the range
@@ -1046,8 +1199,8 @@ def test_search_evaluates_only_finite_values(e_min, width, points, s0):
         except AimError:
             pass  # an overflow of the ladder at huge E
     grid = np.unique(np.linspace(e_min, e_max, points).clip(e_min, e_max)).tolist()
-    assert log["bound"][0] == grid
-    assert all(e_min <= e <= e_max for values in log["bound"] for e in values)
+    assert log["batch"][0] == grid
+    assert all(e_min <= e <= e_max for e in _evaluated(log))
 
 
 # np.linspace(0.0, 1.5e-323, 6) rounds its step up to the least subnormal
@@ -1058,8 +1211,8 @@ def test_grid_stays_inside_the_range(monkeypatch):
     spec = ProblemSpec.from_strings("2*x", "1 - 1e300*E", "E", x0=0.0, order=12, n_max=10)
     log = _record_evaluations(monkeypatch)
     find_eigenvalues(spec, 0.0, 1.5e-323, 6, tol=1e-10)
-    assert log["bound"][0] == [0.0, 5e-324, 1e-323, 1.5e-323]
-    assert max(e for values in log["bound"] for e in values) <= 1.5e-323
+    assert log["batch"][0] == [0.0, 5e-324, 1e-323, 1.5e-323]
+    assert max(_evaluated(log)) <= 1.5e-323
 
 
 # the two solve problems of the benchmark, on a grid shifted by 0.37 of a
