@@ -55,9 +55,11 @@ from .series import (
     EPS_PIVOT,
     Expression,
     TaylorSeries,
+    _Shifted,
     _bind,
-    _constant_term,
+    _finite,
     _result,
+    _rows,
     parse_expression,
     series_from_expr,
 )
@@ -461,21 +463,16 @@ def _evaluator(spec: ProblemSpec, order: int) -> tuple[
     wherever it lies in double range, also past t = 170 where t! is not.  A
     side that does not depend on the parameter gets its one derivative column
     here, once.  ``columns(values)`` gives the derivative columns of L and S
-    for :func:`_scan_deltas`: ``(order + 1, values)`` for a parameter side and
-    the one ``(order + 1, 1)`` column of a constant side.
+    for :func:`_scan_deltas`: ``(order + 1, values)`` from the row stack of a
+    parameter side and the one ``(order + 1, 1)`` column of a constant side.
     ``deltas_at(e, depths)`` gives delta[d] at one value for d in ``depths``
-    (1..order) by :func:`_delta_recurrence`.
-
-    The constant-term route: where each parameter side keeps the rule of
-    :func:`~aimcf.series._constant_term`, its rows t >= 1 do not depend on the
-    parameter.  The first ``columns`` call that succeeds, and so has found
-    them finite at every node, fixes them from its column 0, with the term
-    structure of :func:`_delta_recurrence`: row 0 and every row nonzero on
-    either side.  ``deltas_at`` then computes only row 0, whose derivative is
-    the constant term itself (0! = 1), on floats: the values of a row stack
-    bound for that one value, bit for bit, and the same
-    :class:`~aimcf.errors.Overflow` where it raises.  Until then, and where a
-    side breaks the rule, ``deltas_at`` binds the value as ``columns`` does.
+    (1..order) by :func:`_delta_recurrence`, each side as its binding says: a
+    constant side as its column; a record of the rule of
+    :func:`~aimcf.series._bind` as its fixed rows with row 0 replaced by its
+    constant term (0! = 1), on floats; any other side as a row stack for that
+    one value.  Where no side needs a row stack, the term structure of
+    :func:`_delta_recurrence` is fixed here: row 0 and every row nonzero on
+    either side.
 
     The caller checks that every value is finite and runs binding and calls
     under ``np.errstate(over="ignore", invalid="ignore")``, turning a
@@ -487,39 +484,37 @@ def _evaluator(spec: ProblemSpec, order: int) -> tuple[
     def derivatives(coeffs: np.ndarray) -> np.ndarray:
         return np.ldexp(mant * coeffs, exp)
 
-    exprs = (spec.lambda0, spec.s0)
-    sides = [_bind(e, spec.x0, order) for e in exprs]
-    # each side as its binding and None or, bound to a constant array, as that
-    # array's one derivative column, in a Python list and in an array
-    cols = [derivatives(c) if isinstance(c, np.ndarray) else None for c in sides]
-    live = [(c, None) if d is None else (d.tolist(), d[:, None]) for c, d in zip(sides, cols)]
-    # the constant-term route: each parameter side's constant term, on floats
-    heads = [_constant_term(e, spec.x0, order) if d is None else None for e, d in zip(exprs, cols)]
-    routed = all(h is not None or d is not None for h, d in zip(heads, cols))
-    fixed = None  # the rows of L and S and their term structure, once known
+    def routes(side):
+        """The derivative columns of ``side`` at many values, its derivatives at
+        one, and its rows that hold at every value (row 0 a placeholder), or
+        None where they vary."""
+        if isinstance(side, np.ndarray):
+            col = derivatives(side)[:, None]
+            fixed = col[:, 0].tolist()
+            return (lambda values: col), (lambda e: fixed), fixed
+        # copied so that each row t is contiguous
+        batch = lambda values: derivatives(_rows(side, values)).T.copy()
+        if isinstance(side, _Shifted):
+            head, rest = side.head, np.ldexp(mant[1:] * side.tail, exp[1:]).tolist()
+            return batch, (lambda e: [_finite(head(e)), *rest]), [0.0, *rest]
+        return batch, (lambda e: derivatives(_rows(side, np.array([e]))[0]).tolist()), None
+
+    (batch_l, at_l, fixed_l), (batch_s, at_s, fixed_s) = (
+        routes(_bind(e, spec.x0, order)) for e in (spec.lambda0, spec.s0)
+    )
+    # the term structure, where no side needs a row stack at one value
+    orders = None if None in (fixed_l, fixed_s) else [
+        t for t in range(order + 1) if t == 0 or fixed_l[t] or fixed_s[t]
+    ]
 
     def columns(values: list[float]) -> list[np.ndarray]:
-        nonlocal fixed
         values = np.array(values)
-        # a parameter side's columns, copied so that each row t is contiguous
-        out = [derivatives(side(values)).T.copy() if col is None else col for side, col in live]
-        if routed and fixed is None:
-            rl, rs = rows = [c[:, 0].tolist() for c in out]
-            fixed = rows, [t for t in range(order + 1) if t == 0 or rl[t] or rs[t]]
-        return out
+        return [batch_l(values), batch_s(values)]
 
     def deltas_at(e: float, depths: Iterable[int]) -> list[float]:
-        if fixed is not None:
-            rows, orders = fixed
-            dl, ds = (r if h is None else [h(e), *r[1:]] for h, r in zip(heads, rows))
-        else:
-            values = np.array([e])
-            dl, ds = (
-                derivatives(side(values)[0]).tolist() if col is None else side
-                for side, col in live
-            )
-            orders = [t for t in range(order + 1) if dl[t] or ds[t]]
-        return _delta_recurrence(binom, dl, ds, orders, depths)
+        dl, ds = at_l(e), at_s(e)
+        terms = orders or [t for t in range(order + 1) if dl[t] or ds[t]]
+        return _delta_recurrence(binom, dl, ds, terms, depths)
 
     return columns, deltas_at
 

@@ -79,27 +79,20 @@ class PQSequences(NamedTuple):
 def pq_iterate(spec: ProblemSpec, param_value: float) -> PQSequences:
     """Run the logarithmic-derivative ladder up to ``spec.n_max`` levels.
 
-    Each level consumes one Taylor order; only the current level's coefficient
-    arrays are kept.  The ladder stops at the first level, the last one
-    included, whose q series is identically zero relative to the largest
+    Each level consumes one Taylor order.  The ladder stops at the first
+    level, the last included, whose q is zero relative to the largest
     coefficient magnitude seen so far (``"termination"``: the fraction ends
-    exactly there).  Extension past level n divides by q[n], so below the last
-    level it also stops, as a ``"pole"``, where only q[n](x0) is tiny.  Level
-    0, the input S, is zero only when all its coefficients are, and its pole
-    test uses its own.  A coefficient past double range raises
-    :class:`~aimcf.errors.Overflow`, found once per level from the largest
-    magnitudes the stop rules read.
+    there), and below the last level, as a ``"pole"``, where q[n](x0) alone is
+    that tiny, since extension divides by it.  Level 0, the input S,
+    terminates only where every coefficient is zero, and its pole test uses
+    its own scale.  A coefficient past double range raises
+    :class:`~aimcf.errors.Overflow`.
 
     The levels run on raw coefficient arrays with the operations of the series
-    arithmetic (derivative, :func:`~aimcf.series.series_div`'s long division,
-    sum, Cauchy product), so every value is the series ladder's bit for bit.
-    Once q[n] is constant in x (every coefficient past the first +0.0) and p[n]
-    linear (every coefficient past the second +-0.0), as on the oscillator, so
-    is every later level: q'/q is the signed zero 0.0 / q[n](x0) in every
-    entry, p[n+1] is p[n] plus that zero, and q[n+1] is q[n](x0) + p[n]'.  The
-    rest then runs on the three floats p[n](x0), p[n]' and q[n](x0), with the
-    same pivot test and stop rules; |q[n](x0)| is q's largest magnitude, and
-    p's stays as it was, since adding a zero leaves magnitudes alone.
+    arithmetic, so every value is the series ladder's bit for bit.  Once q[n]
+    is constant in x and p[n] linear, as on the oscillator, so is every later
+    level (q'/q is a signed zero), and the rest runs on the three floats
+    p[n](x0), p[n]' and q[n](x0), with the same tests.
     """
     p, q = (series.coeffs for series in spec.series_pair(param_value))
     ks = np.arange(1, p.size, dtype=float)  # derivative factors

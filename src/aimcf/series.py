@@ -19,9 +19,8 @@ describe the coefficient functions of an ODE: an AST (``Const``, ``VarX``,
 ``Param``, ``Neg``, ``Add``, ``Sub``, ``Mul``, ``Div``, ``IntPow``), its
 parser (:func:`parse_expression`), and :func:`_bind`, the one expression
 binder, which :func:`series_from_expr` calls on one parameter value and the
-eigenvalue search of :mod:`aimcf.aim` once per search.  Where the parameter
-enters only through sums, differences and negations, the search takes the
-constant term from :func:`_constant_term`, on floats.
+eigenvalue search of :mod:`aimcf.aim` once per search; its record rule says
+which nodes carry the parameter in their constant term alone.
 """
 
 from __future__ import annotations
@@ -31,7 +30,9 @@ import math
 import operator
 import re
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -432,12 +433,12 @@ def series_from_expr(
 
     ``x`` becomes the identity series, the parameter the constant
     ``param_value``: the expression is bound by :func:`_bind` and, if it has
-    the parameter, called on that one value.  A negative ``order``, a
-    non-finite ``center`` and, if the expression has the parameter, a
-    non-finite ``param_value`` raise :class:`ValidationError`.  A division by a
-    series without a usable constant term raises :class:`SingularPivot`, a
-    coefficient past double range :class:`Overflow`, and a tree too deep to
-    walk recursively :class:`ParseOrEvalError`.
+    the parameter, evaluated at that one value, a record by its constant term.
+    A negative ``order``, a non-finite ``center`` and, if the expression has
+    the parameter, a non-finite ``param_value`` raise :class:`ValidationError`.
+    A division by a series without a usable constant term raises
+    :class:`SingularPivot`, a coefficient past double range :class:`Overflow`,
+    and a tree too deep to walk recursively :class:`ParseOrEvalError`.
     """
     if order < 0:
         raise ValidationError("series order must be >= 0")
@@ -450,7 +451,11 @@ def series_from_expr(
                 value = float(param_value)
                 if not math.isfinite(value):
                     raise ValidationError("series coefficients must all be finite")
-                coeffs = coeffs(np.array([value]))[0]
+                if isinstance(coeffs, _Shifted):  # _result checks the constant term
+                    shifted, coeffs = coeffs, np.empty(order + 1)
+                    coeffs[0], coeffs[1:] = shifted.head(value), shifted.tail
+                else:
+                    coeffs = coeffs(np.array([value]))[0]
     except RecursionError as exc:
         raise ParseOrEvalError("expression is nested too deeply to evaluate") from exc
     return _result(float(center), coeffs)
@@ -460,20 +465,36 @@ def series_from_expr(
 _KERNELS = {Neg: operator.neg, Add: operator.add, Sub: operator.sub, Mul: _mul, Div: _divide}
 
 
+class _Shifted(NamedTuple):
+    """A node bound by the record rule of :func:`_bind`."""
+
+    head: Callable  # the constant term, of a parameter value or an array of them
+    tail: np.ndarray  # the coefficients past the constant one
+
+
 def _bind(e: Expression, center: float, order: int):
     """Bind ``e`` at ``center`` and ``order``: its coefficients if it is
-    parameter-free, else a function of the parameter.
+    parameter-free, else a :class:`_Shifted` record or a function of the
+    parameter, either of which :func:`_rows` turns into a row stack.
 
-    The function maps a 1-d array of finite parameter values to a
-    ``(values, order + 1)`` array whose row i is, bit for bit, the series of a
-    walk that evaluates every node for value i alone.  Parameter-free subtrees
-    are evaluated here, once.  The parameter is a row stack with the values in
-    column 0; sum, difference and negation are one numpy operation over it,
-    other nodes run row by row.  A node whose rows leave double range raises
-    :class:`Overflow`.  An operation that fails on parameter-free operands
-    stays unbound, so every call raises it again, in tree order; where several
-    rows fail, only a one-value call is sure to raise the walk's error.  The
-    caller checks the values, binds and calls under
+    The row stack of a 1-d array of finite parameter values is a ``(values,
+    order + 1)`` array whose row i is, bit for bit, the series of a walk that
+    evaluates every node for value i alone.  Parameter-free subtrees are
+    evaluated here, once.  The record rule: where the parameter reaches a node
+    only through sums, differences and negations, and every parameter-free
+    operand on the way binds, the node is a record.  Its coefficients past the
+    constant one do not depend on the parameter, and are computed and checked
+    finite here.  Its constant term is a function of the parameter, on a float
+    or an array, with the operations of row 0 of the node's row stack and no
+    check: these kernels keep a non-finite operand non-finite, so the caller's
+    one check raises :class:`Overflow` where a node of the stack does.  Any
+    other node with the parameter, and a record whose coefficients leave double
+    range, is a function: sum, difference and negation are one numpy operation
+    over the stack, other nodes run row by row, and a node whose rows leave
+    double range raises :class:`Overflow`.  An operation that fails on
+    parameter-free operands stays unbound, so every call raises it again, in
+    tree order; where several rows fail, only a one-value call is sure to raise
+    the walk's error.  The caller checks the values, binds and calls under
     ``np.errstate(over="ignore", invalid="ignore")`` and turns a
     ``RecursionError`` into :class:`ParseOrEvalError`.
     """
@@ -493,7 +514,7 @@ def _bind(e: Expression, center: float, order: int):
         leaf.setflags(write=False)
         return leaf
     if isinstance(e, Param):
-        return functools.partial(_param_rows, width=order + 1)
+        return _Shifted(lambda value: value, np.zeros(order))
     if isinstance(e, Neg):
         return _lift(operator.neg, _bind(e.operand, center, order))
     if isinstance(e, (Add, Sub, Mul, Div)):
@@ -505,65 +526,53 @@ def _bind(e: Expression, center: float, order: int):
     raise ParseOrEvalError(f"unknown expression node {type(e).__name__}")
 
 
-def _constant_term(e: Expression, center: float, order: int):
-    """The constant coefficient of ``e`` at ``center`` as a function of the
-    parameter on Python floats, where ``e`` keeps the rule; else None, or the
-    coefficients of a parameter-free ``e`` that binds.
-
-    The rule: every path from the root to the parameter passes only through
-    ``Add``, ``Sub`` and ``Neg``, and :func:`_bind` binds every parameter-free
-    operand on such a path to an array.  Then no coefficient of ``e`` past the
-    constant one depends on the parameter, and the function makes the
-    operations of row 0 of :func:`_bind`'s stack on the same operands, so its
-    value is that row's bit for bit.  Each node on a path raises the
-    :class:`Overflow` of :func:`_checked` where its value is not finite, as
-    :func:`_bind` raises it where row 0 is not.
-    """
-    if isinstance(e, Param):
-        return lambda value: value
-    if isinstance(e, Neg):
-        parts = [_constant_term(e.operand, center, order)]
-    elif isinstance(e, (Add, Sub)):
-        parts = [_constant_term(e.left, center, order), _constant_term(e.right, center, order)]
-    else:
-        bound = _bind(e, center, order)
-        return bound if isinstance(bound, np.ndarray) else None
-    if any(p is None for p in parts):
-        return None
-    kernel = _KERNELS[type(e)]
-    if all(isinstance(p, np.ndarray) for p in parts):
-        bound = _lift(kernel, *parts)  # as _bind binds this parameter-free node
-        return bound if isinstance(bound, np.ndarray) else None
-    fns = [(lambda _, c=float(p[0]): c) if isinstance(p, np.ndarray) else p for p in parts]
-    if len(fns) == 1:
-        (f,) = fns
-        return lambda value: _finite(kernel(f(value)))
-    f, g = fns
-    return lambda value: _finite(kernel(f(value), g(value)))
+def _rows(side, values: np.ndarray) -> np.ndarray:
+    """The row stack on ``values`` of a side that :func:`_bind` left a
+    record or a function."""
+    if not isinstance(side, _Shifted):
+        return side(values)
+    rows = np.empty((values.size, side.tail.size + 1))
+    rows[:, 0] = _checked(side.head(values))
+    rows[:, 1:] = side.tail
+    return rows
 
 
 def _lift(kernel, *operands):
     """``kernel`` on bound operands: applied now if all are coefficient arrays,
-    else on every call."""
+    a record by the rule of :func:`_bind`, else a function."""
     if all(isinstance(a, np.ndarray) for a in operands):
         try:
-            return _apply(kernel, operands)
+            return _apply(kernel, *operands)
         except AimError:
             pass  # left unbound: every call raises it again, in tree order
-    # one frame per tree level when called, as in a whole-tree walk
+    elif kernel in _BROADCAST and not any(map(callable, operands)):
+        # a coefficient array enters as its constant term and the rest
+        parts = [(lambda _, c=float(a[0]): c, a[1:]) if isinstance(a, np.ndarray) else a
+                 for a in operands]
+        heads, tails = zip(*parts)
+        tail = kernel(*tails)
+        if np.isfinite(tail).all():
+            return _Shifted(_compose(kernel, heads), tail)
     fns = [(lambda _, a=a: a) if isinstance(a, np.ndarray) else a for a in operands]
+    fns = [functools.partial(_rows, f) if isinstance(f, _Shifted) else f for f in fns]
+    return _compose(functools.partial(_apply, kernel), fns)
+
+
+def _compose(kernel, fns):
+    """``kernel`` on the values of ``fns`` at each call, one frame per tree
+    level, as in a whole-tree walk."""
     if len(fns) == 1:
         (f,) = fns
-        return lambda values: _apply(kernel, (f(values),))
+        return lambda v: kernel(f(v))
     f, g = fns
-    return lambda values: _apply(kernel, (f(values), g(values)))
+    return lambda v: kernel(f(v), g(v))
 
 
 # kernels that act on a whole row stack, elementwise, in one numpy operation
 _BROADCAST = frozenset({operator.neg, operator.add, operator.sub})
 
 
-def _apply(kernel, operands: tuple[np.ndarray, ...]) -> np.ndarray:
+def _apply(kernel, *operands: np.ndarray) -> np.ndarray:
     """``kernel`` on coefficient arrays and row stacks, checked for overflow.
 
     An elementwise kernel broadcasts a coefficient array over a stack's
@@ -577,13 +586,6 @@ def _apply(kernel, operands: tuple[np.ndarray, ...]) -> np.ndarray:
     for i in range(out.shape[0]):
         out[i] = kernel(*(a[i] if a.ndim == 2 else a for a in operands))
     return _checked(out)
-
-
-def _param_rows(values: np.ndarray, width: int) -> np.ndarray:
-    """The parameter's row stack: the constant series of each value."""
-    rows = np.zeros((values.size, width))
-    rows[:, 0] = values
-    return rows
 
 
 def _power(base: np.ndarray, exponent: int) -> np.ndarray:
@@ -634,8 +636,8 @@ class _Parser:
     """Recursive-descent parser for the small coefficient grammar."""
 
     def __init__(self, text: str, param_name: str):
-        if not param_name.isidentifier():
-            raise ValidationError(f"parameter name {param_name!r} is not an identifier")
+        if not param_name.isidentifier() or param_name == "x":  # x is the variable
+            raise ValidationError(f"parameter {param_name!r} must be an identifier other than x")
         self.text = text
         self.param_name = param_name
         self.tokens = _tokenize(text)

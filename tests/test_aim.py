@@ -38,7 +38,7 @@ from aimcf.errors import (
     SingularPivot,
     ValidationError,
 )
-from aimcf.series import _constant_term, series_from_expr
+from aimcf.series import _bind, _Shifted, series_from_expr
 
 HO = dict(lambda0="2*x", s0="1 - E", param="E")
 
@@ -527,11 +527,20 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
+def _stacked_evaluator(spec, order):
+    """``aim._evaluator`` with every record taken through its row stack, at
+    every value: the reference of the constant-term route."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(aim, "_Shifted", type("NoRecord", (), {}))
+        return aim._evaluator(spec, order)
+
+
 # the constant-term route of the per-point kernel: where E enters S (and L,
-# if at all) only through sums, differences and negations, a value evaluated
-# after the grid binds no row stack, and its deltas are the stacked route's
-# and the batched scan's bit for bit, or it raises the same error; any other
-# S keeps the stacked route.  At x0 = 0 the two bench problems are symmetric
+# if at all) only through sums, differences and negations, S binds to a
+# record, a value evaluated binds no row stack, and its deltas are the
+# stacked route's and the batched scan's bit for bit, or it raises the same
+# error; any other S keeps the stacked route.  At x0 = 0 the two bench
+# problems are symmetric
 @example(lambda0="2*x", s0="1 - E", x0=0.0, energies=[1.0, 2.5, 3.0], depth=40)
 @example(lambda0="6*x", s0="x^4 - 9*x^2 + 3 - E", x0=0.0, energies=[1.06, 7.46], depth=40)
 @example(lambda0="2*x", s0=STACKED_SIDES[0], x0=0.35, energies=[0.5, 2.0], depth=12)
@@ -554,10 +563,9 @@ def test_constant_term_route_matches_stacked_route(lambda0, s0, x0, energies, de
     with pytest.MonkeyPatch.context() as monkeypatch, warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert (_constant_term(spec.s0, x0, depth) is not None) == routed
-            monkeypatch.setattr(aim, "_constant_term", lambda *args: None)
-            stacked_at = aim._evaluator(spec, depth)[1]
-            monkeypatch.undo()
+            assert isinstance(_bind(spec.s0, x0, depth), _Shifted) == routed
+            stacked_at = _stacked_evaluator(spec, depth)[1]
+            want = [_outcome(stacked_at, e, row) for e in energies]
             log = _record_evaluations(monkeypatch)
             columns, deltas_at = aim._evaluator(spec, depth)
             try:
@@ -566,7 +574,6 @@ def test_constant_term_route_matches_stacked_route(lambda0, s0, x0, energies, de
                 assert not routed
                 dl = ds = None
             grid_binds = len(log["bound"])
-            want = [_outcome(stacked_at, e, row) for e in energies]
             assert [_outcome(deltas_at, e, row) for e in energies] == want
             assert (len(log["bound"]) == grid_binds) == routed
             if dl is not None:
@@ -578,10 +585,13 @@ def test_constant_term_route_matches_stacked_route(lambda0, s0, x0, energies, de
 
 
 # the constant-term route raises where a row stack bound for the value does:
-# S = 1e308 - E is 0 at E = 1e308 and leaves double range at E = -1e308
+# S = 1e308 - E is 0 at E = 1e308 and leaves double range at E = -1e308.
+# S = (1e308 + E) + 1e308 leaves it at E = 0 but not at E = -1.5e308, where
+# only the termination quantity overflows: binding evaluates no constant
+# term, and a value evaluated before any grid gives the stacked outcome
 def test_constant_term_overflow_raises_as_the_row_stack_does():
     spec = ProblemSpec.from_strings("2*x", "1e308 - E", "E", x0=0.0, order=12, n_max=10)
-    stacked_at = aim._evaluator(spec, 12)[1]
+    stacked_at = _stacked_evaluator(spec, 12)[1]
     columns, deltas_at = aim._evaluator(spec, 12)
     message = "^series coefficients overflowed double precision$"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -590,23 +600,38 @@ def test_constant_term_overflow_raises_as_the_row_stack_does():
         for evaluate in (deltas_at, stacked_at):
             with pytest.raises(Overflow, match=message):
                 evaluate(-1e308, (10, 12))
+        spec = ProblemSpec.from_strings(
+            "2*x", "(1e308 + E) + 1e308", "E", x0=0.0, order=12, n_max=10
+        )
+        assert isinstance(_bind(spec.s0, 0.0, 12), _Shifted)
+        stacked_at = _stacked_evaluator(spec, 12)[1]
+        deltas_at = aim._evaluator(spec, 12)[1]
+        want = (Overflow, "termination quantity overflows double range")
+        assert _outcome(deltas_at, -1.5e308, (10, 12)) == want
+        assert _outcome(stacked_at, -1.5e308, (10, 12)) == want
+        for evaluate in (deltas_at, stacked_at):
+            with pytest.raises(Overflow, match=message):
+                evaluate(0.0, (10, 12))
 
 
 # where rows past the constant one leave double range at a node on the path
-# to E, S = (1e308 x + E) + 1e308 x, the grid fails to bind and the first
-# value evaluated alone raises; where a parameter-free operand on the path
-# fails to bind, 1/(x - x), the search skips every grid point
+# to E, S = (1e308 x + E) + 1e308 x, S binds to no record, the grid fails to
+# bind and the first value evaluated alone raises; where a parameter-free
+# operand on the path fails to bind, 1/(x - x), the search skips every grid
+# point
 def test_path_operands_that_fail_keep_the_stacked_route(monkeypatch):
     grid = np.linspace(0.0, 3.0, 7).tolist()
     spec = ProblemSpec.from_strings(
         "2*x", "(1e308*x + E) + 1e308*x", "E", x0=0.0, order=12, n_max=10
     )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not isinstance(_bind(spec.s0, 0.0, 12), (np.ndarray, _Shifted))
     log = _record_evaluations(monkeypatch)
     with pytest.raises(Overflow, match="^series coefficients overflowed double precision$"):
         find_eigenvalues(spec, 0.0, 3.0, 7, tol=1e-10)
     assert (log["batch"], log["point"], log["kernel"]) == ([grid], grid[:1], 0)
     spec = ProblemSpec.from_strings("2*x", "1/(x - x) - E", "E", x0=0.0, order=12, n_max=10)
-    assert _constant_term(spec.s0, 0.0, 12) is None
+    assert not isinstance(_bind(spec.s0, 0.0, 12), (np.ndarray, _Shifted))
     found, caught = _recorded_search(spec, 0.0, 3.0, 7, tol=1e-10)
     assert found == []
     assert [category for category, _ in caught] == [GridPointSkippedWarning] * 7 + [
@@ -637,25 +662,18 @@ def _recorded_search(spec, *args, **kwargs):
 
 
 def _bind_one_value_at_a_time(monkeypatch):
-    """Make every call of a bound parameter side on more than one value fail,
-    so that a search evaluates its grid point by point; returns the list of
-    refused calls, which a search that reaches this seam fills."""
-    bind, refused = aim._bind, []
+    """Make every row stack of a bound parameter side on more than one value
+    fail, so that a search evaluates its grid point by point; returns the list
+    of refused calls, which a search that reaches this seam fills."""
+    rows, refused = aim._rows, []
 
-    def one_at_a_time(e, center, order):
-        side = bind(e, center, order)
-        if isinstance(side, np.ndarray):
-            return side
+    def one_at_a_time(side, values):
+        if len(values) > 1:
+            refused.append(len(values))
+            raise SingularPivot("bound one value at a time")
+        return rows(side, values)
 
-        def call(values):
-            if len(values) > 1:
-                refused.append(len(values))
-                raise SingularPivot("bound one value at a time")
-            return side(values)
-
-        return call
-
-    monkeypatch.setattr(aim, "_bind", one_at_a_time)
+    monkeypatch.setattr(aim, "_rows", one_at_a_time)
     return refused
 
 
@@ -1095,13 +1113,13 @@ def _record_evaluations(monkeypatch):
     """Record every parameter value a search evaluates, at the boundary of its
     evaluator, whichever route computes it: the values of every ``columns``
     call (``batch``) and of every ``deltas_at`` call (``point``).  Also
-    record the values of every call of a bound parameter side (``bound``),
+    record the values of every row stack of a bound parameter side (``bound``),
     the points of every batched scan (``scan_rows``, the broadcast width of
     its derivative columns) and the number of per-point kernel runs
     (``kernel``)."""
     log = {"batch": [], "point": [], "bound": [], "scan_rows": [], "kernel": 0}
-    evaluator, bind, scan, kernel = (
-        aim._evaluator, aim._bind, aim._scan_deltas, aim._delta_recurrence
+    evaluator, rows, scan, kernel = (
+        aim._evaluator, aim._rows, aim._scan_deltas, aim._delta_recurrence
     )
 
     def recording_evaluator(spec, order):
@@ -1117,16 +1135,9 @@ def _record_evaluations(monkeypatch):
 
         return batch, point
 
-    def recording_bind(e, center, order):
-        side = bind(e, center, order)
-        if isinstance(side, np.ndarray):
-            return side
-
-        def call(values):
-            log["bound"].append(values.tolist())
-            return side(values)
-
-        return call
+    def recording_rows(side, values):
+        log["bound"].append(values.tolist())
+        return rows(side, values)
 
     def recording_scan(dl, ds, *args):
         log["scan_rows"].append(np.broadcast_shapes(dl.shape, ds.shape)[1])
@@ -1137,7 +1148,7 @@ def _record_evaluations(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(aim, "_evaluator", recording_evaluator)
-    monkeypatch.setattr(aim, "_bind", recording_bind)
+    monkeypatch.setattr(aim, "_rows", recording_rows)
     monkeypatch.setattr(aim, "_scan_deltas", recording_scan)
     monkeypatch.setattr(aim, "_delta_recurrence", recording_kernel)
     return log

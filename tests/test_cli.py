@@ -1152,6 +1152,19 @@ def test_exit_input_on_missing_keys(tmp_path, capsys):
     assert "missing required key" in err
 
 
+# a parameter named x would be read as the variable everywhere, so a search
+# would run with no parameter and find nothing; a name that is no identifier
+# cannot be read at all.  Both are input errors
+@pytest.mark.parametrize(
+    "name, message", [("x", "'x' must be an identifier other"), ("1E", "'1E' must be")]
+)
+def test_exit_input_on_unusable_parameter_name(tmp_path, capsys, name, message):
+    path = _write(tmp_path, "param.json", dict(HO_PROBLEM, s0="1 - x", parameter=name))
+    code, out, err = _run(capsys, ["solve", path])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert message in err
+
+
 def test_flag_overrides_problem_file(tmp_path, capsys):
     path = _write(
         tmp_path,

@@ -180,3 +180,30 @@ def test_one_function_decides_that_no_minimal_solution_exists():
         visit(tree, name, None, False)
     assert raisers == {("analysis", "_miller")}
     assert notes == [("analysis", "classify", True)]
+
+
+def test_one_function_walks_the_expression_tree():
+    """An expression is walked once, by one binder: ``series._bind`` is the
+    one function in ``src/`` that tests a value against the node classes of
+    ``Expression`` with ``isinstance``, so no second walk of the tree can
+    disagree with it."""
+    nodes = {cls.__name__ for cls in aimcf.series.Expression.__args__}
+    walkers = set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+        ):
+            tested = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if nodes & {getattr(c, "id", getattr(c, "attr", None)) for c in tested}:
+                walkers.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for name, tree in _module_trees():
+        visit(tree, name, None)
+    assert walkers == {("series", "_bind")}
