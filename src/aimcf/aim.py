@@ -50,6 +50,7 @@ from .errors import (
     ParseOrEvalError,
     SingularPivot,
     ValidationError,
+    require_number,
 )
 from .series import (
     EPS_PIVOT,
@@ -80,10 +81,10 @@ class ProblemSpec:
     Attributes:
         lambda0: expression for the first-derivative coefficient L(x).
         s0: expression for the zeroth-order coefficient S(x).
-        x0: expansion/evaluation point for the ladder; must be finite.
-        order: Taylor order carried by the ladder; must be >= n_max + 2 so
-            that the deepest ladder entries keep usable coefficients.
-        n_max: depth n of every ladder run on this problem, at least 1.
+        x0: expansion/evaluation point for the ladder; a finite real.
+        order: Taylor order carried by the ladder, an integer >= n_max + 2
+            so that the deepest ladder entries keep usable coefficients.
+        n_max: depth n of every ladder run on this problem, an integer >= 1.
     """
 
     lambda0: Expression
@@ -93,14 +94,15 @@ class ProblemSpec:
     n_max: int
 
     def __post_init__(self):
+        require_number(self.order, "order", integer=True)
+        require_number(self.n_max, "n_max", integer=True)
         if self.n_max < 1:
             raise ValidationError("n_max must be at least 1")
         if self.order < self.n_max + 2:
             raise ValidationError(
                 f"order ({self.order}) must be >= n_max + 2 ({self.n_max + 2})"
             )
-        if not abs(self.x0) <= sys.float_info.max:  # an int past double range too
-            raise ValidationError("series center must be finite")
+        require_number(self.x0, "series center")
         require_array_size(self.order + 1, "order")  # a series holds order + 1 floats
 
     @classmethod

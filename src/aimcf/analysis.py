@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import sys
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cf import CFState, cf_approximants, dominant_probe, require_pq
+from .cf import CFState, cf_approximants, dominant_probe, real_array, require_pq
 from .errors import (
     DegenerateDenominator,
     HypothesisViolated,
@@ -31,6 +30,8 @@ from .errors import (
     ZeroDenominator,
     ZeroP,
     ZeroQ,
+    require_number,
+    require_reals,
 )
 
 # The fixed policy of stern_seidel, part of diagnose's output: a sum of p_n
@@ -45,6 +46,9 @@ STABLE_RTOL = 1e-12
 CONSISTENCY_RTOL = 0.05
 # Width of the band around 1 inside which the monic limit counts as exactly 1.
 UNIT_Q_TOL = 1e-5
+# A declared power law's values; a declared expansion's k_max where it gives none.
+_POWER_LAW = ("a", "sigma", "b", "tau")
+_K_MAX = 6
 # Why every p_n is 0: the ZeroP text of monic_transform and a diagnose warning.
 SYMMETRIC_CENTRE = (
     "every p_n is 0: L(x0) = 0, the symmetric centre where the fraction has no value"
@@ -149,7 +153,7 @@ def stern_seidel(pvals: Sequence[float]) -> ConvergenceReport:
     by ``SUM_THRESHOLD``, ``CAUCHY_WINDOW`` and ``CAUCHY_TOL``, the verdict is
     Inconclusive rather than a guess.
     """
-    p = np.asarray(pvals, dtype=float)
+    p = real_array(pvals, "pvals")
     if p.size == 0:
         raise ValidationError("stern_seidel needs at least one sample")
     if not np.all(p > 0.0):  # NaN fails too
@@ -459,40 +463,58 @@ def classify(
     )
 
 
+def check_declared(declared: Optional[dict]) -> None:
+    """Check a declaration of :func:`classify` without building it, so that
+    the build can fail only numerically; None passes.  ValidationError for
+    neither kind or both; a power law with a scale a or b missing or zero or
+    a value that is not a finite real; an expansion whose ``k_max`` is not an
+    integer in 1..64 or whose coefficients are not non-empty lists of finite
+    reals."""
+    if declared is None:
+        return
+    expansion = {"a_coeffs", "b_coeffs"} <= declared.keys()
+    if _is_power_law(declared) == expansion:  # both kinds or neither
+        raise ValidationError(
+            "declared holds both sigma/tau and a_coeffs/b_coeffs; give one kind" if expansion
+            else "declared must contain sigma/tau (power law) or a_coeffs/b_coeffs"
+        )
+    if not expansion:
+        if "a" not in declared or "b" not in declared:
+            raise ValidationError("declared power law needs both scales a and b")
+        for key in _POWER_LAW:
+            require_number(declared[key], f"declared {key}")
+        if declared["a"] == 0 or declared["b"] == 0:
+            raise ValidationError("declared power-law scales a and b must be nonzero")
+        return
+    k_max = declared.get("k_max", _K_MAX)
+    require_number(k_max, "declared k_max", integer=True)
+    if k_max < 1:
+        raise ValidationError(f"k_max must be >= 1, got {k_max}")
+    if k_max > 64:  # the distinct-root table costs about k_max**4 steps
+        raise ValidationError(f"k_max must be <= 64, got {k_max}")
+    for key in ("a_coeffs", "b_coeffs"):
+        require_reals(declared[key], key)
+    if not declared["a_coeffs"] or not declared["b_coeffs"]:
+        raise ValidationError("a_coeffs and b_coeffs must be non-empty")
+
+
 def parse_declared(
     declared: Optional[dict],
 ) -> tuple[Optional[tuple[float, float, float, float]], Optional[BirkhoffAdamsData]]:
     """The declared power law (a, sigma, b, tau) or 1/n-expansion data of
-    :func:`classify`, which checks it before any sequence; ValidationError if
-    it has neither kind, both, a missing or zero power-law scale, a power-law
-    value that is not a finite real, or a ``k_max`` that is not an int."""
+    :func:`classify`, built once :func:`check_declared` passes it; (None,
+    None) for no declaration."""
+    check_declared(declared)
     if declared is None:
         return None, None
-    power_law = {"sigma", "tau"} <= set(declared)
-    if power_law and {"a_coeffs", "b_coeffs"} <= set(declared):
-        raise ValidationError(
-            "declared holds both sigma/tau and a_coeffs/b_coeffs; give one kind"
-        )
-    if power_law:
-        if "a" not in declared or "b" not in declared:
-            raise ValidationError("declared power law needs both scales a and b")
-        for key in ("a", "sigma", "b", "tau"):
-            value = declared[key]
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and abs(value) <= sys.float_info.max):  # NaN fails too
-                raise ValidationError(f"declared {key} must be a finite real, got {value!r}")
-        a, sigma, b, tau = (float(declared[k]) for k in ("a", "sigma", "b", "tau"))
-        if a == 0.0 or b == 0.0:
-            raise ValidationError("declared power-law scales a and b must be nonzero")
-        return (a, sigma, b, tau), None
-    if {"a_coeffs", "b_coeffs"} <= set(declared):
-        k_max = declared.get("k_max", 6)
-        if isinstance(k_max, bool) or not isinstance(k_max, numbers.Integral):
-            raise ValidationError(f"declared k_max must be an int, got {k_max!r}")
-        return None, birkhoff_adams(declared["a_coeffs"], declared["b_coeffs"], int(k_max))
-    raise ValidationError(
-        "declared must contain sigma/tau (power law) or a_coeffs/b_coeffs"
-    )
+    if _is_power_law(declared):
+        return tuple(float(declared[key]) for key in _POWER_LAW), None
+    k_max = int(declared.get("k_max", _K_MAX))
+    return None, birkhoff_adams(declared["a_coeffs"], declared["b_coeffs"], k_max)
+
+
+def _is_power_law(declared: dict) -> bool:
+    return {"sigma", "tau"} <= declared.keys()
 
 
 def _classify_limit_cases(
@@ -639,15 +661,10 @@ def birkhoff_adams(
     Distinct characteristic roots produce r^n n^alpha times a 1/n series whose
     coefficients solve a triangular linear relation level by level; a double
     root branches on whether the first-order data degenerates as well.
+    The inputs must pass :func:`check_declared` as a declared expansion.
     """
-    if k_max < 1:
-        raise ValidationError(f"k_max must be >= 1, got {k_max}")
-    if k_max > 64:  # the distinct-root table costs about k_max**4 steps
-        raise ValidationError(f"k_max must be <= 64, got {k_max}")
-    a = tuple(float(v) for v in a_coeffs)
-    b = tuple(float(v) for v in b_coeffs)
-    if not a or not b:
-        raise ValidationError("a_coeffs and b_coeffs must be non-empty")
+    check_declared({"a_coeffs": a_coeffs, "b_coeffs": b_coeffs, "k_max": k_max})
+    a, b = tuple(map(float, a_coeffs)), tuple(map(float, b_coeffs))
     if b[0] == 0.0:
         raise ZeroB0("leading coefficient b_0 must be nonzero")
 

@@ -41,6 +41,7 @@ from .errors import (
     ValidationError,
     ZeroDenominator,
     ZeroPartialNumerator,
+    require_number,
 )
 from .series import TaylorSeries, _check_pivot, _checked, _divide, _mul, series_div
 
@@ -229,13 +230,22 @@ def _ldexp_safe(mant: float, e2: int) -> float:
 
 
 def require_pq(pvals, qvals) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh float arrays of ``pvals`` and ``qvals``; :class:`ValidationError`
-    unless they are non-empty 1-d sequences of one length."""
-    p = np.array(pvals, dtype=float)
-    q = np.array(qvals, dtype=float)
+    """Fresh float arrays of ``pvals`` and ``qvals`` (:func:`real_array`);
+    :class:`ValidationError` unless they are non-empty 1-d and of one length."""
+    p, q = real_array(pvals, "pvals"), real_array(qvals, "qvals")
     if p.shape != q.shape or p.ndim != 1 or p.size == 0:
         raise ValidationError("pvals and qvals must be equal-length 1-d sequences")
     return p, q
+
+
+def real_array(values, name: str) -> np.ndarray:
+    """``values`` as a fresh float array.  A float entry passes as it is, inf
+    and nan too; any other must pass :func:`~aimcf.errors.require_number`."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        for i, value in enumerate(np.array(values, dtype=object).ravel()):
+            if not isinstance(value, float):
+                require_number(value, f"'{name}[{i}]'")
+    return np.array(values, dtype=float)
 
 
 def cf_approximants(pvals, qvals) -> CFState:

@@ -37,6 +37,8 @@ from .errors import (
     DeterminantMismatchWarning,
     ParseOrEvalError,
     ValidationError,
+    require_number,
+    require_reals,
 )
 
 EXIT_OK = 0
@@ -102,31 +104,14 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _require_number(value: Any, name: str, integer: bool) -> None:
-    """Reject a JSON value of the wrong numeric type; booleans never pass.
-
-    A real must also be finite: ``json.load`` reads ``NaN`` and ``Infinity``,
-    and an integer literal may be too long for a float.
-    """
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "an integer" if integer else "a real number"
-        raise ValidationError(f"'{name}' must be {kind}, got {value!r}")
-    if not (integer or abs(value) <= sys.float_info.max):
-        raise ValidationError(f"'{name}' must be finite, got {value!r}")
-
-
-def _require_reals(values: Any, name: str) -> None:
-    if not isinstance(values, list):
-        raise ValidationError(f"'{name}' must be a list, got {values!r}")
-    for i, value in enumerate(values):
-        # the checks of _require_number, which names a failing element
-        real = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (real and abs(value) <= sys.float_info.max):
-            _require_number(value, f"{name}[{i}]", False)
+# the classify block's keys that hold a declaration; it may hold at most one
+_DECLARATIONS = ("declared_power_law", "declared_ba_coeffs")
 
 
 def _check_classify(block: Any) -> None:
-    """Type-check the raw sequences and declared structure of a classify block."""
+    """Check the file shape of a classify block: raw sequences as a pair of
+    lists of finite reals, and at most one declaration, an object that
+    :func:`~aimcf.analysis.check_declared` passes at load, under every command."""
     _require(isinstance(block, dict), "'classify' must be an object")
     _require(
         ("pvals" in block) == ("qvals" in block),
@@ -134,22 +119,15 @@ def _check_classify(block: Any) -> None:
     )
     for key in ("pvals", "qvals"):
         if key in block:
-            _require_reals(block[key], key)
+            require_reals(block[key], key)
     _require(
-        not ("declared_power_law" in block and "declared_ba_coeffs" in block),
+        not set(_DECLARATIONS) <= block.keys(),
         "declare either 'declared_power_law' or 'declared_ba_coeffs', not both",
     )
-    for name in ("declared_power_law", "declared_ba_coeffs"):
-        if name not in block:
-            continue
-        declared = block[name]
-        _require(isinstance(declared, dict), f"'{name}' must be an object")
-        for key in ("a", "sigma", "b", "tau", "k_max"):
-            if key in declared:
-                _require_number(declared[key], key, key == "k_max")
-        for key in ("a_coeffs", "b_coeffs"):
-            if key in declared:
-                _require_reals(declared[key], key)
+    for name in _DECLARATIONS:
+        if name in block:
+            _require(isinstance(block[name], dict), f"'{name}' must be an object")
+            analysis.check_declared(block[name])
 
 
 def _load_problem(path: str) -> dict:
@@ -167,7 +145,7 @@ def _load_problem(path: str) -> dict:
     _require(isinstance(raw["s0"], str), "'s0' must be a string expression")
     _require(isinstance(raw["parameter"], str), "'parameter' must be a string")
     for key, integer in (("x0", False), ("order", True), ("n_max", True)):
-        _require_number(raw[key], key, integer)
+        require_number(raw[key], f"'{key}'", integer)
     search = raw.get("search")
     if search is not None:
         _require(isinstance(search, dict), "'search' must be an object")
@@ -175,7 +153,7 @@ def _load_problem(path: str) -> dict:
             _require(key in search, f"'search' missing '{key}'")
         for key, integer in (("e_min", False), ("e_max", False), ("grid", True), ("tol", False)):
             if key in search:
-                _require_number(search[key], key, integer)
+                require_number(search[key], f"'{key}'", integer)
         _require(
             float(search["e_min"]) < float(search["e_max"]),
             "search requires e_min < e_max",
@@ -264,7 +242,7 @@ def _run_diagnose(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dic
             )
         if not any(pvals):
             warn_list.append(analysis.SYMMETRIC_CENTRE)
-        state = cf_approximants(pvals, qvals)
+        state = cf_approximants(pq.p, pq.q)  # arrays pass require_pq whole
         cf_determinants(state)
         cvals = state.C.tolist()
         table = []
@@ -281,14 +259,14 @@ def _run_diagnose(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dic
         verdict = None
         bound_violations = None
         try:
-            ptilde = cf_equiv_unit(pvals, qvals)
+            ptilde = cf_equiv_unit(pq.p, pq.q)
         except AimError as exc:
             warn_list.append(f"unit-form diagnostics skipped: {exc}")
             ptilde = None
         if ptilde is not None and all(p > 0.0 for p in ptilde):
             verdict = analysis.stern_seidel(ptilde)
             if all(p >= 1.0 for p in ptilde):
-                unit_state = cf_approximants(ptilde, [1.0] * len(ptilde))
+                unit_state = cf_approximants(ptilde, np.ones(ptilde.size))
                 rows = analysis.bound_check(unit_state)
                 bound_violations = sum(1 for *_, ok in rows if not ok)
         elif ptilde is not None:
@@ -310,27 +288,17 @@ def _run_diagnose(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dic
 
 def _classify_sequences(
     raw: dict, spec: ProblemSpec, args: argparse.Namespace
-) -> tuple[list[float], list[float], Optional[dict]]:
+) -> tuple[Sequence[float], Sequence[float], Optional[dict]]:
     block = raw.get("classify") or {}
-    declared = None
-    if "declared_power_law" in block:
-        declared = dict(block["declared_power_law"])
-    elif "declared_ba_coeffs" in block:
-        declared = dict(block["declared_ba_coeffs"])
+    declared = next((block[name] for name in _DECLARATIONS if name in block), None)
     if "pvals" in block:
-        pvals = [float(v) for v in block["pvals"]]
-        qvals = [float(v) for v in block["qvals"]]
-        return pvals, qvals, declared
+        return block["pvals"], block["qvals"], declared
     _require(
         args.param_value is not None,
         "classify requires --param-value unless raw sequences are given",
     )
-    try:
-        pq = pq_iterate(spec, args.param_value)
-    except AimError:  # a malformed declaration exits 2 even where the ladder fails
-        analysis.parse_declared(declared)
-        raise
-    return pq.p.tolist(), pq.q.tolist(), declared
+    pq = pq_iterate(spec, args.param_value)
+    return pq.p, pq.q, declared
 
 
 def _run_classify(raw: dict, spec: ProblemSpec, args: argparse.Namespace) -> dict:

@@ -1,6 +1,9 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and its one real-number rule."""
 
 from __future__ import annotations
+
+import numbers
+import sys
 
 
 class AimError(Exception):
@@ -9,6 +12,28 @@ class AimError(Exception):
 
 class ValidationError(AimError):
     """A configuration object or input file violates a structural invariant."""
+
+
+def require_number(value, label: str, integer: bool = False) -> None:
+    """Raise :class:`ValidationError`, naming ``value`` by ``label``, unless it
+    is an integer where ``integer`` is set, else a finite real (``json.load``
+    reads ``NaN``); numpy scalars pass and booleans never do."""
+    kind = "an integer" if integer else "a real number"
+    number = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, number):
+        raise ValidationError(f"{label} must be {kind}, got {value!r}")
+    if not (integer or abs(value) <= sys.float_info.max):
+        raise ValidationError(f"{label} must be finite, got {value!r}")
+
+
+def require_reals(values, name: str) -> None:
+    """Raise :class:`ValidationError` unless ``values`` is a list or tuple of
+    finite reals (:func:`require_number`), entry i named ``'name[i]'``."""
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"'{name}' must be a list, got {values!r}")
+    for i, value in enumerate(values):
+        if not (type(value) is float and abs(value) <= sys.float_info.max):
+            require_number(value, f"'{name}[{i}]'")
 
 
 class CenterMismatch(AimError):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from aimcf import analysis as analysis_module
 from aimcf import cf as cf_module
+from aimcf.aim import ProblemSpec
 from aimcf.analysis import (
     CaseLabel,
     Verdict,
@@ -705,6 +707,59 @@ def test_parse_declared_takes_numpy_numbers():
     assert power_law == (2.0, 1.0, -1.0, 0.0)
     _, data = parse_declared({**_EXPANSION, "k_max": np.int64(3)})
     assert data == parse_declared({**_EXPANSION, "k_max": 3})[1]
+
+
+# one real-number rule at every entry point: a sequence entry or declared
+# coefficient that is not a real number, and a declared coefficient that is
+# not finite, is a ValidationError naming it, never a bare ValueError or
+# TypeError, a numeric failure, or a silent conversion
+_CHECKED_CALLS = {
+    "approximants-str": (lambda: cf_approximants(["x"], [1.0]), "'pvals[0]' must be a real"),
+    "classify-str": (lambda: classify(["abc"] * 40, [1.0] * 40), "'pvals[0]' must be a real"),
+    "miller-str": (lambda: miller_minimal_ratio(["a"] * 10, [1.0] * 10), "'pvals[0]' must be"),
+    "unit-none": (lambda: cf_equiv_unit([None], [1.0]), "'pvals[0]' must be a real"),
+    "pincherle-none": (lambda: pincherle_check([None] * 10, [1.0] * 10), "'pvals[0]' must be"),
+    "stern-seidel-str": (lambda: stern_seidel(["2"]), "'pvals[0]' must be a real number"),
+    "monic-bool": (lambda: monic_transform([True] * 5, [1.0] * 5), "'pvals[0]' must be a real"),
+    "qvals-none": (lambda: cf_approximants([1.0, 2.0], [1.0, None]), "'qvals[1]' must be"),
+    **{
+        f"declared-{name}": (
+            lambda value=value: classify(
+                *_bessel_pq(), declared={"a_coeffs": [-3.0, value], "b_coeffs": [-4.0]}
+            ),
+            f"'a_coeffs[1]' must be {kind}",
+        )
+        for name, value, kind in (
+            ("nan", math.nan, "finite"),
+            ("inf", math.inf, "finite"),
+            ("str", "-2", "a real number"),
+            ("bool", True, "a real number"),
+            ("none", None, "a real number"),
+        )
+    },
+    "declared-nan-b0": (
+        lambda: classify(*_bessel_pq(), declared={"a_coeffs": [math.nan], "b_coeffs": [1.0]}),
+        "'a_coeffs[0]' must be finite",
+    ),
+    "spec-x0-str": (
+        lambda: ProblemSpec.from_strings("x", "1 - E", x0="a", order=10, n_max=2),
+        "series center must be a real number",
+    ),
+    "spec-n-max-float": (
+        lambda: ProblemSpec.from_strings("x", "1 - E", x0=0.0, order=10, n_max=2.5),
+        "n_max must be an integer",
+    ),
+    "spec-order-float": (
+        lambda: ProblemSpec.from_strings("x", "1 - E", x0=0.0, order=10.0, n_max=2),
+        "order must be an integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", _CHECKED_CALLS.values(), ids=_CHECKED_CALLS.keys())
+def test_entry_points_apply_one_real_number_rule(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
 
 
 # a declaration outside the covered cases predicts nothing; its note still

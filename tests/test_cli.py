@@ -1090,6 +1090,35 @@ def test_exit_input_on_malformed_classify_block(tmp_path, capsys, block):
     assert err.startswith("error:")
 
 
+# the declaration is checked at load, so a semantically malformed one exits
+# 2 under every command, as a value of the wrong type there does
+@pytest.mark.parametrize("command", ["solve", "diagnose", "classify"])
+@pytest.mark.parametrize(
+    "block",
+    [
+        {"declared_power_law": {"sigma": 1, "tau": 0}},
+        {"declared_ba_coeffs": {"a_coeffs": [-3.0], "b_coeffs": [-4.0], "k_max": 10**6}},
+    ],
+    ids=["no-scales", "k_max-10**6"],
+)
+def test_malformed_declaration_exits_input_under_every_command(tmp_path, capsys, command, block):
+    path = _write(tmp_path, "declared.json", dict(HO_PROBLEM, classify=dict(_CYLINDER, **block)))
+    code, out, err = _run(capsys, [command, path, *_param(command, "3")])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: declared") or err.startswith("error: k_max")
+
+
+# a numeric failure in building a declaration stays with classify: b_0 = 0
+# is ZeroB0 there, and solve never builds the declaration
+@pytest.mark.parametrize("command, expected", [("classify", EXIT_NUMERIC), ("solve", EXIT_OK)])
+def test_zero_b0_declaration_fails_only_classify(tmp_path, capsys, command, expected):
+    block = dict(_CYLINDER, declared_ba_coeffs={"a_coeffs": [-3.0], "b_coeffs": [0.0]})
+    path = _write(tmp_path, "zero_b0.json", dict(HO_PROBLEM, classify=block))
+    code, _, err = _run(capsys, [command, path])
+    assert code == expected
+    assert ("ZeroB0" in err) == (command == "classify")
+
+
 # a bad element of a raw sequence is named by its list and index, with its
 # repr, in the whole message
 @pytest.mark.parametrize(

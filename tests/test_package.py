@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
@@ -207,3 +208,47 @@ def test_one_function_walks_the_expression_tree():
     for name, tree in _module_trees():
         visit(tree, name, None)
     assert walkers == {("series", "_bind")}
+
+
+def test_only_analysis_names_the_declaration_keys():
+    """``analysis`` owns the schema of a declaration: the keys of a declared
+    power law or 1/n expansion are string constants there alone, so the CLI
+    hands a declaration over without a copy of its rules."""
+    keys = {"sigma", "tau", "a_coeffs", "b_coeffs", "k_max"}
+    namers = {
+        name
+        for name, tree in _module_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in keys
+    }
+    assert namers == {"analysis"}
+
+
+def test_one_function_holds_the_real_number_rule():
+    """Every value that must be a real number is checked by one rule:
+    ``errors.require_number`` is the one function in ``src/`` whose code,
+    docstrings aside, writes the word "real" into a message."""
+    holders = set()
+
+    def visit(node, module, function, docs):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Constant)
+            and id(node) not in docs
+            and isinstance(node.value, str)
+            and re.search(r"\breal\b", node.value)
+        ):
+            holders.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function, docs)
+
+    for name, tree in _module_trees():
+        docs = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and ast.get_docstring(node, clean=False) is not None
+        }
+        visit(tree, name, None, docs)
+    assert holders == {("errors", "require_number")}
