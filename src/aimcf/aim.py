@@ -19,9 +19,12 @@ vanishes at the eigenvalues of problems whose ladder terminates.
   at x0 alone, in O(n**2), and says how its values relate to the ladder's;
   :func:`_scan_deltas` is its batched twin for a grid, and
   :func:`_cross_deltas` the one delta formula of both and of the ladder.
+  Both run a term plan of :func:`_plan`, which lists the terms of each
+  level and decides the symmetric route once per term structure.
 * :func:`find_eigenvalues` scans delta[n] over a parameter grid, refines
   each sign change by :func:`_locate` and rechecks each root at depth
-  n + 2; :func:`_evaluator` binds the inputs of a search once.
+  n + 2; :func:`_evaluator` binds the inputs of a search and builds its
+  term plans once.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .series import (
     TaylorSeries,
     _Shifted,
     _bind,
+    _checked,
     _finite,
     _result,
     _rows,
@@ -299,11 +303,39 @@ def _tables(width: int) -> tuple[list[tuple[float, ...]], np.ndarray, np.ndarray
     return binom, np.array(mant), np.array(exp)
 
 
-def _delta_recurrence(
-    binom: list[tuple[float, ...]], dl: list[float], ds: list[float], orders: list[int],
-    depths: Iterable[int],
-) -> list[float]:
-    """delta[d], d in ``depths`` (1..depth), from the derivatives t! c[t] at x0 of L and S.
+def _plan(binom: list[tuple[float, ...]], terms: tuple[tuple[int, bool, bool], ...]) -> tuple:
+    """The term plan of both delta kernels for one term structure: ``(symmetric, levels)``.
+
+    ``terms`` holds ``(t, l, s)`` in ascending t for each order t that the sum
+    of :func:`_delta_recurrence` runs over, with ``l`` and ``s`` saying whether
+    it takes L^(t) and S^(t).  ``symmetric`` says whether the structure is a
+    symmetric centre: no L^(t) at an even t and no S^(t) at an odd t; this is
+    the one place that decides it.  ``levels[k]``, for each k below the width
+    of ``binom``, lists the terms t <= k of u(k + 2) in ascending t as Python
+    floats and ints.  A term reads slot t (L^(t)) and slot ``width + t``
+    (S^(t)) of the kernels' coefficient list.  At a symmetric centre it is
+    ``(C(k, t), i, slot)``, its one side times v(i): L^(t) and i = k + 1 - t
+    where L^(t) is taken, else S^(t) and i = k - t.  Elsewhere it is ``(C(k,
+    t), k - t, l, s)``, the slots of L^(t) and S^(t) or None: S^(t) alone
+    where L^(t) is not taken, L^(t) alone where S^(t) is not, else both.
+    """
+    width = len(binom)
+    symmetric = not any(s if t % 2 else l for t, l, s in terms)
+    levels = [[] for _ in binom]
+    for t, l, s in terms:
+        if symmetric:
+            back, slot = (t - 1, t) if l else (t, width + t)
+            for k in range(t, width):
+                levels[k].append((binom[k][t], k - back, slot))
+        else:
+            ls, ss = t if l else None, None if l and not s else width + t
+            for k in range(t, width):
+                levels[k].append((binom[k][t], k - t, ls, ss))
+    return symmetric, levels
+
+
+def _delta_recurrence(plan: tuple, co: list[float], depths: Iterable[int]) -> list[float]:
+    """delta[d], d in ``depths``, from the derivatives t! c[t] at x0 of L and S by a term plan.
 
     Since y^(i+2) = L[i] y' + S[i] y, L[i](x0) and S[i](x0) are the
     derivatives u_b(i + 2) and u_a(i + 2) at x0 of the solutions with
@@ -312,28 +344,29 @@ def _delta_recurrence(
 
         u(k + 2) = sum over t of C(k, t) (L^(t) u(k + 1 - t) + S^(t) u(k - t))
 
-    The sum runs on Python floats in ascending t onto a +0.0 accumulator, and
-    :func:`_cross_deltas` forms delta at ``depths`` only, with no array copies
-    or ``np.errstate``.  Derivatives, not Taylor coefficients, are carried,
-    since u(k) / k! underflows where u(k) and delta do not.  A value beyond
-    double range turns inf or nan; if that reaches a delta of ``depths``, this
-    raises :class:`Overflow`.
+    ``co`` holds L^(t) at slot t and S^(t) at slot ``width + t`` as Python
+    floats, and ``plan`` is the :func:`_plan` of the orders t the sum runs
+    over, ascending, which a search fixes once where it can
+    (:func:`_evaluator`): every t where L^(t)(x0) or S^(t)(x0) is nonzero, and
+    maybe t where both are zero at this point.  The sum runs onto a +0.0
+    accumulator, term by term as the plan lists them, and :func:`_cross_deltas`
+    forms delta at ``depths`` (1..width - 1) only, with no array copies or
+    ``np.errstate``.  Derivatives, not Taylor coefficients, are carried, since
+    u(k) / k! underflows where u(k) and delta do not.  A value beyond double
+    range turns inf or nan; if that reaches a delta of ``depths``, this raises
+    :class:`Overflow`.
 
-    The sum runs over the ascending ``orders`` t, the term structure, which a
-    search fixes once where it can (:func:`_evaluator`): every t where
-    L^(t)(x0) or S^(t)(x0) is nonzero, and maybe t where both are zero at
-    this point.  It leaves out the zero side of an order.  A product of a
-    finite number and zero could only change the sign of a zero term, which
-    the sum onto +0.0 erases, so a zero term, kept or left out, changes no
-    value, not even a zero's sign; a 0 * inf follows an overflow that raises
-    either way.
+    The plan leaves out the zero side of an order.  A product of a finite
+    number and zero could only change the sign of a zero term, which the sum
+    onto +0.0 erases, so a zero term, kept or left out, changes no value, not
+    even a zero's sign; a 0 * inf follows an overflow that raises either way.
 
     At a symmetric centre, L^(t) zero at every even t and S^(t) at every odd t
     (L odd and S even about x0, as for the oscillator and the quartic at
-    x0 = 0), u_a is even and u_b odd: one of u_a(k), u_b(k) is exactly +0.0 at every k, each
-    term of its sum being a finite number times +0.0.  The loop then runs
-    once, on v = u_a + u_b from (1, 1), reading v(k + 1 - t) for the one
-    nonzero side L^(t) or v(k - t) for S^(t); v(k) is the nonzero one of
+    x0 = 0), u_a is even and u_b odd: one of u_a(k), u_b(k) is exactly +0.0 at
+    every k, each term of its sum being a finite number times +0.0.  The loop
+    then runs once, on v = u_a + u_b from (1, 1), reading v(k + 1 - t) for the
+    one nonzero side L^(t) or v(k - t) for S^(t); v(k) is the nonzero one of
     u_a(k), u_b(k) bit for bit, the same products summed in the same order.
     Where a zero of the two-solution loop would turn nan, the nonzero solution
     is non-finite at the same index, so the same deltas raise.  Elsewhere one
@@ -344,38 +377,30 @@ def _delta_recurrence(
     terms ``|L|[i+1] |S|[i] + |L|[i] |S|[i+1]`` of the ladder run on absolute
     input coefficients, which scale the rounding error of both.
     """
-    width = len(dl)
-    terms = [(t, dl[t], ds[t]) for t in orders]
-    if not any(s if t % 2 else l for t, l, s in terms):
-        # a symmetric centre: one run of v = u_a + u_b, whose one nonzero
-        # side of order t reads v(k + 1 - t) for L and v(k - t) for S
-        sides = [(t, t - 1, l) if l else (t, t, s) for t, l, s in terms]
+    symmetric, levels = plan
+    if symmetric:
         v = [1.0, 1.0]
-        for k in range(width):
-            row = binom[k]
+        for level in levels:
             a = 0.0
-            for t, back, c in sides:
-                if t > k:
-                    break
-                a += row[t] * (c * v[k - back])
+            for c, i, slot in level:
+                a += c * (co[slot] * v[i])
             v.append(a)
         delta = _cross_deltas(v, None, depths)
     else:
         ua, ub = [1.0, 0.0], [0.0, 1.0]
-        for k in range(width):
-            row = binom[k]
+        for level in levels:
             a = b = 0.0
-            for t, l, s in terms:
-                if t > k:
-                    break
-                c, j = row[t], k - t
-                if not l:
+            for c, j, l, s in level:
+                if l is None:
+                    s = co[s]
                     a += c * (s * ua[j])
                     b += c * (s * ub[j])
-                elif not s:
+                elif s is None:
+                    l = co[l]
                     a += c * (l * ua[j + 1])
                     b += c * (l * ub[j + 1])
                 else:
+                    l, s = co[l], co[s]
                     a += c * (l * ua[j + 1] + s * ua[j])
                     b += c * (l * ub[j + 1] + s * ub[j])
             ua.append(a)
@@ -402,121 +427,158 @@ def _cross_deltas(ua, ub, depths: Iterable[int]) -> list:
     return [ub[d + 2] * ua[d + 1] - ub[d + 1] * ua[d + 2] for d in depths]
 
 
-def _scan_deltas(dl: np.ndarray, ds: np.ndarray, depths: Iterable[int]) -> np.ndarray:
-    """delta[d], d in ``depths``, at each point of ``(depth + 1, points)`` derivative columns.
+def _scan_deltas(plan: tuple, co: list, points: int, depths: Iterable[int]) -> np.ndarray:
+    """delta[d], d in ``depths``, at each of ``points`` grid points by a term plan.
 
     The batched twin of :func:`_delta_recurrence`, whose docstring gives the
     recurrence and why skipped zeros and the symmetric route change no value.
-    Row t of ``dl`` and ``ds`` holds L^(t)(x0) and S^(t)(x0) at every point; a
-    side with one column broadcasts.  The recurrence runs on ``(2, points)``
-    arrays of u_a and u_b, summed in place onto +0.0 over the rows nonzero at
-    some point; a row that is zero at a point adds only zeros there, so every
-    point equals :func:`_delta_recurrence` bit for bit, whatever the other
-    points hold.  A side zero at every point is left out, as is the multiply
-    by C(k, 0) = C(k, k) = 1.  Where the whole grid is a symmetric centre the
-    arrays are ``(1, points)`` and hold v = u_a + u_b.  Returns a
-    ``(len(depths), points)`` array; raises :class:`Overflow` if one of its
-    values leaves double range, without numpy's floating-point warnings.
+    Slot t of ``co`` holds L^(t)(x0) and slot ``width + t`` S^(t)(x0), each a
+    Python float where it holds at every point, else an array of the points;
+    ``plan`` takes every order where a side is nonzero at some point.  The
+    recurrence runs on ``(2, points)`` arrays of u_a and u_b, summed in place
+    onto +0.0 term by term as the plan lists them; a coefficient that is zero
+    at a point adds only zeros there, so every point equals
+    :func:`_delta_recurrence` bit for bit, whatever the other points hold.  The
+    multiply by C(k, 0) = C(k, k) = 1 is left out.  At a symmetric centre the
+    arrays are ``(points,)`` and hold v = u_a + u_b; there v(k + 3) reads only
+    v(<= k + 1), so levels k and k + 1 take each term in one product over both.
+    Returns a ``(len(depths), points)`` array; raises :class:`Overflow` if one
+    of its values leaves double range, without numpy's floating-point warnings.
     """
-    width, points = np.broadcast_shapes(dl.shape, ds.shape)
-    binom = _tables(width)[0]
-    dl_on, ds_on = dl.any(axis=1).tolist(), ds.any(axis=1).tolist()
-    terms = [
-        (t, dl[t] if dl_on[t] else None, ds[t] if ds_on[t] else None)
-        for t in range(width)
-        if dl_on[t] or ds_on[t]
-    ]
-    symmetric = not any(ds_on[t] if t % 2 else dl_on[t] for t in range(width))
-    # u[k] holds u_a(k) and u_b(k) of every point, or their sum v(k) at a
-    # symmetric centre; each u(k + 2) is summed in place onto +0, term by
-    # term, as _delta_recurrence sums onto a = b = 0.0
-    u = np.zeros((width + 2, 1 if symmetric else 2, points))
-    u[0, 0] = u[1, -1] = 1.0
-    term, part = np.empty(u.shape[1:]), np.empty(u.shape[1:])
+    symmetric, levels = plan
+    width = len(levels)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(width):
-            row, acc = binom[k], u[k + 2]
-            for t, l, s in terms:
-                if t > k:
-                    break
-                if l is None:
-                    np.multiply(s, u[k - t], out=term)
-                else:
-                    np.multiply(l, u[k + 1 - t], out=term)
-                    if s is not None:
-                        term += np.multiply(s, u[k - t], out=part)
-                if 0 < t < k:  # C(k, 0) = C(k, k) = 1
-                    term *= row[t]
-                acc += term
-        delta = np.array(_cross_deltas(u[:, 0], None if symmetric else u[:, 1], depths))
+        if symmetric:
+            # v[k] holds v(k) at every point; each pair of levels k, k + 1 is
+            # summed in place onto +0, term by term, as _delta_recurrence sums
+            # each onto a = 0.0.  The last level of an odd width pairs with
+            # itself, its second row landing in a spare row that nothing reads
+            u = np.zeros((width + 3, points))
+            u[0] = u[1] = 1.0
+            term = np.empty((2, points))
+            for k in range(0, width, 2):
+                low = levels[k]
+                high = levels[k + 1] if k + 1 < width else low
+                for (c, i, slot), (c1, _, _) in zip(low, high):
+                    np.multiply(co[slot], u[i : i + 2], out=term)
+                    if c != 1.0:
+                        term[0] *= c
+                    if c1 != 1.0:
+                        term[1] *= c1
+                    u[k + 2 : k + 4] += term
+                for _, i, slot in high[len(low) :]:  # t = k + 1, where C(k + 1, t) = 1
+                    u[k + 3] += np.multiply(co[slot], u[i], out=term[1])
+            delta = np.array(_cross_deltas(u, None, depths))
+        else:
+            # u[k] holds u_a(k) and u_b(k) of every point, each u(k + 2) summed
+            # in place onto +0, term by term, as _delta_recurrence sums onto
+            # a = b = 0.0
+            u = np.zeros((width + 2, 2, points))
+            u[0, 0] = u[1, 1] = 1.0
+            term, part = np.empty((2, points)), np.empty((2, points))
+            for k, level in enumerate(levels):
+                acc = u[k + 2]
+                for c, j, l, s in level:
+                    if l is None:
+                        np.multiply(co[s], u[j], out=term)
+                    else:
+                        np.multiply(co[l], u[j + 1], out=term)
+                        if s is not None:
+                            term += np.multiply(co[s], u[j], out=part)
+                    if c != 1.0:
+                        term *= c
+                    acc += term
+            delta = np.array(_cross_deltas(u[:, 0], u[:, 1], depths))
     if not np.isfinite(delta).all():
         raise Overflow("termination quantity overflows double range")
     return delta
 
 
 def _evaluator(spec: ProblemSpec, order: int) -> tuple[
-    Callable[[list[float]], list[np.ndarray]], Callable[[float, Iterable[int]], list[float]]
+    Callable[[list[float]], tuple | None], Callable[[float, Iterable[int]], list[float]]
 ]:
     """Bind L and S of one search at x0 to ``order``; return ``(columns, deltas_at)``.
 
     Each expression is bound once, by :func:`~aimcf.series._bind`, and enters
     the kernels as its derivatives t! c[t] at x0, with t! as a correctly
     rounded mantissa times an exact power of two, so a derivative is finite
-    wherever it lies in double range, also past t = 170 where t! is not.  A
-    side that does not depend on the parameter gets its one derivative column
-    here, once.  ``columns(values)`` gives the derivative columns of L and S
-    for :func:`_scan_deltas`: ``(order + 1, values)`` from the row stack of a
-    parameter side and the one ``(order + 1, 1)`` column of a constant side.
-    ``deltas_at(e, depths)`` gives delta[d] at one value for d in ``depths``
-    (1..order) by :func:`_delta_recurrence`, each side as its binding says: a
-    constant side as its column; a record of the rule of
-    :func:`~aimcf.series._bind` as its fixed rows with row 0 replaced by its
-    constant term (0! = 1), on floats; any other side as a row stack for that
-    one value.  Where no side needs a row stack, the term structure of
-    :func:`_delta_recurrence` is fixed here: row 0 and every row nonzero on
-    either side.
+    wherever it lies in double range, also past t = 170 where t! is not.  The
+    derivatives that hold at every value are computed here, once: all of a
+    constant side, and every one past the constant term of a record of the
+    rule of :func:`~aimcf.series._bind`, whose constant term (0! = 1) is the
+    only one that varies.  Any other side is a row stack at each call.
+
+    Both kernels run a term plan of :func:`_plan`, built here once per term
+    structure and kept in a dict that lives as long as the search.  Where no
+    side needs a row stack, the term structure is fixed but for order 0, which
+    the per-point kernel always takes: every order where a fixed derivative is
+    nonzero on either side, and order 0.  ``columns(values)`` gives the input
+    ``(plan, co, points)`` of :func:`_scan_deltas`, with every fixed derivative
+    a Python float and the others arrays of the values; it is None where
+    neither side has the parameter.  ``deltas_at(e, depths)`` gives delta[d]
+    at one value for d in ``depths`` (1..order) by :func:`_delta_recurrence`.
 
     The caller checks that every value is finite and runs binding and calls
     under ``np.errstate(over="ignore", invalid="ignore")``, turning a
     ``RecursionError`` into :class:`~aimcf.errors.ParseOrEvalError`, as
     :func:`~aimcf.series.series_from_expr` does; ``spec`` has checked x0.
     """
-    binom, mant, exp = _tables(order + 1)
+    width = order + 1
+    binom, mant, exp = _tables(width)
+    plans: dict[tuple, tuple] = {}
+
+    def plan(terms: tuple) -> tuple:
+        found = plans.get(terms)
+        if found is None:
+            found = plans[terms] = _plan(binom, terms)
+        return found
 
     def derivatives(coeffs: np.ndarray) -> np.ndarray:
         return np.ldexp(mant * coeffs, exp)
 
     def routes(side):
-        """The derivative columns of ``side`` at many values, its derivatives at
-        one, and its rows that hold at every value (row 0 a placeholder), or
-        None where they vary."""
+        """The derivatives of ``side`` at many values and at one, and those
+        that hold at every value (row 0 a placeholder), or None where they vary."""
         if isinstance(side, np.ndarray):
-            col = derivatives(side)[:, None]
-            fixed = col[:, 0].tolist()
-            return (lambda values: col), (lambda e: fixed), fixed
-        # copied so that each row t is contiguous
-        batch = lambda values: derivatives(_rows(side, values)).T.copy()
+            fixed = derivatives(side).tolist()
+            return (lambda values: fixed), (lambda e: fixed), fixed
         if isinstance(side, _Shifted):
             head, rest = side.head, np.ldexp(mant[1:] * side.tail, exp[1:]).tolist()
+            batch = lambda values: [_checked(head(values)), *rest]
             return batch, (lambda e: [_finite(head(e)), *rest]), [0.0, *rest]
+        # copied so that each row t is contiguous
+        batch = lambda values: list(derivatives(_rows(side, values)).T.copy())
         return batch, (lambda e: derivatives(_rows(side, np.array([e]))[0]).tolist()), None
 
-    (batch_l, at_l, fixed_l), (batch_s, at_s, fixed_s) = (
-        routes(_bind(e, spec.x0, order)) for e in (spec.lambda0, spec.s0)
-    )
-    # the term structure, where no side needs a row stack at one value
-    orders = None if None in (fixed_l, fixed_s) else [
-        t for t in range(order + 1) if t == 0 or fixed_l[t] or fixed_s[t]
-    ]
+    def structure(on: list) -> tuple:
+        """The term structure of L's and then S's ``width`` coefficients, or
+        flags: every order where one is nonzero, with whether each side is."""
+        pairs = enumerate(zip(on, on[width:]))
+        return tuple((t, bool(l), bool(s)) for t, (l, s) in pairs if l or s)
 
-    def columns(values: list[float]) -> list[np.ndarray]:
+    bound = [_bind(e, spec.x0, order) for e in (spec.lambda0, spec.s0)]
+    (batch_l, at_l, fixed_l), (batch_s, at_s, fixed_s) = map(routes, bound)
+    constant = all(isinstance(side, np.ndarray) for side in bound)
+    # the term structure past order 0, where no side needs a row stack
+    fixed = None if None in (fixed_l, fixed_s) else structure(
+        [0.0, *fixed_l[1:], 0.0, *fixed_s[1:]]
+    )
+
+    def columns(values: list[float]) -> tuple | None:
+        if constant:
+            return None
         values = np.array(values)
-        return [batch_l(values), batch_s(values)]
+        co = batch_l(values) + batch_s(values)
+        on = [c.any() if isinstance(c, np.ndarray) else c for c in co]
+        return plan(structure(on)), co, values.size
 
     def deltas_at(e: float, depths: Iterable[int]) -> list[float]:
-        dl, ds = at_l(e), at_s(e)
-        terms = orders or [t for t in range(order + 1) if dl[t] or ds[t]]
-        return _delta_recurrence(binom, dl, ds, terms, depths)
+        co = at_l(e) + at_s(e)
+        if fixed is None:
+            terms = structure(co)
+        else:
+            terms = ((0, bool(co[0]), bool(co[width])), *fixed)
+        return _delta_recurrence(plan(terms), co, depths)
 
     return columns, deltas_at
 
@@ -604,21 +666,25 @@ def find_eigenvalues(
     where delta[n] vanishes on the whole grid and at the midpoint of its first
     cell (for example S = 0) or that midpoint overflows; if only the grid
     vanishes, every grid point is a root.  The tiny-pivot
-    :class:`ConditioningWarning` of a division in L or S is not passed on.  A
-    non-finite ``e_min``, ``e_max`` or ``e_max - e_min`` raises
-    :class:`ValidationError`, and an expression nested too deeply to evaluate
-    :class:`ParseOrEvalError`.
+    :class:`ConditioningWarning` of a division in L or S is not passed on.
+    ``e_min``, ``e_max`` or ``tol`` that is not a finite real, a
+    ``grid_points`` that is not an integer, and a non-finite ``e_max -
+    e_min`` raise :class:`ValidationError`, and an expression nested too
+    deeply to evaluate :class:`ParseOrEvalError`.
     """
+    for value, label in ((e_min, "e_min"), (e_max, "e_max"), (tol, "tol")):
+        require_number(value, label)
+    require_number(grid_points, "grid_points", integer=True)
     e_min, e_max = float(e_min), float(e_max)  # Python floats: e_max - e_min cannot warn
-    if not (math.isfinite(e_min) and math.isfinite(e_max) and math.isfinite(e_max - e_min)):
-        raise ValidationError("e_min, e_max and e_max - e_min must be finite")
+    if not math.isfinite(e_max - e_min):
+        raise ValidationError("e_max - e_min must be finite")
     if e_min >= e_max:
         raise ValidationError("e_min must be < e_max")
     if grid_points < 2:
         raise ValidationError("grid_points must be >= 2")
     require_array_size(grid_points, "grid_points")
-    if not 0.0 < tol < np.inf:
-        raise ValidationError("tol must be positive and finite")
+    if not tol > 0.0:
+        raise ValidationError("tol must be positive")
 
     grid = np.unique(np.linspace(e_min, e_max, grid_points).clip(e_min, e_max)).tolist()
     try:
@@ -703,7 +769,7 @@ def _search(spec: ProblemSpec, grid: list[float], tol: float) -> list[Root]:
     # compare Python floats, which decide as the doubles they hold
     vals: list[float | None] = [None] * len(grid)
     try:
-        dl, ds = columns(grid)
+        scan = columns(grid)
     except AimError:
         # some grid point fails: evaluate point by point, in grid order,
         # skipping singular points
@@ -717,13 +783,13 @@ def _search(spec: ProblemSpec, grid: list[float], tol: float) -> list[Root]:
                     stacklevel=3,
                 )
     else:
-        if dl.shape[1] == ds.shape[1] == 1:
+        if scan is None:
             # neither side has E, so delta[n] is one value at every E: no cell
             # changes sign, and a delta that vanishes here vanishes everywhere
             if abs(delta(grid[0])[0]) < EPS_PIVOT:
                 _warn_degenerate()
             return []
-        shallow, deep = _scan_deltas(dl, ds, depths).tolist()
+        shallow, deep = _scan_deltas(*scan, depths).tolist()
         deltas.update(zip(grid, zip(shallow, deep)))
         vals = shallow
         evaluated.extend(grid)

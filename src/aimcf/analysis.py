@@ -398,7 +398,7 @@ def classify(
     for name, arr in (("pvals", p), ("qvals", q)):
         if not np.all(np.isfinite(arr)):
             bad = int(np.argmin(np.isfinite(arr)))
-            raise ValidationError(f"{name}[{bad}] = {arr[bad]} is not finite")
+            require_number(arr[bad].item(), f"'{name}[{bad}]'")
     if p.size < 31:
         raise InsufficientData(f"need at least 31 levels, got {p.size}")
 

@@ -45,6 +45,7 @@ from .errors import (
     ParseOrEvalError,
     SingularPivot,
     ValidationError,
+    require_number,
 )
 
 # Pivot magnitudes below this raise SingularPivot outright.
@@ -59,8 +60,8 @@ _NEG_ZERO_BITS = np.float64(-0.0).view(np.int64)
 class TaylorSeries:
     """Immutable truncated Taylor expansion ``sum c[k] (x - center)^k``.
 
-    The constructor copies ``coeffs`` and rejects a non-finite centre and
-    empty, multi-dimensional or non-finite coefficients with
+    The constructor copies ``coeffs`` and rejects a centre that is not a
+    finite real and empty, multi-dimensional or non-finite coefficients with
     :class:`ValidationError`.
 
     Attributes:
@@ -78,8 +79,7 @@ class TaylorSeries:
             raise ValidationError("coefficients must be a non-empty 1-d array")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("series coefficients must all be finite")
-        if not math.isfinite(self.center):
-            raise ValidationError("series center must be finite")
+        require_number(self.center, "series center")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "center", float(self.center))
@@ -434,23 +434,22 @@ def series_from_expr(
     ``x`` becomes the identity series, the parameter the constant
     ``param_value``: the expression is bound by :func:`_bind` and, if it has
     the parameter, evaluated at that one value, a record by its constant term.
-    A negative ``order``, a non-finite ``center`` and, if the expression has
-    the parameter, a non-finite ``param_value`` raise :class:`ValidationError`.
+    A negative ``order``, a ``center`` and, if the expression has the
+    parameter, a ``param_value`` that is not a finite real raise
+    :class:`ValidationError`.
     A division by a series without a usable constant term raises
     :class:`SingularPivot`, a coefficient past double range :class:`Overflow`,
     and a tree too deep to walk recursively :class:`ParseOrEvalError`.
     """
     if order < 0:
         raise ValidationError("series order must be >= 0")
-    if not math.isfinite(center):
-        raise ValidationError("series center must be finite")
+    require_number(center, "series center")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = _bind(e, center, order)
             if not isinstance(coeffs, np.ndarray):
+                require_number(param_value, "parameter value")
                 value = float(param_value)
-                if not math.isfinite(value):
-                    raise ValidationError("series coefficients must all be finite")
                 if isinstance(coeffs, _Shifted):  # _result checks the constant term
                     shifted, coeffs = coeffs, np.empty(order + 1)
                     coeffs[0], coeffs[1:] = shifted.head(value), shifted.tail

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -38,7 +39,7 @@ from aimcf.errors import (
     SingularPivot,
     ValidationError,
 )
-from aimcf.series import _bind, _Shifted, series_from_expr
+from aimcf.series import _bind, _Shifted, parse_expression, series_from_expr
 
 HO = dict(lambda0="2*x", s0="1 - E", param="E")
 
@@ -380,20 +381,22 @@ def test_scan_kernel_matches_per_point_kernel(lam_c, s_c, x0, energies, depth, n
         x0=x0, order=depth + 2, n_max=depth,
     )
     columns, deltas_at = aim._evaluator(spec, depth)
+    # S = 0 E beside the same L: every S row is zero at every value
+    zero_s = aim._evaluator(dataclasses.replace(spec, s0=parse_expression("0*E")), depth)[0]
     row = range(1, depth + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        dl, ds = columns(energies)
-        batch = _scan_deltas(dl, ds, row).T
+        scan = columns(energies)
+        batch = _scan_deltas(*scan, row).T
         assert batch.shape == (len(energies), depth)
         for i, e in enumerate(energies):
             assert np.array_equal(batch[i], _scan_deltas(*columns([e]), row)[:, 0]), i
             assert np.array_equal(batch[i], deltas_at(e, row)), i
-        assert np.array_equal(_scan_deltas(dl, np.zeros_like(ds), row).T, np.zeros_like(batch))
+        assert np.array_equal(_scan_deltas(*zero_s(energies), row).T, np.zeros_like(batch))
         if n + 2 <= depth:
             pair = (n, n + 2)
             want = batch[:, [n - 1, n + 1]].T
-            assert np.array_equal(_bits(_scan_deltas(dl, ds, pair)), _bits(want))
-            first = _scan_deltas(dl[:, :1], ds[:, :1], pair)
+            assert np.array_equal(_bits(_scan_deltas(*scan, pair)), _bits(want))
+            first = _scan_deltas(*columns(energies[:1]), pair)
             assert np.array_equal(_bits(first), _bits(want[:, :1]))
             for e in energies:
                 whole = deltas_at(e, row)
@@ -402,13 +405,16 @@ def test_scan_kernel_matches_per_point_kernel(lam_c, s_c, x0, energies, depth, n
                 ), e
 
 
-def _two_solution_deltas(binom, dl, ds, depths):
+def _two_solution_deltas(binom, dl, ds, depths, orders=None):
     """delta[d], d in ``depths``, by the fused loop that carries u_a and u_b
     side by side whatever the parity of L and S: the per-point kernel's
     route off a symmetric centre, kept here as the reference for the
-    one-solution route at one."""
+    one-solution route at one.  It sums over the ascending ``orders``, by
+    default those where L or S is nonzero."""
     width = len(dl)
-    terms = [(t, dl[t], ds[t]) for t in range(width) if dl[t] or ds[t]]
+    if orders is None:
+        orders = [t for t in range(width) if dl[t] or ds[t]]
+    terms = [(t, dl[t], ds[t]) for t in orders]
     ua, ub = [1.0, 0.0], [0.0, 1.0]
     for k in range(width):
         row = binom[k]
@@ -433,7 +439,8 @@ def _two_solution_deltas(binom, dl, ds, depths):
 
 def _columns_at(columns, e):
     """The derivatives of L and S at one parameter value, as Python lists."""
-    return [c[:, 0].tolist() for c in columns([e])]
+    co = [float(c if isinstance(c, float) else c[0]) for c in columns([e])[1]]
+    return co[: len(co) // 2], co[len(co) // 2 :]
 
 
 # at a symmetric centre, L odd and S even about x0 = 0, u_a is even and u_b
@@ -487,6 +494,170 @@ def test_mixed_route_grid_matches_per_point_kernel():
         batch = _scan_deltas(*columns(energies), row)[:, 1]
         assert np.array_equal(_bits(batch), _bits(deltas_at(3.0, row)))
         assert np.array_equal(_bits(batch), _bits(_two_solution_deltas(binom, dl, ds, row)))
+
+
+def _reference_point_deltas(binom, dl, ds, orders, depths):
+    """delta[d], d in ``depths``, by the per-point kernel's loops as they ran
+    before the term plan: the term structure worked out on every call from the
+    derivative lists ``dl`` and ``ds`` at the ascending ``orders``.  The
+    reference of ``aim._delta_recurrence``."""
+    width = len(dl)
+    terms = [(t, dl[t], ds[t]) for t in orders]
+    if not any(s if t % 2 else l for t, l, s in terms):
+        sides = [(t, t - 1, l) if l else (t, t, s) for t, l, s in terms]
+        v = [1.0, 1.0]
+        for k in range(width):
+            row = binom[k]
+            a = 0.0
+            for t, back, c in sides:
+                if t > k:
+                    break
+                a += row[t] * (c * v[k - back])
+            v.append(a)
+        delta = [v[d + 2] * v[d + 1] - 0.0 if d % 2 else 0.0 - v[d + 1] * v[d + 2] for d in depths]
+    else:
+        delta = _two_solution_deltas(binom, dl, ds, depths, orders)
+    if not all(map(math.isfinite, delta)):
+        raise Overflow("termination quantity overflows double range")
+    return delta
+
+
+def _reference_scan_deltas(dl, ds, depths):
+    """delta[d], d in ``depths``, at each point of ``(width, points)``
+    derivative columns by the batched kernel's loop as it ran before the term
+    plan, its term structure worked out on every call.  The reference of
+    ``aim._scan_deltas``."""
+    width, points = dl.shape
+    binom = aim._tables(width)[0]
+    dl_on, ds_on = dl.any(axis=1).tolist(), ds.any(axis=1).tolist()
+    terms = [
+        (t, dl[t] if dl_on[t] else None, ds[t] if ds_on[t] else None)
+        for t in range(width)
+        if dl_on[t] or ds_on[t]
+    ]
+    symmetric = not any(ds_on[t] if t % 2 else dl_on[t] for t in range(width))
+    u = np.zeros((width + 2, 1 if symmetric else 2, points))
+    u[0, 0] = u[1, -1] = 1.0
+    term, part = np.empty(u.shape[1:]), np.empty(u.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(width):
+            row, acc = binom[k], u[k + 2]
+            for t, l, s in terms:
+                if t > k:
+                    break
+                if l is None:
+                    np.multiply(s, u[k - t], out=term)
+                else:
+                    np.multiply(l, u[k + 1 - t], out=term)
+                    if s is not None:
+                        term += np.multiply(s, u[k - t], out=part)
+                if 0 < t < k:
+                    term *= row[t]
+                acc += term
+        ua, ub = u[:, 0], u[:, -1]
+        delta = np.array([
+            ua[d + 2] * ua[d + 1] - 0.0 if d % 2 else 0.0 - ua[d + 1] * ua[d + 2]
+            for d in depths
+        ] if symmetric else [ub[d + 2] * ua[d + 1] - ub[d + 1] * ua[d + 2] for d in depths])
+    if not np.isfinite(delta).all():
+        raise Overflow("termination quantity overflows double range")
+    return delta
+
+
+def _reference_inputs(spec, order, energies):
+    """The inputs of the reference kernels for one search's evaluator at
+    ``order``: the binomial rows; the derivative lists t! c[t] of L and S at
+    each value, each from the series of that value alone; and the orders the
+    per-point kernel ran over at each value, fixed but for order 0 where
+    neither side needs a row stack, else the nonzero ones."""
+    binom, mant, exp = aim._tables(order + 1)
+
+    def derivatives(coeffs):
+        return np.ldexp(mant * coeffs, exp).tolist()
+
+    def fixed(side):
+        if isinstance(side, np.ndarray):
+            return derivatives(side)
+        if isinstance(side, _Shifted):
+            return [0.0, *np.ldexp(mant[1:] * side.tail, exp[1:]).tolist()]
+        return None
+
+    sides = [fixed(_bind(e, spec.x0, order)) for e in (spec.lambda0, spec.s0)]
+    at = [
+        [derivatives(series_from_expr(e, value, spec.x0, order).coeffs) for value in energies]
+        for e in (spec.lambda0, spec.s0)
+    ]
+    width = order + 1
+    if None in sides:
+        orders = [[t for t in range(width) if dl[t] or ds[t]] for dl, ds in zip(*at)]
+    else:
+        fixed_orders = [t for t in range(width) if t == 0 or sides[0][t] or sides[1][t]]
+        orders = [fixed_orders] * len(energies)
+    return binom, at[0], at[1], orders
+
+
+coefficient = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-4, max_value=4),
+    st.builds(lambda sign, p: sign * 10.0**p, st.sampled_from([-1.0, 1.0]), st.integers(0, 16)),
+)
+
+
+# both delta kernels run a term plan built once per term structure; they
+# give the bits of their loops as they ran before the plan, which worked the
+# structure out on every call, or raise Overflow where those loops do.  The
+# draws: a symmetric centre (L odd and S even about x0 = 0) or an off-centre
+# x0; E in S's constant term, in L's (a mixed route at a symmetric centre,
+# symmetric only where L(x0) + E is 0) or in a product (a side that varies
+# beyond row 0); coefficients that are zero, small or up to 1e16, so that
+# deep ladders overflow; a value where the constant term that E enters is
+# exactly zero; grids of 1 to 60 points and depths 1 to 45, all at once and
+# as the search's pair (n, n + 2).  x0 is 0 wherever the centre is symmetric
+@example(
+    lam=[6.0], s=[3.0, -9.0, 1.0], symmetric=True, x0=0.7, where="S",
+    energies=[1.06, 3.8, 7.46, 11.64, 0.3], zero=True, depth=42, n=40,
+)
+@example(
+    lam=[2.0, -1.0], s=[0.0, 1.0], symmetric=False, x0=-1.5, where="S",
+    energies=[0.5, 2.0, 9.0], zero=True, depth=42, n=40,
+)
+@given(
+    lam=st.lists(coefficient, min_size=1, max_size=4),
+    s=st.lists(coefficient, min_size=1, max_size=4),
+    symmetric=st.booleans(),
+    x0=st.sampled_from([0.7, -1.5, 0.35]),
+    where=st.sampled_from(["S", "L", "product"]),
+    energies=st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=60),
+    zero=st.booleans(),
+    depth=st.integers(min_value=1, max_value=45),
+    n=st.integers(min_value=1, max_value=43),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernels_match_the_reference_loops(lam, s, symmetric, x0, where, energies, zero, depth, n):
+    if symmetric:
+        x0 = 0.0
+        lam_text = " + ".join(f"({c!r})*x^{2 * k + 1}" for k, c in enumerate(lam))
+        s_text = " + ".join(f"({c!r})*x^{2 * k}" for k, c in enumerate(s))
+    else:
+        lam_text, s_text = _poly_text(lam), _poly_text(s)
+    e_text = {"S": (lam_text, f"{s_text} - E"), "L": (f"{lam_text} + E", s_text),
+              "product": (lam_text, f"{s_text} - E*x^2")}[where]
+    spec = ProblemSpec.from_strings(*e_text, "E", x0=x0, order=depth + 2, n_max=depth)
+    if zero and where != "product":
+        # the value where the constant term that E enters is exactly zero
+        side = spec.s0 if where == "S" else spec.lambda0
+        head = _bind(side, x0, depth).head
+        energies = [*energies[:-1], next(e for e in (head(0.0), -head(0.0)) if head(e) == 0.0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        binom, dls, dss, orders = _reference_inputs(spec, depth, energies)
+        columns, deltas_at = aim._evaluator(spec, depth)
+        for depths in (range(1, depth + 1), (n, n + 2) if n + 2 <= depth else (depth,)):
+            for e, dl, ds, terms in zip(energies, dls, dss, orders):
+                want = _outcome(lambda: _reference_point_deltas(binom, dl, ds, terms, depths))
+                assert _outcome(deltas_at, e, depths) == want, e
+            columns_ref = [np.array(side).T.copy() for side in (dls, dss)]
+            want = _outcome(lambda: _reference_scan_deltas(*columns_ref, depths))
+            assert _outcome(lambda: _scan_deltas(*columns(energies), depths)) == want
 
 
 # parameter-free text over x: sums, differences, products, integer powers
@@ -569,15 +740,15 @@ def test_constant_term_route_matches_stacked_route(lambda0, s0, x0, energies, de
             log = _record_evaluations(monkeypatch)
             columns, deltas_at = aim._evaluator(spec, depth)
             try:
-                dl, ds = columns(energies)
+                scan = columns(energies)
             except AimError:  # an operand that fails to bind: every value fails
                 assert not routed
-                dl = ds = None
+                scan = None
             grid_binds = len(log["bound"])
             assert [_outcome(deltas_at, e, row) for e in energies] == want
             assert (len(log["bound"]) == grid_binds) == routed
-            if dl is not None:
-                scan = _outcome(lambda: _scan_deltas(dl, ds, row).T)
+            if scan is not None:
+                scan = _outcome(lambda: _scan_deltas(*scan, row).T)
                 if all(isinstance(w, list) for w in want):
                     assert scan == want
                 else:
@@ -662,18 +833,27 @@ def _recorded_search(spec, *args, **kwargs):
 
 
 def _bind_one_value_at_a_time(monkeypatch):
-    """Make every row stack of a bound parameter side on more than one value
-    fail, so that a search evaluates its grid point by point; returns the list
-    of refused calls, which a search that reaches this seam fills."""
-    rows, refused = aim._rows, []
+    """Make every row stack of a bound parameter side, and every constant term
+    of a record, on more than one value fail, so that a search evaluates its
+    grid point by point; returns the list of refused calls, which a search
+    that reaches this seam fills."""
+    rows, checked, refused = aim._rows, aim._checked, []
 
-    def one_at_a_time(side, values):
+    def refuse(values):
         if len(values) > 1:
             refused.append(len(values))
             raise SingularPivot("bound one value at a time")
+
+    def rows_one_at_a_time(side, values):
+        refuse(values)
         return rows(side, values)
 
-    monkeypatch.setattr(aim, "_rows", one_at_a_time)
+    def checked_one_at_a_time(values):
+        refuse(values)
+        return checked(values)
+
+    monkeypatch.setattr(aim, "_rows", rows_one_at_a_time)
+    monkeypatch.setattr(aim, "_checked", checked_one_at_a_time)
     return refused
 
 
@@ -868,6 +1048,27 @@ def test_find_eigenvalues_rejects_infinite_tol():
 def test_find_eigenvalues_rejects_empty_range_or_grid(e_min, e_max, grid, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         find_eigenvalues(_ho_spec(order=22, n_max=20), e_min, e_max, grid)
+
+
+# every value of a search passes the package's one real-number rule before
+# any work: a range end or tol that is no finite real, and a grid size that
+# is no integer (a bool included), raise ValidationError naming it (these
+# raised a bare ValueError or TypeError)
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("a", 2.0, 11), "e_min must be a real number, got 'a'"),
+        ((0.0, None, 11), "e_max must be a real number, got None"),
+        ((0.0, 2.0, 2.5), "grid_points must be an integer, got 2.5"),
+        ((0.0, 2.0, True), "grid_points must be an integer, got True"),
+        ((0.0, 2.0, 11, "x"), "tol must be a real number, got 'x'"),
+        ((0.0, 2.0, 11, math.nan), "tol must be finite, got nan"),
+        ((0.0, 2.0, 11, -1e-10), "tol must be positive"),
+    ],
+)
+def test_find_eigenvalues_applies_the_real_number_rule(args, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        find_eigenvalues(_ho_spec(order=22, n_max=20), *args)
 
 
 # a search range that is not finite, or whose width is not, is an input
@@ -1114,9 +1315,8 @@ def _record_evaluations(monkeypatch):
     evaluator, whichever route computes it: the values of every ``columns``
     call (``batch``) and of every ``deltas_at`` call (``point``).  Also
     record the values of every row stack of a bound parameter side (``bound``),
-    the points of every batched scan (``scan_rows``, the broadcast width of
-    its derivative columns) and the number of per-point kernel runs
-    (``kernel``)."""
+    the points of every batched scan (``scan_rows``) and the number of
+    per-point kernel runs (``kernel``)."""
     log = {"batch": [], "point": [], "bound": [], "scan_rows": [], "kernel": 0}
     evaluator, rows, scan, kernel = (
         aim._evaluator, aim._rows, aim._scan_deltas, aim._delta_recurrence
@@ -1139,9 +1339,9 @@ def _record_evaluations(monkeypatch):
         log["bound"].append(values.tolist())
         return rows(side, values)
 
-    def recording_scan(dl, ds, *args):
-        log["scan_rows"].append(np.broadcast_shapes(dl.shape, ds.shape)[1])
-        return scan(dl, ds, *args)
+    def recording_scan(plan, co, points, depths):
+        log["scan_rows"].append(points)
+        return scan(plan, co, points, depths)
 
     def recording_kernel(*args):
         log["kernel"] += 1
@@ -1173,8 +1373,8 @@ def test_search_evaluates_each_value_once(monkeypatch, name):
     assert not set(log["point"]) & set(grid)
     assert log["scan_rows"][0] + len(log["point"]) == len(set(_evaluated(log)))
     assert log["kernel"] == len(log["point"])
-    # S = V(x) - E: a per-point value binds no row stack, only its constant term
-    assert log["bound"] == [grid]
+    # S = V(x) - E: no value binds a row stack, only its constant term
+    assert log["bound"] == []
 
 
 # every parameter value a search evaluates is finite, also on ranges whose

@@ -139,6 +139,37 @@ def test_one_loop_reads_the_rescale_band():
     assert readers == {("cf", "_run")}
 
 
+def test_one_function_builds_the_term_plan():
+    """Both delta kernels run one term plan: ``aim._plan`` builds it and is
+    the one function in ``aim`` that tests the parity of a term order, which
+    decides the symmetric route, beside ``_cross_deltas``, whose parity is that
+    of a depth, the sign pattern of the one-solution delta formula.  Only
+    ``aim._evaluator`` calls ``_plan`` or reads the binomial rows of
+    ``_tables``, so neither kernel carries a symmetric test or works the term
+    structure out on its own."""
+    parity, readers = set(), {"_plan": set(), "_tables": set()}
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and function is None:
+            function = node.name  # the module-level function, closures included
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Mod)
+            and getattr(node.right, "value", None) == 2
+            and module == "aim"
+        ):
+            parity.add(function)
+        if isinstance(node, ast.Name) and node.id in readers:
+            readers[node.id].add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for name, tree in _module_trees():
+        visit(tree, name, None)
+    assert parity == {"_plan", "_cross_deltas"}
+    assert readers == {name: {("aim", "_evaluator")} for name in readers}
+
+
 def test_every_problem_spec_field_has_a_reader():
     """A field that no code reads is a setting with no effect: each field of
     ``ProblemSpec`` is read as an attribute somewhere in ``src/`` outside the

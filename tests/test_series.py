@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 import sys
 import warnings
 
@@ -132,16 +133,21 @@ def _walk(e, value, center, order):
 
 
 def _search_columns(expr, center, order):
-    """The columns function of the eigenvalue search's evaluator for ``expr``
-    (as S, beside L = 0), run as the search runs it, and the derivative
-    column t! c[t] of one coefficient array in the evaluator's arithmetic."""
-    spec = ProblemSpec(Const(0.0), expr, center, order + 3, 1)
+    """The S coefficients of the eigenvalue search's evaluator for ``expr``
+    (beside L = E, so that the search has the parameter), run as the search
+    runs it, as a ``(order + 1, values)`` array, or ``(order + 1, 1)`` where
+    every one holds at all values; and the derivative column t! c[t] of one
+    coefficient array in the evaluator's arithmetic."""
+    spec = ProblemSpec(Param(), expr, center, order + 3, 1)
     columns = aim._evaluator(spec, order)[0]
     _, mant, exp = aim._tables(order + 1)
 
     def column(values):
         with np.errstate(over="ignore", invalid="ignore"):
-            return columns(values)[1]
+            slots = columns(values)[1][order + 1 :]
+        if all(isinstance(c, float) for c in slots):
+            return np.array(slots)[:, None]
+        return np.array([np.broadcast_to(c, len(values)) for c in slots])
 
     def derivatives(coeffs):
         with np.errstate(over="ignore"):
@@ -180,15 +186,17 @@ def test_bound_series_match_whole_tree_walk(text):
         assert np.array_equal(series_from_expr(expr, value, 0.3, 14).coeffs, want), value
 
 
-# a parameter-free side is evaluated once per search: every call returns its
-# one derivative column, which broadcasts over the values
+# a parameter-free side is evaluated once per search: every call returns the
+# same Python floats, its one derivative column, which holds at every value
 def test_bound_parameter_free_expression_is_evaluated_once():
     expr = parse_expression("(1 + x)^3/(2 - x)")
     column, derivatives = _search_columns(expr, center=0.1, order=6)
-    one, three = column([1.0]), column([-4.0, 0.5, 2.0])
-    assert one is three
-    assert one.shape == (7, 1)
-    assert np.array_equal(one[:, 0], derivatives(_walk(expr, 0.0, 0.1, 6).coeffs))
+    columns = aim._evaluator(ProblemSpec(Param(), expr, 0.1, 9, 1), 6)[0]
+    one, three = columns([1.0])[1][7:], columns([-4.0, 0.5, 2.0])[1][7:]
+    assert all(isinstance(c, float) for c in one)
+    assert all(a is b for a, b in zip(one, three, strict=True))
+    assert column([1.0]).shape == (7, 1)
+    assert np.array_equal(column([1.0])[:, 0], derivatives(_walk(expr, 0.0, 0.1, 6).coeffs))
 
 
 # a parameter-free operation that fails is raised by every call, not by the
@@ -624,6 +632,35 @@ def test_public_constructor_copies_its_argument():
 def test_public_constructor_rejects_bad_input(center, coeffs):
     with pytest.raises(ValidationError):
         TaylorSeries(center, np.array(coeffs, dtype=float))
+
+
+# the centre of a series and the parameter value of an expression pass the
+# package's one real-number rule (a string raised a bare TypeError or
+# ValueError); the parameter value is read only where the expression has it
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: TaylorSeries("a", [1.0]), "series center must be a real number, got 'a'"),
+        (lambda: TaylorSeries(True, [1.0]), "series center must be a real number, got True"),
+        (
+            lambda: series_from_expr(parse_expression("x - E"), 1.0, "a", 5),
+            "series center must be a real number, got 'a'",
+        ),
+        (
+            lambda: series_from_expr(parse_expression("x - E"), "a", 0.0, 5),
+            "parameter value must be a real number, got 'a'",
+        ),
+        (
+            lambda: series_from_expr(parse_expression("x - E"), math.inf, 0.0, 5),
+            "parameter value must be finite, got inf",
+        ),
+    ],
+    ids=["series-center", "bool-center", "expr-center", "expr-value", "expr-inf-value"],
+)
+def test_entry_points_apply_the_real_number_rule(make, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        make()
+    assert series_from_expr(parse_expression("x + 1"), "a", 0.0, 2).coeffs.tolist() == [1, 1, 0]
 
 
 # finite operands whose result leaves double range: Overflow, and no numpy
