@@ -20,7 +20,8 @@ vanishes at the eigenvalues of problems whose ladder terminates.
   :func:`_scan_deltas` is its batched twin for a grid, and
   :func:`_cross_deltas` the one delta formula of both and of the ladder.
   Both run a term plan of :func:`_plan`, which lists the terms of each
-  level and decides the symmetric route once per term structure.
+  level in one shape on every route and decides the symmetric route once
+  per term structure.
 * :func:`find_eigenvalues` scans delta[n] over a parameter grid, refines
   each sign change by :func:`_locate` and rechecks each root at depth
   n + 2; :func:`_evaluator` binds the inputs of a search and builds its
@@ -311,26 +312,22 @@ def _plan(binom: list[tuple[float, ...]], terms: tuple[tuple[int, bool, bool], .
     it takes L^(t) and S^(t).  ``symmetric`` says whether the structure is a
     symmetric centre: no L^(t) at an even t and no S^(t) at an odd t; this is
     the one place that decides it.  ``levels[k]``, for each k below the width
-    of ``binom``, lists the terms t <= k of u(k + 2) in ascending t as Python
-    floats and ints.  A term reads slot t (L^(t)) and slot ``width + t``
-    (S^(t)) of the kernels' coefficient list.  At a symmetric centre it is
-    ``(C(k, t), i, slot)``, its one side times v(i): L^(t) and i = k + 1 - t
-    where L^(t) is taken, else S^(t) and i = k - t.  Elsewhere it is ``(C(k,
-    t), k - t, l, s)``, the slots of L^(t) and S^(t) or None: S^(t) alone
-    where L^(t) is not taken, L^(t) alone where S^(t) is not, else both.
+    of ``binom``, lists the terms t <= k of u(k + 2) in ascending t as
+    ``(C(k, t), i, slot, other)``, Python floats and ints, on every route.  The
+    term is ``co[slot] u(i)``, plus ``co[other] u(i - 1)`` where ``other`` is
+    not None, in the kernels' coefficient list ``co``: L^(t) at slot t reads
+    i = k + 1 - t, S^(t) at slot ``width + t`` reads i = k - t, and where both
+    are taken, which a symmetric centre never does, ``slot`` is L^(t)'s and
+    ``other`` S^(t)'s.
     """
     width = len(binom)
     symmetric = not any(s if t % 2 else l for t, l, s in terms)
     levels = [[] for _ in binom]
     for t, l, s in terms:
-        if symmetric:
-            back, slot = (t - 1, t) if l else (t, width + t)
-            for k in range(t, width):
-                levels[k].append((binom[k][t], k - back, slot))
-        else:
-            ls, ss = t if l else None, None if l and not s else width + t
-            for k in range(t, width):
-                levels[k].append((binom[k][t], k - t, ls, ss))
+        back, slot = (t - 1, t) if l else (t, width + t)
+        other = width + t if l and s else None
+        for k in range(t, width):
+            levels[k].append((binom[k][t], k - back, slot, other))
     return symmetric, levels
 
 
@@ -365,12 +362,12 @@ def _delta_recurrence(plan: tuple, co: list[float], depths: Iterable[int]) -> li
     (L odd and S even about x0, as for the oscillator and the quartic at
     x0 = 0), u_a is even and u_b odd: one of u_a(k), u_b(k) is exactly +0.0 at
     every k, each term of its sum being a finite number times +0.0.  The loop
-    then runs once, on v = u_a + u_b from (1, 1), reading v(k + 1 - t) for the
-    one nonzero side L^(t) or v(k - t) for S^(t); v(k) is the nonzero one of
-    u_a(k), u_b(k) bit for bit, the same products summed in the same order.
-    Where a zero of the two-solution loop would turn nan, the nonzero solution
-    is non-finite at the same index, so the same deltas raise.  Elsewhere one
-    fused loop runs over both solutions, cheaper than two loops.
+    then runs once, on v = u_a + u_b from (1, 1), each term of the plan one
+    side: v(k + 1 - t) times L^(t) or v(k - t) times S^(t); v(k) is the nonzero
+    one of u_a(k), u_b(k) bit for bit, the same products summed in the same
+    order.  Where a zero of the two-solution loop would turn nan, the nonzero
+    solution is non-finite at the same index, so the same deltas raise.
+    Elsewhere one fused loop runs over both solutions, cheaper than two loops.
 
     :func:`_scan_deltas` gives the same values bit for bit.  The series ladder
     sums in another order and agrees to rounding: within 1e-13 of the cross
@@ -382,7 +379,7 @@ def _delta_recurrence(plan: tuple, co: list[float], depths: Iterable[int]) -> li
         v = [1.0, 1.0]
         for level in levels:
             a = 0.0
-            for c, i, slot in level:
+            for c, i, slot, _ in level:
                 a += c * (co[slot] * v[i])
             v.append(a)
         delta = _cross_deltas(v, None, depths)
@@ -390,19 +387,15 @@ def _delta_recurrence(plan: tuple, co: list[float], depths: Iterable[int]) -> li
         ua, ub = [1.0, 0.0], [0.0, 1.0]
         for level in levels:
             a = b = 0.0
-            for c, j, l, s in level:
-                if l is None:
-                    s = co[s]
-                    a += c * (s * ua[j])
-                    b += c * (s * ub[j])
-                elif s is None:
-                    l = co[l]
-                    a += c * (l * ua[j + 1])
-                    b += c * (l * ub[j + 1])
+            for c, i, slot, other in level:
+                x = co[slot]
+                if other is None:
+                    a += c * (x * ua[i])
+                    b += c * (x * ub[i])
                 else:
-                    l, s = co[l], co[s]
-                    a += c * (l * ua[j + 1] + s * ua[j])
-                    b += c * (l * ub[j + 1] + s * ub[j])
+                    s = co[other]
+                    a += c * (x * ua[i] + s * ua[i - 1])
+                    b += c * (x * ub[i] + s * ub[i - 1])
             ua.append(a)
             ub.append(b)
         delta = _cross_deltas(ua, ub, depths)
@@ -434,61 +427,37 @@ def _scan_deltas(plan: tuple, co: list, points: int, depths: Iterable[int]) -> n
     recurrence and why skipped zeros and the symmetric route change no value.
     Slot t of ``co`` holds L^(t)(x0) and slot ``width + t`` S^(t)(x0), each a
     Python float where it holds at every point, else an array of the points;
-    ``plan`` takes every order where a side is nonzero at some point.  The
-    recurrence runs on ``(2, points)`` arrays of u_a and u_b, summed in place
-    onto +0.0 term by term as the plan lists them; a coefficient that is zero
-    at a point adds only zeros there, so every point equals
-    :func:`_delta_recurrence` bit for bit, whatever the other points hold.  The
-    multiply by C(k, 0) = C(k, k) = 1 is left out.  At a symmetric centre the
-    arrays are ``(points,)`` and hold v = u_a + u_b; there v(k + 3) reads only
-    v(<= k + 1), so levels k and k + 1 take each term in one product over both.
-    Returns a ``(len(depths), points)`` array; raises :class:`Overflow` if one
-    of its values leaves double range, without numpy's floating-point warnings.
+    ``plan`` takes every order where a side is nonzero at some point.  One
+    loop over the plan's levels runs the recurrence on every route, each level
+    summed in place onto +0.0 term by term as the plan lists them: on ``(2,
+    points)`` arrays of u_a and u_b, or at a symmetric centre on ``(points,)``
+    arrays of v = u_a + u_b.  A coefficient that is zero at a point adds only
+    zeros there, so every point equals :func:`_delta_recurrence` bit for bit,
+    whatever the other points hold.  The multiply by C(k, 0) = C(k, k) = 1 is
+    left out.  Returns a ``(len(depths), points)`` array; raises
+    :class:`Overflow` if one of its values leaves double range, without numpy's
+    floating-point warnings.
     """
     symmetric, levels = plan
     width = len(levels)
     with np.errstate(over="ignore", invalid="ignore"):
-        if symmetric:
-            # v[k] holds v(k) at every point; each pair of levels k, k + 1 is
-            # summed in place onto +0, term by term, as _delta_recurrence sums
-            # each onto a = 0.0.  The last level of an odd width pairs with
-            # itself, its second row landing in a spare row that nothing reads
-            u = np.zeros((width + 3, points))
-            u[0] = u[1] = 1.0
-            term = np.empty((2, points))
-            for k in range(0, width, 2):
-                low = levels[k]
-                high = levels[k + 1] if k + 1 < width else low
-                for (c, i, slot), (c1, _, _) in zip(low, high):
-                    np.multiply(co[slot], u[i : i + 2], out=term)
-                    if c != 1.0:
-                        term[0] *= c
-                    if c1 != 1.0:
-                        term[1] *= c1
-                    u[k + 2 : k + 4] += term
-                for _, i, slot in high[len(low) :]:  # t = k + 1, where C(k + 1, t) = 1
-                    u[k + 3] += np.multiply(co[slot], u[i], out=term[1])
-            delta = np.array(_cross_deltas(u, None, depths))
-        else:
-            # u[k] holds u_a(k) and u_b(k) of every point, each u(k + 2) summed
-            # in place onto +0, term by term, as _delta_recurrence sums onto
-            # a = b = 0.0
-            u = np.zeros((width + 2, 2, points))
-            u[0, 0] = u[1, 1] = 1.0
-            term, part = np.empty((2, points)), np.empty((2, points))
-            for k, level in enumerate(levels):
-                acc = u[k + 2]
-                for c, j, l, s in level:
-                    if l is None:
-                        np.multiply(co[s], u[j], out=term)
-                    else:
-                        np.multiply(co[l], u[j + 1], out=term)
-                        if s is not None:
-                            term += np.multiply(co[s], u[j], out=part)
-                    if c != 1.0:
-                        term *= c
-                    acc += term
-            delta = np.array(_cross_deltas(u[:, 0], u[:, 1], depths))
+        # u[k] holds u(k) of every point, u_a and u_b or v alone, and rows[k]
+        # reads it, a (points,) row for v; each u(k + 2) is summed in place
+        # onto +0, term by term, as _delta_recurrence sums onto 0.0
+        u = np.zeros((width + 2, 1 if symmetric else 2, points))
+        u[0, 0] = u[1, -1] = 1.0
+        rows = u[:, 0] if symmetric else u
+        term, part = np.empty(rows.shape[1:]), np.empty(rows.shape[1:])
+        for k, level in enumerate(levels):
+            acc = rows[k + 2]
+            for c, i, slot, other in level:
+                np.multiply(co[slot], rows[i], out=term)
+                if other is not None:
+                    term += np.multiply(co[other], rows[i - 1], out=part)
+                if c != 1.0:
+                    term *= c
+                acc += term
+        delta = np.array(_cross_deltas(u[:, 0], None if symmetric else u[:, 1], depths))
     if not np.isfinite(delta).all():
         raise Overflow("termination quantity overflows double range")
     return delta

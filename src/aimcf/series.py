@@ -110,11 +110,14 @@ class TaylorSeries:
 
     @staticmethod
     def constant(value: float, center: float, order: int) -> "TaylorSeries":
+        """The series of f(x) = ``value`` about ``center``."""
+        _require_leaf(order, (value, "constant value"), (center, "series center"))
         return TaylorSeries(center, _bind(Const(value), center, order))
 
     @staticmethod
     def identity(center: float, order: int) -> "TaylorSeries":
         """The series of f(x) = x about ``center``."""
+        _require_leaf(order, (center, "series center"))
         return TaylorSeries(center, _bind(VarX(), center, order))
 
     # ------------------------------------------------------------------
@@ -155,6 +158,25 @@ class TaylorSeries:
 
     def exp(self):
         return series_exp(self)
+
+
+def _require_order(order) -> None:
+    """Raise :class:`ValidationError` unless ``order`` is an integer >= 0, by
+    the real-number rule of :func:`~aimcf.errors.require_number`."""
+    require_number(order, "series order", integer=True)
+    if order < 0:
+        raise ValidationError("series order must be >= 0")
+
+
+def _require_leaf(order, *values) -> None:
+    """The entry rule of the leaf constructors: ``order`` by
+    :func:`_require_order`, each ``(value, label)`` of ``values`` a real number.
+    A Python float passes here; the leaf of :func:`_bind` and the constructor
+    check that it is finite."""
+    _require_order(order)
+    for value, label in values:
+        if not isinstance(value, float):
+            require_number(value, label)
 
 
 def _operate(kernel, series: TaylorSeries, other, reflected: bool = False):
@@ -434,15 +456,14 @@ def series_from_expr(
     ``x`` becomes the identity series, the parameter the constant
     ``param_value``: the expression is bound by :func:`_bind` and, if it has
     the parameter, evaluated at that one value, a record by its constant term.
-    A negative ``order``, a ``center`` and, if the expression has the
-    parameter, a ``param_value`` that is not a finite real raise
-    :class:`ValidationError`.
+    An ``order`` that is not an integer >= 0, a ``center`` and, if the
+    expression has the parameter, a ``param_value`` that is not a finite real
+    raise :class:`ValidationError`.
     A division by a series without a usable constant term raises
     :class:`SingularPivot`, a coefficient past double range :class:`Overflow`,
     and a tree too deep to walk recursively :class:`ParseOrEvalError`.
     """
-    if order < 0:
-        raise ValidationError("series order must be >= 0")
+    _require_order(order)
     require_number(center, "series center")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -493,14 +514,13 @@ def _bind(e: Expression, center: float, order: int):
     double range raises :class:`Overflow`.  An operation that fails on
     parameter-free operands stays unbound, so every call raises it again, in
     tree order; where several rows fail, only a one-value call is sure to raise
-    the walk's error.  The caller checks the values, binds and calls under
-    ``np.errstate(over="ignore", invalid="ignore")`` and turns a
-    ``RecursionError`` into :class:`ParseOrEvalError`.
+    the walk's error.  The caller checks ``order`` (an integer >= 0) and the
+    values, binds and calls under ``np.errstate(over="ignore",
+    invalid="ignore")`` and turns a ``RecursionError`` into
+    :class:`ParseOrEvalError`; a leaf checks only that it is finite.
     """
     if isinstance(e, (Const, VarX)):
         # read-only; TaylorSeries.constant and .identity copy these leaves
-        if order < 0:
-            raise ValidationError("series order must be >= 0")
         leaf = np.zeros(order + 1)
         if isinstance(e, Const):
             leaf[0] = e.value

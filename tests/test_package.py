@@ -170,6 +170,45 @@ def test_one_function_builds_the_term_plan():
     assert readers == {name: {("aim", "_evaluator")} for name in readers}
 
 
+def test_one_term_shape_and_one_scan_loop():
+    """Both routes share one term shape and the batched kernel one loop:
+    ``aim._scan_deltas`` holds exactly one loop that is not nested in another,
+    over the plan's levels, and every term ``aim._plan`` emits is ``(C(k, t),
+    i, slot, other)``, at a symmetric centre (L odd and S even) and off it,
+    with ``other`` set only where an order takes both L^(t) and S^(t)."""
+    from aimcf import aim
+
+    scan = next(
+        node
+        for _, tree in _module_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_scan_deltas"
+    )
+    nested = {
+        inner for node in ast.walk(scan) if isinstance(node, ast.For)
+        for body in node.body for inner in ast.walk(body) if isinstance(inner, ast.For)
+    }
+    outer = [node for node in ast.walk(scan) if isinstance(node, ast.For) and node not in nested]
+    assert len(outer) == 1
+    assert "levels" in {n.id for n in ast.walk(outer[0].iter) if isinstance(n, ast.Name)}
+
+    binom = aim._tables(6)[0]
+    for terms, symmetric in (
+        (((0, False, True), (1, True, False), (3, True, False)), True),
+        (((0, True, True), (1, True, False), (2, False, True)), False),
+    ):
+        found, levels = aim._plan(binom, terms)
+        assert found is symmetric
+        shapes = {len(term) for level in levels for term in level}
+        assert shapes == {4}, (symmetric, shapes)
+        both = {t for t, l, s in terms if l and s}
+        for k, level in enumerate(levels):
+            for (t, l, _), (c, i, slot, other) in zip(terms, level):
+                want = (binom[k][t], k + 1 - t, t) if l else (binom[k][t], k - t, 6 + t)
+                assert (c, i, slot) == want, (symmetric, k, t)
+                assert other == (6 + t if t in both else None)
+
+
 def test_every_problem_spec_field_has_a_reader():
     """A field that no code reads is a setting with no effect: each field of
     ``ProblemSpec`` is read as an attribute somewhere in ``src/`` outside the

@@ -634,9 +634,11 @@ def test_public_constructor_rejects_bad_input(center, coeffs):
         TaylorSeries(center, np.array(coeffs, dtype=float))
 
 
-# the centre of a series and the parameter value of an expression pass the
-# package's one real-number rule (a string raised a bare TypeError or
-# ValueError); the parameter value is read only where the expression has it
+# the centre of a series, the parameter value of an expression, the series
+# order and the leaf constructors' values pass the package's one real-number
+# rule (a string raised a bare TypeError or ValueError, a float order a bare
+# TypeError, and a boolean order built an order-1 series); the parameter value
+# is read only where the expression has it
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -654,8 +656,37 @@ def test_public_constructor_rejects_bad_input(center, coeffs):
             lambda: series_from_expr(parse_expression("x - E"), math.inf, 0.0, 5),
             "parameter value must be finite, got inf",
         ),
+        (lambda: TaylorSeries.identity("a", 3), "series center must be a real number, got 'a'"),
+        (
+            lambda: TaylorSeries.constant("a", 0.0, 3),
+            "constant value must be a real number, got 'a'",
+        ),
+        (lambda: TaylorSeries.identity(0.0, "a"), "series order must be an integer, got 'a'"),
+        (lambda: TaylorSeries.identity(0.0, 2.5), "series order must be an integer, got 2.5"),
+        (lambda: TaylorSeries.identity(0.0, True), "series order must be an integer, got True"),
+        (
+            lambda: TaylorSeries.constant(1.0, 0.0, "a"),
+            "series order must be an integer, got 'a'",
+        ),
+        (
+            lambda: series_from_expr(parse_expression("x - E"), 1.0, 0.0, "a"),
+            "series order must be an integer, got 'a'",
+        ),
+        (
+            lambda: series_from_expr(parse_expression("x - E"), 1.0, 0.0, 2.5),
+            "series order must be an integer, got 2.5",
+        ),
+        (
+            lambda: series_from_expr(parse_expression("x - E"), 1.0, 0.0, True),
+            "series order must be an integer, got True",
+        ),
     ],
-    ids=["series-center", "bool-center", "expr-center", "expr-value", "expr-inf-value"],
+    ids=[
+        "series-center", "bool-center", "expr-center", "expr-value", "expr-inf-value",
+        "identity-center", "constant-value", "identity-order", "identity-float-order",
+        "identity-bool-order", "constant-order", "expr-order", "expr-float-order",
+        "expr-bool-order",
+    ],
 )
 def test_entry_points_apply_the_real_number_rule(make, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
