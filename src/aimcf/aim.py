@@ -20,12 +20,13 @@ vanishes at the eigenvalues of problems whose ladder terminates.
   :func:`_scan_deltas` is its batched twin for a grid, and
   :func:`_cross_deltas` the one delta formula of both and of the ladder.
   Both run a term plan of :func:`_plan`, which lists the terms of each
-  level in one shape on every route and decides the symmetric route once
-  per term structure.
+  level in one shape on every route, forms only the binomials it lists and
+  decides the symmetric route once per term structure; the factorial scale
+  of the derivatives comes from :func:`_tables`.
 * :func:`find_eigenvalues` scans delta[n] over a parameter grid, refines
   each sign change by :func:`_locate` and rechecks each root at depth
-  n + 2; :func:`_evaluator` binds the inputs of a search and builds its
-  term plans once.
+  n + 2; :func:`_evaluator` binds the inputs of a search and builds each
+  of its term plans once, in a memo that ends with the search.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import operator
-import sys
 import warnings
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -54,6 +53,7 @@ from .errors import (
     ParseOrEvalError,
     SingularPivot,
     ValidationError,
+    require_array_size,
     require_number,
 )
 from .series import (
@@ -69,14 +69,6 @@ from .series import (
     parse_expression,
     series_from_expr,
 )
-
-
-def require_array_size(size: int, name: str) -> None:
-    """Raise :class:`ValidationError` where numpy cannot describe a float64
-    array of ``size`` entries (8 * size > ``sys.maxsize``), which it refuses
-    with a ValueError."""
-    if 8 * size > sys.maxsize:
-        raise ValidationError(f"{name} is too large for a numpy array")
 
 
 @dataclass(frozen=True)
@@ -284,50 +276,53 @@ def _rounded(n: int) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def _tables(width: int) -> tuple[list[tuple[float, ...]], np.ndarray, np.ndarray]:
-    """Binomial rows C(k, 0..k) for k < width, and t! for t < width as a
-    correctly rounded mantissa times an exact power of two.
+def _tables(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """t! for t < width as a correctly rounded mantissa times an exact power of two.
 
-    Both come from exact integers, Pascal's rule and a running product, and
-    are built on first use for each width, so nothing is computed at import.
+    It comes from the exact integers of a running product and is built on
+    first use for each width, so nothing is computed at import.
     """
-    binom, mant, exp = [], [], []
-    row, fact = [1], 1
-    for k in range(width):
-        if k:
-            row = [1, *map(operator.add, row, row[1:]), 1]
-            fact *= k
-        binom.append(tuple(map(_rounded, row)))
+    mant, exp = [], []
+    fact = 1
+    for t in range(width):
+        fact *= t or 1
         e = max(fact.bit_length() - 53, 0)
         mant.append(fact / (1 << e))  # int division rounds correctly
         exp.append(e)
-    return binom, np.array(mant), np.array(exp)
+    return np.array(mant), np.array(exp)
 
 
-def _plan(binom: list[tuple[float, ...]], terms: tuple[tuple[int, bool, bool], ...]) -> tuple:
+def _plan(width: int, terms: tuple[tuple[int, bool, bool], ...]) -> tuple:
     """The term plan of both delta kernels for one term structure: ``(symmetric, levels)``.
 
     ``terms`` holds ``(t, l, s)`` in ascending t for each order t that the sum
     of :func:`_delta_recurrence` runs over, with ``l`` and ``s`` saying whether
     it takes L^(t) and S^(t).  ``symmetric`` says whether the structure is a
     symmetric centre: no L^(t) at an even t and no S^(t) at an odd t; this is
-    the one place that decides it.  ``levels[k]``, for each k below the width
-    of ``binom``, lists the terms t <= k of u(k + 2) in ascending t as
-    ``(C(k, t), i, slot, other)``, Python floats and ints, on every route.  The
-    term is ``co[slot] u(i)``, plus ``co[other] u(i - 1)`` where ``other`` is
-    not None, in the kernels' coefficient list ``co``: L^(t) at slot t reads
-    i = k + 1 - t, S^(t) at slot ``width + t`` reads i = k - t, and where both
-    are taken, which a symmetric centre never does, ``slot`` is L^(t)'s and
-    ``other`` S^(t)'s.
+    the one place that decides it.  ``levels[k]``, for each k < ``width``, lists
+    the terms t <= k of u(k + 2) in ascending t as ``(C(k, t), i, slot,
+    other)``, Python floats and ints, on every route.  The term is ``co[slot]
+    u(i)``, plus ``co[other] u(i - 1)`` where ``other`` is not None, in the
+    kernels' coefficient list ``co``: L^(t) at slot t reads i = k + 1 - t,
+    S^(t) at slot ``width + t`` reads i = k - t, and where both are taken,
+    which a symmetric centre never does, ``slot`` is L^(t)'s and ``other``
+    S^(t)'s.
+
+    The binomials are formed here alone, and only those the plan lists: down
+    the column of each listed t, the exact integer C(k + 1, t) = C(k, t) (k +
+    1) / (k + 1 - t), each correctly rounded to a double, or inf past double
+    range.  An update costs the length of C(k, t), so a dense plan (a rational
+    input) costs no more than Pascal's rule would.
     """
-    width = len(binom)
     symmetric = not any(s if t % 2 else l for t, l, s in terms)
-    levels = [[] for _ in binom]
+    levels = [[] for _ in range(width)]
     for t, l, s in terms:
         back, slot = (t - 1, t) if l else (t, width + t)
         other = width + t if l and s else None
+        c = 1  # C(k, t), exact
         for k in range(t, width):
-            levels[k].append((binom[k][t], k - back, slot, other))
+            levels[k].append((_rounded(c), k - back, slot, other))
+            c = c * (k + 1) // (k + 1 - t)
     return symmetric, levels
 
 
@@ -478,14 +473,15 @@ def _evaluator(spec: ProblemSpec, order: int) -> tuple[
     only one that varies.  Any other side is a row stack at each call.
 
     Both kernels run a term plan of :func:`_plan`, built here once per term
-    structure and kept in a dict that lives as long as the search.  Where no
-    side needs a row stack, the term structure is fixed but for order 0, which
-    the per-point kernel always takes: every order where a fixed derivative is
-    nonzero on either side, and order 0.  ``columns(values)`` gives the input
-    ``(plan, co, points)`` of :func:`_scan_deltas`, with every fixed derivative
-    a Python float and the others arrays of the values; it is None where
-    neither side has the parameter.  ``deltas_at(e, depths)`` gives delta[d]
-    at one value for d in ``depths`` (1..order) by :func:`_delta_recurrence`.
+    structure by a memo local to this call, so the plans of a search live as
+    long as the search.  Where no side needs a row stack, the term structure is
+    fixed but for order 0, which the per-point kernel always takes: every order
+    where a fixed derivative is nonzero on either side, and order 0.
+    ``columns(values)`` gives the input ``(plan, co, points)`` of
+    :func:`_scan_deltas`, with every fixed derivative a Python float and the
+    others arrays of the values; it is None where neither side has the
+    parameter.  ``deltas_at(e, depths)`` gives delta[d] at one value for d in
+    ``depths`` (1..order) by :func:`_delta_recurrence`.
 
     The caller checks that every value is finite and runs binding and calls
     under ``np.errstate(over="ignore", invalid="ignore")``, turning a
@@ -493,14 +489,8 @@ def _evaluator(spec: ProblemSpec, order: int) -> tuple[
     :func:`~aimcf.series.series_from_expr` does; ``spec`` has checked x0.
     """
     width = order + 1
-    binom, mant, exp = _tables(width)
-    plans: dict[tuple, tuple] = {}
-
-    def plan(terms: tuple) -> tuple:
-        found = plans.get(terms)
-        if found is None:
-            found = plans[terms] = _plan(binom, terms)
-        return found
+    mant, exp = _tables(width)
+    plan = functools.lru_cache(maxsize=None)(functools.partial(_plan, width))
 
     def derivatives(coeffs: np.ndarray) -> np.ndarray:
         return np.ldexp(mant * coeffs, exp)

@@ -29,7 +29,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from . import analysis
-from .aim import ProblemSpec, find_eigenvalues, require_array_size
+from .aim import ProblemSpec, find_eigenvalues
 from .cf import cf_approximants, cf_determinants, cf_equiv_unit, detect_termination, pq_iterate
 from .errors import (
     AimError,
@@ -37,6 +37,7 @@ from .errors import (
     DeterminantMismatchWarning,
     ParseOrEvalError,
     ValidationError,
+    require_array_size,
     require_number,
     require_reals,
 )

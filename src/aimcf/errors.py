@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the package, and its one real-number rule."""
+"""Exception and warning types shared across the package, its one real-number
+rule and its one array-size rule."""
 
 from __future__ import annotations
 
@@ -24,6 +25,14 @@ def require_number(value, label: str, integer: bool = False) -> None:
         raise ValidationError(f"{label} must be {kind}, got {value!r}")
     if not (integer or abs(value) <= sys.float_info.max):
         raise ValidationError(f"{label} must be finite, got {value!r}")
+
+
+def require_array_size(size: int, name: str) -> None:
+    """Raise :class:`ValidationError` where numpy cannot describe a float64
+    array of ``size`` entries (8 * size > ``sys.maxsize``), which it refuses
+    with a ValueError."""
+    if 8 * size > sys.maxsize:
+        raise ValidationError(f"{name} is too large for a numpy array")
 
 
 def require_reals(values, name: str) -> None:

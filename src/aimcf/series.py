@@ -45,6 +45,7 @@ from .errors import (
     ParseOrEvalError,
     SingularPivot,
     ValidationError,
+    require_array_size,
     require_number,
 )
 
@@ -161,11 +162,14 @@ class TaylorSeries:
 
 
 def _require_order(order) -> None:
-    """Raise :class:`ValidationError` unless ``order`` is an integer >= 0, by
-    the real-number rule of :func:`~aimcf.errors.require_number`."""
+    """Raise :class:`ValidationError` unless ``order`` is an integer >= 0 (the
+    real-number rule of :func:`~aimcf.errors.require_number`) whose ``order +
+    1`` coefficients numpy can hold (the size rule of
+    :func:`~aimcf.errors.require_array_size`)."""
     require_number(order, "series order", integer=True)
     if order < 0:
         raise ValidationError("series order must be >= 0")
+    require_array_size(order + 1, "series order")
 
 
 def _require_leaf(order, *values) -> None:

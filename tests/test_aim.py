@@ -1,7 +1,9 @@
 """Iteration ladder against a symbolic oracle and a reference ladder, spectrum checks."""
 
 import dataclasses
+import functools
 import math
+import random
 import re
 import sys
 import warnings
@@ -405,6 +407,20 @@ def test_scan_kernel_matches_per_point_kernel(lam_c, s_c, x0, energies, depth, n
                 ), e
 
 
+def _binomial_rows(width):
+    """C(k, 0..k) for k < width from ``math.comb``, each exact integer
+    correctly rounded to a double, or inf past double range: the reference
+    loops' own rows, formed apart from the term plans they check."""
+
+    def rounded(n):
+        try:
+            return float(n)
+        except OverflowError:
+            return math.inf
+
+    return [tuple(rounded(math.comb(k, t)) for t in range(k + 1)) for k in range(width)]
+
+
 def _two_solution_deltas(binom, dl, ds, depths, orders=None):
     """delta[d], d in ``depths``, by the fused loop that carries u_a and u_b
     side by side whatever the parity of L and S: the per-point kernel's
@@ -465,7 +481,7 @@ def test_symmetric_centre_kernels_match_two_solution_loop(lam_c, s_c, energies, 
         odd, even + " - E", "E", x0=0.0, order=depth + 2, n_max=depth
     )
     columns, deltas_at = aim._evaluator(spec, depth)
-    binom, row = aim._tables(depth + 1)[0], range(1, depth + 1)
+    binom, row = _binomial_rows(depth + 1), range(1, depth + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         want = [_two_solution_deltas(binom, *_columns_at(columns, e), row) for e in energies]
         if not np.isfinite(want).all():
@@ -485,7 +501,7 @@ def test_mixed_route_grid_matches_per_point_kernel():
         "2*x", "x^2 - E + (E - 3)*x", "E", x0=0.0, order=42, n_max=40
     )
     columns, deltas_at = aim._evaluator(spec, 40)
-    binom, row = aim._tables(41)[0], range(1, 41)
+    binom, row = _binomial_rows(41), range(1, 41)
     energies = [1.0, 3.0, 5.5]
     with np.errstate(over="ignore", invalid="ignore"):
         dl, ds = _columns_at(columns, 3.0)
@@ -528,7 +544,7 @@ def _reference_scan_deltas(dl, ds, depths):
     plan, its term structure worked out on every call.  The reference of
     ``aim._scan_deltas``."""
     width, points = dl.shape
-    binom = aim._tables(width)[0]
+    binom = _binomial_rows(width)
     dl_on, ds_on = dl.any(axis=1).tolist(), ds.any(axis=1).tolist()
     terms = [
         (t, dl[t] if dl_on[t] else None, ds[t] if ds_on[t] else None)
@@ -570,7 +586,7 @@ def _reference_inputs(spec, order, energies):
     each value, each from the series of that value alone; and the orders the
     per-point kernel ran over at each value, fixed but for order 0 where
     neither side needs a row stack, else the nonzero ones."""
-    binom, mant, exp = aim._tables(order + 1)
+    binom, (mant, exp) = _binomial_rows(order + 1), aim._tables(order + 1)
 
     def derivatives(coeffs):
         return np.ldexp(mant * coeffs, exp).tolist()
@@ -1629,20 +1645,25 @@ def test_roots_lie_within_tol_of_a_sign_change(problem, shift, tol):
         assert abs(r - _bisect(delta, lo, hi, tol)) <= tol
 
 
-def _gauge(lambda0, s0, f, df, d2f):
+def _gauge(lambda0, s0, f=None, df=None, d2f=None, log=None):
     """The gauge transform of ``y'' = L y' + S y`` by f, as parser text:
     L' = L + 2f'/f and S' = S + f''/f - 2(f'/f)^2 - L f'/f, from the text of
-    L, S, f, f' and f''.  If h solves the first equation, y = f h solves
-    ``y'' = L' y' + S' y``, so an f with no real zero keeps the spectrum."""
-    g = f"(({df})/({f}))"
-    return f"({lambda0}) + 2*{g}", f"({s0}) + ({d2f})/({f}) - 2*{g}^2 - ({lambda0})*{g}"
+    L, S, f, f' and f'', or of L, S and ``log``, the pair of texts f'/f and
+    f''/f (for f = exp(g), g' and g'' + g'^2).  If h solves the first
+    equation, y = f h solves ``y'' = L' y' + S' y``, so an f with no real zero
+    keeps the spectrum."""
+    if log is None:
+        g, h = f"(({df})/({f}))", f"({d2f})/({f})"
+    else:
+        g, h = (f"({text})" for text in log)
+    return f"({lambda0}) + 2*{g}", f"({s0}) + {h} - 2*{g}^2 - ({lambda0})*{g}"
 
 
-def _gauge_roots(f, df, d2f):
+def _gauge_roots(f=None, df=None, d2f=None, log=None):
     """Roots of the gauged oscillator at x0 = 0.3, depth 40 on 101 points over
     [0.37, 12.37], where the oscillator's levels are 2k + 1."""
     spec = ProblemSpec.from_strings(
-        *_gauge("2*x", "1 - E", f, df, d2f), "E", x0=0.3, order=42, n_max=40
+        *_gauge("2*x", "1 - E", f, df, d2f, log), "E", x0=0.3, order=42, n_max=40
     )
     return find_eigenvalues(spec, 0.37, 12.37, 101)
 
@@ -1667,3 +1688,152 @@ def test_gauge_by_one_plus_x_squared_keeps_the_oscillator_levels():
     roots = _gauge_roots("1 + x^2", "2*x", "2")
     assert len(roots) == len(OSCILLATOR_LEVELS)
     np.testing.assert_allclose([r.value for r in roots], OSCILLATOR_LEVELS, rtol=0, atol=1e-6)
+
+
+# f = exp(0.1 x^3) has no real zero either, so it keeps the levels 2k + 1; by
+# its logarithmic derivatives f'/f = 0.3 x^2 and f''/f = 0.6 x + 0.09 x^4 the
+# gauged inputs are the polynomials L = 2x + 0.6x^2 and S = 0.6x - 0.09x^4 -
+# 0.6x^3 + 1 - E
+EXP_GAUGE = ("0.3*x^2", "0.6*x + 0.09*x^4")
+
+
+def test_exponential_gauge_gives_the_stated_polynomials():
+    gauged = _gauge("2*x", "1 - E", log=EXP_GAUGE)
+    stated = ("2*x + 0.6*x^2", "0.6*x - 0.09*x^4 - 0.6*x^3 + 1 - E")
+    for got, want in zip(gauged, stated):
+        for e in (0.0, 3.0):
+            a, b = (series_from_expr(parse_expression(t), e, 0.3, 8).coeffs for t in (got, want))
+            np.testing.assert_allclose(a, b, rtol=1e-15, atol=1e-15)
+
+
+# at x0 = 0.3 the search returns no root and no warning (the FOUND line on the
+# oscillator gauged by exp(0.1 x^3) in CHANGES.md)
+@pytest.mark.xfail(strict=True, reason="FOUND: the delta route returns no root and no "
+                   "warning on the oscillator gauged by exp(0.1 x^3) at x0 = 0.3")
+def test_gauge_by_exponential_keeps_the_oscillator_levels():
+    roots = _gauge_roots(log=EXP_GAUGE)
+    assert len(roots) == len(OSCILLATOR_LEVELS)
+    np.testing.assert_allclose([r.value for r in roots], OSCILLATOR_LEVELS, rtol=0, atol=1e-6)
+
+
+# ----------------------------------------------------------------------
+# an independent spectral reference over a seeded family of potentials
+
+
+def _spectral_levels(coeffs, n, omega):
+    """Eigenvalues of -psi'' + V psi, V = sum of coeffs[k] x^k, in the first n
+    harmonic-oscillator functions of frequency omega, ascending.  With the
+    ladder operator a, X = (a + a^T)/sqrt(2 omega) and P^2 = -(omega/2)(a -
+    a^T)^2; V(X) is built on a basis padded by deg V, so that its leading n x n
+    block is exact, and the truncated matrix goes to ``numpy.linalg.eigvalsh``.
+    It shares no code with the library."""
+    m = n + len(coeffs) - 1
+    a = np.diag(np.sqrt(np.arange(1.0, m)), 1)
+    x = (a + a.T) / math.sqrt(2.0 * omega)
+    h, power = -(omega / 2.0) * (a - a.T) @ (a - a.T), np.eye(m)
+    for c in coeffs:
+        h += c * power
+        power = power @ x
+    return np.linalg.eigvalsh(h[:n, :n])
+
+
+# lowest levels of -psi'' + x^4 psi = E psi (Hioe & Montroll, J. Math. Phys.
+# 16 (1975) 1945), as the benchmark's solve-quartic checks them
+HIOE_MONTROLL_QUARTIC = (1.0603620904841829, 3.7996730298013941, 7.4556979379867383,
+                         11.644745511378162)
+
+
+@pytest.mark.parametrize("n, omega", [(300, 3.0), (500, 4.0)])
+def test_spectral_reference_matches_hioe_montroll(n, omega):
+    levels = _spectral_levels([0.0, 0.0, 0.0, 0.0, 1.0], n, omega)
+    np.testing.assert_allclose(levels[:4], HIOE_MONTROLL_QUARTIC, rtol=0, atol=1e-11)
+
+
+# The family V = c2 x^2 + c3 x^3 + c4 x^4 + c6 x^6, c4 > 0 or c6 > 0, in the AIM
+# form psi = exp(-beta x^2 / 2) y: L = 2 beta x, S = V - beta^2 x^2 + beta - E
+# (beta = 3 and V = x^4 is the benchmark's quartic).  Seed 5 draws 12 problems,
+# searched with beta = 2 at x0 = 0, depth 40, on 101 points over [0.3, 12.3]
+FAMILY_SEED, FAMILY_SIZE, FAMILY_BETA = 5, 12, 2.0
+FAMILY_RANGE = (0.3, 12.3)
+
+
+def _potential_family(seed=FAMILY_SEED, count=FAMILY_SIZE):
+    """``count`` coefficient lists ``[0, 0, c2, c3, c4, 0, c6]`` drawn from
+    ``seed``: c2 in [-1, 2] and c3 in [-0.5, 0.5]; then, at even odds, a
+    quartic (c4 in [0.2, 1.5], c6 = 0) or a sextic (c4 in [-0.2, 1], c6 in
+    [0.05, 0.3]); each rounded to three decimals."""
+    rng, family = random.Random(seed), []
+    for _ in range(count):
+        c2, c3 = round(rng.uniform(-1.0, 2.0), 3), round(rng.uniform(-0.5, 0.5), 3)
+        if rng.random() < 0.5:
+            c4, c6 = round(rng.uniform(0.2, 1.5), 3), 0.0
+        else:
+            c4, c6 = round(rng.uniform(-0.2, 1.0), 3), round(rng.uniform(0.05, 0.3), 3)
+        family.append([0.0, 0.0, c2, c3, c4, 0.0, c6])
+    return family
+
+
+def _family_spec(coeffs, beta=FAMILY_BETA, n_max=40):
+    v = " + ".join(f"({c!r})*x^{k}" for k, c in enumerate(coeffs) if c)
+    return ProblemSpec.from_strings(
+        f"{2 * beta!r}*x", f"{v} - {beta * beta!r}*x^2 + {beta!r} - E", "E",
+        x0=0.0, order=n_max + 2, n_max=n_max,
+    )
+
+
+@functools.cache
+def _family_outcomes():
+    """Per drawn problem: the reference levels of two bases, and the roots
+    ``find_eigenvalues`` returns over FAMILY_RANGE."""
+    outcomes = []
+    for coeffs in _potential_family():
+        bases = [_spectral_levels(coeffs, n, omega) for n, omega in ((300, 3.0), (500, 4.0))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AimWarning)
+            roots = find_eigenvalues(_family_spec(coeffs), *FAMILY_RANGE, 101)
+        outcomes.append((coeffs, bases, roots))
+    return tuple(outcomes)
+
+
+def test_potential_family_is_fixed_by_its_seed():
+    family = _potential_family()
+    assert family == _potential_family() and len(family) == FAMILY_SIZE
+    assert all(c[4] > 0.0 or c[6] > 0.0 for c in family)
+    # beta = 3 and V = x^4 is the benchmark's quartic
+    quartic = _family_spec([0.0, 0.0, 0.0, 0.0, 1.0], beta=3.0)
+    roots = find_eigenvalues(quartic, *FAMILY_RANGE, 101)
+    np.testing.assert_allclose([r.value for r in roots], HIOE_MONTROLL_QUARTIC, rtol=0, atol=1e-4)
+
+
+def test_spectral_reference_bases_agree_on_the_family():
+    for coeffs, (small, large), _ in _family_outcomes():
+        top = int(np.searchsorted(small, FAMILY_RANGE[1])) + 1
+        np.testing.assert_allclose(small[:top], large[:top], rtol=0, atol=1e-9, err_msg=str(coeffs))
+
+
+FAMILY_FOUND = ("FOUND: on the seeded potential family the delta route reports roots "
+                "whose error exceeds their residual, and a spurious root on problem 10")
+
+
+# problem 10 (a double well, V = -0.805 x^2 - 0.199 x^3 - 0.196 x^4 + 0.219
+# x^6) gives 4 roots where 3 levels lie in range, the last 2.06 from any level
+# (the FOUND line on the seeded potential family in CHANGES.md)
+@pytest.mark.parametrize("index", [
+    pytest.param(i, marks=pytest.mark.xfail(strict=True, reason=FAMILY_FOUND)) if i == 10 else i
+    for i in range(FAMILY_SIZE)
+])
+def test_search_finds_the_reference_count_on_the_family(index):
+    coeffs, (levels, _), roots = _family_outcomes()[index]
+    lo, hi = FAMILY_RANGE
+    assert len(roots) == int(((levels >= lo) & (levels <= hi)).sum()), coeffs
+
+
+# a residual is the distance to the root re-located at depth n + 2; as an
+# error estimate it falls short of the true error at 18 of the 45 roots, on 8
+# of the 12 problems, up to 37 times (the same FOUND line): the measured gate
+# of a depth trail
+@pytest.mark.xfail(strict=True, reason=FAMILY_FOUND)
+def test_search_residual_bounds_the_error_on_the_family():
+    for coeffs, (levels, _), roots in _family_outcomes():
+        for root in roots:
+            assert np.min(np.abs(levels - root.value)) <= root.residual, (coeffs, root)

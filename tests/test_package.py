@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import math
 import pkgutil
 import re
 from pathlib import Path
@@ -144,9 +145,9 @@ def test_one_function_builds_the_term_plan():
     the one function in ``aim`` that tests the parity of a term order, which
     decides the symmetric route, beside ``_cross_deltas``, whose parity is that
     of a depth, the sign pattern of the one-solution delta formula.  Only
-    ``aim._evaluator`` calls ``_plan`` or reads the binomial rows of
-    ``_tables``, so neither kernel carries a symmetric test or works the term
-    structure out on its own."""
+    ``aim._evaluator`` names ``_plan`` or ``_tables``, the factorial scale of
+    the derivatives, so neither kernel carries a symmetric test or works the
+    term structure out on its own."""
     parity, readers = set(), {"_plan": set(), "_tables": set()}
 
     def visit(node, module, function):
@@ -168,6 +169,45 @@ def test_one_function_builds_the_term_plan():
         visit(tree, name, None)
     assert parity == {"_plan", "_cross_deltas"}
     assert readers == {name: {("aim", "_evaluator")} for name in readers}
+
+
+def test_term_plans_form_only_the_binomials_they_list():
+    """``aim._plan`` forms the binomials of a plan itself, and only those it
+    lists: ``aim._tables`` returns only the factorial scale, a mantissa and a
+    power of two per order, so no Pascal rows are built beside the plans;
+    down columns that run past double range, each C(k, t) of a plan is the
+    exact ``math.comb`` correctly rounded, inf where that overflows; and
+    ``aim._evaluator`` keeps the plans of a search in a memo of ``_plan``,
+    building no dict of its own."""
+    from aimcf import aim
+
+    mant, exp = aim._tables(6)
+    assert np.ldexp(mant, exp).tolist() == [1.0, 1.0, 2.0, 6.0, 24.0, 120.0]
+
+    def rounded(n):
+        try:
+            return float(n)
+        except OverflowError:
+            return math.inf
+
+    width, orders = 1100, (0, 1, 7, 500, 549, 1099)
+    levels = aim._plan(width, tuple((t, True, False) for t in orders))[1]
+    for k, level in enumerate(levels):
+        assert [c for c, *_ in level] == [rounded(math.comb(k, t)) for t in orders if t <= k], k
+    assert math.inf in {c for level in levels for c, *_ in level}
+
+    evaluator = next(
+        node
+        for name, tree in _module_trees() if name == "aim"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_evaluator"
+    )
+    built = [
+        node for node in ast.walk(evaluator)
+        if isinstance(node, (ast.Dict, ast.DictComp))
+        or (isinstance(node, ast.Name) and node.id == "dict")
+    ]
+    assert built == []
 
 
 def test_one_term_shape_and_one_scan_loop():
@@ -192,19 +232,19 @@ def test_one_term_shape_and_one_scan_loop():
     assert len(outer) == 1
     assert "levels" in {n.id for n in ast.walk(outer[0].iter) if isinstance(n, ast.Name)}
 
-    binom = aim._tables(6)[0]
     for terms, symmetric in (
         (((0, False, True), (1, True, False), (3, True, False)), True),
         (((0, True, True), (1, True, False), (2, False, True)), False),
     ):
-        found, levels = aim._plan(binom, terms)
+        found, levels = aim._plan(6, terms)
         assert found is symmetric
         shapes = {len(term) for level in levels for term in level}
         assert shapes == {4}, (symmetric, shapes)
         both = {t for t, l, s in terms if l and s}
         for k, level in enumerate(levels):
             for (t, l, _), (c, i, slot, other) in zip(terms, level):
-                want = (binom[k][t], k + 1 - t, t) if l else (binom[k][t], k - t, 6 + t)
+                c = float(math.comb(k, t))
+                want = (c, k + 1 - t, t) if l else (c, k - t, 6 + t)
                 assert (c, i, slot) == want, (symmetric, k, t)
                 assert other == (6 + t if t in both else None)
 

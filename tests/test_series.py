@@ -140,7 +140,7 @@ def _search_columns(expr, center, order):
     coefficient array in the evaluator's arithmetic."""
     spec = ProblemSpec(Param(), expr, center, order + 3, 1)
     columns = aim._evaluator(spec, order)[0]
-    _, mant, exp = aim._tables(order + 1)
+    mant, exp = aim._tables(order + 1)
 
     def column(values):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -680,12 +680,23 @@ def test_public_constructor_rejects_bad_input(center, coeffs):
             lambda: series_from_expr(parse_expression("x - E"), 1.0, 0.0, True),
             "series order must be an integer, got True",
         ),
+        # orders whose order + 1 coefficients numpy refuses before allocating
+        *(
+            (make, "series order is too large for a numpy array")
+            for order in (2**62, 10**30)
+            for make in (
+                lambda order=order: TaylorSeries.identity(0.0, order),
+                lambda order=order: TaylorSeries.constant(1.0, 0.0, order),
+                lambda order=order: series_from_expr(parse_expression("x"), 1.0, 0.0, order),
+            )
+        ),
     ],
     ids=[
         "series-center", "bool-center", "expr-center", "expr-value", "expr-inf-value",
         "identity-center", "constant-value", "identity-order", "identity-float-order",
         "identity-bool-order", "constant-order", "expr-order", "expr-float-order",
-        "expr-bool-order",
+        "expr-bool-order", "identity-huge-order", "constant-huge-order", "expr-huge-order",
+        "identity-vast-order", "constant-vast-order", "expr-vast-order",
     ],
 )
 def test_entry_points_apply_the_real_number_rule(make, message):
