@@ -208,6 +208,7 @@ def aim_iterate(spec: ProblemSpec, param_value: float) -> AIMSequences:
 
 def delta_n(seqs: AIMSequences, n: int) -> float:
     """Termination quantity at depth n (1-based)."""
+    require_number(n, "delta index", integer=True)
     if not 1 <= n <= seqs.depth:
         raise IndexOutOfRange(f"delta index {n} outside 1..{seqs.depth}")
     return float(seqs.delta[n - 1])
@@ -215,6 +216,7 @@ def delta_n(seqs: AIMSequences, n: int) -> float:
 
 def alpha_at(seqs: AIMSequences, n: int) -> float:
     """Ratio s[n](x0) / lam[n](x0); raises if the denominator vanishes."""
+    require_number(n, "alpha index", integer=True)
     if not 0 <= n <= seqs.depth:
         raise IndexOutOfRange(f"alpha index {n} outside 0..{seqs.depth}")
     denom = seqs.lam[n].at_center
@@ -239,6 +241,7 @@ def aim_matrix_iterate(spec: ProblemSpec, param_value: float, m_max: int) -> np.
     problem order.
     """
     n_max = spec.n_max
+    require_number(m_max, "m_max", integer=True)
     if m_max < 0:
         raise ValidationError("m_max must be non-negative")
     if m_max + n_max > spec.order:

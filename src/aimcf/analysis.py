@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cf import CFState, cf_approximants, dominant_probe, real_array, require_pq
+from .cf import CFState, cf_approximants, dominant_probe, require_pq
 from .errors import (
     DegenerateDenominator,
     HypothesisViolated,
@@ -30,6 +30,7 @@ from .errors import (
     ZeroDenominator,
     ZeroP,
     ZeroQ,
+    real_array,
     require_number,
     require_reals,
 )
@@ -465,13 +466,15 @@ def classify(
 
 def check_declared(declared: Optional[dict]) -> None:
     """Check a declaration of :func:`classify` without building it, so that
-    the build can fail only numerically; None passes.  ValidationError for
-    neither kind or both; a power law with a scale a or b missing or zero or
-    a value that is not a finite real; an expansion whose ``k_max`` is not an
-    integer in 1..64 or whose coefficients are not non-empty lists of finite
-    reals."""
+    the build can fail only numerically; None passes.  ValidationError for a
+    declaration that is no dict; for neither kind or both; a power law with a
+    scale a or b missing or zero or a value that is not a finite real; an
+    expansion whose ``k_max`` is not an integer in 1..64 or whose coefficients
+    are not non-empty lists of finite reals."""
     if declared is None:
         return
+    if not isinstance(declared, dict):
+        raise ValidationError(f"declared must be a dict, got {declared!r}")
     expansion = {"a_coeffs", "b_coeffs"} <= declared.keys()
     if _is_power_law(declared) == expansion:  # both kinds or neither
         raise ValidationError(
@@ -641,9 +644,8 @@ def _consistency(
 
 
 def _gbinom(z: complex, m: int) -> complex:
-    """Generalized binomial coefficient via falling factorials; exact for small m."""
-    if m < 0:
-        return 0.0
+    """Generalized binomial coefficient C(z, m) for an integer m >= 0, via
+    falling factorials; exact for small m."""
     out: complex = 1.0
     for i in range(m):
         out *= (z - i) / (i + 1)

@@ -41,6 +41,7 @@ from .errors import (
     ValidationError,
     ZeroDenominator,
     ZeroPartialNumerator,
+    real_array,
     require_number,
 )
 from .series import TaylorSeries, _check_pivot, _checked, _divide, _mul, series_div
@@ -160,6 +161,7 @@ def terminated_alpha(seqs: AIMSequences, level: int) -> TaylorSeries:
     so the finite fraction is S[level-1] / L[level-1], one series division;
     ``level == 0`` gives the zero series (S is identically zero, as is alpha).
     """
+    require_number(level, "termination level", integer=True)
     if not 0 <= level <= seqs.depth + 1:
         raise ValidationError(f"termination level {level} outside 0..{seqs.depth + 1}")
     if level == 0:
@@ -230,22 +232,12 @@ def _ldexp_safe(mant: float, e2: int) -> float:
 
 
 def require_pq(pvals, qvals) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh float arrays of ``pvals`` and ``qvals`` (:func:`real_array`);
+    """Fresh float arrays of ``pvals`` and ``qvals`` (:func:`~aimcf.errors.real_array`);
     :class:`ValidationError` unless they are non-empty 1-d and of one length."""
     p, q = real_array(pvals, "pvals"), real_array(qvals, "qvals")
     if p.shape != q.shape or p.ndim != 1 or p.size == 0:
         raise ValidationError("pvals and qvals must be equal-length 1-d sequences")
     return p, q
-
-
-def real_array(values, name: str) -> np.ndarray:
-    """``values`` as a fresh float array.  A float entry passes as it is, inf
-    and nan too; any other must pass :func:`~aimcf.errors.require_number`."""
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
-        for i, value in enumerate(np.array(values, dtype=object).ravel()):
-            if not isinstance(value, float):
-                require_number(value, f"'{name}[{i}]'")
-    return np.array(values, dtype=float)
 
 
 def cf_approximants(pvals, qvals) -> CFState:

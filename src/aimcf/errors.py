@@ -6,6 +6,8 @@ from __future__ import annotations
 import numbers
 import sys
 
+import numpy as np
+
 
 class AimError(Exception):
     """Base class for every error raised by this package."""
@@ -33,6 +35,17 @@ def require_array_size(size: int, name: str) -> None:
     with a ValueError."""
     if 8 * size > sys.maxsize:
         raise ValidationError(f"{name} is too large for a numpy array")
+
+
+def real_array(values, name: str) -> np.ndarray:
+    """``values`` as a fresh float array.  A float entry passes as it is, inf
+    and nan too; any other must pass :func:`require_number`, entry i named
+    ``'name[i]'`` in the flattened order."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        for i, value in enumerate(np.array(values, dtype=object).ravel()):
+            if not isinstance(value, float):
+                require_number(value, f"'{name}[{i}]'")
+    return np.array(values, dtype=float)
 
 
 def require_reals(values, name: str) -> None:

@@ -45,6 +45,7 @@ from .errors import (
     ParseOrEvalError,
     SingularPivot,
     ValidationError,
+    real_array,
     require_array_size,
     require_number,
 )
@@ -62,8 +63,9 @@ class TaylorSeries:
     """Immutable truncated Taylor expansion ``sum c[k] (x - center)^k``.
 
     The constructor copies ``coeffs`` and rejects a centre that is not a
-    finite real and empty, multi-dimensional or non-finite coefficients with
-    :class:`ValidationError`.
+    finite real and coefficients that are not reals
+    (:func:`~aimcf.errors.real_array`), empty, multi-dimensional or
+    non-finite with :class:`ValidationError`.
 
     Attributes:
         center: Expansion point x0.
@@ -75,7 +77,7 @@ class TaylorSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=float)
+        arr = real_array(self.coeffs, "coeffs")
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("coefficients must be a non-empty 1-d array")
         if not np.all(np.isfinite(arr)):
@@ -348,7 +350,9 @@ def series_diff(a: TaylorSeries) -> TaylorSeries:
 
 
 def series_antideriv(a: TaylorSeries, constant: float = 0.0) -> TaylorSeries:
-    """Antiderivative with value ``constant`` at the center; order grows by one."""
+    """Antiderivative with value ``constant``, a finite real, at the center;
+    order grows by one."""
+    require_number(constant, "antiderivative constant")
     out = np.empty(a.order + 2)
     out[0] = constant
     k = np.arange(1, a.order + 2, dtype=float)
@@ -630,27 +634,25 @@ def _power(base: np.ndarray, exponent: int) -> np.ndarray:
 # parser
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S)"
 )
+
+# the binary operators by level, loosest first; each level is left-associative
+_BINARY = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
 
 
 def _tokenize(text: str):
+    """``(kind, text, position)`` of each token of ``text``, then an end token;
+    whitespace separates tokens, and any other character outside the grammar
+    raises :class:`ParseOrEvalError` at its own position."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            # skip over whitespace-only tail
-            if text[pos:].strip() == "":
-                break
-            raise ParseOrEvalError(
-                f"unexpected character {text[pos]!r} at position {pos}"
-            )
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseOrEvalError(f"unexpected character {m[0]!r} at position {m.start()}")
+        tokens.append((m.lastgroup, m[0], m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -659,9 +661,6 @@ class _Parser:
     """Recursive-descent parser for the small coefficient grammar."""
 
     def __init__(self, text: str, param_name: str):
-        if not param_name.isidentifier() or param_name == "x":  # x is the variable
-            raise ValidationError(f"parameter {param_name!r} must be an identifier other than x")
-        self.text = text
         self.param_name = param_name
         self.tokens = _tokenize(text)
         self.i = 0
@@ -674,40 +673,23 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ParseOrEvalError(f"expected {op!r} at position {pos}")
-        return self.advance()
-
     def parse(self) -> Expression:
-        e = self.expr()
+        e = self.binary(0)
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseOrEvalError(f"unexpected token {val!r} at position {pos}")
         return e
 
-    def expr(self) -> Expression:
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if val == "+" else Sub(node, rhs)
-            else:
-                return node
-
-    def term(self) -> Expression:
-        node = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = Mul(node, rhs) if val == "*" else Div(node, rhs)
-            else:
-                return node
+    def binary(self, level: int) -> Expression:
+        """Operands joined by the operators of ``_BINARY[level]``, left to
+        right; an operand is the next level, or a factor past the last."""
+        tighter = level + 1 < len(_BINARY)
+        node = self.binary(level + 1) if tighter else self.factor()
+        while (tok := self.peek())[0] == "op" and tok[1] in _BINARY[level]:
+            self.advance()
+            rhs = self.binary(level + 1) if tighter else self.factor()
+            node = _BINARY[level][tok[1]](node, rhs)
+        return node
 
     def factor(self) -> Expression:
         kind, val, _ = self.peek()
@@ -719,20 +701,15 @@ class _Parser:
 
     def power(self) -> Expression:
         node = self.atom()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "^":
-                self.advance()
-                nkind, nval, npos = self.peek()
-                if nkind != "number" or not nval.isdigit():
-                    raise ParseOrEvalError(
-                        f"exponent must be a non-negative integer literal "
-                        f"at position {npos}"
-                    )
-                self.advance()
-                node = IntPow(node, int(nval))
-            else:
-                return node
+        while self.peek()[:2] == ("op", "^"):
+            self.advance()
+            kind, val, pos = self.advance()
+            if kind != "number" or not val.isdigit():
+                raise ParseOrEvalError(
+                    f"exponent must be a non-negative integer literal at position {pos}"
+                )
+            node = IntPow(node, int(val))
+        return node
 
     def atom(self) -> Expression:
         kind, val, pos = self.advance()
@@ -748,8 +725,10 @@ class _Parser:
                 f"(allowed: 'x', {self.param_name!r})"
             )
         if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
+            node = self.binary(0)
+            closing = self.advance()
+            if closing[:2] != ("op", ")"):
+                raise ParseOrEvalError(f"expected ')' at position {closing[2]}")
             return node
         shown = val if val else "end of input"
         raise ParseOrEvalError(f"unexpected token {shown!r} at position {pos}")
@@ -757,7 +736,13 @@ class _Parser:
 
 def parse_expression(text: str, param_name: str = "E") -> Expression:
     """Parse expression text over ``x`` and one named parameter into an AST, by
-    recursive descent over decimal literals, ``+ - * / ^`` and parentheses."""
+    recursive descent over decimal literals, ``+ - * / ^`` and parentheses.
+    A parameter name that is no identifier or is ``x``, the variable, and text
+    that is no string raise :class:`ValidationError`."""
+    if not (isinstance(param_name, str) and param_name.isidentifier()) or param_name == "x":
+        raise ValidationError(f"parameter {param_name!r} must be an identifier other than x")
+    if not isinstance(text, str):
+        raise ValidationError(f"expression text must be a string, got {text!r}")
     try:
         return _Parser(text, param_name).parse()
     except RecursionError as exc:

@@ -28,6 +28,7 @@ from aimcf.aim import (
     find_eigenvalues,
     require_array_size,
 )
+from aimcf.cf import cf_approximants, pq_iterate
 from aimcf.errors import (
     AimError,
     AimWarning,
@@ -126,6 +127,25 @@ def test_delta_index_bounds():
         delta_n(seqs, 0)
     with pytest.raises(IndexOutOfRange):
         delta_n(seqs, 5)
+    # alpha is read at depths 0..4; at x0 = 0 the oscillator's L(x0) = 0
+    with pytest.raises(SingularPivot):
+        alpha_at(seqs, 0)
+    for n in (-1, 5):
+        with pytest.raises(IndexOutOfRange):
+            alpha_at(seqs, n)
+
+
+# [DERIVED] the paper's identity A_n = S_n(x0), B_n = L_n(x0): alpha_at, the
+# ratio of the series ladder at x0, is the approximant C_n of the fraction
+# that pq_iterate builds from the same inputs (measured within 2.4e-15)
+@pytest.mark.parametrize("x0, energy", [(0.3, 7.25), (1.0, 3.3), (-0.7, 5.5)])
+def test_alpha_at_is_the_approximant(x0, energy):
+    spec = _ho_spec(x0=x0, order=80, n_max=40)
+    seqs = aim_iterate(spec, energy)
+    c = cf_approximants(*pq_iterate(spec, energy)[:2]).C
+    assert c.size == 41
+    for n, want in enumerate(c):
+        assert alpha_at(seqs, n) == pytest.approx(want, rel=1e-13, abs=0), n
 
 
 # [DERIVED] at E = 2k+1 the tail ratios coincide, so delta_n = 0 from n = k on
@@ -282,9 +302,9 @@ def _scan(spec, depth, energies):
         return _scan_deltas(*columns, range(1, depth + 1)).T
 
 
-def _exact_deltas(l0, s0):
-    """delta[1..depth] of the series ladder in exact rational arithmetic on
-    the given double input coefficients 0..depth."""
+def _exact_ladder(l0, s0):
+    """L_n(x0) and S_n(x0) for n = 0..depth of the series ladder in exact
+    rational arithmetic on the given double input coefficients 0..depth."""
     lam, s = [Fraction(c) for c in l0], [Fraction(c) for c in s0]
     nz_l = [(p, c) for p, c in enumerate(lam) if c]
     nz_s = [(p, c) for p, c in enumerate(s) if c]
@@ -299,7 +319,68 @@ def _exact_deltas(l0, s0):
         )
         lam_at.append(lam[0])
         s_at.append(s[0])
+    return lam_at, s_at
+
+
+def _exact_deltas(l0, s0):
+    """delta[1..depth] of :func:`_exact_ladder` on the same inputs."""
+    lam_at, s_at = _exact_ladder(l0, s0)
     return [lam_at[i + 1] * s_at[i] - lam_at[i] * s_at[i + 1] for i in range(len(l0) - 1)]
+
+
+def _exact_approximant_errors(spec, energy):
+    """Relative error of each approximant C_n of ``pq_iterate(spec, energy)``
+    against S_n(x0) / L_n(x0) of :func:`_exact_ladder` on the same double
+    input coefficients 0..n_max, the reference that ``diagnose``'s C column
+    reads (the paper's A_n = S_n(x0), B_n = L_n(x0))."""
+    l0, s0 = (series.coeffs[: spec.n_max + 1] for series in spec.series_pair(energy))
+    lam_at, s_at = _exact_ladder(l0, s0)
+    c = cf_approximants(*pq_iterate(spec, energy)[:2]).C
+    return [
+        float(abs(Fraction(got) - s_at[n] / lam_at[n]) / abs(s_at[n] / lam_at[n]))
+        for n, got in enumerate(c)
+    ]
+
+
+def _oscillator_draws(count, seed):
+    """``count`` seeded points (x0, E) with x0 = +-U[0.3, 2] and E = U[0.5, 11.5]."""
+    rng = random.Random(seed)
+    return [
+        (rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 2.0), rng.uniform(0.5, 11.5))
+        for _ in range(count)
+    ]
+
+
+# the draws were fixed before the first run; the worst error on them
+# measured 1.1e-15
+_C_DRAWS = _oscillator_draws(8, seed=5)
+
+
+# [DERIVED] on the oscillator every row of the C column lies within 1e-13 of
+# the exact ratio on the same double inputs
+@pytest.mark.parametrize("x0, energy", _C_DRAWS, ids=[f"draw{i}" for i, _ in enumerate(_C_DRAWS)])
+def test_approximants_match_the_exact_ladder_on_the_oscillator(x0, energy):
+    errors = _exact_approximant_errors(_ho_spec(x0=x0, order=80, n_max=40), energy)
+    assert len(errors) == 41
+    assert max(errors) <= 1e-13
+
+
+# on the quartic pq_iterate stops at levels 1, 4, 3, 1 and 2 (four poles and
+# one termination), although the exact L_n(x0) is nonzero through n = 40: the
+# C column has 2 to 5 rows where the exact ladder has 41 (the FOUND line on
+# the quartic's C column in CHANGES.md)
+@pytest.mark.parametrize(
+    "x0, energy", [(-0.7, 1.2), (1.3, 3.7), (-1.5, 1.0), (0.5, 3.0), (0.7, 7.25)]
+)
+@pytest.mark.xfail(strict=True, reason="FOUND: pq_iterate stops the quartic's fraction after "
+                   "1 to 4 levels where the exact ladder runs to n_max")
+def test_approximants_match_the_exact_ladder_on_the_quartic(x0, energy):
+    spec = ProblemSpec.from_strings(
+        "6*x", "x^4 - 9*x^2 + 3 - E", "E", x0=x0, order=80, n_max=40
+    )
+    errors = _exact_approximant_errors(spec, energy)
+    assert len(errors) == 41
+    assert max(errors) <= 1e-13
 
 
 def _cross_terms(l0, s0):

@@ -542,6 +542,23 @@ def test_classify_unit_limit_case():
     assert rep.consistency
 
 
+# ROADMAP item 14's gate: on the oscillator's own ladder C_n converges to the
+# recessive Hermite alpha (tests/test_cf.py), so a minimal solution exists,
+# yet classify reads case 1b with no minimal solution, as Miller's estimates
+# -C_N do not settle over depths 10..40 (the FOUND line on classify of the
+# oscillator's ladder in CHANGES.md)
+@pytest.mark.parametrize("x0, energy", [(0.3, 7.25), (0.5, 7.25), (1.5, 7.25), (-1.0, 3.3)])
+@pytest.mark.xfail(strict=True, reason="FOUND: classify reads case 1b with no minimal "
+                   "solution on the oscillator's ladder, whose C_n converge")
+def test_classify_finds_the_minimal_solution_of_the_oscillator_ladder(x0, energy):
+    spec = ProblemSpec.from_strings("2*x", "1 - E", "E", x0=x0, order=80, n_max=40)
+    pq = cf_module.pq_iterate(spec, energy)
+    assert pq.depth == 40
+    rep = classify(pq.p, pq.q)
+    assert rep.minimal_exists
+    assert rep.case_label is not CaseLabel.CASE_1B
+
+
 # the minimal ratio is read at the backward probe's level, not at Miller's
 # x_{-1}/x_{-2}, where a 1/n perturbation is largest: (p, q) from Miller are
 # (1.70708, 0.615054) against roots (1.70708, 0.292918) in the first case

@@ -320,6 +320,35 @@ def test_one_function_walks_the_expression_tree():
     assert walkers == {("series", "_bind")}
 
 
+def test_one_token_scan_and_one_operator_loop():
+    """Expression text is read by one token scan and one operator loop:
+    ``series._tokenize`` holds no ``while`` (one pass of the token pattern
+    names a character outside the grammar where it is), exactly one loop in
+    ``series._Parser`` reads the operator table ``_BINARY``, and ``_Parser``
+    defines no per-level ``expr`` or ``term``, no ``expect_op`` and no
+    ``text`` field."""
+    tree = next(tree for name, tree in _module_trees() if name == "series")
+    top = {
+        node.name: node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not [node for node in ast.walk(top["_tokenize"]) if isinstance(node, ast.While)]
+    parser = top["_Parser"]
+    methods = {node.name for node in parser.body if isinstance(node, ast.FunctionDef)}
+    assert not methods & {"expr", "term", "expect_op"}
+    stored = {
+        node.attr for node in ast.walk(parser)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    }
+    assert "text" not in stored
+    loops = [
+        loop for loop in ast.walk(parser)
+        if isinstance(loop, (ast.For, ast.While))
+        and any(isinstance(node, ast.Name) and node.id == "_BINARY" for node in ast.walk(loop))
+    ]
+    assert len(loops) == 1
+
+
 def test_only_analysis_names_the_declaration_keys():
     """``analysis`` owns the schema of a declaration: the keys of a declared
     power law or 1/n expansion are string constants there alone, so the CLI

@@ -14,7 +14,16 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from aimcf import aim
-from aimcf.aim import ProblemSpec, find_eigenvalues
+from aimcf.aim import (
+    ProblemSpec,
+    aim_iterate,
+    aim_matrix_iterate,
+    alpha_at,
+    delta_n,
+    find_eigenvalues,
+)
+from aimcf.analysis import classify
+from aimcf.cf import terminated_alpha
 from aimcf.errors import (
     AimError,
     CenterMismatch,
@@ -53,6 +62,12 @@ from aimcf.series import (
 
 def _series(center, coeffs):
     return TaylorSeries(center, np.asarray(coeffs, dtype=float))
+
+
+def _ho_entry():
+    """The oscillator at x0 = 0.3 to depth 4 and its ladder at E = 3.3."""
+    spec = ProblemSpec.from_strings("2*x", "1 - E", x0=0.3, order=12, n_max=4)
+    return spec, aim_iterate(spec, 3.3)
 
 
 coeff_lists = st.lists(
@@ -638,7 +653,11 @@ def test_public_constructor_rejects_bad_input(center, coeffs):
 # order and the leaf constructors' values pass the package's one real-number
 # rule (a string raised a bare TypeError or ValueError, a float order a bare
 # TypeError, and a boolean order built an order-1 series); the parameter value
-# is read only where the expression has it
+# is read only where the expression has it.  So do the constructor's
+# coefficients, an antiderivative's constant and the indices and counts of
+# the ladder's readers, and expression text, a parameter name and a
+# declaration are checked by type (each raised a bare TypeError, ValueError,
+# IndexError or AttributeError, or let a boolean or a string through)
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -690,6 +709,45 @@ def test_public_constructor_rejects_bad_input(center, coeffs):
                 lambda order=order: series_from_expr(parse_expression("x"), 1.0, 0.0, order),
             )
         ),
+        (lambda: parse_expression(5), "expression text must be a string, got 5"),
+        (lambda: ProblemSpec.from_strings(5, "1 - E"), "expression text must be a string, got 5"),
+        (lambda: parse_expression("x", 5), "parameter 5 must be an identifier other than x"),
+        (
+            lambda: ProblemSpec.from_strings("2*x", "1 - E", 5),
+            "parameter 5 must be an identifier other than x",
+        ),
+        (lambda: TaylorSeries(0.0, ["1", 2]), "'coeffs[0]' must be a real number, got '1'"),
+        (lambda: TaylorSeries(0.0, [True, 2]), "'coeffs[0]' must be a real number, got True"),
+        (
+            lambda: _series(0.0, [1.0]).antideriv("a"),
+            "antiderivative constant must be a real number, got 'a'",
+        ),
+        (
+            lambda: _series(0.0, [1.0]).antideriv(True),
+            "antiderivative constant must be a real number, got True",
+        ),
+        *(
+            (
+                lambda m=m: aim_matrix_iterate(_ho_entry()[0], 3.0, m),
+                f"m_max must be an integer, got {m!r}",
+            )
+            for m in (2.5, "a", True)
+        ),
+        (lambda: delta_n(_ho_entry()[1], 2.5), "delta index must be an integer, got 2.5"),
+        (lambda: delta_n(_ho_entry()[1], True), "delta index must be an integer, got True"),
+        (lambda: alpha_at(_ho_entry()[1], 1.5), "alpha index must be an integer, got 1.5"),
+        (
+            lambda: terminated_alpha(_ho_entry()[1], 1.5),
+            "termination level must be an integer, got 1.5",
+        ),
+        (
+            lambda: classify([2.0] * 40, [-1.0] * 40, declared="x"),
+            "declared must be a dict, got 'x'",
+        ),
+        (
+            lambda: classify([2.0] * 40, [-1.0] * 40, declared=[]),
+            "declared must be a dict, got []",
+        ),
     ],
     ids=[
         "series-center", "bool-center", "expr-center", "expr-value", "expr-inf-value",
@@ -697,6 +755,10 @@ def test_public_constructor_rejects_bad_input(center, coeffs):
         "identity-bool-order", "constant-order", "expr-order", "expr-float-order",
         "expr-bool-order", "identity-huge-order", "constant-huge-order", "expr-huge-order",
         "identity-vast-order", "constant-vast-order", "expr-vast-order",
+        "text", "spec-text", "param-name", "spec-param-name", "str-coeff", "bool-coeff",
+        "str-antideriv-constant", "bool-antideriv-constant", "float-m-max", "str-m-max",
+        "bool-m-max", "float-delta-index", "bool-delta-index", "float-alpha-index",
+        "float-termination-level", "str-declared", "list-declared",
     ],
 )
 def test_entry_points_apply_the_real_number_rule(make, message):
@@ -728,6 +790,25 @@ def test_parser_rejects_with_position(text):
     with pytest.raises(ParseOrEvalError) as err:
         parse_expression(text)
     assert "position" in str(err.value)
+
+
+# a character outside the grammar is named at its own position, also where
+# whitespace precedes it; whitespace alone, trailing too, separates tokens
+@pytest.mark.parametrize(
+    "text, char, pos", [("x$", "$", 1), ("x $", "$", 2), ("x + 2 @ 3", "@", 6)]
+)
+def test_tokenizer_names_the_character_outside_the_grammar(text, char, pos):
+    message = f"unexpected character {char!r} at position {pos}"
+    with pytest.raises(ParseOrEvalError, match=f"^{re.escape(message)}$"):
+        parse_expression(text)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [("x   ", VarX()), ("2*x\n", Mul(Const(2.0), VarX())), ("\t( x )\t", VarX())],
+)
+def test_parser_skips_whitespace_around_tokens(text, want):
+    assert parse_expression(text) == want
 
 
 def test_parser_accepts_scientific_notation():
