@@ -464,9 +464,10 @@ def classify(
     )
 
 
-def check_declared(declared: Optional[dict]) -> None:
+def check_declared(declared: Optional[dict]) -> Optional[str]:
     """Check a declaration of :func:`classify` without building it, so that
-    the build can fail only numerically; None passes.  ValidationError for a
+    the build can fail only numerically, and return its kind, ``"power law"``
+    or ``"1/n expansion"``; None passes as None.  ValidationError for a
     declaration that is no dict; for neither kind or both; a power law with a
     scale a or b missing or zero or a value that is not a finite real; an
     expansion whose ``k_max`` is not an integer in 1..64 or whose coefficients
@@ -488,7 +489,7 @@ def check_declared(declared: Optional[dict]) -> None:
             require_number(declared[key], f"declared {key}")
         if declared["a"] == 0 or declared["b"] == 0:
             raise ValidationError("declared power-law scales a and b must be nonzero")
-        return
+        return "power law"
     k_max = declared.get("k_max", _K_MAX)
     require_number(k_max, "declared k_max", integer=True)
     if k_max < 1:
@@ -499,6 +500,7 @@ def check_declared(declared: Optional[dict]) -> None:
         require_reals(declared[key], key)
     if not declared["a_coeffs"] or not declared["b_coeffs"]:
         raise ValidationError("a_coeffs and b_coeffs must be non-empty")
+    return "1/n expansion"
 
 
 def parse_declared(

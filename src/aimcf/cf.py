@@ -44,7 +44,7 @@ from .errors import (
     real_array,
     require_number,
 )
-from .series import TaylorSeries, _check_pivot, _checked, _divide, _mul, series_div
+from .series import TaylorSeries, _check_pivot, _checked, _divide, _mul, _result, series_div
 
 # _run rescales its newest pair, and the one before it, by a power of two
 # when the pair's larger magnitude leaves [1 / _BAND, _BAND]; inside the band
@@ -165,7 +165,7 @@ def terminated_alpha(seqs: AIMSequences, level: int) -> TaylorSeries:
     if not 0 <= level <= seqs.depth + 1:
         raise ValidationError(f"termination level {level} outside 0..{seqs.depth + 1}")
     if level == 0:
-        return TaylorSeries(seqs.s[0].center, np.zeros(seqs.s[0].order + 1))
+        return _result(seqs.s[0].center, np.zeros(seqs.s[0].order + 1))
     return series_div(seqs.s[level - 1], seqs.lam[level - 1])
 
 

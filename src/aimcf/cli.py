@@ -105,14 +105,16 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-# the classify block's keys that hold a declaration; it may hold at most one
-_DECLARATIONS = ("declared_power_law", "declared_ba_coeffs")
+# the classify block's keys that hold a declaration, each of the kind that
+# check_declared names; a block may hold at most one
+_DECLARATIONS = {"declared_power_law": "power law", "declared_ba_coeffs": "1/n expansion"}
 
 
 def _check_classify(block: Any) -> None:
     """Check the file shape of a classify block: raw sequences as a pair of
     lists of finite reals, and at most one declaration, an object that
-    :func:`~aimcf.analysis.check_declared` passes at load, under every command."""
+    :func:`~aimcf.analysis.check_declared` passes at load, under every command,
+    as the kind its key names."""
     _require(isinstance(block, dict), "'classify' must be an object")
     _require(
         ("pvals" in block) == ("qvals" in block),
@@ -125,10 +127,11 @@ def _check_classify(block: Any) -> None:
         not set(_DECLARATIONS) <= block.keys(),
         "declare either 'declared_power_law' or 'declared_ba_coeffs', not both",
     )
-    for name in _DECLARATIONS:
+    for name, kind in _DECLARATIONS.items():
         if name in block:
             _require(isinstance(block[name], dict), f"'{name}' must be an object")
-            analysis.check_declared(block[name])
+            found = analysis.check_declared(block[name])
+            _require(found == kind, f"'{name}' must hold a {kind}, got a {found}")
 
 
 def _load_problem(path: str) -> dict:

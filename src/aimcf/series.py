@@ -11,8 +11,9 @@ and never zero-pads.  Differentiation shortens a series by one order,
 antidifferentiation lengthens it by one.  All operations are pure: they
 return new series and never mutate their inputs.
 
-Validation happens where data enters (:class:`TaylorSeries`); results of
-arithmetic are checked only for overflow (:func:`_result`).
+Validation happens where data enters: the :class:`TaylorSeries` constructor
+checks arrays from callers, :func:`series_from_expr` expressions.  A series
+the library computes is checked only for overflow (:func:`_result`).
 
 The module also ships a small rational expression language used to
 describe the coefficient functions of an ODE: an AST (``Const``, ``VarX``,
@@ -62,10 +63,10 @@ _NEG_ZERO_BITS = np.float64(-0.0).view(np.int64)
 class TaylorSeries:
     """Immutable truncated Taylor expansion ``sum c[k] (x - center)^k``.
 
-    The constructor copies ``coeffs`` and rejects a centre that is not a
-    finite real and coefficients that are not reals
+    The constructor, for arrays from callers, copies ``coeffs`` and rejects a
+    centre that is not a finite real and coefficients that are not reals
     (:func:`~aimcf.errors.real_array`), empty, multi-dimensional or
-    non-finite with :class:`ValidationError`.
+    non-finite with :class:`ValidationError`; library results skip it.
 
     Attributes:
         center: Expansion point x0.
@@ -113,15 +114,15 @@ class TaylorSeries:
 
     @staticmethod
     def constant(value: float, center: float, order: int) -> "TaylorSeries":
-        """The series of f(x) = ``value`` about ``center``."""
-        _require_leaf(order, (value, "constant value"), (center, "series center"))
-        return TaylorSeries(center, _bind(Const(value), center, order))
+        """The series of f(x) = ``value`` about ``center``; :func:`series_from_expr`."""
+        if not isinstance(value, float):
+            require_number(value, "constant value")
+        return series_from_expr(Const(value), 0.0, center, order)
 
     @staticmethod
     def identity(center: float, order: int) -> "TaylorSeries":
-        """The series of f(x) = x about ``center``."""
-        _require_leaf(order, (center, "series center"))
-        return TaylorSeries(center, _bind(VarX(), center, order))
+        """The series of f(x) = x about ``center``; :func:`series_from_expr`."""
+        return series_from_expr(VarX(), 0.0, center, order)
 
     # ------------------------------------------------------------------
     # operator sugar; the module-level functions carry the real logic
@@ -174,23 +175,12 @@ def _require_order(order) -> None:
     require_array_size(order + 1, "series order")
 
 
-def _require_leaf(order, *values) -> None:
-    """The entry rule of the leaf constructors: ``order`` by
-    :func:`_require_order`, each ``(value, label)`` of ``values`` a real number.
-    A Python float passes here; the leaf of :func:`_bind` and the constructor
-    check that it is finite."""
-    _require_order(order)
-    for value, label in values:
-        if not isinstance(value, float):
-            require_number(value, label)
-
-
 def _operate(kernel, series: TaylorSeries, other, reflected: bool = False):
     """``kernel(series, other)``, or ``kernel(other, series)`` if ``reflected``,
     with a real number ``other`` taken as the constant series; NotImplemented
     for any other operand that is no series, so that Python raises TypeError."""
     if isinstance(other, (int, float)):
-        other = TaylorSeries.constant(float(other), series.center, series.order)
+        other = _result(series.center, _bind(Const(float(other)), series.center, series.order))
     elif not isinstance(other, TaylorSeries):
         return NotImplemented
     return kernel(other, series) if reflected else kernel(series, other)
@@ -357,7 +347,7 @@ def series_antideriv(a: TaylorSeries, constant: float = 0.0) -> TaylorSeries:
     out[0] = constant
     k = np.arange(1, a.order + 2, dtype=float)
     out[1:] = a.coeffs / k
-    return TaylorSeries(a.center, out)
+    return _result(a.center, out)
 
 
 def series_exp(a: TaylorSeries) -> TaylorSeries:
@@ -528,7 +518,7 @@ def _bind(e: Expression, center: float, order: int):
     :class:`ParseOrEvalError`; a leaf checks only that it is finite.
     """
     if isinstance(e, (Const, VarX)):
-        # read-only; TaylorSeries.constant and .identity copy these leaves
+        # read-only: series_from_expr and _operate wrap a leaf as it is
         leaf = np.zeros(order + 1)
         if isinstance(e, Const):
             leaf[0] = e.value

@@ -20,6 +20,7 @@ from aimcf.analysis import (
     birkhoff_adams,
     bound_check,
     characteristic_roots,
+    check_declared,
     classify,
     miller_minimal_ratio,
     monic_transform,
@@ -35,6 +36,7 @@ from aimcf.errors import (
     NonPositiveP,
     ValidationError,
     ZeroB0,
+    ZeroDenominator,
     ZeroP,
     ZeroQ,
 )
@@ -166,6 +168,18 @@ def test_bound_check_rejects_nan(pvals, qvals, where):
     with pytest.raises(HypothesisViolated) as info:
         bound_check(cf_approximants(pvals, qvals))
     assert str(info.value).startswith(f"{where} = nan")
+
+
+# an infinite p_n passes the hypothesis checks (p_n >= 1, q_n > 0) but leaves
+# the approximant of its level undefined
+def test_bound_check_rejects_an_undefined_approximant():
+    with pytest.raises(ZeroDenominator, match="^approximant undefined at level 1$"):
+        bound_check(cf_approximants([1.0, math.inf, 1.0], [1.0, 1.0, 1.0]))
+
+
+def test_pincherle_check_needs_a_finite_approximant():
+    with pytest.raises(ZeroDenominator, match="^no finite approximants available$"):
+        pincherle_check([math.nan] * 6, [1.0] * 6)
 
 
 # [DERIVED] denominator product lower bound, equality chain for p = 1
@@ -542,6 +556,44 @@ def test_classify_unit_limit_case():
     assert rep.consistency
 
 
+def _monic_pq(t):
+    """(p, q) with p_n = 2, whose monic samples t_n = -4 q_n / (p_{n-1} p_n)
+    are ``t``, in order; q_0 enters no sample."""
+    return [2.0] * (len(t) + 1), [-1.0] + [-v for v in t]
+
+
+# the limit branches of classify without a declaration; the monic limit is
+# the last sample, so a sequence whose last sample is the limit has
+# perturbations a_n = t_n - t_N that are exactly the decay it was built with
+@pytest.mark.parametrize(
+    "t, label, note",
+    [
+        # t_n -> 0.5 like n^-0.75: decay past n^-0.5 but not n^-1
+        ([0.5 + (k + 1.0) ** -0.75 for k in range(199)] + [0.5], CaseLabel.CASE_1C, None),
+        # t_n -> 1 like n^-1.5: sum of n |a_n| unbounded
+        (
+            [1.0 + (k + 1.0) ** -1.5 for k in range(199)] + [1.0],
+            CaseLabel.UNCLASSIFIED,
+            "monic limit 1 but n-weighted perturbation sum unbounded",
+        ),
+        # t_n alternating 1.5 -+ 0.3: the variation does not decay
+        (
+            [1.5 + (0.3 if k % 2 else -0.3) for k in range(200)],
+            CaseLabel.UNCLASSIFIED,
+            "monic limit above 1 but perturbation variation unbounded",
+        ),
+    ],
+    ids=["case-1c", "unit-limit-unbounded", "above-1-unbounded"],
+)
+def test_classify_limit_branches(t, label, note):
+    rep = classify(*_monic_pq(t))
+    assert rep.q_limit == t[-1]
+    assert rep.case_label is label
+    assert (note in rep.notes) if note else not rep.notes
+    if label is CaseLabel.CASE_1C:
+        assert rep.minimal_exists and rep.consistency
+
+
 # ROADMAP item 14's gate: on the oscillator's own ladder C_n converges to the
 # recessive Hermite alpha (tests/test_cf.py), so a minimal solution exists,
 # yet classify reads case 1b with no minimal solution, as Miller's estimates
@@ -724,6 +776,13 @@ def test_parse_declared_takes_numpy_numbers():
     assert power_law == (2.0, 1.0, -1.0, 0.0)
     _, data = parse_declared({**_EXPANSION, "k_max": np.int64(3)})
     assert data == parse_declared({**_EXPANSION, "k_max": 3})[1]
+
+
+# the check names the kind it found, which the CLI compares with the key
+def test_check_declared_returns_the_kind():
+    assert check_declared(None) is None
+    assert check_declared(_POWER_LAW) == "power law"
+    assert check_declared({**_EXPANSION, "k_max": 3}) == "1/n expansion"
 
 
 # one real-number rule at every entry point: a sequence entry or declared

@@ -907,6 +907,10 @@ def test_exit_input_on_bad_sweep(ho_file, capsys):
     code, _, err = _run(capsys, ["solve", ho_file, "--sweep-x0", "1:2"])
     assert code == EXIT_INPUT
     assert "sweep" in err
+    # a part that is no number
+    code, out, err = _run(capsys, ["solve", ho_file, "--sweep-x0", "a:1:3"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: bad --sweep-x0 value")
 
 
 # a size whose float64 array numpy cannot describe (8 * size > sys.maxsize)
@@ -1106,6 +1110,27 @@ def test_malformed_declaration_exits_input_under_every_command(tmp_path, capsys,
     code, out, err = _run(capsys, [command, path, *_param(command, "3")])
     assert (code, out) == (EXIT_INPUT, "")
     assert err.startswith("error: declared") or err.startswith("error: k_max")
+
+
+# a declaration key holds its own kind: a 1/n expansion under
+# declared_power_law, or a power law under declared_ba_coeffs, exits 2 at
+# load under every command, naming the key and the kind found
+@pytest.mark.parametrize("command", ["solve", "diagnose", "classify"])
+@pytest.mark.parametrize(
+    "name, declared, found",
+    [
+        ("declared_power_law", {"a_coeffs": [-2.0, 0.0], "b_coeffs": [1.0], "k_max": 3},
+         "1/n expansion"),
+        ("declared_ba_coeffs", {"a": 2.0, "sigma": 1, "b": -1, "tau": 0}, "power law"),
+    ],
+    ids=["expansion-as-power-law", "power-law-as-expansion"],
+)
+def test_declaration_key_holds_its_own_kind(tmp_path, capsys, command, name, declared, found):
+    block = dict(_CYLINDER, **{name: declared})
+    path = _write(tmp_path, "declared.json", dict(HO_PROBLEM, classify=block))
+    code, out, err = _run(capsys, [command, path, *_param(command, "3")])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith(f"error: '{name}'") and err.rstrip().endswith(f"got a {found}")
 
 
 # a numeric failure in building a declaration stays with classify: b_0 = 0

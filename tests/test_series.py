@@ -473,11 +473,11 @@ def test_unsupported_operand_is_type_error(op):
 def test_nonfinite_coefficients_rejected():
     with pytest.raises(ValidationError):
         _series(0.0, [1.0, math.inf])
-    # the leaf constructors check the order and the leaf as the binder does,
-    # the centre as the public constructor does
+    # the leaf constructors check the order, the centre and the leaf as
+    # series_from_expr does
     for make, message in (
         (lambda: TaylorSeries.constant(math.nan, 0.0, 3), "coefficients must all be finite"),
-        (lambda: TaylorSeries.identity(math.inf, 3), "coefficients must all be finite"),
+        (lambda: TaylorSeries.identity(math.inf, 3), "center must be finite"),
         (lambda: TaylorSeries.constant(1.0, math.inf, 3), "center must be finite"),
         (lambda: TaylorSeries.constant(1.0, 0.0, -1), "^series order must be >= 0$"),
         (lambda: TaylorSeries.identity(0.0, -1), "^series order must be >= 0$"),
@@ -790,6 +790,12 @@ def test_parser_rejects_with_position(text):
     with pytest.raises(ParseOrEvalError) as err:
         parse_expression(text)
     assert "position" in str(err.value)
+
+
+# the binder takes expression nodes only: unparsed text is no node
+def test_series_from_expr_rejects_a_value_that_is_no_node():
+    with pytest.raises(ParseOrEvalError, match="^unknown expression node str$"):
+        series_from_expr("x", 1.0, 0.0, 3)
 
 
 # a character outside the grammar is named at its own position, also where
